@@ -6,7 +6,11 @@ red, and merge two blocks.  Blue counts per column give the upper path,
 red counts the lower path.  :func:`to_paths_via_tree` computes the same map
 through the two generating trees (climb to the root recording labels, then
 descend the other tree matching them); it serves as the reference
-implementation.  :func:`from_paths` inverts the map the same way.
+implementation.  :func:`from_paths` inverts the map the same way: it climbs
+the pair tree to the root, then descends the triangulation tree building one
+child per level, the one whose label matches (sibling labels are distinct
+and their order is fixed by the succession rule); each child built is
+validated in full.
 
 Tie-break conventions are fixed: when several crosses in one column tie for
 blue, the lowest (largest row) is taken, and for red the highest; per-column
@@ -21,7 +25,7 @@ from typing import Mapping
 from .errors import DomainError, StructuralError
 from .gentree2 import (
     ROOT_PAIR,
-    children2,
+    child_by_label,
     label2,
     pair_children,
     pair_label,
@@ -222,8 +226,5 @@ def from_paths(p: DyckPath, q: DyckPath) -> KTriangulation:
         raise StructuralError(f"root label {chain[0]} is not (0, 0)")
     tri = pentagon_root()
     for target in chain[1:]:
-        matches = [child for _, child in children2(tri) if label2(child) == target]
-        if len(matches) != 1:
-            raise StructuralError(f"label {target} matched {len(matches)} children")
-        tri = matches[0]
+        tri = child_by_label(tri, target)
     return tri

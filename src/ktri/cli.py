@@ -29,10 +29,33 @@ from .verify import run_verify
 
 
 def _read_input(path: str | None) -> str:
-    if path is None or path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    try:
+        if path is None or path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"input is not {exc.encoding} text: {exc.reason} at byte {exc.start}") from exc
+
+
+# Chunks of this many digits stay below the interpreter's int-to-str limit
+# (4300 digits by default), so a count of any size prints exactly.
+_CHUNK_DIGITS = 1000
+
+
+def _decimal(value: int) -> str:
+    """Exact decimal digits of a nonnegative integer, however many there are."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than the int-to-str limit allows
+        pass
+    chunk = 10**_CHUNK_DIGITS
+    chunks = []
+    while value:
+        value, low = divmod(value, chunk)
+        chunks.append(low)
+    head = str(chunks.pop())
+    return head + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
 
 
 def _cmd_count(args) -> int:
@@ -42,7 +65,7 @@ def _cmd_count(args) -> int:
         value = len(enumerate_brute(PolygonContext(args.n, args.k)))
     else:
         value = len(enumerate_tree(args.n, args.k))
-    print(value)
+    print(_decimal(value))
     return 0
 
 

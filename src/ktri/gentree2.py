@@ -114,6 +114,34 @@ def _validate_child(parent: KTriangulation, child: KTriangulation, u: int) -> No
         raise StructuralError("child does not map back to its parent")
 
 
+def child2(tri: KTriangulation, u: int, i: int) -> KTriangulation:
+    """The child of a 2-triangulation selected by (u, i), without validation.
+
+    Column u+1 (holding h crosses) is split after its i highest crosses,
+    0 <= i <= h, and the corner cross (u, u+3) is added; at u = n-2 the
+    extra choice i = h+1 introduces the cross (1, u+1) instead.
+    """
+    _require_k2(tri)
+    n = tri.ctx.n
+    if not corner(tri) <= u <= n - 2:
+        raise DomainError(f"u={u} outside {corner(tri)}..{n - 2}")
+    base = [(a, b + 1) if b >= u + 2 else (a, b) for (a, b) in tri.diagonals if b != u + 1]
+    col = sorted((a for (a, b) in tri.diagonals if b == u + 1), reverse=True)
+    h = len(col)
+    cur = set(base)
+    cur.add((u, u + 3))
+    if 0 <= i <= h:
+        cur.update((a, u + 1) for a in col[:i])
+        cur.add((col[i - 1], u + 2) if i > 0 else (u - 1, u + 2))
+        cur.update((a, u + 2) for a in col[i:])
+    elif u == n - 2 and i == h + 1:
+        cur.update((a, u + 1) for a in col)
+        cur.add((1, u + 1))
+    else:
+        raise DomainError(f"i={i} is no split of column {u + 1} with {h} crosses")
+    return KTriangulation(PolygonContext(n + 1, 2), tuple(sorted(cur)))
+
+
 def children2(
     tri: KTriangulation, validate: bool = True
 ) -> tuple[tuple[GrowthChoice, KTriangulation], ...]:
@@ -126,34 +154,41 @@ def children2(
     """
     _require_k2(tri)
     n = tri.ctx.n
-    r = corner(tri)
-    ctx2 = PolygonContext(n + 1, 2)
-    out: list[tuple[GrowthChoice, KTriangulation]] = []
-    for u in range(r, n - 1):
-        base = [
-            (a, b + 1) if b >= u + 2 else (a, b)
-            for (a, b) in tri.diagonals
-            if b != u + 1
-        ]
-        col = sorted((a for (a, b) in tri.diagonals if b == u + 1), reverse=True)
-        h = len(col)
-        for i in range(h + 1):
-            cur = set(base)
-            cur.add((u, u + 3))
-            cur.update((a, u + 1) for a in col[:i])
-            cur.add((col[i - 1], u + 2) if i > 0 else (u - 1, u + 2))
-            cur.update((a, u + 2) for a in col[i:])
-            out.append((GrowthChoice(u, i), KTriangulation(ctx2, tuple(sorted(cur)))))
-        if u == n - 2:
-            cur = set(base)
-            cur.add((u, u + 3))
-            cur.update((a, u + 1) for a in col)
-            cur.add((1, u + 1))
-            out.append((GrowthChoice(u, h + 1), KTriangulation(ctx2, tuple(sorted(cur)))))
+    counts = tri.column_counts()
+    out = [
+        (GrowthChoice(u, i), child2(tri, u, i))
+        for u in range(corner(tri), n - 1)
+        for i in range(counts.get(u + 1, 0) + 1 + (u == n - 2))
+    ]
     if validate:
         for choice, child in out:
             _validate_child(tri, child, choice.u)
     return tuple(out)
+
+
+def child_by_label(tri: KTriangulation, target: TreeLabel) -> KTriangulation:
+    """The unique child of a 2-triangulation whose label is ``target``, validated.
+
+    Sibling labels are distinct and :func:`label_children` lists them in the
+    order of :func:`children2`: block j of a label (d_1, ..., d_s) holds the
+    d_j + 1 children with u = corner + j - 1 (d_s + 2 for the last block).
+    So the position of ``target`` gives (u, i), and only that child is built.
+    """
+    label = label2(tri)
+    siblings = label_children(label)
+    matched = siblings.count(target)
+    if matched != 1:
+        raise StructuralError(f"label {target} matched {matched} children")
+    u, i = corner(tri), siblings.index(target)
+    for d in label[:-1]:
+        if i <= d:
+            break
+        u, i = u + 1, i - d - 1
+    child = child2(tri, u, i)
+    _validate_child(tri, child, u)
+    if label2(child) != target:
+        raise StructuralError(f"child ({u}, {i}) has label {label2(child)}, expected {target}")
+    return child
 
 
 def label2(tri: KTriangulation) -> TreeLabel:

@@ -12,12 +12,18 @@ A k-triangulation is a maximal set of diagonals containing no
 (k+1)-crossing, i.e. no k+1 diagonals that mutually cross in their
 interiors.  All such sets have exactly k*(n-2k-1) (nontrivial) diagonals;
 the code asserts this instead of assuming it.
+
+Diagonals cross mutually iff they cross pairwise, so a t-crossing is a
+t-clique of the crossing graph.  Every crossing search is one bitset clique
+search: each staircase cell has a precomputed mask of the cells crossing it
+(built once per polygon), a diagonal set is a mask of cells, and a
+t-crossing through a given cell is a (t-1)-clique among the members of its
+crossing mask.
 """
 
 from __future__ import annotations
 
 import os
-from bisect import insort
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Sequence
@@ -103,10 +109,12 @@ def is_cell(ctx: PolygonContext, d: Diagonal) -> bool:
 
 
 def _check_members(ctx: PolygonContext, diagonals: Iterable[Diagonal]) -> tuple[Diagonal, ...]:
-    out = sorted(set(diagonals))
-    for d in out:
+    out = sorted(diagonals)
+    for prev, d in zip([None] + out, out):
         if not is_cell(ctx, d):
             raise DomainError(f"{d} is not a nontrivial diagonal of the {ctx.n}-gon (k={ctx.k})")
+        if d == prev:
+            raise DomainError(f"diagonal {d} appears more than once")
     return tuple(out)
 
 
@@ -192,59 +200,57 @@ def is_t_crossing(diagonals: Sequence[Diagonal]) -> bool:
     return heads[-1] < tails[0]
 
 
-def _find_crossing(
-    ds: Sequence[Diagonal], t: int, required: Diagonal | None = None
-) -> list[Diagonal] | None:
-    """Search for a t-crossing inside ds (sorted by (a, b)).
+def _crossing_masks_of(diagonals: Sequence[Diagonal]) -> tuple[int, ...]:
+    """Per diagonal, the bitmask (by list position) of the diagonals crossing it."""
+    masks = []
+    for a, b in diagonals:
+        mask = 0
+        for j, (c, d) in enumerate(diagonals):
+            if a < c < b < d or c < a < d < b:
+                mask |= 1 << j
+        masks.append(mask)
+    return tuple(masks)
 
-    Depth-first extension of chains that are strictly increasing in both
-    endpoints; every head must stay below the first tail, which is exactly
-    the mutual-crossing criterion.  When ``required`` is given, only
-    crossings containing that diagonal count.  Returns one witness or None.
+
+@lru_cache(maxsize=None)
+def _crossing_masks(ctx: PolygonContext) -> tuple[dict[Diagonal, int], tuple[int, ...]]:
+    """Bit position of each staircase cell, and the crossing mask of each cell."""
+    cells = staircase_cells(ctx)
+    return {c: i for i, c in enumerate(cells)}, _crossing_masks_of(cells)
+
+
+def _find_clique(cand: int, size: int, masks: Sequence[int]) -> int | None:
+    """Mask of a ``size``-clique of the crossing graph among the bits of ``cand``, or None.
+
+    Each clique is grown from its lowest bit through the neighbours above
+    it, so no clique is visited twice.
     """
-    n = len(ds)
-    if t <= 0:
-        return []
-    if n < t:
-        return None
-    req_i = ds.index(required) if required is not None else -1
-    chain: list[Diagonal] = []
-
-    def extend(j0: int, last_a: int, last_b: int, first_b: int, has_req: bool) -> bool:
-        if len(chain) == t:
-            return has_req or required is None
-        for j in range(j0, n):
-            if n - j < t - len(chain):
-                break
-            a, b = ds[j]
-            if a >= first_b:
-                break
-            if required is not None and not has_req and j > req_i:
-                break
-            if a > last_a and b > last_b:
-                chain.append(ds[j])
-                if extend(j + 1, a, b, first_b, has_req or j == req_i):
-                    return True
-                chain.pop()
-        return False
-
-    for i in range(n):
-        if n - i < t:
-            break
-        if required is not None and i > req_i:
-            break
-        a, b = ds[i]
-        chain.clear()
-        chain.append(ds[i])
-        if extend(i + 1, a, b, b, i == req_i):
-            return list(chain)
+    if size <= 0:
+        return 0
+    while cand.bit_count() >= size:
+        low = cand & -cand
+        cand ^= low
+        if size == 1:
+            return low
+        found = _find_clique(cand & masks[low.bit_length() - 1], size - 1, masks)
+        if found is not None:
+            return found | low
     return None
 
 
 def has_crossing(obj, t: int) -> bool:
-    """True iff some t of the diagonals mutually cross (exact backtracking)."""
-    diagonals = getattr(obj, "diagonals", obj)
-    return _find_crossing(sorted(diagonals), t) is not None
+    """True iff some t of the diagonals mutually cross (exact clique search)."""
+    diagonals = list(getattr(obj, "diagonals", obj))
+    everything = (1 << len(diagonals)) - 1
+    return _find_clique(everything, t, _crossing_masks_of(diagonals)) is not None
+
+
+def _member_mask(ctx: PolygonContext, diagonals: Iterable[Diagonal]) -> int:
+    bit, _ = _crossing_masks(ctx)
+    mask = 0
+    for d in diagonals:
+        mask |= 1 << bit[d]
+    return mask
 
 
 def is_k_triangulation(obj) -> bool:
@@ -254,21 +260,17 @@ def is_k_triangulation(obj) -> bool:
     violation of that identity is raised as a structural error.
     """
     ctx: PolygonContext = obj.ctx
-    diags = sorted(obj.diagonals)
+    _, masks = _crossing_masks(ctx)
+    members = _member_mask(ctx, obj.diagonals)
     t = ctx.k + 1
-    if _find_crossing(diags, t) is not None:
+    if _find_clique(members, t, masks) is not None:
         return False
-    members = set(diags)
-    for cell in staircase_cells(ctx):
-        if cell in members:
-            continue
-        trial = list(diags)
-        insort(trial, cell)
-        if _find_crossing(trial, t, required=cell) is None:
+    for i, mask in enumerate(masks):
+        if not members >> i & 1 and _find_clique(members & mask, t - 1, masks) is None:
             return False
-    if len(diags) != ctx.diagonal_count:
+    if len(obj.diagonals) != ctx.diagonal_count:
         raise StructuralError(
-            f"maximal (k+1)-crossing-free set of unexpected size {len(diags)} "
+            f"maximal (k+1)-crossing-free set of unexpected size {len(obj.diagonals)} "
             f"on the {ctx.n}-gon with k={ctx.k}"
         )
     return True
@@ -283,19 +285,20 @@ def complete_to_maximal(dset: DiagonalSet) -> KTriangulation:
     """
     ctx = dset.ctx
     t = ctx.k + 1
-    current = list(dset.diagonals)
-    if _find_crossing(current, t) is not None:
+    _, masks = _crossing_masks(ctx)
+    current = _member_mask(ctx, dset.diagonals)
+    if _find_clique(current, t, masks) is not None:
         raise DomainError("input already contains a (k+1)-crossing")
-    members = set(current)
-    for cell in staircase_cells(ctx):
-        if cell in members:
-            continue
-        trial = list(current)
-        insort(trial, cell)
-        if _find_crossing(trial, t, required=cell) is None:
-            current = trial
-            members.add(cell)
-    return KTriangulation(ctx, tuple(current))
+    for i, mask in enumerate(masks):
+        if not current >> i & 1 and _find_clique(current & mask, t - 1, masks) is None:
+            current |= 1 << i
+    return KTriangulation(ctx, _mask_cells(ctx, current))
+
+
+def _mask_cells(ctx: PolygonContext, mask: int) -> tuple[Diagonal, ...]:
+    """The staircase cells whose bits are set, sorted by (a, b)."""
+    cells = staircase_cells(ctx)
+    return tuple(sorted(c for i, c in enumerate(cells) if mask >> i & 1))
 
 
 def degree(obj, vertex: int) -> int:
@@ -321,11 +324,7 @@ def enumerate_brute(ctx: PolygonContext, guard: int | None = None) -> list[KTria
     if m > limit:
         raise GuardExceeded(f"{m} cells exceeds the enumeration guard of {limit}")
     t = ctx.k + 1
-    by_ab = sorted(cells)
-    bit_of = {c: 1 << i for i, c in enumerate(cells)}
-
-    def mask_cells(mask: int) -> list[Diagonal]:
-        return [c for c in by_ab if bit_of[c] & mask]
+    _, masks = _crossing_masks(ctx)
 
     suffix = [0] * (m + 1)
     for i in range(m - 1, -1, -1):
@@ -345,26 +344,21 @@ def enumerate_brute(ctx: PolygonContext, guard: int | None = None) -> list[KTria
             low = x & -x
             x -= low
             w = witness.get(low)
-            if w is not None and (w & ~(available | low)) == 0:
+            if w is not None and (w & ~available) == 0:
                 continue
-            cell = cells[low.bit_length() - 1]
-            found = _find_crossing(mask_cells(available | low), t, required=cell)
+            found = _find_clique(available & masks[low.bit_length() - 1], t - 1, masks)
             if found is None:
                 return
-            mask = 0
-            for c in found:
-                mask |= bit_of[c]
-            witness[low] = mask
+            witness[low] = found
         if i == m:
             results.append(included)
             return
-        bit = 1 << i
-        if _find_crossing(mask_cells(included | bit), t, required=cells[i]) is None:
-            rec(i + 1, included | bit, excluded)
-        rec(i + 1, included, excluded | bit)
+        if _find_clique(included & masks[i], t - 1, masks) is None:
+            rec(i + 1, included | (1 << i), excluded)
+        rec(i + 1, included, excluded | (1 << i))
 
     rec(0, 0, 0)
-    out = [KTriangulation(ctx, tuple(mask_cells(mask))) for mask in results]
+    out = [KTriangulation(ctx, _mask_cells(ctx, mask)) for mask in results]
     out.sort(key=lambda tri: tri.diagonals)
     return out
 

@@ -43,7 +43,8 @@ def _counting(k: int, n_max: int) -> Check:
             tree = enumerate_tree(n, k)
             if [t.diagonals for t in tree] != [t.diagonals for t in brute]:
                 return ("counting", False, f"tree and brute enumerations differ at n={n}")
-    return ("counting", True, f"k={k}, n<={n_max}: det = brute = tree")
+    methods = "det = brute = tree" if k >= 2 else "det = brute"
+    return ("counting", True, f"k={k}, n<={n_max}: {methods}")
 
 
 def _tuples_vs_det(k: int, m_max: int) -> Check:

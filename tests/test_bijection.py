@@ -1,5 +1,7 @@
 """The coloring algorithm and the bijection with path pairs."""
 
+import random
+
 import pytest
 
 from conftest import (
@@ -15,6 +17,7 @@ from ktri import (
     PairEncoding,
     PolygonContext,
     color_diagram,
+    dominates,
     encode_pair,
     enumerate_tuples,
     from_paths,
@@ -24,6 +27,34 @@ from ktri import (
     to_paths,
     to_paths_via_tree,
 )
+
+
+def random_dyck_heights(rng, m):
+    """Heights of a uniform random Dyck path of semilength m (cycle lemma)."""
+    steps = [1] * m + [-1] * (m + 1)
+    rng.shuffle(steps)
+    heights = [0]
+    for s in steps:
+        heights.append(heights[-1] + s)
+    start = heights.index(min(heights))  # first minimum: rotate to start there
+    steps = steps[start:] + steps[:start]
+    heights = [0]
+    for s in steps[:-1]:
+        heights.append(heights[-1] + s)
+    return heights
+
+
+def random_noncrossing_pair(rng, m):
+    """Pointwise max and min of two random Dyck paths: a non-crossing pair."""
+    a, b = random_dyck_heights(rng, m), random_dyck_heights(rng, m)
+
+    def path(heights):
+        return DyckPath("".join("N" if y > x else "E" for x, y in zip(heights, heights[1:])))
+
+    upper = path([max(x, y) for x, y in zip(a, b)])
+    lower = path([min(x, y) for x, y in zip(a, b)])
+    assert upper.m == lower.m == m and dominates(upper, lower)
+    return upper, lower
 
 
 class TestColorDiagram:
@@ -165,6 +196,16 @@ class TestInverse:
     def test_rejects_crossing_pair(self):
         with pytest.raises(DomainError):
             from_paths(DyckPath("NENE"), DyckPath("NNEE"))
+
+    def test_round_trips_past_exhaustive_range(self):
+        rng = random.Random(61002)
+        for m in range(6, 21):
+            for _ in range(3):
+                p, q = random_noncrossing_pair(rng, m)
+                tri = from_paths(p, q)
+                assert tri.ctx.n == m + 4
+                assert to_paths(tri) == (p, q)
+                assert to_paths_via_tree(tri) == (p, q)
 
 
 class TestTreeIsomorphism:

@@ -1,9 +1,12 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
+import sys
+
 import pytest
 
 from conftest import EXAMPLE_14GON, EXAMPLE_14GON_P, EXAMPLE_14GON_Q
 from ktri.cli import main
+from ktri.paths import catalan_determinant
 
 HEX_FILE = "k=2 n=6\n1-4,3-6\n"
 
@@ -30,6 +33,18 @@ class TestCount:
     def test_bad_n(self, capsys):
         code, _, err = run(capsys, "count", "--k", "2", "--n", "4")
         assert code == 1 and "error" in err
+
+    def test_answer_past_the_int_to_str_limit(self, capsys):
+        code, out, _ = run(capsys, "count", "--k", "2", "--n", "8000")
+        assert code == 0
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = str(catalan_determinant(8000, 2))
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+        assert len(expected) > old_limit
+        assert out == expected + "\n"
 
 
 class TestEnumerate:
@@ -86,6 +101,20 @@ class TestMapUnmap:
         code, _, err = run(capsys, "unmap", "--input", str(f))
         assert code == 1 and "error" in err
 
+    def test_map_rejects_repeated_diagonal(self, capsys, tmp_path):
+        f = tmp_path / "rep.tri"
+        f.write_text("k=2 n=7\n1-4,1-5,2-5,2-6,1-4\n")
+        code, out, err = run(capsys, "map", "--input", str(f))
+        assert code == 1 and out == ""
+        assert err == "error: diagonal (1, 4) appears more than once\n"
+
+    def test_non_utf8_input_is_a_domain_error(self, capsys, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_bytes(b"NE\xff\nNE\n")
+        code, out, err = run(capsys, "unmap", "--input", str(f))
+        assert code == 1 and out == ""
+        assert err.startswith("error: input is not utf-8 text")
+
 
 class TestParentChildren:
     def test_parent(self, capsys, tmp_path):
@@ -136,6 +165,11 @@ class TestVerifyAndRender:
         code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "9")
         assert code == 0
         assert out.count("PASS") == len(out.strip().splitlines())
+
+    def test_verify_k1_runs_no_tree(self, capsys):
+        code, out, _ = run(capsys, "verify", "--k", "1", "--n-max", "7")
+        assert code == 0
+        assert out.splitlines()[0] == "PASS counting: k=1, n<=7: det = brute"
 
     def test_render_triangulation(self, capsys, tmp_path):
         f = tmp_path / "hex.tri"

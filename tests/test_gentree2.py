@@ -9,6 +9,7 @@ from ktri import (
     DomainError,
     KTriangulation,
     PolygonContext,
+    child2,
     children2,
     corner,
     degree,
@@ -126,6 +127,18 @@ class TestChildren:
             counts = Counter(produced)
             assert all(c == 1 for c in counts.values())
             assert sorted(produced) == [t.diagonals for t in triangulations(n, 2)]
+
+    def test_child2_builds_each_child_alone(self):
+        for n in range(5, 11):
+            for tri in triangulations(n, 2):
+                for choice, child in children2(tri, validate=False):
+                    assert child2(tri, choice.u, choice.i) == child
+
+    def test_child2_rejects_unknown_choices(self):
+        # children of the heptagon (0,2,1): u in 3..5, at most three splits per u
+        for u, i in [(2, 0), (6, 0), (3, 1), (4, 3), (5, 3), (4, -1)]:
+            with pytest.raises(DomainError):
+                child2(HEPTAGON_021, u, i)
 
     def test_corner_monotone(self):
         for tri in triangulations(8, 2):

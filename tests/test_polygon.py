@@ -1,5 +1,6 @@
 """Polygon core: cells, crossings, enumeration, structure checks."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -46,6 +47,10 @@ class TestContext:
             DiagonalSet(PolygonContext(6, 2), ((1, 3),))  # trivial
         with pytest.raises(DomainError):
             DiagonalSet(PolygonContext(6, 2), ((1, 6),))  # wrap-trivial
+
+    def test_diagonal_set_rejects_repeats(self):
+        with pytest.raises(DomainError, match=r"\(1, 4\) appears more than once"):
+            DiagonalSet(PolygonContext(6, 2), ((1, 4), (2, 5), (1, 4)))
 
 
 class TestTrivialDiagonals:
@@ -123,6 +128,42 @@ class TestIsKTriangulation:
         assert is_k_triangulation(DiagonalSet(ctx, ((1, 4), (2, 5))))
         assert not is_k_triangulation(DiagonalSet(ctx, ((1, 4),)))  # not maximal
         assert not is_k_triangulation(DiagonalSet(ctx, ((1, 4), (2, 5), (3, 6))))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_matches_naive_definition(self, k):
+        # independent oracle: no (k+1)-subset is a crossing, and every
+        # missing cell completes one with some k members
+        def naive(members, cells):
+            if any(is_t_crossing(c) for c in combinations(members, k + 1)):
+                return False
+            return all(
+                any(is_t_crossing(c + (cell,)) for c in combinations(members, k))
+                for cell in cells
+                if cell not in members
+            )
+
+        rng = random.Random(20061010 + k)
+        verdicts = set()
+        for n in range(2 * k + 1, 11):
+            ctx = PolygonContext(n, k)
+            cells = staircase_cells(ctx)
+            for _ in range(30):
+                order = list(cells)
+                rng.shuffle(order)
+                grown = ()
+                for cell in order:  # greedy completion in a random order
+                    if not has_crossing(grown + (cell,), k + 1):
+                        grown += (cell,)
+                samples = [grown, tuple(rng.sample(cells, rng.randint(0, len(cells))))]
+                if grown:
+                    samples.append(tuple(d for d in grown if d != rng.choice(grown)))
+                if len(grown) < len(cells):
+                    samples.append(grown + (rng.choice([c for c in cells if c not in grown]),))
+                for members in samples:
+                    got = is_k_triangulation(DiagonalSet(ctx, members))
+                    assert got == naive(members, cells), (n, k, members)
+                    verdicts.add(got)
+        assert verdicts == {True, False}
 
     def test_certified_and_cardinality_guard(self):
         ctx = PolygonContext(6, 2)
