@@ -18,14 +18,11 @@ from .gentree2 import (
     child2,
     child_by_label,
     children2,
-    corner,
     label2,
     label_children,
     pair_children,
     pair_label,
     pair_parent,
-    parent2,
-    pentagon_root,
 )
 from .gentree_k import (
     GrowthChoiceK,
@@ -46,11 +43,7 @@ from .paths import (
     catalan,
     catalan_determinant,
     dominates,
-    encode_pair,
     enumerate_tuples,
-    from_exponents,
-    s_param,
-    to_exponents,
 )
 from .polygon import (
     DiagonalSet,
@@ -98,15 +91,12 @@ __all__ = [
     "children_k",
     "color_diagram",
     "complete_to_maximal",
-    "corner",
     "corner_k",
     "degree",
     "dominates",
-    "encode_pair",
     "enumerate_brute",
     "enumerate_tree",
     "enumerate_tuples",
-    "from_exponents",
     "from_paths",
     "has_crossing",
     "is_cell",
@@ -117,13 +107,9 @@ __all__ = [
     "pair_children",
     "pair_label",
     "pair_parent",
-    "parent2",
     "parent_frame",
     "parent_k",
-    "pentagon_root",
-    "s_param",
     "staircase_cells",
-    "to_exponents",
     "to_paths",
     "to_paths_via_tree",
     "tree_root",

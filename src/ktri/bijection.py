@@ -30,9 +30,8 @@ from .gentree2 import (
     pair_children,
     pair_label,
     pair_parent,
-    parent2,
-    pentagon_root,
 )
+from .gentree_k import parent_k, tree_root
 from .paths import DyckPath, PairEncoding, dominates
 from .polygon import Diagonal, KTriangulation
 
@@ -189,7 +188,7 @@ def _label_chain_to_root(tri: KTriangulation) -> list[tuple[int, ...]]:
     chain = [label2(tri)]
     cur = tri
     while cur.ctx.n > 5:
-        cur = parent2(cur)
+        cur = parent_k(cur)
         chain.append(label2(cur))
     chain.reverse()
     return chain
@@ -224,7 +223,7 @@ def from_paths(p: DyckPath, q: DyckPath) -> KTriangulation:
     chain.reverse()
     if chain[0] != (0, 0):
         raise StructuralError(f"root label {chain[0]} is not (0, 0)")
-    tri = pentagon_root()
+    tri = tree_root(2)
     for target in chain[1:]:
         tri = child_by_label(tri, target)
     return tri

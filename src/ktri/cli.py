@@ -20,7 +20,7 @@ from .formats import (
     parse_pair,
     parse_triangulation,
 )
-from .gentree2 import children2, label2, parent2
+from .gentree2 import children2, label2
 from .gentree_k import children_k, enumerate_tree, parent_k, tree_root
 from .paths import catalan_determinant
 from .polygon import PolygonContext, enumerate_brute
@@ -105,8 +105,7 @@ def _cmd_unmap(args) -> int:
 
 def _cmd_parent(args) -> int:
     tri = parse_triangulation(_read_input(args.input))
-    parent = parent2(tri) if tri.ctx.k == 2 else parent_k(tri)
-    sys.stdout.write(format_triangulation(parent))
+    sys.stdout.write(format_triangulation(parent_k(tri)))
     return 0
 
 

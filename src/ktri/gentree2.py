@@ -5,24 +5,28 @@ empty pentagon; the other has the non-crossing Dyck path pairs of semilength
 l+1, rooted at (NE, NE).  Both obey the same succession rule on labels
 (d_1, ..., d_s), which is what :func:`label_children` implements.
 
-Corner and label conventions: the corner of a 2-triangulation is the largest
-r with the short diagonal (r, r+3) present; the empty pentagon has corner 2
-by convention.  Labels are the column cross-counts (h_{r+1}, ..., h_{n-1}),
-which ties them to the pair labels through r + s = n - 1.
+The triangulation tree is the k = 2 case of :mod:`ktri.gentree_k`, which
+holds its corner, parent, growth step and child check.  This module adds
+what is specific to k = 2: the labels, the (u, i) view of the children, the
+one-child descent by label, and the pair tree.
+
+Label conventions: the corner r is that of :func:`ktri.gentree_k.corner_k`
+(2 for the empty pentagon), and labels are the column cross-counts
+(h_{r+1}, ..., h_{n-1}), which ties them to the pair labels through
+r + s = n - 1.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 
 from .errors import DomainError, StructuralError
+from .gentree_k import _row_options, _validate_child, child_k, children_k, corner_k
 from .paths import PairEncoding
-from .polygon import KTriangulation, PolygonContext, is_cell, is_k_triangulation
+from .polygon import KTriangulation
 
 TreeLabel = tuple[int, ...]
-
-PENTAGON_CORNER = 2
-ROOT_LABEL: TreeLabel = (0, 0)
 
 
 @dataclass(frozen=True)
@@ -52,94 +56,23 @@ def _require_k2(tri: KTriangulation) -> None:
         raise DomainError(f"operation defined for k=2 only, got k={tri.ctx.k}")
 
 
-def corner(tri: KTriangulation) -> int:
-    """Largest r with (r, r+3) present; the empty pentagon has corner 2."""
-    _require_k2(tri)
-    n = tri.ctx.n
-    if n == 5:
-        return PENTAGON_CORNER
-    shorts = [a for (a, b) in tri.diagonals if b == a + 3]
-    if not shorts:
-        raise StructuralError(f"2-triangulation of the {n}-gon without a short diagonal")
-    r = max(shorts)
-    if r < 2:
-        raise StructuralError(f"corner {r} below 2")
-    if max(a for (a, _) in tri.diagonals) > r:
-        raise StructuralError("crosses found below the corner row")
-    return r
-
-
-def parent2(tri: KTriangulation) -> KTriangulation:
-    """One level up the tree: delete two diagonals around the corner and contract.
-
-    Works on the staircase diagram: remove the corner cross (r, r+3) and the
-    cross (r-1, r+2) when present, merge columns r+1 and r+2 (dropping one of
-    a duplicated pair), shift the higher columns left, and discard the one
-    position that can leave the staircase shape of the smaller polygon.
-    """
-    _require_k2(tri)
-    n = tri.ctx.n
-    if n < 6:
-        raise DomainError("the empty pentagon is the root and has no parent")
-    r = corner(tri)
-    crosses = set(tri.diagonals)
-    crosses.remove((r, r + 3))
-    crosses.discard((r - 1, r + 2))
-    moved = set()
-    for a, b in crosses:
-        if b == r + 2:
-            moved.add((a, r + 1))
-        elif b >= r + 3:
-            moved.add((a, b - 1))
-        else:
-            moved.add((a, b))
-    ctx2 = PolygonContext(n - 1, 2)
-    dropped = {d for d in moved if not is_cell(ctx2, d)}
-    if dropped and dropped != {(1, n - 2)}:
-        raise StructuralError(f"unexpected off-shape crosses {sorted(dropped)}")
-    moved -= dropped
-    if len(moved) != ctx2.diagonal_count:
-        raise StructuralError(
-            f"parent has {len(moved)} crosses, expected {ctx2.diagonal_count}"
-        )
-    return KTriangulation(ctx2, tuple(sorted(moved)))
-
-
-def _validate_child(parent: KTriangulation, child: KTriangulation, u: int) -> None:
-    if not is_k_triangulation(child):
-        raise StructuralError(f"emitted child is not a k-triangulation: {child.diagonals}")
-    if corner(child) != u:
-        raise StructuralError(f"child corner {corner(child)} differs from u={u}")
-    if parent2(child) != parent:
-        raise StructuralError("child does not map back to its parent")
-
-
 def child2(tri: KTriangulation, u: int, i: int) -> KTriangulation:
     """The child of a 2-triangulation selected by (u, i), without validation.
 
     Column u+1 (holding h crosses) is split after its i highest crosses,
     0 <= i <= h, and the corner cross (u, u+3) is added; at u = n-2 the
-    extra choice i = h+1 introduces the cross (1, u+1) instead.
+    extra choice i = h+1 introduces the cross (1, u+1) instead.  This is
+    :func:`ktri.gentree_k.child_k` with the i-th largest row it offers at u.
     """
     _require_k2(tri)
     n = tri.ctx.n
-    if not corner(tri) <= u <= n - 2:
-        raise DomainError(f"u={u} outside {corner(tri)}..{n - 2}")
-    base = [(a, b + 1) if b >= u + 2 else (a, b) for (a, b) in tri.diagonals if b != u + 1]
-    col = sorted((a for (a, b) in tri.diagonals if b == u + 1), reverse=True)
-    h = len(col)
-    cur = set(base)
-    cur.add((u, u + 3))
-    if 0 <= i <= h:
-        cur.update((a, u + 1) for a in col[:i])
-        cur.add((col[i - 1], u + 2) if i > 0 else (u - 1, u + 2))
-        cur.update((a, u + 2) for a in col[i:])
-    elif u == n - 2 and i == h + 1:
-        cur.update((a, u + 1) for a in col)
-        cur.add((1, u + 1))
-    else:
+    if not corner_k(tri) <= u <= n - 2:
+        raise DomainError(f"u={u} outside {corner_k(tri)}..{n - 2}")
+    rows = _row_options(tri, u)[0]
+    if not 0 <= i < len(rows):
+        h = len(tri.column_rows(u + 1))
         raise DomainError(f"i={i} is no split of column {u + 1} with {h} crosses")
-    return KTriangulation(PolygonContext(n + 1, 2), tuple(sorted(cur)))
+    return child_k(tri, u, (rows[-1 - i],))
 
 
 def children2(
@@ -147,22 +80,15 @@ def children2(
 ) -> tuple[tuple[GrowthChoice, KTriangulation], ...]:
     """All children of a 2-triangulation, ordered by (u asc, i asc).
 
-    For each u in r..n-2 the column u+1 is split in every admissible way; at
-    u = n-2 there is one extra split that introduces the cross (1, u+1).
-    Every emitted child is checked to be a 2-triangulation whose parent is
-    the input, unless ``validate`` is switched off.
+    These are the children of :func:`ktri.gentree_k.children_k`, validated
+    there unless ``validate`` is switched off; within each u block, i counts
+    the row choices from the largest down, as in :func:`child2`.
     """
     _require_k2(tri)
-    n = tri.ctx.n
-    counts = tri.column_counts()
-    out = [
-        (GrowthChoice(u, i), child2(tri, u, i))
-        for u in range(corner(tri), n - 1)
-        for i in range(counts.get(u + 1, 0) + 1 + (u == n - 2))
-    ]
-    if validate:
-        for choice, child in out:
-            _validate_child(tri, child, choice.u)
+    out: list[tuple[GrowthChoice, KTriangulation]] = []
+    for u, block in groupby(children_k(tri, validate), key=lambda kid: kid[0].u):
+        kids = [child for _, child in block]
+        out.extend((GrowthChoice(u, i), child) for i, child in enumerate(reversed(kids)))
     return tuple(out)
 
 
@@ -179,7 +105,7 @@ def child_by_label(tri: KTriangulation, target: TreeLabel) -> KTriangulation:
     matched = siblings.count(target)
     if matched != 1:
         raise StructuralError(f"label {target} matched {matched} children")
-    u, i = corner(tri), siblings.index(target)
+    u, i = corner_k(tri), siblings.index(target)
     for d in label[:-1]:
         if i <= d:
             break
@@ -195,7 +121,7 @@ def label2(tri: KTriangulation) -> TreeLabel:
     """Column cross-counts (h_{r+1}, ..., h_{n-1}); the root gets (0, 0)."""
     _require_k2(tri)
     n = tri.ctx.n
-    r = corner(tri)
+    r = corner_k(tri)
     counts = tri.column_counts()
     return tuple(counts.get(j, 0) for j in range(r + 1, n))
 
@@ -319,6 +245,3 @@ def pair_label(enc: PairEncoding) -> TreeLabel:
 
 ROOT_PAIR = PairEncoding((0,), (0,))
 
-
-def pentagon_root() -> KTriangulation:
-    return KTriangulation(PolygonContext(5, 2), ())

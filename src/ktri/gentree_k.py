@@ -4,8 +4,10 @@ Level l of the tree holds the k-triangulations of the (l+2k+1)-gon; the
 root is the empty (2k+1)-gon.  The parent operation pivots on the corner r
 (largest r with the short diagonal (r, r+k+1) present) and on the anchor
 rows a_1 < ... < a_{k-1}, greedily minimal choices from the columns
-r+1..r+k-1.  For k = 2 these operations coincide with the ones in
-:mod:`ktri.gentree2`.
+r+1..r+k-1.  :func:`child_k` grows one child, and every validated child
+is checked for one invariant: maximal, corner u, parent round trip.  For
+k = 2 this is the 2-triangulation tree; :mod:`ktri.gentree2` adds its
+labels and the (u, i) view of its children.
 
 No label calculus exists here: the number of children depends on the
 relative position of crosses across columns, not just on column counts.
@@ -183,55 +185,78 @@ def _row_choices(options: list[list[int]]) -> list[tuple[int, ...]]:
     return out
 
 
+def _validate_child(parent: KTriangulation, child: KTriangulation, u: int) -> None:
+    """The child invariant: a k-triangulation with corner u whose parent is ``parent``."""
+    if not is_k_triangulation(child):
+        raise StructuralError(f"emitted child is not a k-triangulation: {child.diagonals}")
+    if corner_k(child) != u:
+        raise StructuralError(f"child corner {corner_k(child)} differs from u={u}")
+    if parent_k(child) != parent:
+        raise StructuralError("child does not map back to its parent")
+
+
+def _row_options(tri: KTriangulation, u: int) -> list[list[int]]:
+    """For each i in 1..k-1, the rows b_i may take at u, in ascending order.
+
+    They are the rows of column u+i and the fallback u+i-k; at u = n-k the
+    row value i is available too.
+    """
+    k, n = tri.ctx.k, tri.ctx.n
+    options = []
+    for i in range(1, k):
+        vals = {a for (a, b) in tri.diagonals if b == u + i}
+        vals.add(u + i - k)
+        if u == n - k:
+            vals.add(i)
+        options.append(sorted(vals))
+    return options
+
+
+def child_k(tri: KTriangulation, u: int, rows: tuple[int, ...]) -> KTriangulation:
+    """The child of a k-triangulation selected by (u, rows), without validation.
+
+    The columns from u+k on shift one to the right and the corner cross
+    (u, u+k+1) is inserted.  Then, for i = k-1 down to 1, the crosses of
+    column u+i in rows above b_i move one column right and the cross
+    (b_i, u+i+1) is added; at u = n-k the row value b_i = i places its
+    cross one column to the left, at (i, u+i).  (u, rows) must be one of
+    the choices :func:`children_k` lists.
+    """
+    k = _require_k(tri)
+    n = tri.ctx.n
+    cur = {(a, b + 1) if b >= u + k else (a, b) for (a, b) in tri.diagonals}
+    cur.add((u, u + k + 1))
+    for i in range(k - 1, 0, -1):
+        b_i = rows[i - 1]
+        movers = [d for d in cur if d[1] == u + i and d[0] < b_i]
+        for d in movers:
+            cur.remove(d)
+            cur.add((d[0], u + i + 1))
+        new_cross = (b_i, u + i) if (u == n - k and b_i == i) else (b_i, u + i + 1)
+        if new_cross in cur:
+            raise StructuralError(f"duplicate cross {new_cross} while growing")
+        cur.add(new_cross)
+    return KTriangulation(PolygonContext(n + 1, k), tuple(sorted(cur)))
+
+
 def children_k(
     tri: KTriangulation, validate: bool = True
 ) -> tuple[tuple[GrowthChoiceK, KTriangulation], ...]:
     """All children of a k-triangulation, ordered by (u asc, rows lex asc).
 
-    For each u in r..n-k a new corner cross (u, u+k+1) is inserted and the
-    columns u+1..u+k are rearranged according to a strictly increasing
-    choice of rows b_i taken from column u+i or the fallback u+i-k; at
-    u = n-k the additional row value i becomes available and places its
-    cross one column to the left.  Children are validated unless disabled.
+    For each u in r..n-k, one child per strictly increasing choice of rows
+    b_1 < ... < b_{k-1} from :func:`_row_options`, built by :func:`child_k`.
+    Children are validated unless disabled.
     """
     k = _require_k(tri)
-    ctx = tri.ctx
-    n = ctx.n
-    r = corner_k(tri)
-    ctx2 = PolygonContext(n + 1, k)
-    out: list[tuple[GrowthChoiceK, KTriangulation]] = []
-    for u in range(r, n - k + 1):
-        shifted = [(a, b + 1) if b >= u + k else (a, b) for (a, b) in tri.diagonals]
-        options: list[list[int]] = []
-        for i in range(1, k):
-            vals = {a for (a, b) in tri.diagonals if b == u + i}
-            vals.add(u + i - k)
-            if u == n - k:
-                vals.add(i)
-            options.append(sorted(vals))
-        for rows in _row_choices(options):
-            cur = set(shifted)
-            cur.add((u, u + k + 1))
-            for i in range(k - 1, 0, -1):
-                b_i = rows[i - 1]
-                movers = [d for d in cur if d[1] == u + i and d[0] < b_i]
-                for d in movers:
-                    cur.remove(d)
-                    cur.add((d[0], u + i + 1))
-                new_cross = (b_i, u + i) if (u == n - k and b_i == i) else (b_i, u + i + 1)
-                if new_cross in cur:
-                    raise StructuralError(f"duplicate cross {new_cross} while growing")
-                cur.add(new_cross)
-            child = KTriangulation(ctx2, tuple(sorted(cur)))
-            out.append((GrowthChoiceK(u, rows), child))
+    out = [
+        (GrowthChoiceK(u, rows), child_k(tri, u, rows))
+        for u in range(corner_k(tri), tri.ctx.n - k + 1)
+        for rows in _row_choices(_row_options(tri, u))
+    ]
     if validate:
         for choice, child in out:
-            if not is_k_triangulation(child):
-                raise StructuralError(f"emitted child is not a k-triangulation: {child.diagonals}")
-            if corner_k(child) != choice.u:
-                raise StructuralError(f"child corner differs from u={choice.u}")
-            if parent_k(child) != tri:
-                raise StructuralError("child does not map back to its parent")
+            _validate_child(tri, child, choice.u)
     return tuple(out)
 
 

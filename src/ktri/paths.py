@@ -149,14 +149,6 @@ class DyckPath:
         return self.steps
 
 
-def to_exponents(path: DyckPath) -> tuple[int, ...]:
-    return path.exponents()
-
-
-def from_exponents(exps: Sequence[int]) -> DyckPath:
-    return DyckPath.from_exponents(exps)
-
-
 def dominates(p: DyckPath, q: DyckPath) -> bool:
     """True iff p never goes below q (both paths of the same semilength)."""
     if p.m != q.m:
@@ -317,10 +309,3 @@ class PairEncoding:
             raise DomainError("first path must never go below the second")
         return cls(p.exponents(), q.exponents())
 
-
-def encode_pair(p: DyckPath, q: DyckPath) -> PairEncoding:
-    return PairEncoding.from_paths(p, q)
-
-
-def s_param(enc: PairEncoding) -> int:
-    return enc.s

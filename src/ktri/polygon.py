@@ -132,31 +132,28 @@ class DiagonalSet:
         return len(self.diagonals)
 
     def __contains__(self, d: Diagonal) -> bool:
-        return d in set(self.diagonals)
+        return d in self.diagonals
 
     def column_rows(self, b: int) -> tuple[int, ...]:
         return tuple(a for (a, c) in self.diagonals if c == b)
 
 
 @dataclass(frozen=True)
-class KTriangulation:
+class KTriangulation(DiagonalSet):
     """A maximal (k+1)-crossing-free diagonal set.
 
     The constructor checks membership in the staircase array and the
     cardinality k*(n-2k-1); use :func:`is_k_triangulation` or
-    :meth:`certified` for the full maximality verification.
+    :meth:`certified` for the full maximality verification.  It never
+    equals a plain :class:`DiagonalSet` with the same diagonals.
     """
 
-    ctx: PolygonContext
-    diagonals: tuple[Diagonal, ...]
-
     def __post_init__(self) -> None:
-        diags = _check_members(self.ctx, self.diagonals)
-        object.__setattr__(self, "diagonals", diags)
-        if len(diags) != self.ctx.diagonal_count:
+        super().__post_init__()
+        if len(self.diagonals) != self.ctx.diagonal_count:
             raise DomainError(
                 f"a k-triangulation of the {self.ctx.n}-gon (k={self.ctx.k}) has "
-                f"{self.ctx.diagonal_count} nontrivial diagonals, got {len(diags)}"
+                f"{self.ctx.diagonal_count} nontrivial diagonals, got {len(self.diagonals)}"
             )
 
     @classmethod
@@ -165,15 +162,6 @@ class KTriangulation:
         if not is_k_triangulation(candidate):
             raise DomainError("diagonal set is not a k-triangulation")
         return cls(ctx, candidate.diagonals)
-
-    def __len__(self) -> int:
-        return len(self.diagonals)
-
-    def __contains__(self, d: Diagonal) -> bool:
-        return d in self.diagonals
-
-    def column_rows(self, b: int) -> tuple[int, ...]:
-        return tuple(a for (a, c) in self.diagonals if c == b)
 
     def column_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}
@@ -238,9 +226,8 @@ def _find_clique(cand: int, size: int, masks: Sequence[int]) -> int | None:
     return None
 
 
-def has_crossing(obj, t: int) -> bool:
+def has_crossing(diagonals: Sequence[Diagonal], t: int) -> bool:
     """True iff some t of the diagonals mutually cross (exact clique search)."""
-    diagonals = list(getattr(obj, "diagonals", obj))
     everything = (1 << len(diagonals)) - 1
     return _find_clique(everything, t, _crossing_masks_of(diagonals)) is not None
 

@@ -11,6 +11,7 @@ from collections import Counter
 from itertools import combinations
 
 from .bijection import color_diagram, from_paths, to_paths, to_paths_via_tree
+from .errors import StructuralError
 from .gentree2 import (
     ROOT_PAIR,
     children2,
@@ -18,14 +19,14 @@ from .gentree2 import (
     label_children,
     pair_children,
     pair_parent,
-    parent2,
-    pentagon_root,
 )
-from .gentree_k import children_k, enumerate_tree, parent_k, tree_root
+from .gentree_k import children_k, corner_k, enumerate_tree, parent_k, tree_root
 from .paths import PairEncoding, catalan_determinant, enumerate_tuples
 from .polygon import (
+    KTriangulation,
     PolygonContext,
     check_structure_lemmas,
+    degree,
     enumerate_brute,
     is_t_crossing,
 )
@@ -112,17 +113,18 @@ def _pair_round_trips(m_max: int) -> Check:
 
 
 def _label_coherence(n_max: int) -> Check:
-    tris = [pentagon_root()]
+    tris = [tree_root(2)]
     for n in range(5, n_max):
         nxt = []
         for tri in tris:
+            kids = [child for _, child in children2(tri)]
             expected = label_children(label2(tri))
-            got = tuple(label2(child) for _, child in children2(tri))
+            got = tuple(label2(child) for child in kids)
             if got != expected:
                 return ("label_coherence", False, f"labels differ below {tri.diagonals}")
             if len(set(got)) != len(got):
                 return ("label_coherence", False, f"sibling labels repeat below {tri.diagonals}")
-            nxt.extend(child for _, child in children2(tri))
+            nxt.extend(kids)
         tris = nxt
     return ("label_coherence", True, f"2-triangulations up to n={n_max}")
 
@@ -181,14 +183,40 @@ def _column_identity(n_max: int) -> Check:
     return ("column_identity", True, f"n<={n_max}")
 
 
+def vertex_parent(tri: KTriangulation) -> KTriangulation:
+    """The parent of a 2-triangulation by diagonal deletion and contraction.
+
+    An oracle for :func:`parent_k` at k = 2 that works on the polygon, not
+    the staircase: delete the corner diagonal (r, r+3) and one more, namely
+    (r-1, r+2) if vertex r+1 has degree 0, (1, r+1) if vertex r+2 has, else
+    (j, r+2) for the largest j; then contract the edge (r+1, r+2).
+    """
+    n = tri.ctx.n
+    r = corner_k(tri)
+    s = set(tri.diagonals)
+    s.remove((r, r + 3))
+    if degree(tri, r + 1) == 0:
+        s.remove((r - 1, r + 2))
+    elif degree(tri, r + 2) == 0:
+        if r != n - 3:
+            raise StructuralError(f"vertex {r + 2} isolated with corner {r} on the {n}-gon")
+        s.remove((1, r + 1))
+    else:
+        s.remove((max(a for (a, b) in s if b == r + 2), r + 2))
+
+    def relabel(v: int) -> int:
+        if v <= r + 1:
+            return v
+        return r + 1 if v == r + 2 else v - 1
+
+    out = {tuple(sorted((relabel(a), relabel(b)))) for a, b in s}
+    return KTriangulation(PolygonContext(n - 1, 2), tuple(sorted(out)))
+
+
 def _k2_specialization(n_max: int) -> Check:
-    for n in range(5, n_max + 1):
+    for n in range(6, n_max + 1):
         for tri in enumerate_brute(PolygonContext(n, 2)):
-            via2 = {child.diagonals for _, child in children2(tri)}
-            viak = {child.diagonals for _, child in children_k(tri)}
-            if via2 != viak:
-                return ("k2_specialization", False, f"children differ on {tri.diagonals}")
-            if n >= 6 and parent_k(tri) != parent2(tri):
+            if parent_k(tri) != vertex_parent(tri):
                 return ("k2_specialization", False, f"parents differ on {tri.diagonals}")
     return ("k2_specialization", True, f"n<={n_max}")
 

@@ -21,6 +21,7 @@ from conftest import (
 )
 from ktri import (
     DyckPath,
+    PairEncoding,
     PolygonContext,
     ROOT_PAIR,
     all_paths,
@@ -29,10 +30,8 @@ from ktri import (
     children2,
     children_k,
     color_diagram,
-    corner,
     corner_k,
     dominates,
-    encode_pair,
     enumerate_tree,
     enumerate_tuples,
     from_paths,
@@ -40,9 +39,7 @@ from ktri import (
     label_children,
     pair_children,
     pair_parent,
-    parent2,
     parent_k,
-    pentagon_root,
     to_paths,
     to_paths_via_tree,
     tree_root,
@@ -100,7 +97,7 @@ def test_criterion_3_bijection():
 def test_criterion_4_worked_example():
     with criterion(4, "the 14-gon example reproduces paths, label chain, and encodings"):
         tri = example_14gon()
-        assert corner(tri) == 10 and label2(tri) == (1, 2, 4)
+        assert corner_k(tri) == 10 and label2(tri) == (1, 2, 4)
         p, q = to_paths(tri)
         assert p.steps == EXAMPLE_14GON_P and q.steps == EXAMPLE_14GON_Q
         assert to_paths_via_tree(tri) == (p, q)
@@ -108,10 +105,10 @@ def test_criterion_4_worked_example():
         chain = [label2(tri)]
         cur = tri
         while cur.ctx.n > 5:
-            cur = parent2(cur)
+            cur = parent_k(cur)
             chain.append(label2(cur))
         assert list(reversed(chain)) == EXAMPLE_14GON_LABELS
-        enc = encode_pair(p, q)
+        enc = PairEncoding.from_paths(p, q)
         assert enc.rows() == (EXAMPLE_14GON_TOP, EXAMPLE_14GON_BOTTOM)
         parent = pair_parent(enc)
         assert parent.rows() == (EXAMPLE_14GON_PARENT_TOP, EXAMPLE_14GON_PARENT_BOTTOM)
@@ -143,7 +140,7 @@ def _check_tree_levels(k, n_hi):
         for tri in level:
             pairs = children2(tri) if k == 2 else children_k(tri)
             for choice, child in pairs:
-                back = parent2(child) if k == 2 else parent_k(child)
+                back = parent_k(child)
                 assert back == tri
                 produced.append(child)
         counts = Counter(t.diagonals for t in produced)
@@ -197,7 +194,7 @@ def test_criterion_7_lemma_suite():
         for n in range(5, 10):
             for tri in triangulations(n, 2):
                 p, q = to_paths(tri)
-                enc = encode_pair(p, q)
+                enc = PairEncoding.from_paths(p, q)
                 m = n - 4
                 expected = [enc.q_at(m)]
                 expected += [enc.p_at(j + 1) + enc.q_at(j) for j in range(m - 1, 0, -1)]

@@ -18,14 +18,13 @@ from ktri import (
     PolygonContext,
     color_diagram,
     dominates,
-    encode_pair,
     enumerate_tuples,
     from_paths,
     is_cell,
-    parent2,
-    pentagon_root,
+    parent_k,
     to_paths,
     to_paths_via_tree,
+    tree_root,
 )
 
 
@@ -116,7 +115,7 @@ class TestColorDiagram:
             rows_by_column.setdefault(b, set()).add(a)
         ancestor = tri
         for step in colored.steps:
-            ancestor = parent2(ancestor)
+            ancestor = parent_k(ancestor)
             ctx = ancestor.ctx
             members = set(ancestor.diagonals)
             assert len(step.blocks) == ctx.n - 3
@@ -140,7 +139,7 @@ class TestColorDiagram:
 
 class TestToPaths:
     def test_pentagon(self):
-        assert to_paths(pentagon_root()) == (DyckPath("NE"), DyckPath("NE"))
+        assert to_paths(tree_root(2)) == (DyckPath("NE"), DyckPath("NE"))
 
     def test_hexagons(self):
         tri = KTriangulation(PolygonContext(6, 2), ((1, 4), (3, 6)))
@@ -188,7 +187,7 @@ class TestInverse:
                 assert from_paths(*to_paths(tri)) == tri
 
     def test_examples(self):
-        assert from_paths(DyckPath("NE"), DyckPath("NE")) == pentagon_root()
+        assert from_paths(DyckPath("NE"), DyckPath("NE")) == tree_root(2)
         got = from_paths(DyckPath("NNEE"), DyckPath("NENE"))
         assert got.diagonals == ((1, 4), (3, 6))
         assert from_paths(DyckPath(EXAMPLE_14GON_P), DyckPath(EXAMPLE_14GON_Q)) == example_14gon()
@@ -218,7 +217,7 @@ class TestTreeIsomorphism:
         from ktri import ROOT_PAIR, label2, pair_children, pair_label
         from ktri.gentree2 import children2
 
-        level = [(pentagon_root(), ROOT_PAIR)]
+        level = [(tree_root(2), ROOT_PAIR)]
         for _ in range(4):  # up to the 9-gon / semilength 5
             nxt = []
             for tri, enc in level:
@@ -240,7 +239,7 @@ class TestTreeIsomorphism:
         from ktri import ROOT_PAIR, label2, pair_children, pair_label
         from ktri.gentree2 import children2
 
-        tris = [pentagon_root()]
+        tris = [tree_root(2)]
         pairs = [ROOT_PAIR]
         for _ in range(5):
             tris = [c for t in tris for _, c in children2(t)]
@@ -256,7 +255,7 @@ class TestColumnIdentity:
         for n in range(5, 10):
             for tri in triangulations(n, 2):
                 p, q = to_paths(tri)
-                enc = encode_pair(p, q)
+                enc = PairEncoding.from_paths(p, q)
                 m = n - 4
                 expected = [enc.q_at(m)]
                 expected += [enc.p_at(j + 1) + enc.q_at(j) for j in range(m - 1, 0, -1)]

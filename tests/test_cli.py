@@ -134,6 +134,50 @@ class TestParentChildren:
             "u=3 i=1\t1-4,3-6",
         ]
 
+    def test_parent_of_root_is_a_domain_error(self, capsys, tmp_path):
+        f = tmp_path / "root.tri"
+        f.write_text("k=2 n=5\n-\n")
+        code, out, err = run(capsys, "parent", "--input", str(f))
+        assert code == 1 and out == ""
+        assert err == "error: the empty root has no parent\n"
+
+    def test_children_split_columns_with_crosses(self, capsys, tmp_path):
+        # the heptagon node with label (0,2,1): columns 5 and 6 hold crosses
+        f = tmp_path / "hep.tri"
+        f.write_text("k=2 n=7\n1-5,2-5,3-6,3-7\n")
+        code, out, _ = run(capsys, "children", "--input", str(f))
+        assert code == 0
+        assert out.splitlines() == [
+            "u=3 i=0\t1-6,2-5,2-6,3-6,3-7,3-8",
+            "u=4 i=0\t1-6,2-6,3-6,3-7,3-8,4-7",
+            "u=4 i=1\t1-6,2-5,2-6,3-7,3-8,4-7",
+            "u=4 i=2\t1-5,1-6,2-5,3-7,3-8,4-7",
+            "u=5 i=0\t1-5,2-5,3-7,3-8,4-7,5-8",
+            "u=5 i=1\t1-5,2-5,3-6,3-7,3-8,5-8",
+            "u=5 i=2\t1-5,1-6,2-5,3-6,3-8,5-8",
+        ]
+
+    def test_children_k3_example(self, capsys, tmp_path):
+        # the 9-gon node with two children at u=4, three at u=5, seven at u=6
+        f = tmp_path / "k3.tri"
+        f.write_text("k=3 n=9\n1-5,1-6,3-7,3-8,4-8,4-9\n")
+        code, out, _ = run(capsys, "children", "--input", str(f))
+        assert code == 0
+        assert out.splitlines() == [
+            "u=4 b=1,3\t1-5,1-6,1-7,3-7,3-8,3-9,4-8,4-9,4-10",
+            "u=4 b=2,3\t1-6,1-7,2-6,3-7,3-8,3-9,4-8,4-9,4-10",
+            "u=5 b=1,3\t1-5,1-6,1-7,3-7,3-8,3-9,4-9,4-10,5-9",
+            "u=5 b=1,4\t1-5,1-6,1-7,3-8,3-9,4-8,4-9,4-10,5-9",
+            "u=5 b=3,4\t1-5,1-7,3-7,3-8,3-9,4-8,4-9,4-10,5-9",
+            "u=6 b=1,2\t1-5,1-6,1-7,2-8,3-7,3-8,4-8,4-10,6-10",
+            "u=6 b=1,3\t1-5,1-6,1-7,3-7,3-8,3-9,4-8,4-10,6-10",
+            "u=6 b=1,4\t1-5,1-6,1-7,3-7,3-9,4-8,4-9,4-10,6-10",
+            "u=6 b=1,5\t1-5,1-6,1-7,3-7,3-9,4-9,4-10,5-9,6-10",
+            "u=6 b=3,4\t1-5,1-6,3-7,3-8,3-9,4-8,4-9,4-10,6-10",
+            "u=6 b=3,5\t1-5,1-6,3-7,3-8,3-9,4-9,4-10,5-9,6-10",
+            "u=6 b=4,5\t1-5,1-6,3-8,3-9,4-8,4-9,4-10,5-9,6-10",
+        ]
+
     def test_children_k3(self, capsys, tmp_path):
         f = tmp_path / "root.tri"
         f.write_text("k=3 n=7\n-\n")

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import example_14gon, triangulations
-from ktri import DomainError, DyckPath, KTriangulation, PolygonContext, pentagon_root
+from ktri import DomainError, DyckPath, KTriangulation, PolygonContext, tree_root
 from ktri.formats import (
     format_pair,
     format_triangulation,
@@ -19,7 +19,7 @@ class TestTriangulationFormat:
     def test_format(self):
         tri = KTriangulation(PolygonContext(6, 2), ((1, 4), (2, 5)))
         assert format_triangulation(tri) == "k=2 n=6\n1-4,2-5\n"
-        assert format_triangulation(pentagon_root()) == "k=2 n=5\n-\n"
+        assert format_triangulation(tree_root(2)) == "k=2 n=5\n-\n"
 
     def test_round_trip(self):
         for n in range(5, 9):
@@ -61,7 +61,7 @@ class TestRenderDiagram:
         assert render_diagram(tri) == "4 5 6\nX\n  X\n    .\n"
 
     def test_pentagon_header_only(self):
-        assert render_diagram(pentagon_root()) == "4 5\n"
+        assert render_diagram(tree_root(2)) == "4 5\n"
 
     def test_octagon_shape(self):
         tri = triangulations(8, 2)[0]

@@ -11,81 +11,54 @@ from ktri import (
     PolygonContext,
     child2,
     children2,
-    corner,
-    degree,
+    corner_k,
     label2,
     label_children,
-    parent2,
-    pentagon_root,
+    parent_k,
+    tree_root,
 )
+from ktri.verify import vertex_parent
 
 HEPTAGON_021 = KTriangulation(PolygonContext(7, 2), ((1, 5), (2, 5), (3, 6), (3, 7)))
 
 
-def vertex_parent(tri):
-    """Second oracle: the parent by explicit diagonal deletion and contraction."""
-    n = tri.ctx.n
-    r = corner(tri)
-    s = set(tri.diagonals)
-    s.remove((r, r + 3))
-    if degree(tri, r + 1) == 0:
-        s.remove((r - 1, r + 2))
-    elif degree(tri, r + 2) == 0:
-        assert r == n - 3
-        s.remove((1, r + 1))
-    else:
-        j = max(a for (a, b) in s if b == r + 2)
-        s.remove((j, r + 2))
-
-    def relabel(v):
-        if v <= r + 1:
-            return v
-        return r + 1 if v == r + 2 else v - 1
-
-    out = set()
-    for a, b in s:
-        x, y = sorted((relabel(a), relabel(b)))
-        out.add((x, y))
-    return KTriangulation(PolygonContext(n - 1, 2), tuple(sorted(out)))
-
-
 class TestCorner:
     def test_examples(self):
-        assert corner(example_14gon()) == 10
-        assert corner(KTriangulation(PolygonContext(6, 2), ((1, 4), (2, 5)))) == 2
-        assert corner(KTriangulation(PolygonContext(6, 2), ((1, 4), (3, 6)))) == 3
-        assert corner(pentagon_root()) == 2
+        assert corner_k(example_14gon()) == 10
+        assert corner_k(KTriangulation(PolygonContext(6, 2), ((1, 4), (2, 5)))) == 2
+        assert corner_k(KTriangulation(PolygonContext(6, 2), ((1, 4), (3, 6)))) == 3
+        assert corner_k(tree_root(2)) == 2
 
     def test_always_at_least_two(self):
         for n in range(5, 9):
             for tri in triangulations(n, 2):
-                assert corner(tri) >= 2
+                assert corner_k(tri) >= 2
 
 
 class TestParent:
     def test_hexagon_to_pentagon(self):
         tri = KTriangulation(PolygonContext(6, 2), ((2, 5), (3, 6)))
-        assert parent2(tri) == pentagon_root()
+        assert parent_k(tri) == tree_root(2)
 
     def test_root_has_no_parent(self):
         with pytest.raises(DomainError):
-            parent2(pentagon_root())
+            parent_k(tree_root(2))
 
     def test_drops_two_diagonals(self):
         for n in range(6, 10):
             for tri in triangulations(n, 2):
-                assert len(parent2(tri)) == len(tri) - 2
+                assert len(parent_k(tri)) == len(tri) - 2
 
     def test_matches_vertex_oracle(self):
         for n in range(6, 10):
             for tri in triangulations(n, 2):
-                assert parent2(tri) == vertex_parent(tri), tri.diagonals
+                assert parent_k(tri) == vertex_parent(tri), tri.diagonals
 
     def test_example_label_chain(self):
         chain = [label2(example_14gon())]
         cur = example_14gon()
         while cur.ctx.n > 5:
-            cur = parent2(cur)
+            cur = parent_k(cur)
             chain.append(label2(cur))
         chain.reverse()
         assert chain == EXAMPLE_14GON_LABELS
@@ -93,7 +66,7 @@ class TestParent:
 
 class TestChildren:
     def test_pentagon_children(self):
-        got = [(c.u, c.i, t.diagonals) for c, t in children2(pentagon_root())]
+        got = [(c.u, c.i, t.diagonals) for c, t in children2(tree_root(2))]
         assert got == [
             (2, 0, ((1, 4), (2, 5))),
             (3, 0, ((2, 5), (3, 6))),
@@ -121,8 +94,8 @@ class TestChildren:
             produced = []
             for tri in triangulations(n - 1, 2):
                 for choice, child in children2(tri):
-                    assert parent2(child) == tri
-                    assert corner(child) == choice.u
+                    assert parent_k(child) == tri
+                    assert corner_k(child) == choice.u
                     produced.append(child.diagonals)
             counts = Counter(produced)
             assert all(c == 1 for c in counts.values())
@@ -142,21 +115,21 @@ class TestChildren:
 
     def test_corner_monotone(self):
         for tri in triangulations(8, 2):
-            r = corner(tri)
+            r = corner_k(tri)
             for choice, child in children2(tri):
-                assert corner(child) == choice.u >= r
+                assert corner_k(child) == choice.u >= r
 
 
 class TestLabels:
     def test_examples(self):
         assert label2(example_14gon()) == (1, 2, 4)
-        assert label2(pentagon_root()) == (0, 0)
+        assert label2(tree_root(2)) == (0, 0)
         assert label2(HEPTAGON_021) == (0, 2, 1)
 
     def test_corner_plus_length(self):
         for n in range(5, 10):
             for tri in triangulations(n, 2):
-                assert corner(tri) + len(label2(tri)) == n - 1
+                assert corner_k(tri) + len(label2(tri)) == n - 1
 
     def test_rule_examples(self):
         assert label_children((0, 1, 3, 2)) == (

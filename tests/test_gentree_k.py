@@ -13,10 +13,8 @@ from ktri import (
     catalan_determinant,
     children2,
     children_k,
-    corner,
     corner_k,
     enumerate_tree,
-    parent2,
     parent_frame,
     parent_k,
     tree_root,
@@ -38,11 +36,6 @@ class TestCorner:
         for k in (2, 3, 4):
             assert corner_k(tree_root(k)) == k
 
-    def test_matches_k2_corner(self):
-        for n in range(5, 10):
-            for tri in triangulations(n, 2):
-                assert corner_k(tri) == corner(tri)
-
     def test_at_least_k(self):
         for n in range(8, 11):
             for tri in triangulations(n, 3):
@@ -52,7 +45,7 @@ class TestCorner:
         # for k=2 the single anchor is the top cross of column r+1 when that
         # column is nonempty (the shared endpoint of the two deletions)
         for tri in triangulations(8, 2):
-            r = corner(tri)
+            r = corner_k(tri)
             rows = [a for (a, b) in tri.diagonals if b == r + 1]
             if rows:
                 assert anchor_rows(tri) == (min(rows),)
@@ -70,11 +63,6 @@ class TestParentK:
         for n in range(8, 11):
             for tri in triangulations(n, 3):
                 assert len(parent_k(tri)) == len(tri) - 3
-
-    def test_matches_parent2(self):
-        for n in range(6, 10):
-            for tri in triangulations(n, 2):
-                assert parent_k(tri) == parent2(tri), tri.diagonals
 
     def test_descends_to_root(self):
         for tri in triangulations(9, 3):

@@ -19,7 +19,6 @@ from ktri import (
     all_paths,
     catalan_determinant,
     dominates,
-    encode_pair,
     pair_children,
     pair_label,
     pair_parent,
@@ -54,7 +53,7 @@ WALK = [
 
 def all_pairs(m):
     return [
-        encode_pair(p, q)
+        PairEncoding.from_paths(p, q)
         for p, q in product(all_paths(m), repeat=2)
         if dominates(p, q)
     ]
@@ -68,7 +67,7 @@ class TestPairParent:
         assert parent.bottom_row == EXAMPLE_14GON_PARENT_BOTTOM
 
     def test_staircase_degenerates(self):
-        stair = encode_pair(DyckPath("NENE"), DyckPath("NENE"))
+        stair = PairEncoding.from_paths(DyckPath("NENE"), DyckPath("NENE"))
         assert pair_parent(stair) == ROOT_PAIR
 
     def test_root_has_no_parent(self):
@@ -172,7 +171,7 @@ class TestPairLabels:
         assert pair_label(ROOT_PAIR) == (0, 0)
         fig = encoding_with_rows(EXAMPLE_14GON_TOP, EXAMPLE_14GON_BOTTOM)
         assert pair_label(fig) == (1, 2, 4)
-        stair = encode_pair(DyckPath("NENE"), DyckPath("NENE"))
+        stair = PairEncoding.from_paths(DyckPath("NENE"), DyckPath("NENE"))
         assert pair_label(stair) == (0, 1, 1)
 
     def test_label_length_is_s(self):

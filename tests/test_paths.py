@@ -15,11 +15,7 @@ from ktri import (
     catalan,
     catalan_determinant,
     dominates,
-    encode_pair,
     enumerate_tuples,
-    from_exponents,
-    s_param,
-    to_exponents,
 )
 from ktri.paths import int_det
 
@@ -61,22 +57,22 @@ class TestDyckPath:
             DyckPath("NXE")
 
     def test_exponents_examples(self):
-        assert to_exponents(DyckPath("NE")) == (0,)
-        assert to_exponents(DyckPath("NENE")) == (0, 1)
-        assert to_exponents(DyckPath(EXAMPLE_14GON_P)) == (2, 2, 1, 1, 0, 0, 2, 0, 1, 0)
+        assert DyckPath("NE").exponents() == (0,)
+        assert DyckPath("NENE").exponents() == (0, 1)
+        assert DyckPath(EXAMPLE_14GON_P).exponents() == (2, 2, 1, 1, 0, 0, 2, 0, 1, 0)
 
     def test_round_trip_exhaustive(self):
         for m in range(1, 8):
             for p in all_paths(m):
-                assert from_exponents(to_exponents(p)) == p
+                assert DyckPath.from_exponents(p.exponents()) == p
 
     def test_from_exponents_rejects_bad_input(self):
         with pytest.raises(DomainError):
-            from_exponents(())
+            DyckPath.from_exponents(())
         with pytest.raises(DomainError):
-            from_exponents((-1,))
+            DyckPath.from_exponents((-1,))
         with pytest.raises(DomainError):
-            from_exponents((2, 0))  # dips below the diagonal
+            DyckPath.from_exponents((2, 0))  # dips below the diagonal
         with pytest.raises(DomainError):
             DyckPath("").exponents()
 
@@ -112,7 +108,7 @@ class TestDominates:
         # domination of the step walks == domination of exponent prefix sums
         for m in range(1, 6):
             for p, q in product(all_paths(m), repeat=2):
-                pe, qe = to_exponents(p), to_exponents(q)
+                pe, qe = p.exponents(), q.exponents()
                 sums = all(
                     sum(pe[:t]) >= sum(qe[:t]) for t in range(1, m + 1)
                 )
@@ -121,31 +117,31 @@ class TestDominates:
 
 class TestPairEncoding:
     def test_root(self):
-        enc = encode_pair(DyckPath("NE"), DyckPath("NE"))
+        enc = PairEncoding.from_paths(DyckPath("NE"), DyckPath("NE"))
         assert enc.rows() == ((0, 0, 0), (0, 0, 0))
-        assert s_param(enc) == 2
+        assert enc.s == 2
 
     def test_example_pair(self):
-        enc = encode_pair(DyckPath(EXAMPLE_14GON_P), DyckPath(EXAMPLE_14GON_Q))
+        enc = PairEncoding.from_paths(DyckPath(EXAMPLE_14GON_P), DyckPath(EXAMPLE_14GON_Q))
         assert enc.top_row == EXAMPLE_14GON_TOP
         assert enc.bottom_row == EXAMPLE_14GON_BOTTOM
-        assert s_param(enc) == 3
+        assert enc.s == 3
 
     def test_staircase(self):
-        enc = encode_pair(DyckPath("NENE"), DyckPath("NENE"))
+        enc = PairEncoding.from_paths(DyckPath("NENE"), DyckPath("NENE"))
         assert enc.rows() == ((0, 0, 1, 0), (0, 1, 0, 0))
-        assert s_param(enc) == 3  # m + 1 on the staircase
+        assert enc.s == 3  # m + 1 on the staircase
 
     def test_rejects_crossing_pair(self):
         with pytest.raises(DomainError):
-            encode_pair(DyckPath("NENE"), DyckPath("NNEE"))
+            PairEncoding.from_paths(DyckPath("NENE"), DyckPath("NNEE"))
 
     def test_s_bounds(self):
         for m in range(1, 6):
             for p, q in product(all_paths(m), repeat=2):
                 if not dominates(p, q):
                     continue
-                s = encode_pair(p, q).s
+                s = PairEncoding.from_paths(p, q).s
                 assert 2 <= s <= m + 1
 
     def test_paths_round_trip(self):
@@ -153,7 +149,7 @@ class TestPairEncoding:
             for p, q in product(all_paths(m), repeat=2):
                 if not dominates(p, q):
                     continue
-                assert encode_pair(p, q).paths() == (p, q)
+                assert PairEncoding.from_paths(p, q).paths() == (p, q)
 
     def test_invariant_matches_domination(self):
         # the encoding constructor accepts exactly the dominating pairs
@@ -161,7 +157,7 @@ class TestPairEncoding:
             for p, q in product(all_paths(m), repeat=2):
                 ok = dominates(p, q)
                 try:
-                    PairEncoding(to_exponents(p), to_exponents(q))
+                    PairEncoding(p.exponents(), q.exponents())
                     built = True
                 except DomainError:
                     built = False

@@ -52,6 +52,16 @@ class TestContext:
         with pytest.raises(DomainError, match=r"\(1, 4\) appears more than once"):
             DiagonalSet(PolygonContext(6, 2), ((1, 4), (2, 5), (1, 4)))
 
+    def test_triangulation_is_not_equal_to_its_diagonal_set(self):
+        ctx = PolygonContext(6, 2)
+        tri = KTriangulation(ctx, ((3, 6), (1, 4)))
+        plain = DiagonalSet(ctx, ((1, 4), (3, 6)))
+        assert tri.diagonals == plain.diagonals and len(tri) == len(plain) == 2
+        assert (1, 4) in tri and (1, 4) in plain and (2, 5) not in tri
+        assert tri.column_rows(6) == plain.column_rows(6) == (3,)
+        assert tri != plain and plain != tri
+        assert tri == KTriangulation(ctx, plain.diagonals)
+
 
 class TestTrivialDiagonals:
     def test_octagon(self):
@@ -117,9 +127,9 @@ class TestCrossings:
 
     def test_has_crossing(self):
         hexagon = DiagonalSet(PolygonContext(6, 2), ((1, 4), (2, 5), (3, 6)))
-        assert has_crossing(hexagon, 3)
-        assert not has_crossing(DiagonalSet(PolygonContext(6, 2), ((1, 4), (2, 5))), 3)
-        assert not has_crossing(example_14gon(), 3)
+        assert has_crossing(hexagon.diagonals, 3)
+        assert not has_crossing(DiagonalSet(PolygonContext(6, 2), ((1, 4), (2, 5))).diagonals, 3)
+        assert not has_crossing(example_14gon().diagonals, 3)
 
 
 class TestIsKTriangulation:

@@ -5,14 +5,12 @@ from hypothesis import strategies as st
 
 from ktri import (
     DyckPath,
+    PairEncoding,
     dominates,
-    encode_pair,
-    from_exponents,
     is_t_crossing,
     pair_children,
     pair_label,
     pair_parent,
-    to_exponents,
 )
 
 
@@ -61,9 +59,9 @@ def dominating_pairs(draw, max_m=12):
 
 @given(dyck_paths())
 def test_exponent_round_trip(path):
-    exps = to_exponents(path)
+    exps = path.exponents()
     assert sum(exps) == path.m - 1
-    assert from_exponents(exps) == path
+    assert DyckPath.from_exponents(exps) == path
 
 
 @given(dyck_paths())
@@ -80,7 +78,7 @@ def test_generated_pairs_dominate(pair):
 @given(dominating_pairs())
 @settings(deadline=None)
 def test_encoding_round_trip_and_label(pair):
-    enc = encode_pair(*pair)
+    enc = PairEncoding.from_paths(*pair)
     assert enc.paths() == pair
     assert 2 <= enc.s <= enc.m + 1
     assert len(pair_label(enc)) == enc.s
@@ -89,7 +87,7 @@ def test_encoding_round_trip_and_label(pair):
 @given(dominating_pairs(max_m=9))
 @settings(deadline=None, max_examples=40)
 def test_pair_appears_once_among_parents_children(pair):
-    enc = encode_pair(*pair)
+    enc = PairEncoding.from_paths(*pair)
     if enc.m == 1:
         return
     parent = pair_parent(enc)
