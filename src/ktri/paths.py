@@ -10,6 +10,14 @@ and is stored either as its step string or as the exponent tuple
 2 x (m+2) integer matrix of these exponents, padded with zeros; all the
 tree operations in :mod:`ktri.gentree2` work on that encoding.
 
+The number of k-triangulations of an n-gon is the Catalan Hankel
+determinant det(C_{n-i-j})_{i,j=1..k}.  :func:`catalan_determinant`
+evaluates it by Desnanot-Jacobi condensation, in (k-1)^2 exact steps of two
+products and one division each; every divisor is a smaller Catalan Hankel
+minor, hence a positive count.  :func:`int_det`, fraction-free (Bareiss)
+elimination in O(k^3) steps, is the independent oracle that the tests and
+``ktri verify`` compare it with.
+
 All arithmetic is exact integer arithmetic; no floating point anywhere.
 """
 
@@ -20,7 +28,7 @@ from functools import lru_cache
 from math import comb
 from typing import Iterator, Sequence
 
-from .errors import DomainError, GuardExceeded
+from .errors import DomainError, GuardExceeded, StructuralError
 from .polygon import _guard_value
 
 TUPLE_GUARD = 40
@@ -60,18 +68,55 @@ def int_det(matrix: Sequence[Sequence[int]]) -> int:
     return sign * a[-1][-1]
 
 
+def _exact_quotient(a: int, b: int) -> int:
+    """a / b for a division known to be exact; anything else is a bug."""
+    if b == 0:
+        raise StructuralError("zero divisor in an exact division")
+    q, r = divmod(a, b)
+    if r:
+        raise StructuralError("nonzero remainder in an exact division")
+    return q
+
+
 def catalan_determinant(n: int, k: int) -> int:
-    """Number of k-triangulations of an n-gon: det(C_{n-i-j})_{i,j=1..k}."""
+    """Number of k-triangulations of an n-gon: det(C_{n-i-j})_{i,j=1..k}.
+
+    Reversing the order of the rows and of the columns gives the Hankel
+    matrix (C_{s+a+b})_{a,b<k} with s = n - 2k and the same determinant, so
+    the count is h_k(s), where h_j(s) = det(C_{s+a+b})_{a,b<j}.  The
+    Desnanot-Jacobi identity on the (j+1) x (j+1) matrix of h_{j+1}(s) reads
+
+        h_{j+1}(s) * h_{j-1}(s+2) = h_j(s) * h_j(s+2) - h_j(s+1)^2,
+
+    since deleting its first or last row and column leaves Hankel matrices
+    of the same sequence.  From h_0 = 1 and h_1(s+t) = C_{s+t}, t = 0..2k-2
+    (the Catalan numbers C_{n-2k} .. C_{n-2}, each from the previous one by
+    C_{t+1} = C_t * 2(2t+1) / (t+2)), each level is computed on a window two
+    shorter than the one below it: (k-1)^2 steps in all, against O(k^3) for
+    elimination.  Each divisor h_{j-1}(s+2) counts the non-crossing
+    (j-1)-tuples of Dyck paths of semilength s+2 (at least one: j-1 copies
+    of a single path), so it is a positive integer and the quotient is
+    exact; both are still checked, and a failure raises StructuralError.
+    """
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k}")
-    if k == 1:
-        if n < 2:
-            raise DomainError(f"need n >= 2 for k=1, got {n}")
-        return catalan(n - 2)
-    if n <= 2 * k:
+    if k == 1 and n < 2:
+        raise DomainError(f"need n >= 2 for k=1, got {n}")
+    if k > 1 and n <= 2 * k:
         raise DomainError(f"need n > 2k, got n={n}, k={k}")
-    matrix = [[catalan(n - i - j) for j in range(1, k + 1)] for i in range(1, k + 1)]
-    return int_det(matrix)
+    s = n - 2 * k
+    c = catalan(s)
+    level = [c]  # level[t] = h_j(s+t), here for j = 1
+    for t in range(s, n - 2):
+        c = _exact_quotient(c * 2 * (2 * t + 1), t + 2)
+        level.append(c)
+    below = [1] * (2 * k + 1)  # h_{j-1}(s+t); h_0 = 1
+    for _ in range(k - 1):
+        level, below = [
+            _exact_quotient(level[t] * level[t + 2] - level[t + 1] ** 2, below[t + 2])
+            for t in range(len(level) - 2)
+        ], level
+    return level[0]
 
 
 @dataclass(frozen=True)

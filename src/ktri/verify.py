@@ -21,7 +21,7 @@ from .gentree2 import (
     pair_parent,
 )
 from .gentree_k import children_k, corner_k, enumerate_tree, parent_k, tree_root
-from .paths import PairEncoding, catalan_determinant, enumerate_tuples
+from .paths import PairEncoding, catalan, catalan_determinant, enumerate_tuples, int_det
 from .polygon import (
     KTriangulation,
     PolygonContext,
@@ -37,6 +37,9 @@ Check = tuple[str, bool, str]
 def _counting(k: int, n_max: int) -> Check:
     for n in range(2 * k + 1, n_max + 1):
         det = catalan_determinant(n, k)
+        bareiss = int_det([[catalan(n - i - j) for j in range(1, k + 1)] for i in range(1, k + 1)])
+        if det != bareiss:
+            return ("counting", False, f"condensed det {det} != Bareiss det {bareiss} at n={n}")
         brute = enumerate_brute(PolygonContext(n, k))
         if len(brute) != det:
             return ("counting", False, f"brute count {len(brute)} != det {det} at n={n}")

@@ -31,8 +31,17 @@ class TestCount:
         assert results == ["14\n"] * 3
 
     def test_bad_n(self, capsys):
-        code, _, err = run(capsys, "count", "--k", "2", "--n", "4")
-        assert code == 1 and "error" in err
+        assert run(capsys, "count", "--k", "2", "--n", "4") == (
+            1, "", "error: need n > 2k, got n=4, k=2\n"
+        )
+        assert run(capsys, "count", "--k", "1", "--n", "1") == (
+            1, "", "error: need n >= 2 for k=1, got 1\n"
+        )
+
+    def test_bad_k(self, capsys):
+        assert run(capsys, "count", "--k", "0", "--n", "5") == (
+            1, "", "error: k must be at least 1, got 0\n"
+        )
 
     def test_answer_past_the_int_to_str_limit(self, capsys):
         code, out, _ = run(capsys, "count", "--k", "2", "--n", "8000")
@@ -209,11 +218,21 @@ class TestVerifyAndRender:
         code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "9")
         assert code == 0
         assert out.count("PASS") == len(out.strip().splitlines())
+        assert out.splitlines()[0] == "PASS counting: k=2, n<=9: det = brute = tree"
 
     def test_verify_k1_runs_no_tree(self, capsys):
         code, out, _ = run(capsys, "verify", "--k", "1", "--n-max", "7")
         assert code == 0
         assert out.splitlines()[0] == "PASS counting: k=1, n<=7: det = brute"
+
+    def test_verify_counting_names_a_wrong_determinant(self, capsys, monkeypatch):
+        def off_by_one_at_7(n, k):
+            return catalan_determinant(n, k) + (n == 7)
+
+        monkeypatch.setattr("ktri.verify.catalan_determinant", off_by_one_at_7)
+        code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "8")
+        assert code == 1
+        assert out.splitlines()[0] == "FAIL counting: condensed det 15 != Bareiss det 14 at n=7"
 
     def test_render_triangulation(self, capsys, tmp_path):
         f = tmp_path / "hex.tri"

@@ -1,5 +1,7 @@
 """Dyck paths, exponent forms, pair encodings, and determinant counting."""
 
+import random
+from collections import Counter
 from itertools import combinations, product
 
 import pytest
@@ -17,7 +19,54 @@ from ktri import (
     dominates,
     enumerate_tuples,
 )
-from ktri.paths import int_det
+from ktri.errors import StructuralError
+from ktri.paths import _exact_quotient, int_det
+
+
+def cofactor_det(a):
+    """Determinant by expansion along the first row (the Leibniz sum, regrouped)."""
+    if not a:
+        return 1
+    return sum(
+        (-1) ** c * a[0][c] * cofactor_det([row[:c] + row[c + 1 :] for row in a[1:]])
+        for c in range(len(a))
+    )
+
+
+def explicit_det(n, k):
+    """det(C_{n-i-j})_{i,j=1..k} by Bareiss elimination on the written-out matrix."""
+    return int_det([[catalan(n - i - j) for j in range(1, k + 1)] for i in range(1, k + 1)])
+
+
+def prime_factors(v):
+    out = Counter()
+    p = 2
+    while p * p <= v:
+        while v % p == 0:
+            out[p] += 1
+            v //= p
+        p += 1
+    if v > 1:
+        out[v] += 1
+    return out
+
+
+def product_formula(n, k):
+    """The product over 1 <= i <= j <= n-2k-1 of (i+j+2k)/(i+j), in prime exponents."""
+    factors = Counter()  # net multiplicity of each factor v
+    for i in range(1, n - 2 * k):
+        for j in range(i, n - 2 * k):
+            factors[i + j + 2 * k] += 1
+            factors[i + j] -= 1
+    exponents = Counter()
+    for v, e in factors.items():
+        for p, f in prime_factors(v).items():
+            exponents[p] += e * f
+    assert min(exponents.values(), default=0) >= 0, "the product is not an integer"
+    value = 1
+    for p, e in exponents.items():
+        value *= p**e
+    return value
 
 
 class TestCatalan:
@@ -43,6 +92,51 @@ class TestCatalan:
             catalan_determinant(4, 2)
         with pytest.raises(DomainError):
             catalan_determinant(6, 0)
+        with pytest.raises(DomainError):
+            catalan_determinant(1, 1)
+        assert catalan_determinant(2, 1) == 1
+
+    def test_determinant_matches_bareiss(self):
+        for k in range(1, 9):
+            for n in range(2 * k + 1, 2 * k + 31):
+                assert catalan_determinant(n, k) == explicit_det(n, k), (n, k)
+        # the largest corners of the benchmark's count grid
+        for n, k in ((254, 25), (150, 13)):
+            assert catalan_determinant(n, k) == explicit_det(n, k), (n, k)
+
+    def test_determinant_matches_product_formula(self):
+        rng = random.Random(20050601)
+        points = [(3, 1), (5, 2), (51, 25), (258, 1), (258, 25)]
+        for _ in range(40):
+            k = rng.randint(1, 25)
+            points.append((rng.randint(2 * k + 1, 258), k))
+        for n, k in points:
+            assert catalan_determinant(n, k) == product_formula(n, k), (n, k)
+
+    def test_exact_quotient_rejects_inexact_division(self):
+        assert _exact_quotient(84, 12) == 7
+        with pytest.raises(StructuralError):
+            _exact_quotient(85, 12)
+        with pytest.raises(StructuralError):
+            _exact_quotient(84, 0)
+
+    def test_int_det_matches_cofactor_expansion(self):
+        rng = random.Random(1844)
+        singular = swapped = 0
+        for size in range(1, 6):
+            for trial in range(120):
+                a = [[rng.randint(-3, 3) for _ in range(size)] for _ in range(size)]
+                if trial % 3 == 1 and size >= 2:  # one row a multiple of another: singular
+                    x, y = rng.sample(range(size), 2)
+                    c = rng.randint(-2, 2)
+                    a[y] = [c * v for v in a[x]]
+                if trial % 3 == 2:  # leading pivot 0: takes the row-swap branch
+                    a[0][0] = 0
+                expected = cofactor_det(a)
+                assert int_det(a) == expected, a
+                singular += expected == 0
+                swapped += a[0][0] == 0 and expected != 0
+        assert singular > 50 and swapped > 50
 
 
 class TestDyckPath:
