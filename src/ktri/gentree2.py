@@ -175,13 +175,12 @@ def pair_parent(enc: PairEncoding) -> PairEncoding:
     return PairEncoding(tuple(new_p), tuple(new_q))
 
 
-def pair_children(
-    enc: PairEncoding, validate: bool = True
-) -> tuple[tuple[PairGrowthChoice, PairEncoding], ...]:
+def pair_children(enc: PairEncoding) -> tuple[tuple[PairGrowthChoice, PairEncoding], ...]:
     """All children of a pair, ordered by t, then split_top < insert_zero < split_bottom.
 
     The column holding p_{t+1} over q_t is split in two; the new child has
-    split index t+1.  Each child is checked to map back to its parent.
+    split index t+1.  Every child is checked for that split index and for
+    its parent, and a failure raises StructuralError.
     """
     m, s = enc.m, enc.s
     out: list[tuple[PairGrowthChoice, PairEncoding]] = []
@@ -226,14 +225,11 @@ def pair_children(
         for j in range(1, top + 1):
             child = PairEncoding(spliced_p(t, 0, pt1), spliced_q(t, qt - j + 1, j))
             out.append((PairGrowthChoice(t, "split_bottom", j), child))
-    if validate:
-        for choice, child in out:
-            if child.s != choice.t + 1:
-                raise StructuralError(
-                    f"child split index {child.s} differs from t+1={choice.t + 1}"
-                )
-            if pair_parent(child) != enc:
-                raise StructuralError("pair child does not map back to its parent")
+    for choice, child in out:
+        if child.s != choice.t + 1:
+            raise StructuralError(f"child split index {child.s} differs from t+1={choice.t + 1}")
+        if pair_parent(child) != enc:
+            raise StructuralError("pair child does not map back to its parent")
     return tuple(out)
 
 

@@ -1,13 +1,15 @@
-"""Runtime verification driver: re-checks the package invariants at desk scale.
+"""Runtime verification driver: each package invariant is stated once, here.
 
-Each check returns (name, passed, detail); the CLI prints one line per
-check and exits nonzero when any fails.  The checks mirror the pytest
-suite but are runnable from the installed package without test files.
+Each check returns (name, passed, detail) and takes its ranges and, if it
+needs them, a brute-force lister ``(n, k) -> triangulations``; the CLI runs
+the checks at desk scale and the test suite drives them at larger ranges.
 """
 
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Callable, Sequence
+from functools import lru_cache
 from itertools import combinations
 
 from .bijection import color_diagram, from_paths, to_paths, to_paths_via_tree
@@ -29,23 +31,25 @@ from .polygon import (
     degree,
     enumerate_brute,
     is_t_crossing,
+    staircase_cells,
 )
 
 Check = tuple[str, bool, str]
+Lister = Callable[[int, int], Sequence[KTriangulation]]
 
 
-def _counting(k: int, n_max: int) -> Check:
+def _counting(k: int, n_max: int, brute: Lister) -> Check:
     for n in range(2 * k + 1, n_max + 1):
         det = catalan_determinant(n, k)
         bareiss = int_det([[catalan(n - i - j) for j in range(1, k + 1)] for i in range(1, k + 1)])
         if det != bareiss:
             return ("counting", False, f"condensed det {det} != Bareiss det {bareiss} at n={n}")
-        brute = enumerate_brute(PolygonContext(n, k))
-        if len(brute) != det:
-            return ("counting", False, f"brute count {len(brute)} != det {det} at n={n}")
+        listed = brute(n, k)
+        if len(listed) != det:
+            return ("counting", False, f"brute count {len(listed)} != det {det} at n={n}")
         if k >= 2:
             tree = enumerate_tree(n, k)
-            if [t.diagonals for t in tree] != [t.diagonals for t in brute]:
+            if [t.diagonals for t in tree] != [t.diagonals for t in listed]:
                 return ("counting", False, f"tree and brute enumerations differ at n={n}")
     methods = "det = brute = tree" if k >= 2 else "det = brute"
     return ("counting", True, f"k={k}, n<={n_max}: {methods}")
@@ -63,8 +67,6 @@ def _tuples_vs_det(k: int, m_max: int) -> Check:
 
 def _crossing_criterion(n_max: int) -> Check:
     ctx = PolygonContext(min(n_max, 10), 2)
-    from .polygon import staircase_cells
-
     cells = staircase_cells(ctx)
     for d1, d2 in combinations(cells, 2):
         (a, b), (c, d) = sorted((d1, d2))
@@ -74,22 +76,25 @@ def _crossing_criterion(n_max: int) -> Check:
     return ("crossing_criterion", True, f"all diagonal pairs of the {ctx.n}-gon")
 
 
-def _round_trips(k: int, n_max: int) -> Check:
+def _round_trips(k: int, n_max: int, brute: Lister) -> Check:
     level = [tree_root(k)]
     n = 2 * k + 1
     while n < n_max:
         produced = []
         for tri in level:
-            for _, child in children_k(tri):
+            r = corner_k(tri)
+            for choice, child in children_k(tri):
                 if parent_k(child) != tri:
                     return ("round_trips", False, f"parent(child) != parent at n={n + 1}")
+                if not (c := corner_k(child)) == choice.u >= r:
+                    detail = f"child corner {c} != u={choice.u} or < parent corner {r}"
+                    return ("round_trips", False, f"{detail} at n={n + 1}")
                 produced.append(child)
         seen = Counter(t.diagonals for t in produced)
         dup = [d for d, c in seen.items() if c > 1]
         if dup:
             return ("round_trips", False, f"duplicate child at n={n + 1}: {dup[0]}")
-        brute = enumerate_brute(PolygonContext(n + 1, k))
-        if sorted(seen) != [t.diagonals for t in brute]:
+        if sorted(seen) != [t.diagonals for t in brute(n + 1, k)]:
             return ("round_trips", False, f"children of level {n} do not partition level {n + 1}")
         level = sorted(produced, key=lambda t: t.diagonals)
         n += 1
@@ -101,13 +106,19 @@ def _pair_round_trips(m_max: int) -> Check:
     for m in range(1, m_max):
         produced = []
         for enc in level:
-            for _, child in pair_children(enc):
+            for choice, child in pair_children(enc):
                 if pair_parent(child) != enc:
                     return ("pair_round_trips", False, f"bad parent at m={m + 1}")
+                if not child.s == choice.t + 1 <= enc.s + 1:
+                    detail = f"split index {child.s} != t+1={choice.t + 1} or > s+1={enc.s + 1}"
+                    return ("pair_round_trips", False, f"{detail} at m={m + 1}")
                 produced.append(child)
         seen = Counter((e.p, e.q) for e in produced)
         if any(c > 1 for c in seen.values()):
             return ("pair_round_trips", False, f"duplicate pair child at m={m + 1}")
+        pairs = (PairEncoding.from_paths(*t.paths) for t in enumerate_tuples(m + 1, 2))
+        if set(seen) != {(e.p, e.q) for e in pairs}:
+            return ("pair_round_trips", False, f"level m={m + 1} is not all non-crossing pairs")
         expected = catalan_determinant(m + 5, 2)
         if len(produced) != expected:
             return ("pair_round_trips", False, f"{len(produced)} pairs != {expected} at m={m + 1}")
@@ -132,11 +143,10 @@ def _label_coherence(n_max: int) -> Check:
     return ("label_coherence", True, f"2-triangulations up to n={n_max}")
 
 
-def _bijection(n_max: int) -> Check:
+def _bijection(n_max: int, brute: Lister) -> Check:
     for n in range(5, n_max + 1):
-        tris = enumerate_brute(PolygonContext(n, 2))
         images = set()
-        for tri in tris:
+        for tri in brute(n, 2):
             pq = to_paths(tri)
             if to_paths_via_tree(tri) != pq:
                 return ("bijection", False, f"direct and tree maps differ on {tri.diagonals}")
@@ -151,9 +161,9 @@ def _bijection(n_max: int) -> Check:
     return ("bijection", True, f"n<={n_max}")
 
 
-def _tie_breaks(n_max: int) -> Check:
+def _tie_breaks(n_max: int, brute: Lister) -> Check:
     for n in range(5, n_max + 1):
-        for tri in enumerate_brute(PolygonContext(n, 2)):
+        for tri in brute(n, 2):
             a = color_diagram(tri)
             b = color_diagram(tri, flip_ties=True)
             if a.blue_counts != b.blue_counts or a.red_counts != b.red_counts:
@@ -161,18 +171,18 @@ def _tie_breaks(n_max: int) -> Check:
     return ("tie_breaks", True, f"n<={n_max}")
 
 
-def _lemmas(k: int, n_max: int) -> Check:
+def _lemmas(k: int, n_max: int, brute: Lister) -> Check:
     for n in range(2 * k + 1, n_max + 1):
-        for tri in enumerate_brute(PolygonContext(n, k)):
+        for tri in brute(n, k):
             report = check_structure_lemmas(tri)
             if not report.ok:
                 return ("structure_lemmas", False, f"{report.failures()[0]} on {tri.diagonals}")
     return ("structure_lemmas", True, f"k={k}, n<={n_max}")
 
 
-def _column_identity(n_max: int) -> Check:
+def _column_identity(n_max: int, brute: Lister) -> Check:
     for n in range(5, n_max + 1):
-        for tri in enumerate_brute(PolygonContext(n, 2)):
+        for tri in brute(n, 2):
             p, q = to_paths(tri)
             enc = PairEncoding.from_paths(p, q)
             m = n - 4
@@ -216,27 +226,31 @@ def vertex_parent(tri: KTriangulation) -> KTriangulation:
     return KTriangulation(PolygonContext(n - 1, 2), tuple(sorted(out)))
 
 
-def _k2_specialization(n_max: int) -> Check:
+def _k2_specialization(n_max: int, brute: Lister) -> Check:
     for n in range(6, n_max + 1):
-        for tri in enumerate_brute(PolygonContext(n, 2)):
+        for tri in brute(n, 2):
             if parent_k(tri) != vertex_parent(tri):
                 return ("k2_specialization", False, f"parents differ on {tri.diagonals}")
     return ("k2_specialization", True, f"n<={n_max}")
 
 
 def run_verify(k: int, n_max: int) -> list[Check]:
+    @lru_cache(maxsize=None)
+    def brute(n: int, kk: int) -> list[KTriangulation]:
+        return enumerate_brute(PolygonContext(n, kk))
+
     checks: list[Check] = []
-    checks.append(_counting(k, n_max))
+    checks.append(_counting(k, n_max, brute))
     checks.append(_tuples_vs_det(k, min(5, n_max - 2 * k)))
     checks.append(_crossing_criterion(n_max))
     if k >= 2:
-        checks.append(_round_trips(k, n_max))
-    checks.append(_lemmas(k, min(n_max, 2 * k + 5)))
+        checks.append(_round_trips(k, n_max, brute))
+    checks.append(_lemmas(k, min(n_max, 2 * k + 5), brute))
     if k == 2:
         checks.append(_pair_round_trips(min(n_max - 4, 6)))
         checks.append(_label_coherence(min(n_max, 9)))
-        checks.append(_bijection(min(n_max, 9)))
-        checks.append(_tie_breaks(min(n_max, 8)))
-        checks.append(_column_identity(min(n_max, 9)))
-        checks.append(_k2_specialization(min(n_max, 8)))
+        checks.append(_bijection(min(n_max, 9), brute))
+        checks.append(_tie_breaks(min(n_max, 8), brute))
+        checks.append(_column_identity(min(n_max, 9), brute))
+        checks.append(_k2_specialization(min(n_max, 8), brute))
     return checks

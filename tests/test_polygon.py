@@ -14,7 +14,6 @@ from ktri import (
     PolygonContext,
     StructuralError,
     catalan,
-    catalan_determinant,
     check_structure_lemmas,
     complete_to_maximal,
     degree,
@@ -223,13 +222,6 @@ class TestEnumerateBrute:
 
     def test_octagon_count(self):
         assert len(triangulations(8, 2)) == 84
-
-    @pytest.mark.parametrize(
-        "k,n_hi", [(1, 8), (2, 9), (3, 11)]
-    )
-    def test_counts_match_determinant(self, k, n_hi):
-        for n in range(2 * k + 1, n_hi + 1):
-            assert len(triangulations(n, k)) == catalan_determinant(n, k), (n, k)
 
     def test_k1_is_catalan(self):
         for n in range(3, 8):
