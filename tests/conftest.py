@@ -1,4 +1,4 @@
-"""Shared fixtures: cached enumerations and the 14-gon worked example."""
+"""Shared fixtures: cached enumerations, verify checks and the 14-gon worked example."""
 
 from functools import lru_cache
 
@@ -30,3 +30,18 @@ def example_14gon() -> KTriangulation:
 def triangulations(n: int, k: int) -> tuple[KTriangulation, ...]:
     """All k-triangulations of the n-gon by brute force, cached per session."""
     return tuple(enumerate_brute(PolygonContext(n, k)))
+
+
+@lru_cache(maxsize=None)
+def _checked(check, *args):
+    return check(*args)
+
+
+def holds(check, *args):
+    """Assert that the :mod:`ktri.verify` check ``check(*args)`` passes.
+
+    Several tests drive the same check, each for the part of its invariant
+    it names; a check runs once per session for each set of arguments.
+    """
+    name, ok, detail = _checked(check, *args)
+    assert ok, f"{name}: {detail}"

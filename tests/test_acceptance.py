@@ -18,6 +18,7 @@ from conftest import (
     EXAMPLE_14GON_Q,
     EXAMPLE_14GON_TOP,
     example_14gon,
+    holds,
     triangulations,
 )
 from ktri import (
@@ -46,16 +47,11 @@ def criterion(number, description):
     print(f"[criterion {number}] PASS: {description}")
 
 
-def holds(check):
-    name, ok, detail = check
-    assert ok, f"{name}: {detail}"
-
-
 def test_criterion_1_counting_k2():
     with criterion(1, "counts for k=2, n=5..10: det = brute = tree = 1,3,14,84,594,4719"):
         expected = [1, 3, 14, 84, 594, 4719]
         assert [catalan_determinant(n, 2) for n in range(5, 11)] == expected
-        holds(verify._counting(2, 10, triangulations))
+        holds(verify._counting, 2, 10, triangulations)
 
 
 def test_criterion_2_counting_k3():
@@ -63,13 +59,13 @@ def test_criterion_2_counting_k3():
         2, "counts for k=3, n=7..11: det = brute = tree (1, 4, ...); k=1, n<=8: det = brute"
     ):
         assert catalan_determinant(7, 3) == 1 and catalan_determinant(8, 3) == 4
-        holds(verify._counting(3, 11, triangulations))
-        holds(verify._counting(1, 8, triangulations))
+        holds(verify._counting, 3, 11, triangulations)
+        holds(verify._counting, 1, 8, triangulations)
 
 
 def test_criterion_3_bijection():
     with criterion(3, "bijection onto non-crossing pairs for n=5..9, inverse and tree map agree"):
-        holds(verify._bijection(9, triangulations))
+        holds(verify._bijection, 9, triangulations)
 
 
 def test_criterion_4_worked_example():
@@ -117,12 +113,12 @@ def test_criterion_6_round_trips_and_partitions():
         "round trips, corners and level partitions: k=2 n<=10, k=3 n<=11, k=4 n<=12, "
         "pairs m<=7; child labels follow the rule and k=2 parents match the vertex oracle (n<=9)",
     ):
-        holds(verify._round_trips(2, 10, triangulations))
-        holds(verify._round_trips(3, 11, triangulations))
-        holds(verify._round_trips(4, 12, triangulations))
-        holds(verify._pair_round_trips(7))
-        holds(verify._label_coherence(9))
-        holds(verify._k2_specialization(9, triangulations))
+        holds(verify._round_trips, 2, 10, triangulations)
+        holds(verify._round_trips, 3, 11, triangulations)
+        holds(verify._round_trips, 4, 12, triangulations)
+        holds(verify._pair_round_trips, 7)
+        holds(verify._label_coherence, 9)
+        holds(verify._k2_specialization, 9, triangulations)
 
 
 def test_criterion_7_lemma_suite():
@@ -131,13 +127,13 @@ def test_criterion_7_lemma_suite():
         "structure lemmas on all objects (k=2 n<=9, k=3 n<=10, k=4 n<=11), "
         "column identity (n<=9), and tie-break independence (n<=8)",
     ):
-        holds(verify._lemmas(2, 9, triangulations))
-        holds(verify._lemmas(3, 10, triangulations))
-        holds(verify._lemmas(4, 11, triangulations))
-        holds(verify._column_identity(9, triangulations))
-        holds(verify._tie_breaks(8, triangulations))
+        holds(verify._lemmas, 2, 9, triangulations)
+        holds(verify._lemmas, 3, 10, triangulations)
+        holds(verify._lemmas, 4, 11, triangulations)
+        holds(verify._column_identity, 9, triangulations)
+        holds(verify._tie_breaks, 8, triangulations)
 
 
 def test_criterion_8_tuples_vs_determinant():
     with criterion(8, "non-crossing tuple counts match the determinant for k<=3, m<=5"):
-        holds(verify._tuples_vs_det(3, 5))
+        holds(verify._tuples_vs_det, 3, 5)

@@ -8,6 +8,7 @@ from conftest import (
     EXAMPLE_14GON_P,
     EXAMPLE_14GON_Q,
     example_14gon,
+    holds,
     triangulations,
 )
 from ktri import (
@@ -23,6 +24,7 @@ from ktri import (
     to_paths,
     to_paths_via_tree,
     tree_root,
+    verify,
 )
 
 
@@ -87,6 +89,9 @@ class TestColorDiagram:
         assert len(blues) == len(reds) == 9
         assert len(colored.blocks) == 2
 
+    def test_tie_break_independence(self):
+        holds(verify._tie_breaks, 8, triangulations)
+
     def test_block_pattern_tracks_ancestors(self):
         # After each iteration the numbered blocks form the diagram of the
         # ancestor triangulation: for every staircase cell (a, b+3) of the
@@ -150,11 +155,23 @@ class TestToPaths:
 
 
 class TestTreeMapAgrees:
+    def test_pointwise_small(self):
+        holds(verify._bijection, 9, triangulations)
+
     def test_example_14gon(self):
         assert to_paths_via_tree(example_14gon()) == to_paths(example_14gon())
 
 
+class TestBijectivity:
+    def test_images_cover_all_pairs(self):
+        # the image of n = 5..9 is every non-crossing pair from enumerate_tuples
+        holds(verify._bijection, 9, triangulations)
+
+
 class TestInverse:
+    def test_round_trips(self):
+        holds(verify._bijection, 9, triangulations)
+
     def test_examples(self):
         assert from_paths(DyckPath("NE"), DyckPath("NE")) == tree_root(2)
         got = from_paths(DyckPath("NNEE"), DyckPath("NENE"))
@@ -219,6 +236,10 @@ class TestTreeIsomorphism:
 
 
 class TestColumnIdentity:
+    def test_column_counts_match_exponents(self):
+        # column counts of the diagram = (q_m, p_m + q_{m-1}, ..., p_2 + q_1, p_1)
+        holds(verify._column_identity, 9, triangulations)
+
     def test_example_14gon(self):
         counts = example_14gon().column_counts()
         assert [counts.get(j, 0) for j in range(4, 15)] == [1, 0, 3, 0, 2, 3, 0, 1, 2, 4, 2]

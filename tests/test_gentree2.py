@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import EXAMPLE_14GON_LABELS, example_14gon, triangulations
+from conftest import EXAMPLE_14GON_LABELS, example_14gon, holds, triangulations
 from ktri import (
     DomainError,
     KTriangulation,
@@ -16,6 +16,7 @@ from ktri import (
     label_children,
     parent_k,
     tree_root,
+    verify,
 )
 
 HEPTAGON_021 = KTriangulation(PolygonContext(7, 2), ((1, 5), (2, 5), (3, 6), (3, 7)))
@@ -47,6 +48,10 @@ class TestParent:
         for n in range(6, 10):
             for tri in triangulations(n, 2):
                 assert len(parent_k(tri)) == len(tri) - 2
+
+    def test_matches_vertex_oracle(self):
+        # parent_k at k=2 against verify.vertex_parent, n = 6..9
+        holds(verify._k2_specialization, 9, triangulations)
 
     def test_example_label_chain(self):
         chain = [label2(example_14gon())]
@@ -82,6 +87,9 @@ class TestChildren:
         for tri in triangulations(8, 2):
             label = label2(tri)
             assert len(children2(tri)) == sum(label) + len(label) + 1
+
+    def test_round_trip_and_partition(self):
+        holds(verify._round_trips, 2, 9, triangulations)
 
     def test_child2_builds_each_child_alone(self):
         for n in range(5, 11):
@@ -123,3 +131,10 @@ class TestLabels:
             (0, 1, 3, 1), (0, 3, 2), (1, 2, 2), (2, 1, 2), (0, 2), (1, 1), (2, 0),
         )
         assert label_children((0, 0)) == ((0, 1, 1), (0, 1), (1, 0))
+
+    def test_children_follow_rule_positionally(self):
+        # the labels of children2(tri), in order, are label_children(label2(tri))
+        holds(verify._label_coherence, 9)
+
+    def test_sibling_labels_distinct(self):
+        holds(verify._label_coherence, 9)

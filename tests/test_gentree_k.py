@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from conftest import triangulations
+from conftest import holds, triangulations
 from ktri import (
     DomainError,
     KTriangulation,
@@ -18,6 +18,7 @@ from ktri import (
     parent_frame,
     parent_k,
     tree_root,
+    verify,
 )
 
 # The 9-gon example with k=3: uniquely determined by its child profile
@@ -114,6 +115,13 @@ class TestChildrenK:
                 viak = {c.diagonals for _, c in children_k(tri)}
                 assert via2 == viak, tri.diagonals
 
+    @pytest.mark.parametrize("k,n_hi", [(2, 10), (3, 10), (4, 11)])
+    def test_round_trip_and_partition(self, k, n_hi):
+        # parent round trip, corner(child) == u >= corner(parent), and each
+        # level partitioned by the children of the level before
+        holds(verify._round_trips, k, n_hi, triangulations)
+
+
 class TestEnumerateTree:
     def test_root_level(self):
         got = enumerate_tree(7, 3)
@@ -121,6 +129,13 @@ class TestEnumerateTree:
 
     def test_level_one(self):
         assert len(enumerate_tree(8, 3)) == 4 == catalan_determinant(8, 3)
+
+    def test_equals_brute(self):
+        holds(verify._counting, 2, 9, triangulations)
+        holds(verify._counting, 3, 9, triangulations)
+
+    def test_counts(self):
+        holds(verify._counting, 3, 10, triangulations)
 
     def test_rejects_k1(self):
         with pytest.raises(DomainError):

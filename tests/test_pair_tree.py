@@ -10,6 +10,7 @@ from conftest import (
     EXAMPLE_14GON_PARENT_BOTTOM,
     EXAMPLE_14GON_PARENT_TOP,
     EXAMPLE_14GON_TOP,
+    holds,
 )
 from ktri import (
     DomainError,
@@ -21,6 +22,7 @@ from ktri import (
     pair_children,
     pair_label,
     pair_parent,
+    verify,
 )
 
 
@@ -132,6 +134,11 @@ class TestPairChildren:
                 for t in range(1, s + 1):
                     expected = enc.p_at(t + 1) + enc.q_at(t) + (2 if t == 1 else 1)
                     assert per_t[t] == expected
+
+    def test_round_trip_split_index_and_partition(self):
+        # semilength 2..7: parent round trip, child.s == t + 1 <= s + 1, and
+        # each level is exactly the non-crossing pairs
+        holds(verify._pair_round_trips, 7)
 
     def test_sibling_labels_distinct(self):
         for m in range(1, 6):

@@ -5,7 +5,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import example_14gon, triangulations
+from conftest import example_14gon, holds, triangulations
 from ktri import (
     DiagonalSet,
     DomainError,
@@ -23,6 +23,7 @@ from ktri import (
     is_t_crossing,
     staircase_cells,
     trivial_diagonals,
+    verify,
 )
 
 
@@ -222,6 +223,12 @@ class TestEnumerateBrute:
 
     def test_octagon_count(self):
         assert len(triangulations(8, 2)) == 84
+
+    @pytest.mark.parametrize(
+        "k,n_hi", [(1, 8), (2, 9), (3, 11)]
+    )
+    def test_counts_match_determinant(self, k, n_hi):
+        holds(verify._counting, k, n_hi, triangulations)
 
     def test_k1_is_catalan(self):
         for n in range(3, 8):
