@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import lru_cache
 
 from .bijection import color_diagram, from_paths, to_paths
-from .errors import DomainError, StructuralError
+from .errors import DomainError, GuardExceeded, StructuralError
 from .formats import (
     diagonal_line,
     format_pair,
@@ -23,7 +24,7 @@ from .formats import (
 from .gentree2 import children2, label2
 from .gentree_k import children_k, enumerate_tree, parent_k, tree_root
 from .paths import catalan_determinant
-from .polygon import PolygonContext, enumerate_brute
+from .polygon import PolygonContext, _guard_value, enumerate_brute
 from .render import render_diagram, render_paths
 from .verify import run_verify
 
@@ -41,6 +42,9 @@ def _read_input(path: str | None) -> str:
 # Chunks of this many digits stay below the interpreter's int-to-str limit
 # (4300 digits by default), so a count of any size prints exactly.
 _CHUNK_DIGITS = 1000
+
+# The most leaves `tree` prints.
+TREE_DUMP_GUARD = 10**5
 
 
 def _decimal(value: int) -> str:
@@ -132,9 +136,11 @@ def _cmd_tree(args) -> int:
 
     if args.n < 2 * args.k + 1:
         raise DomainError(f"need n >= 2k+1, got n={args.n}, k={args.k}")
-    total = catalan_determinant(args.n, args.k)
-    if total > 10**5:
-        raise DomainError(f"tree dump of {total} leaves refused; lower n")
+    if args.k < 2:
+        raise DomainError(f"generating tree defined for k >= 2, got k={args.k}")
+    limit = _guard_value(None, TREE_DUMP_GUARD)
+    if catalan_determinant(args.n, args.k) > limit:
+        raise GuardExceeded(f"tree dump of more than {limit} leaves refused; lower n")
     walk(tree_root(args.k), 0)
     return 0
 
@@ -161,7 +167,9 @@ def _cmd_render(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="ktri",
         description="k-triangulations of a convex polygon: exact counting, "

@@ -12,11 +12,12 @@ tree operations in :mod:`ktri.gentree2` work on that encoding.
 
 The number of k-triangulations of an n-gon is the Catalan Hankel
 determinant det(C_{n-i-j})_{i,j=1..k}.  :func:`catalan_determinant`
-evaluates it by Desnanot-Jacobi condensation, in (k-1)^2 exact steps of two
-products and one division each; every divisor is a smaller Catalan Hankel
-minor, hence a positive count.  :func:`int_det`, fraction-free (Bareiss)
-elimination in O(k^3) steps, is the independent oracle that the tests and
-``ktri verify`` compare it with.
+evaluates its closed form, a product of N(N+1)/2 fractions with
+N = n-2k-1, as prime exponents from a sieve, and multiplies the prime
+powers in a product tree; a size guard refuses answers too large to print.
+:func:`_condensed_determinant`, Desnanot-Jacobi condensation in (k-1)^2
+exact steps of two products and one division each, is the independent
+oracle that the tests and ``ktri verify`` compare it with.
 
 All arithmetic is exact integer arithmetic; no floating point anywhere.
 """
@@ -25,13 +26,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
+from math import comb, isqrt, prod
 from typing import Iterator, Sequence
 
 from .errors import DomainError, GuardExceeded, StructuralError
 from .polygon import _guard_value
 
 TUPLE_GUARD = 40
+COUNT_BITS_GUARD = 10**6
 
 
 def catalan(m: int) -> int:
@@ -39,33 +41,6 @@ def catalan(m: int) -> int:
     if m < 0:
         raise DomainError(f"catalan undefined for m={m}")
     return comb(2 * m, m) // (m + 1)
-
-
-def int_det(matrix: Sequence[Sequence[int]]) -> int:
-    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
-    a = [list(row) for row in matrix]
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise DomainError("determinant needs a square matrix")
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for i in range(n - 1):
-        if a[i][i] == 0:
-            for j in range(i + 1, n):
-                if a[j][i] != 0:
-                    a[i], a[j] = a[j], a[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for j in range(i + 1, n):
-            for l in range(i + 1, n):
-                a[j][l] = (a[j][l] * a[i][i] - a[j][i] * a[i][l]) // prev
-            a[j][i] = 0
-        prev = a[i][i]
-    return sign * a[-1][-1]
 
 
 def _exact_quotient(a: int, b: int) -> int:
@@ -78,8 +53,9 @@ def _exact_quotient(a: int, b: int) -> int:
     return q
 
 
-def catalan_determinant(n: int, k: int) -> int:
-    """Number of k-triangulations of an n-gon: det(C_{n-i-j})_{i,j=1..k}.
+def _condensed_determinant(n: int, k: int) -> int:
+    """det(C_{n-i-j})_{i,j=1..k} by condensation, for the (n, k) that
+    :func:`catalan_determinant` accepts: the oracle of its product formula.
 
     Reversing the order of the rows and of the columns gives the Hankel
     matrix (C_{s+a+b})_{a,b<k} with s = n - 2k and the same determinant, so
@@ -98,12 +74,6 @@ def catalan_determinant(n: int, k: int) -> int:
     of a single path), so it is a positive integer and the quotient is
     exact; both are still checked, and a failure raises StructuralError.
     """
-    if k < 1:
-        raise DomainError(f"k must be at least 1, got {k}")
-    if k == 1 and n < 2:
-        raise DomainError(f"need n >= 2 for k=1, got {n}")
-    if k > 1 and n <= 2 * k:
-        raise DomainError(f"need n > 2k, got n={n}, k={k}")
     s = n - 2 * k
     c = catalan(s)
     level = [c]  # level[t] = h_j(s+t), here for j = 1
@@ -117,6 +87,76 @@ def catalan_determinant(n: int, k: int) -> int:
             for t in range(len(level) - 2)
         ], level
     return level[0]
+
+
+def _smallest_prime_factors(limit: int) -> list[int]:
+    """spf[v] is the smallest prime factor of v, for 2 <= v <= limit."""
+    spf = list(range(limit + 1))
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == p:
+            for multiple in range(p * p, limit + 1, p):
+                if spf[multiple] == multiple:
+                    spf[multiple] = p
+    return spf
+
+
+def catalan_determinant(n: int, k: int) -> int:
+    """Number of k-triangulations of an n-gon: det(C_{n-i-j})_{i,j=1..k}.
+
+    The determinant counts the non-crossing k-tuples of Dyck paths of
+    semilength n - 2k, and so equals the product
+
+        prod_{1 <= i <= j <= N} (i+j+2k) / (i+j),   N = n - 2k - 1
+
+    (de Sainte-Catherine and Viennot).  The N(N+1)/2 factors are gathered by
+    s = i+j: the pairs with i+j = s number s//2 - max(1, s-N) + 1, and they
+    add that multiplicity to s+2k and take it from s.  A smallest-prime-factor
+    sieve up to 2N+2k then pushes each composite's multiplicity down to its
+    factors, from the largest composite to the smallest, which leaves the
+    exponent of every prime.  All are nonnegative, as the product is an
+    integer (else StructuralError); the prime powers are multiplied pairwise,
+    in a product tree.
+
+    The sieve limit and the answer's size, bounded by the sum of
+    e_p * p.bit_length() over the prime powers p^e_p, must both stay within
+    COUNT_BITS_GUARD (or KTRI_GUARD), else GuardExceeded; the bound is
+    checked before any multiplication.  :func:`_condensed_determinant` is
+    the independent oracle that the tests and ``ktri verify`` compare with.
+    """
+    if k < 1:
+        raise DomainError(f"k must be at least 1, got {k}")
+    if k == 1 and n < 2:
+        raise DomainError(f"need n >= 2 for k=1, got {n}")
+    if k > 1 and n <= 2 * k:
+        raise DomainError(f"need n > 2k, got n={n}, k={k}")
+    top = n - 2 * k - 1
+    sieve_limit = 2 * top + 2 * k
+    limit = _guard_value(None, COUNT_BITS_GUARD)
+    if sieve_limit > limit:
+        raise GuardExceeded(
+            f"count needs primes up to {sieve_limit}, past the count guard of {limit}"
+        )
+    spf = _smallest_prime_factors(sieve_limit)
+    exponent = [0] * (sieve_limit + 1)  # net multiplicity of each factor v
+    for s in range(2, 2 * top + 1):
+        pairs = s // 2 - max(1, s - top) + 1
+        exponent[s + 2 * k] += pairs
+        exponent[s] -= pairs
+    for v in range(sieve_limit, 3, -1):
+        p = spf[v]
+        if p != v and exponent[v]:
+            exponent[p] += exponent[v]
+            exponent[v // p] += exponent[v]
+            exponent[v] = 0
+    if min(exponent, default=0) < 0:
+        raise StructuralError(f"the product formula is not an integer at n={n}, k={k}")
+    bits = sum(e * p.bit_length() for p, e in enumerate(exponent))
+    if bits > limit:
+        raise GuardExceeded(f"count has up to {bits} bits, past the count guard of {limit}")
+    powers = [p**e for p, e in enumerate(exponent) if e] or [1]
+    while len(powers) > 1:
+        powers = [prod(powers[i : i + 2]) for i in range(0, len(powers), 2)]
+    return powers[0]
 
 
 @dataclass(frozen=True)

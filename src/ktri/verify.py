@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .bijection import color_diagram, from_paths, to_paths, to_paths_via_tree
-from .errors import StructuralError
+from .errors import DomainError, StructuralError
 from .gentree2 import (
     ROOT_PAIR,
     children2,
@@ -23,7 +23,7 @@ from .gentree2 import (
     pair_parent,
 )
 from .gentree_k import children_k, corner_k, enumerate_tree, parent_k, tree_root
-from .paths import PairEncoding, catalan, catalan_determinant, enumerate_tuples, int_det
+from .paths import PairEncoding, _condensed_determinant, catalan_determinant, enumerate_tuples
 from .polygon import (
     KTriangulation,
     PolygonContext,
@@ -41,9 +41,9 @@ Lister = Callable[[int, int], Sequence[KTriangulation]]
 def _counting(k: int, n_max: int, brute: Lister) -> Check:
     for n in range(2 * k + 1, n_max + 1):
         det = catalan_determinant(n, k)
-        bareiss = int_det([[catalan(n - i - j) for j in range(1, k + 1)] for i in range(1, k + 1)])
-        if det != bareiss:
-            return ("counting", False, f"condensed det {det} != Bareiss det {bareiss} at n={n}")
+        condensed = _condensed_determinant(n, k)
+        if det != condensed:
+            return ("counting", False, f"product {det} != condensed det {condensed} at n={n}")
         listed = brute(n, k)
         if len(listed) != det:
             return ("counting", False, f"brute count {len(listed)} != det {det} at n={n}")
@@ -66,7 +66,7 @@ def _tuples_vs_det(k: int, m_max: int) -> Check:
 
 
 def _crossing_criterion(n_max: int) -> Check:
-    ctx = PolygonContext(min(n_max, 10), 2)
+    ctx = PolygonContext(min(n_max, 10), 1)  # k=1: every diagonal is a cell
     cells = staircase_cells(ctx)
     for d1, d2 in combinations(cells, 2):
         (a, b), (c, d) = sorted((d1, d2))
@@ -235,6 +235,9 @@ def _k2_specialization(n_max: int, brute: Lister) -> Check:
 
 
 def run_verify(k: int, n_max: int) -> list[Check]:
+    if k < 1 or n_max < 2 * k + 1:
+        raise DomainError(f"verify needs k >= 1 and n_max >= 2k+1, got k={k}, n_max={n_max}")
+
     @lru_cache(maxsize=None)
     def brute(n: int, kk: int) -> list[KTriangulation]:
         return enumerate_brute(PolygonContext(n, kk))

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import EXAMPLE_14GON, EXAMPLE_14GON_P, EXAMPLE_14GON_Q
 from ktri import children_k, corner_k, enumerate_brute, pair_children, tree_root
-from ktri.cli import main
+from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
 from ktri.verify import run_verify
 
@@ -71,6 +71,16 @@ class TestCount:
             sys.set_int_max_str_digits(old_limit)
         assert len(expected) > old_limit
         assert out == expected + "\n"
+
+    def test_guard(self, capsys, monkeypatch):
+        assert run(capsys, "count", "--k", "500000", "--n", "1000004") == (
+            1, "", "error: count needs primes up to 1000006, past the count guard of 1000000\n"
+        )
+        monkeypatch.setenv("KTRI_GUARD", "100")
+        assert run(capsys, "count", "--k", "2", "--n", "31")[0] == 0
+        assert run(capsys, "count", "--k", "2", "--n", "32") == (
+            1, "", "error: count has up to 106 bits, past the count guard of 100\n"
+        )
 
 
 class TestEnumerate:
@@ -229,6 +239,22 @@ class TestTree:
         assert out.splitlines()[0] == "0\t-\t-"
         assert len(out.splitlines()) == 5
 
+    def test_k1_refused_before_any_output(self, capsys):
+        assert run(capsys, "tree", "--k", "1", "--n", "4") == (
+            1, "", "error: generating tree defined for k >= 2, got k=1\n"
+        )
+
+    def test_guard(self, capsys, monkeypatch):
+        # 40,898 leaves at n=11 pass the default of 10**5; 379,236 at n=12 do not
+        assert run(capsys, "tree", "--k", "2", "--n", "12") == (
+            1, "", "error: tree dump of more than 100000 leaves refused; lower n\n"
+        )
+        monkeypatch.setenv("KTRI_GUARD", "14")
+        assert run(capsys, "tree", "--k", "2", "--n", "7")[0] == 0
+        assert run(capsys, "tree", "--k", "2", "--n", "8") == (
+            1, "", "error: tree dump of more than 14 leaves refused; lower n\n"
+        )
+
 
 class TestVerifyAndRender:
     def test_verify_passes(self, capsys):
@@ -274,6 +300,22 @@ class TestVerifyAndRender:
         assert code == 0
         assert out.splitlines()[0] == "PASS counting: k=1, n<=7: det = brute"
 
+    @pytest.mark.parametrize("n_max", [3, 4])
+    def test_verify_k1_small_polygons(self, capsys, n_max):
+        assert run(capsys, "verify", "--k", "1", "--n-max", str(n_max)) == (
+            0,
+            f"PASS counting: k=1, n<={n_max}: det = brute\n"
+            f"PASS tuples_vs_det: k<=1, m<={n_max - 2}\n"
+            f"PASS crossing_criterion: all diagonal pairs of the {n_max}-gon\n"
+            f"PASS structure_lemmas: k=1, n<={n_max}\n",
+            "",
+        )
+
+    def test_verify_rejects_n_max_below_2k_plus_1(self, capsys):
+        assert run(capsys, "verify", "--k", "3", "--n-max", "6") == (
+            1, "", "error: verify needs k >= 1 and n_max >= 2k+1, got k=3, n_max=6\n"
+        )
+
     def test_verify_counting_names_a_wrong_determinant(self, capsys, monkeypatch):
         def off_by_one_at_7(n, k):
             return catalan_determinant(n, k) + (n == 7)
@@ -281,7 +323,7 @@ class TestVerifyAndRender:
         monkeypatch.setattr("ktri.verify.catalan_determinant", off_by_one_at_7)
         code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "8")
         assert code == 1
-        assert out.splitlines()[0] == "FAIL counting: condensed det 15 != Bareiss det 14 at n=7"
+        assert out.splitlines()[0] == "FAIL counting: product 15 != condensed det 14 at n=7"
 
     @pytest.mark.parametrize(
         "target, corrupted, line",
@@ -343,6 +385,27 @@ class TestCliBehavior:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+    def test_repeated_calls_share_one_parser(self, capsys):
+        def call(*argv):
+            try:
+                code = main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+            captured = capsys.readouterr()
+            return code, captured.out, captured.err
+
+        calls = [
+            ("count", "--k", "2", "--n", "8"),
+            ("count", "--k", "2"),  # usage error: missing --n
+            ("count", "--k", "2", "--n", "4"),  # domain error
+            ("tree", "--k", "2", "--n", "6"),
+        ]
+        first = [call(*argv) for argv in calls]
+        assert [code for code, _, _ in first] == [0, 2, 1, 0]
+        assert first[1][2].startswith("usage: ktri count")
+        assert [call(*argv) for argv in calls] == first
+        assert build_parser() is build_parser()
 
     def test_deterministic_output(self, capsys):
         _, first, _ = run(capsys, "enumerate", "--k", "2", "--n", "8")

@@ -20,7 +20,34 @@ from ktri import (
     enumerate_tuples,
 )
 from ktri.errors import StructuralError
-from ktri.paths import _exact_quotient, int_det
+from ktri.paths import _condensed_determinant, _exact_quotient
+
+
+def int_det(matrix):
+    """Determinant of an integer matrix by fraction-free (Bareiss) elimination."""
+    a = [list(row) for row in matrix]
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise DomainError("determinant needs a square matrix")
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for i in range(n - 1):
+        if a[i][i] == 0:
+            for j in range(i + 1, n):
+                if a[j][i] != 0:
+                    a[i], a[j] = a[j], a[i]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for j in range(i + 1, n):
+            for l in range(i + 1, n):
+                a[j][l] = (a[j][l] * a[i][i] - a[j][i] * a[i][l]) // prev
+            a[j][i] = 0
+        prev = a[i][i]
+    return sign * a[-1][-1]
 
 
 def cofactor_det(a):
@@ -97,12 +124,15 @@ class TestCatalan:
         assert catalan_determinant(2, 1) == 1
 
     def test_determinant_matches_bareiss(self):
+        # the product formula against condensation and Bareiss elimination
         for k in range(1, 9):
             for n in range(2 * k + 1, 2 * k + 31):
-                assert catalan_determinant(n, k) == explicit_det(n, k), (n, k)
+                count = catalan_determinant(n, k)
+                assert count == _condensed_determinant(n, k) == explicit_det(n, k), (n, k)
         # the largest corners of the benchmark's count grid
         for n, k in ((254, 25), (150, 13)):
-            assert catalan_determinant(n, k) == explicit_det(n, k), (n, k)
+            count = catalan_determinant(n, k)
+            assert count == _condensed_determinant(n, k) == explicit_det(n, k), (n, k)
 
     def test_determinant_matches_product_formula(self):
         rng = random.Random(20050601)
@@ -111,7 +141,24 @@ class TestCatalan:
             k = rng.randint(1, 25)
             points.append((rng.randint(2 * k + 1, 258), k))
         for n, k in points:
-            assert catalan_determinant(n, k) == product_formula(n, k), (n, k)
+            count = catalan_determinant(n, k)
+            assert count == product_formula(n, k) == _condensed_determinant(n, k), (n, k)
+            assert count == explicit_det(n, k), (n, k)
+
+    def test_count_guard(self, monkeypatch):
+        # the default admits answers past 30,000 bits ...
+        assert catalan_determinant(8000, 2).bit_length() > 30000
+        # ... and refuses a bound past 10**6 bits, or a sieve past 10**6 entries
+        with pytest.raises(GuardExceeded, match="has up to 1028505 bits, past .* of 1000000$"):
+            catalan_determinant(250000, 2)
+        with pytest.raises(GuardExceeded, match="needs primes up to 1000006, past .* of 1000000$"):
+            catalan_determinant(1000004, 500000)
+        monkeypatch.setenv("KTRI_GUARD", "100")
+        assert catalan_determinant(31, 2) == _condensed_determinant(31, 2)
+        with pytest.raises(GuardExceeded, match="has up to 106 bits, past .* of 100$"):
+            catalan_determinant(32, 2)
+        with pytest.raises(GuardExceeded, match="needs primes up to 102, past .* of 100$"):
+            catalan_determinant(53, 1)
 
     def test_exact_quotient_rejects_inexact_division(self):
         assert _exact_quotient(84, 12) == 7
