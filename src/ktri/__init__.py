@@ -20,18 +20,17 @@ from .gentree2 import (
     children2,
     label2,
     label_children,
+    pair_child_by_label,
     pair_children,
     pair_label,
     pair_parent,
 )
 from .gentree_k import (
     GrowthChoiceK,
-    ParentFrame,
     anchor_rows,
     children_k,
     corner_k,
     enumerate_tree,
-    parent_frame,
     parent_k,
     tree_root,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "KTriangulation",
     "PairEncoding",
     "PairGrowthChoice",
-    "ParentFrame",
     "PathTuple",
     "PolygonContext",
     "ROOT_PAIR",
@@ -104,10 +102,10 @@ __all__ = [
     "is_t_crossing",
     "label2",
     "label_children",
+    "pair_child_by_label",
     "pair_children",
     "pair_label",
     "pair_parent",
-    "parent_frame",
     "parent_k",
     "staircase_cells",
     "to_paths",

@@ -9,8 +9,9 @@ descend the other tree matching them); it serves as the reference
 implementation.  :func:`from_paths` inverts the map the same way: it climbs
 the pair tree to the root, then descends the triangulation tree building one
 child per level, the one whose label matches (sibling labels are distinct
-and their order is fixed by the succession rule); each child built is
-validated in full.
+and their order is fixed by the succession rule).  Each descent step checks
+only the label of the child it builds; :func:`ktri.verify._bijection`
+checks both maps and the inverse on every object in its range.
 
 Tie-break conventions are fixed: when several crosses in one column tie for
 blue, the lowest (largest row) is taken, and for red the highest; per-column
@@ -27,7 +28,7 @@ from .gentree2 import (
     ROOT_PAIR,
     child_by_label,
     label2,
-    pair_children,
+    pair_child_by_label,
     pair_label,
     pair_parent,
 )
@@ -198,18 +199,15 @@ def to_paths_via_tree(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
     """Reference implementation through the generating trees.
 
     Climb from the triangulation to the root recording labels, then walk
-    down the pair tree matching each label; sibling labels are pairwise
-    distinct, so every step is forced.
+    down the pair tree building the one child with each label; sibling
+    labels are pairwise distinct, so every step is forced.
     """
     chain = _label_chain_to_root(tri)
     if chain[0] != (0, 0):
         raise StructuralError(f"root label {chain[0]} is not (0, 0)")
     enc = ROOT_PAIR
     for target in chain[1:]:
-        matches = [child for _, child in pair_children(enc) if pair_label(child) == target]
-        if len(matches) != 1:
-            raise StructuralError(f"label {target} matched {len(matches)} children")
-        enc = matches[0]
+        enc = pair_child_by_label(enc, target)
     return enc.paths()
 
 

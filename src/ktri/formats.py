@@ -1,4 +1,4 @@
-"""Line-oriented text formats for triangulations, path pairs and path tuples.
+"""Line-oriented text formats for triangulations and path pairs.
 
 Triangulation format (two lines):
 
@@ -6,14 +6,23 @@ Triangulation format (two lines):
     a-b,a-b,...      (sorted by (a, b); the literal "-" for the empty set)
 
 Path pair format: two lines of bare step strings, upper path first.
-Path tuple format: one step string per line, top path first.
+
+Each line must be spelled exactly so: numbers in canonical decimal (no
+leading zeros, no plus sign, no sign on a vertex), separated by exactly the
+characters shown; any other spelling is a DomainError, never normalised.
+Whitespace around a line and blank lines are ignored.
 """
 
 from __future__ import annotations
 
+import re
+
 from .errors import DomainError
-from .paths import DyckPath, PathTuple, dominates
+from .paths import DyckPath, dominates
 from .polygon import KTriangulation, PolygonContext
+
+_HEADER = re.compile(r"k=(0|-?[1-9][0-9]*) n=(0|-?[1-9][0-9]*)")
+_DIAGONAL = re.compile(r"(0|[1-9][0-9]*)-(0|[1-9][0-9]*)")
 
 
 def format_triangulation(tri: KTriangulation) -> str:
@@ -34,19 +43,17 @@ def parse_triangulation(text: str) -> KTriangulation:
     lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
     if len(lines) != 2:
         raise DomainError(f"expected 2 lines (header, diagonals), got {len(lines)}")
-    header = dict(part.split("=", 1) for part in lines[0].split() if "=" in part)
-    try:
-        ctx = PolygonContext(int(header["n"]), int(header["k"]))
-    except (KeyError, ValueError) as exc:
-        raise DomainError(f"bad header {lines[0]!r}") from exc
+    header = _HEADER.fullmatch(lines[0])
+    if header is None:
+        raise DomainError(f"bad header {lines[0]!r}")
+    ctx = PolygonContext(int(header[2]), int(header[1]))
     diagonals = []
     if lines[1] != "-":
         for item in lines[1].split(","):
-            try:
-                a, b = item.split("-")
-                diagonals.append((int(a), int(b)))
-            except ValueError as exc:
-                raise DomainError(f"bad diagonal {item!r}") from exc
+            diagonal = _DIAGONAL.fullmatch(item)
+            if diagonal is None:
+                raise DomainError(f"bad diagonal {item!r}")
+            diagonals.append((int(diagonal[1]), int(diagonal[2])))
     return KTriangulation.certified(ctx, diagonals)
 
 
@@ -63,14 +70,3 @@ def parse_pair(text: str) -> tuple[DyckPath, DyckPath]:
         raise DomainError("first path must never go below the second")
     return p, q
 
-
-def format_tuple(pt: PathTuple) -> str:
-    return "".join(f"{p.steps}\n" for p in pt.paths)
-
-
-def parse_tuple(text: str) -> PathTuple:
-    lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
-    if not lines:
-        raise DomainError("empty path tuple")
-    paths = tuple(DyckPath(line) for line in lines)
-    return PathTuple(paths[0].m, len(paths), paths)

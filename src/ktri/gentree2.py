@@ -6,9 +6,10 @@ l+1, rooted at (NE, NE).  Both obey the same succession rule on labels
 (d_1, ..., d_s), which is what :func:`label_children` implements.
 
 The triangulation tree is the k = 2 case of :mod:`ktri.gentree_k`, which
-holds its corner, parent, growth step and child check.  This module adds
-what is specific to k = 2: the labels, the (u, i) view of the children, the
-one-child descent by label, and the pair tree.
+holds its corner, parent and growth step.  This module adds what is
+specific to k = 2: the labels, the (u, i) view of the children, the pair
+tree, and the one-child descent by label in both trees.  Children are built
+unchecked; their invariants are stated once, in :mod:`ktri.verify`.
 
 Label conventions: the corner r is that of :func:`ktri.gentree_k.corner_k`
 (2 for the empty pentagon), and labels are the column cross-counts
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import DomainError, StructuralError
-from .gentree_k import _row_options, _validate_child, child_k, children_k, corner_k
+from .gentree_k import _row_options, child_k, children_k, corner_k
 from .paths import PairEncoding
 from .polygon import KTriangulation
 
@@ -75,43 +76,37 @@ def child2(tri: KTriangulation, u: int, i: int) -> KTriangulation:
     return child_k(tri, u, (rows[-1 - i],))
 
 
-def children2(
-    tri: KTriangulation, validate: bool = True
-) -> tuple[tuple[GrowthChoice, KTriangulation], ...]:
+def children2(tri: KTriangulation) -> tuple[tuple[GrowthChoice, KTriangulation], ...]:
     """All children of a 2-triangulation, ordered by (u asc, i asc).
 
-    These are the children of :func:`ktri.gentree_k.children_k`, validated
-    there unless ``validate`` is switched off; within each u block, i counts
-    the row choices from the largest down, as in :func:`child2`.
+    These are the children of :func:`ktri.gentree_k.children_k`; within each
+    u block, i counts the row choices from the largest down, as in
+    :func:`child2`.  Their invariants (maximal, corner u, parent round trip)
+    are checked in :func:`ktri.verify._round_trips`, their labels against
+    the succession rule in :func:`ktri.verify._label_coherence`.
     """
     _require_k2(tri)
     out: list[tuple[GrowthChoice, KTriangulation]] = []
-    for u, block in groupby(children_k(tri, validate), key=lambda kid: kid[0].u):
+    for u, block in groupby(children_k(tri), key=lambda kid: kid[0].u):
         kids = [child for _, child in block]
         out.extend((GrowthChoice(u, i), child) for i, child in enumerate(reversed(kids)))
     return tuple(out)
 
 
 def child_by_label(tri: KTriangulation, target: TreeLabel) -> KTriangulation:
-    """The unique child of a 2-triangulation whose label is ``target``, validated.
+    """The unique child of a 2-triangulation whose label is ``target``.
 
     Sibling labels are distinct and :func:`label_children` lists them in the
     order of :func:`children2`: block j of a label (d_1, ..., d_s) holds the
     d_j + 1 children with u = corner + j - 1 (d_s + 2 for the last block).
     So the position of ``target`` gives (u, i), and only that child is built.
+    Its label is checked here; the child invariant is checked for every
+    child in :func:`ktri.verify._round_trips`, and the descent as a whole by
+    the inverse round trip in :func:`ktri.verify._bijection`.
     """
-    label = label2(tri)
-    siblings = label_children(label)
-    matched = siblings.count(target)
-    if matched != 1:
-        raise StructuralError(f"label {target} matched {matched} children")
-    u, i = corner_k(tri), siblings.index(target)
-    for d in label[:-1]:
-        if i <= d:
-            break
-        u, i = u + 1, i - d - 1
+    j, i = _sibling_position(label2(tri), target)
+    u = corner_k(tri) + j - 1
     child = child2(tri, u, i)
-    _validate_child(tri, child, u)
     if label2(child) != target:
         raise StructuralError(f"child ({u}, {i}) has label {label2(child)}, expected {target}")
     return child
@@ -126,6 +121,13 @@ def label2(tri: KTriangulation) -> TreeLabel:
     return tuple(counts.get(j, 0) for j in range(r + 1, n))
 
 
+def _child_label(label: TreeLabel, j: int, i: int) -> TreeLabel:
+    """Child i of block j (1-based) of ``label`` under the succession rule."""
+    if j < len(label):
+        return (i, label[j - 1] - i + 1, label[j] + 1) + tuple(label[j + 1 :])
+    return (i, label[-1] - i + 1)
+
+
 def label_children(label: TreeLabel) -> tuple[TreeLabel, ...]:
     """Apply the succession rule to a label (d_1, ..., d_s).
 
@@ -135,16 +137,26 @@ def label_children(label: TreeLabel) -> tuple[TreeLabel, ...]:
     """
     if len(label) < 2 or any(d < 0 for d in label):
         raise DomainError(f"bad tree label {label}")
-    out: list[TreeLabel] = []
     s = len(label)
-    for j in range(1, s):
-        dj = label[j - 1]
-        for i in range(dj + 1):
-            out.append((i, dj - i + 1, label[j] + 1) + tuple(label[j + 1 :]))
-    ds = label[-1]
-    for i in range(ds + 2):
-        out.append((i, ds - i + 1))
-    return tuple(out)
+    return tuple(
+        _child_label(label, j, i)
+        for j in range(1, s + 1)
+        for i in range(label[j - 1] + 1 + (j == s))
+    )
+
+
+def _sibling_position(label: TreeLabel, target: TreeLabel) -> tuple[int, int]:
+    """Block j (1-based) and index i within it of ``target`` in :func:`label_children`.
+
+    A child label of block j has length s - j + 2 and first entry i, so the
+    position is read off ``target`` without listing its siblings.
+    """
+    s = len(label)
+    j = s + 2 - len(target)
+    i = target[0] if 1 <= j <= s else -1
+    if not 0 <= i <= label[j - 1] + (j == s) or _child_label(label, j, i) != target:
+        raise StructuralError(f"label {target} is not a child label of {label}")
+    return j, i
 
 
 def pair_parent(enc: PairEncoding) -> PairEncoding:
@@ -175,62 +187,69 @@ def pair_parent(enc: PairEncoding) -> PairEncoding:
     return PairEncoding(tuple(new_p), tuple(new_q))
 
 
+def _pair_child(enc: PairEncoding, choice: PairGrowthChoice) -> PairEncoding:
+    """The child of a pair selected by ``choice``, without validation.
+
+    Column t gains one unit of p, the column holding p_{t+1} over q_t is
+    split in two, and the columns above t+1 shift up by one.
+    """
+    t, index = choice.t, choice.index
+    p, q = enc.p + (0, 0), enc.q + (0, 0)
+    pt1, qt = p[t], q[t - 1]
+    if choice.rule == "split_top":
+        left, right, at_t, above = index, pt1 - index, qt + 1, 0
+    elif choice.rule == "insert_zero":
+        left, right, at_t, above = 0, pt1, qt + 1, 0
+    else:
+        left, right, at_t, above = 0, pt1, qt - index + 1, index
+    new_p = p[: t - 1] + (p[t - 1] + 1, left, right) + p[t + 1 :]
+    new_q = q[: t - 1] + (at_t, above) + q[t:]
+    return PairEncoding(new_p[: enc.m + 1], new_q[: enc.m + 1])
+
+
 def pair_children(enc: PairEncoding) -> tuple[tuple[PairGrowthChoice, PairEncoding], ...]:
     """All children of a pair, ordered by t, then split_top < insert_zero < split_bottom.
 
     The column holding p_{t+1} over q_t is split in two; the new child has
-    split index t+1.  Every child is checked for that split index and for
-    its parent, and a failure raises StructuralError.
+    split index t+1 and maps back to ``enc`` under :func:`pair_parent`.
+    Both facts are checked for every child in
+    :func:`ktri.verify._pair_round_trips`.
     """
-    m, s = enc.m, enc.s
     out: list[tuple[PairGrowthChoice, PairEncoding]] = []
-
-    def spliced_p(t: int, left: int, right: int) -> tuple[int, ...]:
-        vals = []
-        for j in range(1, m + 2):
-            if j < t:
-                vals.append(enc.p_at(j))
-            elif j == t:
-                vals.append(enc.p_at(t) + 1)
-            elif j == t + 1:
-                vals.append(left)
-            elif j == t + 2:
-                vals.append(right)
-            else:
-                vals.append(enc.p_at(j - 1))
-        return tuple(vals)
-
-    def spliced_q(t: int, at_t: int, above: int) -> tuple[int, ...]:
-        vals = []
-        for j in range(1, m + 2):
-            if j < t:
-                vals.append(enc.q_at(j))
-            elif j == t:
-                vals.append(at_t)
-            elif j == t + 1:
-                vals.append(above)
-            else:
-                vals.append(enc.q_at(j - 1))
-        return tuple(vals)
-
-    for t in range(1, s + 1):
-        pt1 = enc.p_at(t + 1)
-        qt = enc.q_at(t)
-        for i in range(1, pt1 + 1):
-            child = PairEncoding(spliced_p(t, i, pt1 - i), spliced_q(t, qt + 1, 0))
-            out.append((PairGrowthChoice(t, "split_top", i), child))
-        child = PairEncoding(spliced_p(t, 0, pt1), spliced_q(t, qt + 1, 0))
-        out.append((PairGrowthChoice(t, "insert_zero"), child))
+    for t in range(1, enc.s + 1):
+        pt1, qt = enc.p_at(t + 1), enc.q_at(t)
+        choices = [PairGrowthChoice(t, "split_top", i) for i in range(1, pt1 + 1)]
+        choices.append(PairGrowthChoice(t, "insert_zero"))
         top = qt + 1 if t == 1 else qt
-        for j in range(1, top + 1):
-            child = PairEncoding(spliced_p(t, 0, pt1), spliced_q(t, qt - j + 1, j))
-            out.append((PairGrowthChoice(t, "split_bottom", j), child))
-    for choice, child in out:
-        if child.s != choice.t + 1:
-            raise StructuralError(f"child split index {child.s} differs from t+1={choice.t + 1}")
-        if pair_parent(child) != enc:
-            raise StructuralError("pair child does not map back to its parent")
+        choices.extend(PairGrowthChoice(t, "split_bottom", j) for j in range(1, top + 1))
+        out.extend((choice, _pair_child(enc, choice)) for choice in choices)
     return tuple(out)
+
+
+def pair_child_by_label(enc: PairEncoding, target: TreeLabel) -> PairEncoding:
+    """The unique child of a pair whose label is ``target``.
+
+    The pair-tree mirror of :func:`child_by_label`.  Block j of
+    :func:`label_children` holds the children with t = s+1-j, because
+    :func:`pair_label` lists the columns from t = s down.  The first label
+    entry x of a child in that block is p_{t+1} - i for split_top i,
+    p_{t+1} for insert_zero and p_{t+1} + j for split_bottom j, so the
+    position x of ``target`` in its block names one choice, and only that
+    child is built.  Its label is checked here.
+    """
+    j, x = _sibling_position(pair_label(enc), target)
+    t = enc.s + 1 - j
+    pt1 = enc.p_at(t + 1)
+    if x < pt1:
+        choice = PairGrowthChoice(t, "split_top", pt1 - x)
+    elif x == pt1:
+        choice = PairGrowthChoice(t, "insert_zero")
+    else:
+        choice = PairGrowthChoice(t, "split_bottom", x - pt1)
+    child = _pair_child(enc, choice)
+    if pair_label(child) != target:
+        raise StructuralError(f"child {choice} has label {pair_label(child)}, expected {target}")
+    return child
 
 
 def pair_label(enc: PairEncoding) -> TreeLabel:

@@ -4,10 +4,11 @@ Level l of the tree holds the k-triangulations of the (l+2k+1)-gon; the
 root is the empty (2k+1)-gon.  The parent operation pivots on the corner r
 (largest r with the short diagonal (r, r+k+1) present) and on the anchor
 rows a_1 < ... < a_{k-1}, greedily minimal choices from the columns
-r+1..r+k-1.  :func:`child_k` grows one child, and every validated child
-is checked for one invariant: maximal, corner u, parent round trip.  For
-k = 2 this is the 2-triangulation tree; :mod:`ktri.gentree2` adds its
-labels and the (u, i) view of its children.
+r+1..r+k-1.  :func:`child_k` grows one child without checking it; the
+child invariant (maximal, corner u, parent round trip) is stated once, in
+:func:`ktri.verify._round_trips`.  For k = 2 this is the 2-triangulation
+tree; :mod:`ktri.gentree2` adds its labels and the (u, i) view of its
+children.
 
 No label calculus exists here: the number of children depends on the
 relative position of crosses across columns, not just on column counts.
@@ -25,7 +26,6 @@ from .polygon import (
     PolygonContext,
     _guard_value,
     is_cell,
-    is_k_triangulation,
 )
 
 TREE_COUNT_GUARD = 10**6
@@ -37,14 +37,6 @@ class GrowthChoiceK:
 
     u: int
     rows: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class ParentFrame:
-    """Corner and anchor rows steering the parent operation."""
-
-    r: int
-    anchors: tuple[int, ...]
 
 
 def _require_k(tri: KTriangulation) -> int:
@@ -104,10 +96,6 @@ def anchor_rows(tri: KTriangulation) -> tuple[int, ...]:
     if deep:
         raise StructuralError(f"column {r + k} has crosses below row {out[-1]}: {deep}")
     return tuple(out)
-
-
-def parent_frame(tri: KTriangulation) -> ParentFrame:
-    return ParentFrame(corner_k(tri), anchor_rows(tri))
 
 
 def parent_k(tri: KTriangulation) -> KTriangulation:
@@ -185,16 +173,6 @@ def _row_choices(options: list[list[int]]) -> list[tuple[int, ...]]:
     return out
 
 
-def _validate_child(parent: KTriangulation, child: KTriangulation, u: int) -> None:
-    """The child invariant: a k-triangulation with corner u whose parent is ``parent``."""
-    if not is_k_triangulation(child):
-        raise StructuralError(f"emitted child is not a k-triangulation: {child.diagonals}")
-    if corner_k(child) != u:
-        raise StructuralError(f"child corner {corner_k(child)} differs from u={u}")
-    if parent_k(child) != parent:
-        raise StructuralError("child does not map back to its parent")
-
-
 def _row_options(tri: KTriangulation, u: int) -> list[list[int]]:
     """For each i in 1..k-1, the rows b_i may take at u, in ascending order.
 
@@ -239,25 +217,18 @@ def child_k(tri: KTriangulation, u: int, rows: tuple[int, ...]) -> KTriangulatio
     return KTriangulation(PolygonContext(n + 1, k), tuple(sorted(cur)))
 
 
-def children_k(
-    tri: KTriangulation, validate: bool = True
-) -> tuple[tuple[GrowthChoiceK, KTriangulation], ...]:
+def children_k(tri: KTriangulation) -> tuple[tuple[GrowthChoiceK, KTriangulation], ...]:
     """All children of a k-triangulation, ordered by (u asc, rows lex asc).
 
     For each u in r..n-k, one child per strictly increasing choice of rows
     b_1 < ... < b_{k-1} from :func:`_row_options`, built by :func:`child_k`.
-    Children are validated unless disabled.
     """
     k = _require_k(tri)
-    out = [
+    return tuple(
         (GrowthChoiceK(u, rows), child_k(tri, u, rows))
         for u in range(corner_k(tri), tri.ctx.n - k + 1)
         for rows in _row_choices(_row_options(tri, u))
-    ]
-    if validate:
-        for choice, child in out:
-            _validate_child(tri, child, choice.u)
-    return tuple(out)
+    )
 
 
 def tree_root(k: int) -> KTriangulation:
@@ -265,7 +236,10 @@ def tree_root(k: int) -> KTriangulation:
 
 
 def enumerate_tree(n: int, k: int, guard: int | None = None) -> list[KTriangulation]:
-    """All k-triangulations of the n-gon, generated level by level from the root."""
+    """All k-triangulations of the n-gon, generated level by level from the root.
+
+    The last level must hold exactly the counted number of distinct objects.
+    """
     if k < 2:
         raise DomainError(f"tree enumeration needs k >= 2, got k={k}")
     if n < 2 * k + 1:
@@ -273,8 +247,13 @@ def enumerate_tree(n: int, k: int, guard: int | None = None) -> list[KTriangulat
     limit = _guard_value(guard, TREE_COUNT_GUARD)
     expected = catalan_determinant(n, k)
     if expected > limit:
-        raise GuardExceeded(f"level size {expected} exceeds the tree guard of {limit}")
+        raise GuardExceeded(f"tree level of more than {limit} objects refused; lower n")
     level = [tree_root(k)]
     for _ in range(2 * k + 2, n + 1):
         level = [child for tri in level for (_, child) in children_k(tri)]
+    distinct = len({tri.diagonals for tri in level})
+    if len(level) != expected or distinct != expected:
+        raise StructuralError(
+            f"tree level has {len(level)} children, {distinct} distinct; expected {expected}"
+        )
     return sorted(level, key=lambda tri: tri.diagonals)

@@ -184,10 +184,6 @@ class DyckPath:
         """Semilength."""
         return len(self.steps) // 2
 
-    def sort_key(self) -> str:
-        # lexicographic order with N < E
-        return self.steps.replace("N", "0").replace("E", "1")
-
     def east_runs(self) -> tuple[int, ...]:
         """Number of E steps after each N, first N first."""
         runs = []

@@ -30,6 +30,7 @@ from .polygon import (
     check_structure_lemmas,
     degree,
     enumerate_brute,
+    is_k_triangulation,
     is_t_crossing,
     staircase_cells,
 )
@@ -84,6 +85,9 @@ def _round_trips(k: int, n_max: int, brute: Lister) -> Check:
         for tri in level:
             r = corner_k(tri)
             for choice, child in children_k(tri):
+                if not is_k_triangulation(child):
+                    detail = f"child {child.diagonals} is not a k-triangulation"
+                    return ("round_trips", False, f"{detail} at n={n + 1}")
                 if parent_k(child) != tri:
                     return ("round_trips", False, f"parent(child) != parent at n={n + 1}")
                 if not (c := corner_k(child)) == choice.u >= r:

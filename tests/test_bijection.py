@@ -193,6 +193,16 @@ class TestInverse:
                 assert to_paths_via_tree(tri) == (p, q)
 
 
+    def test_round_trips_at_large_semilength(self):
+        rng = random.Random(61007)
+        for m in (30, 60, 90, 120):
+            for _ in range(2):
+                p, q = random_noncrossing_pair(rng, m)
+                tri = from_paths(p, q)
+                assert to_paths(tri) == (p, q)
+                assert to_paths_via_tree(tri) == (p, q)
+
+
 class TestTreeIsomorphism:
     def test_lockstep_walk(self):
         # Walk both generating trees in parallel, pairing children by label

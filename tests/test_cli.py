@@ -7,7 +7,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import EXAMPLE_14GON, EXAMPLE_14GON_P, EXAMPLE_14GON_Q
-from ktri import children_k, corner_k, enumerate_brute, pair_children, tree_root
+from ktri import DiagonalSet, children_k, corner_k, enumerate_brute, pair_children, tree_root
 from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
 from ktri.verify import run_verify
@@ -94,6 +94,17 @@ class TestEnumerate:
         _, tree, _ = run(capsys, "enumerate", "--k", "2", "--n", "7", "--method", "tree")
         assert brute == tree
 
+    def test_tree_guard_names_the_limit(self, capsys, monkeypatch):
+        # the level size at n=4000 has more digits than int-to-str prints
+        assert run(capsys, "enumerate", "--method", "tree", "--k", "2", "--n", "4000") == (
+            1, "", "error: tree level of more than 1000000 objects refused; lower n\n"
+        )
+        monkeypatch.setenv("KTRI_GUARD", "14")
+        assert run(capsys, "enumerate", "--method", "tree", "--k", "2", "--n", "7")[0] == 0
+        assert run(capsys, "enumerate", "--method", "tree", "--k", "2", "--n", "8") == (
+            1, "", "error: tree level of more than 14 objects refused; lower n\n"
+        )
+
 
 class TestMapUnmap:
     def test_map(self, capsys, tmp_path):
@@ -143,6 +154,22 @@ class TestMapUnmap:
         code, out, err = run(capsys, "map", "--input", str(f))
         assert code == 1 and out == ""
         assert err == "error: diagonal (1, 4) appears more than once\n"
+
+    @pytest.mark.parametrize(
+        "text, err",
+        [
+            ("k=2  n=6\n1-4,3-6\n", "bad header 'k=2  n=6'"),
+            ("k=2 n=6\n1-4, 3-6\n", "bad diagonal ' 3-6'"),
+            ("k=2 n=006\n1-4,3-6\n", "bad header 'k=2 n=006'"),
+            ("k=+2 n=6\n1-4,3-6\n", "bad header 'k=+2 n=6'"),
+            ("k=2 n=6\n01-4,3-6\n", "bad diagonal '01-4'"),
+        ],
+        ids=["two-spaces", "space-after-comma", "zero-padded-n", "plus-sign", "zero-padded-vertex"],
+    )
+    def test_map_rejects_a_non_canonical_line(self, capsys, tmp_path, text, err):
+        f = tmp_path / "hex.tri"
+        f.write_text(text)
+        assert run(capsys, "map", "--input", str(f)) == (1, "", f"error: {err}\n")
 
     def test_non_utf8_input_is_a_domain_error(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
@@ -339,6 +366,11 @@ class TestVerifyAndRender:
                 "FAIL round_trips: child corner 2 != u=2 or < parent corner 99 at n=6",
             ),
             (
+                "children_k",
+                lambda tri: [(c, DiagonalSet(t.ctx, t.diagonals[:-1])) for c, t in children_k(tri)],
+                "FAIL round_trips: child ((1, 4),) is not a k-triangulation at n=6",
+            ),
+            (
                 "pair_children",
                 lambda enc: [(replace(c, t=c.t + 1), e) for c, e in pair_children(enc)],
                 "FAIL pair_round_trips: split index 2 != t+1=3 or > s+1=3 at m=2",
@@ -349,7 +381,13 @@ class TestVerifyAndRender:
                 "FAIL pair_round_trips: level m=2 is not all non-crossing pairs",
             ),
         ],
-        ids=["corner-off-u", "corner-below-parent", "split-index-off-t", "pair-missing"],
+        ids=[
+            "corner-off-u",
+            "corner-below-parent",
+            "child-drops-a-cross",
+            "split-index-off-t",
+            "pair-missing",
+        ],
     )
     def test_verify_names_a_corrupted_child(self, capsys, monkeypatch, target, corrupted, line):
         monkeypatch.setattr(f"ktri.verify.{target}", corrupted)

@@ -3,14 +3,12 @@
 import pytest
 
 from conftest import example_14gon, triangulations
-from ktri import DomainError, DyckPath, KTriangulation, PolygonContext, tree_root
+from ktri import DomainError, DyckPath, KTriangulation, PolygonContext, enumerate_tuples, tree_root
 from ktri.formats import (
     format_pair,
     format_triangulation,
-    format_tuple,
     parse_pair,
     parse_triangulation,
-    parse_tuple,
 )
 from ktri.render import render_diagram, render_paths
 
@@ -48,11 +46,17 @@ class TestPairFormat:
         with pytest.raises(DomainError):
             parse_pair("NENE\nNNEE\n")
 
-    def test_tuple_round_trip(self):
-        from ktri import enumerate_tuples
 
-        for pt in enumerate_tuples(2, 3):
-            assert parse_tuple(format_tuple(pt)) == pt
+class TestParseFormatIdentity:
+    def test_every_enumerated_object_up_to_the_9_gon(self):
+        for k in range(1, 5):
+            for n in range(2 * k + 1, 10):
+                for tri in triangulations(n, k):
+                    assert parse_triangulation(format_triangulation(tri)) == tri
+        for m in range(1, 6):
+            for pt in enumerate_tuples(m, 2):
+                p, q = pt.paths
+                assert parse_pair(format_pair(p, q)) == (p, q)
 
 
 class TestRenderDiagram:

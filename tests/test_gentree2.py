@@ -9,7 +9,9 @@ from ktri import (
     DomainError,
     KTriangulation,
     PolygonContext,
+    StructuralError,
     child2,
+    child_by_label,
     children2,
     corner_k,
     label2,
@@ -94,8 +96,21 @@ class TestChildren:
     def test_child2_builds_each_child_alone(self):
         for n in range(5, 11):
             for tri in triangulations(n, 2):
-                for choice, child in children2(tri, validate=False):
+                for choice, child in children2(tri):
                     assert child2(tri, choice.u, choice.i) == child
+
+    def test_child_by_label_builds_the_matching_sibling(self):
+        # every 2-triangulation up to the 10-gon, found from its parent by label
+        for n in range(5, 10):
+            for tri in triangulations(n, 2):
+                for _, child in children2(tri):
+                    assert child_by_label(tri, label2(child)) == child
+
+    def test_child_by_label_rejects_a_non_sibling(self):
+        # the siblings below (0,2,1) are (0,1,3,1), (i,3-i,2) for i <= 2 and (i,2-i) for i <= 2
+        for target in [(), (0,), (0, 0), (3, 0), (9, 9), (0, 2, 1), (3, 0, 2), (0, 2, 1, 1)]:
+            with pytest.raises(StructuralError):
+                child_by_label(HEPTAGON_021, target)
 
     def test_child2_rejects_unknown_choices(self):
         # children of the heptagon (0,2,1): u in 3..5, at most three splits per u

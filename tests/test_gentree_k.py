@@ -9,13 +9,13 @@ from ktri import (
     DomainError,
     KTriangulation,
     PolygonContext,
+    StructuralError,
     anchor_rows,
     catalan_determinant,
     children2,
     children_k,
     corner_k,
     enumerate_tree,
-    parent_frame,
     parent_k,
     tree_root,
     verify,
@@ -76,8 +76,7 @@ class TestParentK:
         # the 11-gon example frame: corner 7 with anchors (3, 6), whose
         # parent has corner 6 with anchors (2, 3)
         def frame(tri):
-            pf = parent_frame(tri)
-            return pf.r, pf.anchors
+            return corner_k(tri), anchor_rows(tri)
 
         hits = [
             tri
@@ -146,3 +145,14 @@ class TestEnumerateTree:
 
         with pytest.raises(GuardExceeded):
             enumerate_tree(12, 3, guard=10)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda kids: kids[:-1] + kids[:1], lambda kids: kids[:-1]],
+        ids=["repeated", "missing"],
+    )
+    def test_last_level_is_certified(self, monkeypatch, corrupt):
+        # a child maker that repeats or loses a child cannot go unnoticed
+        monkeypatch.setattr("ktri.gentree_k.children_k", lambda tri: corrupt(children_k(tri)))
+        with pytest.raises(StructuralError, match="expected 14$"):
+            enumerate_tree(7, 2)

@@ -17,8 +17,10 @@ from ktri import (
     DyckPath,
     PairEncoding,
     ROOT_PAIR,
+    StructuralError,
     all_paths,
     dominates,
+    pair_child_by_label,
     pair_children,
     pair_label,
     pair_parent,
@@ -96,6 +98,28 @@ class TestPairChildren:
         staircase = [c for _, c in kids if c.rows() == ((0, 0, 1, 0), (0, 1, 0, 0))]
         assert len(staircase) == 1
         assert staircase[0].paths() == (DyckPath("NENE"), DyckPath("NENE"))
+
+    def test_pair_child_by_label_builds_the_matching_sibling(self):
+        # every pair up to semilength 7, found from its parent by its unique label
+        level = [ROOT_PAIR]
+        for _ in range(6):
+            below = []
+            for enc in level:
+                kids = [child for _, child in pair_children(enc)]
+                labels = [pair_label(child) for child in kids]
+                for label, child in zip(labels, kids):
+                    assert labels.count(label) == 1
+                    assert pair_child_by_label(enc, label) == child
+                below.extend(kids)
+            level = below
+
+    def test_pair_child_by_label_rejects_a_non_sibling(self):
+        # the root (0,0) has the children (0,1,1), (0,1) and (1,0)
+        staircase = PairEncoding((1, 0), (1, 0))
+        grandchild = pair_label(pair_children(staircase)[0][1])
+        for target in [(), (0,), (0, 0), (1, 1), (2, 0), (0, 2), (1, 0, 1), (0, 1, 2), grandchild]:
+            with pytest.raises(StructuralError):
+                pair_child_by_label(ROOT_PAIR, target)
 
     def test_walk_to_example_pair(self):
         enc = ROOT_PAIR

@@ -221,7 +221,7 @@ class TestDyckPath:
         for m in range(0, 8):
             paths = all_paths(m)
             assert len(paths) == catalan(m)
-            keys = [p.sort_key() for p in paths]
+            keys = [p.steps.replace("N", "0").replace("E", "1") for p in paths]
             assert keys == sorted(keys)
 
 
