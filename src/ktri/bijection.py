@@ -9,8 +9,10 @@ descend the other tree matching them); it serves as the reference
 implementation.  :func:`from_paths` inverts the map the same way: it climbs
 the pair tree to the root, then descends the triangulation tree building one
 child per level, the one whose label matches (sibling labels are distinct
-and their order is fixed by the succession rule).  Each descent step checks
-only the label of the child it builds; :func:`ktri.verify._bijection`
+and their order is fixed by the succession rule).  The descent carries the
+staircase by column, the corner and the label of the current node, and
+builds one :class:`KTriangulation`, at the end; each step checks the
+child's label, corner and staircase, and :func:`ktri.verify._bijection`
 checks both maps and the inverse on every object in its range.
 
 Tie-break conventions are fixed: when several crosses in one column tie for
@@ -26,15 +28,15 @@ from typing import Mapping
 from .errors import DomainError, StructuralError
 from .gentree2 import (
     ROOT_PAIR,
-    child_by_label,
+    _child_by_label,
     label2,
     pair_child_by_label,
     pair_label,
     pair_parent,
 )
-from .gentree_k import parent_k, tree_root
+from .gentree_k import _columns, _triangulation, parent_k, tree_root
 from .paths import DyckPath, PairEncoding, dominates
-from .polygon import Diagonal, KTriangulation
+from .polygon import Diagonal, KTriangulation, PolygonContext
 
 BLUE = "blue"
 RED = "red"
@@ -212,7 +214,11 @@ def to_paths_via_tree(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
 
 
 def from_paths(p: DyckPath, q: DyckPath) -> KTriangulation:
-    """Inverse of :func:`to_paths`, computed through the generating trees."""
+    """Inverse of :func:`to_paths`, computed through the generating trees.
+
+    The label of each node on the way down is the target its parent's step
+    matched, so only the child's columns and corner are computed per level.
+    """
     enc = PairEncoding.from_paths(p, q)  # rejects non-dominating pairs
     chain = [pair_label(enc)]
     while enc.m > 1:
@@ -221,7 +227,8 @@ def from_paths(p: DyckPath, q: DyckPath) -> KTriangulation:
     chain.reverse()
     if chain[0] != (0, 0):
         raise StructuralError(f"root label {chain[0]} is not (0, 0)")
-    tri = tree_root(2)
+    cols, corner, label = _columns(tree_root(2)), 2, chain[0]
     for target in chain[1:]:
-        tri = child_by_label(tri, target)
-    return tri
+        cols, corner = _child_by_label(cols, corner, label, target)
+        label = target
+    return _triangulation(PolygonContext(len(cols) - 1, 2), cols)

@@ -7,10 +7,12 @@ Triangulation format (two lines):
 
 Path pair format: two lines of bare step strings, upper path first.
 
-Each line must be spelled exactly so: numbers in canonical decimal (no
-leading zeros, no plus sign, no sign on a vertex), separated by exactly the
-characters shown; any other spelling is a DomainError, never normalised.
-Whitespace around a line and blank lines are ignored.
+A text is accepted only in its canonical form, so that formatting a parsed
+text gives it back unchanged: exactly two lines, each ending in a newline,
+with no blank line and no whitespace around a line; numbers in canonical
+decimal (no leading zeros, no plus sign, no sign on a vertex), separated by
+exactly the characters shown; diagonals in increasing order.  Anything else
+is a DomainError, never normalised.
 """
 
 from __future__ import annotations
@@ -39,22 +41,39 @@ def diagonal_line(tri: KTriangulation) -> str:
     return ",".join(f"{a}-{b}" for a, b in tri.diagonals)
 
 
-def parse_triangulation(text: str) -> KTriangulation:
-    lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
+def _two_lines(text: str, count_error: str) -> list[str]:
+    """The two lines of a canonical text; anything else is a DomainError."""
+    *lines, last = text.split("\n")
+    if last:
+        raise DomainError("input does not end with a newline")
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            raise DomainError(f"line {number} is blank")
+        if line != line.strip():
+            raise DomainError(f"whitespace around line {number}: {line!r}")
     if len(lines) != 2:
-        raise DomainError(f"expected 2 lines (header, diagonals), got {len(lines)}")
-    header = _HEADER.fullmatch(lines[0])
+        raise DomainError(f"{count_error}, got {len(lines)}")
+    return lines
+
+
+def parse_triangulation(text: str) -> KTriangulation:
+    head, body = _two_lines(text, "expected 2 lines (header, diagonals)")
+    header = _HEADER.fullmatch(head)
     if header is None:
-        raise DomainError(f"bad header {lines[0]!r}")
+        raise DomainError(f"bad header {head!r}")
     ctx = PolygonContext(int(header[2]), int(header[1]))
     diagonals = []
-    if lines[1] != "-":
-        for item in lines[1].split(","):
+    if body != "-":
+        for item in body.split(","):
             diagonal = _DIAGONAL.fullmatch(item)
             if diagonal is None:
                 raise DomainError(f"bad diagonal {item!r}")
             diagonals.append((int(diagonal[1]), int(diagonal[2])))
-    return KTriangulation.certified(ctx, diagonals)
+    tri = KTriangulation.certified(ctx, diagonals)
+    for (a, b), (c, d) in zip(diagonals, diagonals[1:]):
+        if (c, d) < (a, b):
+            raise DomainError(f"diagonals out of order: {c}-{d} after {a}-{b}")
+    return tri
 
 
 def format_pair(p: DyckPath, q: DyckPath) -> str:
@@ -62,10 +81,8 @@ def format_pair(p: DyckPath, q: DyckPath) -> str:
 
 
 def parse_pair(text: str) -> tuple[DyckPath, DyckPath]:
-    lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
-    if len(lines) != 2:
-        raise DomainError(f"expected 2 path lines, got {len(lines)}")
-    p, q = DyckPath(lines[0]), DyckPath(lines[1])
+    upper, lower = _two_lines(text, "expected 2 path lines")
+    p, q = DyckPath(upper), DyckPath(lower)
     if not dominates(p, q):
         raise DomainError("first path must never go below the second")
     return p, q

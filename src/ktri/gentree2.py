@@ -6,10 +6,16 @@ l+1, rooted at (NE, NE).  Both obey the same succession rule on labels
 (d_1, ..., d_s), which is what :func:`label_children` implements.
 
 The triangulation tree is the k = 2 case of :mod:`ktri.gentree_k`, which
-holds its corner, parent and growth step.  This module adds what is
-specific to k = 2: the labels, the (u, i) view of the children, the pair
-tree, and the one-child descent by label in both trees.  Children are built
-unchecked; their invariants are stated once, in :mod:`ktri.verify`.
+holds its corner, parent and growth step, all stated on the staircase by
+column.  This module adds what is specific to k = 2: the labels, the (u, i)
+view of the children, the pair tree, and the one-child descent by label in
+both trees.  Children are built unchecked; their invariants are stated
+once, in :mod:`ktri.verify`.
+
+A descent step by label (:func:`_child_by_label`) maps a node's columns,
+corner and label to its child's columns and corner, so a descent builds one
+:class:`KTriangulation`, at the end.  A pair encoding computes its split
+index s once, when it is built.
 
 Label conventions: the corner r is that of :func:`ktri.gentree_k.corner_k`
 (2 for the empty pentagon), and labels are the column cross-counts
@@ -23,9 +29,18 @@ from dataclasses import dataclass
 from itertools import groupby
 
 from .errors import DomainError, StructuralError
-from .gentree_k import _row_options, child_k, children_k, corner_k
+from .gentree_k import (
+    Columns,
+    _check_staircase,
+    _columns,
+    _corner,
+    _grow,
+    _row_options,
+    _triangulation,
+    children_k,
+)
 from .paths import PairEncoding
-from .polygon import KTriangulation
+from .polygon import KTriangulation, PolygonContext
 
 TreeLabel = tuple[int, ...]
 
@@ -57,23 +72,30 @@ def _require_k2(tri: KTriangulation) -> None:
         raise DomainError(f"operation defined for k=2 only, got k={tri.ctx.k}")
 
 
+def _child2_columns(cols: Columns, r: int, u: int, i: int) -> Columns:
+    """The columns of child (u, i) of the node with columns ``cols`` and corner r."""
+    n = len(cols) - 1
+    if not r <= u <= n - 2:
+        raise DomainError(f"u={u} outside {r}..{n - 2}")
+    rows = _row_options(cols, 2, u)[0]
+    if not 0 <= i < len(rows):
+        raise DomainError(f"i={i} is no split of column {u + 1} with {len(cols[u + 1])} crosses")
+    return _grow(cols, 2, u, (rows[-1 - i],))
+
+
 def child2(tri: KTriangulation, u: int, i: int) -> KTriangulation:
     """The child of a 2-triangulation selected by (u, i), without validation.
 
     Column u+1 (holding h crosses) is split after its i highest crosses,
     0 <= i <= h, and the corner cross (u, u+3) is added; at u = n-2 the
     extra choice i = h+1 introduces the cross (1, u+1) instead.  This is
-    :func:`ktri.gentree_k.child_k` with the i-th largest row it offers at u.
+    the growth step :func:`ktri.gentree_k._grow` with the i-th largest row
+    it offers at u.
     """
     _require_k2(tri)
-    n = tri.ctx.n
-    if not corner_k(tri) <= u <= n - 2:
-        raise DomainError(f"u={u} outside {corner_k(tri)}..{n - 2}")
-    rows = _row_options(tri, u)[0]
-    if not 0 <= i < len(rows):
-        h = len(tri.column_rows(u + 1))
-        raise DomainError(f"i={i} is no split of column {u + 1} with {h} crosses")
-    return child_k(tri, u, (rows[-1 - i],))
+    cols = _columns(tri)
+    child = _child2_columns(cols, _corner(cols, 2), u, i)
+    return _triangulation(PolygonContext(tri.ctx.n + 1, 2), child)
 
 
 def children2(tri: KTriangulation) -> tuple[tuple[GrowthChoice, KTriangulation], ...]:
@@ -93,6 +115,27 @@ def children2(tri: KTriangulation) -> tuple[tuple[GrowthChoice, KTriangulation],
     return tuple(out)
 
 
+def _child_by_label(
+    cols: Columns, r: int, label: TreeLabel, target: TreeLabel
+) -> tuple[Columns, int]:
+    """One step of the descent by label: the child's columns and corner.
+
+    The node is given by its columns, corner r and label.  The child's label
+    must be ``target``, and its columns must pass the staircase and
+    cardinality check, else StructuralError; the caller carries ``target``
+    as the child's label.
+    """
+    j, i = _sibling_position(label, target)
+    u = r + j - 1
+    child = _child2_columns(cols, r, u, i)
+    _check_staircase(child, 2)
+    corner = _corner(child, 2)
+    got = _label(child, corner)
+    if got != target:
+        raise StructuralError(f"child ({u}, {i}) has label {got}, expected {target}")
+    return child, corner
+
+
 def child_by_label(tri: KTriangulation, target: TreeLabel) -> KTriangulation:
     """The unique child of a 2-triangulation whose label is ``target``.
 
@@ -104,21 +147,23 @@ def child_by_label(tri: KTriangulation, target: TreeLabel) -> KTriangulation:
     child in :func:`ktri.verify._round_trips`, and the descent as a whole by
     the inverse round trip in :func:`ktri.verify._bijection`.
     """
-    j, i = _sibling_position(label2(tri), target)
-    u = corner_k(tri) + j - 1
-    child = child2(tri, u, i)
-    if label2(child) != target:
-        raise StructuralError(f"child ({u}, {i}) has label {label2(child)}, expected {target}")
-    return child
+    _require_k2(tri)
+    cols = _columns(tri)
+    r = _corner(cols, 2)
+    child, _ = _child_by_label(cols, r, _label(cols, r), target)
+    return _triangulation(PolygonContext(tri.ctx.n + 1, 2), child)
+
+
+def _label(cols: Columns, r: int) -> TreeLabel:
+    """The label of the 2-triangulation with columns ``cols`` and corner r."""
+    return tuple(map(len, cols[r + 1 : -1]))
 
 
 def label2(tri: KTriangulation) -> TreeLabel:
     """Column cross-counts (h_{r+1}, ..., h_{n-1}); the root gets (0, 0)."""
     _require_k2(tri)
-    n = tri.ctx.n
-    r = corner_k(tri)
-    counts = tri.column_counts()
-    return tuple(counts.get(j, 0) for j in range(r + 1, n))
+    cols = _columns(tri)
+    return _label(cols, _corner(cols, 2))
 
 
 def _child_label(label: TreeLabel, j: int, i: int) -> TreeLabel:
@@ -165,26 +210,12 @@ def pair_parent(enc: PairEncoding) -> PairEncoding:
     if m < 2:
         raise DomainError("the pair (NE, NE) is the root and has no parent")
     s = enc.s
-    new_p = []
-    new_q = []
-    for j in range(1, m):
-        if j <= s - 2:
-            new_p.append(enc.p_at(j))
-        elif j == s - 1:
-            new_p.append(enc.p_at(s - 1) - 1)
-        elif j == s:
-            new_p.append(enc.p_at(s + 1) + enc.p_at(s))
-        else:
-            new_p.append(enc.p_at(j + 1))
-        if j <= s - 2:
-            new_q.append(enc.q_at(j))
-        elif j == s - 1:
-            new_q.append(enc.q_at(s) + enc.q_at(s - 1) - 1)
-        else:
-            new_q.append(enc.q_at(j + 1))
-    if s - 1 >= m and enc.p_at(s - 1) != 1:
+    p, q = enc.p + (0, 0), enc.q + (0, 0)  # p[j - 1] is p_j, zero past m
+    if s - 1 >= m and p[s - 2] != 1:
         raise StructuralError("degenerate merge expected a staircase pair")
-    return PairEncoding(tuple(new_p), tuple(new_q))
+    new_p = p[: s - 2] + (p[s - 2] - 1, p[s] + p[s - 1]) + p[s + 1 :]
+    new_q = q[: s - 2] + (q[s - 1] + q[s - 2] - 1,) + q[s:]
+    return PairEncoding(new_p[: m - 1], new_q[: m - 1])
 
 
 def _pair_child(enc: PairEncoding, choice: PairGrowthChoice) -> PairEncoding:
@@ -254,8 +285,8 @@ def pair_child_by_label(enc: PairEncoding, target: TreeLabel) -> PairEncoding:
 
 def pair_label(enc: PairEncoding) -> TreeLabel:
     """The label (p_{s+1} + q_s, p_s + q_{s-1}, ..., p_2 + q_1)."""
-    s = enc.s
-    return tuple(enc.p_at(j + 1) + enc.q_at(j) for j in range(s, 0, -1))
+    p, q = enc.p + (0, 0), enc.q + (0,)  # p[j] is p_{j+1}, q[j - 1] is q_j, zero past m
+    return tuple(p[j] + q[j - 1] for j in range(enc.s, 0, -1))
 
 
 ROOT_PAIR = PairEncoding((0,), (0,))

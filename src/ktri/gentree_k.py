@@ -4,11 +4,16 @@ Level l of the tree holds the k-triangulations of the (l+2k+1)-gon; the
 root is the empty (2k+1)-gon.  The parent operation pivots on the corner r
 (largest r with the short diagonal (r, r+k+1) present) and on the anchor
 rows a_1 < ... < a_{k-1}, greedily minimal choices from the columns
-r+1..r+k-1.  :func:`child_k` grows one child without checking it; the
-child invariant (maximal, corner u, parent round trip) is stated once, in
-:func:`ktri.verify._round_trips`.  For k = 2 this is the 2-triangulation
-tree; :mod:`ktri.gentree2` adds its labels and the (u, i) view of its
-children.
+r+1..r+k-1.
+
+Growth works on the staircase by column (:data:`Columns`): the growth step
+:func:`_grow` rebuilds only the child's columns u+1..u+k+1 and shares the
+others with the parent; the corner and the row options are read off the
+columns too.  Children are checked only as a :class:`KTriangulation` is;
+the child invariant (maximal, corner u, parent round trip) is stated once,
+in :func:`ktri.verify._round_trips`.  For k = 2 this is the 2-triangulation
+tree; :mod:`ktri.gentree2` adds its labels, the (u, i) view of its children
+and the descent by label, which stays on columns from root to leaf.
 
 No label calculus exists here: the number of children depends on the
 relative position of crosses across columns, not just on column counts.
@@ -16,6 +21,7 @@ relative position of crosses across columns, not just on column counts.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import DomainError, GuardExceeded, StructuralError
@@ -29,6 +35,11 @@ from .polygon import (
 )
 
 TREE_COUNT_GUARD = 10**6
+
+Columns = list[tuple[int, ...]]
+"""A staircase by column: entry b (0 <= b <= n) is the sorted tuple of the rows of
+column b.  Never changed once built; a list, as tuples of each length n+1 would
+linger on the interpreter's free lists."""
 
 
 @dataclass(frozen=True)
@@ -46,21 +57,57 @@ def _require_k(tri: KTriangulation) -> int:
     return k
 
 
+def _columns(tri: KTriangulation) -> Columns:
+    """The staircase of ``tri`` by column."""
+    cols: list[list[int]] = [[] for _ in range(tri.ctx.n + 1)]
+    for a, b in tri.diagonals:  # sorted by (a, b), so each column fills in row order
+        cols[b].append(a)
+    return list(map(tuple, cols))
+
+
+def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
+    """The k-triangulation of ``ctx`` whose staircase is ``cols``, checked in full."""
+    return KTriangulation(ctx, tuple(sorted((a, b) for b, col in enumerate(cols) for a in col)))
+
+
+def _check_staircase(cols: Columns, k: int) -> None:
+    """Staircase membership and the cardinality k(n-2k-1), in O(columns).
+
+    Column b holds the rows max(1, b-n+k+1)..b-k-1, none below column k+2;
+    the rows of a column are sorted, so its first and last rows decide.
+    """
+    n = len(cols) - 1
+    for b, col in enumerate(cols):
+        if col and (col[0] < 1 or col[0] <= b - n + k or col[-1] >= b - k):
+            raise StructuralError(f"column {b} rows {col} leave the staircase of the {n}-gon")
+    count = sum(map(len, cols))
+    if count != k * (n - 2 * k - 1):
+        raise StructuralError(f"{count} crosses on the {n}-gon, expected {k * (n - 2 * k - 1)}")
+
+
+def _corner(cols: Columns, k: int) -> int:
+    """:func:`corner_k` on the columns of a k-triangulation.
+
+    The short diagonal (r, r+k+1) is the lowest cell of column r+k+1, and
+    only columns past r+k+1 have cells below row r.
+    """
+    n = len(cols) - 1
+    if n == 2 * k + 1:
+        return k
+    r = next((b - k - 1 for b in range(n, k + 1, -1) if cols[b][-1:] == (b - k - 1,)), None)
+    if r is None:
+        raise StructuralError(f"k-triangulation of the {n}-gon without a short diagonal")
+    if r < k:
+        raise StructuralError(f"corner {r} below k={k}")
+    if any(cols[b][-1:] > (r,) for b in range(r + k + 2, n + 1)):
+        raise StructuralError("crosses found below the corner row")
+    return r
+
+
 def corner_k(tri: KTriangulation) -> int:
     """Largest r with (r, r+k+1) present; the empty root has corner k by convention."""
     k = _require_k(tri)
-    n = tri.ctx.n
-    if n == 2 * k + 1:
-        return k
-    shorts = [a for (a, b) in tri.diagonals if b == a + k + 1]
-    if not shorts:
-        raise StructuralError(f"k-triangulation of the {n}-gon without a short diagonal")
-    r = max(shorts)
-    if r < k:
-        raise StructuralError(f"corner {r} below k={k}")
-    if max(a for (a, _) in tri.diagonals) > r:
-        raise StructuralError("crosses found below the corner row")
-    return r
+    return _corner(_columns(tri), k)
 
 
 def anchor_rows(tri: KTriangulation) -> tuple[int, ...]:
@@ -155,7 +202,7 @@ def parent_k(tri: KTriangulation) -> KTriangulation:
     return KTriangulation(ctx2, tuple(sorted(new_set)))
 
 
-def _row_choices(options: list[list[int]]) -> list[tuple[int, ...]]:
+def _row_choices(options: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """All strictly increasing selections, one entry per option list, lex order."""
     out: list[tuple[int, ...]] = []
 
@@ -173,61 +220,70 @@ def _row_choices(options: list[list[int]]) -> list[tuple[int, ...]]:
     return out
 
 
-def _row_options(tri: KTriangulation, u: int) -> list[list[int]]:
+def _row_options(cols: Columns, k: int, u: int) -> list[tuple[int, ...]]:
     """For each i in 1..k-1, the rows b_i may take at u, in ascending order.
 
     They are the rows of column u+i and the fallback u+i-k; at u = n-k the
-    row value i is available too.
+    row value i is available too.  The rows of column u+i lie below u+i-k,
+    and above i when u = n-k, so the three parts are already in order.
     """
-    k, n = tri.ctx.k, tri.ctx.n
-    options = []
-    for i in range(1, k):
-        vals = {a for (a, b) in tri.diagonals if b == u + i}
-        vals.add(u + i - k)
-        if u == n - k:
-            vals.add(i)
-        options.append(sorted(vals))
-    return options
+    low = u == len(cols) - 1 - k
+    return [((i,) if low else ()) + cols[u + i] + (u + i - k,) for i in range(1, k)]
 
 
-def child_k(tri: KTriangulation, u: int, rows: tuple[int, ...]) -> KTriangulation:
-    """The child of a k-triangulation selected by (u, rows), without validation.
+def _grow(cols: Columns, k: int, u: int, rows: tuple[int, ...]) -> Columns:
+    """The growth step on columns: the child selected by (u, rows), unchecked.
 
     The columns from u+k on shift one to the right and the corner cross
     (u, u+k+1) is inserted.  Then, for i = k-1 down to 1, the crosses of
     column u+i in rows above b_i move one column right and the cross
     (b_i, u+i+1) is added; at u = n-k the row value b_i = i places its
-    cross one column to the left, at (i, u+i).  (u, rows) must be one of
-    the choices :func:`children_k` lists.
+    cross one column to the left, at (i, u+i).  Only the child's columns
+    u+1..u+k+1 are rebuilt; the others are the parent's tuples, shared.  (u, rows)
+    must be one of the choices :func:`children_k` lists.
     """
-    k = _require_k(tri)
-    n = tri.ctx.n
-    cur = {(a, b + 1) if b >= u + k else (a, b) for (a, b) in tri.diagonals}
-    cur.add((u, u + k + 1))
+    low = u == len(cols) - 1 - k
+    # mid[i - 1] is the child's column u+i, for i = 1..k+1
+    mid = [*cols[u + 1 : u + k], (), cols[u + k] + (u,)]
     for i in range(k - 1, 0, -1):
         b_i = rows[i - 1]
-        movers = [d for d in cur if d[1] == u + i and d[0] < b_i]
-        for d in movers:
-            cur.remove(d)
-            cur.add((d[0], u + i + 1))
-        new_cross = (b_i, u + i) if (u == n - k and b_i == i) else (b_i, u + i + 1)
-        if new_cross in cur:
-            raise StructuralError(f"duplicate cross {new_cross} while growing")
-        cur.add(new_cross)
-    return KTriangulation(PolygonContext(n + 1, k), tuple(sorted(cur)))
+        col = mid[i - 1]
+        cut = bisect_left(col, b_i)
+        mid[i - 1], mid[i] = col[cut:], col[:cut] + mid[i]
+        at = i - 1 if low and b_i == i else i
+        col = mid[at]
+        cut = bisect_left(col, b_i)
+        if col[cut : cut + 1] == (b_i,):
+            raise StructuralError(f"duplicate cross {(b_i, u + at + 1)} while growing")
+        mid[at] = col[:cut] + (b_i,) + col[cut:]
+    return cols[: u + 1] + mid + cols[u + k + 1 :]
+
+
+def child_k(tri: KTriangulation, u: int, rows: tuple[int, ...]) -> KTriangulation:
+    """The child of a k-triangulation selected by (u, rows), without validation.
+
+    :func:`_grow` on the columns of ``tri``; (u, rows) must be one of the
+    choices :func:`children_k` lists.
+    """
+    k = _require_k(tri)
+    return _triangulation(PolygonContext(tri.ctx.n + 1, k), _grow(_columns(tri), k, u, rows))
 
 
 def children_k(tri: KTriangulation) -> tuple[tuple[GrowthChoiceK, KTriangulation], ...]:
     """All children of a k-triangulation, ordered by (u asc, rows lex asc).
 
     For each u in r..n-k, one child per strictly increasing choice of rows
-    b_1 < ... < b_{k-1} from :func:`_row_options`, built by :func:`child_k`.
+    b_1 < ... < b_{k-1} from :func:`_row_options`, grown by :func:`_grow`
+    from the columns of ``tri``, which are read once.
     """
     k = _require_k(tri)
+    n = tri.ctx.n
+    cols = _columns(tri)
+    ctx = PolygonContext(n + 1, k)
     return tuple(
-        (GrowthChoiceK(u, rows), child_k(tri, u, rows))
-        for u in range(corner_k(tri), tri.ctx.n - k + 1)
-        for rows in _row_choices(_row_options(tri, u))
+        (GrowthChoiceK(u, rows), _triangulation(ctx, _grow(cols, k, u, rows)))
+        for u in range(_corner(cols, k), n - k + 1)
+        for rows in _row_choices(_row_options(cols, k, u))
     )
 
 

@@ -24,7 +24,7 @@ All arithmetic is exact integer arithmetic; no floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, isqrt, prod
 from typing import Iterator, Sequence
@@ -230,11 +230,16 @@ class DyckPath:
         return self.steps
 
 
+def _prefix_dominates(p_prefix: Sequence[int], q_prefix: Sequence[int]) -> bool:
+    """True iff each entry of p's east prefix is at most q's: p never goes below q."""
+    return all(a <= b for a, b in zip(p_prefix, q_prefix))
+
+
 def dominates(p: DyckPath, q: DyckPath) -> bool:
     """True iff p never goes below q (both paths of the same semilength)."""
     if p.m != q.m:
         raise DomainError(f"semilength mismatch: {p.m} vs {q.m}")
-    return all(a <= b for a, b in zip(p.east_prefix(), q.east_prefix()))
+    return _prefix_dominates(p.east_prefix(), q.east_prefix())
 
 
 @lru_cache(maxsize=None)
@@ -286,8 +291,9 @@ def enumerate_tuples(m: int, k: int, guard: int | None = None) -> list[PathTuple
     if m * k > limit:
         raise GuardExceeded(f"m*k = {m * k} exceeds the tuple guard of {limit}")
     paths = all_paths(m)
+    prefixes = [path.east_prefix() for path in paths]
     dom = {
-        (i, j): dominates(paths[i], paths[j])
+        (i, j): _prefix_dominates(prefixes[i], prefixes[j])
         for i in range(len(paths))
         for j in range(len(paths))
     }
@@ -335,18 +341,24 @@ class PairEncoding:
 
     p: tuple[int, ...]
     q: tuple[int, ...]
+    s: int = field(init=False, repr=False, compare=False)
+    """Least j >= 2 with p_j * q_j = 0; always 2 <= s <= m+1, as p_{m+1} = 0."""
 
     def __post_init__(self) -> None:
         if len(self.p) != len(self.q) or not self.p:
             raise DomainError("p and q must be nonempty tuples of equal length")
         _check_exponent_form(self.p, "upper path")
         _check_exponent_form(self.q, "lower path")
+        s = len(self.p) + 1
         total_p = total_q = 0
-        for a, b in zip(self.p, self.q):
+        for j, (a, b) in enumerate(zip(self.p, self.q), start=1):
             total_p += a
             total_q += b
             if total_p < total_q:
                 raise DomainError("upper path dips below the lower path")
+            if s > j >= 2 and a * b == 0:
+                s = j
+        object.__setattr__(self, "s", s)
 
     @property
     def m(self) -> int:
@@ -372,14 +384,6 @@ class PairEncoding:
 
     def rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         return (self.top_row, self.bottom_row)
-
-    @property
-    def s(self) -> int:
-        """Least j >= 2 with p_j * q_j = 0; always 2 <= s <= m+1."""
-        for j in range(2, self.m + 2):
-            if self.p_at(j) * self.q_at(j) == 0:
-                return j
-        raise DomainError("no splitting index; encoding is corrupt")
 
     def paths(self) -> tuple[DyckPath, DyckPath]:
         return DyckPath.from_exponents(self.p), DyckPath.from_exponents(self.q)

@@ -16,6 +16,7 @@ from ktri import (
     DyckPath,
     KTriangulation,
     PolygonContext,
+    StructuralError,
     color_diagram,
     dominates,
     from_paths,
@@ -182,6 +183,26 @@ class TestInverse:
         with pytest.raises(DomainError):
             from_paths(DyckPath("NENE"), DyckPath("NNEE"))
 
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda col: col[:-1], "1 crosses on the 6-gon, expected 2"),
+            (lambda col: (0,) + col, r"column 6 rows \(0, 3\) leave the staircase of the 6-gon"),
+        ],
+        ids=["corner-cross-dropped", "row-off-the-staircase"],
+    )
+    def test_each_descent_step_checks_the_staircase(self, monkeypatch, corrupt, error):
+        from ktri.gentree_k import _grow
+
+        def grow(cols, k, u, rows):
+            child = _grow(cols, k, u, rows)
+            child[u + k + 1] = corrupt(child[u + k + 1])  # the corner cross's column
+            return child
+
+        monkeypatch.setattr("ktri.gentree2._grow", grow)
+        with pytest.raises(StructuralError, match=error):
+            from_paths(DyckPath("NNEE"), DyckPath("NENE"))
+
     def test_round_trips_past_exhaustive_range(self):
         rng = random.Random(61002)
         for m in range(6, 21):
@@ -195,7 +216,7 @@ class TestInverse:
 
     def test_round_trips_at_large_semilength(self):
         rng = random.Random(61007)
-        for m in (30, 60, 90, 120):
+        for m in (30, 60, 90, 120, 150, 200):
             for _ in range(2):
                 p, q = random_noncrossing_pair(rng, m)
                 tri = from_paths(p, q)

@@ -171,6 +171,32 @@ class TestMapUnmap:
         f.write_text(text)
         assert run(capsys, "map", "--input", str(f)) == (1, "", f"error: {err}\n")
 
+    @pytest.mark.parametrize(
+        "verb, text, err",
+        [
+            ("map", "  k=2 n=6\n1-4,3-6\n", "whitespace around line 1: '  k=2 n=6'"),
+            ("map", "k=2 n=6\n\n1-4,3-6\n", "line 2 is blank"),
+            ("map", "k=2 n=6\n1-4,3-6", "input does not end with a newline"),
+            ("map", "k=2 n=6\n3-6,1-4\n", "diagonals out of order: 1-4 after 3-6"),
+            ("unmap", "NNEE\nNENE \n", "whitespace around line 2: 'NENE '"),
+            ("unmap", "NNEE\nNENE\n\n", "line 3 is blank"),
+            ("unmap", "NNEE\nNENE", "input does not end with a newline"),
+        ],
+        ids=[
+            "triangulation-whitespace",
+            "triangulation-blank-line",
+            "triangulation-no-final-newline",
+            "diagonals-out-of-order",
+            "pair-whitespace",
+            "pair-blank-line",
+            "pair-no-final-newline",
+        ],
+    )
+    def test_rejects_non_canonical_text(self, capsys, tmp_path, verb, text, err):
+        f = tmp_path / "input.txt"
+        f.write_text(text)
+        assert run(capsys, verb, "--input", str(f)) == (1, "", f"error: {err}\n")
+
     def test_non_utf8_input_is_a_domain_error(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_bytes(b"NE\xff\nNE\n")

@@ -20,6 +20,7 @@ from ktri import (
     tree_root,
     verify,
 )
+from ktri.gentree_k import child_k
 
 # The 9-gon example with k=3: uniquely determined by its child profile
 # (two children at u=4, three at u=5, seven at u=6).
@@ -119,6 +120,38 @@ class TestChildrenK:
         # parent round trip, corner(child) == u >= corner(parent), and each
         # level partitioned by the children of the level before
         holds(verify._round_trips, k, n_hi, triangulations)
+
+
+def set_child_k(tri, u, rows):
+    """The growth step on the diagonal set, one cross at a time: the slow oracle of _grow."""
+    k, n = tri.ctx.k, tri.ctx.n
+    cur = {(a, b + 1) if b >= u + k else (a, b) for (a, b) in tri.diagonals}
+    cur.add((u, u + k + 1))
+    for i in range(k - 1, 0, -1):
+        b_i = rows[i - 1]
+        movers = [d for d in cur if d[1] == u + i and d[0] < b_i]
+        for d in movers:
+            cur.remove(d)
+            cur.add((d[0], u + i + 1))
+        new_cross = (b_i, u + i) if (u == n - k and b_i == i) else (b_i, u + i + 1)
+        if new_cross in cur:
+            raise StructuralError(f"duplicate cross {new_cross} while growing")
+        cur.add(new_cross)
+    return KTriangulation(PolygonContext(n + 1, k), tuple(sorted(cur)))
+
+
+class TestColumnStep:
+    @pytest.mark.parametrize("k,n_hi", [(2, 9), (3, 10), (4, 11)])
+    def test_matches_the_set_oracle(self, k, n_hi):
+        # every (u, rows) choice of every tree node whose children reach the n_hi-gon
+        choices = 0
+        for n in range(2 * k + 1, n_hi):
+            for tri in enumerate_tree(n, k):
+                for choice, child in children_k(tri):
+                    expected = set_child_k(tri, choice.u, choice.rows)
+                    assert child_k(tri, choice.u, choice.rows) == child == expected
+                    choices += 1
+        assert choices == sum(catalan_determinant(n, k) for n in range(2 * k + 2, n_hi + 1))
 
 
 class TestEnumerateTree:

@@ -285,6 +285,13 @@ class TestPairEncoding:
                 s = PairEncoding.from_paths(p, q).s
                 assert 2 <= s <= m + 1
 
+    def test_s_is_the_least_split_index(self):
+        for m in range(1, 8):
+            for pair in enumerate_tuples(m, 2):
+                enc = PairEncoding.from_paths(*pair.paths)
+                p, q = enc.p + (0,), enc.q + (0,)  # p_{m+1} = q_{m+1} = 0
+                assert enc.s == min(j for j in range(2, m + 2) if p[j - 1] * q[j - 1] == 0)
+
     def test_paths_round_trip(self):
         for m in range(1, 6):
             for p, q in product(all_paths(m), repeat=2):

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ktri import (
+    DomainError,
     DyckPath,
     PairEncoding,
     dominates,
@@ -12,6 +13,7 @@ from ktri import (
     pair_label,
     pair_parent,
 )
+from ktri.formats import format_pair, format_triangulation, parse_pair, parse_triangulation
 
 
 @st.composite
@@ -106,3 +108,34 @@ def test_crossing_criterion_matches_pairwise(raw):
         for d2 in diagonals[i + 1 :]
     )
     assert is_t_crossing(diagonals) == pairwise
+
+
+CANONICAL_TEXTS = ("k=2 n=6\n1-4,3-6\n", "k=2 n=7\n1-5,2-5,3-6,3-7\n", "NNEE\nNENE\n")
+
+
+@st.composite
+def perturbed_texts(draw):
+    """A canonical text, its last line's items maybe reversed, with up to 3 characters inserted."""
+    text = draw(st.sampled_from(CANONICAL_TEXTS))
+    if draw(st.booleans()):
+        head, body, _ = text.split("\n")
+        text = f"{head}\n{','.join(reversed(body.split(',')))}\n"
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(" \t\r\n,")) + text[at:]
+    return text
+
+
+@given(perturbed_texts())
+def test_accepted_text_is_canonical(text):
+    # format(parse(text)) == text on every text either parser accepts
+    formats = (
+        (parse_triangulation, format_triangulation),
+        (parse_pair, lambda pair: format_pair(*pair)),
+    )
+    for parse, fmt in formats:
+        try:
+            parsed = parse(text)
+        except DomainError:
+            continue
+        assert fmt(parsed) == text
