@@ -1,12 +1,15 @@
 """The bijection between 2-triangulations and pairs of non-crossing Dyck paths.
 
 :func:`to_paths` runs the direct coloring algorithm on the staircase
-diagram: repeatedly locate the corner block, color one cross blue and one
-red, and merge two blocks.  Blue counts per column give the upper path,
-red counts the lower path.  :func:`to_paths_via_tree` computes the same map
-through the two generating trees (climb to the root recording labels, then
-descend the other tree matching them); it serves as the reference
-implementation.  :func:`from_paths` inverts the map the same way: it climbs
+diagram, read by column: repeatedly locate the corner block, color one cross
+blue and one red, and merge two blocks.  Blue counts per column give the
+upper path, red counts the lower path.  :func:`to_paths_via_tree` computes
+the same map through the two generating trees (climb to the root recording
+labels, then descend the other tree matching them); it serves as the
+reference implementation.  Its climb carries the staircase by column and the
+corner of the current node, takes one parent step
+(:func:`ktri.gentree_k._parent`, which checks each parent's staircase and
+size) and reads one label per level, and builds no :class:`KTriangulation`.  :func:`from_paths` inverts the map the same way: it climbs
 the pair tree to the root, then descends the triangulation tree building one
 child per level, the one whose label matches (sibling labels are distinct
 and their order is fixed by the succession rule).  The descent carries the
@@ -29,12 +32,13 @@ from .errors import DomainError, StructuralError
 from .gentree2 import (
     ROOT_PAIR,
     _child_by_label,
-    label2,
+    _label,
+    _require_k2,
     pair_child_by_label,
     pair_label,
     pair_parent,
 )
-from .gentree_k import _columns, _triangulation, parent_k, tree_root
+from .gentree_k import _columns, _corner, _parent, _triangulation, tree_root
 from .paths import DyckPath, PairEncoding, dominates
 from .polygon import Diagonal, KTriangulation, PolygonContext
 
@@ -83,41 +87,37 @@ def color_diagram(tri: KTriangulation, flip_ties: bool = False) -> ColoredDiagra
     if tri.ctx.k != 2:
         raise DomainError(f"coloring defined for k=2 only, got k={tri.ctx.k}")
     n = tri.ctx.n
-    by_column: dict[int, list[int]] = {b: [] for b in range(4, n + 1)}
-    for a, b in tri.diagonals:
-        by_column[b].append(a)
-    for rows in by_column.values():
-        rows.sort()
+    cols = _columns(tri)
+    uncolored = list(map(list, cols))  # the uncolored rows of each column, sorted
+    blue_counts = [0] * (n + 1)
+    red_counts = [0] * (n + 1)
 
     blocks: list[list[int]] = [[b] for b in range(4, n + 1)]
     absorbed: list[int] = []
     color: dict[Diagonal, str] = {}
     steps: list[IterationStep] = []
 
-    def has_cross_in_row(cols: list[int], row: int) -> bool:
-        return any(row in by_column[c] for c in cols)
-
-    def pick(cols: list[int], rightmost: bool, prefer_high_row: bool) -> Diagonal | None:
-        scan = reversed(cols) if rightmost else cols
-        for c in scan:
-            rows = [a for a in by_column[c] if (a, c) not in color]
+    def pick(block: list[int], rightmost: bool, highest: bool) -> Diagonal | None:
+        """Take the highest or the lowest uncolored cross of the first column that has one."""
+        for c in reversed(block) if rightmost else block:
+            rows = uncolored[c]
             if rows:
-                return (min(rows) if prefer_high_row else max(rows), c)
+                return (rows.pop(0) if highest else rows.pop(), c)
         return None
 
     for index in range(1, n - 4):
-        r = 0
-        for j in range(len(blocks), 0, -1):
-            if has_cross_in_row(blocks[j - 1], j):
-                r = j
-                break
+        # the largest r whose block has a cross, of either color, in row r
+        r = next(
+            (j for j in range(len(blocks), 0, -1) if any(j in cols[c] for c in blocks[j - 1])), 0
+        )
         if r < 2:
             raise StructuralError(f"no usable corner block found (r={r})")
 
-        blue = pick(blocks[r - 1], rightmost=False, prefer_high_row=flip_ties)
+        blue = pick(blocks[r - 1], rightmost=False, highest=flip_ties)
         if blue is None:
             raise StructuralError(f"no uncolored cross to color blue in block {r}")
         color[blue] = BLUE
+        blue_counts[blue[1]] += 1
 
         if r == 2:
             absorbed.extend(blocks.pop(0))
@@ -126,10 +126,11 @@ def color_diagram(tri: KTriangulation, flip_ties: bool = False) -> ColoredDiagra
             blocks[r - 3] = blocks[r - 3] + blocks.pop(r - 2)
             merged_cols = blocks[r - 3]
 
-        red = pick(merged_cols, rightmost=True, prefer_high_row=not flip_ties)
+        red = pick(merged_cols, rightmost=True, highest=not flip_ties)
         if red is None:
             raise StructuralError(f"no uncolored cross to color red in merged block {r - 2}")
         color[red] = RED
+        red_counts[red[1]] += 1
 
         steps.append(
             IterationStep(
@@ -148,18 +149,11 @@ def color_diagram(tri: KTriangulation, flip_ties: bool = False) -> ColoredDiagra
     if len(blocks) != 2:
         raise StructuralError(f"coloring finished with {len(blocks)} blocks")
 
-    blue_counts = []
-    red_counts = []
-    for b in range(4, n + 1):
-        blues = sum(1 for a in by_column[b] if color.get((a, b)) == BLUE)
-        reds = sum(1 for a in by_column[b] if color.get((a, b)) == RED)
-        blue_counts.append(blues)
-        red_counts.append(reds)
     return ColoredDiagram(
         tri,
         color,
-        tuple(blue_counts),
-        tuple(red_counts),
+        tuple(blue_counts[4:]),
+        tuple(red_counts[4:]),
         tuple(steps),
         tuple(tuple(b) for b in blocks),
         tuple(absorbed),
@@ -188,11 +182,15 @@ def to_paths(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
 
 
 def _label_chain_to_root(tri: KTriangulation) -> list[tuple[int, ...]]:
-    chain = [label2(tri)]
-    cur = tri
-    while cur.ctx.n > 5:
-        cur = parent_k(cur)
-        chain.append(label2(cur))
+    """The labels from the root down to ``tri``, climbing on columns and corner."""
+    _require_k2(tri)
+    cols = _columns(tri)
+    corner = _corner(cols, 2)
+    chain = [_label(cols, corner)]
+    while len(cols) > 6:
+        cols = _parent(cols, 2, corner)
+        corner = _corner(cols, 2)
+        chain.append(_label(cols, corner))
     chain.reverse()
     return chain
 

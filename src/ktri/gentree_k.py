@@ -6,10 +6,12 @@ root is the empty (2k+1)-gon.  The parent operation pivots on the corner r
 rows a_1 < ... < a_{k-1}, greedily minimal choices from the columns
 r+1..r+k-1.
 
-Growth works on the staircase by column (:data:`Columns`): the growth step
-:func:`_grow` rebuilds only the child's columns u+1..u+k+1 and shares the
-others with the parent; the corner and the row options are read off the
-columns too.  Children are checked only as a :class:`KTriangulation` is;
+Both steps work on the staircase by column (:data:`Columns`): the growth
+step :func:`_grow` rebuilds only the child's columns u+1..u+k+1, the parent
+step :func:`_parent` only the parent's columns r+1..r+k, and each shares the
+other columns; the corner, the anchor rows and the row options are read off
+the columns too.  A parent step checks the parent's staircase and size in
+O(columns).  Children are checked only as a :class:`KTriangulation` is;
 the child invariant (maximal, corner u, parent round trip) is stated once,
 in :func:`ktri.verify._round_trips`.  For k = 2 this is the 2-triangulation
 tree; :mod:`ktri.gentree2` adds its labels, the (u, i) view of its children
@@ -21,18 +23,14 @@ relative position of crosses across columns, not just on column counts.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import product
+from operator import lt
 
 from .errors import DomainError, GuardExceeded, StructuralError
 from .paths import catalan_determinant
-from .polygon import (
-    Diagonal,
-    KTriangulation,
-    PolygonContext,
-    _guard_value,
-    is_cell,
-)
+from .polygon import Diagonal, KTriangulation, PolygonContext, _guard_value
 
 TREE_COUNT_GUARD = 10**6
 
@@ -70,16 +68,30 @@ def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
     return KTriangulation(ctx, tuple(sorted((a, b) for b, col in enumerate(cols) for a in col)))
 
 
-def _check_staircase(cols: Columns, k: int) -> None:
-    """Staircase membership and the cardinality k(n-2k-1), in O(columns).
+def _off_staircase(cols: Columns, k: int) -> list[Diagonal]:
+    """The crosses (a, b) of ``cols`` off the staircase of the n-gon, in column order.
 
     Column b holds the rows max(1, b-n+k+1)..b-k-1, none below column k+2;
-    the rows of a column are sorted, so its first and last rows decide.
+    the rows of a column are sorted, so its first and last rows decide
+    whether it is scanned, and the check is O(columns) when all are on it.
     """
     n = len(cols) - 1
-    for b, col in enumerate(cols):
-        if col and (col[0] < 1 or col[0] <= b - n + k or col[-1] >= b - k):
-            raise StructuralError(f"column {b} rows {col} leave the staircase of the {n}-gon")
+    return [
+        (a, b)
+        for b, col in enumerate(cols)
+        if col and (col[0] < 1 or col[0] <= b - n + k or col[-1] >= b - k)
+        for a in col
+        if a < 1 or a <= b - n + k or a >= b - k
+    ]
+
+
+def _check_staircase(cols: Columns, k: int) -> None:
+    """Staircase membership and the cardinality k(n-2k-1), in O(columns)."""
+    n = len(cols) - 1
+    off = _off_staircase(cols, k)
+    if off:
+        b = off[0][1]
+        raise StructuralError(f"column {b} rows {cols[b]} leave the staircase of the {n}-gon")
     count = sum(map(len, cols))
     if count != k * (n - 2 * k - 1):
         raise StructuralError(f"{count} crosses on the {n}-gon, expected {k * (n - 2 * k - 1)}")
@@ -110,6 +122,32 @@ def corner_k(tri: KTriangulation) -> int:
     return _corner(_columns(tri), k)
 
 
+def _anchors(cols: Columns, k: int, r: int) -> tuple[int, ...]:
+    """:func:`anchor_rows` on the columns of a k-triangulation with corner r."""
+    n = len(cols) - 1
+    prev = 0
+    out: list[int] = []
+    for i in range(1, k):
+        col = cols[r + i]
+        cut = bisect_right(col, prev)
+        feasible = [a for a in (*col[cut : cut + 1], r + i - k) if a > prev]
+        if not feasible:
+            raise StructuralError(f"no anchor row available at column {r + i}")
+        a_i = min(feasible)
+        if a_i > r + i - k:
+            raise StructuralError(f"anchor row {a_i} exceeds {r + i - k}")
+        b = r + i + 1
+        if a_i not in cols[b] and b - n + k < a_i < b - k:  # neither crossed nor off-shape
+            raise StructuralError(f"square {(a_i, b)} neither crossed nor outside the staircase")
+        out.append(a_i)
+        prev = a_i
+    col = cols[r + k]
+    deep = list(col[bisect_right(col, prev) :])
+    if deep:
+        raise StructuralError(f"column {r + k} has crosses below row {prev}: {deep}")
+    return tuple(out)
+
+
 def anchor_rows(tri: KTriangulation) -> tuple[int, ...]:
     """The greedy-minimal increasing rows a_1 < ... < a_{k-1}.
 
@@ -120,29 +158,57 @@ def anchor_rows(tri: KTriangulation) -> tuple[int, ...]:
     structural errors.
     """
     k = _require_k(tri)
-    ctx = tri.ctx
-    r = corner_k(tri)
-    members = set(tri.diagonals)
-    prev = 0
-    out: list[int] = []
-    for i in range(1, k):
-        candidates = {a for (a, b) in members if b == r + i}
-        candidates.add(r + i - k)
-        feasible = [a for a in candidates if a > prev]
-        if not feasible:
-            raise StructuralError(f"no anchor row available at column {r + i}")
-        a_i = min(feasible)
-        if a_i > r + i - k:
-            raise StructuralError(f"anchor row {a_i} exceeds {r + i - k}")
-        nxt = (a_i, r + i + 1)
-        if nxt not in members and is_cell(ctx, nxt):
-            raise StructuralError(f"square {nxt} neither crossed nor outside the staircase")
-        out.append(a_i)
-        prev = a_i
-    deep = [a for (a, b) in members if b == r + k and a > out[-1]]
-    if deep:
-        raise StructuralError(f"column {r + k} has crosses below row {out[-1]}: {deep}")
-    return tuple(out)
+    cols = _columns(tri)
+    return _anchors(cols, k, _corner(cols, k))
+
+
+def _parent(cols: Columns, k: int, r: int) -> Columns:
+    """The parent step on columns: the parent of the node with corner r, checked.
+
+    With anchors a_1 < ... < a_{k-1} (:func:`_anchors`), the parent's column
+    r+i, for i = 1..k-1, is the crosses of column r+i+1 above row a_i (they
+    move one column left; the anchor square (a_i, r+i+1) is deleted) followed
+    by the crosses of column r+i at or below a_i.  Its column r+k is column
+    r+k+1 without the corner cross (r, r+k+1), and the columns past it shift
+    one to the left; columns 0..r are the child's, shared.  A rebuilt column
+    b >= n-k loses the boundary square (b-n+k+1, b), which leaves the staircase
+    of the (n-1)-gon.  Columns r+1..r+k must hold no cross above a_1, between
+    two anchors or below a_{k-1}, and no cross lies below the corner; the
+    parent's crosses must lie on its staircase and number k(n-2k-2).
+    """
+    n = len(cols) - 1
+    anchors = _anchors(cols, k, r)
+    first = cols[r + 1]
+    if first and first[0] < anchors[0]:
+        raise StructuralError(f"cross {(first[0], r + 1)} above the first anchor row")
+    mid: list[tuple[int, ...]] = []
+    for i, a_i in enumerate(anchors, start=1):
+        right, here = cols[r + i + 1], cols[r + i]
+        stay = here[bisect_left(here, a_i) :]
+        if i > 1:
+            between = here[bisect_right(here, anchors[i - 2]) : len(here) - len(stay)]
+            if between:
+                raise StructuralError(f"cross {(between[0], r + i)} between anchor rows")
+        col = right[: bisect_left(right, a_i)] + stay
+        b = r + i
+        if b >= n - k and b - n + k + 1 in col:
+            col = tuple(a for a in col if a != b - n + k + 1)
+        mid.append(col)
+    last = cols[r + k]
+    if last and last[-1] > anchors[-1]:
+        raise StructuralError(f"column {r + k} not empty before deletion")
+    corner_col = cols[r + k + 1]
+    if corner_col[-1] > r:
+        square = (corner_col[-1], r + k + 1)
+        raise StructuralError(f"short-diagonal square {square} below the corner")
+    parent = cols[: r + 1] + mid + [corner_col[:-1]] + cols[r + k + 2 :]
+    off = _off_staircase(parent, k)
+    if off:
+        raise StructuralError(f"off-shape crosses after contraction: {sorted(off)}")
+    count = sum(map(len, parent))
+    if count != k * (n - 2 * k - 2):
+        raise StructuralError(f"parent has {count} crosses, expected {k * (n - 2 * k - 2)}")
+    return parent
 
 
 def parent_k(tri: KTriangulation) -> KTriangulation:
@@ -152,72 +218,20 @@ def parent_k(tri: KTriangulation) -> KTriangulation:
     rows (keep at or below the anchor, pull lower crosses in from the right,
     drop the anchor square of the next column), deletes the emptied column
     r+k, shifts the rest left, and clears the boundary squares that leave
-    the staircase of the smaller polygon.
+    the staircase of the smaller polygon.  This is :func:`_parent` on the
+    columns of ``tri``.
     """
     k = _require_k(tri)
-    ctx = tri.ctx
-    n = ctx.n
+    n = tri.ctx.n
     if n == 2 * k + 1:
         raise DomainError("the empty root has no parent")
-    r = corner_k(tri)
-    anchors = anchor_rows(tri)
-    new_set: set[Diagonal] = set()
-    for a, b in tri.diagonals:
-        if (a, b) == (r, r + k + 1):
-            continue
-        j = b - r
-        if j <= 0:
-            new_set.add((a, b))
-        elif j == 1:
-            if a < anchors[0]:
-                raise StructuralError(f"cross {(a, b)} above the first anchor row")
-            new_set.add((a, b))
-        elif j <= k:
-            left_anchor = anchors[j - 2]
-            if a < left_anchor:
-                new_set.add((a, b - 1))
-            elif a == left_anchor:
-                continue  # the anchor square of this column is deleted
-            else:
-                if j == k:
-                    raise StructuralError(f"column {r + k} not empty before deletion")
-                if a < anchors[j - 1]:
-                    raise StructuralError(f"cross {(a, b)} between anchor rows")
-                new_set.add((a, b))
-        else:
-            if j == k + 1 and a > r:
-                raise StructuralError(f"short-diagonal square {(a, b)} below the corner")
-            new_set.add((a, b - 1))
-    ctx2 = PolygonContext(n - 1, k)
-    if r > n - 2 * k:
-        for a in range(1, r + 2 * k - n + 1):
-            new_set.discard((a, n - k - 1 + a))
-    bad = {d for d in new_set if not is_cell(ctx2, d)}
-    if bad:
-        raise StructuralError(f"off-shape crosses after contraction: {sorted(bad)}")
-    if len(new_set) != ctx2.diagonal_count:
-        raise StructuralError(
-            f"parent has {len(new_set)} crosses, expected {ctx2.diagonal_count}"
-        )
-    return KTriangulation(ctx2, tuple(sorted(new_set)))
+    cols = _columns(tri)
+    return _triangulation(PolygonContext(n - 1, k), _parent(cols, k, _corner(cols, k)))
 
 
 def _row_choices(options: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
     """All strictly increasing selections, one entry per option list, lex order."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(i: int, prev: int, acc: list[int]) -> None:
-        if i == len(options):
-            out.append(tuple(acc))
-            return
-        for b in options[i]:
-            if b > prev:
-                acc.append(b)
-                rec(i + 1, b, acc)
-                acc.pop()
-
-    rec(0, 0, [])
-    return out
+    return [rows for rows in product(*options) if all(map(lt, rows, rows[1:]))]
 
 
 def _row_options(cols: Columns, k: int, u: int) -> list[tuple[int, ...]]:

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from math import comb, isqrt, prod
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import DomainError, GuardExceeded, StructuralError
 from .polygon import _guard_value
@@ -248,20 +248,15 @@ def all_paths(m: int) -> tuple[DyckPath, ...]:
     if m < 0:
         raise DomainError(f"negative semilength {m}")
 
-    def gen(prefix: list[str], north: int, east: int) -> Iterator[str]:
-        if north == m and east == m:
-            yield "".join(prefix)
-            return
-        if north < m:
-            prefix.append("N")
-            yield from gen(prefix, north + 1, east)
-            prefix.pop()
-        if east < north:
-            prefix.append("E")
-            yield from gen(prefix, north, east + 1)
-            prefix.pop()
-
-    return tuple(DyckPath(s) for s in gen([], 0, 0))
+    level = [("", 0)]  # (prefix, its N count); extending in order keeps the lex order
+    for length in range(2 * m):
+        level = [
+            (prefix + step, north + (step == "N"))
+            for prefix, north in level
+            for step in "NE"
+            if (north < m if step == "N" else length - north < north)
+        ]
+    return tuple(DyckPath(prefix) for prefix, _ in level)
 
 
 @dataclass(frozen=True)
@@ -292,25 +287,13 @@ def enumerate_tuples(m: int, k: int, guard: int | None = None) -> list[PathTuple
         raise GuardExceeded(f"m*k = {m * k} exceeds the tuple guard of {limit}")
     paths = all_paths(m)
     prefixes = [path.east_prefix() for path in paths]
-    dom = {
-        (i, j): _prefix_dominates(prefixes[i], prefixes[j])
-        for i in range(len(paths))
-        for j in range(len(paths))
-    }
-    out: list[PathTuple] = []
-
-    def rec(chosen: list[int]) -> None:
-        if len(chosen) == k:
-            out.append(PathTuple(m, k, tuple(paths[i] for i in chosen)))
-            return
-        for j in range(len(paths)):
-            if not chosen or dom[(chosen[-1], j)]:
-                chosen.append(j)
-                rec(chosen)
-                chosen.pop()
-
-    rec([])
-    return out
+    below = [
+        [j for j, low in enumerate(prefixes) if _prefix_dominates(high, low)] for high in prefixes
+    ]
+    chains = [(j,) for j in range(len(paths))]
+    for _ in range(k - 1):  # extending each chain in order keeps the lex order
+        chains = [chain + (j,) for chain in chains for j in below[chain[-1]]]
+    return [PathTuple(m, k, tuple(paths[i] for i in chain)) for chain in chains]
 
 
 def _check_exponent_form(exps: Sequence[int], what: str) -> None:

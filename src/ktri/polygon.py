@@ -300,10 +300,15 @@ def enumerate_brute(ctx: PolygonContext, guard: int | None = None) -> list[KTria
     """All k-triangulations of the polygon, by exhaustive backtracking.
 
     Cells are decided in staircase order; a cell may be included only when
-    it completes no (k+1)-crossing, and every leaf is a set whose excluded
-    cells are each blocked by the included ones, i.e. a maximal set.  The
-    cardinality formula is asserted on every result, never assumed.  Output
-    is sorted lexicographically by the sorted diagonal lists.
+    it completes no (k+1)-crossing.  A node deciding cell i keeps the
+    invariant "every excluded cell is blocked within ``included | suffix[i]``"
+    (blocked: it completes a (k+1)-crossing there).  Including a cell leaves
+    that set unchanged; excluding cell i removes it, so only cell i and the
+    excluded cells crossing it need a new blocking clique, and a node where
+    one has none is pruned.  At a leaf the set is ``included``, so the
+    invariant states that every excluded cell is blocked by the final set:
+    maximality.  The cardinality formula is asserted on every result, never
+    assumed.  Output is sorted lexicographically by the sorted diagonal lists.
     """
     limit = _guard_value(guard, BRUTE_CELL_GUARD)
     cells = staircase_cells(ctx)
@@ -317,16 +322,18 @@ def enumerate_brute(ctx: PolygonContext, guard: int | None = None) -> list[KTria
     for i in range(m - 1, -1, -1):
         suffix[i] = suffix[i + 1] | (1 << i)
 
-    witness: dict[int, int] = {}
+    witness: dict[int, int] = {}  # a cached blocking clique per excluded cell bit
     results: list[int] = []
-
-    def rec(i: int, included: int, excluded: int) -> None:
-        # Every excluded cell must still be blockable using included and
-        # undecided cells; cached witness crossings keep this check cheap.
-        # At a leaf the undecided part is empty, so a passing sweep states
-        # that every excluded cell is blocked by the final set: maximality.
-        available = included | suffix[i]
-        x = excluded
+    stack = [(0, 0, 0)]  # (i, included, excluded), the include branch popped first
+    while stack:
+        i, included, excluded = stack.pop()
+        if i == m:
+            results.append(included)
+            continue
+        bit = 1 << i
+        # exclude cell i: it and the excluded cells crossing it need a blocking clique
+        available = included | suffix[i + 1]
+        x = (excluded & masks[i]) | bit
         while x:
             low = x & -x
             x -= low
@@ -335,16 +342,13 @@ def enumerate_brute(ctx: PolygonContext, guard: int | None = None) -> list[KTria
                 continue
             found = _find_clique(available & masks[low.bit_length() - 1], t - 1, masks)
             if found is None:
-                return
+                break
             witness[low] = found
-        if i == m:
-            results.append(included)
-            return
+        else:
+            stack.append((i + 1, included, excluded | bit))
         if _find_clique(included & masks[i], t - 1, masks) is None:
-            rec(i + 1, included | (1 << i), excluded)
-        rec(i + 1, included, excluded | (1 << i))
+            stack.append((i + 1, included | bit, excluded))
 
-    rec(0, 0, 0)
     out = [KTriangulation(ctx, _mask_cells(ctx, mask)) for mask in results]
     out.sort(key=lambda tri: tri.diagonals)
     return out

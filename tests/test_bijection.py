@@ -216,7 +216,7 @@ class TestInverse:
 
     def test_round_trips_at_large_semilength(self):
         rng = random.Random(61007)
-        for m in (30, 60, 90, 120, 150, 200):
+        for m in (30, 60, 90, 120, 150, 200, 300, 400):
             for _ in range(2):
                 p, q = random_noncrossing_pair(rng, m)
                 tri = from_paths(p, q)

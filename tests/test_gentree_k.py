@@ -1,10 +1,12 @@
 """Generating tree for k-triangulations, k >= 2."""
 
+import gc
+import random
 from collections import Counter
 
 import pytest
 
-from conftest import holds, triangulations
+from conftest import example_14gon, holds, triangulations
 from ktri import (
     DomainError,
     KTriangulation,
@@ -15,12 +17,16 @@ from ktri import (
     children2,
     children_k,
     corner_k,
+    enumerate_brute,
     enumerate_tree,
+    enumerate_tuples,
+    is_k_triangulation,
     parent_k,
     tree_root,
     verify,
 )
-from ktri.gentree_k import child_k
+from ktri.gentree_k import _columns, _parent, child_k
+from ktri.polygon import is_cell, staircase_cells
 
 # The 9-gon example with k=3: uniquely determined by its child profile
 # (two children at u=4, three at u=5, seven at u=6).
@@ -154,6 +160,149 @@ class TestColumnStep:
         assert choices == sum(catalan_determinant(n, k) for n in range(2 * k + 2, n_hi + 1))
 
 
+def set_anchor_rows(tri):
+    """The anchor rows read off the diagonal set: the slow oracle of _anchors."""
+    k = tri.ctx.k
+    ctx = tri.ctx
+    r = corner_k(tri)
+    members = set(tri.diagonals)
+    prev = 0
+    out = []
+    for i in range(1, k):
+        candidates = {a for (a, b) in members if b == r + i}
+        candidates.add(r + i - k)
+        feasible = [a for a in candidates if a > prev]
+        if not feasible:
+            raise StructuralError(f"no anchor row available at column {r + i}")
+        a_i = min(feasible)
+        if a_i > r + i - k:
+            raise StructuralError(f"anchor row {a_i} exceeds {r + i - k}")
+        nxt = (a_i, r + i + 1)
+        if nxt not in members and is_cell(ctx, nxt):
+            raise StructuralError(f"square {nxt} neither crossed nor outside the staircase")
+        out.append(a_i)
+        prev = a_i
+    deep = [a for (a, b) in members if b == r + k and a > out[-1]]
+    if deep:
+        raise StructuralError(f"column {r + k} has crosses below row {out[-1]}: {deep}")
+    return tuple(out)
+
+
+def set_parent_k(tri):
+    """The parent step on the diagonal set, one cross at a time: the slow oracle of _parent."""
+    k = tri.ctx.k
+    ctx = tri.ctx
+    n = ctx.n
+    if n == 2 * k + 1:
+        raise DomainError("the empty root has no parent")
+    r = corner_k(tri)
+    anchors = set_anchor_rows(tri)
+    new_set = set()
+    for a, b in tri.diagonals:
+        if (a, b) == (r, r + k + 1):
+            continue
+        j = b - r
+        if j <= 0:
+            new_set.add((a, b))
+        elif j == 1:
+            if a < anchors[0]:
+                raise StructuralError(f"cross {(a, b)} above the first anchor row")
+            new_set.add((a, b))
+        elif j <= k:
+            left_anchor = anchors[j - 2]
+            if a < left_anchor:
+                new_set.add((a, b - 1))
+            elif a == left_anchor:
+                continue  # the anchor square of this column is deleted
+            else:
+                if j == k:
+                    raise StructuralError(f"column {r + k} not empty before deletion")
+                if a < anchors[j - 1]:
+                    raise StructuralError(f"cross {(a, b)} between anchor rows")
+                new_set.add((a, b))
+        else:
+            if j == k + 1 and a > r:
+                raise StructuralError(f"short-diagonal square {(a, b)} below the corner")
+            new_set.add((a, b - 1))
+    ctx2 = PolygonContext(n - 1, k)
+    if r > n - 2 * k:
+        for a in range(1, r + 2 * k - n + 1):
+            new_set.discard((a, n - k - 1 + a))
+    bad = {d for d in new_set if not is_cell(ctx2, d)}
+    if bad:
+        raise StructuralError(f"off-shape crosses after contraction: {sorted(bad)}")
+    if len(new_set) != ctx2.diagonal_count:
+        raise StructuralError(
+            f"parent has {len(new_set)} crosses, expected {ctx2.diagonal_count}"
+        )
+    return KTriangulation(ctx2, tuple(sorted(new_set)))
+
+
+def _outcome(step, tri):
+    try:
+        return step(tri)
+    except StructuralError:
+        return StructuralError
+
+
+class TestParentStep:
+    @pytest.mark.parametrize("k,n_hi", [(2, 10), (3, 11), (4, 12)])
+    def test_matches_the_set_oracle(self, k, n_hi):
+        # every tree node below the root, up to the n_hi-gon
+        nodes = 0
+        for n in range(2 * k + 2, n_hi + 1):
+            for tri in enumerate_tree(n, k):
+                assert anchor_rows(tri) == set_anchor_rows(tri)
+                assert parent_k(tri) == set_parent_k(tri)
+                nodes += 1
+        assert nodes == sum(catalan_determinant(n, k) for n in range(2 * k + 2, n_hi + 1))
+
+    @pytest.mark.parametrize("k,n_hi", [(2, 10), (3, 11), (4, 12)])
+    def test_agrees_with_the_set_oracle_off_the_tree(self, k, n_hi):
+        # seeded diagonal sets of the right cardinality that are no k-triangulation:
+        # random cell sets, and tree nodes with one diagonal swapped for another cell;
+        # both steps raise StructuralError or both give the same parent
+        rng = random.Random(90001 + k)
+        outcomes = Counter()
+        for n in range(2 * k + 2, n_hi + 1):
+            ctx = PolygonContext(n, k)
+            cells = staircase_cells(ctx)
+            nodes = enumerate_tree(n, k)
+            for _ in range(150):
+                if rng.random() < 0.5:
+                    diagonals = rng.sample(cells, ctx.diagonal_count)
+                else:
+                    diagonals = list(rng.choice(nodes).diagonals)
+                    diagonals.remove(rng.choice(diagonals))
+                    diagonals.append(rng.choice([c for c in cells if c not in diagonals]))
+                tri = KTriangulation(ctx, tuple(sorted(diagonals)))
+                if is_k_triangulation(tri):
+                    continue
+                assert _outcome(anchor_rows, tri) == _outcome(set_anchor_rows, tri)
+                got = _outcome(parent_k, tri)
+                assert got == _outcome(set_parent_k, tri), tri.diagonals
+                outcomes[got is StructuralError] += 1
+        assert outcomes[True] and outcomes[False]
+
+    @pytest.mark.parametrize(
+        "b, corrupt, error",
+        [
+            (11, lambda col: (0,) + col, r"cross \(0, 11\) above the first anchor row$"),
+            (13, lambda col: col + (11,), r"short-diagonal square \(11, 13\) below the corner$"),
+            (14, lambda col: (0,) + col, r"off-shape crosses after contraction: \[\(0, 13\)\]$"),
+            (14, lambda col: col[:-1], "parent has 15 crosses, expected 16$"),
+        ],
+        ids=["row-above-the-anchor", "row-below-the-corner", "row-off-the-staircase", "cross-dropped"],
+    )
+    def test_checks_the_columns_it_moves(self, b, corrupt, error):
+        # the 14-gon example has corner 10 and anchor 8; its column 11 is kept,
+        # column 13 loses the corner cross, and column 14 reaches the parent shifted
+        cols = _columns(example_14gon())
+        cols[b] = corrupt(cols[b])
+        with pytest.raises(StructuralError, match=error):
+            _parent(cols, 2, 10)
+
+
 class TestEnumerateTree:
     def test_root_level(self):
         got = enumerate_tree(7, 3)
@@ -189,3 +338,23 @@ class TestEnumerateTree:
         monkeypatch.setattr("ktri.gentree_k.children_k", lambda tri: corrupt(children_k(tri)))
         with pytest.raises(StructuralError, match="expected 14$"):
             enumerate_tree(7, 2)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_tree(9, 3),
+        lambda: enumerate_brute(PolygonContext(8, 2)),
+        lambda: enumerate_tuples(4, 3),
+    ],
+    ids=["tree", "brute", "tuples"],
+)
+def test_enumerations_leave_no_reference_cycles(call):
+    # no self-referencing closure: nothing is left for the cycle collector
+    gc.disable()
+    try:
+        gc.collect()
+        call()
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
