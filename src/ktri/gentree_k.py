@@ -172,9 +172,13 @@ def _parent(cols: Columns, k: int, r: int) -> Columns:
     r+k+1 without the corner cross (r, r+k+1), and the columns past it shift
     one to the left; columns 0..r are the child's, shared.  A rebuilt column
     b >= n-k loses the boundary square (b-n+k+1, b), which leaves the staircase
-    of the (n-1)-gon.  Columns r+1..r+k must hold no cross above a_1, between
-    two anchors or below a_{k-1}, and no cross lies below the corner; the
-    parent's crosses must lie on its staircase and number k(n-2k-2).
+    of the (n-1)-gon.  Column r+1 must hold no cross above a_1, no cross may
+    lie below the corner, and the parent's crosses must lie on its staircase
+    and number k(n-2k-2).  Two conditions on the other columns cannot fail:
+    - no cross of column r+i lies between a_{i-1} and a_i: a_i is at most the
+      least row of column r+i above a_{i-1}, so no row lies between anchors;
+    - no cross of column r+k lies below a_{k-1}: :func:`_anchors` already
+      raises "has crosses below row" on the same crosses.
     """
     n = len(cols) - 1
     anchors = _anchors(cols, k, r)
@@ -184,19 +188,11 @@ def _parent(cols: Columns, k: int, r: int) -> Columns:
     mid: list[tuple[int, ...]] = []
     for i, a_i in enumerate(anchors, start=1):
         right, here = cols[r + i + 1], cols[r + i]
-        stay = here[bisect_left(here, a_i) :]
-        if i > 1:
-            between = here[bisect_right(here, anchors[i - 2]) : len(here) - len(stay)]
-            if between:
-                raise StructuralError(f"cross {(between[0], r + i)} between anchor rows")
-        col = right[: bisect_left(right, a_i)] + stay
+        col = right[: bisect_left(right, a_i)] + here[bisect_left(here, a_i) :]
         b = r + i
         if b >= n - k and b - n + k + 1 in col:
             col = tuple(a for a in col if a != b - n + k + 1)
         mid.append(col)
-    last = cols[r + k]
-    if last and last[-1] > anchors[-1]:
-        raise StructuralError(f"column {r + k} not empty before deletion")
     corner_col = cols[r + k + 1]
     if corner_col[-1] > r:
         square = (corner_col[-1], r + k + 1)

@@ -48,10 +48,10 @@ def criterion(number, description):
 
 
 def test_criterion_1_counting_k2():
-    with criterion(1, "counts for k=2, n=5..10: det = brute = tree = 1,3,14,84,594,4719"):
-        expected = [1, 3, 14, 84, 594, 4719]
-        assert [catalan_determinant(n, 2) for n in range(5, 11)] == expected
-        holds(verify._counting, 2, 10, triangulations)
+    with criterion(1, "counts for k=2, n=5..11: det = brute = tree = 1,3,14,84,594,4719,40898"):
+        expected = [1, 3, 14, 84, 594, 4719, 40898]
+        assert [catalan_determinant(n, 2) for n in range(5, 12)] == expected
+        holds(verify._counting, 2, 11, triangulations)
 
 
 def test_criterion_2_counting_k3():

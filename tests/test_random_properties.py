@@ -1,19 +1,24 @@
 """Randomized properties on larger objects than the exhaustive sweeps cover."""
 
-from hypothesis import given, settings
+from itertools import combinations
+
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktri import (
     DomainError,
     DyckPath,
     PairEncoding,
+    PolygonContext,
     dominates,
     is_t_crossing,
     pair_children,
     pair_label,
     pair_parent,
+    staircase_cells,
 )
 from ktri.formats import format_pair, format_triangulation, parse_pair, parse_triangulation
+from ktri.polygon import _crossing_masks, _find_clique
 
 
 @st.composite
@@ -108,6 +113,34 @@ def test_crossing_criterion_matches_pairwise(raw):
         for d2 in diagonals[i + 1 :]
     )
     assert is_t_crossing(diagonals) == pairwise
+
+
+@st.composite
+def cell_masks(draw):
+    """A polygon with n <= 10 and k in 1..3, and a random mask of its staircase cells."""
+    k = draw(st.integers(1, 3))
+    ctx = PolygonContext(draw(st.integers(2 * k + 1, 10)), k)
+    return ctx, draw(st.integers(0, (1 << len(staircase_cells(ctx))) - 1))
+
+
+@given(cell_masks())
+@example((PolygonContext(10, 1), 0))
+@settings(deadline=None)
+def test_find_clique_matches_combinations(drawn):
+    # sizes 1 and 2 are unrolled in the clique search; all sizes must agree
+    # with the flat filter over subsets, and every clique found must be one
+    ctx, cand = drawn
+    cells = staircase_cells(ctx)
+    _, masks = _crossing_masks(ctx)
+    chosen = [c for i, c in enumerate(cells) if cand >> i & 1]
+    for size in range(5):
+        found = _find_clique(cand, size, masks)
+        exists = size == 0 or any(is_t_crossing(c) for c in combinations(chosen, size))
+        assert (found is not None) == exists, (size, chosen)
+        if found is not None:
+            assert found & ~cand == 0 and found.bit_count() == size
+            clique = [c for i, c in enumerate(cells) if found >> i & 1]
+            assert size == 0 or is_t_crossing(clique)
 
 
 CANONICAL_TEXTS = ("k=2 n=6\n1-4,3-6\n", "k=2 n=7\n1-5,2-5,3-6,3-7\n", "NNEE\nNENE\n")
