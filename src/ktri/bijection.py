@@ -9,14 +9,16 @@ labels, then descend the other tree matching them); it serves as the
 reference implementation.  Its climb carries the staircase by column and the
 corner of the current node, takes one parent step
 (:func:`ktri.gentree_k._parent`, which checks each parent's staircase and
-size) and reads one label per level, and builds no :class:`KTriangulation`.  :func:`from_paths` inverts the map the same way: it climbs
-the pair tree to the root, then descends the triangulation tree building one
-child per level, the one whose label matches (sibling labels are distinct
-and their order is fixed by the succession rule).  The descent carries the
-staircase by column, the corner and the label of the current node, and
-builds one :class:`KTriangulation`, at the end; each step checks the
-child's label, corner and staircase, and :func:`ktri.verify._bijection`
-checks both maps and the inverse on every object in its range.
+size) and reads one label per level, and builds no :class:`KTriangulation`.
+:func:`from_paths` inverts the map the same way: it climbs the pair tree to
+the root, then descends the triangulation tree building one child per
+level, the one whose label matches (sibling labels are distinct and their
+order is fixed by the succession rule).  The descent carries the staircase
+by column, the corner and the label of the current node, and builds one
+:class:`KTriangulation`, at the end; each step checks the child's label and
+corner, the columns it rebuilds and its size, and
+:func:`ktri.verify._bijection` checks both maps and the inverse on every
+object in its range.
 
 Tie-break conventions are fixed: when several crosses in one column tie for
 blue, the lowest (largest row) is taken, and for red the highest; per-column
@@ -67,7 +69,7 @@ class ColoredDiagram:
     color: Mapping[Diagonal, str]
     blue_counts: tuple[int, ...]  # columns 4..n
     red_counts: tuple[int, ...]  # columns 4..n
-    steps: tuple[IterationStep, ...]
+    steps: tuple[IterationStep, ...]  # empty unless traced
     blocks: tuple[tuple[int, ...], ...]
     absorbed: tuple[int, ...]
 
@@ -79,10 +81,20 @@ def color_diagram(tri: KTriangulation, flip_ties: bool = False) -> ColoredDiagra
     largest r such that block r has a cross (of either color) in row r,
     color blue the leftmost uncolored cross in block r, merge blocks r-2 and
     r-1 (block 1 is absorbed into the unnumbered far-left block when r = 2),
-    and color red the rightmost uncolored cross of the merged block.
+    and color red the rightmost uncolored cross of the merged block.  Each
+    iteration is recorded in ``steps``.
 
     ``flip_ties`` reverses both within-column tie-breaks; it exists to make
     the tie-break independence of the color counts testable.
+    """
+    return _color(tri, flip_ties, trace=True)
+
+
+def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
+    """:func:`color_diagram`, recording its steps only when ``trace`` is set.
+
+    Each numbered block keeps the bitmask of the rows its columns hold, the
+    union of its columns' masks, so "block j has a cross in row j" is one shift.
     """
     if tri.ctx.k != 2:
         raise DomainError(f"coloring defined for k=2 only, got k={tri.ctx.k}")
@@ -93,6 +105,7 @@ def color_diagram(tri: KTriangulation, flip_ties: bool = False) -> ColoredDiagra
     red_counts = [0] * (n + 1)
 
     blocks: list[list[int]] = [[b] for b in range(4, n + 1)]
+    row_masks = [sum(1 << a for a in cols[b]) for b in range(4, n + 1)]
     absorbed: list[int] = []
     color: dict[Diagonal, str] = {}
     steps: list[IterationStep] = []
@@ -107,9 +120,7 @@ def color_diagram(tri: KTriangulation, flip_ties: bool = False) -> ColoredDiagra
 
     for index in range(1, n - 4):
         # the largest r whose block has a cross, of either color, in row r
-        r = next(
-            (j for j in range(len(blocks), 0, -1) if any(j in cols[c] for c in blocks[j - 1])), 0
-        )
+        r = next((j for j in range(len(blocks), 0, -1) if row_masks[j - 1] >> j & 1), 0)
         if r < 2:
             raise StructuralError(f"no usable corner block found (r={r})")
 
@@ -121,9 +132,11 @@ def color_diagram(tri: KTriangulation, flip_ties: bool = False) -> ColoredDiagra
 
         if r == 2:
             absorbed.extend(blocks.pop(0))
+            del row_masks[0]
             merged_cols = absorbed
         else:
             blocks[r - 3] = blocks[r - 3] + blocks.pop(r - 2)
+            row_masks[r - 3] |= row_masks.pop(r - 2)
             merged_cols = blocks[r - 3]
 
         red = pick(merged_cols, rightmost=True, highest=not flip_ties)
@@ -132,17 +145,18 @@ def color_diagram(tri: KTriangulation, flip_ties: bool = False) -> ColoredDiagra
         color[red] = RED
         red_counts[red[1]] += 1
 
-        steps.append(
-            IterationStep(
-                index,
-                r,
-                blue,
-                red,
-                (r - 2, r - 1),
-                tuple(tuple(b) for b in blocks),
-                tuple(absorbed),
+        if trace:
+            steps.append(
+                IterationStep(
+                    index,
+                    r,
+                    blue,
+                    red,
+                    (r - 2, r - 1),
+                    tuple(tuple(b) for b in blocks),
+                    tuple(absorbed),
+                )
             )
-        )
 
     if len(color) != len(tri.diagonals):
         raise StructuralError("coloring finished with uncolored crosses")
@@ -167,7 +181,7 @@ def to_paths(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
     j = 5..n, the lower path one of length (red count of column j) for
     j = 4..n-1; both get a closing E.
     """
-    colored = color_diagram(tri)
+    colored = _color(tri, flip_ties=False, trace=False)
     blues, reds = colored.blue_counts, colored.red_counts
     if blues[0] != 0:
         raise StructuralError("blue cross in the first column")

@@ -121,14 +121,18 @@ def _child_by_label(
     """One step of the descent by label: the child's columns and corner.
 
     The node is given by its columns, corner r and label.  The child's label
-    must be ``target``, and its columns must pass the staircase and
-    cardinality check, else StructuralError; the caller carries ``target``
-    as the child's label.
+    must be ``target``, its rebuilt columns u+1..u+3 must lie on the
+    staircase and its crosses must number 2(n-4), else StructuralError; the
+    caller carries ``target`` as the child's label.  The other columns need
+    no check: those up to u are the node's, and those past u+3 are the
+    node's shifted one column right, and the staircase of the (n+1)-gon
+    holds every row that column b of the n-gon's holds in column b and b+1.
+    The final :class:`KTriangulation` of a descent checks every cell.
     """
     j, i = _sibling_position(label, target)
     u = r + j - 1
     child = _child2_columns(cols, r, u, i)
-    _check_staircase(child, 2)
+    _check_staircase(child, 2, range(u + 1, u + 4))
     corner = _corner(child, 2)
     got = _label(child, corner)
     if got != target:
@@ -205,14 +209,18 @@ def _sibling_position(label: TreeLabel, target: TreeLabel) -> tuple[int, int]:
 
 
 def pair_parent(enc: PairEncoding) -> PairEncoding:
-    """One level up the pair tree: merge the columns around the split index."""
+    """One level up the pair tree: merge the columns around the split index.
+
+    When s = m+1 the merge is degenerate.  Then p_2, ..., p_m are positive and
+    sum to at most m-1, the sum of all p, so each is 1 and p_1 is 0; the same
+    holds for q.  So the pair is the staircase pair, and p_m = 1 needs no
+    check.
+    """
     m = enc.m
     if m < 2:
         raise DomainError("the pair (NE, NE) is the root and has no parent")
     s = enc.s
     p, q = enc.p + (0, 0), enc.q + (0, 0)  # p[j - 1] is p_j, zero past m
-    if s - 1 >= m and p[s - 2] != 1:
-        raise StructuralError("degenerate merge expected a staircase pair")
     new_p = p[: s - 2] + (p[s - 2] - 1, p[s] + p[s - 1]) + p[s + 1 :]
     new_q = q[: s - 2] + (q[s - 1] + q[s - 2] - 1,) + q[s:]
     return PairEncoding(new_p[: m - 1], new_q[: m - 1])

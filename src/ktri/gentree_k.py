@@ -27,10 +27,11 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
 from operator import lt
+from typing import Iterable
 
 from .errors import DomainError, GuardExceeded, StructuralError
 from .paths import catalan_determinant
-from .polygon import Diagonal, KTriangulation, PolygonContext, _guard_value
+from .polygon import Diagonal, KTriangulation, PolygonContext, _guard_value, _off_staircase
 
 TREE_COUNT_GUARD = 10**6
 
@@ -68,27 +69,25 @@ def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
     return KTriangulation(ctx, tuple(sorted((a, b) for b, col in enumerate(cols) for a in col)))
 
 
-def _off_staircase(cols: Columns, k: int) -> list[Diagonal]:
-    """The crosses (a, b) of ``cols`` off the staircase of the n-gon, in column order.
+def _off_columns(cols: Columns, k: int, columns: Iterable[int] | None = None) -> list[Diagonal]:
+    """The crosses of ``columns`` (all by default) of ``cols`` off the staircase of the n-gon.
 
-    Column b holds the rows max(1, b-n+k+1)..b-k-1, none below column k+2;
-    the rows of a column are sorted, so its first and last rows decide
-    whether it is scanned, and the check is O(columns) when all are on it.
+    They are listed in column order, by :func:`ktri.polygon._off_staircase`.
+    The rows of a column are sorted and the staircase rows of a column are an
+    interval, so only columns whose first or last row is off are scanned, and
+    the check is O(columns) when all are on it.
     """
     n = len(cols) - 1
-    return [
-        (a, b)
-        for b, col in enumerate(cols)
-        if col and (col[0] < 1 or col[0] <= b - n + k or col[-1] >= b - k)
-        for a in col
-        if a < 1 or a <= b - n + k or a >= b - k
-    ]
+    columns = range(n + 1) if columns is None else columns
+    ends = ((a, b) for b in columns if cols[b] for a in (cols[b][0], cols[b][-1]))
+    off = dict.fromkeys(b for _, b in _off_staircase(n, k, ends))
+    return _off_staircase(n, k, ((a, b) for b in off for a in cols[b]))
 
 
-def _check_staircase(cols: Columns, k: int) -> None:
-    """Staircase membership and the cardinality k(n-2k-1), in O(columns)."""
+def _check_staircase(cols: Columns, k: int, columns: Iterable[int] | None = None) -> None:
+    """Staircase membership of ``columns`` (all by default) and the cardinality k(n-2k-1)."""
     n = len(cols) - 1
-    off = _off_staircase(cols, k)
+    off = _off_columns(cols, k, columns)
     if off:
         b = off[0][1]
         raise StructuralError(f"column {b} rows {cols[b]} leave the staircase of the {n}-gon")
@@ -172,9 +171,12 @@ def _parent(cols: Columns, k: int, r: int) -> Columns:
     r+k+1 without the corner cross (r, r+k+1), and the columns past it shift
     one to the left; columns 0..r are the child's, shared.  A rebuilt column
     b >= n-k loses the boundary square (b-n+k+1, b), which leaves the staircase
-    of the (n-1)-gon.  Column r+1 must hold no cross above a_1, no cross may
-    lie below the corner, and the parent's crosses must lie on its staircase
-    and number k(n-2k-2).  Two conditions on the other columns cannot fail:
+    of the (n-1)-gon.  No cross may lie below the corner, and the parent's
+    crosses must lie on its staircase and number k(n-2k-2).  Three other
+    conditions cannot fail on the columns of a k-triangulation, which lie on
+    its staircase:
+    - no cross of column r+1 lies above a_1: a_1 is the least feasible row,
+      and the least row of column r+1 is feasible, being positive;
     - no cross of column r+i lies between a_{i-1} and a_i: a_i is at most the
       least row of column r+i above a_{i-1}, so no row lies between anchors;
     - no cross of column r+k lies below a_{k-1}: :func:`_anchors` already
@@ -182,9 +184,6 @@ def _parent(cols: Columns, k: int, r: int) -> Columns:
     """
     n = len(cols) - 1
     anchors = _anchors(cols, k, r)
-    first = cols[r + 1]
-    if first and first[0] < anchors[0]:
-        raise StructuralError(f"cross {(first[0], r + 1)} above the first anchor row")
     mid: list[tuple[int, ...]] = []
     for i, a_i in enumerate(anchors, start=1):
         right, here = cols[r + i + 1], cols[r + i]
@@ -198,7 +197,7 @@ def _parent(cols: Columns, k: int, r: int) -> Columns:
         square = (corner_col[-1], r + k + 1)
         raise StructuralError(f"short-diagonal square {square} below the corner")
     parent = cols[: r + 1] + mid + [corner_col[:-1]] + cols[r + k + 2 :]
-    off = _off_staircase(parent, k)
+    off = _off_columns(parent, k)
     if off:
         raise StructuralError(f"off-shape crosses after contraction: {sorted(off)}")
     count = sum(map(len, parent))

@@ -14,13 +14,16 @@ interiors.  All such sets have exactly k*(n-2k-1) (nontrivial) diagonals;
 the code asserts this instead of assuming it.
 
 Diagonals cross mutually iff they cross pairwise, so a t-crossing is a
-t-clique of the crossing graph.  Every crossing search is one bitset clique
-search: each staircase cell has a precomputed mask of the cells crossing it
-(built once per polygon), a diagonal set is a mask of cells, and a
-t-crossing through a given cell is a (t-1)-clique among the members of its
-crossing mask.  The brute-force lister decides the longest cells (largest
-b - a) first; that is free, as its pruning holds in any cell order and its
-output is sorted at the end.
+t-clique of the crossing graph.  The maximality test, the greedy completion
+and :func:`has_crossing` each run bitset clique searches: each staircase
+cell has a precomputed mask of the cells crossing it (built once per
+polygon), a diagonal set is a mask of cells, and a t-crossing through a
+given cell is a (t-1)-clique among the members of its crossing mask.  The
+brute-force lister runs no search.  A (k+1)-crossing is fixed by its 2k+2
+endpoints, so the polygon has C(n, 2k+2) of them, and every question the
+lister asks is a few mask operations over that list.  It decides the longest
+cells (largest b - a) first; that is free, as its pruning holds in any cell
+order and its output is sorted at the end.
 """
 
 from __future__ import annotations
@@ -28,6 +31,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 from typing import Iterable, Sequence
 
 from .errors import DomainError, GuardExceeded, StructuralError
@@ -105,18 +109,28 @@ def staircase_cells(ctx: PolygonContext) -> tuple[Diagonal, ...]:
     return tuple(cells)
 
 
+def _off_staircase(n: int, k: int, diagonals: Iterable[Diagonal]) -> list[Diagonal]:
+    """The pairs (a, b) of ``diagonals`` that are not staircase cells of the n-gon, in order.
+
+    The one statement of staircase membership: column b, for k+2 <= b <= n,
+    holds the rows max(1, b-n+k+1)..b-k-1.
+    """
+    return [(a, b) for a, b in diagonals if not 0 < a < b - k or a <= b - n + k or b > n]
+
+
 def is_cell(ctx: PolygonContext, d: Diagonal) -> bool:
-    a, b = d
-    return 1 <= a < b - ctx.k <= ctx.n - ctx.k and a > b - ctx.n + ctx.k
+    return not _off_staircase(ctx.n, ctx.k, (d,))
 
 
 def _check_members(ctx: PolygonContext, diagonals: Iterable[Diagonal]) -> tuple[Diagonal, ...]:
+    """The diagonals sorted; the least one that is no cell or is repeated is rejected."""
     out = sorted(diagonals)
-    for prev, d in zip([None] + out, out):
-        if not is_cell(ctx, d):
-            raise DomainError(f"{d} is not a nontrivial diagonal of the {ctx.n}-gon (k={ctx.k})")
-        if d == prev:
-            raise DomainError(f"diagonal {d} appears more than once")
+    off = _off_staircase(ctx.n, ctx.k, out)
+    repeat = next((d for prev, d in zip(out, out[1:]) if d == prev), None)
+    if off and (repeat is None or off[0] <= repeat):
+        raise DomainError(f"{off[0]} is not a nontrivial diagonal of the {ctx.n}-gon (k={ctx.k})")
+    if repeat is not None:
+        raise DomainError(f"diagonal {repeat} appears more than once")
     return tuple(out)
 
 
@@ -307,61 +321,118 @@ def degree(obj, vertex: int) -> int:
     return sum(1 for (a, b) in obj.diagonals if vertex in (a, b))
 
 
+def _crossings(ctx: PolygonContext) -> list[tuple[Diagonal, ...]]:
+    """Every (k+1)-crossing of the polygon, as its diagonals sorted by (a, b).
+
+    The endpoints of a (k+1)-crossing are 2k+2 distinct vertices
+    v_1 < ... < v_{2k+2}, and its diagonals are (v_j, v_{j+k+1}); each choice
+    of vertices gives one (Pilaud and Santos 2009), so there are C(n, 2k+2),
+    listed in the lexicographic order of their vertices.  Each diagonal has at
+    least k vertices on either side, so it is a staircase cell.
+    """
+    t = ctx.k + 1
+    return [tuple(zip(vs[:t], vs[t:])) for vs in combinations(range(1, ctx.n + 1), 2 * t)]
+
+
+_CrossingTable = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+
+
+def _crossing_table(ctx: PolygonContext, cells: Sequence[Diagonal]) -> _CrossingTable:
+    """The (k+1)-crossings seen from a sequence of cells, as bitmasks (hits, later, shares).
+
+    hits[i] is the mask (bit j for crossing j of :func:`_crossings`) of the
+    crossings through cell i, later[i] the union of hits over cells i..m-1,
+    and shares[i] the mask (by position) of the cells that share a crossing
+    with cell i, itself included.
+    """
+    position = {c: i for i, c in enumerate(cells)}
+    hits = [0] * len(cells)
+    shares = [0] * len(cells)
+    for j, crossing in enumerate(_crossings(ctx)):
+        at = [position[d] for d in crossing]
+        members = sum(1 << i for i in at)
+        for i in at:
+            hits[i] |= 1 << j
+            shares[i] |= members
+    later = [0] * (len(cells) + 1)
+    for i in range(len(cells) - 1, -1, -1):
+        later[i] = later[i + 1] | hits[i]
+    return tuple(hits), tuple(later), tuple(shares)
+
+
+# A node of the brute-force search: (i, included, excluded, once, twice).  Cells
+# 0..i-1 are decided, ``included`` and ``excluded`` are masks of cells, and
+# ``once`` and ``twice`` are masks of the crossings holding at least one and at
+# least two excluded cells.
+_Node = tuple[int, int, int, int, int]
+
+
+def _branches(table: _CrossingTable, node: _Node) -> tuple[_Node | None, _Node | None]:
+    """The include and the exclude child of a node deciding cell i; None where pruned.
+
+    Cell i may be included iff no crossing through it is otherwise made of
+    included cells: every one holds an excluded or a later cell.  The node
+    keeps the invariant that every excluded cell is blocked within ``included``
+    and the cells after i, that is, it has a crossing in which it is the only
+    excluded cell (one outside ``twice``).  Excluding cell i moves the crossings
+    through it that were in ``once`` into ``twice``, so only cell i and the
+    excluded cells sharing a crossing with it need the test again.
+    """
+    hits, later, shares = table
+    i, included, excluded, once, twice = node
+    x = hits[i]
+    include = None
+    if not x & ~(once | later[i + 1]):
+        include = (i + 1, included | 1 << i, excluded, once, twice)
+    if not x & ~once:
+        return include, None
+    twice |= once & x
+    recheck = excluded & shares[i]
+    while recheck:
+        low = recheck & -recheck
+        if not hits[low.bit_length() - 1] & ~twice:
+            return include, None
+        recheck ^= low
+    return include, (i + 1, included, excluded | 1 << i, once | x, twice)
+
+
 def enumerate_brute(ctx: PolygonContext, guard: int | None = None) -> list[KTriangulation]:
     """All k-triangulations of the polygon, by exhaustive backtracking.
 
     Cells are decided longest diagonal (largest b - a) first, by the key
-    (a - b, a, b); a cell may be included only when it completes no
-    (k+1)-crossing.  A node deciding cell i keeps the invariant "every
-    excluded cell is blocked within ``included | suffix[i]``" (blocked: it
-    completes a (k+1)-crossing there).  Including a cell leaves that set
-    unchanged; excluding cell i removes it, so only cell i and the excluded
-    cells crossing it need a new blocking clique, and a node where one has
-    none is pruned.  At a leaf the set is ``included``, so the invariant
-    states that every excluded cell is blocked by the final set: maximality.
-    The cardinality formula is asserted on every result, never assumed.
-    Output is sorted lexicographically by the sorted diagonal lists.  The
-    decision order is free, as the invariant holds in any order and the output
-    is sorted; this one visits 37 % of staircase order's nodes at k=2, n=10.
+    (a - b, a, b).  Every blocking question is asked of the C(n, 2k+2)
+    crossings of :func:`_crossings`, in a few mask operations (see
+    :func:`_branches`): a cell may be included only when it completes no
+    (k+1)-crossing, and a node keeps the invariant "every excluded cell is
+    blocked within ``included`` and the undecided cells" (blocked: it
+    completes a (k+1)-crossing there), pruning a node where excluding a cell
+    breaks it.  At a leaf the set is ``included``, so the invariant states
+    that every excluded cell is blocked by the final set: maximality.  The
+    cardinality formula is asserted on every result, never assumed.  Output
+    is sorted lexicographically by the sorted diagonal lists.  The decision
+    order is free, as the invariant holds in any order and the output is
+    sorted; this one visits 37 % of staircase order's nodes at k=2, n=10.
+    The crossings are listed only once the guard has passed.
     """
     limit = _guard_value(guard, BRUTE_CELL_GUARD)
     cells = sorted(staircase_cells(ctx), key=lambda c: (c[0] - c[1], *c))
     m = len(cells)
     if m > limit:
         raise GuardExceeded(f"{m} cells exceeds the enumeration guard of {limit}")
-    t = ctx.k + 1
-    masks = _crossing_masks_of(cells)
+    table = _crossing_table(ctx, cells)
 
-    suffix = [0] * (m + 1)
-    for i in range(m - 1, -1, -1):
-        suffix[i] = suffix[i + 1] | (1 << i)
-
-    witness: dict[int, int] = {}  # a cached blocking clique per excluded cell bit
     results: list[int] = []
-    stack = [(0, 0, 0)]  # (i, included, excluded), the include branch popped first
+    stack: list[_Node] = [(0, 0, 0, 0, 0)]  # the include branch popped first
     while stack:
-        i, included, excluded = stack.pop()
-        if i == m:
-            results.append(included)
+        node = stack.pop()
+        if node[0] == m:
+            results.append(node[1])
             continue
-        bit = 1 << i
-        # exclude cell i: it and the excluded cells crossing it need a blocking clique
-        available = included | suffix[i + 1]
-        x = (excluded & masks[i]) | bit
-        while x:
-            low = x & -x
-            x -= low
-            w = witness.get(low)
-            if w is not None and (w & ~available) == 0:
-                continue
-            found = _find_clique(available & masks[low.bit_length() - 1], t - 1, masks)
-            if found is None:
-                break
-            witness[low] = found
-        else:
-            stack.append((i + 1, included, excluded | bit))
-        if _find_clique(included & masks[i], t - 1, masks) is None:
-            stack.append((i + 1, included | bit, excluded))
+        include, exclude = _branches(table, node)
+        if exclude is not None:
+            stack.append(exclude)
+        if include is not None:
+            stack.append(include)
 
     out = [KTriangulation(ctx, _mask_cells(cells, mask)) for mask in results]
     out.sort(key=lambda tri: tri.diagonals)

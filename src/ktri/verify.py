@@ -12,7 +12,7 @@ from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import combinations
 
-from .bijection import color_diagram, from_paths, to_paths, to_paths_via_tree
+from .bijection import _color, from_paths, to_paths, to_paths_via_tree
 from .errors import DomainError, StructuralError
 from .gentree2 import (
     ROOT_PAIR,
@@ -168,8 +168,8 @@ def _bijection(n_max: int, brute: Lister) -> Check:
 def _tie_breaks(n_max: int, brute: Lister) -> Check:
     for n in range(5, n_max + 1):
         for tri in brute(n, 2):
-            a = color_diagram(tri)
-            b = color_diagram(tri, flip_ties=True)
+            a = _color(tri, flip_ties=False, trace=False)
+            b = _color(tri, flip_ties=True, trace=False)
             if a.blue_counts != b.blue_counts or a.red_counts != b.red_counts:
                 return ("tie_breaks", False, f"counts depend on tie-break for {tri.diagonals}")
     return ("tie_breaks", True, f"n<={n_max}")

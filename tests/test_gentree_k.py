@@ -287,20 +287,27 @@ class TestParentStep:
     @pytest.mark.parametrize(
         "b, corrupt, error",
         [
-            (11, lambda col: (0,) + col, r"cross \(0, 11\) above the first anchor row$"),
             (13, lambda col: col + (11,), r"short-diagonal square \(11, 13\) below the corner$"),
             (14, lambda col: (0,) + col, r"off-shape crosses after contraction: \[\(0, 13\)\]$"),
             (14, lambda col: col[:-1], "parent has 15 crosses, expected 16$"),
         ],
-        ids=["row-above-the-anchor", "row-below-the-corner", "row-off-the-staircase", "cross-dropped"],
+        ids=["row-below-the-corner", "row-off-the-staircase", "cross-dropped"],
     )
     def test_checks_the_columns_it_moves(self, b, corrupt, error):
-        # the 14-gon example has corner 10 and anchor 8; its column 11 is kept,
-        # column 13 loses the corner cross, and column 14 reaches the parent shifted
+        # the 14-gon example has corner 10 and anchor 8; its column 13 loses
+        # the corner cross, and column 14 reaches the parent shifted
         cols = _columns(example_14gon())
         cols[b] = corrupt(cols[b])
         with pytest.raises(StructuralError, match=error):
             _parent(cols, 2, 10)
+
+    def test_no_cross_of_the_first_column_lies_above_the_first_anchor(self):
+        # why the parent step has no check for such a cross
+        for k, n_max in ((2, 9), (3, 10)):
+            for n in range(2 * k + 2, n_max + 1):
+                for tri in triangulations(n, k):
+                    first = _columns(tri)[corner_k(tri) + 1]
+                    assert not first or anchor_rows(tri)[0] <= first[0], tri.diagonals
 
 
 class TestEnumerateTree:

@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -25,6 +26,7 @@ from ktri import (
     trivial_diagonals,
     verify,
 )
+from ktri.polygon import _crossings
 
 
 def geometric_cross(d1, d2):
@@ -274,10 +276,34 @@ class TestEnumerateBrute:
                         flat = any(is_t_crossing(c) for c in combinations(subset, t))
                         assert has_crossing(subset, t) == flat
 
+    def test_crossing_list_is_every_crossing_subset(self):
+        # the lister's list of (k+1)-crossings against the flat filter over
+        # (k+1)-subsets of cells, on every polygon with at most 20 cells
+        levels = 0
+        for k in range(1, 24):
+            for n in range(2 * k + 1, 3 * k + 12):
+                ctx = PolygonContext(n, k)
+                cells = staircase_cells(ctx)
+                if len(cells) > 20:
+                    break
+                flat = {c for c in combinations(cells, k + 1) if is_t_crossing(c)}
+                got = _crossings(ctx)
+                assert set(got) == flat and len(got) == comb(n, 2 * k + 2), (n, k)
+                levels += 1
+        assert levels == 57
+
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             enumerate_brute(PolygonContext(20, 2))
         assert len(enumerate_brute(PolygonContext(6, 2), guard=3)) == 3
+
+    def test_guard_comes_before_the_crossing_list(self, monkeypatch):
+        def refused(ctx):
+            raise AssertionError("crossings listed past the guard")
+
+        monkeypatch.setattr("ktri.polygon._crossings", refused)
+        with pytest.raises(GuardExceeded):
+            enumerate_brute(PolygonContext(12, 2))
 
     def test_env_guard(self, monkeypatch):
         monkeypatch.setenv("KTRI_GUARD", "2")

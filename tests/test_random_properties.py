@@ -6,11 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ktri import (
+    DiagonalSet,
     DomainError,
     DyckPath,
     PairEncoding,
     PolygonContext,
     dominates,
+    is_k_triangulation,
     is_t_crossing,
     pair_children,
     pair_label,
@@ -18,7 +20,14 @@ from ktri import (
     staircase_cells,
 )
 from ktri.formats import format_pair, format_triangulation, parse_pair, parse_triangulation
-from ktri.polygon import _crossing_masks, _find_clique
+from ktri.polygon import (
+    _branches,
+    _crossing_masks,
+    _crossing_masks_of,
+    _crossing_table,
+    _crossings,
+    _find_clique,
+)
 
 
 @st.composite
@@ -141,6 +150,56 @@ def test_find_clique_matches_combinations(drawn):
             assert found & ~cand == 0 and found.bit_count() == size
             clique = [c for i, c in enumerate(cells) if found >> i & 1]
             assert size == 0 or is_t_crossing(clique)
+
+
+# the largest n per k that keeps a polygon at 30 staircase cells or fewer
+WALK_N_MAX = {1: 9, 2: 10, 3: 12, 4: 13}
+
+
+@st.composite
+def search_walks(draw):
+    """A polygon, an order of its cells and a preferred branch per cell: a walk down the search."""
+    k = draw(st.integers(1, 4))
+    ctx = PolygonContext(draw(st.integers(2 * k + 1, WALK_N_MAX[k])), k)
+    cells = draw(st.permutations(staircase_cells(ctx)))
+    return ctx, cells, draw(st.lists(st.booleans(), min_size=len(cells), max_size=len(cells)))
+
+
+@given(search_walks())
+@settings(deadline=None)
+def test_brute_decisions_match_clique_search(drawn):
+    # At every node of a walk down the brute-force search, in any cell order,
+    # the include and exclude decisions read off the crossing list are the
+    # clique search's: cell i may be included iff it completes no crossing
+    # with the included cells, and excluded iff it and every excluded cell
+    # then complete one with the included and the undecided cells.
+    ctx, cells, prefer_include = drawn
+    t, m = ctx.k + 1, len(cells)
+    table = _crossing_table(ctx, cells)
+    masks = _crossing_masks_of(cells)
+    members = [sum(1 << cells.index(d) for d in c) for c in _crossings(ctx)]
+    node = (0, 0, 0, 0, 0)
+    for i, take in enumerate(prefer_include):
+        _, included, excluded, once, twice = node
+        hit = [(c & excluded).bit_count() for c in members]
+        assert once == sum(1 << j for j, h in enumerate(hit) if h >= 1)
+        assert twice == sum(1 << j for j, h in enumerate(hit) if h >= 2)
+        include, exclude = _branches(table, node)
+        assert (include is not None) == (_find_clique(included & masks[i], t - 1, masks) is None)
+        available = included | (1 << m) - (2 << i)
+        out = excluded | 1 << i
+        blocked = all(
+            _find_clique(available & masks[c], t - 1, masks) is not None
+            for c in range(m)
+            if out >> c & 1
+        )
+        assert (exclude is not None) == blocked
+        node = include if include is not None and (take or exclude is None) else exclude
+        if node is None:
+            return
+    assert node[0] == m
+    leaf = DiagonalSet(ctx, tuple(c for i, c in enumerate(cells) if node[1] >> i & 1))
+    assert is_k_triangulation(leaf)
 
 
 CANONICAL_TEXTS = ("k=2 n=6\n1-4,3-6\n", "k=2 n=7\n1-5,2-5,3-6,3-7\n", "NNEE\nNENE\n")
