@@ -30,6 +30,7 @@ from .gentree_k import (
     anchor_rows,
     children_k,
     corner_k,
+    count_tree,
     enumerate_tree,
     parent_k,
     tree_root,
@@ -90,6 +91,7 @@ __all__ = [
     "color_diagram",
     "complete_to_maximal",
     "corner_k",
+    "count_tree",
     "degree",
     "dominates",
     "enumerate_brute",

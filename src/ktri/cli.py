@@ -22,7 +22,7 @@ from .formats import (
     parse_triangulation,
 )
 from .gentree2 import children2, label2
-from .gentree_k import children_k, enumerate_tree, parent_k, tree_root
+from .gentree_k import children_k, count_tree, enumerate_tree, parent_k, tree_root
 from .paths import catalan_determinant
 from .polygon import PolygonContext, _guard_value, enumerate_brute
 from .render import render_diagram, render_paths
@@ -68,7 +68,7 @@ def _cmd_count(args) -> int:
     elif args.method == "brute":
         value = len(enumerate_brute(PolygonContext(args.n, args.k)))
     else:
-        value = len(enumerate_tree(args.n, args.k))
+        value = count_tree(args.n, args.k)
     print(_decimal(value))
     return 0
 

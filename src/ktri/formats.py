@@ -27,18 +27,25 @@ _HEADER = re.compile(r"k=(0|-?[1-9][0-9]*) n=(0|-?[1-9][0-9]*)")
 _DIAGONAL = re.compile(r"(0|[1-9][0-9]*)-(0|[1-9][0-9]*)")
 
 
+class _DiagonalTexts(dict):
+    """The text "a-b" of each diagonal (a, b), made on first use and kept."""
+
+    def __missing__(self, diagonal: tuple[int, int]) -> str:
+        text = self[diagonal] = f"{diagonal[0]}-{diagonal[1]}"
+        return text
+
+
+_TEXTS = _DiagonalTexts()
+
+
 def format_triangulation(tri: KTriangulation) -> str:
-    header = f"k={tri.ctx.k} n={tri.ctx.n}"
-    if not tri.diagonals:
-        return f"{header}\n-\n"
-    body = ",".join(f"{a}-{b}" for a, b in tri.diagonals)
-    return f"{header}\n{body}\n"
+    return f"k={tri.ctx.k} n={tri.ctx.n}\n{diagonal_line(tri)}\n"
 
 
 def diagonal_line(tri: KTriangulation) -> str:
     if not tri.diagonals:
         return "-"
-    return ",".join(f"{a}-{b}" for a, b in tri.diagonals)
+    return ",".join(map(_TEXTS.__getitem__, tri.diagonals))
 
 
 def _two_lines(text: str, count_error: str) -> list[str]:

@@ -26,7 +26,6 @@ r + s = n - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 
 from .errors import DomainError, StructuralError
 from .gentree_k import (
@@ -37,7 +36,6 @@ from .gentree_k import (
     _grow,
     _row_options,
     _triangulation,
-    children_k,
 )
 from .paths import PairEncoding
 from .polygon import KTriangulation, PolygonContext
@@ -98,21 +96,34 @@ def child2(tri: KTriangulation, u: int, i: int) -> KTriangulation:
     return _triangulation(PolygonContext(tri.ctx.n + 1, 2), child)
 
 
-def children2(tri: KTriangulation) -> tuple[tuple[GrowthChoice, KTriangulation], ...]:
-    """All children of a 2-triangulation, ordered by (u asc, i asc).
+def _children2(cols: Columns, r: int) -> list[tuple[GrowthChoice, Columns]]:
+    """The children of the node with columns ``cols`` and corner r, ordered by (u asc, i asc).
 
-    These are the children of :func:`ktri.gentree_k.children_k`; within each
-    u block, i counts the row choices from the largest down, as in
-    :func:`child2`.  Their invariants (maximal, corner u, parent round trip)
-    are checked in :func:`ktri.verify._round_trips`, their labels against
-    the succession rule in :func:`ktri.verify._label_coherence`.
+    Within each u block, i counts the rows :func:`_row_options` offers from
+    the largest down, as in :func:`child2`.
+    """
+    out: list[tuple[GrowthChoice, Columns]] = []
+    for u in range(r, len(cols) - 2):
+        rows = _row_options(cols, 2, u)[0]
+        kids = (_grow(cols, 2, u, (b,)) for b in reversed(rows))
+        out.extend((GrowthChoice(u, i), child) for i, child in enumerate(kids))
+    return out
+
+
+def children2(tri: KTriangulation) -> tuple[tuple[GrowthChoice, KTriangulation], ...]:
+    """All children of a 2-triangulation, ordered by (u asc, i asc): :func:`_children2`.
+
+    These are the children of :func:`ktri.gentree_k.children_k`, in another
+    order within each u block.  Their invariants (maximal, corner u, parent
+    round trip) are checked in :func:`ktri.verify._round_trips`, their labels
+    against the succession rule in :func:`ktri.verify._label_coherence`.
     """
     _require_k2(tri)
-    out: list[tuple[GrowthChoice, KTriangulation]] = []
-    for u, block in groupby(children_k(tri), key=lambda kid: kid[0].u):
-        kids = [child for _, child in block]
-        out.extend((GrowthChoice(u, i), child) for i, child in enumerate(reversed(kids)))
-    return tuple(out)
+    cols = _columns(tri)
+    ctx = PolygonContext(tri.ctx.n + 1, 2)
+    return tuple(
+        (choice, _triangulation(ctx, child)) for choice, child in _children2(cols, _corner(cols, 2))
+    )
 
 
 def _child_by_label(

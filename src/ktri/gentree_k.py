@@ -11,11 +11,15 @@ step :func:`_grow` rebuilds only the child's columns u+1..u+k+1, the parent
 step :func:`_parent` only the parent's columns r+1..r+k, and each shares the
 other columns; the corner, the anchor rows and the row options are read off
 the columns too.  A parent step checks the parent's staircase and size in
-O(columns).  Children are checked only as a :class:`KTriangulation` is;
-the child invariant (maximal, corner u, parent round trip) is stated once,
-in :func:`ktri.verify._round_trips`.  For k = 2 this is the 2-triangulation
-tree; :mod:`ktri.gentree2` adds its labels, the (u, i) view of its children
-and the descent by label, which stays on columns from root to leaf.
+O(columns).  The tree is walked depth first on (columns, corner) pairs by
+:func:`_nodes`, a child carrying its u as its corner: :func:`enumerate_tree`
+builds a :class:`KTriangulation` only for each node of the last level, and
+:func:`count_tree` builds none.  Children are checked only as a
+:class:`KTriangulation` is; the child invariant (maximal, corner u, parent
+round trip) is stated once, in :func:`ktri.verify._round_trips`, which
+walks columns too.  For k = 2 this is the 2-triangulation tree;
+:mod:`ktri.gentree2` adds its labels, the (u, i) view of its children and
+the descent by label, which stays on columns from root to leaf.
 
 No label calculus exists here: the number of children depends on the
 relative position of crosses across columns, not just on column counts.
@@ -25,8 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import product
-from operator import lt
+from itertools import accumulate
 from typing import Iterable
 
 from .errors import DomainError, GuardExceeded, StructuralError
@@ -64,9 +67,17 @@ def _columns(tri: KTriangulation) -> Columns:
     return list(map(tuple, cols))
 
 
+def _cells(cols: Columns) -> list[Diagonal]:
+    """The cells of the staircase ``cols``, column by column."""
+    return [(a, b) for b, col in enumerate(cols) for a in col]
+
+
 def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
-    """The k-triangulation of ``ctx`` whose staircase is ``cols``, checked in full."""
-    return KTriangulation(ctx, tuple(sorted((a, b) for b, col in enumerate(cols) for a in col)))
+    """The k-triangulation of ``ctx`` whose staircase is ``cols``, checked in full.
+
+    The constructor sorts the cells.
+    """
+    return KTriangulation(ctx, _cells(cols))
 
 
 def _off_columns(cols: Columns, k: int, columns: Iterable[int] | None = None) -> list[Diagonal]:
@@ -225,8 +236,30 @@ def parent_k(tri: KTriangulation) -> KTriangulation:
 
 
 def _row_choices(options: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """All strictly increasing selections, one entry per option list, lex order."""
-    return [rows for rows in product(*options) if all(map(lt, rows, rows[1:]))]
+    """All strictly increasing selections, one entry per option list, lex order.
+
+    They are grown one entry at a time, keeping only increasing prefixes, so
+    the work follows the number of choices, not the size of the product of
+    the option lists (2^(k-1) at the root).
+    """
+    choices: list[tuple[int, ...]] = [()]
+    for option in options:
+        choices = [rows + (b,) for rows in choices for b in option if not rows or rows[-1] < b]
+    return choices
+
+
+def _choice_count(options: list[tuple[int, ...]]) -> int:
+    """The number of :func:`_row_choices` of ``options``, counted without listing them.
+
+    ``counts[j]`` is the number of increasing prefixes ending in ``ends[j]``,
+    the j-th row of the last option list (rows are positive, so the empty
+    prefix ends in 0); a row b of the next list extends those ending below b.
+    """
+    ends, counts = (0,), [1]
+    for option in options:
+        below = [0, *accumulate(counts)]
+        ends, counts = option, [below[bisect_left(ends, b)] for b in option]
+    return sum(counts)
 
 
 def _row_options(cols: Columns, k: int, u: int) -> list[tuple[int, ...]]:
@@ -249,7 +282,7 @@ def _grow(cols: Columns, k: int, u: int, rows: tuple[int, ...]) -> Columns:
     (b_i, u+i+1) is added; at u = n-k the row value b_i = i places its
     cross one column to the left, at (i, u+i).  Only the child's columns
     u+1..u+k+1 are rebuilt; the others are the parent's tuples, shared.  (u, rows)
-    must be one of the choices :func:`children_k` lists.
+    must be one of the choices :func:`_children` lists.
     """
     low = u == len(cols) - 1 - k
     # mid[i - 1] is the child's column u+i, for i = 1..k+1
@@ -268,31 +301,28 @@ def _grow(cols: Columns, k: int, u: int, rows: tuple[int, ...]) -> Columns:
     return cols[: u + 1] + mid + cols[u + k + 1 :]
 
 
-def child_k(tri: KTriangulation, u: int, rows: tuple[int, ...]) -> KTriangulation:
-    """The child of a k-triangulation selected by (u, rows), without validation.
+def _children(cols: Columns, k: int, r: int) -> list[tuple[int, tuple[int, ...], Columns]]:
+    """(u, rows, columns) of each child of the node with columns ``cols`` and corner r.
 
-    :func:`_grow` on the columns of ``tri``; (u, rows) must be one of the
-    choices :func:`children_k` lists.
+    For each u in r..n-k, one child per strictly increasing choice of rows
+    b_1 < ... < b_{k-1} from :func:`_row_options`, grown by :func:`_grow`,
+    ordered by (u asc, rows lex asc).  The child's corner is u.
     """
-    k = _require_k(tri)
-    return _triangulation(PolygonContext(tri.ctx.n + 1, k), _grow(_columns(tri), k, u, rows))
+    return [
+        (u, rows, _grow(cols, k, u, rows))
+        for u in range(r, len(cols) - k)
+        for rows in _row_choices(_row_options(cols, k, u))
+    ]
 
 
 def children_k(tri: KTriangulation) -> tuple[tuple[GrowthChoiceK, KTriangulation], ...]:
-    """All children of a k-triangulation, ordered by (u asc, rows lex asc).
-
-    For each u in r..n-k, one child per strictly increasing choice of rows
-    b_1 < ... < b_{k-1} from :func:`_row_options`, grown by :func:`_grow`
-    from the columns of ``tri``, which are read once.
-    """
+    """All children of a k-triangulation, ordered by (u asc, rows lex asc): :func:`_children`."""
     k = _require_k(tri)
-    n = tri.ctx.n
     cols = _columns(tri)
-    ctx = PolygonContext(n + 1, k)
+    ctx = PolygonContext(tri.ctx.n + 1, k)
     return tuple(
-        (GrowthChoiceK(u, rows), _triangulation(ctx, _grow(cols, k, u, rows)))
-        for u in range(_corner(cols, k), n - k + 1)
-        for rows in _row_choices(_row_options(cols, k, u))
+        (GrowthChoiceK(u, rows), _triangulation(ctx, child))
+        for u, rows, child in _children(cols, k, _corner(cols, k))
     )
 
 
@@ -300,11 +330,8 @@ def tree_root(k: int) -> KTriangulation:
     return KTriangulation(PolygonContext(2 * k + 1, k), ())
 
 
-def enumerate_tree(n: int, k: int, guard: int | None = None) -> list[KTriangulation]:
-    """All k-triangulations of the n-gon, generated level by level from the root.
-
-    The last level must hold exactly the counted number of distinct objects.
-    """
+def _level_size(n: int, k: int, guard: int | None) -> int:
+    """The number of k-triangulations of the n-gon, once the tree may walk to it."""
     if k < 2:
         raise DomainError(f"tree enumeration needs k >= 2, got k={k}")
     if n < 2 * k + 1:
@@ -313,12 +340,56 @@ def enumerate_tree(n: int, k: int, guard: int | None = None) -> list[KTriangulat
     expected = catalan_determinant(n, k)
     if expected > limit:
         raise GuardExceeded(f"tree level of more than {limit} objects refused; lower n")
-    level = [tree_root(k)]
+    return expected
+
+
+def _nodes(n: int, k: int) -> Iterable[tuple[Columns, int]]:
+    """The (columns, corner) pairs of the nodes of the n-gon, in the order of the tree.
+
+    Each level is a lazy stream drawn from the level before, each child
+    carrying its u as its corner (:func:`_children`), so the walk is depth
+    first, holds the children of one node per level at a time and builds no
+    object.
+    """
+    level: Iterable[tuple[Columns, int]] = [([()] * (2 * k + 2), k)]  # the root
     for _ in range(2 * k + 2, n + 1):
-        level = [child for tri in level for (_, child) in children_k(tri)]
-    distinct = len({tri.diagonals for tri in level})
-    if len(level) != expected or distinct != expected:
+        level = ((child, u) for cols, r in level for u, _, child in _children(cols, k, r))
+    return level
+
+
+def enumerate_tree(n: int, k: int, guard: int | None = None) -> list[KTriangulation]:
+    """All k-triangulations of the n-gon, generated from the root by :func:`_nodes`.
+
+    Only the nodes of the n-gon become :class:`KTriangulation` objects, each
+    built once, and they must be exactly the counted number of distinct
+    objects.
+    """
+    expected = _level_size(n, k, guard)
+    ctx = PolygonContext(n, k)
+    tris = [_triangulation(ctx, cols) for cols, _ in _nodes(n, k)]
+    distinct = len({tri.diagonals for tri in tris})
+    if len(tris) != expected or distinct != expected:
         raise StructuralError(
-            f"tree level has {len(level)} children, {distinct} distinct; expected {expected}"
+            f"tree level has {len(tris)} children, {distinct} distinct; expected {expected}"
         )
-    return sorted(level, key=lambda tri: tri.diagonals)
+    return sorted(tris, key=lambda tri: tri.diagonals)
+
+
+def count_tree(n: int, k: int, guard: int | None = None) -> int:
+    """The number of k-triangulations of the n-gon, counted on the tree without building any.
+
+    Each node of the (n-1)-gon (:func:`_nodes`) has one child per row choice
+    of each of its u, so the last level is counted (:func:`_choice_count`),
+    not grown.  The count must equal :func:`ktri.paths.catalan_determinant`.
+    """
+    expected = _level_size(n, k, guard)
+    count = 1  # the root
+    if n > 2 * k + 1:
+        count = sum(
+            _choice_count(_row_options(cols, k, u))
+            for cols, r in _nodes(n - 1, k)
+            for u in range(r, n - k)
+        )
+    if count != expected:
+        raise StructuralError(f"tree level has {count} children; expected {expected}")
+    return count

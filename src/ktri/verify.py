@@ -14,17 +14,21 @@ from itertools import combinations
 
 from .bijection import _color, from_paths, to_paths, to_paths_via_tree
 from .errors import DomainError, StructuralError
-from .gentree2 import (
-    ROOT_PAIR,
-    children2,
-    label2,
-    label_children,
-    pair_children,
-    pair_parent,
+from .gentree2 import ROOT_PAIR, _children2, _label, label_children, pair_children, pair_parent
+from .gentree_k import (
+    _cells,
+    _children,
+    _columns,
+    _corner,
+    _parent,
+    corner_k,
+    enumerate_tree,
+    parent_k,
+    tree_root,
 )
-from .gentree_k import children_k, corner_k, enumerate_tree, parent_k, tree_root
 from .paths import PairEncoding, _condensed_determinant, catalan_determinant, enumerate_tuples
 from .polygon import (
+    DiagonalSet,
     KTriangulation,
     PolygonContext,
     check_structure_lemmas,
@@ -78,29 +82,39 @@ def _crossing_criterion(n_max: int) -> Check:
 
 
 def _round_trips(k: int, n_max: int, brute: Lister) -> Check:
-    level = [tree_root(k)]
+    """The tree walked on (columns, corner) pairs, each level checked against brute.
+
+    A node's children are grown from the corner read off its columns, apart
+    from the corner r the node carries and the children are checked against.
+    """
+    root = tree_root(k)
+    level = [(_columns(root), corner_k(root))]
     n = 2 * k + 1
     while n < n_max:
+        ctx = PolygonContext(n + 1, k)
         produced = []
-        for tri in level:
-            r = corner_k(tri)
-            for choice, child in children_k(tri):
-                if not is_k_triangulation(child):
-                    detail = f"child {child.diagonals} is not a k-triangulation"
+        diagonals = []
+        for cols, r in level:
+            for u, _, child in _children(cols, k, _corner(cols, k)):
+                cells = DiagonalSet(ctx, _cells(child))
+                if not is_k_triangulation(cells):
+                    detail = f"child {cells.diagonals} is not a k-triangulation"
                     return ("round_trips", False, f"{detail} at n={n + 1}")
-                if parent_k(child) != tri:
+                c = _corner(child, k)
+                if _parent(child, k, c) != cols:
                     return ("round_trips", False, f"parent(child) != parent at n={n + 1}")
-                if not (c := corner_k(child)) == choice.u >= r:
-                    detail = f"child corner {c} != u={choice.u} or < parent corner {r}"
+                if not c == u >= r:
+                    detail = f"child corner {c} != u={u} or < parent corner {r}"
                     return ("round_trips", False, f"{detail} at n={n + 1}")
-                produced.append(child)
-        seen = Counter(t.diagonals for t in produced)
+                produced.append((child, c))
+                diagonals.append(cells.diagonals)
+        seen = Counter(diagonals)
         dup = [d for d, c in seen.items() if c > 1]
         if dup:
             return ("round_trips", False, f"duplicate child at n={n + 1}: {dup[0]}")
         if sorted(seen) != [t.diagonals for t in brute(n + 1, k)]:
             return ("round_trips", False, f"children of level {n} do not partition level {n + 1}")
-        level = sorted(produced, key=lambda t: t.diagonals)
+        level = produced
         n += 1
     return ("round_trips", True, f"k={k}, levels up to n={n_max}")
 
@@ -131,19 +145,18 @@ def _pair_round_trips(m_max: int) -> Check:
 
 
 def _label_coherence(n_max: int) -> Check:
-    tris = [tree_root(2)]
+    level = [(_columns(tree_root(2)), 2)]
     for n in range(5, n_max):
         nxt = []
-        for tri in tris:
-            kids = [child for _, child in children2(tri)]
-            expected = label_children(label2(tri))
-            got = tuple(label2(child) for child in kids)
-            if got != expected:
-                return ("label_coherence", False, f"labels differ below {tri.diagonals}")
-            if len(set(got)) != len(got):
-                return ("label_coherence", False, f"sibling labels repeat below {tri.diagonals}")
+        for cols, r in level:
+            kids = [(child, _corner(child, 2)) for _, child in _children2(cols, r)]
+            expected = label_children(_label(cols, r))
+            got = tuple(_label(child, c) for child, c in kids)
+            if got != expected or len(set(got)) != len(got):
+                what = "labels differ" if got != expected else "sibling labels repeat"
+                return ("label_coherence", False, f"{what} below {tuple(sorted(_cells(cols)))}")
             nxt.extend(kids)
-        tris = nxt
+        level = nxt
     return ("label_coherence", True, f"2-triangulations up to n={n_max}")
 
 

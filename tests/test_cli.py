@@ -1,13 +1,18 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
+import io
 import sys
 from collections import Counter
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXAMPLE_14GON, EXAMPLE_14GON_P, EXAMPLE_14GON_Q
-from ktri import DiagonalSet, children_k, corner_k, enumerate_brute, pair_children, tree_root
+from ktri import corner_k, enumerate_brute, pair_children, tree_root
+from ktri.gentree_k import _children
 from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
 from ktri.verify import run_verify
@@ -382,8 +387,8 @@ class TestVerifyAndRender:
         "target, corrupted, line",
         [
             (
-                "children_k",
-                lambda tri: [(replace(c, u=c.u + 1), t) for c, t in children_k(tri)],
+                "_children",
+                lambda cols, k, r: [(u + 1, rows, kid) for u, rows, kid in _children(cols, k, r)],
                 "FAIL round_trips: child corner 2 != u=3 or < parent corner 2 at n=6",
             ),
             (
@@ -392,8 +397,12 @@ class TestVerifyAndRender:
                 "FAIL round_trips: child corner 2 != u=2 or < parent corner 99 at n=6",
             ),
             (
-                "children_k",
-                lambda tri: [(c, DiagonalSet(t.ctx, t.diagonals[:-1])) for c, t in children_k(tri)],
+                "_children",
+                # the corner cross (u, u+k+1) is the last cross of column u+k+1
+                lambda cols, k, r: [
+                    (u, rows, [col[:-1] if b == u + k + 1 else col for b, col in enumerate(kid)])
+                    for u, rows, kid in _children(cols, k, r)
+                ],
                 "FAIL round_trips: child ((1, 4),) is not a k-triangulation at n=6",
             ),
             (
@@ -475,3 +484,46 @@ class TestCliBehavior:
         _, first, _ = run(capsys, "enumerate", "--k", "2", "--n", "8")
         _, second, _ = run(capsys, "enumerate", "--k", "2", "--n", "8")
         assert first == second
+
+
+# k small, or far from it (huge, zero or negative); n mostly within a few
+# vertices of 2k, else far from it.  Accepted cases stay fast: a small k gets
+# at most n = 2k+4 (k=5: 2,548 objects), and every polygon of a huge k or n is
+# refused by a guard, save the (2k+1)-gon, whose one k-triangulation is empty.
+# A k between them is not drawn: there the object guards pass levels of k+1
+# objects of k diagonals each, at a cost that grows as about k^3.
+_SMALL_K = st.integers(-3, 5) | st.integers(2, 5)
+_FAR = st.integers(10**6, 10**30) | st.integers(-(10**30), 0)
+
+
+@st.composite
+def _verb_argv(draw):
+    k = draw(_SMALL_K | _FAR)
+    n = 2 * k + draw(st.integers(-3, 4)) if draw(st.integers(0, 3)) else draw(_FAR)
+    verb = draw(
+        st.sampled_from(
+            [
+                ("count", "--method", "det"),
+                ("count", "--method", "brute"),
+                ("count", "--method", "tree"),
+                ("enumerate", "--method", "brute"),
+                ("enumerate", "--method", "tree"),
+                ("tree",),
+            ]
+        )
+    )
+    return [verb[0], "--k", str(k), "--n", str(n), *verb[1:]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_verb_argv())
+def test_fuzzed_sizes_end_in_an_exit_code_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    assert (code == 1) == err.getvalue().startswith("error: "), argv

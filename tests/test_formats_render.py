@@ -5,6 +5,7 @@ import pytest
 from conftest import example_14gon, triangulations
 from ktri import DomainError, DyckPath, KTriangulation, PolygonContext, enumerate_tuples, tree_root
 from ktri.formats import (
+    diagonal_line,
     format_pair,
     format_triangulation,
     parse_pair,
@@ -35,6 +36,17 @@ class TestTriangulationFormat:
             parse_triangulation("k=2 n=6\n1-4,2x5\n")
         with pytest.raises(DomainError):
             parse_triangulation("k=2 n=6\n")
+
+
+class TestDiagonalLine:
+    def test_cached_texts_equal_the_formatted_pairs(self):
+        # the f-string the line was made of before each diagonal's text was cached
+        tris = [tree_root(2), example_14gon()]
+        tris += [tri for k, n in ((2, 8), (3, 9), (4, 11)) for tri in triangulations(n, k)]
+        for tri in tris:
+            expected = ",".join(f"{a}-{b}" for a, b in tri.diagonals) or "-"
+            assert diagonal_line(tri) == expected
+            assert format_triangulation(tri) == f"k={tri.ctx.k} n={tri.ctx.n}\n{expected}\n"
 
 
 class TestPairFormat:

@@ -3,6 +3,7 @@
 import gc
 import random
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -17,6 +18,7 @@ from ktri import (
     children2,
     children_k,
     corner_k,
+    count_tree,
     enumerate_brute,
     enumerate_tree,
     enumerate_tuples,
@@ -25,7 +27,7 @@ from ktri import (
     tree_root,
     verify,
 )
-from ktri.gentree_k import _columns, _parent, child_k
+from ktri.gentree_k import _children, _choice_count, _columns, _parent, _row_choices
 from ktri.polygon import is_cell, staircase_cells
 
 # The 9-gon example with k=3: uniquely determined by its child profile
@@ -155,7 +157,7 @@ class TestColumnStep:
             for tri in enumerate_tree(n, k):
                 for choice, child in children_k(tri):
                     expected = set_child_k(tri, choice.u, choice.rows)
-                    assert child_k(tri, choice.u, choice.rows) == child == expected
+                    assert child == expected
                     choices += 1
         assert choices == sum(catalan_determinant(n, k) for n in range(2 * k + 2, n_hi + 1))
 
@@ -342,19 +344,93 @@ class TestEnumerateTree:
     )
     def test_last_level_is_certified(self, monkeypatch, corrupt):
         # a child maker that repeats or loses a child cannot go unnoticed
-        monkeypatch.setattr("ktri.gentree_k.children_k", lambda tri: corrupt(children_k(tri)))
+        monkeypatch.setattr(
+            "ktri.gentree_k._children", lambda cols, k, r: corrupt(_children(cols, k, r))
+        )
         with pytest.raises(StructuralError, match="expected 14$"):
             enumerate_tree(7, 2)
+
+
+class TestColumnWalk:
+    @pytest.mark.parametrize("k,n_hi", [(2, 10), (3, 11), (4, 12)])
+    def test_levels_equal_the_children_k_levels(self, k, n_hi):
+        # the old path as the oracle: each node a checked KTriangulation, its
+        # columns and corner read off its diagonals, its children by children_k
+        level = [tree_root(k)]
+        walk = [(_columns(tree_root(k)), k)]
+        for _ in range(2 * k + 2, n_hi + 1):
+            level = [child for tri in level for _, child in children_k(tri)]
+            walk = [(child, u) for cols, r in walk for u, _, child in _children(cols, k, r)]
+            assert [cols for cols, _ in walk] == [_columns(tri) for tri in level]
+            assert [u for _, u in walk] == [corner_k(tri) for tri in level]
+        assert sorted(level, key=lambda tri: tri.diagonals) == enumerate_tree(n_hi, k)
+
+    @pytest.mark.parametrize("k,n_hi", [(2, 11), (3, 11), (4, 13)])
+    def test_count_is_the_determinant(self, k, n_hi):
+        for n in range(2 * k + 1, n_hi + 1):
+            assert count_tree(n, k) == catalan_determinant(n, k)
+        assert count_tree(n_hi - 1, k) == len(enumerate_tree(n_hi - 1, k))
+
+    @pytest.mark.parametrize(
+        "args, error",
+        [
+            ((6, 1), "tree enumeration needs k >= 2, got k=1"),
+            ((6, 3), r"need n >= 2k\+1, got n=6, k=3"),
+            ((12, 3, 10), "tree level of more than 10 objects refused; lower n"),
+        ],
+        ids=["k1", "small-n", "guard"],
+    )
+    def test_count_refuses_what_enumeration_refuses(self, args, error):
+        for walk in (count_tree, enumerate_tree):
+            with pytest.raises(DomainError, match=f"^{error}$"):
+                walk(*args)
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [lambda kids: kids[:-1] + kids[:1], lambda kids: kids[:-1]],
+        ids=["repeated", "missing"],
+    )
+    def test_count_is_certified(self, monkeypatch, corrupt):
+        # the inner levels come from _children; a lost or extra child changes the count
+        monkeypatch.setattr(
+            "ktri.gentree_k._children", lambda cols, k, r: corrupt(_children(cols, k, r))
+        )
+        with pytest.raises(StructuralError, match="; expected 84$"):
+            count_tree(8, 2)
+
+    def test_row_choices_are_the_increasing_selections(self):
+        # the oracle: every selection of the product, filtered
+        rng = random.Random(31337)
+        for _ in range(300):
+            options = [
+                tuple(sorted(rng.sample(range(1, 13), rng.randint(0, 4))))
+                for _ in range(rng.randint(1, 4))
+            ]
+            expected = [
+                rows for rows in product(*options) if all(a < b for a, b in zip(rows, rows[1:]))
+            ]
+            assert _row_choices(options) == expected, options
+            assert _choice_count(options) == len(expected), options
+        # the root at k=25 offers (i, i+1) for each i: 2^24 selections, 25 increasing
+        root = [(i, i + 1) for i in range(1, 25)]
+        assert len(_row_choices(root)) == _choice_count(root) == 25
+        assert _choice_count([(i, i + 1) for i in range(1, 10**5)]) == 10**5
+
+    def test_count_of_a_huge_polygon_lists_no_choice(self):
+        # the (2k+2)-gon has k+1 k-triangulations of k diagonals each
+        k = 10**5
+        assert count_tree(2 * k + 2, k) == k + 1
 
 
 @pytest.mark.parametrize(
     "call",
     [
         lambda: enumerate_tree(9, 3),
+        lambda: count_tree(9, 3),
         lambda: enumerate_brute(PolygonContext(8, 2)),
         lambda: enumerate_tuples(4, 3),
     ],
-    ids=["tree", "brute", "tuples"],
+    ids=["tree", "tree-count", "brute", "tuples"],
 )
 def test_enumerations_leave_no_reference_cycles(call):
     # no self-referencing closure: nothing is left for the cycle collector

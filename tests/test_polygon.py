@@ -26,7 +26,7 @@ from ktri import (
     trivial_diagonals,
     verify,
 )
-from ktri.polygon import _crossings
+from ktri.polygon import _crossings, _known_cells, _off_staircase
 
 
 def geometric_cross(d1, d2):
@@ -107,6 +107,72 @@ class TestStaircaseCells:
     def test_column_major_order(self):
         cells = staircase_cells(PolygonContext(9, 2))
         assert cells == tuple(sorted(cells, key=lambda d: (d[1], d[0])))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_are_the_pairs_the_membership_rule_accepts(self, k):
+        # one rule of membership: the cell list, its cached set and _off_staircase agree
+        for n in range(2 * k + 1, 15):
+            ctx = PolygonContext(n, k)
+            box = [(a, b) for a in range(-1, n + 2) for b in range(-1, n + 3)]
+            accepted = {d for d in box if not _off_staircase(n, k, [d])}
+            cells = staircase_cells(ctx)
+            assert set(cells) == accepted, (n, k)
+            assert len(cells) == n * (n - 2 * k - 1) // 2
+
+
+class TestMemberCheck:
+    """The constructor's error texts: the least offending diagonal is named."""
+
+    CTX = PolygonContext(8, 2)
+    TRI = ((1, 4), (1, 5), (1, 6), (2, 5), (2, 6), (2, 7))
+
+    @pytest.mark.parametrize(
+        "diagonals, error",
+        [
+            (TRI[:-1] + ((1, 3),), r"^\(1, 3\) is not a nontrivial diagonal of the 8-gon \(k=2\)$"),
+            (TRI[:-1] + ((1, 4),), r"^diagonal \(1, 4\) appears more than once$"),
+            (TRI[:-2] + ((1, 3), (1, 4)), r"^\(1, 3\) is not a nontrivial diagonal"),
+            (TRI[:-2] + ((7, 9), (1, 4)), r"^diagonal \(1, 4\) appears more than once$"),
+            (TRI[:-1], r"^a k-triangulation of the 8-gon \(k=2\) has 6 nontrivial diagonals, got 5$"),
+        ],
+        ids=["off-staircase", "repeated", "both-off-first", "both-repeat-first", "wrong-size"],
+    )
+    def test_domain_errors(self, diagonals, error):
+        with pytest.raises(DomainError, match=error):
+            KTriangulation(self.CTX, diagonals)
+
+    @pytest.mark.parametrize(
+        "diagonals, error, text",
+        [
+            ((5, 7), TypeError, "cannot unpack non-iterable int object"),
+            (TRI[:-1] + ((1, 5, 9),), ValueError, r"too many values to unpack \(expected 2\)"),
+            (None, TypeError, "'NoneType' object is not iterable"),
+        ],
+        ids=["int", "triple", "none"],
+    )
+    def test_items_that_are_no_pair(self, diagonals, error, text):
+        with pytest.raises(error, match=text):
+            KTriangulation(self.CTX, diagonals)
+
+    def test_any_iterable_is_sorted_into_a_tuple(self):
+        for diagonals in (list(reversed(self.TRI)), iter(self.TRI), set(self.TRI)):
+            assert KTriangulation(self.CTX, diagonals).diagonals == self.TRI
+        with pytest.raises(TypeError, match="unhashable type: 'list'"):
+            KTriangulation(self.CTX, [list(d) for d in self.TRI])
+
+    def test_only_checked_cells_become_known(self):
+        ctx = PolygonContext(9, 3)
+        tri = ((1, 5), (1, 6), (3, 7), (3, 8), (4, 8), (4, 9))
+        _known_cells.cache_clear()
+        with pytest.raises(DomainError):
+            DiagonalSet(ctx, tri[:-1] + ((1, 4),))
+        with pytest.raises(DomainError):
+            DiagonalSet(ctx, tri + (tri[0],))
+        assert not _known_cells(ctx)
+        KTriangulation(ctx, tri)
+        assert _known_cells(ctx) == set(tri)
+        enumerate_brute(ctx)  # every cell lies in some k-triangulation
+        assert _known_cells(ctx) == set(staircase_cells(ctx))
 
 
 class TestCrossings:
@@ -309,6 +375,17 @@ class TestEnumerateBrute:
         monkeypatch.setenv("KTRI_GUARD", "2")
         with pytest.raises(GuardExceeded):
             enumerate_brute(PolygonContext(6, 2))
+
+    def test_huge_polygons_cost_nothing_before_the_guard(self):
+        # no cell or vertex is listed: the (2k+1)-gon has no cell and no crossing,
+        # and any larger polygon of that size has too many cells
+        huge = 10**30
+        (tri,) = enumerate_brute(PolygonContext(2 * huge + 1, huge))
+        assert tri.diagonals == ()
+        with pytest.raises(GuardExceeded, match=f"^{huge + 1} cells exceeds"):
+            enumerate_brute(PolygonContext(2 * huge + 2, huge))
+        with pytest.raises(GuardExceeded, match=f"^{huge * (huge - 5) // 2} cells exceeds"):
+            enumerate_brute(PolygonContext(huge, 2))
 
 
 class TestDegree:
