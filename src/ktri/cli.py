@@ -24,7 +24,7 @@ from .formats import (
 from .gentree2 import children2, label2
 from .gentree_k import children_k, count_tree, enumerate_tree, parent_k, tree_root
 from .paths import catalan_determinant
-from .polygon import PolygonContext, _guard_value, enumerate_brute
+from .polygon import PolygonContext, _decimal, _guard_value, enumerate_brute
 from .render import render_diagram, render_paths
 from .verify import run_verify
 
@@ -39,27 +39,8 @@ def _read_input(path: str | None) -> str:
         raise DomainError(f"input is not {exc.encoding} text: {exc.reason} at byte {exc.start}") from exc
 
 
-# Chunks of this many digits stay below the interpreter's int-to-str limit
-# (4300 digits by default), so a count of any size prints exactly.
-_CHUNK_DIGITS = 1000
-
 # The most leaves `tree` prints.
 TREE_DUMP_GUARD = 10**5
-
-
-def _decimal(value: int) -> str:
-    """Exact decimal digits of a nonnegative integer, however many there are."""
-    try:
-        return str(value)
-    except ValueError:  # more digits than the int-to-str limit allows
-        pass
-    chunk = 10**_CHUNK_DIGITS
-    chunks = []
-    while value:
-        value, low = divmod(value, chunk)
-        chunks.append(low)
-    head = str(chunks.pop())
-    return head + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
 
 
 def _cmd_count(args) -> int:

@@ -18,6 +18,7 @@ is a DomainError, never normalised.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .errors import DomainError
 from .paths import DyckPath, dominates
@@ -27,25 +28,25 @@ _HEADER = re.compile(r"k=(0|-?[1-9][0-9]*) n=(0|-?[1-9][0-9]*)")
 _DIAGONAL = re.compile(r"(0|[1-9][0-9]*)-(0|[1-9][0-9]*)")
 
 
-class _DiagonalTexts(dict):
-    """The text "a-b" of each diagonal (a, b), made on first use and kept."""
-
-    def __missing__(self, diagonal: tuple[int, int]) -> str:
-        text = self[diagonal] = f"{diagonal[0]}-{diagonal[1]}"
-        return text
-
-
-_TEXTS = _DiagonalTexts()
-
-
 def format_triangulation(tri: KTriangulation) -> str:
     return f"k={tri.ctx.k} n={tri.ctx.n}\n{diagonal_line(tri)}\n"
+
+
+@lru_cache(maxsize=1 << 12)
+def _diagonal_text(diagonal: tuple[int, int]) -> str:
+    """The text "a-b" of a diagonal (a, b).
+
+    The lines of one listing draw their diagonals from the n(n-2k-1)/2 cells
+    of one polygon, so after the first lines every text is a hit.  The bound
+    holds every cell of a polygon of up to 90 vertices at k = 1.
+    """
+    return f"{diagonal[0]}-{diagonal[1]}"
 
 
 def diagonal_line(tri: KTriangulation) -> str:
     if not tri.diagonals:
         return "-"
-    return ",".join(map(_TEXTS.__getitem__, tri.diagonals))
+    return ",".join(map(_diagonal_text, tri.diagonals))
 
 
 def _two_lines(text: str, count_error: str) -> list[str]:

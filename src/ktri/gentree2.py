@@ -26,11 +26,14 @@ r + s = n - 1.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 from .errors import DomainError, StructuralError
 from .gentree_k import (
     Columns,
     _check_staircase,
+    _children,
     _columns,
     _corner,
     _grow,
@@ -96,34 +99,33 @@ def child2(tri: KTriangulation, u: int, i: int) -> KTriangulation:
     return _triangulation(PolygonContext(tri.ctx.n + 1, 2), child)
 
 
-def _children2(cols: Columns, r: int) -> list[tuple[GrowthChoice, Columns]]:
-    """The children of the node with columns ``cols`` and corner r, ordered by (u asc, i asc).
+def _by_split(
+    kids: list[tuple[int, tuple[int, ...], Columns]],
+) -> list[tuple[GrowthChoice, Columns]]:
+    """The children of :func:`ktri.gentree_k._children` at k = 2 as ((u, i), columns).
 
-    Within each u block, i counts the rows :func:`_row_options` offers from
-    the largest down, as in :func:`child2`.
+    Within each u block, i counts the rows from the largest down, as in
+    :func:`child2`, so each block is reversed.
     """
     out: list[tuple[GrowthChoice, Columns]] = []
-    for u in range(r, len(cols) - 2):
-        rows = _row_options(cols, 2, u)[0]
-        kids = (_grow(cols, 2, u, (b,)) for b in reversed(rows))
-        out.extend((GrowthChoice(u, i), child) for i, child in enumerate(kids))
+    for u, block in groupby(kids, key=itemgetter(0)):
+        out.extend((GrowthChoice(u, i), kid[2]) for i, kid in enumerate(reversed(list(block))))
     return out
 
 
 def children2(tri: KTriangulation) -> tuple[tuple[GrowthChoice, KTriangulation], ...]:
-    """All children of a 2-triangulation, ordered by (u asc, i asc): :func:`_children2`.
+    """All children of a 2-triangulation, ordered by (u asc, i asc).
 
-    These are the children of :func:`ktri.gentree_k.children_k`, in another
-    order within each u block.  Their invariants (maximal, corner u, parent
-    round trip) are checked in :func:`ktri.verify._round_trips`, their labels
+    These are the children of :func:`ktri.gentree_k.children_k`, regrouped by
+    :func:`_by_split`.  Their invariants (maximal, corner u, parent round
+    trip) are checked in :func:`ktri.verify._round_trips`, their labels
     against the succession rule in :func:`ktri.verify._label_coherence`.
     """
     _require_k2(tri)
     cols = _columns(tri)
     ctx = PolygonContext(tri.ctx.n + 1, 2)
-    return tuple(
-        (choice, _triangulation(ctx, child)) for choice, child in _children2(cols, _corner(cols, 2))
-    )
+    kids = _by_split(_children(cols, 2, _corner(cols, 2)))
+    return tuple((choice, _triangulation(ctx, child)) for choice, child in kids)
 
 
 def _child_by_label(

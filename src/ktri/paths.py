@@ -30,7 +30,7 @@ from math import comb, isqrt, prod
 from typing import Sequence
 
 from .errors import DomainError, GuardExceeded, StructuralError
-from .polygon import _guard_value
+from .polygon import _decimal, _guard_value
 
 TUPLE_GUARD = 40
 COUNT_BITS_GUARD = 10**6
@@ -134,7 +134,7 @@ def catalan_determinant(n: int, k: int) -> int:
     limit = _guard_value(None, COUNT_BITS_GUARD)
     if sieve_limit > limit:
         raise GuardExceeded(
-            f"count needs primes up to {sieve_limit}, past the count guard of {limit}"
+            f"count needs primes up to {_decimal(sieve_limit)}, past the count guard of {limit}"
         )
     spf = _smallest_prime_factors(sieve_limit)
     exponent = [0] * (sieve_limit + 1)  # net multiplicity of each factor v

@@ -40,6 +40,25 @@ Diagonal = tuple[int, int]
 
 BRUTE_CELL_GUARD = 40
 
+# Chunks of this many digits stay below the interpreter's int-to-str limit
+# (4300 digits by default), so a number of any size prints exactly.
+_CHUNK_DIGITS = 1000
+
+
+def _decimal(value: int) -> str:
+    """Exact decimal digits of a nonnegative integer, however many there are."""
+    try:
+        return str(value)
+    except ValueError:  # more digits than the int-to-str limit allows
+        pass
+    chunk = 10**_CHUNK_DIGITS
+    chunks = []
+    while value:
+        value, low = divmod(value, chunk)
+        chunks.append(low)
+    head = str(chunks.pop())
+    return head + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
+
 
 def _guard_value(explicit: int | None, default: int) -> int:
     if explicit is not None:
@@ -124,35 +143,15 @@ def is_cell(ctx: PolygonContext, d: Diagonal) -> bool:
     return not _off_staircase(ctx.n, ctx.k, (d,))
 
 
-@lru_cache(maxsize=None)
-def _known_cells(ctx: PolygonContext) -> set[Diagonal]:
-    """The staircase cells of ``ctx`` found so far in the diagonal sets that passed the check.
-
-    It grows with use, so checking a few diagonals of a large polygon does
-    not list its n(n-2k-1)/2 cells.
-    """
-    return set()
-
-
 def _check_members(ctx: PolygonContext, diagonals: Iterable[Diagonal]) -> tuple[Diagonal, ...]:
-    """The diagonals sorted; the least one that is no cell or is repeated is rejected.
-
-    When every diagonal is a known cell (:func:`_known_cells`) and none
-    repeats (they make a set of their own size), no diagonal is scanned;
-    otherwise :func:`_off_staircase` scans them and names the offender, or
-    they join the known cells.
-    """
+    """The diagonals sorted; the least one that is no cell or is repeated is rejected."""
     out = sorted(diagonals)
-    known = _known_cells(ctx)
-    if known.issuperset(out) and len(set(out)) == len(out):
-        return tuple(out)
     off = _off_staircase(ctx.n, ctx.k, out)
     repeat = next((d for prev, d in zip(out, out[1:]) if d == prev), None)
     if off and (repeat is None or off[0] <= repeat):
         raise DomainError(f"{off[0]} is not a nontrivial diagonal of the {ctx.n}-gon (k={ctx.k})")
     if repeat is not None:
         raise DomainError(f"diagonal {repeat} appears more than once")
-    known.update(out)
     return tuple(out)
 
 
@@ -452,7 +451,7 @@ def enumerate_brute(ctx: PolygonContext, guard: int | None = None) -> list[KTria
     limit = _guard_value(guard, BRUTE_CELL_GUARD)
     m = ctx.n * (ctx.n - 2 * ctx.k - 1) // 2  # the number of staircase cells
     if m > limit:
-        raise GuardExceeded(f"{m} cells exceeds the enumeration guard of {limit}")
+        raise GuardExceeded(f"{_decimal(m)} cells exceeds the enumeration guard of {limit}")
     cells = sorted(staircase_cells(ctx), key=lambda c: (c[0] - c[1], *c))
     table = _crossing_table(ctx, cells)
 

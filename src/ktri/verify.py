@@ -14,7 +14,7 @@ from itertools import combinations
 
 from .bijection import _color, from_paths, to_paths, to_paths_via_tree
 from .errors import DomainError, StructuralError
-from .gentree2 import ROOT_PAIR, _children2, _label, label_children, pair_children, pair_parent
+from .gentree2 import ROOT_PAIR, _by_split, _label, label_children, pair_children, pair_parent
 from .gentree_k import (
     _cells,
     _children,
@@ -145,11 +145,15 @@ def _pair_round_trips(m_max: int) -> Check:
 
 
 def _label_coherence(n_max: int) -> Check:
+    """Each node's child labels, in :func:`_by_split` order, against the succession rule.
+
+    A child carries its u as its corner, which :func:`_round_trips` checks.
+    """
     level = [(_columns(tree_root(2)), 2)]
     for n in range(5, n_max):
         nxt = []
         for cols, r in level:
-            kids = [(child, _corner(child, 2)) for _, child in _children2(cols, r)]
+            kids = [(child, choice.u) for choice, child in _by_split(_children(cols, 2, r))]
             expected = label_children(_label(cols, r))
             got = tuple(_label(child, c) for child, c in kids)
             if got != expected or len(set(got)) != len(got):

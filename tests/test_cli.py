@@ -486,20 +486,22 @@ class TestCliBehavior:
         assert first == second
 
 
-# k small, or far from it (huge, zero or negative); n mostly within a few
-# vertices of 2k, else far from it.  Accepted cases stay fast: a small k gets
-# at most n = 2k+4 (k=5: 2,548 objects), and every polygon of a huge k or n is
-# refused by a guard, save the (2k+1)-gon, whose one k-triangulation is empty.
+# k small, or far from it (huge, up to the 4,300 digits a number may have,
+# zero or negative); n mostly within a few vertices of 2k, else far from it.
+# Accepted cases stay fast: a small k gets at most n = 2k+4 (k=5: 2,548
+# objects), and every polygon of a huge k or n is refused by a guard, save
+# the (2k+1)-gon, whose one k-triangulation is empty.
 # A k between them is not drawn: there the object guards pass levels of k+1
 # objects of k diagonals each, at a cost that grows as about k^3.
 _SMALL_K = st.integers(-3, 5) | st.integers(2, 5)
 _FAR = st.integers(10**6, 10**30) | st.integers(-(10**30), 0)
+_LONGEST = st.integers(10**4299, 10**4300 - 1)  # the most digits an argument may have
 
 
 @st.composite
 def _verb_argv(draw):
-    k = draw(_SMALL_K | _FAR)
-    n = 2 * k + draw(st.integers(-3, 4)) if draw(st.integers(0, 3)) else draw(_FAR)
+    k = draw(_SMALL_K | _FAR | _LONGEST.map(lambda x: x // 3))  # 2k+4 keeps its digits
+    n = 2 * k + draw(st.integers(-3, 4)) if draw(st.integers(0, 3)) else draw(_FAR | _LONGEST)
     verb = draw(
         st.sampled_from(
             [

@@ -48,6 +48,14 @@ class TestDiagonalLine:
             assert diagonal_line(tri) == expected
             assert format_triangulation(tri) == f"k={tri.ctx.k} n={tri.ctx.n}\n{expected}\n"
 
+    def test_a_line_of_more_diagonals_than_the_cache_holds(self):
+        # the fan from vertex 1 triangulates the 5000-gon with 4,997 diagonals
+        n = 5000
+        fan = KTriangulation(PolygonContext(n, 1), tuple((1, b) for b in range(3, n)))
+        expected = ",".join(f"1-{b}" for b in range(3, n))
+        assert diagonal_line(fan) == expected
+        assert diagonal_line(fan) == expected
+
 
 class TestPairFormat:
     def test_round_trip(self):

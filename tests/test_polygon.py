@@ -1,6 +1,7 @@
 """Polygon core: cells, crossings, enumeration, structure checks."""
 
 import random
+import sys
 from itertools import combinations
 from math import comb
 
@@ -26,7 +27,7 @@ from ktri import (
     trivial_diagonals,
     verify,
 )
-from ktri.polygon import _crossings, _known_cells, _off_staircase
+from ktri.polygon import _crossings, _off_staircase
 
 
 def geometric_cross(d1, d2):
@@ -110,7 +111,7 @@ class TestStaircaseCells:
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_are_the_pairs_the_membership_rule_accepts(self, k):
-        # one rule of membership: the cell list, its cached set and _off_staircase agree
+        # one rule of membership: the cell list and _off_staircase agree
         for n in range(2 * k + 1, 15):
             ctx = PolygonContext(n, k)
             box = [(a, b) for a in range(-1, n + 2) for b in range(-1, n + 3)]
@@ -133,7 +134,10 @@ class TestMemberCheck:
             (TRI[:-1] + ((1, 4),), r"^diagonal \(1, 4\) appears more than once$"),
             (TRI[:-2] + ((1, 3), (1, 4)), r"^\(1, 3\) is not a nontrivial diagonal"),
             (TRI[:-2] + ((7, 9), (1, 4)), r"^diagonal \(1, 4\) appears more than once$"),
-            (TRI[:-1], r"^a k-triangulation of the 8-gon \(k=2\) has 6 nontrivial diagonals, got 5$"),
+            (
+                TRI[:-1],
+                r"^a k-triangulation of the 8-gon \(k=2\) has 6 nontrivial diagonals, got 5$",
+            ),
         ],
         ids=["off-staircase", "repeated", "both-off-first", "both-repeat-first", "wrong-size"],
     )
@@ -157,22 +161,9 @@ class TestMemberCheck:
     def test_any_iterable_is_sorted_into_a_tuple(self):
         for diagonals in (list(reversed(self.TRI)), iter(self.TRI), set(self.TRI)):
             assert KTriangulation(self.CTX, diagonals).diagonals == self.TRI
-        with pytest.raises(TypeError, match="unhashable type: 'list'"):
-            KTriangulation(self.CTX, [list(d) for d in self.TRI])
-
-    def test_only_checked_cells_become_known(self):
-        ctx = PolygonContext(9, 3)
-        tri = ((1, 5), (1, 6), (3, 7), (3, 8), (4, 8), (4, 9))
-        _known_cells.cache_clear()
-        with pytest.raises(DomainError):
-            DiagonalSet(ctx, tri[:-1] + ((1, 4),))
-        with pytest.raises(DomainError):
-            DiagonalSet(ctx, tri + (tri[0],))
-        assert not _known_cells(ctx)
-        KTriangulation(ctx, tri)
-        assert _known_cells(ctx) == set(tri)
-        enumerate_brute(ctx)  # every cell lies in some k-triangulation
-        assert _known_cells(ctx) == set(staircase_cells(ctx))
+        # a pair may be any sequence of two items; it is kept as given
+        pairs = [list(d) for d in self.TRI]
+        assert KTriangulation(self.CTX, pairs).diagonals == tuple(pairs)
 
 
 class TestCrossings:
@@ -386,6 +377,18 @@ class TestEnumerateBrute:
             enumerate_brute(PolygonContext(2 * huge + 2, huge))
         with pytest.raises(GuardExceeded, match=f"^{huge * (huge - 5) // 2} cells exceeds"):
             enumerate_brute(PolygonContext(huge, 2))
+
+    def test_a_cell_count_past_the_int_to_str_limit_is_named_in_full(self):
+        n = 10**4299  # n prints, but its n(n-5)/2 cells have 8,598 digits
+        with pytest.raises(GuardExceeded) as info:
+            enumerate_brute(PolygonContext(n, 2))
+        old_limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            expected = f"{n * (n - 5) // 2} cells exceeds the enumeration guard of 40"
+        finally:
+            sys.set_int_max_str_digits(old_limit)
+        assert str(info.value) == expected
 
 
 class TestDegree:
