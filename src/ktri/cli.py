@@ -119,7 +119,7 @@ def _cmd_tree(args) -> int:
         raise DomainError(f"need n >= 2k+1, got n={args.n}, k={args.k}")
     if args.k < 2:
         raise DomainError(f"generating tree defined for k >= 2, got k={args.k}")
-    limit = _guard_value(None, TREE_DUMP_GUARD)
+    limit = _guard_value(TREE_DUMP_GUARD)
     if catalan_determinant(args.n, args.k) > limit:
         raise GuardExceeded(f"tree dump of more than {limit} leaves refused; lower n")
     walk(tree_root(args.k), 0)

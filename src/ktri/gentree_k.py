@@ -278,11 +278,14 @@ def _grow(cols: Columns, k: int, u: int, rows: tuple[int, ...]) -> Columns:
 
     The columns from u+k on shift one to the right and the corner cross
     (u, u+k+1) is inserted.  Then, for i = k-1 down to 1, the crosses of
-    column u+i in rows above b_i move one column right and the cross
-    (b_i, u+i+1) is added; at u = n-k the row value b_i = i places its
-    cross one column to the left, at (i, u+i).  Only the child's columns
-    u+1..u+k+1 are rebuilt; the others are the parent's tuples, shared.  (u, rows)
-    must be one of the choices :func:`_children` lists.
+    column u+i in rows less than b_i move one column right and the cross
+    (b_i, u+i+1) is added between them and the rows of column u+i+1, all
+    at least b_{i+1} > b_i (the rows increase strictly); at u = n-k the row
+    value b_i = i places its cross one column to the left, at (i, u+i),
+    first in that column, whose rows exceed i.  So no cross is added twice.
+    Only the child's columns u+1..u+k+1 are rebuilt; the others are the
+    parent's tuples, shared.  (u, rows) must be one of the choices
+    :func:`_children` lists.
     """
     low = u == len(cols) - 1 - k
     # mid[i - 1] is the child's column u+i, for i = 1..k+1
@@ -290,14 +293,11 @@ def _grow(cols: Columns, k: int, u: int, rows: tuple[int, ...]) -> Columns:
     for i in range(k - 1, 0, -1):
         b_i = rows[i - 1]
         col = mid[i - 1]
-        cut = bisect_left(col, b_i)
-        mid[i - 1], mid[i] = col[cut:], col[:cut] + mid[i]
-        at = i - 1 if low and b_i == i else i
-        col = mid[at]
-        cut = bisect_left(col, b_i)
-        if col[cut : cut + 1] == (b_i,):
-            raise StructuralError(f"duplicate cross {(b_i, u + at + 1)} while growing")
-        mid[at] = col[:cut] + (b_i,) + col[cut:]
+        if low and b_i == i:
+            mid[i - 1] = (i,) + col
+        else:
+            cut = bisect_left(col, b_i)
+            mid[i - 1], mid[i] = col[cut:], col[:cut] + (b_i,) + mid[i]
     return cols[: u + 1] + mid + cols[u + k + 1 :]
 
 
@@ -330,13 +330,13 @@ def tree_root(k: int) -> KTriangulation:
     return KTriangulation(PolygonContext(2 * k + 1, k), ())
 
 
-def _level_size(n: int, k: int, guard: int | None) -> int:
+def _level_size(n: int, k: int) -> int:
     """The number of k-triangulations of the n-gon, once the tree may walk to it."""
     if k < 2:
         raise DomainError(f"tree enumeration needs k >= 2, got k={k}")
     if n < 2 * k + 1:
         raise DomainError(f"need n >= 2k+1, got n={n}, k={k}")
-    limit = _guard_value(guard, TREE_COUNT_GUARD)
+    limit = _guard_value(TREE_COUNT_GUARD)
     expected = catalan_determinant(n, k)
     if expected > limit:
         raise GuardExceeded(f"tree level of more than {limit} objects refused; lower n")
@@ -357,14 +357,14 @@ def _nodes(n: int, k: int) -> Iterable[tuple[Columns, int]]:
     return level
 
 
-def enumerate_tree(n: int, k: int, guard: int | None = None) -> list[KTriangulation]:
+def enumerate_tree(n: int, k: int) -> list[KTriangulation]:
     """All k-triangulations of the n-gon, generated from the root by :func:`_nodes`.
 
     Only the nodes of the n-gon become :class:`KTriangulation` objects, each
     built once, and they must be exactly the counted number of distinct
     objects.
     """
-    expected = _level_size(n, k, guard)
+    expected = _level_size(n, k)
     ctx = PolygonContext(n, k)
     tris = [_triangulation(ctx, cols) for cols, _ in _nodes(n, k)]
     distinct = len({tri.diagonals for tri in tris})
@@ -375,14 +375,14 @@ def enumerate_tree(n: int, k: int, guard: int | None = None) -> list[KTriangulat
     return sorted(tris, key=lambda tri: tri.diagonals)
 
 
-def count_tree(n: int, k: int, guard: int | None = None) -> int:
+def count_tree(n: int, k: int) -> int:
     """The number of k-triangulations of the n-gon, counted on the tree without building any.
 
     Each node of the (n-1)-gon (:func:`_nodes`) has one child per row choice
     of each of its u, so the last level is counted (:func:`_choice_count`),
     not grown.  The count must equal :func:`ktri.paths.catalan_determinant`.
     """
-    expected = _level_size(n, k, guard)
+    expected = _level_size(n, k)
     count = 1  # the root
     if n > 2 * k + 1:
         count = sum(

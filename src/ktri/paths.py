@@ -131,7 +131,7 @@ def catalan_determinant(n: int, k: int) -> int:
         raise DomainError(f"need n > 2k, got n={n}, k={k}")
     top = n - 2 * k - 1
     sieve_limit = 2 * top + 2 * k
-    limit = _guard_value(None, COUNT_BITS_GUARD)
+    limit = _guard_value(COUNT_BITS_GUARD)
     if sieve_limit > limit:
         raise GuardExceeded(
             f"count needs primes up to {_decimal(sieve_limit)}, past the count guard of {limit}"
@@ -278,11 +278,11 @@ class PathTuple:
                 raise DomainError("paths must be mutually non-crossing, top to bottom")
 
 
-def enumerate_tuples(m: int, k: int, guard: int | None = None) -> list[PathTuple]:
+def enumerate_tuples(m: int, k: int) -> list[PathTuple]:
     """All non-crossing k-tuples of semilength-m Dyck paths, lex order."""
     if m < 1 or k < 1:
         raise DomainError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
-    limit = _guard_value(guard, TUPLE_GUARD)
+    limit = _guard_value(TUPLE_GUARD)
     if m * k > limit:
         raise GuardExceeded(f"m*k = {m * k} exceeds the tuple guard of {limit}")
     paths = all_paths(m)

@@ -10,20 +10,26 @@ diagonal (a, b) occupies row a of column b.
 
 A k-triangulation is a maximal set of diagonals containing no
 (k+1)-crossing, i.e. no k+1 diagonals that mutually cross in their
-interiors.  All such sets have exactly k*(n-2k-1) (nontrivial) diagonals;
-the code asserts this instead of assuming it.
+interiors.  All such sets have exactly k*(n-2k-1) (nontrivial) diagonals
+(Nakamigawa 2000; Dress, Koolen and Moulton 2002), and every
+(k+1)-crossing-free set extends greedily to a maximal one, so a
+crossing-free set of that size is maximal: :func:`is_k_triangulation` tests
+exactly that.  The brute-force lister never assumes the size: it proves
+maximality by its own invariant, and the :class:`KTriangulation`
+constructor asserts the size of every result.
 
 Diagonals cross mutually iff they cross pairwise, so a t-crossing is a
-t-clique of the crossing graph.  The maximality test, the greedy completion
-and :func:`has_crossing` each run bitset clique searches: each staircase
-cell has a precomputed mask of the cells crossing it (built once per
-polygon), a diagonal set is a mask of cells, and a t-crossing through a
-given cell is a (t-1)-clique among the members of its crossing mask.  The
-brute-force lister runs no search.  A (k+1)-crossing is fixed by its 2k+2
-endpoints, so the polygon has C(n, 2k+2) of them, and every question the
-lister asks is a few mask operations over that list.  It decides the longest
-cells (largest b - a) first; that is free, as its pruning holds in any cell
-order and its output is sorted at the end.
+t-clique of the crossing graph.  :func:`has_crossing` and the greedy
+completion run bitset clique searches: each diagonal they are given (a set's
+own diagonals, or every staircase cell) gets a mask of the given diagonals
+crossing it, built per call, a diagonal set is a mask of positions, and a
+t-crossing through a given diagonal is a (t-1)-clique among the members of
+its crossing mask.  No masks are kept per polygon.  The brute-force lister
+runs no search.  A (k+1)-crossing is fixed by its 2k+2 endpoints, so the
+polygon has C(n, 2k+2) of them, and every question the lister asks is a few
+mask operations over that list.  It decides the longest cells (largest
+b - a) first; that is free, as its pruning holds in any cell order and its
+output is sorted at the end.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import DomainError, GuardExceeded, StructuralError
+from .errors import DomainError, GuardExceeded
 
 Diagonal = tuple[int, int]
 
@@ -60,9 +66,8 @@ def _decimal(value: int) -> str:
     return head + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
 
 
-def _guard_value(explicit: int | None, default: int) -> int:
-    if explicit is not None:
-        return explicit
+def _guard_value(default: int) -> int:
+    """``default``, or the integer in the environment variable ``KTRI_GUARD`` when it is set."""
     raw = os.environ.get("KTRI_GUARD")
     if raw:
         try:
@@ -179,10 +184,11 @@ class DiagonalSet:
 class KTriangulation(DiagonalSet):
     """A maximal (k+1)-crossing-free diagonal set.
 
-    The constructor checks membership in the staircase array and the
-    cardinality k*(n-2k-1); use :func:`is_k_triangulation` or
-    :meth:`certified` for the full maximality verification.  It never
-    equals a plain :class:`DiagonalSet` with the same diagonals.
+    The constructor checks membership in the staircase array and the size
+    k*(n-2k-1) that every k-triangulation has.  A set of that size is one
+    exactly when it has no (k+1)-crossing, which :meth:`certified` checks
+    too, through :func:`is_k_triangulation`.  It never equals a plain
+    :class:`DiagonalSet` with the same diagonals.
     """
 
     def __post_init__(self) -> None:
@@ -237,13 +243,6 @@ def _crossing_masks_of(diagonals: Sequence[Diagonal]) -> tuple[int, ...]:
     return tuple(masks)
 
 
-@lru_cache(maxsize=None)
-def _crossing_masks(ctx: PolygonContext) -> tuple[dict[Diagonal, int], tuple[int, ...]]:
-    """Bit position of each staircase cell, and the crossing mask of each cell."""
-    cells = staircase_cells(ctx)
-    return {c: i for i, c in enumerate(cells)}, _crossing_masks_of(cells)
-
-
 def _find_clique(cand: int, size: int, masks: Sequence[int]) -> int | None:
     """Mask of a ``size``-clique of the crossing graph among the bits of ``cand``, or None.
 
@@ -279,35 +278,17 @@ def has_crossing(diagonals: Sequence[Diagonal], t: int) -> bool:
     return _find_clique(everything, t, _crossing_masks_of(diagonals)) is not None
 
 
-def _member_mask(ctx: PolygonContext, diagonals: Iterable[Diagonal]) -> int:
-    bit, _ = _crossing_masks(ctx)
-    mask = 0
-    for d in diagonals:
-        mask |= 1 << bit[d]
-    return mask
+def is_k_triangulation(obj: DiagonalSet) -> bool:
+    """True iff the set has k*(n-2k-1) diagonals and no (k+1)-crossing.
 
-
-def is_k_triangulation(obj) -> bool:
-    """Full check: no (k+1)-crossing and no further diagonal can be added.
-
-    When both conditions hold the cardinality must be k*(n-2k-1); a
-    violation of that identity is raised as a structural error.
+    Every k-triangulation has that many, and every (k+1)-crossing-free set
+    extends to a maximal one, so a crossing-free set of that size is
+    maximal.  The :class:`DiagonalSet` constructor has rejected repeated
+    diagonals and non-cells, so the size counts distinct cells.  The
+    crossing search runs over the set's own diagonals.
     """
-    ctx: PolygonContext = obj.ctx
-    _, masks = _crossing_masks(ctx)
-    members = _member_mask(ctx, obj.diagonals)
-    t = ctx.k + 1
-    if _find_clique(members, t, masks) is not None:
-        return False
-    for i, mask in enumerate(masks):
-        if not members >> i & 1 and _find_clique(members & mask, t - 1, masks) is None:
-            return False
-    if len(obj.diagonals) != ctx.diagonal_count:
-        raise StructuralError(
-            f"maximal (k+1)-crossing-free set of unexpected size {len(obj.diagonals)} "
-            f"on the {ctx.n}-gon with k={ctx.k}"
-        )
-    return True
+    ctx = obj.ctx
+    return len(obj.diagonals) == ctx.diagonal_count and not has_crossing(obj.diagonals, ctx.k + 1)
 
 
 def complete_to_maximal(dset: DiagonalSet) -> KTriangulation:
@@ -319,14 +300,16 @@ def complete_to_maximal(dset: DiagonalSet) -> KTriangulation:
     """
     ctx = dset.ctx
     t = ctx.k + 1
-    _, masks = _crossing_masks(ctx)
-    current = _member_mask(ctx, dset.diagonals)
+    cells = staircase_cells(ctx)
+    masks = _crossing_masks_of(cells)
+    members = set(dset.diagonals)
+    current = sum(1 << i for i, c in enumerate(cells) if c in members)
     if _find_clique(current, t, masks) is not None:
         raise DomainError("input already contains a (k+1)-crossing")
     for i, mask in enumerate(masks):
         if not current >> i & 1 and _find_clique(current & mask, t - 1, masks) is None:
             current |= 1 << i
-    return KTriangulation(ctx, _mask_cells(staircase_cells(ctx), current))
+    return KTriangulation(ctx, _mask_cells(cells, current))
 
 
 def _mask_cells(cells: Sequence[Diagonal], mask: int) -> list[Diagonal]:
@@ -428,7 +411,7 @@ def _branches(table: _CrossingTable, node: _Node) -> tuple[_Node | None, _Node |
     return include, (i + 1, included, excluded | 1 << i, once | x, twice)
 
 
-def enumerate_brute(ctx: PolygonContext, guard: int | None = None) -> list[KTriangulation]:
+def enumerate_brute(ctx: PolygonContext) -> list[KTriangulation]:
     """All k-triangulations of the polygon, by exhaustive backtracking.
 
     Cells are decided longest diagonal (largest b - a) first, by the key
@@ -448,7 +431,7 @@ def enumerate_brute(ctx: PolygonContext, guard: int | None = None) -> list[KTria
     sorted; this one visits 37 % of staircase order's nodes at k=2, n=10.
     The cells and the crossings are listed only once the guard has passed.
     """
-    limit = _guard_value(guard, BRUTE_CELL_GUARD)
+    limit = _guard_value(BRUTE_CELL_GUARD)
     m = ctx.n * (ctx.n - 2 * ctx.k - 1) // 2  # the number of staircase cells
     if m > limit:
         raise GuardExceeded(f"{_decimal(m)} cells exceeds the enumeration guard of {limit}")

@@ -1,8 +1,8 @@
-"""Shared fixtures: cached enumerations, verify checks and the 14-gon worked example."""
+"""Shared fixtures: cached enumerations, verify checks, random path pairs and the 14-gon example."""
 
 from functools import lru_cache
 
-from ktri import KTriangulation, PolygonContext, enumerate_brute
+from ktri import DyckPath, KTriangulation, PolygonContext, dominates, enumerate_brute
 
 # The 14-gon example used throughout: an 18-diagonal 2-triangulation with
 # corner 10, label (1,2,4), and column counts (1,0,3,0,2,3,0,1,2,4,2).
@@ -45,3 +45,31 @@ def holds(check, *args):
     """
     name, ok, detail = _checked(check, *args)
     assert ok, f"{name}: {detail}"
+
+
+def random_dyck_heights(rng, m):
+    """Heights of a uniform random Dyck path of semilength m (cycle lemma)."""
+    steps = [1] * m + [-1] * (m + 1)
+    rng.shuffle(steps)
+    heights = [0]
+    for s in steps:
+        heights.append(heights[-1] + s)
+    start = heights.index(min(heights))  # first minimum: rotate to start there
+    steps = steps[start:] + steps[:start]
+    heights = [0]
+    for s in steps[:-1]:
+        heights.append(heights[-1] + s)
+    return heights
+
+
+def random_noncrossing_pair(rng, m):
+    """Pointwise max and min of two random Dyck paths: a non-crossing pair."""
+    a, b = random_dyck_heights(rng, m), random_dyck_heights(rng, m)
+
+    def path(heights):
+        return DyckPath("".join("N" if y > x else "E" for x, y in zip(heights, heights[1:])))
+
+    upper = path([max(x, y) for x, y in zip(a, b)])
+    lower = path([min(x, y) for x, y in zip(a, b)])
+    assert upper.m == lower.m == m and dominates(upper, lower)
+    return upper, lower

@@ -9,6 +9,7 @@ from conftest import (
     EXAMPLE_14GON_Q,
     example_14gon,
     holds,
+    random_noncrossing_pair,
     triangulations,
 )
 from ktri import (
@@ -18,7 +19,6 @@ from ktri import (
     PolygonContext,
     StructuralError,
     color_diagram,
-    dominates,
     from_paths,
     is_cell,
     parent_k,
@@ -27,34 +27,6 @@ from ktri import (
     tree_root,
     verify,
 )
-
-
-def random_dyck_heights(rng, m):
-    """Heights of a uniform random Dyck path of semilength m (cycle lemma)."""
-    steps = [1] * m + [-1] * (m + 1)
-    rng.shuffle(steps)
-    heights = [0]
-    for s in steps:
-        heights.append(heights[-1] + s)
-    start = heights.index(min(heights))  # first minimum: rotate to start there
-    steps = steps[start:] + steps[:start]
-    heights = [0]
-    for s in steps[:-1]:
-        heights.append(heights[-1] + s)
-    return heights
-
-
-def random_noncrossing_pair(rng, m):
-    """Pointwise max and min of two random Dyck paths: a non-crossing pair."""
-    a, b = random_dyck_heights(rng, m), random_dyck_heights(rng, m)
-
-    def path(heights):
-        return DyckPath("".join("N" if y > x else "E" for x, y in zip(heights, heights[1:])))
-
-    upper = path([max(x, y) for x, y in zip(a, b)])
-    lower = path([min(x, y) for x, y in zip(a, b)])
-    assert upper.m == lower.m == m and dominates(upper, lower)
-    return upper, lower
 
 
 class TestColorDiagram:

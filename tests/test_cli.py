@@ -1,6 +1,7 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
 import io
+import random
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_14GON, EXAMPLE_14GON_P, EXAMPLE_14GON_Q
+from conftest import EXAMPLE_14GON, EXAMPLE_14GON_P, EXAMPLE_14GON_Q, random_noncrossing_pair
 from ktri import corner_k, enumerate_brute, pair_children, tree_root
 from ktri.gentree_k import _children
 from ktri.cli import build_parser, main
@@ -146,6 +147,17 @@ class TestMapUnmap:
                 g.write_text(pair)
                 _, back, _ = run(capsys, "unmap", "--input", str(g))
                 assert back == format_triangulation(tri)
+
+    def test_unmap_then_map_at_semilength_240(self, capsys, tmp_path):
+        # map parses and certifies the 244-gon's 478 diagonals on the way back
+        p, q = random_noncrossing_pair(random.Random(240), 240)
+        f = tmp_path / "pair.txt"
+        f.write_text(f"{p.steps}\n{q.steps}\n")
+        code, tri, err = run(capsys, "unmap", "--input", str(f))
+        assert code == 0 and err == "" and tri.startswith("k=2 n=244\n")
+        g = tmp_path / "t.tri"
+        g.write_text(tri)
+        assert run(capsys, "map", "--input", str(g)) == (0, f.read_text(), "")
 
     def test_unmap_rejects_crossing_pair(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"

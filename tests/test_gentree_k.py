@@ -331,11 +331,13 @@ class TestEnumerateTree:
         with pytest.raises(DomainError):
             enumerate_tree(6, 1)
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         from ktri import GuardExceeded
 
-        with pytest.raises(GuardExceeded):
-            enumerate_tree(12, 3, guard=10)
+        # the count's own guard (primes up to 16, 17 bits) passes at 100
+        monkeypatch.setenv("KTRI_GUARD", "100")
+        with pytest.raises(GuardExceeded, match="^tree level of more than 100 objects"):
+            enumerate_tree(12, 3)
 
     @pytest.mark.parametrize(
         "corrupt",
@@ -372,15 +374,17 @@ class TestColumnWalk:
         assert count_tree(n_hi - 1, k) == len(enumerate_tree(n_hi - 1, k))
 
     @pytest.mark.parametrize(
-        "args, error",
+        "args, guard, error",
         [
-            ((6, 1), "tree enumeration needs k >= 2, got k=1"),
-            ((6, 3), r"need n >= 2k\+1, got n=6, k=3"),
-            ((12, 3, 10), "tree level of more than 10 objects refused; lower n"),
+            ((6, 1), None, "tree enumeration needs k >= 2, got k=1"),
+            ((6, 3), None, r"need n >= 2k\+1, got n=6, k=3"),
+            ((12, 3), "100", "tree level of more than 100 objects refused; lower n"),
         ],
         ids=["k1", "small-n", "guard"],
     )
-    def test_count_refuses_what_enumeration_refuses(self, args, error):
+    def test_count_refuses_what_enumeration_refuses(self, monkeypatch, args, guard, error):
+        if guard is not None:
+            monkeypatch.setenv("KTRI_GUARD", guard)
         for walk in (count_tree, enumerate_tree):
             with pytest.raises(DomainError, match=f"^{error}$"):
                 walk(*args)

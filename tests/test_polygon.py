@@ -228,11 +228,13 @@ class TestIsKTriangulation:
                     samples.append(tuple(d for d in grown if d != rng.choice(grown)))
                 if len(grown) < len(cells):
                     samples.append(grown + (rng.choice([c for c in cells if c not in grown]),))
-                for members in samples:
+                # the size of a k-triangulation, where the size alone decides nothing
+                sized = tuple(rng.sample(cells, ctx.diagonal_count))
+                for members in samples + [sized]:
                     got = is_k_triangulation(DiagonalSet(ctx, members))
                     assert got == naive(members, cells), (n, k, members)
-                    verdicts.add(got)
-        assert verdicts == {True, False}
+                    verdicts.add((got, members is sized))
+        assert verdicts == {(True, False), (False, False), (True, True), (False, True)}
 
     def test_certified_and_cardinality_guard(self):
         ctx = PolygonContext(6, 2)
@@ -349,10 +351,11 @@ class TestEnumerateBrute:
                 levels += 1
         assert levels == 57
 
-    def test_guard(self):
+    def test_guard(self, monkeypatch):
         with pytest.raises(GuardExceeded):
             enumerate_brute(PolygonContext(20, 2))
-        assert len(enumerate_brute(PolygonContext(6, 2), guard=3)) == 3
+        monkeypatch.setenv("KTRI_GUARD", "3")
+        assert len(enumerate_brute(PolygonContext(6, 2))) == 3
 
     def test_guard_comes_before_the_crossing_list(self, monkeypatch):
         def refused(ctx):

@@ -22,7 +22,6 @@ from ktri import (
 from ktri.formats import format_pair, format_triangulation, parse_pair, parse_triangulation
 from ktri.polygon import (
     _branches,
-    _crossing_masks,
     _crossing_masks_of,
     _crossing_table,
     _crossings,
@@ -140,7 +139,7 @@ def test_find_clique_matches_combinations(drawn):
     # with the flat filter over subsets, and every clique found must be one
     ctx, cand = drawn
     cells = staircase_cells(ctx)
-    _, masks = _crossing_masks(ctx)
+    masks = _crossing_masks_of(cells)
     chosen = [c for i, c in enumerate(cells) if cand >> i & 1]
     for size in range(5):
         found = _find_clique(cand, size, masks)
