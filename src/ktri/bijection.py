@@ -8,17 +8,19 @@ the same map through the two generating trees (climb to the root recording
 labels, then descend the other tree matching them); it serves as the
 reference implementation.  Its climb carries the staircase by column and the
 corner of the current node, takes one parent step
-(:func:`ktri.gentree_k._parent`, which checks each parent's staircase and
-size) and reads one label per level, and builds no :class:`KTriangulation`.
-:func:`from_paths` inverts the map the same way: it climbs the pair tree to
-the root, then descends the triangulation tree building one child per
-level, the one whose label matches (sibling labels are distinct and their
-order is fixed by the succession rule).  The descent carries the staircase
-by column, the corner and the label of the current node, and builds one
-:class:`KTriangulation`, at the end; each step checks the child's label and
-corner, the columns it rebuilds and its size, and
-:func:`ktri.verify._bijection` checks both maps and the inverse on every
-object in its range.
+(:func:`ktri.gentree_k._parent`, which checks the staircase of the columns
+it rebuilds or moves and the parent's size) and reads one label per level,
+and builds no :class:`KTriangulation`; its pair descent runs on raw
+exponent tuples, and the pair it reaches is checked once, as a
+:class:`PairEncoding`.  :func:`from_paths` inverts the map the same way: it
+checks the pair once, climbs the pair tree to the root on raw tuples, then
+descends the triangulation tree building one child per level, the one whose
+label matches (sibling labels are distinct and their order is fixed by the
+succession rule).  The descent carries the staircase by column, the corner
+and the label of the current node, and builds one :class:`KTriangulation`,
+at the end, which checks every cell; each step checks the child's label,
+the columns it rebuilds and its size, and :func:`ktri.verify._bijection`
+checks both maps and the inverse on every object in its range.
 
 Tie-break conventions are fixed: when several crosses in one column tie for
 blue, the lowest (largest row) is taken, and for red the highest; per-column
@@ -35,10 +37,10 @@ from .gentree2 import (
     ROOT_PAIR,
     _child_by_label,
     _label,
+    _pair_child_by_label,
+    _pair_label,
+    _pair_up,
     _require_k2,
-    pair_child_by_label,
-    pair_label,
-    pair_parent,
 )
 from .gentree_k import _columns, _corner, _parent, _triangulation, tree_root
 from .paths import DyckPath, PairEncoding, dominates
@@ -214,28 +216,33 @@ def to_paths_via_tree(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
 
     Climb from the triangulation to the root recording labels, then walk
     down the pair tree building the one child with each label; sibling
-    labels are pairwise distinct, so every step is forced.
+    labels are pairwise distinct, so every step is forced.  The descent runs
+    on raw exponent tuples (:func:`ktri.gentree2._pair_child`), and the pair
+    it reaches is checked once, as a :class:`PairEncoding`.
     """
     chain = _label_chain_to_root(tri)
     if chain[0] != (0, 0):
         raise StructuralError(f"root label {chain[0]} is not (0, 0)")
-    enc = ROOT_PAIR
-    for target in chain[1:]:
-        enc = pair_child_by_label(enc, target)
-    return enc.paths()
+    pair = ROOT_PAIR.p, ROOT_PAIR.q, ROOT_PAIR.s
+    for label, target in zip(chain, chain[1:]):
+        pair = _pair_child_by_label(*pair, label, target)
+    return PairEncoding(*pair[:2]).paths()
 
 
 def from_paths(p: DyckPath, q: DyckPath) -> KTriangulation:
     """Inverse of :func:`to_paths`, computed through the generating trees.
 
-    The label of each node on the way down is the target its parent's step
-    matched, so only the child's columns and corner are computed per level.
+    The pair is checked once, as a :class:`PairEncoding`, and climbed on raw
+    exponent tuples (:func:`ktri.gentree2._pair_up`).  The label of each node
+    on the way down is the target its parent's step matched, so only the
+    child's columns and corner are computed per level.
     """
     enc = PairEncoding.from_paths(p, q)  # rejects non-dominating pairs
-    chain = [pair_label(enc)]
-    while enc.m > 1:
-        enc = pair_parent(enc)
-        chain.append(pair_label(enc))
+    pair = enc.p, enc.q, enc.s
+    chain = [_pair_label(*pair)]
+    while len(pair[0]) > 1:
+        pair = _pair_up(*pair)
+        chain.append(_pair_label(*pair))
     chain.reverse()
     if chain[0] != (0, 0):
         raise StructuralError(f"root label {chain[0]} is not (0, 0)")

@@ -14,8 +14,11 @@ once, in :mod:`ktri.verify`.
 
 A descent step by label (:func:`_child_by_label`) maps a node's columns,
 corner and label to its child's columns and corner, so a descent builds one
-:class:`KTriangulation`, at the end.  A pair encoding computes its split
-index s once, when it is built.
+:class:`KTriangulation`, at the end.  The pair steps (:func:`_pair_up`,
+:func:`_pair_child`) run on raw exponent tuples and carry the split index s,
+which a climb step seeks from s-1 on and a descent step knows to be t+1;
+each checks only the entries it rewrites, and the public pair steps build a
+checked :class:`PairEncoding` on top of them.
 
 Label conventions: the corner r is that of :func:`ktri.gentree_k.corner_k`
 (2 for the empty pentagon), and labels are the column cross-counts
@@ -27,7 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
-from operator import itemgetter
+from operator import add, itemgetter
 
 from .errors import DomainError, StructuralError
 from .gentree_k import (
@@ -135,22 +138,24 @@ def _child_by_label(
 
     The node is given by its columns, corner r and label.  The child's label
     must be ``target``, its rebuilt columns u+1..u+3 must lie on the
-    staircase and its crosses must number 2(n-4), else StructuralError; the
-    caller carries ``target`` as the child's label.  The other columns need
-    no check: those up to u are the node's, and those past u+3 are the
-    node's shifted one column right, and the staircase of the (n+1)-gon
-    holds every row that column b of the n-gon's holds in column b and b+1.
-    The final :class:`KTriangulation` of a descent checks every cell.
+    staircase (their first and last rows are tested) and its crosses must
+    number 2(n-4), else StructuralError; the caller carries ``target`` as the
+    child's label.  The other columns need no check: those up to u are the
+    node's, and those past u+3 are the node's shifted one column right, and
+    the staircase of the (n+1)-gon holds every row that column b of the
+    n-gon's holds in column b and b+1.  The child's corner is u: the growth
+    step places the short diagonal (u, u+3), and the shifted columns hold no
+    row below the node's corner r <= u.  The final :class:`KTriangulation`
+    of a descent checks every cell.
     """
     j, i = _sibling_position(label, target)
     u = r + j - 1
     child = _child2_columns(cols, r, u, i)
     _check_staircase(child, 2, range(u + 1, u + 4))
-    corner = _corner(child, 2)
-    got = _label(child, corner)
+    got = _label(child, u)
     if got != target:
         raise StructuralError(f"child ({u}, {i}) has label {got}, expected {target}")
-    return child, corner
+    return child, u
 
 
 def child_by_label(tri: KTriangulation, target: TreeLabel) -> KTriangulation:
@@ -221,61 +226,128 @@ def _sibling_position(label: TreeLabel, target: TreeLabel) -> tuple[int, int]:
     return j, i
 
 
-def pair_parent(enc: PairEncoding) -> PairEncoding:
-    """One level up the pair tree: merge the columns around the split index.
+Pair = tuple[tuple[int, ...], tuple[int, ...], int]
+"""A pair as its exponent tuples (p, q) and its split index s, unchecked."""
 
-    When s = m+1 the merge is degenerate.  Then p_2, ..., p_m are positive and
-    sum to at most m-1, the sum of all p, so each is 1 and p_1 is 0; the same
-    holds for q.  So the pair is the staircase pair, and p_m = 1 needs no
-    check.
+
+def _check_pair_at(p: tuple[int, ...], q: tuple[int, ...], lo: int, hi: int) -> None:
+    """Non-negativity, the prefix bound and dominance of (p, q) at positions lo..hi.
+
+    Positions past the end of the tuples are skipped; the prefix sums below
+    lo are summed, not checked.
     """
-    m = enc.m
+    top, bottom = sum(p[: lo - 1]), sum(q[: lo - 1])
+    for j in range(lo, min(hi, len(p)) + 1):
+        a, b = p[j - 1], q[j - 1]
+        top, bottom = top + a, bottom + b
+        if a < 0 or b < 0 or bottom < j - 1 or top < bottom:
+            raise StructuralError(f"pair step leaves the non-crossing pairs at position {j}")
+
+
+def _pair_up(p: tuple[int, ...], q: tuple[int, ...], s: int) -> Pair:
+    """One level up the pair tree on raw tuples: merge the columns around the split index.
+
+    p_{s-1} loses one, p_s and p_{s+1} merge, q_{s-1} and q_s merge less one,
+    and the later entries shift down.  The input is a non-crossing pair of
+    semilength m with split index s, so only the rewritten positions s-1 and
+    s are checked: below them nothing changed, and past them each prefix sum
+    is the input's at the next position less one, which keeps the prefix
+    bound, dominance and the totals.  When s = m the dropped entry p_m is 0,
+    or else q_m = 0 and Q_{m-1} = m-1 would exceed P_{m-1}.  When s = m+1
+    the merge is degenerate: p_2, ..., p_m are positive and sum to at most
+    m-1, so each is 1 and p_1 is 0, and so for q; the staircase pair drops
+    its last entries.  The parent's split index is sought from s-1 on, as
+    p_j * q_j > 0 for 2 <= j <= s-2 still holds.
+    """
+    m = len(p)
     if m < 2:
         raise DomainError("the pair (NE, NE) is the root and has no parent")
-    s = enc.s
-    p, q = enc.p + (0, 0), enc.q + (0, 0)  # p[j - 1] is p_j, zero past m
-    new_p = p[: s - 2] + (p[s - 2] - 1, p[s] + p[s - 1]) + p[s + 1 :]
-    new_q = q[: s - 2] + (q[s - 1] + q[s - 2] - 1,) + q[s:]
-    return PairEncoding(new_p[: m - 1], new_q[: m - 1])
-
-
-def _pair_child(enc: PairEncoding, choice: PairGrowthChoice) -> PairEncoding:
-    """The child of a pair selected by ``choice``, without validation.
-
-    Column t gains one unit of p, the column holding p_{t+1} over q_t is
-    split in two, and the columns above t+1 shift up by one.
-    """
-    t, index = choice.t, choice.index
-    p, q = enc.p + (0, 0), enc.q + (0, 0)
-    pt1, qt = p[t], q[t - 1]
-    if choice.rule == "split_top":
-        left, right, at_t, above = index, pt1 - index, qt + 1, 0
-    elif choice.rule == "insert_zero":
-        left, right, at_t, above = 0, pt1, qt + 1, 0
+    if s <= m:
+        p_next = p[s] if s < m else 0
+        p = (p[: s - 2] + (p[s - 2] - 1, p[s - 1] + p_next) + p[s + 1 :])[: m - 1]
+        q = q[: s - 2] + (q[s - 2] + q[s - 1] - 1,) + q[s:]
+        _check_pair_at(p, q, s - 1, s)
     else:
-        left, right, at_t, above = 0, pt1, qt - index + 1, index
-    new_p = p[: t - 1] + (p[t - 1] + 1, left, right) + p[t + 1 :]
-    new_q = q[: t - 1] + (at_t, above) + q[t:]
-    return PairEncoding(new_p[: enc.m + 1], new_q[: enc.m + 1])
+        p, q = p[:-1], q[:-1]
+    j = max(2, s - 1)
+    while j < m and p[j - 1] * q[j - 1]:
+        j += 1
+    return p, q, j
+
+
+def _pair_child(p: tuple[int, ...], q: tuple[int, ...], t: int, x: int) -> Pair:
+    """The child at column t whose label starts with x, on raw tuples, with split index t+1.
+
+    p_t gains one, p_{t+1} splits into (left, right) and q_t + 1 into
+    (below, above), with right + above = x and left * above = 0, and the
+    later entries shift up: x = p_{t+1} - i is split_top i, x = p_{t+1} is
+    insert_zero and x = p_{t+1} + j is split_bottom j.  The input is a
+    non-crossing pair with t <= s, so x in 0..p_{t+1} + q_t (one more at
+    t = 1) keeps every written entry non-negative, below positive at t >= 2
+    (so the split index is t+1) and any entry past the end zero.  The
+    rewritten positions t and t+1 are checked: below them nothing changed,
+    and past them each prefix sum is the input's at the position before plus
+    one, which keeps the prefix bound, dominance and the totals.
+    """
+    m = len(p)
+    pt = p[t - 1] if t <= m else 0
+    pt1 = p[t] if t < m else 0
+    qt = q[t - 1] if t <= m else 0
+    if not 0 <= x <= pt1 + qt + (t == 1):
+        raise StructuralError(f"no child at t={t} has a label starting with {x}")
+    left, above = max(pt1 - x, 0), max(x - pt1, 0)
+    p = (p[: t - 1] + (pt + 1, left, pt1 - left) + p[t + 1 :])[: m + 1]
+    q = (q[: t - 1] + (qt + 1 - above, above) + q[t:])[: m + 1]
+    _check_pair_at(p, q, t, t + 1)
+    return p, q, t + 1
+
+
+def _pair_choice(t: int, pt1: int, x: int) -> PairGrowthChoice:
+    """The choice of :func:`_pair_child` at column t with first label entry x; pt1 is p_{t+1}."""
+    if x < pt1:
+        return PairGrowthChoice(t, "split_top", pt1 - x)
+    if x == pt1:
+        return PairGrowthChoice(t, "insert_zero")
+    return PairGrowthChoice(t, "split_bottom", x - pt1)
+
+
+def pair_parent(enc: PairEncoding) -> PairEncoding:
+    """One level up the pair tree (:func:`_pair_up`), checked as a :class:`PairEncoding`."""
+    p, q, _ = _pair_up(enc.p, enc.q, enc.s)
+    return PairEncoding(p, q)
 
 
 def pair_children(enc: PairEncoding) -> tuple[tuple[PairGrowthChoice, PairEncoding], ...]:
     """All children of a pair, ordered by t, then split_top < insert_zero < split_bottom.
 
-    The column holding p_{t+1} over q_t is split in two; the new child has
-    split index t+1 and maps back to ``enc`` under :func:`pair_parent`.
-    Both facts are checked for every child in
+    The column holding p_{t+1} over q_t is split in two (:func:`_pair_child`);
+    the new child has split index t+1 and maps back to ``enc`` under
+    :func:`pair_parent`.  Both facts are checked for every child in
     :func:`ktri.verify._pair_round_trips`.
     """
     out: list[tuple[PairGrowthChoice, PairEncoding]] = []
     for t in range(1, enc.s + 1):
         pt1, qt = enc.p_at(t + 1), enc.q_at(t)
-        choices = [PairGrowthChoice(t, "split_top", i) for i in range(1, pt1 + 1)]
-        choices.append(PairGrowthChoice(t, "insert_zero"))
         top = qt + 1 if t == 1 else qt
-        choices.extend(PairGrowthChoice(t, "split_bottom", j) for j in range(1, top + 1))
-        out.extend((choice, _pair_child(enc, choice)) for choice in choices)
+        # split_top 1..pt1, insert_zero, split_bottom 1..top, by their first label entry x
+        for x in [*range(pt1 - 1, -1, -1), *range(pt1, pt1 + top + 1)]:
+            p, q, _ = _pair_child(enc.p, enc.q, t, x)
+            out.append((_pair_choice(t, pt1, x), PairEncoding(p, q)))
     return tuple(out)
+
+
+def _pair_child_by_label(
+    p: tuple[int, ...], q: tuple[int, ...], s: int, label: TreeLabel, target: TreeLabel
+) -> Pair:
+    """One step of the pair descent by label on raw tuples; ``label`` is the node's."""
+    j, x = _sibling_position(label, target)
+    t = s + 1 - j
+    child = _pair_child(p, q, t, x)
+    got = _pair_label(*child)
+    if got != target:
+        choice = _pair_choice(t, p[t] if t < len(p) else 0, x)
+        raise StructuralError(f"child {choice} has label {got}, expected {target}")
+    return child
 
 
 def pair_child_by_label(enc: PairEncoding, target: TreeLabel) -> PairEncoding:
@@ -287,27 +359,22 @@ def pair_child_by_label(enc: PairEncoding, target: TreeLabel) -> PairEncoding:
     entry x of a child in that block is p_{t+1} - i for split_top i,
     p_{t+1} for insert_zero and p_{t+1} + j for split_bottom j, so the
     position x of ``target`` in its block names one choice, and only that
-    child is built.  Its label is checked here.
+    child is built (:func:`_pair_child`).  Its label is checked here.
     """
-    j, x = _sibling_position(pair_label(enc), target)
-    t = enc.s + 1 - j
-    pt1 = enc.p_at(t + 1)
-    if x < pt1:
-        choice = PairGrowthChoice(t, "split_top", pt1 - x)
-    elif x == pt1:
-        choice = PairGrowthChoice(t, "insert_zero")
-    else:
-        choice = PairGrowthChoice(t, "split_bottom", x - pt1)
-    child = _pair_child(enc, choice)
-    if pair_label(child) != target:
-        raise StructuralError(f"child {choice} has label {pair_label(child)}, expected {target}")
-    return child
+    p, q, _ = _pair_child_by_label(enc.p, enc.q, enc.s, pair_label(enc), target)
+    return PairEncoding(p, q)
+
+
+def _pair_label(p: tuple[int, ...], q: tuple[int, ...], s: int) -> TreeLabel:
+    """:func:`pair_label` on raw tuples with split index s."""
+    top = p[1 : s + 1] + (0,) * (s + 1 - len(p))  # p_2, ..., p_{s+1}, zero past m
+    bottom = q[:s] + (0,) * (s - len(q))  # q_1, ..., q_s
+    return tuple(map(add, reversed(top), reversed(bottom)))
 
 
 def pair_label(enc: PairEncoding) -> TreeLabel:
     """The label (p_{s+1} + q_s, p_s + q_{s-1}, ..., p_2 + q_1)."""
-    p, q = enc.p + (0, 0), enc.q + (0,)  # p[j] is p_{j+1}, q[j - 1] is q_j, zero past m
-    return tuple(p[j] + q[j - 1] for j in range(enc.s, 0, -1))
+    return _pair_label(enc.p, enc.q, enc.s)
 
 
 ROOT_PAIR = PairEncoding((0,), (0,))

@@ -10,10 +10,11 @@ Both steps work on the staircase by column (:data:`Columns`): the growth
 step :func:`_grow` rebuilds only the child's columns u+1..u+k+1, the parent
 step :func:`_parent` only the parent's columns r+1..r+k, and each shares the
 other columns; the corner, the anchor rows and the row options are read off
-the columns too.  A parent step checks the parent's staircase and size in
-O(columns).  The tree is walked depth first on (columns, corner) pairs by
-:func:`_nodes`, a child carrying its u as its corner: :func:`enumerate_tree`
-builds a :class:`KTriangulation` only for each node of the last level, and
+the columns too.  A parent step checks the staircase of the columns it
+rebuilds or moves, by their first and last rows, and the parent's size.
+The tree is walked depth first on (columns, corner) pairs by :func:`_nodes`,
+a child carrying its u as its corner: :func:`enumerate_tree` builds a
+:class:`KTriangulation` only for each node of the last level, and
 :func:`count_tree` builds none.  Children are checked only as a
 :class:`KTriangulation` is; the child invariant (maximal, corner u, parent
 round trip) is stated once, in :func:`ktri.verify._round_trips`, which
@@ -80,27 +81,31 @@ def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
     return KTriangulation(ctx, _cells(cols))
 
 
-def _off_columns(cols: Columns, k: int, columns: Iterable[int] | None = None) -> list[Diagonal]:
-    """The crosses of ``columns`` (all by default) of ``cols`` off the staircase of the n-gon.
+def _off_ends(cols: Columns, k: int, columns: range) -> bool:
+    """True iff a column of ``columns`` of ``cols`` leaves the staircase of the n-gon.
 
-    They are listed in column order, by :func:`ktri.polygon._off_staircase`.
     The rows of a column are sorted and the staircase rows of a column are an
-    interval, so only columns whose first or last row is off are scanned, and
-    the check is O(columns) when all are on it.
+    interval (:func:`ktri.polygon._off_staircase`), so the first and the last
+    row of each column decide.
     """
-    n = len(cols) - 1
-    columns = range(n + 1) if columns is None else columns
-    ends = ((a, b) for b in columns if cols[b] for a in (cols[b][0], cols[b][-1]))
-    off = dict.fromkeys(b for _, b in _off_staircase(n, k, ends))
-    return _off_staircase(n, k, ((a, b) for b in off for a in cols[b]))
+    ends = [(a, b) for b in columns if cols[b] for a in (cols[b][0], cols[b][-1])]
+    return bool(_off_staircase(len(cols) - 1, k, ends))
 
 
-def _check_staircase(cols: Columns, k: int, columns: Iterable[int] | None = None) -> None:
+def _off_columns(cols: Columns, k: int, columns: range) -> list[Diagonal]:
+    """The crosses of ``columns`` of ``cols`` off the staircase of the n-gon, in column order.
+
+    Only the error texts list them; :func:`_off_ends` decides whether there are any.
+    """
+    return _off_staircase(len(cols) - 1, k, ((a, b) for b in columns for a in cols[b]))
+
+
+def _check_staircase(cols: Columns, k: int, columns: range | None = None) -> None:
     """Staircase membership of ``columns`` (all by default) and the cardinality k(n-2k-1)."""
     n = len(cols) - 1
-    off = _off_columns(cols, k, columns)
-    if off:
-        b = off[0][1]
+    columns = range(n + 1) if columns is None else columns
+    if _off_ends(cols, k, columns):
+        b = _off_columns(cols, k, columns)[0][1]
         raise StructuralError(f"column {b} rows {cols[b]} leave the staircase of the {n}-gon")
     count = sum(map(len, cols))
     if count != k * (n - 2 * k - 1):
@@ -182,8 +187,11 @@ def _parent(cols: Columns, k: int, r: int) -> Columns:
     r+k+1 without the corner cross (r, r+k+1), and the columns past it shift
     one to the left; columns 0..r are the child's, shared.  A rebuilt column
     b >= n-k loses the boundary square (b-n+k+1, b), which leaves the staircase
-    of the (n-1)-gon.  No cross may lie below the corner, and the parent's
-    crosses must lie on its staircase and number k(n-2k-2).  Three other
+    of the (n-1)-gon.  No cross may lie below the corner, the parent's
+    columns r+1..n-1 (rebuilt or moved) must lie on its staircase, and its
+    crosses must number k(n-2k-2).  Columns 0..r need no check: they are the
+    child's, r <= n-k-1 as (r, r+k+1) is a cell, and up to column n-k-1 the
+    staircases of the n-gon and the (n-1)-gon hold the same rows.  Three other
     conditions cannot fail on the columns of a k-triangulation, which lie on
     its staircase:
     - no cross of column r+1 lies above a_1: a_1 is the least feasible row,
@@ -208,8 +216,9 @@ def _parent(cols: Columns, k: int, r: int) -> Columns:
         square = (corner_col[-1], r + k + 1)
         raise StructuralError(f"short-diagonal square {square} below the corner")
     parent = cols[: r + 1] + mid + [corner_col[:-1]] + cols[r + k + 2 :]
-    off = _off_columns(parent, k)
-    if off:
+    moved = range(r + 1, n)
+    if _off_ends(parent, k, moved):
+        off = _off_columns(parent, k, moved)
         raise StructuralError(f"off-shape crosses after contraction: {sorted(off)}")
     count = sum(map(len, parent))
     if count != k * (n - 2 * k - 2):

@@ -37,7 +37,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import DomainError, GuardExceeded
@@ -232,15 +233,23 @@ def is_t_crossing(diagonals: Sequence[Diagonal]) -> bool:
 
 
 def _crossing_masks_of(diagonals: Sequence[Diagonal]) -> tuple[int, ...]:
-    """Per diagonal, the bitmask (by list position) of the diagonals crossing it."""
-    masks = []
-    for a, b in diagonals:
-        mask = 0
-        for j, (c, d) in enumerate(diagonals):
-            if a < c < b < d or c < a < d < b:
-                mask |= 1 << j
-        masks.append(mask)
-    return tuple(masks)
+    """Per diagonal, the bitmask (by list position) of the diagonals crossing it.
+
+    (c, d) crosses (a, b) iff c < a < d < b or a < c < b < d.  With heads[v]
+    and tails[v] the masks of the diagonals whose first, or second, endpoint
+    lies below vertex v (prefix ORs over the vertices), each case is one AND
+    of three masks, so no pair of diagonals is visited.
+    """
+    n = max((b for _, b in diagonals), default=0)
+    heads, tails = [0] * (n + 2), [0] * (n + 2)
+    for i, (a, b) in enumerate(diagonals):
+        heads[a + 1] |= 1 << i
+        tails[b + 1] |= 1 << i
+    heads, tails = list(accumulate(heads, or_)), list(accumulate(tails, or_))
+    return tuple(
+        heads[a] & tails[b] & ~tails[a + 1] | heads[b] & ~heads[a + 1] & ~tails[b + 1]
+        for a, b in diagonals
+    )
 
 
 def _find_clique(cand: int, size: int, masks: Sequence[int]) -> int | None:

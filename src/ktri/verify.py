@@ -1,8 +1,12 @@
 """Runtime verification driver: each package invariant is stated once, here.
 
 Each check returns (name, passed, detail) and takes its ranges and, if it
-needs them, a brute-force lister ``(n, k) -> triangulations``; the CLI runs
-the checks at desk scale and the test suite drives them at larger ranges.
+needs them, listers: the brute-force one ``(n, k) -> triangulations``, the
+non-crossing tuples ``(m, k) -> tuples`` and the images of the direct map
+``n -> (triangulation, paths) pairs``.  :func:`run_verify` memoizes each
+lister for one run, so a listing or an image that two checks need is
+computed once; the CLI runs the checks at desk scale and the test suite
+drives them at larger ranges.
 """
 
 from __future__ import annotations
@@ -26,7 +30,14 @@ from .gentree_k import (
     parent_k,
     tree_root,
 )
-from .paths import PairEncoding, _condensed_determinant, catalan_determinant, enumerate_tuples
+from .paths import (
+    DyckPath,
+    PairEncoding,
+    PathTuple,
+    _condensed_determinant,
+    catalan_determinant,
+    enumerate_tuples,
+)
 from .polygon import (
     DiagonalSet,
     KTriangulation,
@@ -41,6 +52,8 @@ from .polygon import (
 
 Check = tuple[str, bool, str]
 Lister = Callable[[int, int], Sequence[KTriangulation]]
+Tuples = Callable[[int, int], Sequence[PathTuple]]
+Images = Callable[[int], Sequence[tuple[KTriangulation, tuple[DyckPath, DyckPath]]]]
 
 
 def _counting(k: int, n_max: int, brute: Lister) -> Check:
@@ -60,11 +73,11 @@ def _counting(k: int, n_max: int, brute: Lister) -> Check:
     return ("counting", True, f"k={k}, n<={n_max}: {methods}")
 
 
-def _tuples_vs_det(k: int, m_max: int) -> Check:
+def _tuples_vs_det(k: int, m_max: int, tuples: Tuples) -> Check:
     for kk in range(1, min(k, 3) + 1):
         for m in range(1, m_max + 1):
             det = catalan_determinant(m + 2 * kk, kk)
-            count = len(enumerate_tuples(m, kk))
+            count = len(tuples(m, kk))
             if count != det:
                 return ("tuples_vs_det", False, f"{count} != {det} at m={m}, k={kk}")
     return ("tuples_vs_det", True, f"k<={min(k, 3)}, m<={m_max}")
@@ -119,7 +132,7 @@ def _round_trips(k: int, n_max: int, brute: Lister) -> Check:
     return ("round_trips", True, f"k={k}, levels up to n={n_max}")
 
 
-def _pair_round_trips(m_max: int) -> Check:
+def _pair_round_trips(m_max: int, tuples: Tuples) -> Check:
     level = [ROOT_PAIR]
     for m in range(1, m_max):
         produced = []
@@ -134,7 +147,7 @@ def _pair_round_trips(m_max: int) -> Check:
         seen = Counter((e.p, e.q) for e in produced)
         if any(c > 1 for c in seen.values()):
             return ("pair_round_trips", False, f"duplicate pair child at m={m + 1}")
-        pairs = (PairEncoding.from_paths(*t.paths) for t in enumerate_tuples(m + 1, 2))
+        pairs = (PairEncoding.from_paths(*t.paths) for t in tuples(m + 1, 2))
         if set(seen) != {(e.p, e.q) for e in pairs}:
             return ("pair_round_trips", False, f"level m={m + 1} is not all non-crossing pairs")
         expected = catalan_determinant(m + 5, 2)
@@ -164,20 +177,17 @@ def _label_coherence(n_max: int) -> Check:
     return ("label_coherence", True, f"2-triangulations up to n={n_max}")
 
 
-def _bijection(n_max: int, brute: Lister) -> Check:
+def _bijection(n_max: int, images: Images, tuples: Tuples) -> Check:
     for n in range(5, n_max + 1):
-        images = set()
-        for tri in brute(n, 2):
-            pq = to_paths(tri)
+        seen = set()
+        for tri, pq in images(n):
             if to_paths_via_tree(tri) != pq:
                 return ("bijection", False, f"direct and tree maps differ on {tri.diagonals}")
             if from_paths(*pq) != tri:
                 return ("bijection", False, f"inverse fails on {tri.diagonals}")
-            images.add((pq[0].steps, pq[1].steps))
-        expected = {
-            (t.paths[0].steps, t.paths[1].steps) for t in enumerate_tuples(n - 4, 2)
-        }
-        if images != expected:
+            seen.add((pq[0].steps, pq[1].steps))
+        expected = {(t.paths[0].steps, t.paths[1].steps) for t in tuples(n - 4, 2)}
+        if seen != expected:
             return ("bijection", False, f"image at n={n} is not all non-crossing pairs")
     return ("bijection", True, f"n<={n_max}")
 
@@ -201,10 +211,9 @@ def _lemmas(k: int, n_max: int, brute: Lister) -> Check:
     return ("structure_lemmas", True, f"k={k}, n<={n_max}")
 
 
-def _column_identity(n_max: int, brute: Lister) -> Check:
+def _column_identity(n_max: int, images: Images) -> Check:
     for n in range(5, n_max + 1):
-        for tri in brute(n, 2):
-            p, q = to_paths(tri)
+        for tri, (p, q) in images(n):
             enc = PairEncoding.from_paths(p, q)
             m = n - 4
             expected = [enc.q_at(m)]
@@ -263,18 +272,26 @@ def run_verify(k: int, n_max: int) -> list[Check]:
     def brute(n: int, kk: int) -> list[KTriangulation]:
         return enumerate_brute(PolygonContext(n, kk))
 
+    @lru_cache(maxsize=None)
+    def tuples(m: int, kk: int) -> list[PathTuple]:
+        return enumerate_tuples(m, kk)
+
+    @lru_cache(maxsize=None)
+    def images(n: int) -> list[tuple[KTriangulation, tuple[DyckPath, DyckPath]]]:
+        return [(tri, to_paths(tri)) for tri in brute(n, 2)]
+
     checks: list[Check] = []
     checks.append(_counting(k, n_max, brute))
-    checks.append(_tuples_vs_det(k, min(5, n_max - 2 * k)))
+    checks.append(_tuples_vs_det(k, min(5, n_max - 2 * k), tuples))
     checks.append(_crossing_criterion(n_max))
     if k >= 2:
         checks.append(_round_trips(k, n_max, brute))
     checks.append(_lemmas(k, min(n_max, 2 * k + 5), brute))
     if k == 2:
-        checks.append(_pair_round_trips(min(n_max - 4, 6)))
+        checks.append(_pair_round_trips(min(n_max - 4, 6), tuples))
         checks.append(_label_coherence(min(n_max, 9)))
-        checks.append(_bijection(min(n_max, 9), brute))
+        checks.append(_bijection(min(n_max, 9), images, tuples))
         checks.append(_tie_breaks(min(n_max, 8), brute))
-        checks.append(_column_identity(min(n_max, 9), brute))
+        checks.append(_column_identity(min(n_max, 9), images))
         checks.append(_k2_specialization(min(n_max, 8), brute))
     return checks

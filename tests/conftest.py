@@ -2,7 +2,15 @@
 
 from functools import lru_cache
 
-from ktri import DyckPath, KTriangulation, PolygonContext, dominates, enumerate_brute
+from ktri import (
+    DyckPath,
+    KTriangulation,
+    PolygonContext,
+    dominates,
+    enumerate_brute,
+    enumerate_tuples,
+    to_paths,
+)
 
 # The 14-gon example used throughout: an 18-diagonal 2-triangulation with
 # corner 10, label (1,2,4), and column counts (1,0,3,0,2,3,0,1,2,4,2).
@@ -30,6 +38,18 @@ def example_14gon() -> KTriangulation:
 def triangulations(n: int, k: int) -> tuple[KTriangulation, ...]:
     """All k-triangulations of the n-gon by brute force, cached per session."""
     return tuple(enumerate_brute(PolygonContext(n, k)))
+
+
+@lru_cache(maxsize=None)
+def tuples(m: int, k: int):
+    """All non-crossing k-tuples of semilength-m Dyck paths, cached per session."""
+    return tuple(enumerate_tuples(m, k))
+
+
+@lru_cache(maxsize=None)
+def images(n: int):
+    """Each 2-triangulation of the n-gon with its image under the direct map, cached per session."""
+    return tuple((tri, to_paths(tri)) for tri in triangulations(n, 2))
 
 
 @lru_cache(maxsize=None)

@@ -9,8 +9,10 @@ from conftest import (
     EXAMPLE_14GON_Q,
     example_14gon,
     holds,
+    images,
     random_noncrossing_pair,
     triangulations,
+    tuples,
 )
 from ktri import (
     DomainError,
@@ -129,7 +131,7 @@ class TestToPaths:
 
 class TestTreeMapAgrees:
     def test_pointwise_small(self):
-        holds(verify._bijection, 9, triangulations)
+        holds(verify._bijection, 9, images, tuples)
 
     def test_example_14gon(self):
         assert to_paths_via_tree(example_14gon()) == to_paths(example_14gon())
@@ -138,12 +140,12 @@ class TestTreeMapAgrees:
 class TestBijectivity:
     def test_images_cover_all_pairs(self):
         # the image of n = 5..9 is every non-crossing pair from enumerate_tuples
-        holds(verify._bijection, 9, triangulations)
+        holds(verify._bijection, 9, images, tuples)
 
 
 class TestInverse:
     def test_round_trips(self):
-        holds(verify._bijection, 9, triangulations)
+        holds(verify._bijection, 9, images, tuples)
 
     def test_examples(self):
         assert from_paths(DyckPath("NE"), DyckPath("NE")) == tree_root(2)
@@ -174,6 +176,28 @@ class TestInverse:
         monkeypatch.setattr("ktri.gentree2._grow", grow)
         with pytest.raises(StructuralError, match=error):
             from_paths(DyckPath("NNEE"), DyckPath("NENE"))
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda col: col[1:], "parent has 15 crosses, expected 16$"),
+            (lambda col: (0,) + col, r"off-shape crosses after contraction: \[\(0, 11\)\]$"),
+        ],
+        ids=["cross-dropped", "row-off-the-staircase"],
+    )
+    def test_each_climb_step_checks_the_columns_it_rebuilds(self, monkeypatch, corrupt, error):
+        from ktri.gentree_k import _columns
+
+        def columns(tri):
+            # the 14-gon example has corner 10 and anchor 8: the rows of column 12
+            # above the anchor move into the parent's column 11, the rest is deleted
+            cols = _columns(tri)
+            cols[12] = corrupt(cols[12])
+            return cols
+
+        monkeypatch.setattr("ktri.bijection._columns", columns)
+        with pytest.raises(StructuralError, match=error):
+            to_paths_via_tree(example_14gon())
 
     def test_round_trips_past_exhaustive_range(self):
         rng = random.Random(61002)
@@ -241,7 +265,7 @@ class TestTreeIsomorphism:
 class TestColumnIdentity:
     def test_column_counts_match_exponents(self):
         # column counts of the diagram = (q_m, p_m + q_{m-1}, ..., p_2 + q_1, p_1)
-        holds(verify._column_identity, 9, triangulations)
+        holds(verify._column_identity, 9, images)
 
     def test_example_14gon(self):
         counts = example_14gon().column_counts()

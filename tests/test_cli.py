@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_14GON, EXAMPLE_14GON_P, EXAMPLE_14GON_Q, random_noncrossing_pair
-from ktri import corner_k, enumerate_brute, pair_children, tree_root
+from ktri import corner_k, enumerate_brute, from_paths, pair_children, tree_root
+from ktri.formats import format_pair, format_triangulation
 from ktri.gentree_k import _children
 from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
@@ -541,3 +542,57 @@ def test_fuzzed_sizes_end_in_an_exit_code_without_a_traceback(argv):
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
     assert (code == 1) == err.getvalue().startswith("error: "), argv
+
+
+def _main_on_text(verb, text):
+    """Run one verb on ``text`` as standard input: (exit code, stdout, stderr)."""
+    out, err, stdin = io.StringIO(), io.StringIO(), sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main([verb])
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+_TEXT_ALPHABET = "NE-,=kn0123456789 \t\n"
+
+
+@st.composite
+def _verb_and_text(draw):
+    """``map`` or ``unmap`` with its own canonical text, the other verb's or alphabet text, edited.
+
+    An edit swaps two characters or replaces up to three with up to three others.
+    """
+    verb = draw(st.sampled_from(["map", "unmap"]))
+    m = draw(st.integers(1, 30))
+    p, q = random_noncrossing_pair(random.Random(draw(st.integers(0, 2**32))), m)
+    pair, tri = format_pair(p, q), format_triangulation(from_paths(p, q))
+    own, other = (tri, pair) if verb == "map" else (pair, tri)
+    text = [own, own, other, draw(st.text(_TEXT_ALPHABET, max_size=40))][draw(st.integers(0, 3))]
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, len(text)))
+        if i < len(text) - 1 and draw(st.booleans()):
+            j = draw(st.integers(i + 1, len(text) - 1))
+            text = text[:i] + text[j] + text[i + 1 : j] + text[i] + text[j + 1 :]
+        else:
+            j = draw(st.integers(i, min(len(text), i + 3)))
+            text = text[:i] + draw(st.text(_TEXT_ALPHABET, max_size=3)) + text[j:]
+    return verb, text
+
+
+@settings(max_examples=300, deadline=None)
+@given(_verb_and_text())
+def test_fuzzed_text_ends_in_an_exit_code_and_round_trips(drawn):
+    verb, text = drawn
+    code, out, err = _main_on_text(verb, text)
+    assert code in (0, 1, 2), text
+    assert "Traceback" not in err
+    assert (code == 1) == err.startswith("error: "), text
+    if code == 0:
+        # an accepted text is canonical, and the bijection gives it back byte for byte
+        assert _main_on_text("unmap" if verb == "map" else "map", out) == (0, text, "")

@@ -27,7 +27,17 @@ from ktri import (
     tree_root,
     verify,
 )
-from ktri.gentree_k import _children, _choice_count, _columns, _parent, _row_choices
+from ktri.gentree_k import (
+    _check_staircase,
+    _children,
+    _choice_count,
+    _columns,
+    _nodes,
+    _off_columns,
+    _off_ends,
+    _parent,
+    _row_choices,
+)
 from ktri.polygon import is_cell, staircase_cells
 
 # The 9-gon example with k=3: uniquely determined by its child profile
@@ -302,6 +312,36 @@ class TestParentStep:
         cols[b] = corrupt(cols[b])
         with pytest.raises(StructuralError, match=error):
             _parent(cols, 2, 10)
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_column_local_check_agrees_with_the_full_check(self, k):
+        # on every node up to the 10-gon, the parent passes the check of all its
+        # columns and its count, as the check of its columns r+1..n-1 says
+        nodes = 0
+        for n in range(2 * k + 2, 11):
+            for cols, r in _nodes(n - 1, k):
+                for u, _, child in _children(cols, k, r):
+                    parent = _parent(child, k, u)
+                    _check_staircase(parent, k)
+                    assert parent == cols
+                    nodes += 1
+        assert nodes == sum(catalan_determinant(n, k) for n in range(2 * k + 2, 11))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_ends_decide_staircase_membership(self, k):
+        # seeded columns of sorted rows in 0..n, on and off the staircase
+        rng = random.Random(91003 + k)
+        verdicts = Counter()
+        for n in range(2 * k + 1, 16):
+            for _ in range(60):
+                rows = [rng.sample(range(n + 1), rng.randint(0, 3)) for _ in range(n + 1)]
+                cols = [tuple(sorted(col)) for col in rows]
+                lo = rng.randint(0, n)
+                columns = range(lo, rng.randint(lo, n) + 1)
+                off = _off_ends(cols, k, columns)
+                assert off == bool(_off_columns(cols, k, columns))
+                verdicts[off] += 1
+        assert verdicts[True] and verdicts[False]
 
     def test_no_cross_of_the_first_column_lies_above_the_first_anchor(self):
         # why the parent step has no check for such a cross

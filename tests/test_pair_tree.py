@@ -1,5 +1,6 @@
 """Generating tree for pairs of non-crossing Dyck paths."""
 
+import random
 from collections import Counter
 from itertools import product
 
@@ -11,6 +12,8 @@ from conftest import (
     EXAMPLE_14GON_PARENT_TOP,
     EXAMPLE_14GON_TOP,
     holds,
+    random_noncrossing_pair,
+    tuples,
 )
 from ktri import (
     DomainError,
@@ -26,6 +29,7 @@ from ktri import (
     pair_parent,
     verify,
 )
+from ktri.gentree2 import _pair_child, _pair_child_by_label, _pair_up
 
 
 def encoding_with_rows(top, bottom):
@@ -162,7 +166,7 @@ class TestPairChildren:
     def test_round_trip_split_index_and_partition(self):
         # semilength 2..7: parent round trip, child.s == t + 1 <= s + 1, and
         # each level is exactly the non-crossing pairs
-        holds(verify._pair_round_trips, 7)
+        holds(verify._pair_round_trips, 7, tuples)
 
     def test_sibling_labels_distinct(self):
         for m in range(1, 6):
@@ -191,3 +195,85 @@ class TestPairLabels:
         for m in range(1, 6):
             for enc in all_pairs(m):
                 assert len(pair_label(enc)) == enc.s
+
+
+def checked_parent(enc):
+    """The merge of the pair parent step, checked in full as a PairEncoding: the slow oracle."""
+    s, m = enc.s, enc.m
+    p, q = enc.p + (0, 0), enc.q + (0, 0)
+    new_p = p[: s - 2] + (p[s - 2] - 1, p[s] + p[s - 1]) + p[s + 1 :]
+    new_q = q[: s - 2] + (q[s - 1] + q[s - 2] - 1,) + q[s:]
+    return PairEncoding(new_p[: m - 1], new_q[: m - 1])
+
+
+def checked_child(enc, choice):
+    """The split of the pair growth step, checked in full as a PairEncoding: the slow oracle."""
+    t, index = choice.t, choice.index
+    p, q = enc.p + (0, 0), enc.q + (0, 0)
+    pt1, qt = p[t], q[t - 1]
+    if choice.rule == "split_top":
+        left, right, at_t, above = index, pt1 - index, qt + 1, 0
+    elif choice.rule == "insert_zero":
+        left, right, at_t, above = 0, pt1, qt + 1, 0
+    else:
+        left, right, at_t, above = 0, pt1, qt - index + 1, index
+    new_p = p[: t - 1] + (p[t - 1] + 1, left, right) + p[t + 1 :]
+    new_q = q[: t - 1] + (at_t, above) + q[t:]
+    return PairEncoding(new_p[: enc.m + 1], new_q[: enc.m + 1])
+
+
+def raw(enc):
+    return enc.p, enc.q, enc.s
+
+
+class TestRawPairSteps:
+    """The raw steps on (p, q, s) against the steps checked in full at every level."""
+
+    def test_every_step_up_to_semilength_7(self):
+        # the levels of the tree are all the pairs (test_round_trip_split_index_and_partition)
+        level = [ROOT_PAIR]
+        for m in range(1, 8):
+            below = []
+            for enc in level:
+                if m > 1:
+                    assert _pair_up(*raw(enc)) == raw(checked_parent(enc))
+                if m < 7:
+                    for choice, child in pair_children(enc):
+                        assert child == checked_child(enc, choice)
+                        x = pair_label(child)[0]
+                        assert _pair_child(enc.p, enc.q, choice.t, x) == raw(child)
+                        below.append(child)
+            level = below
+
+    def test_climb_and_descent_of_seeded_pairs(self):
+        rng = random.Random(71003)
+        for m in (20, 50, 100, 200, 400):
+            for _ in range(2):
+                enc = PairEncoding.from_paths(*random_noncrossing_pair(rng, m))
+                pair, chain = raw(enc), [enc]
+                while chain[-1].m > 1:
+                    pair = _pair_up(*pair)
+                    chain.append(checked_parent(chain[-1]))
+                    assert pair == raw(chain[-1])
+                chain.reverse()
+                pair = raw(ROOT_PAIR)
+                for node, child in zip(chain, chain[1:]):
+                    label, target = pair_label(node), pair_label(child)
+                    pair = _pair_child_by_label(*pair, label, target)
+                    assert pair == raw(child)
+                    assert pair_child_by_label(node, target) == child
+
+    @pytest.mark.parametrize(
+        "step, args, error",
+        [
+            (_pair_up, ((0, 1, 1), (1, 0, 1), 2), "at position 1$"),
+            (_pair_child, ((0, 0), (1, 0), 1, 0), "at position 1$"),
+            (_pair_child, ((0,), (0,), 1, 2), "no child at t=1 has a label starting with 2$"),
+            (_pair_child, ((0,), (0,), 1, -1), "no child at t=1 has a label starting with -1$"),
+        ],
+        ids=["climb-negative-entry", "descent-dips-below", "descent-past-block", "descent-below-0"],
+    )
+    def test_each_step_checks_what_it_writes(self, step, args, error):
+        # inputs that are no non-crossing pair, or a label entry no child has
+        with pytest.raises(StructuralError, match=error):
+            step(*args)

@@ -1,5 +1,6 @@
 """Randomized properties on larger objects than the exhaustive sweeps cover."""
 
+import random
 from itertools import combinations
 
 from hypothesis import example, given, settings
@@ -149,6 +150,21 @@ def test_find_clique_matches_combinations(drawn):
             assert found & ~cand == 0 and found.bit_count() == size
             clique = [c for i, c in enumerate(cells) if found >> i & 1]
             assert size == 0 or is_t_crossing(clique)
+
+
+def test_crossing_masks_match_the_pair_definition():
+    # seeded lists of diagonals with shared endpoints and repeats, unsorted and
+    # sorted, up to 400 diagonals; bit j of mask i is set iff the pair crosses
+    rng = random.Random(23011)
+    for size in [*range(0, 40), 100, 400]:
+        n = rng.randint(2, max(2, size))
+        diagonals = [tuple(sorted(rng.sample(range(1, n + 1), 2))) for _ in range(size)]
+        for listed in (diagonals, sorted(diagonals)):
+            expected = tuple(
+                sum(1 << j for j, (c, d) in enumerate(listed) if a < c < b < d or c < a < d < b)
+                for a, b in listed
+            )
+            assert _crossing_masks_of(listed) == expected
 
 
 # the largest n per k that keeps a polygon at 30 staircase cells or fewer
