@@ -13,7 +13,7 @@ import sys
 from functools import lru_cache
 
 from .bijection import color_diagram, from_paths, to_paths
-from .errors import DomainError, GuardExceeded, StructuralError
+from .errors import DomainError, GuardExceeded, StructuralError, _decimal, _guard_value
 from .formats import (
     diagonal_line,
     format_pair,
@@ -24,7 +24,7 @@ from .formats import (
 from .gentree2 import children2, label2
 from .gentree_k import children_k, count_tree, enumerate_tree, parent_k, tree_root
 from .paths import catalan_determinant
-from .polygon import PolygonContext, _decimal, _guard_value, enumerate_brute
+from .polygon import PolygonContext, enumerate_brute
 from .render import render_diagram, render_paths
 from .verify import run_verify
 

@@ -33,9 +33,9 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
-from .errors import DomainError, GuardExceeded, StructuralError
+from .errors import DomainError, GuardExceeded, StructuralError, _guard_value
 from .paths import catalan_determinant
-from .polygon import Diagonal, KTriangulation, PolygonContext, _guard_value, _off_staircase
+from .polygon import Diagonal, KTriangulation, PolygonContext, _off_staircase
 
 TREE_COUNT_GUARD = 10**6
 

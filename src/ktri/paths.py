@@ -13,8 +13,9 @@ tree operations in :mod:`ktri.gentree2` work on that encoding.
 The number of k-triangulations of an n-gon is the Catalan Hankel
 determinant det(C_{n-i-j})_{i,j=1..k}.  :func:`catalan_determinant`
 evaluates its closed form, a product of N(N+1)/2 fractions with
-N = n-2k-1, as prime exponents from a sieve, and multiplies the prime
-powers in a product tree; a size guard refuses answers too large to print.
+N = n-2k-1, as prime exponents from Legendre's sums over the factors'
+multiplicities, and multiplies the prime powers in a product tree; a size
+guard refuses answers too large to print.
 :func:`_condensed_determinant`, Desnanot-Jacobi condensation in (k-1)^2
 exact steps of two products and one division each, is the independent
 oracle that the tests and ``ktri verify`` compare it with.
@@ -26,11 +27,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain, compress, repeat
 from math import comb, isqrt, prod
+from operator import mul, sub
 from typing import Sequence
 
-from .errors import DomainError, GuardExceeded, StructuralError
-from .polygon import _decimal, _guard_value
+from .errors import DomainError, GuardExceeded, StructuralError, _decimal, _guard_value
 
 TUPLE_GUARD = 40
 COUNT_BITS_GUARD = 10**6
@@ -89,15 +91,58 @@ def _condensed_determinant(n: int, k: int) -> int:
     return level[0]
 
 
-def _smallest_prime_factors(limit: int) -> list[int]:
-    """spf[v] is the smallest prime factor of v, for 2 <= v <= limit."""
-    spf = list(range(limit + 1))
+def _pair_counts(top: int, size: int) -> list[int]:
+    """[#{1 <= i <= j <= top : i+j = s} for s < size], size > 2*top.
+
+    The counts are s//2 up to s = top+1 and mirrored after it: runs of integers, written by slices.
+    """
+    pairs = [0] * size
+    pairs[2 : top + 2 : 2] = range(1, (top + 1) // 2 + 1)
+    pairs[3 : top + 2 : 2] = range(1, top // 2 + 1)
+    pairs[top + 2 : 2 * top + 1] = pairs[top:1:-1]
+    return pairs
+
+
+def _primes(limit: int) -> list[int]:
+    """The primes up to limit, from a sieve of Eratosthenes written by slices."""
+    sieve = bytearray(2) + b"\1" * (limit - 1)
     for p in range(2, isqrt(limit) + 1):
-        if spf[p] == p:
-            for multiple in range(p * p, limit + 1, p):
-                if spf[multiple] == multiple:
-                    spf[multiple] = p
-    return spf
+        if sieve[p]:
+            sieve[p * p :: p] = bytes((limit - p * p) // p + 1)
+    return list(compress(range(limit + 1), sieve))
+
+
+def _prime_exponents(n: int, k: int) -> tuple[list[int], list[int]]:
+    """The primes p <= 2N+2k and their exponents in the product of :func:`catalan_determinant`.
+
+    The pairs with i+j = s add their number to the multiplicity of the factor
+    s+2k and take it from s.  The exponent of p is Legendre's sum of these
+    net multiplicities over the multiples of p, of p^2, and so on, so Python
+    loops run over primes and their powers only.  None is negative, as the
+    product is an integer (else StructuralError).
+    """
+    limit = 2 * (n - k - 1)
+    pairs = _pair_counts(n - 2 * k - 1, limit + 1)
+    net = list(map(sub, chain(repeat(0, 2 * k), pairs), pairs))
+    primes = _primes(limit)
+    exponents = []
+    for p in primes:
+        e, q = 0, p
+        while q <= limit:
+            e += sum(net[q::q])
+            q *= p
+        exponents.append(e)
+    if min(exponents, default=0) < 0:
+        raise StructuralError(f"the product formula is not an integer at n={n}, k={k}")
+    return primes, exponents
+
+
+def _power_product(primes: list[int], exponents: list[int]) -> int:
+    """The product of the prime powers, multiplied pairwise in a product tree."""
+    powers = [p**e for p, e in zip(primes, exponents) if e] or [1]
+    while len(powers) > 1:
+        powers = [prod(powers[i : i + 2]) for i in range(0, len(powers), 2)]
+    return powers[0]
 
 
 def catalan_determinant(n: int, k: int) -> int:
@@ -108,16 +153,8 @@ def catalan_determinant(n: int, k: int) -> int:
 
         prod_{1 <= i <= j <= N} (i+j+2k) / (i+j),   N = n - 2k - 1
 
-    (de Sainte-Catherine and Viennot).  The N(N+1)/2 factors are gathered by
-    s = i+j: the pairs with i+j = s number s//2 - max(1, s-N) + 1, and they
-    add that multiplicity to s+2k and take it from s.  A smallest-prime-factor
-    sieve up to 2N+2k then pushes each composite's multiplicity down to its
-    factors, from the largest composite to the smallest, which leaves the
-    exponent of every prime.  All are nonnegative, as the product is an
-    integer (else StructuralError); the prime powers are multiplied pairwise,
-    in a product tree.
-
-    The sieve limit and the answer's size, bounded by the sum of
+    (de Sainte-Catherine and Viennot), taken in prime exponents.  The largest
+    factor 2N+2k and the answer's size, bounded by the sum of
     e_p * p.bit_length() over the prime powers p^e_p, must both stay within
     COUNT_BITS_GUARD (or KTRI_GUARD), else GuardExceeded; the bound is
     checked before any multiplication.  :func:`_condensed_determinant` is
@@ -129,34 +166,17 @@ def catalan_determinant(n: int, k: int) -> int:
         raise DomainError(f"need n >= 2 for k=1, got {n}")
     if k > 1 and n <= 2 * k:
         raise DomainError(f"need n > 2k, got n={n}, k={k}")
-    top = n - 2 * k - 1
-    sieve_limit = 2 * top + 2 * k
+    sieve_limit = 2 * (n - k - 1)
     limit = _guard_value(COUNT_BITS_GUARD)
     if sieve_limit > limit:
         raise GuardExceeded(
             f"count needs primes up to {_decimal(sieve_limit)}, past the count guard of {limit}"
         )
-    spf = _smallest_prime_factors(sieve_limit)
-    exponent = [0] * (sieve_limit + 1)  # net multiplicity of each factor v
-    for s in range(2, 2 * top + 1):
-        pairs = s // 2 - max(1, s - top) + 1
-        exponent[s + 2 * k] += pairs
-        exponent[s] -= pairs
-    for v in range(sieve_limit, 3, -1):
-        p = spf[v]
-        if p != v and exponent[v]:
-            exponent[p] += exponent[v]
-            exponent[v // p] += exponent[v]
-            exponent[v] = 0
-    if min(exponent, default=0) < 0:
-        raise StructuralError(f"the product formula is not an integer at n={n}, k={k}")
-    bits = sum(e * p.bit_length() for p, e in enumerate(exponent))
+    primes, exponents = _prime_exponents(n, k)
+    bits = sum(map(mul, exponents, map(int.bit_length, primes)))
     if bits > limit:
         raise GuardExceeded(f"count has up to {bits} bits, past the count guard of {limit}")
-    powers = [p**e for p, e in enumerate(exponent) if e] or [1]
-    while len(powers) > 1:
-        powers = [prod(powers[i : i + 2]) for i in range(0, len(powers), 2)]
-    return powers[0]
+    return _power_product(primes, exponents)
 
 
 @dataclass(frozen=True)

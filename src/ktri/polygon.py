@@ -34,48 +34,19 @@ output is sorted at the end.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import or_
 from typing import Iterable, Sequence
 
-from .errors import DomainError, GuardExceeded
+from .errors import DomainError, GuardExceeded, _decimal, _guard_value
+from .paths import _power_product, _prime_exponents
 
 Diagonal = tuple[int, int]
 
 BRUTE_CELL_GUARD = 40
-
-# Chunks of this many digits stay below the interpreter's int-to-str limit
-# (4300 digits by default), so a number of any size prints exactly.
-_CHUNK_DIGITS = 1000
-
-
-def _decimal(value: int) -> str:
-    """Exact decimal digits of a nonnegative integer, however many there are."""
-    try:
-        return str(value)
-    except ValueError:  # more digits than the int-to-str limit allows
-        pass
-    chunk = 10**_CHUNK_DIGITS
-    chunks = []
-    while value:
-        value, low = divmod(value, chunk)
-        chunks.append(low)
-    head = str(chunks.pop())
-    return head + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
-
-
-def _guard_value(default: int) -> int:
-    """``default``, or the integer in the environment variable ``KTRI_GUARD`` when it is set."""
-    raw = os.environ.get("KTRI_GUARD")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError as exc:
-            raise DomainError(f"KTRI_GUARD must be an integer, got {raw!r}") from exc
-    return default
+BRUTE_OBJECT_GUARD = 10**5
 
 
 @dataclass(frozen=True)
@@ -420,6 +391,23 @@ def _branches(table: _CrossingTable, node: _Node) -> tuple[_Node | None, _Node |
     return include, (i + 1, included, excluded | 1 << i, once | x, twice)
 
 
+def _brute_guard(ctx: PolygonContext) -> int:
+    """The number of staircase cells, once the brute-force lister's guards admit the polygon.
+
+    At most BRUTE_CELL_GUARD cells, then at most BRUTE_OBJECT_GUARD
+    k-triangulations by the product formula, else GuardExceeded; KTRI_GUARD
+    overrides both.  The (2k+1)-gon has no cell, and its one object is not counted.
+    """
+    limit = _guard_value(BRUTE_CELL_GUARD)
+    m = ctx.n * (ctx.n - 2 * ctx.k - 1) // 2
+    if m > limit:
+        raise GuardExceeded(f"{_decimal(m)} cells exceeds the enumeration guard of {limit}")
+    limit = _guard_value(BRUTE_OBJECT_GUARD)
+    if m and _power_product(*_prime_exponents(ctx.n, ctx.k)) > limit:
+        raise GuardExceeded(f"brute-force listing of more than {limit} objects refused; lower n")
+    return m
+
+
 def enumerate_brute(ctx: PolygonContext) -> list[KTriangulation]:
     """All k-triangulations of the polygon, by exhaustive backtracking.
 
@@ -438,12 +426,9 @@ def enumerate_brute(ctx: PolygonContext) -> list[KTriangulation]:
     is sorted lexicographically by the sorted diagonal lists.  The decision
     order is free, as the invariant holds in any order and the output is
     sorted; this one visits 37 % of staircase order's nodes at k=2, n=10.
-    The cells and the crossings are listed only once the guard has passed.
+    The cells and the crossings are listed only once :func:`_brute_guard` has passed.
     """
-    limit = _guard_value(BRUTE_CELL_GUARD)
-    m = ctx.n * (ctx.n - 2 * ctx.k - 1) // 2  # the number of staircase cells
-    if m > limit:
-        raise GuardExceeded(f"{_decimal(m)} cells exceeds the enumeration guard of {limit}")
+    m = _brute_guard(ctx)
     cells = sorted(staircase_cells(ctx), key=lambda c: (c[0] - c[1], *c))
     table = _crossing_table(ctx, cells)
 

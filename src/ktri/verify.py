@@ -42,6 +42,7 @@ from .polygon import (
     DiagonalSet,
     KTriangulation,
     PolygonContext,
+    _brute_guard,
     check_structure_lemmas,
     degree,
     enumerate_brute,
@@ -267,6 +268,11 @@ def _k2_specialization(n_max: int, brute: Lister) -> Check:
 def run_verify(k: int, n_max: int) -> list[Check]:
     if k < 1 or n_max < 2 * k + 1:
         raise DomainError(f"verify needs k >= 1 and n_max >= 2k+1, got k={k}, n_max={n_max}")
+    # _counting counts, then lists, each level in turn: its guards, applied to every
+    # level first, refuse the range at once with the error that the checks would raise
+    for n in range(2 * k + 1, n_max + 1):
+        catalan_determinant(n, k)
+        _brute_guard(PolygonContext(n, k))
 
     @lru_cache(maxsize=None)
     def brute(n: int, kk: int) -> list[KTriangulation]:

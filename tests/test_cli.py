@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_14GON, EXAMPLE_14GON_P, EXAMPLE_14GON_Q, random_noncrossing_pair
-from ktri import corner_k, enumerate_brute, from_paths, pair_children, tree_root
+from ktri import children_k, corner_k, enumerate_brute, from_paths, pair_children, tree_root
 from ktri.formats import format_pair, format_triangulation
 from ktri.gentree_k import _children
 from ktri.cli import build_parser, main
@@ -87,6 +87,14 @@ class TestCount:
         assert run(capsys, "count", "--k", "2", "--n", "31")[0] == 0
         assert run(capsys, "count", "--k", "2", "--n", "32") == (
             1, "", "error: count has up to 106 bits, past the count guard of 100\n"
+        )
+
+
+    @pytest.mark.parametrize("k,n", [(3, 13), (4, 14)])
+    def test_brute_refuses_a_level_of_too_many_objects(self, capsys, k, n):
+        # 1,643,356 and 884,884 objects, past the default of 10**5, in 39 and 35 cells
+        assert run(capsys, "count", "--method", "brute", "--k", str(k), "--n", str(n)) == (
+            1, "", "error: brute-force listing of more than 100000 objects refused; lower n\n"
         )
 
 
@@ -366,6 +374,29 @@ class TestVerifyAndRender:
         run_verify(2, 8)
         assert brute_calls == {(n, 2): 2 for n in range(5, 9)}
 
+    @pytest.mark.parametrize(
+        "k,n_max,err",
+        [
+            (2, 12, "42 cells exceeds the enumeration guard of 40"),
+            (2, 1000000, "42 cells exceeds the enumeration guard of 40"),
+            (3, 13, "brute-force listing of more than 100000 objects refused; lower n"),
+        ],
+    )
+    def test_verify_refuses_its_range_before_any_check(self, capsys, monkeypatch, k, n_max, err):
+        def refused(ctx):
+            raise AssertionError(f"listed the {ctx.n}-gon before the range was guarded")
+
+        monkeypatch.setattr("ktri.verify.enumerate_brute", refused)
+        argv = ["verify", "--k", str(k), "--n-max", str(n_max)]
+        assert run(capsys, *argv) == (1, "", f"error: {err}\n")
+
+    def test_verify_refuses_with_the_error_its_checks_would_raise(self, capsys, monkeypatch):
+        # at n=6 the count needs primes up to 6: its guard comes before the 7 cells of n=7
+        monkeypatch.setenv("KTRI_GUARD", "5")
+        assert run(capsys, "verify", "--k", "2", "--n-max", "9") == (
+            1, "", "error: count needs primes up to 6, past the count guard of 5\n"
+        )
+
     def test_verify_k1_runs_no_tree(self, capsys):
         code, out, _ = run(capsys, "verify", "--k", "1", "--n-max", "7")
         assert code == 0
@@ -530,9 +561,19 @@ def _verb_argv(draw):
     return [verb[0], "--k", str(k), "--n", str(n), *verb[1:]]
 
 
-@settings(max_examples=150, deadline=None)
-@given(_verb_argv())
-def test_fuzzed_sizes_end_in_an_exit_code_without_a_traceback(argv):
+@st.composite
+def _verify_argv(draw):
+    """``verify`` with k and n-max drawn as :func:`_verb_argv` draws k and n.
+
+    An accepted run stays cheap: a small k gets at most n-max = 2k+3 (k=5: 12 ms).
+    """
+    k = draw(_SMALL_K | _FAR | _LONGEST.map(lambda x: x // 3))
+    n_max = 2 * k + draw(st.integers(-3, 3)) if draw(st.integers(0, 3)) else draw(_FAR | _LONGEST)
+    return ["verify", "--k", str(k), "--n-max", str(n_max)]
+
+
+def _assert_clean_exit(argv):
+    """Run ``main(argv)``: exit 0, 1 or 2, no traceback, and ``error: `` exactly on exit 1."""
     out, err = io.StringIO(), io.StringIO()
     with redirect_stdout(out), redirect_stderr(err):
         try:
@@ -542,6 +583,18 @@ def test_fuzzed_sizes_end_in_an_exit_code_without_a_traceback(argv):
     assert code in (0, 1, 2), argv
     assert "Traceback" not in err.getvalue()
     assert (code == 1) == err.getvalue().startswith("error: "), argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_verb_argv())
+def test_fuzzed_sizes_end_in_an_exit_code_without_a_traceback(argv):
+    _assert_clean_exit(argv)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_verify_argv())
+def test_fuzzed_verify_sizes_end_in_an_exit_code_without_a_traceback(argv):
+    _assert_clean_exit(argv)
 
 
 def _main_on_text(verb, text):
@@ -574,6 +627,11 @@ def _verb_and_text(draw):
     pair, tri = format_pair(p, q), format_triangulation(from_paths(p, q))
     own, other = (tri, pair) if verb == "map" else (pair, tri)
     text = [own, own, other, draw(st.text(_TEXT_ALPHABET, max_size=40))][draw(st.integers(0, 3))]
+    return verb, _edited(draw, text)
+
+
+def _edited(draw, text):
+    """``text`` with up to three edits, each a swap of two characters or a short replacement."""
     for _ in range(draw(st.integers(0, 3))):
         i = draw(st.integers(0, len(text)))
         if i < len(text) - 1 and draw(st.booleans()):
@@ -582,7 +640,7 @@ def _verb_and_text(draw):
         else:
             j = draw(st.integers(i, min(len(text), i + 3)))
             text = text[:i] + draw(st.text(_TEXT_ALPHABET, max_size=3)) + text[j:]
-    return verb, text
+    return text
 
 
 @settings(max_examples=300, deadline=None)
@@ -596,3 +654,33 @@ def test_fuzzed_text_ends_in_an_exit_code_and_round_trips(drawn):
     if code == 0:
         # an accepted text is canonical, and the bijection gives it back byte for byte
         assert _main_on_text("unmap" if verb == "map" else "map", out) == (0, text, "")
+
+
+@st.composite
+def _tree_verb_and_text(draw):
+    """``parent``, ``children`` or ``render`` on canonical text, edited as :func:`_edited` edits.
+
+    The text is a k-triangulation, k = 2..4, drawn from the tree by up to 8 seeded child
+    steps from the root, or, for ``render``, also a non-crossing pair.
+    """
+    verb = draw(st.sampled_from(["parent", "children", "render"]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    tri = tree_root(draw(st.integers(2, 4)))
+    for _ in range(draw(st.integers(0, 8))):
+        tri = rng.choice(children_k(tri))[1]
+    text = format_triangulation(tri)
+    if verb == "render" and draw(st.booleans()):
+        text = format_pair(*random_noncrossing_pair(rng, draw(st.integers(1, 12))))
+    return [verb], _edited(draw, text)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_tree_verb_and_text())
+def test_fuzzed_tree_texts_end_in_an_exit_code_without_a_traceback(drawn):
+    argv, text = drawn
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(text)
+    try:
+        _assert_clean_exit(argv)
+    finally:
+        sys.stdin = stdin

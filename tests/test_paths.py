@@ -3,8 +3,11 @@
 import random
 from collections import Counter
 from itertools import combinations, product
+from math import isqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import EXAMPLE_14GON_BOTTOM, EXAMPLE_14GON_P, EXAMPLE_14GON_Q, EXAMPLE_14GON_TOP
 from ktri import (
@@ -20,7 +23,13 @@ from ktri import (
     enumerate_tuples,
 )
 from ktri.errors import StructuralError
-from ktri.paths import _condensed_determinant, _exact_quotient
+from ktri.paths import (
+    _condensed_determinant,
+    _exact_quotient,
+    _pair_counts,
+    _prime_exponents,
+    _primes,
+)
 
 
 def int_det(matrix):
@@ -78,8 +87,8 @@ def prime_factors(v):
     return out
 
 
-def product_formula(n, k):
-    """The product over 1 <= i <= j <= n-2k-1 of (i+j+2k)/(i+j), in prime exponents."""
+def formula_exponents(n, k):
+    """The prime exponents of the product over 1 <= i <= j <= n-2k-1 of (i+j+2k)/(i+j)."""
     factors = Counter()  # net multiplicity of each factor v
     for i in range(1, n - 2 * k):
         for j in range(i, n - 2 * k):
@@ -89,6 +98,12 @@ def product_formula(n, k):
     for v, e in factors.items():
         for p, f in prime_factors(v).items():
             exponents[p] += e * f
+    return +exponents
+
+
+def product_formula(n, k):
+    """The product over 1 <= i <= j <= n-2k-1 of (i+j+2k)/(i+j), in prime exponents."""
+    exponents = formula_exponents(n, k)
     assert min(exponents.values(), default=0) >= 0, "the product is not an integer"
     value = 1
     for p, e in exponents.items():
@@ -144,6 +159,45 @@ class TestCatalan:
             count = catalan_determinant(n, k)
             assert count == product_formula(n, k) == _condensed_determinant(n, k), (n, k)
             assert count == explicit_det(n, k), (n, k)
+
+    # condensation costs about a third of a second at k = 40, n = 380
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda k: st.tuples(st.integers(2 * k + 1 - (k == 1), 2 * k + 300), st.just(k))
+        )
+    )
+    def test_product_formula_matches_condensation(self, point):
+        assert catalan_determinant(*point) == _condensed_determinant(*point)
+
+    def test_prime_exponents_match_the_factored_product(self):
+        for n, k in ((2, 1), (3, 1), (5, 2), (6, 2), (30, 1), (40, 7), (61, 3), (90, 20)):
+            primes, exponents = _prime_exponents(n, k)
+            assert primes == _primes(2 * (n - 2 * k - 1) + 2 * k)
+            assert {p: e for p, e in zip(primes, exponents) if e} == formula_exponents(n, k)
+
+    def test_a_negative_exponent_is_a_structural_error(self, monkeypatch):
+        # one pair too many at s = 3 leaves the factor 3 with exponent -5
+        def one_too_many(top, size):
+            return [0, 0, 0, 5] + [0] * (size - 4)
+
+        monkeypatch.setattr("ktri.paths._pair_counts", one_too_many)
+        with pytest.raises(StructuralError, match="^the product formula is not an integer at n=10"):
+            catalan_determinant(10, 2)
+
+    def test_primes_match_trial_division(self):
+        trial = [v for v in range(2, 5001) if all(v % d for d in range(2, isqrt(v) + 1))]
+        assert _primes(5000) == trial
+        for limit in range(200):
+            assert _primes(limit) == [p for p in trial if p <= limit], limit
+
+    def test_pair_counts_match_their_definition(self):
+        # top = -1 is the count of the 2-gon at k = 1; top = 0 that of every (2k+1)-gon
+        for top in range(-1, 81):
+            pairs = Counter(i + j for i in range(1, top + 1) for j in range(i, top + 1))
+            for k in (1, 2, 5):
+                size = 2 * top + 2 * k + 1
+                assert _pair_counts(top, size) == [pairs[s] for s in range(size)], (top, k)
 
     def test_count_guard(self, monkeypatch):
         # the default admits answers past 30,000 bits ...

@@ -27,7 +27,7 @@ from ktri import (
     trivial_diagonals,
     verify,
 )
-from ktri.polygon import _crossings, _off_staircase
+from ktri.polygon import _brute_guard, _crossings, _off_staircase
 
 
 def geometric_cross(d1, d2):
@@ -369,6 +369,45 @@ class TestEnumerateBrute:
         monkeypatch.setenv("KTRI_GUARD", "2")
         with pytest.raises(GuardExceeded):
             enumerate_brute(PolygonContext(6, 2))
+
+    def test_object_guard_comes_before_the_crossing_list(self, monkeypatch):
+        # each level passes the 40-cell guard and holds 1,643,356 / 884,884 / 111,384 /
+        # 6,852,768 k-triangulations
+        def refused(ctx):
+            raise AssertionError("crossings listed past the guard")
+
+        monkeypatch.setattr("ktri.polygon._crossings", refused)
+        refusal = "^brute-force listing of more than 100000 objects refused; lower n$"
+        for n, k, cells in ((13, 3, 39), (14, 4, 35), (15, 5, 30), (16, 5, 40)):
+            assert n * (n - 2 * k - 1) // 2 == cells
+            with pytest.raises(GuardExceeded, match=refusal):
+                enumerate_brute(PolygonContext(n, k))
+
+    def test_object_guard_admits_every_listed_level(self):
+        # the largest levels that the tests, CI and the benchmark list, 81,796 and 40,898
+        # objects, and every level of the benchmark's enumerate workload
+        levels = [(12, 3), (11, 2), (11, 3), (12, 4)]
+        for k, n_max in ((2, 9), (3, 10), (4, 12)):
+            levels += [(n, k) for n in range(2 * k + 1, n_max + 1)]
+        for n, k in levels:
+            assert _brute_guard(PolygonContext(n, k)) == n * (n - 2 * k - 1) // 2
+
+    def test_env_guard_bounds_the_objects(self, monkeypatch):
+        # the heptagon has 7 cells and 14 2-triangulations
+        monkeypatch.setenv("KTRI_GUARD", "13")
+        with pytest.raises(GuardExceeded, match="^brute-force listing of more than 13 objects"):
+            enumerate_brute(PolygonContext(7, 2))
+        monkeypatch.setenv("KTRI_GUARD", "14")
+        assert len(enumerate_brute(PolygonContext(7, 2))) == 14
+
+    def test_no_count_without_a_cell(self, monkeypatch):
+        def refused(n, k):
+            raise AssertionError("counted a polygon without cells")
+
+        monkeypatch.setattr("ktri.polygon._prime_exponents", refused)
+        for k in range(1, 6):
+            (tri,) = enumerate_brute(PolygonContext(2 * k + 1, k))
+            assert tri.diagonals == ()
 
     def test_huge_polygons_cost_nothing_before_the_guard(self):
         # no cell or vertex is listed: the (2k+1)-gon has no cell and no crossing,
