@@ -1,5 +1,6 @@
 """Command-line interface: verbs, formats, exit codes, determinism."""
 
+import hashlib
 import io
 import random
 import sys
@@ -311,6 +312,20 @@ class TestTree:
             "1\t(0,1)\t2-5,3-6",
             "1\t(1,0)\t1-4,3-6",
         ]
+
+    @pytest.mark.parametrize(
+        "k,n,lines,digest",
+        [
+            (2, 8, 102, "55d120b323617b2b01dc360777c4f4ab7db6381697f5a12010eb0e912bed29d9"),
+            (3, 9, 35, "6865cf77ed0bddb4d5ffb4d36a0601acc486acecfd7d5f34a8aa861a3d8dc563"),
+            (4, 11, 61, "81e932952384f4873d2df04af974feeedefedbb0ac3b89068764ba6f84ef4aa7"),
+        ],
+    )
+    def test_whole_dump_is_pinned(self, capsys, k, n, lines, digest):
+        # every line of the dump, in order: labels, child order and diagonals
+        code, out, _ = run(capsys, "tree", "--k", str(k), "--n", str(n))
+        assert code == 0 and len(out.splitlines()) == lines
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_k3_labels_omitted(self, capsys):
         code, out, _ = run(capsys, "tree", "--k", "3", "--n", "8")
