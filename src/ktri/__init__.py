@@ -12,12 +12,9 @@ semilength n-4.
 from .bijection import ColoredDiagram, color_diagram, from_paths, to_paths, to_paths_via_tree
 from .errors import DomainError, GuardExceeded, StructuralError
 from .gentree2 import (
-    GrowthChoice,
     PairGrowthChoice,
     ROOT_PAIR,
-    child2,
     child_by_label,
-    children2,
     label2,
     label_children,
     pair_child_by_label,
@@ -69,7 +66,6 @@ __all__ = [
     "DiagonalSet",
     "DomainError",
     "DyckPath",
-    "GrowthChoice",
     "GrowthChoiceK",
     "GuardExceeded",
     "KTriangulation",
@@ -84,9 +80,7 @@ __all__ = [
     "catalan",
     "catalan_determinant",
     "check_structure_lemmas",
-    "child2",
     "child_by_label",
-    "children2",
     "children_k",
     "color_diagram",
     "complete_to_maximal",

@@ -21,8 +21,8 @@ from .formats import (
     parse_pair,
     parse_triangulation,
 )
-from .gentree2 import children2, label2
-from .gentree_k import children_k, count_tree, enumerate_tree, parent_k, tree_root
+from .gentree2 import _by_split, _label
+from .gentree_k import _children, _triangulation, children_k, count_tree, enumerate_tree, parent_k
 from .paths import catalan_determinant
 from .polygon import PolygonContext, enumerate_brute
 from .render import render_diagram, render_paths
@@ -96,33 +96,37 @@ def _cmd_parent(args) -> int:
 
 def _cmd_children(args) -> int:
     tri = parse_triangulation(_read_input(args.input))
+    kids = children_k(tri)
     if tri.ctx.k == 2:
-        for choice, child in children2(tri):
-            print(f"u={choice.u} i={choice.i}\t{diagonal_line(child)}")
+        for u, i, child in _by_split((choice.u, child) for choice, child in kids):
+            print(f"u={u} i={i}\t{diagonal_line(child)}")
     else:
-        for choice, child in children_k(tri):
+        for choice, child in kids:
             rows = ",".join(str(b) for b in choice.rows)
             print(f"u={choice.u} b={rows}\t{diagonal_line(child)}")
     return 0
 
 
 def _cmd_tree(args) -> int:
-    def walk(tri, level: int) -> None:
-        label = "(" + ",".join(str(d) for d in label2(tri)) + ")" if args.k == 2 else "-"
-        print(f"{level}\t{label}\t{diagonal_line(tri)}")
-        if tri.ctx.n < args.n:
-            kids = children2(tri) if args.k == 2 else children_k(tri)
-            for _, child in kids:
-                walk(child, level + 1)
+    k = args.k
 
-    if args.n < 2 * args.k + 1:
-        raise DomainError(f"need n >= 2k+1, got n={args.n}, k={args.k}")
-    if args.k < 2:
-        raise DomainError(f"generating tree defined for k >= 2, got k={args.k}")
+    def walk(cols, r: int, level: int) -> None:
+        n = len(cols) - 1
+        label = "(" + ",".join(str(d) for d in _label(cols, r)) + ")" if k == 2 else "-"
+        print(f"{level}\t{label}\t{diagonal_line(_triangulation(PolygonContext(n, k), cols))}")
+        if n < args.n:
+            kids = [(u, child) for u, _, child in _children(cols, k, r)]
+            for u, *_, child in _by_split(kids) if k == 2 else kids:  # k = 2: in (u, i) order
+                walk(child, u, level + 1)
+
+    if args.n < 2 * k + 1:
+        raise DomainError(f"need n >= 2k+1, got n={args.n}, k={k}")
+    if k < 2:
+        raise DomainError(f"generating tree defined for k >= 2, got k={k}")
     limit = _guard_value(TREE_DUMP_GUARD)
-    if catalan_determinant(args.n, args.k) > limit:
+    if catalan_determinant(args.n, k) > limit:
         raise GuardExceeded(f"tree dump of more than {limit} leaves refused; lower n")
-    walk(tree_root(args.k), 0)
+    walk([()] * (2 * k + 2), k, 0)
     return 0
 
 

@@ -6,11 +6,11 @@ l+1, rooted at (NE, NE).  Both obey the same succession rule on labels
 (d_1, ..., d_s), which is what :func:`label_children` implements.
 
 The triangulation tree is the k = 2 case of :mod:`ktri.gentree_k`, which
-holds its corner, parent and growth step, all stated on the staircase by
-column.  This module adds what is specific to k = 2: the labels, the (u, i)
-view of the children, the pair tree, and the one-child descent by label in
-both trees.  Children are built unchecked; their invariants are stated
-once, in :mod:`ktri.verify`.
+holds its corner, parent, growth step and child lister, all on columns.
+This module adds what is specific to k = 2: the labels, the (u, i)
+numbering of a node's children (:func:`_by_split`), the pair tree, and the
+one-child descent by label in both trees.  Children are built unchecked;
+their invariants are stated once, in :mod:`ktri.verify`.
 
 A descent step by label (:func:`_child_by_label`) maps a node's columns,
 corner and label to its child's columns and corner, so a descent builds one
@@ -31,12 +31,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from operator import add, itemgetter
+from typing import Iterable, TypeVar
 
 from .errors import DomainError, StructuralError
 from .gentree_k import (
     Columns,
     _check_staircase,
-    _children,
     _columns,
     _corner,
     _grow,
@@ -47,14 +47,7 @@ from .paths import PairEncoding
 from .polygon import KTriangulation, PolygonContext
 
 TreeLabel = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class GrowthChoice:
-    """Parameters (u, i) selecting one child of a 2-triangulation."""
-
-    u: int
-    i: int
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -77,7 +70,11 @@ def _require_k2(tri: KTriangulation) -> None:
 
 
 def _child2_columns(cols: Columns, r: int, u: int, i: int) -> Columns:
-    """The columns of child (u, i) of the node with columns ``cols`` and corner r."""
+    """The columns of child (u, i) of the node with columns ``cols`` and corner r, unchecked.
+
+    :func:`ktri.gentree_k._grow` with the i-th largest row it offers at u: column u+1 is split
+    after its i highest crosses, or, at u = n-2 and i one past them, the cross (1, u+1) is added.
+    """
     n = len(cols) - 1
     if not r <= u <= n - 2:
         raise DomainError(f"u={u} outside {r}..{n - 2}")
@@ -87,48 +84,17 @@ def _child2_columns(cols: Columns, r: int, u: int, i: int) -> Columns:
     return _grow(cols, 2, u, (rows[-1 - i],))
 
 
-def child2(tri: KTriangulation, u: int, i: int) -> KTriangulation:
-    """The child of a 2-triangulation selected by (u, i), without validation.
+def _by_split(kids: Iterable[tuple[int, T]]) -> list[tuple[int, int, T]]:
+    """(u, i, x) for the (u, x) of one node's children at k = 2, ordered by (u asc, i asc).
 
-    Column u+1 (holding h crosses) is split after its i highest crosses,
-    0 <= i <= h, and the corner cross (u, u+3) is added; at u = n-2 the
-    extra choice i = h+1 introduces the cross (1, u+1) instead.  This is
-    the growth step :func:`ktri.gentree_k._grow` with the i-th largest row
-    it offers at u.
+    ``kids`` come in the order of :func:`ktri.gentree_k._children`; within each
+    u block, i counts the rows from the largest down, as :func:`_child2_columns`
+    does, so each block is reversed.
     """
-    _require_k2(tri)
-    cols = _columns(tri)
-    child = _child2_columns(cols, _corner(cols, 2), u, i)
-    return _triangulation(PolygonContext(tri.ctx.n + 1, 2), child)
-
-
-def _by_split(
-    kids: list[tuple[int, tuple[int, ...], Columns]],
-) -> list[tuple[GrowthChoice, Columns]]:
-    """The children of :func:`ktri.gentree_k._children` at k = 2 as ((u, i), columns).
-
-    Within each u block, i counts the rows from the largest down, as in
-    :func:`child2`, so each block is reversed.
-    """
-    out: list[tuple[GrowthChoice, Columns]] = []
+    out: list[tuple[int, int, T]] = []
     for u, block in groupby(kids, key=itemgetter(0)):
-        out.extend((GrowthChoice(u, i), kid[2]) for i, kid in enumerate(reversed(list(block))))
+        out.extend((u, i, x) for i, (_, x) in enumerate(reversed(list(block))))
     return out
-
-
-def children2(tri: KTriangulation) -> tuple[tuple[GrowthChoice, KTriangulation], ...]:
-    """All children of a 2-triangulation, ordered by (u asc, i asc).
-
-    These are the children of :func:`ktri.gentree_k.children_k`, regrouped by
-    :func:`_by_split`.  Their invariants (maximal, corner u, parent round
-    trip) are checked in :func:`ktri.verify._round_trips`, their labels
-    against the succession rule in :func:`ktri.verify._label_coherence`.
-    """
-    _require_k2(tri)
-    cols = _columns(tri)
-    ctx = PolygonContext(tri.ctx.n + 1, 2)
-    kids = _by_split(_children(cols, 2, _corner(cols, 2)))
-    return tuple((choice, _triangulation(ctx, child)) for choice, child in kids)
 
 
 def _child_by_label(
@@ -162,7 +128,7 @@ def child_by_label(tri: KTriangulation, target: TreeLabel) -> KTriangulation:
     """The unique child of a 2-triangulation whose label is ``target``.
 
     Sibling labels are distinct and :func:`label_children` lists them in the
-    order of :func:`children2`: block j of a label (d_1, ..., d_s) holds the
+    order of :func:`_by_split`: block j of a label (d_1, ..., d_s) holds the
     d_j + 1 children with u = corner + j - 1 (d_s + 2 for the last block).
     So the position of ``target`` gives (u, i), and only that child is built.
     Its label is checked here; the child invariant is checked for every

@@ -18,9 +18,9 @@ a child carrying its u as its corner: :func:`enumerate_tree` builds a
 :func:`count_tree` builds none.  Children are checked only as a
 :class:`KTriangulation` is; the child invariant (maximal, corner u, parent
 round trip) is stated once, in :func:`ktri.verify._round_trips`, which
-walks columns too.  For k = 2 this is the 2-triangulation tree;
-:mod:`ktri.gentree2` adds its labels, the (u, i) view of its children and
-the descent by label, which stays on columns from root to leaf.
+walks columns too.  :func:`_children` is the one child lister.  For k = 2
+this is the 2-triangulation tree; :mod:`ktri.gentree2` adds its labels, the
+(u, i) numbering of the children and the descent by label, on columns.
 
 No label calculus exists here: the number of children depends on the
 relative position of crosses across columns, not just on column counts.
@@ -38,6 +38,8 @@ from .paths import catalan_determinant
 from .polygon import Diagonal, KTriangulation, PolygonContext, _off_staircase
 
 TREE_COUNT_GUARD = 10**6
+# The most diagonals `children_k` lists, over all children of one node.
+CHILDREN_GUARD = 10**6
 
 Columns = list[tuple[int, ...]]
 """A staircase by column: entry b (0 <= b <= n) is the sorted tuple of the rows of
@@ -74,9 +76,10 @@ def _cells(cols: Columns) -> list[Diagonal]:
 
 
 def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
-    """The k-triangulation of ``ctx`` whose staircase is ``cols``, checked in full.
+    """The k-triangulation of ``ctx`` whose staircase is ``cols``.
 
-    The constructor sorts the cells.
+    The constructor sorts the cells and checks their staircase membership and
+    their number, not the absence of a (k+1)-crossing.
     """
     return KTriangulation(ctx, _cells(cols))
 
@@ -324,14 +327,27 @@ def _children(cols: Columns, k: int, r: int) -> list[tuple[int, tuple[int, ...],
     ]
 
 
+def _child_count(cols: Columns, k: int, r: int) -> int:
+    """The number of children of the node with columns ``cols`` and corner r, none grown."""
+    return sum(_choice_count(_row_options(cols, k, u)) for u in range(r, len(cols) - k))
+
+
 def children_k(tri: KTriangulation) -> tuple[tuple[GrowthChoiceK, KTriangulation], ...]:
-    """All children of a k-triangulation, ordered by (u asc, rows lex asc): :func:`_children`."""
+    """All children of a k-triangulation, ordered by (u asc, rows lex asc): :func:`_children`.
+
+    None is grown if they hold more than ``CHILDREN_GUARD`` diagonals, k(n-2k) each.
+    """
     k = _require_k(tri)
+    n = tri.ctx.n
     cols = _columns(tri)
-    ctx = PolygonContext(tri.ctx.n + 1, k)
+    r = _corner(cols, k)
+    limit = _guard_value(CHILDREN_GUARD)
+    if _child_count(cols, k, r) * k * (n - 2 * k) > limit:
+        raise GuardExceeded(f"children listing of more than {limit} diagonals refused; lower n")
+    ctx = PolygonContext(n + 1, k)
     return tuple(
         (GrowthChoiceK(u, rows), _triangulation(ctx, child))
-        for u, rows, child in _children(cols, k, _corner(cols, k))
+        for u, rows, child in _children(cols, k, r)
     )
 
 
@@ -388,17 +404,13 @@ def count_tree(n: int, k: int) -> int:
     """The number of k-triangulations of the n-gon, counted on the tree without building any.
 
     Each node of the (n-1)-gon (:func:`_nodes`) has one child per row choice
-    of each of its u, so the last level is counted (:func:`_choice_count`),
+    of each of its u, so the last level is counted (:func:`_child_count`),
     not grown.  The count must equal :func:`ktri.paths.catalan_determinant`.
     """
     expected = _level_size(n, k)
     count = 1  # the root
     if n > 2 * k + 1:
-        count = sum(
-            _choice_count(_row_options(cols, k, u))
-            for cols, r in _nodes(n - 1, k)
-            for u in range(r, n - k)
-        )
+        count = sum(_child_count(cols, k, r) for cols, r in _nodes(n - 1, k))
     if count != expected:
         raise StructuralError(f"tree level has {count} children; expected {expected}")
     return count

@@ -148,9 +148,6 @@ class DiagonalSet:
     def __contains__(self, d: Diagonal) -> bool:
         return d in self.diagonals
 
-    def column_rows(self, b: int) -> tuple[int, ...]:
-        return tuple(a for (a, c) in self.diagonals if c == b)
-
 
 @dataclass(frozen=True)
 class KTriangulation(DiagonalSet):

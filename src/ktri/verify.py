@@ -167,7 +167,8 @@ def _label_coherence(n_max: int) -> Check:
     for n in range(5, n_max):
         nxt = []
         for cols, r in level:
-            kids = [(child, choice.u) for choice, child in _by_split(_children(cols, 2, r))]
+            pairs = ((u, child) for u, _, child in _children(cols, 2, r))
+            kids = [(child, u) for u, _, child in _by_split(pairs)]
             expected = label_children(_label(cols, r))
             got = tuple(_label(child, c) for child, c in kids)
             if got != expected or len(set(got)) != len(got):

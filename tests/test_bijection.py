@@ -227,15 +227,14 @@ class TestTreeIsomorphism:
         # multisets agree, matched growth parameters satisfy u + t = n - 1,
         # and the matched pair node is exactly the image of the
         # triangulation node under the direct map.
-        from ktri import ROOT_PAIR, label2, pair_children, pair_label
-        from ktri.gentree2 import children2
+        from ktri import ROOT_PAIR, children_k, label2, pair_children, pair_label
 
         level = [(tree_root(2), ROOT_PAIR)]
         for _ in range(4):  # up to the 9-gon / semilength 5
             nxt = []
             for tri, enc in level:
                 n = tri.ctx.n
-                tri_kids = children2(tri)
+                tri_kids = children_k(tri)
                 pair_kids = pair_children(enc)
                 tri_labels = sorted(label2(c) for _, c in tri_kids)
                 pair_labels = sorted(pair_label(c) for _, c in pair_kids)
@@ -249,13 +248,12 @@ class TestTreeIsomorphism:
             level = nxt
 
     def test_level_label_multisets_agree(self):
-        from ktri import ROOT_PAIR, label2, pair_children, pair_label
-        from ktri.gentree2 import children2
+        from ktri import ROOT_PAIR, children_k, label2, pair_children, pair_label
 
         tris = [tree_root(2)]
         pairs = [ROOT_PAIR]
         for _ in range(5):
-            tris = [c for t in tris for _, c in children2(t)]
+            tris = [c for t in tris for _, c in children_k(t)]
             pairs = [c for e in pairs for _, c in pair_children(e)]
             tri_labels = sorted(label2(t) for t in tris)
             pair_labels = sorted(pair_label(e) for e in pairs)

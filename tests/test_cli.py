@@ -294,6 +294,34 @@ class TestParentChildren:
             "u=6 b=4,5\t1-5,1-6,3-8,3-9,4-8,4-9,4-10,5-9,6-10",
         ]
 
+    def test_children_guard_counts_before_growing(self, capsys, tmp_path, monkeypatch):
+        # the k=1000 root has 1,001 children of 1,000 diagonals each, past 10**6;
+        # the k=300 root lists 301 children of 300 diagonals, 90,300 in all
+        f = tmp_path / "root.tri"
+        f.write_text("k=300 n=601\n-\n")
+        code, out, _ = run(capsys, "children", "--input", str(f))
+        assert code == 0 and len(out.splitlines()) == 301
+        f.write_text("k=1000 n=2001\n-\n")
+
+        def grown(*args):
+            raise AssertionError("a child was grown past the guard")
+
+        monkeypatch.setattr("ktri.gentree_k._grow", grown)
+        assert run(capsys, "children", "--input", str(f)) == (
+            1, "", "error: children listing of more than 1000000 diagonals refused; lower n\n"
+        )
+
+    def test_children_guard_follows_ktri_guard(self, capsys, tmp_path, monkeypatch):
+        # the pentagon's three children hold two diagonals each
+        f = tmp_path / "root.tri"
+        f.write_text("k=2 n=5\n-\n")
+        monkeypatch.setenv("KTRI_GUARD", "6")
+        assert run(capsys, "children", "--input", str(f))[0] == 0
+        monkeypatch.setenv("KTRI_GUARD", "5")
+        assert run(capsys, "children", "--input", str(f)) == (
+            1, "", "error: children listing of more than 5 diagonals refused; lower n\n"
+        )
+
     def test_children_k3(self, capsys, tmp_path):
         f = tmp_path / "root.tri"
         f.write_text("k=3 n=7\n-\n")

@@ -10,9 +10,8 @@ from ktri import (
     KTriangulation,
     PolygonContext,
     StructuralError,
-    child2,
     child_by_label,
-    children2,
+    children_k,
     corner_k,
     label2,
     label_children,
@@ -20,6 +19,8 @@ from ktri import (
     tree_root,
     verify,
 )
+from ktri.gentree2 import _by_split, _child2_columns
+from ktri.gentree_k import _columns, _corner
 
 HEPTAGON_021 = KTriangulation(PolygonContext(7, 2), ((1, 5), (2, 5), (3, 6), (3, 7)))
 
@@ -67,7 +68,7 @@ class TestParent:
 
 class TestChildren:
     def test_pentagon_children(self):
-        got = [(c.u, c.i, t.diagonals) for c, t in children2(tree_root(2))]
+        got = _by_split((c.u, t.diagonals) for c, t in children_k(tree_root(2)))
         assert got == [
             (2, 0, ((1, 4), (2, 5))),
             (3, 0, ((2, 5), (3, 6))),
@@ -79,7 +80,7 @@ class TestChildren:
         assert label2(HEPTAGON_021) == (0, 2, 1)
         matches = [t for t in triangulations(7, 2) if label2(t) == (0, 2, 1)]
         assert matches == [HEPTAGON_021]
-        kids = children2(HEPTAGON_021)
+        kids = children_k(HEPTAGON_021)
         assert len(kids) == 7
         assert Counter(c.u for c, _ in kids) == {3: 1, 4: 3, 5: 3}
 
@@ -88,22 +89,16 @@ class TestChildren:
         # which equals (sum of label entries) + label length + 1
         for tri in triangulations(8, 2):
             label = label2(tri)
-            assert len(children2(tri)) == sum(label) + len(label) + 1
+            assert len(children_k(tri)) == sum(label) + len(label) + 1
 
     def test_round_trip_and_partition(self):
         holds(verify._round_trips, 2, 9, triangulations)
-
-    def test_child2_builds_each_child_alone(self):
-        for n in range(5, 11):
-            for tri in triangulations(n, 2):
-                for choice, child in children2(tri):
-                    assert child2(tri, choice.u, choice.i) == child
 
     def test_child_by_label_builds_the_matching_sibling(self):
         # every 2-triangulation up to the 10-gon, found from its parent by label
         for n in range(5, 10):
             for tri in triangulations(n, 2):
-                for _, child in children2(tri):
+                for _, child in children_k(tri):
                     assert child_by_label(tri, label2(child)) == child
 
     def test_child_by_label_rejects_a_non_sibling(self):
@@ -114,14 +109,15 @@ class TestChildren:
 
     def test_child2_rejects_unknown_choices(self):
         # children of the heptagon (0,2,1): u in 3..5, at most three splits per u
+        cols = _columns(HEPTAGON_021)
         for u, i in [(2, 0), (6, 0), (3, 1), (4, 3), (5, 3), (4, -1)]:
             with pytest.raises(DomainError):
-                child2(HEPTAGON_021, u, i)
+                _child2_columns(cols, _corner(cols, 2), u, i)
 
     def test_corner_monotone(self):
         for tri in triangulations(8, 2):
             r = corner_k(tri)
-            for choice, child in children2(tri):
+            for choice, child in children_k(tri):
                 assert corner_k(child) == choice.u >= r
 
 
@@ -148,7 +144,7 @@ class TestLabels:
         assert label_children((0, 0)) == ((0, 1, 1), (0, 1), (1, 0))
 
     def test_children_follow_rule_positionally(self):
-        # the labels of children2(tri), in order, are label_children(label2(tri))
+        # the labels of a node's children, in (u, i) order, are label_children of its label
         holds(verify._label_coherence, 9)
 
     def test_sibling_labels_distinct(self):

@@ -15,7 +15,6 @@ from ktri import (
     StructuralError,
     anchor_rows,
     catalan_determinant,
-    children2,
     children_k,
     corner_k,
     count_tree,
@@ -125,13 +124,6 @@ class TestChildrenK:
     def test_root_children_are_the_full_level(self):
         produced = sorted(c.diagonals for _, c in children_k(tree_root(3)))
         assert produced == [t.diagonals for t in triangulations(8, 3)]
-
-    def test_matches_children2(self):
-        for n in range(5, 9):
-            for tri in triangulations(n, 2):
-                via2 = {c.diagonals for _, c in children2(tri)}
-                viak = {c.diagonals for _, c in children_k(tri)}
-                assert via2 == viak, tri.diagonals
 
     @pytest.mark.parametrize("k,n_hi", [(2, 10), (3, 10), (4, 11)])
     def test_round_trip_and_partition(self, k, n_hi):

@@ -61,7 +61,6 @@ class TestContext:
         plain = DiagonalSet(ctx, ((1, 4), (3, 6)))
         assert tri.diagonals == plain.diagonals and len(tri) == len(plain) == 2
         assert (1, 4) in tri and (1, 4) in plain and (2, 5) not in tri
-        assert tri.column_rows(6) == plain.column_rows(6) == (3,)
         assert tri != plain and plain != tri
         assert tri == KTriangulation(ctx, plain.diagonals)
 
