@@ -42,7 +42,7 @@ from .gentree2 import (
     _pair_up,
     _require_k2,
 )
-from .gentree_k import _columns, _corner, _parent, _triangulation, tree_root
+from .gentree_k import _columns, _corner, _parent, _triangulation
 from .paths import DyckPath, PairEncoding, dominates
 from .polygon import Diagonal, KTriangulation, PolygonContext
 
@@ -246,7 +246,7 @@ def from_paths(p: DyckPath, q: DyckPath) -> KTriangulation:
     chain.reverse()
     if chain[0] != (0, 0):
         raise StructuralError(f"root label {chain[0]} is not (0, 0)")
-    cols, corner, label = _columns(tree_root(2)), 2, chain[0]
+    cols, corner, label = [()] * 6, 2, chain[0]  # the root: the pentagon's columns 0..5
     for target in chain[1:]:
         cols, corner = _child_by_label(cols, corner, label, target)
         label = target

@@ -91,8 +91,12 @@ def _off_ends(cols: Columns, k: int, columns: range) -> bool:
     interval (:func:`ktri.polygon._off_staircase`), so the first and the last
     row of each column decide.
     """
-    ends = [(a, b) for b in columns if cols[b] for a in (cols[b][0], cols[b][-1])]
-    return bool(_off_staircase(len(cols) - 1, k, ends))
+    n = len(cols) - 1
+    for b in columns:
+        col = cols[b]
+        if col and not max(0, b - n + k) < col[0] <= col[-1] < b - k:
+            return True
+    return False
 
 
 def _off_columns(cols: Columns, k: int, columns: range) -> list[Diagonal]:

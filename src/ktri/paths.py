@@ -306,13 +306,15 @@ def enumerate_tuples(m: int, k: int) -> list[PathTuple]:
     if m * k > limit:
         raise GuardExceeded(f"m*k = {m * k} exceeds the tuple guard of {limit}")
     paths = all_paths(m)
-    prefixes = [path.east_prefix() for path in paths]
-    below = [
-        [j for j, low in enumerate(prefixes) if _prefix_dominates(high, low)] for high in prefixes
-    ]
     chains = [(j,) for j in range(len(paths))]
-    for _ in range(k - 1):  # extending each chain in order keeps the lex order
-        chains = [chain + (j,) for chain in chains for j in below[chain[-1]]]
+    if k > 1:  # only a chain's extension reads the table of dominated paths
+        prefixes = [path.east_prefix() for path in paths]
+        below = [
+            [j for j, low in enumerate(prefixes) if _prefix_dominates(high, low)]
+            for high in prefixes
+        ]
+        for _ in range(k - 1):  # extending each chain in order keeps the lex order
+            chains = [chain + (j,) for chain in chains for j in below[chain[-1]]]
     return [PathTuple(m, k, tuple(paths[i] for i in chain)) for chain in chains]
 
 

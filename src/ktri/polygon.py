@@ -34,6 +34,7 @@ output is sorted at the end.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, combinations
@@ -481,30 +482,31 @@ def check_structure_lemmas(obj) -> StructureReport:
       then both a+1 and a+2 have nonzero degree.
     - isolated_vertex_closure (k=2, n>=6): a vertex of degree 0 forces the
       diagonals (a-2, a+1) and (a-1, a+2) (labels mod n).
+
+    Cost per object of d diagonals: O(d log d) for the two general lemmas
+    (each column's largest row, and a sorted list of short-diagonal rows
+    searched by bisection), plus O(n) for the two k = 2 ones.
     """
     ctx: PolygonContext = obj.ctx
     n, k = ctx.n, ctx.k
     members = set(obj.diagonals)
+    ordered = sorted(members)
+    top = {b: a for a, b in ordered if a <= b - k - 1}  # column b -> its largest row <= b-k-1
+    shorts = sorted(a for (a, b) in members if b == a + k + 1)
     checks = []
 
-    fails: list[str] = []
-    for a, b in sorted(members):
-        if a >= b - k - 1:
-            continue
-        if (a, b - 1) in members:
-            continue
-        if any(x == b and a < y <= b - k - 1 for (y, x) in members):
-            continue
-        fails.append(f"({a},{b}) has neither ({a},{b - 1}) nor a partner ending at {b}")
+    fails = [
+        f"({a},{b}) has neither ({a},{b - 1}) nor a partner ending at {b}"
+        for a, b in ordered
+        if a < b - k - 1 and (a, b - 1) not in members and top.get(b, a) <= a
+    ]
     checks.append(LemmaCheck("neighbor_extension", not fails, tuple(fails)))
 
-    fails = []
-    shorts = {a for (a, b) in members if b == a + k + 1}
-    for a, b in sorted(members):
-        if a > b - k - 1:
-            continue
-        if not any(a <= i <= b - k - 1 for i in shorts):
-            fails.append(f"({a},{b}) sees no short diagonal in rows {a}..{b - k - 1}")
+    fails = [
+        f"({a},{b}) sees no short diagonal in rows {a}..{b - k - 1}"
+        for a, b in ordered
+        if a <= b - k - 1 and bisect_left(shorts, a) == bisect_right(shorts, b - k - 1)
+    ]
     checks.append(LemmaCheck("short_diagonal_reach", not fails, tuple(fails)))
 
     if k == 2 and n >= 6:

@@ -32,7 +32,6 @@ from .gentree_k import (
 )
 from .paths import (
     DyckPath,
-    PairEncoding,
     PathTuple,
     _condensed_determinant,
     catalan_determinant,
@@ -148,8 +147,9 @@ def _pair_round_trips(m_max: int, tuples: Tuples) -> Check:
         seen = Counter((e.p, e.q) for e in produced)
         if any(c > 1 for c in seen.values()):
             return ("pair_round_trips", False, f"duplicate pair child at m={m + 1}")
-        pairs = (PairEncoding.from_paths(*t.paths) for t in tuples(m + 1, 2))
-        if set(seen) != {(e.p, e.q) for e in pairs}:
+        # each tuple's constructor has checked that its upper path never goes below the lower
+        pairs = {(p.exponents(), q.exponents()) for p, q in (t.paths for t in tuples(m + 1, 2))}
+        if set(seen) != pairs:
             return ("pair_round_trips", False, f"level m={m + 1} is not all non-crossing pairs")
         expected = catalan_determinant(m + 5, 2)
         if len(produced) != expected:
@@ -216,11 +216,9 @@ def _lemmas(k: int, n_max: int, brute: Lister) -> Check:
 def _column_identity(n_max: int, images: Images) -> Check:
     for n in range(5, n_max + 1):
         for tri, (p, q) in images(n):
-            enc = PairEncoding.from_paths(p, q)
-            m = n - 4
-            expected = [enc.q_at(m)]
-            expected += [enc.p_at(j + 1) + enc.q_at(j) for j in range(m - 1, 0, -1)]
-            expected.append(enc.p_at(1))
+            # to_paths has checked the pair; p_j is ps[j - 1] and q_j is qs[j - 1]
+            m, ps, qs = n - 4, p.exponents(), q.exponents()
+            expected = [qs[m - 1], *(ps[j] + qs[j - 1] for j in range(m - 1, 0, -1)), ps[0]]
             counts = tri.column_counts()
             actual = [counts.get(j, 0) for j in range(4, n + 1)]
             if actual != expected:

@@ -268,3 +268,15 @@ class TestColumnIdentity:
     def test_example_14gon(self):
         counts = example_14gon().column_counts()
         assert [counts.get(j, 0) for j in range(4, 15)] == [1, 0, 3, 0, 2, 3, 0, 1, 2, 4, 2]
+
+    def test_names_the_object_whose_pair_is_corrupted(self):
+        # the hexagon's second 2-triangulation is given the third one's pair, NNEE over NNEE
+        def corrupted(n):
+            listed = list(images(n))
+            if n == 6:
+                listed[1] = (listed[1][0], listed[2][1])
+            return listed
+
+        assert verify._column_identity(7, corrupted) == (
+            "column_identity", False, "mismatch on ((1, 4), (3, 6))"
+        )

@@ -2,6 +2,7 @@
 
 import random
 import sys
+from collections import Counter
 from itertools import combinations
 from math import comb
 
@@ -27,7 +28,7 @@ from ktri import (
     trivial_diagonals,
     verify,
 )
-from ktri.polygon import _brute_guard, _crossings, _off_staircase
+from ktri.polygon import LemmaCheck, _brute_guard, _crossings, _off_staircase
 
 
 def geometric_cross(d1, d2):
@@ -460,3 +461,69 @@ class TestStructureLemmas:
 
     def test_pentagon_vacuous(self):
         assert check_structure_lemmas(KTriangulation(PolygonContext(5, 2), ())).ok
+
+    @staticmethod
+    def assert_matches_quadratic_statement(obj):
+        # the whole report: the two general lemmas as stated, then the k=2 ones by name
+        report = check_structure_lemmas(obj)
+        assert report.checks[:2] == quadratic_general_lemmas(obj), obj.diagonals
+        k2 = obj.ctx.k == 2 and obj.ctx.n >= 6
+        names = ("missing_short_support", "isolated_vertex_closure") if k2 else ()
+        assert tuple(c.name for c in report.checks[2:]) == names
+        return report
+
+    @pytest.mark.parametrize("k, n_max", [(2, 9), (3, 10), (4, 11)])
+    def test_matches_quadratic_statement_on_every_triangulation(self, k, n_max):
+        for n in range(2 * k + 1, n_max + 1):
+            for tri in triangulations(n, k):
+                assert self.assert_matches_quadratic_statement(tri).ok
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_quadratic_statement_on_random_cell_sets(self, k):
+        # seeded subsets of the staircase, and k-triangulations with one or two cells dropped
+        rng = random.Random(61027 + k)
+        failed = Counter()
+        for n in range(2 * k + 1, 13):
+            cells = staircase_cells(PolygonContext(n, k))
+            near = triangulations(n, k) if n <= min(2 * k + 5, k + 7) else ()
+            for _ in range(80):
+                if near and rng.random() < 0.5:
+                    kept = list(rng.choice(near).diagonals)
+                    for _ in range(min(rng.randint(1, 2), len(kept))):
+                        kept.remove(rng.choice(kept))
+                else:
+                    density = rng.random()
+                    kept = [c for c in cells if rng.random() < density]
+                report = self.assert_matches_quadratic_statement(
+                    DiagonalSet(PolygonContext(n, k), kept)
+                )
+                failed.update(c.name for c in report.checks if not c.passed)
+        names = ["neighbor_extension", "short_diagonal_reach"]
+        names += ["missing_short_support", "isolated_vertex_closure"] if k == 2 else []
+        assert all(failed[name] for name in names), failed
+
+
+def quadratic_general_lemmas(obj):
+    """The oracle of the two general lemmas: each member scans every member."""
+    k = obj.ctx.k
+    members = set(obj.diagonals)
+
+    fails = []
+    for a, b in sorted(members):
+        if a >= b - k - 1:
+            continue
+        if (a, b - 1) in members:
+            continue
+        if any(x == b and a < y <= b - k - 1 for (y, x) in members):
+            continue
+        fails.append(f"({a},{b}) has neither ({a},{b - 1}) nor a partner ending at {b}")
+    neighbor = LemmaCheck("neighbor_extension", not fails, tuple(fails))
+
+    fails = []
+    shorts = {a for (a, b) in members if b == a + k + 1}
+    for a, b in sorted(members):
+        if a > b - k - 1:
+            continue
+        if not any(a <= i <= b - k - 1 for i in shorts):
+            fails.append(f"({a},{b}) sees no short diagonal in rows {a}..{b - k - 1}")
+    return neighbor, LemmaCheck("short_diagonal_reach", not fails, tuple(fails))
