@@ -189,9 +189,7 @@ def to_paths(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
         raise StructuralError("blue cross in the first column")
     if reds[-1] != 0:
         raise StructuralError("red cross in the last column")
-    p = "".join("N" + "E" * c for c in blues[1:]) + "E"
-    q = "".join("N" + "E" * c for c in reds[:-1]) + "E"
-    upper, lower = DyckPath(p), DyckPath(q)
+    upper, lower = DyckPath.from_exponents(blues[:0:-1]), DyckPath.from_exponents(reds[-2::-1])
     if not dominates(upper, lower):
         raise StructuralError("colored counts produced a crossing pair")
     return upper, lower

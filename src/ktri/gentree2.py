@@ -17,8 +17,9 @@ corner and label to its child's columns and corner, so a descent builds one
 :class:`KTriangulation`, at the end.  The pair steps (:func:`_pair_up`,
 :func:`_pair_child`) run on raw exponent tuples and carry the split index s,
 which a climb step seeks from s-1 on and a descent step knows to be t+1;
-each checks only the entries it rewrites, and the public pair steps build a
-checked :class:`PairEncoding` on top of them.
+each checks only the entries it rewrites, through
+:func:`ktri.paths._pair_fault`, the one statement of the pair invariant, and
+the public pair steps build a checked :class:`PairEncoding` on top of them.
 
 Label conventions: the corner r is that of :func:`ktri.gentree_k.corner_k`
 (2 for the empty pentagon), and labels are the column cross-counts
@@ -43,7 +44,7 @@ from .gentree_k import (
     _row_options,
     _triangulation,
 )
-from .paths import PairEncoding
+from .paths import PairEncoding, _pair_fault
 from .polygon import KTriangulation, PolygonContext
 
 TreeLabel = tuple[int, ...]
@@ -196,20 +197,6 @@ Pair = tuple[tuple[int, ...], tuple[int, ...], int]
 """A pair as its exponent tuples (p, q) and its split index s, unchecked."""
 
 
-def _check_pair_at(p: tuple[int, ...], q: tuple[int, ...], lo: int, hi: int) -> None:
-    """Non-negativity, the prefix bound and dominance of (p, q) at positions lo..hi.
-
-    Positions past the end of the tuples are skipped; the prefix sums below
-    lo are summed, not checked.
-    """
-    top, bottom = sum(p[: lo - 1]), sum(q[: lo - 1])
-    for j in range(lo, min(hi, len(p)) + 1):
-        a, b = p[j - 1], q[j - 1]
-        top, bottom = top + a, bottom + b
-        if a < 0 or b < 0 or bottom < j - 1 or top < bottom:
-            raise StructuralError(f"pair step leaves the non-crossing pairs at position {j}")
-
-
 def _pair_up(p: tuple[int, ...], q: tuple[int, ...], s: int) -> Pair:
     """One level up the pair tree on raw tuples: merge the columns around the split index.
 
@@ -232,7 +219,8 @@ def _pair_up(p: tuple[int, ...], q: tuple[int, ...], s: int) -> Pair:
         p_next = p[s] if s < m else 0
         p = (p[: s - 2] + (p[s - 2] - 1, p[s - 1] + p_next) + p[s + 1 :])[: m - 1]
         q = q[: s - 2] + (q[s - 2] + q[s - 1] - 1,) + q[s:]
-        _check_pair_at(p, q, s - 1, s)
+        if (j := _pair_fault(p, q, s - 1, s)) is not None:
+            raise StructuralError(f"pair step leaves the non-crossing pairs at position {j}")
     else:
         p, q = p[:-1], q[:-1]
     j = max(2, s - 1)
@@ -264,7 +252,8 @@ def _pair_child(p: tuple[int, ...], q: tuple[int, ...], t: int, x: int) -> Pair:
     left, above = max(pt1 - x, 0), max(x - pt1, 0)
     p = (p[: t - 1] + (pt + 1, left, pt1 - left) + p[t + 1 :])[: m + 1]
     q = (q[: t - 1] + (qt + 1 - above, above) + q[t:])[: m + 1]
-    _check_pair_at(p, q, t, t + 1)
+    if (j := _pair_fault(p, q, t, t + 1)) is not None:
+        raise StructuralError(f"pair step leaves the non-crossing pairs at position {j}")
     return p, q, t + 1
 
 
@@ -292,8 +281,9 @@ def pair_children(enc: PairEncoding) -> tuple[tuple[PairGrowthChoice, PairEncodi
     :func:`ktri.verify._pair_round_trips`.
     """
     out: list[tuple[PairGrowthChoice, PairEncoding]] = []
+    tops, bottoms = enc.p + (0, 0), enc.q + (0,)  # zero past m, as t <= s <= m+1
     for t in range(1, enc.s + 1):
-        pt1, qt = enc.p_at(t + 1), enc.q_at(t)
+        pt1, qt = tops[t], bottoms[t - 1]
         top = qt + 1 if t == 1 else qt
         # split_top 1..pt1, insert_zero, split_bottom 1..top, by their first label entry x
         for x in [*range(pt1 - 1, -1, -1), *range(pt1, pt1 + top + 1)]:

@@ -8,7 +8,11 @@ and east steps E, never below the diagonal.  Every path factors uniquely as
 and is stored either as its step string or as the exponent tuple
 (e_1, ..., e_m).  A pair (P, Q) with P never below Q is encoded by a
 2 x (m+2) integer matrix of these exponents, padded with zeros; all the
-tree operations in :mod:`ktri.gentree2` work on that encoding.
+tree operations in :mod:`ktri.gentree2` work on that encoding.  The pair
+invariant is stated once, in :func:`_pair_fault`, on the exponent tuples:
+:class:`PairEncoding`, :func:`dominates`, the table of
+:func:`enumerate_tuples` and the pair steps of :mod:`ktri.gentree2` all
+run it.
 
 The number of k-triangulations of an n-gon is the Catalan Hankel
 determinant det(C_{n-i-j})_{i,j=1..k}.  :func:`catalan_determinant`
@@ -186,6 +190,8 @@ class DyckPath:
     steps: str
 
     def __post_init__(self) -> None:
+        if not isinstance(self.steps, str):
+            raise DomainError(f"path steps must be a str, got {type(self.steps).__name__}")
         north = east = 0
         for ch in self.steps:
             if ch == "N":
@@ -204,23 +210,16 @@ class DyckPath:
         """Semilength."""
         return len(self.steps) // 2
 
-    def east_runs(self) -> tuple[int, ...]:
-        """Number of E steps after each N, first N first."""
-        runs = []
-        for ch in self.steps:
-            if ch == "N":
-                runs.append(0)
-            else:
-                runs[-1] += 1
-        return tuple(runs)
-
     def exponents(self) -> tuple[int, ...]:
         """The exponent tuple (e_1, ..., e_m); e_m belongs to the first N."""
         if self.m < 1:
             raise DomainError("the empty path has no exponent form")
-        runs = self.east_runs()
-        exps = list(reversed(runs))
-        exps[0] -= 1  # final E of the template is not part of e_1
+        steps, exps = self.steps, []
+        end = len(steps) - 1  # the final E is not part of e_1
+        while end:  # e_j is the run of E steps after the j-th N from the end
+            start = steps.rindex("N", 0, end)
+            exps.append(end - start - 1)
+            end = start
         return tuple(exps)
 
     @classmethod
@@ -234,32 +233,34 @@ class DyckPath:
             steps.append("N" + "E" * e)
         return cls("".join(steps) + "E")
 
-    def east_prefix(self) -> tuple[int, ...]:
-        """east_prefix()[i] is the number of E steps before the (i+1)-th N."""
-        out = []
-        east = 0
-        for ch in self.steps:
-            if ch == "N":
-                out.append(east)
-            else:
-                east += 1
-        out.append(east)
-        return tuple(out)
-
     def __str__(self) -> str:
         return self.steps
 
 
-def _prefix_dominates(p_prefix: Sequence[int], q_prefix: Sequence[int]) -> bool:
-    """True iff each entry of p's east prefix is at most q's: p never goes below q."""
-    return all(a <= b for a, b in zip(p_prefix, q_prefix))
+def _pair_fault(p: Sequence[int], q: Sequence[int], lo: int, hi: int) -> int | None:
+    """The first position j in lo..hi where exponent tuples (p, q) break the pair invariant, or None.
+
+    With prefix sums P_j = p_1 + ... + p_j and Q_j likewise, position j
+    requires p_j >= 0, q_j >= 0, Q_j >= j-1 (Q stays a Dyck path) and
+    P_j >= Q_j (P never goes below Q, and so is a Dyck path too).
+    Positions past the end of the tuples are skipped; the prefix sums below
+    lo are summed, not checked.  This is the only statement of the
+    invariant; the totals P_m = Q_m = m-1 are the caller's.
+    """
+    top, bottom = sum(p[: lo - 1]), sum(q[: lo - 1])
+    for j in range(lo, min(hi, len(p)) + 1):
+        a, b = p[j - 1], q[j - 1]
+        top, bottom = top + a, bottom + b
+        if a < 0 or b < 0 or bottom < j - 1 or top < bottom:
+            return j
+    return None
 
 
 def dominates(p: DyckPath, q: DyckPath) -> bool:
     """True iff p never goes below q (both paths of the same semilength)."""
     if p.m != q.m:
         raise DomainError(f"semilength mismatch: {p.m} vs {q.m}")
-    return _prefix_dominates(p.east_prefix(), q.east_prefix())
+    return p.m == 0 or _pair_fault(p.exponents(), q.exponents(), 1, p.m) is None
 
 
 @lru_cache(maxsize=None)
@@ -288,6 +289,8 @@ class PathTuple:
     paths: tuple[DyckPath, ...]
 
     def __post_init__(self) -> None:
+        if not isinstance(self.paths, tuple) or not all(isinstance(p, DyckPath) for p in self.paths):
+            raise DomainError("paths must be a tuple of DyckPath")
         if len(self.paths) != self.k:
             raise DomainError(f"expected {self.k} paths, got {len(self.paths)}")
         for p in self.paths:
@@ -308,27 +311,14 @@ def enumerate_tuples(m: int, k: int) -> list[PathTuple]:
     paths = all_paths(m)
     chains = [(j,) for j in range(len(paths))]
     if k > 1:  # only a chain's extension reads the table of dominated paths
-        prefixes = [path.east_prefix() for path in paths]
+        exps = [path.exponents() for path in paths]
         below = [
-            [j for j, low in enumerate(prefixes) if _prefix_dominates(high, low)]
-            for high in prefixes
+            [j for j, low in enumerate(exps) if _pair_fault(high, low, 1, m) is None]
+            for high in exps
         ]
         for _ in range(k - 1):  # extending each chain in order keeps the lex order
             chains = [chain + (j,) for chain in chains for j in below[chain[-1]]]
     return [PathTuple(m, k, tuple(paths[i] for i in chain)) for chain in chains]
-
-
-def _check_exponent_form(exps: Sequence[int], what: str) -> None:
-    m = len(exps)
-    total = 0
-    for t, e in enumerate(exps, start=1):
-        if e < 0:
-            raise DomainError(f"{what}: negative exponent {e}")
-        total += e
-        if total < t - 1:
-            raise DomainError(f"{what}: prefix sum {total} below {t - 1}")
-    if total != m - 1:
-        raise DomainError(f"{what}: exponents sum to {total}, expected {m - 1}")
 
 
 @dataclass(frozen=True)
@@ -350,52 +340,32 @@ class PairEncoding:
     """Least j >= 2 with p_j * q_j = 0; always 2 <= s <= m+1, as p_{m+1} = 0."""
 
     def __post_init__(self) -> None:
-        if len(self.p) != len(self.q) or not self.p:
-            raise DomainError("p and q must be nonempty tuples of equal length")
-        _check_exponent_form(self.p, "upper path")
-        _check_exponent_form(self.q, "lower path")
-        s = len(self.p) + 1
-        total_p = total_q = 0
-        for j, (a, b) in enumerate(zip(self.p, self.q), start=1):
-            total_p += a
-            total_q += b
-            if total_p < total_q:
-                raise DomainError("upper path dips below the lower path")
-            if s > j >= 2 and a * b == 0:
-                s = j
+        p, q = self.p, self.q
+        if not (
+            isinstance(p, tuple) and isinstance(q, tuple) and p and len(p) == len(q)
+            and {*map(type, p), *map(type, q)} == {int}
+        ):
+            raise DomainError("p and q must be nonempty tuples of int of equal length")
+        m = len(p)
+        j = _pair_fault(p, q, 1, m)
+        if j is not None:
+            raise DomainError(f"exponents are no non-crossing pair at position {j}")
+        if sum(p) != m - 1:  # then Q_m = m-1 too, as m-1 <= Q_m <= P_m
+            raise DomainError(f"upper exponents sum to {sum(p)}, expected {m - 1}")
+        s = next((j for j in range(2, m + 1) if p[j - 1] * q[j - 1] == 0), m + 1)
         object.__setattr__(self, "s", s)
 
     @property
     def m(self) -> int:
         return len(self.p)
 
-    def p_at(self, j: int) -> int:
-        if j < 1:
-            raise DomainError(f"index {j} out of range")
-        return self.p[j - 1] if j <= self.m else 0
-
-    def q_at(self, j: int) -> int:
-        if j < 1:
-            raise DomainError(f"index {j} out of range")
-        return self.q[j - 1] if j <= self.m else 0
-
-    @property
-    def top_row(self) -> tuple[int, ...]:
-        return tuple(self.p_at(j) for j in range(self.m + 2, 0, -1))
-
-    @property
-    def bottom_row(self) -> tuple[int, ...]:
-        return tuple(self.q_at(j) for j in range(self.m + 1, 0, -1)) + (0,)
-
     def rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        return (self.top_row, self.bottom_row)
+        """The matrix rows (p_{m+2}, ..., p_1) and (q_{m+1}, ..., q_1, 0), zero past m."""
+        return (0, 0) + self.p[::-1], (0,) + self.q[::-1] + (0,)
 
     def paths(self) -> tuple[DyckPath, DyckPath]:
         return DyckPath.from_exponents(self.p), DyckPath.from_exponents(self.q)
 
     @classmethod
     def from_paths(cls, p: DyckPath, q: DyckPath) -> "PairEncoding":
-        if not dominates(p, q):
-            raise DomainError("first path must never go below the second")
         return cls(p.exponents(), q.exponents())
-

@@ -30,6 +30,23 @@ EXAMPLE_14GON_PARENT_TOP = (0, 0, 0, 1, 0, 2, 0, 0, 2, 1, 2)
 EXAMPLE_14GON_PARENT_BOTTOM = (0, 1, 0, 2, 0, 0, 3, 0, 0, 2, 0)
 
 
+def east_prefix(steps: str) -> tuple[int, ...]:
+    """east_prefix(steps)[i] is the number of E steps before the (i+1)-th N; the last entry is the total.
+
+    A walk over a step string: the tests' reference for the pair invariant,
+    independent of the exponent tuples on which :mod:`ktri.paths` states it.
+    """
+    out = []
+    east = 0
+    for ch in steps:
+        if ch == "N":
+            out.append(east)
+        else:
+            east += 1
+    out.append(east)
+    return tuple(out)
+
+
 def example_14gon() -> KTriangulation:
     return KTriangulation(PolygonContext(14, 2), EXAMPLE_14GON)
 

@@ -172,8 +172,16 @@ class TestMapUnmap:
     def test_unmap_rejects_crossing_pair(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"
         f.write_text("NENE\nNNEE\n")
-        code, _, err = run(capsys, "unmap", "--input", str(f))
-        assert code == 1 and "error" in err
+        assert run(capsys, "unmap", "--input", str(f)) == (
+            1, "", "error: first path must never go below the second\n"
+        )
+
+    def test_unmap_rejects_unequal_semilengths(self, capsys, tmp_path):
+        f = tmp_path / "bad.txt"
+        f.write_text("NE\nNNEE\n")
+        assert run(capsys, "unmap", "--input", str(f)) == (
+            1, "", "error: semilength mismatch: 1 vs 2\n"
+        )
 
     def test_map_rejects_repeated_diagonal(self, capsys, tmp_path):
         f = tmp_path / "rep.tri"
@@ -533,6 +541,13 @@ class TestVerifyAndRender:
         f.write_text("NNEE\nNENE\n")
         code, out, _ = run(capsys, "render", "--input", str(f), "--shifted")
         assert code == 0 and "#" not in out and "=" in out and "-" in out
+
+    def test_render_rejects_crossing_pair(self, capsys, tmp_path):
+        f = tmp_path / "pair.txt"
+        f.write_text("NENE\nNNEE\n")
+        assert run(capsys, "render", "--input", str(f)) == (
+            1, "", "error: first path must never go below the second\n"
+        )
 
 
 class TestCliBehavior:

@@ -37,7 +37,7 @@ def encoding_with_rows(top, bottom):
     p = tuple(reversed(top[2:]))
     q = tuple(reversed(bottom[1:-1]))
     enc = PairEncoding(p, q)
-    assert enc.top_row == tuple(top) and enc.bottom_row == tuple(bottom)
+    assert enc.rows() == (tuple(top), tuple(bottom))
     assert enc.m == m
     return enc
 
@@ -70,8 +70,7 @@ class TestPairParent:
     def test_example_pair(self):
         enc = encoding_with_rows(EXAMPLE_14GON_TOP, EXAMPLE_14GON_BOTTOM)
         parent = pair_parent(enc)
-        assert parent.top_row == EXAMPLE_14GON_PARENT_TOP
-        assert parent.bottom_row == EXAMPLE_14GON_PARENT_BOTTOM
+        assert parent.rows() == (EXAMPLE_14GON_PARENT_TOP, EXAMPLE_14GON_PARENT_BOTTOM)
 
     def test_staircase_degenerates(self):
         stair = PairEncoding.from_paths(DyckPath("NENE"), DyckPath("NENE"))
@@ -158,9 +157,10 @@ class TestPairChildren:
         for m in range(1, 6):
             for enc in all_pairs(m):
                 s = enc.s
+                p, q = enc.p + (0, 0), enc.q + (0,)  # zero past m
                 per_t = Counter(choice.t for choice, _ in pair_children(enc))
                 for t in range(1, s + 1):
-                    expected = enc.p_at(t + 1) + enc.q_at(t) + (2 if t == 1 else 1)
+                    expected = p[t] + q[t - 1] + (2 if t == 1 else 1)
                     assert per_t[t] == expected
 
     def test_round_trip_split_index_and_partition(self):

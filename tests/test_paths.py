@@ -9,7 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import EXAMPLE_14GON_BOTTOM, EXAMPLE_14GON_P, EXAMPLE_14GON_Q, EXAMPLE_14GON_TOP
+from conftest import (
+    EXAMPLE_14GON_BOTTOM,
+    EXAMPLE_14GON_P,
+    EXAMPLE_14GON_Q,
+    EXAMPLE_14GON_TOP,
+    east_prefix,
+    random_noncrossing_pair,
+)
 from ktri import (
     DomainError,
     DyckPath,
@@ -27,9 +34,63 @@ from ktri.paths import (
     _condensed_determinant,
     _exact_quotient,
     _pair_counts,
+    _pair_fault,
     _prime_exponents,
     _primes,
 )
+
+
+def walk_faults(upper: str, lower: str) -> list[int]:
+    """The positions j where two step strings N E^{e_m} ... N E^{e_1} E fail as a non-crossing pair.
+
+    The reference for :func:`ktri.paths._pair_fault`, by a walk over the
+    strings: the j-th N from the end is followed by 1 + e_1 + ... + e_j E
+    steps.  There the lower string needs at least j of them (read from its
+    end, it has not dipped below the diagonal) and the upper at least as
+    many as the lower (it has not gone below).
+    """
+    up, low = east_prefix(upper), east_prefix(lower)
+    up_after = [up[-1] - e for e in reversed(up[:-1])]  # E steps after the j-th N from the end
+    low_after = [low[-1] - e for e in reversed(low[:-1])]
+    return [j for j, (a, b) in enumerate(zip(up_after, low_after), 1) if b < j or a < b]
+
+
+def exponent_steps(exps) -> str:
+    """The step string N E^{e_m} ... N E^{e_1} E of non-negative exponents, unchecked."""
+    return "".join("N" + "E" * e for e in reversed(exps)) + "E"
+
+
+def reference_faults(p, q) -> tuple[list[int], int]:
+    """The reference's failing positions of exponent tuples (p, q), up to the first negative entry.
+
+    A negative entry has no step string: it is a fault, and the walk covers
+    the entries before it.  Returns the faults and the first negative
+    position (m+1 if there is none).
+    """
+    neg = next((j for j in range(len(p)) if p[j] < 0 or q[j] < 0), len(p))
+    faults = walk_faults(exponent_steps(p[:neg]), exponent_steps(q[:neg]))
+    return faults + [neg + 1] * (neg < len(p)), neg + 1
+
+
+def exponent_pairs(seed, count):
+    """Every pair of tuples with entries in -1..m for m <= 3, then ``count`` seeded random ones.
+
+    A random pair is the exponents of a non-crossing pair of semilength up to
+    10 with up to two entries moved or dropped.
+    """
+    out = [
+        pair for m in range(1, 4) for pair in product(product(range(-1, m + 1), repeat=m), repeat=2)
+    ]
+    rng = random.Random(seed)
+    for _ in range(count):
+        m = rng.randint(1, 10)
+        rows = [list(path.exponents()) for path in random_noncrossing_pair(rng, m)]
+        for _ in range(rng.randrange(3)):
+            row = rng.choice(rows)
+            row[rng.randrange(m)] -= 1
+            row[rng.randrange(m)] += rng.randrange(2)
+        out.append(tuple(map(tuple, rows)))
+    return out
 
 
 def int_det(matrix):
@@ -300,14 +361,10 @@ class TestDominates:
                     assert dominates(p, r)
 
     def test_prefix_sum_equivalence(self):
-        # domination of the step walks == domination of exponent prefix sums
-        for m in range(1, 6):
+        # dominates reads exponent prefix sums; the reference walks the step strings
+        for m in range(0, 7):
             for p, q in product(all_paths(m), repeat=2):
-                pe, qe = p.exponents(), q.exponents()
-                sums = all(
-                    sum(pe[:t]) >= sum(qe[:t]) for t in range(1, m + 1)
-                )
-                assert dominates(p, q) == sums, (p, q)
+                assert dominates(p, q) == (not walk_faults(p.steps, q.steps)), (p, q)
 
 
 class TestPairEncoding:
@@ -318,8 +375,7 @@ class TestPairEncoding:
 
     def test_example_pair(self):
         enc = PairEncoding.from_paths(DyckPath(EXAMPLE_14GON_P), DyckPath(EXAMPLE_14GON_Q))
-        assert enc.top_row == EXAMPLE_14GON_TOP
-        assert enc.bottom_row == EXAMPLE_14GON_BOTTOM
+        assert enc.rows() == (EXAMPLE_14GON_TOP, EXAMPLE_14GON_BOTTOM)
         assert enc.s == 3
 
     def test_staircase(self):
@@ -354,16 +410,49 @@ class TestPairEncoding:
                 assert PairEncoding.from_paths(p, q).paths() == (p, q)
 
     def test_invariant_matches_domination(self):
-        # the encoding constructor accepts exactly the dominating pairs
-        for m in range(1, 6):
-            for p, q in product(all_paths(m), repeat=2):
-                ok = dominates(p, q)
-                try:
-                    PairEncoding(p.exponents(), q.exponents())
-                    built = True
-                except DomainError:
-                    built = False
-                assert built == ok, (p, q)
+        # the constructor accepts exactly the tuples whose step strings are Dyck paths, P over Q
+        cases = exponent_pairs(18, 3000)
+        accepted = 0
+        for p, q in cases:
+            try:
+                upper, lower = DyckPath.from_exponents(p), DyckPath.from_exponents(q)
+                ok = not walk_faults(upper.steps, lower.steps)
+            except DomainError:
+                ok = False
+            try:
+                PairEncoding(p, q)
+                built = True
+            except DomainError:
+                built = False
+            assert built == ok, (p, q)
+            accepted += ok
+        assert 0 < accepted < len(cases)
+
+    def test_pair_fault_is_the_first_fault_of_the_walk(self):
+        # every window lo..hi that starts at or before the first negative entry
+        for p, q in exponent_pairs(19, 300):
+            faults, first_negative = reference_faults(p, q)
+            for lo in range(1, first_negative + 1):
+                for hi in range(lo, len(p) + 2):
+                    want = next((j for j in faults if lo <= j <= hi), None)
+                    assert _pair_fault(p, q, lo, hi) == want, (p, q, lo, hi)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: PairEncoding([1, 0], [1, 0]),
+        lambda: PairEncoding((True, False), (1, 0)),
+        lambda: PairEncoding((1.0, 0), (1, 0)),
+        lambda: PathTuple(1, 1, [DyckPath("NE")]),
+        lambda: DyckPath(123),
+    ],
+    ids=["list-exponents", "bool-exponents", "float-exponent", "list-of-paths", "int-steps"],
+)
+def test_constructors_refuse_non_canonical_fields(build):
+    # refused when built, as a DomainError, not later or as a TypeError
+    with pytest.raises(DomainError):
+        build()
 
 
 class TestEnumerateTuples:

@@ -6,6 +6,7 @@ from itertools import combinations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import east_prefix
 from ktri import (
     DiagonalSet,
     DomainError,
@@ -55,7 +56,7 @@ def dominating_pairs(draw, max_m=12):
     upper = draw(dyck_paths(max_m=max_m))
     m = upper.m
     # build a lower path that never rises above the upper one
-    limit = upper.east_prefix()
+    limit = east_prefix(upper.steps)
     steps = []
     north = east = 0
     while north < m or east < m:
