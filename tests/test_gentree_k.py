@@ -31,6 +31,7 @@ from ktri.gentree_k import (
     _children,
     _choice_count,
     _columns,
+    _corner,
     _nodes,
     _off_columns,
     _off_ends,
@@ -59,6 +60,22 @@ class TestCorner:
         for n in range(8, 11):
             for tri in triangulations(n, 3):
                 assert corner_k(tri) >= 3
+
+    @pytest.mark.parametrize(
+        "n, crosses, error",
+        [
+            (7, {}, "^k-triangulation of the 7-gon without a short diagonal$"),
+            (7, {4: (1,)}, "^corner 1 below k=2$"),
+            (8, {6: (3,), 8: (4,)}, "^crosses found below the corner row$"),
+        ],
+        ids=["no-short-diagonal", "corner-below-k", "cross-below-the-corner"],
+    )
+    def test_error_texts(self, n, crosses, error):
+        # k = 2 columns: (1, 4) is the only short diagonal, or (3, 6) is the
+        # last one and column 8 holds row 4 below it
+        cols = [crosses.get(b, ()) for b in range(n + 1)]
+        with pytest.raises(StructuralError, match=error):
+            _corner(cols, 2)
 
     def test_anchor_matches_k2_min_row(self):
         # for k=2 the single anchor is the top cross of column r+1 when that

@@ -1,0 +1,240 @@
+"""The per-node step kernels against their generator forms, kept here as references.
+
+Each reference is the kernel as it was written before it became a plain
+loop with an early exit.  On every tree node up to the 10-gon (k = 2, 3) and
+the 12-gon (k = 4), and on seeded corrupted columns, the kernel and its
+reference must return equal results or raise the same exception with the
+same text, and every error text must be raised at least once.
+"""
+
+import random
+from bisect import bisect_right
+from collections import Counter
+
+import pytest
+
+from conftest import triangulations
+from ktri import KTriangulation, PolygonContext, StructuralError, is_k_triangulation
+from ktri.bijection import BLUE, RED, ColoredDiagram, IterationStep, _color
+from ktri.gentree_k import _anchors, _columns, _corner, _nodes, _off_ends
+from ktri.polygon import staircase_cells
+
+N_HI = {2: 10, 3: 10, 4: 12}
+
+
+def reference_off_ends(cols, k, columns):
+    n = len(cols) - 1
+    for b in columns:
+        col = cols[b]
+        if col and not max(0, b - n + k) < col[0] <= col[-1] < b - k:
+            return True
+    return False
+
+
+def reference_corner(cols, k):
+    n = len(cols) - 1
+    if n == 2 * k + 1:
+        return k
+    r = next((b - k - 1 for b in range(n, k + 1, -1) if cols[b][-1:] == (b - k - 1,)), None)
+    if r is None:
+        raise StructuralError(f"k-triangulation of the {n}-gon without a short diagonal")
+    if r < k:
+        raise StructuralError(f"corner {r} below k={k}")
+    if any(cols[b][-1:] > (r,) for b in range(r + k + 2, n + 1)):
+        raise StructuralError("crosses found below the corner row")
+    return r
+
+
+def reference_anchors(cols, k, r):
+    n = len(cols) - 1
+    prev = 0
+    out = []
+    for i in range(1, k):
+        col = cols[r + i]
+        cut = bisect_right(col, prev)
+        feasible = [a for a in (*col[cut : cut + 1], r + i - k) if a > prev]
+        if not feasible:
+            raise StructuralError(f"no anchor row available at column {r + i}")
+        a_i = min(feasible)
+        if a_i > r + i - k:
+            raise StructuralError(f"anchor row {a_i} exceeds {r + i - k}")
+        b = r + i + 1
+        if a_i not in cols[b] and b - n + k < a_i < b - k:
+            raise StructuralError(f"square {(a_i, b)} neither crossed nor outside the staircase")
+        out.append(a_i)
+        prev = a_i
+    col = cols[r + k]
+    deep = list(col[bisect_right(col, prev) :])
+    if deep:
+        raise StructuralError(f"column {r + k} has crosses below row {prev}: {deep}")
+    return tuple(out)
+
+
+def reference_color(tri, flip_ties, trace):
+    n = tri.ctx.n
+    cols = _columns(tri)
+    uncolored = list(map(list, cols))
+    blue_counts = [0] * (n + 1)
+    red_counts = [0] * (n + 1)
+    blocks = [[b] for b in range(4, n + 1)]
+    row_masks = [sum(1 << a for a in cols[b]) for b in range(4, n + 1)]
+    absorbed = []
+    color = {}
+    steps = []
+
+    def pick(block, rightmost, highest):
+        for c in reversed(block) if rightmost else block:
+            rows = uncolored[c]
+            if rows:
+                return (rows.pop(0) if highest else rows.pop(), c)
+        return None
+
+    for index in range(1, n - 4):
+        r = next((j for j in range(len(blocks), 0, -1) if row_masks[j - 1] >> j & 1), 0)
+        if r < 2:
+            raise StructuralError(f"no usable corner block found (r={r})")
+        blue = pick(blocks[r - 1], rightmost=False, highest=flip_ties)
+        if blue is None:
+            raise StructuralError(f"no uncolored cross to color blue in block {r}")
+        color[blue] = BLUE
+        blue_counts[blue[1]] += 1
+        if r == 2:
+            absorbed.extend(blocks.pop(0))
+            del row_masks[0]
+            merged_cols = absorbed
+        else:
+            blocks[r - 3] = blocks[r - 3] + blocks.pop(r - 2)
+            row_masks[r - 3] |= row_masks.pop(r - 2)
+            merged_cols = blocks[r - 3]
+        red = pick(merged_cols, rightmost=True, highest=not flip_ties)
+        if red is None:
+            raise StructuralError(f"no uncolored cross to color red in merged block {r - 2}")
+        color[red] = RED
+        red_counts[red[1]] += 1
+        if trace:
+            now = tuple(tuple(b) for b in blocks)
+            steps.append(IterationStep(index, r, blue, red, (r - 2, r - 1), now, tuple(absorbed)))
+    # the closing checks of _color cannot fail: each of the n-5 iterations
+    # colors two crosses and merges two of the n-3 blocks
+    return ColoredDiagram(
+        tri,
+        color,
+        tuple(blue_counts[4:]),
+        tuple(red_counts[4:]),
+        tuple(steps),
+        tuple(tuple(b) for b in blocks),
+        tuple(absorbed),
+    )
+
+
+def outcome(kernel, *args):
+    """The kernel's result, or the type and the text of what it raises."""
+    try:
+        return kernel(*args)
+    except Exception as exc:  # any exception: the kernel and its reference must raise alike
+        return type(exc), str(exc)
+
+
+def agree(texts, kernel, reference, *args):
+    """Assert that the kernel and its reference agree on ``args``; count the error texts seen."""
+    got = outcome(kernel, *args)
+    assert got == outcome(reference, *args), args
+    if isinstance(got, tuple) and got and got[0] is StructuralError:
+        texts[got[1]] += 1
+
+
+def corrupted(rng, cols):
+    """``cols`` with one row added to, dropped from or moved between columns, kept sorted."""
+    n = len(cols) - 1
+    out = list(cols)
+    filled = [b for b, col in enumerate(out) if col]
+    if filled and rng.random() < 0.5:
+        b = rng.choice(filled)
+        row = rng.choice(out[b])
+        out[b] = tuple(a for a in out[b] if a != row)
+        if rng.random() < 0.5:  # moved, not dropped
+            b = rng.randint(0, n)
+            out[b] = tuple(sorted({*out[b], row}))
+    else:
+        b = rng.randint(0, n)
+        out[b] = tuple(sorted({*out[b], rng.randint(0, n)}))
+    return out
+
+
+def random_columns(rng, n):
+    return [tuple(sorted(rng.sample(range(n + 1), rng.randint(0, 3)))) for _ in range(n + 1)]
+
+
+def has_text(texts, pattern):
+    return any(pattern in text for text in texts)
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_corner_anchors_and_ends_on_every_node(k):
+    texts = Counter()
+    nodes = 0
+    for n in range(2 * k + 1, N_HI[k] + 1):
+        for cols, r in _nodes(n, k):
+            agree(texts, _corner, reference_corner, cols, k)
+            assert _corner(cols, k) == r
+            agree(texts, _off_ends, reference_off_ends, cols, k, range(n + 1))
+            if n > 2 * k + 1:
+                agree(texts, _anchors, reference_anchors, cols, k, r)
+            nodes += 1
+    assert nodes > 1 and not texts
+
+
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_corner_anchors_and_ends_on_corrupted_columns(k):
+    # tree nodes with one row added, dropped or moved, and columns of random
+    # rows; the anchors are asked at a random r whose columns exist
+    rng = random.Random(92011 + k)
+    texts = Counter()
+    for n in range(2 * k + 2, N_HI[k] + 1):
+        nodes = [cols for cols, _ in _nodes(n, k)]
+        for _ in range(300):
+            if rng.random() < 0.7:
+                cols = corrupted(rng, rng.choice(nodes))
+            else:
+                cols = random_columns(rng, n)
+            agree(texts, _corner, reference_corner, cols, k)
+            lo = rng.randint(0, n)
+            agree(texts, _off_ends, reference_off_ends, cols, k, range(lo, rng.randint(lo, n) + 1))
+            agree(texts, _anchors, reference_anchors, cols, k, rng.randint(0, n - k))
+    patterns = [
+        "without a short diagonal",
+        "below k=",
+        "crosses found below the corner row",
+        "anchor row available",
+        "exceeds",
+        "neither crossed nor outside the staircase",
+        "has crosses below row",
+    ]
+    missing = [p for p in patterns if not has_text(texts, p)]
+    assert not missing, texts
+
+
+@pytest.mark.parametrize("flip_ties", [False, True])
+def test_color_on_every_2_triangulation(flip_ties):
+    for n in range(5, 11):
+        for tri in triangulations(n, 2):
+            assert _color(tri, flip_ties, True) == reference_color(tri, flip_ties, True)
+            assert _color(tri, flip_ties, False) == reference_color(tri, flip_ties, False)
+
+
+def test_color_on_corrupted_diagrams():
+    # sets of staircase cells of the right size that are no 2-triangulation
+    rng = random.Random(92029)
+    texts = Counter()
+    for n in range(6, 11):
+        ctx = PolygonContext(n, 2)
+        cells = staircase_cells(ctx)
+        for _ in range(200):
+            tri = KTriangulation(ctx, rng.sample(cells, ctx.diagonal_count))
+            if is_k_triangulation(tri):
+                continue
+            for flip_ties in (False, True):
+                agree(texts, _color, reference_color, tri, flip_ties, True)
+    patterns = ["no usable corner block", "to color blue", "to color red"]
+    missing = [p for p in patterns if not has_text(texts, p)]
+    assert not missing, texts
