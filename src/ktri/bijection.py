@@ -43,7 +43,7 @@ from .gentree2 import (
     _require_k2,
 )
 from .gentree_k import _columns, _corner, _parent, _triangulation
-from .paths import DyckPath, PairEncoding, dominates
+from .paths import DyckPath, PairEncoding, _pair_fault
 from .polygon import Diagonal, KTriangulation, PolygonContext
 
 BLUE = "blue"
@@ -101,13 +101,16 @@ def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
     if tri.ctx.k != 2:
         raise DomainError(f"coloring defined for k=2 only, got k={tri.ctx.k}")
     n = tri.ctx.n
-    cols = _columns(tri)
-    uncolored = list(map(list, cols))  # the uncolored rows of each column, sorted
+    uncolored: list[list[int]] = [[] for _ in range(n + 1)]  # each column's uncolored rows
+    masks = [0] * (n + 1)
+    for a, b in tri.diagonals:  # sorted by (a, b), so each column fills in row order
+        uncolored[b].append(a)
+        masks[b] |= 1 << a
     blue_counts = [0] * (n + 1)
     red_counts = [0] * (n + 1)
 
     blocks: list[list[int]] = [[b] for b in range(4, n + 1)]
-    row_masks = [sum(1 << a for a in cols[b]) for b in range(4, n + 1)]
+    row_masks = masks[4:]
     absorbed: list[int] = []
     color: dict[Diagonal, str] = {}
     steps: list[IterationStep] = []
@@ -121,8 +124,9 @@ def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
         return None
 
     for index in range(1, n - 4):
-        # the largest r whose block has a cross, of either color, in row r
-        r = next((j for j in range(len(blocks), 0, -1) if row_masks[j - 1] >> j & 1), 0)
+        r = len(blocks)  # down to the largest r whose block has a cross in row r, or 0
+        while r and not row_masks[r - 1] >> r & 1:
+            r -= 1
         if r < 2:
             raise StructuralError(f"no usable corner block found (r={r})")
 
@@ -137,7 +141,7 @@ def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
             del row_masks[0]
             merged_cols = absorbed
         else:
-            blocks[r - 3] = blocks[r - 3] + blocks.pop(r - 2)
+            blocks[r - 3] += blocks.pop(r - 2)
             row_masks[r - 3] |= row_masks.pop(r - 2)
             merged_cols = blocks[r - 3]
 
@@ -189,8 +193,9 @@ def to_paths(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
         raise StructuralError("blue cross in the first column")
     if reds[-1] != 0:
         raise StructuralError("red cross in the last column")
-    upper, lower = DyckPath.from_exponents(blues[:0:-1]), DyckPath.from_exponents(reds[-2::-1])
-    if not dominates(upper, lower):
+    p, q = blues[:0:-1], reds[-2::-1]
+    upper, lower = DyckPath.from_exponents(p), DyckPath.from_exponents(q)
+    if _pair_fault(p, q, 1, len(p)) is not None:
         raise StructuralError("colored counts produced a crossing pair")
     return upper, lower
 

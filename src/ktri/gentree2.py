@@ -149,7 +149,12 @@ def _label(cols: Columns, r: int) -> TreeLabel:
 
 
 def label2(tri: KTriangulation) -> TreeLabel:
-    """Column cross-counts (h_{r+1}, ..., h_{n-1}); the root gets (0, 0)."""
+    """Column cross-counts (h_{r+1}, ..., h_{n-1}); the root gets (0, 0).
+
+    No code of the package calls it: the tree steps read :func:`_label` off
+    columns.  It stays public as the paper's node label, which the tests
+    read on triangulations.
+    """
     _require_k2(tri)
     cols = _columns(tri)
     return _label(cols, _corner(cols, 2))
@@ -249,7 +254,7 @@ def _pair_child(p: tuple[int, ...], q: tuple[int, ...], t: int, x: int) -> Pair:
     qt = q[t - 1] if t <= m else 0
     if not 0 <= x <= pt1 + qt + (t == 1):
         raise StructuralError(f"no child at t={t} has a label starting with {x}")
-    left, above = max(pt1 - x, 0), max(x - pt1, 0)
+    left, above = (pt1 - x, 0) if x < pt1 else (0, x - pt1)
     p = (p[: t - 1] + (pt + 1, left, pt1 - left) + p[t + 1 :])[: m + 1]
     q = (q[: t - 1] + (qt + 1 - above, above) + q[t:])[: m + 1]
     if (j := _pair_fault(p, q, t, t + 1)) is not None:

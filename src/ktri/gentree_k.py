@@ -94,7 +94,7 @@ def _off_ends(cols: Columns, k: int, columns: range) -> bool:
     n = len(cols) - 1
     for b in columns:
         col = cols[b]
-        if col and not max(0, b - n + k) < col[0] <= col[-1] < b - k:
+        if col and (not 0 < col[0] <= col[-1] < b - k or col[0] <= b - n + k):
             return True
     return False
 
@@ -123,17 +123,27 @@ def _corner(cols: Columns, k: int) -> int:
     """:func:`corner_k` on the columns of a k-triangulation.
 
     The short diagonal (r, r+k+1) is the lowest cell of column r+k+1, and
-    only columns past r+k+1 have cells below row r.
+    only columns past r+k+1 have cells below row r.  One pass from column n
+    down finds it, keeping the largest last row of the columns it passes.
     """
     n = len(cols) - 1
     if n == 2 * k + 1:
         return k
-    r = next((b - k - 1 for b in range(n, k + 1, -1) if cols[b][-1:] == (b - k - 1,)), None)
-    if r is None:
+    low = 0  # the largest last row of the columns past the short diagonal
+    for b in range(n, k + 1, -1):
+        col = cols[b]
+        if col:
+            last = col[-1]
+            if last == b - k - 1:
+                break
+            if last > low:
+                low = last
+    else:
         raise StructuralError(f"k-triangulation of the {n}-gon without a short diagonal")
+    r = b - k - 1
     if r < k:
         raise StructuralError(f"corner {r} below k={k}")
-    if any(cols[b][-1:] > (r,) for b in range(r + k + 2, n + 1)):
+    if low > r:
         raise StructuralError("crosses found below the corner row")
     return r
 
@@ -145,27 +155,34 @@ def corner_k(tri: KTriangulation) -> int:
 
 
 def _anchors(cols: Columns, k: int, r: int) -> tuple[int, ...]:
-    """:func:`anchor_rows` on the columns of a k-triangulation with corner r."""
+    """:func:`anchor_rows` on the columns of a k-triangulation with corner r.
+
+    The candidates for a_i are the least row of column r+i above a_{i-1}
+    and the fallback f = r+i-k.  When f lies above a_{i-1}, a_i is the
+    lesser of the two, so it never exceeds f; otherwise that row, if any,
+    exceeds f.
+    """
     n = len(cols) - 1
     prev = 0
     out: list[int] = []
-    for i in range(1, k):
-        col = cols[r + i]
+    for b in range(r + 1, r + k):
+        col, fallback = cols[b], b - k
         cut = bisect_right(col, prev)
-        feasible = [a for a in (*col[cut : cut + 1], r + i - k) if a > prev]
-        if not feasible:
-            raise StructuralError(f"no anchor row available at column {r + i}")
-        a_i = min(feasible)
-        if a_i > r + i - k:
-            raise StructuralError(f"anchor row {a_i} exceeds {r + i - k}")
-        b = r + i + 1
-        if a_i not in cols[b] and b - n + k < a_i < b - k:  # neither crossed nor off-shape
-            raise StructuralError(f"square {(a_i, b)} neither crossed nor outside the staircase")
+        if fallback > prev:
+            a_i = col[cut] if cut < len(col) and col[cut] < fallback else fallback
+        elif cut < len(col):
+            raise StructuralError(f"anchor row {col[cut]} exceeds {fallback}")
+        else:
+            raise StructuralError(f"no anchor row available at column {b}")
+        if b - n + k + 1 < a_i < b + 1 - k and a_i not in cols[b + 1]:  # on-shape and empty
+            raise StructuralError(
+                f"square {(a_i, b + 1)} neither crossed nor outside the staircase"
+            )
         out.append(a_i)
         prev = a_i
     col = cols[r + k]
-    deep = list(col[bisect_right(col, prev) :])
-    if deep:
+    if col and col[-1] > prev:
+        deep = list(col[bisect_right(col, prev) :])
         raise StructuralError(f"column {r + k} has crosses below row {prev}: {deep}")
     return tuple(out)
 
@@ -211,18 +228,18 @@ def _parent(cols: Columns, k: int, r: int) -> Columns:
     n = len(cols) - 1
     anchors = _anchors(cols, k, r)
     mid: list[tuple[int, ...]] = []
-    for i, a_i in enumerate(anchors, start=1):
-        right, here = cols[r + i + 1], cols[r + i]
+    for b, a_i in enumerate(anchors, start=r + 1):
+        right, here = cols[b + 1], cols[b]
         col = right[: bisect_left(right, a_i)] + here[bisect_left(here, a_i) :]
-        b = r + i
-        if b >= n - k and b - n + k + 1 in col:
-            col = tuple(a for a in col if a != b - n + k + 1)
+        if b >= n - k and b - n + k + 1 in col:  # once at most: the two parts share no row
+            j = col.index(b - n + k + 1)
+            col = col[:j] + col[j + 1 :]
         mid.append(col)
     corner_col = cols[r + k + 1]
     if corner_col[-1] > r:
         square = (corner_col[-1], r + k + 1)
         raise StructuralError(f"short-diagonal square {square} below the corner")
-    parent = cols[: r + 1] + mid + [corner_col[:-1]] + cols[r + k + 2 :]
+    parent = [*cols[: r + 1], *mid, corner_col[:-1], *cols[r + k + 2 :]]
     moved = range(r + 1, n)
     if _off_ends(parent, k, moved):
         off = _off_columns(parent, k, moved)

@@ -300,6 +300,14 @@ class PathTuple:
             if not dominates(upper, lower):
                 raise DomainError("paths must be mutually non-crossing, top to bottom")
 
+    @classmethod
+    def _checked(cls, m: int, k: int, paths: tuple[DyckPath, ...]) -> "PathTuple":
+        """The tuple of fields its caller has already checked, built without re-checking them."""
+        out = object.__new__(cls)
+        for name, value in (("m", m), ("k", k), ("paths", paths)):
+            object.__setattr__(out, name, value)
+        return out
+
 
 def enumerate_tuples(m: int, k: int) -> list[PathTuple]:
     """All non-crossing k-tuples of semilength-m Dyck paths, lex order."""
@@ -318,7 +326,8 @@ def enumerate_tuples(m: int, k: int) -> list[PathTuple]:
         ]
         for _ in range(k - 1):  # extending each chain in order keeps the lex order
             chains = [chain + (j,) for chain in chains for j in below[chain[-1]]]
-    return [PathTuple(m, k, tuple(paths[i] for i in chain)) for chain in chains]
+    # k paths of semilength m, each dominating the next by the table
+    return [PathTuple._checked(m, k, tuple(paths[i] for i in chain)) for chain in chains]
 
 
 @dataclass(frozen=True)
@@ -352,7 +361,9 @@ class PairEncoding:
             raise DomainError(f"exponents are no non-crossing pair at position {j}")
         if sum(p) != m - 1:  # then Q_m = m-1 too, as m-1 <= Q_m <= P_m
             raise DomainError(f"upper exponents sum to {sum(p)}, expected {m - 1}")
-        s = next((j for j in range(2, m + 1) if p[j - 1] * q[j - 1] == 0), m + 1)
+        s = 2
+        while s <= m and p[s - 1] * q[s - 1]:
+            s += 1
         object.__setattr__(self, "s", s)
 
     @property

@@ -58,6 +58,8 @@ class PolygonContext:
     k: int
 
     def __post_init__(self) -> None:
+        if type(self.n) is not int or type(self.k) is not int:
+            raise DomainError(f"n and k must be int, got n={self.n!r}, k={self.k!r}")
         if self.k < 1:
             raise DomainError(f"k must be at least 1, got {self.k}")
         if self.n <= 2 * self.k:
@@ -122,15 +124,25 @@ def is_cell(ctx: PolygonContext, d: Diagonal) -> bool:
 
 
 def _check_members(ctx: PolygonContext, diagonals: Iterable[Diagonal]) -> tuple[Diagonal, ...]:
-    """The diagonals sorted; the least one that is no cell or is repeated is rejected."""
-    out = sorted(diagonals)
+    """The diagonals sorted, once each is a tuple, a staircase cell and not repeated.
+
+    The first diagonal that is no tuple is named, else the least that is no
+    cell or is repeated.  Types are checked before the diagonals are sorted
+    or hashed, as a list sorts against a tuple, and hashes, only by raising
+    TypeError.  Distinct cells are accepted without a search for repeats.
+    """
+    out = list(diagonals)
+    if not {*map(type, out)} <= {tuple}:
+        bad = next(d for d in out if type(d) is not tuple)
+        raise DomainError(f"diagonal {bad!r} is not a tuple")
+    out.sort()
     off = _off_staircase(ctx.n, ctx.k, out)
+    if not off and len(set(out)) == len(out):
+        return tuple(out)
     repeat = next((d for prev, d in zip(out, out[1:]) if d == prev), None)
     if off and (repeat is None or off[0] <= repeat):
         raise DomainError(f"{off[0]} is not a nontrivial diagonal of the {ctx.n}-gon (k={ctx.k})")
-    if repeat is not None:
-        raise DomainError(f"diagonal {repeat} appears more than once")
-    return tuple(out)
+    raise DomainError(f"diagonal {repeat} appears more than once")
 
 
 @dataclass(frozen=True)

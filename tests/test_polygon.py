@@ -148,7 +148,7 @@ class TestMemberCheck:
     @pytest.mark.parametrize(
         "diagonals, error, text",
         [
-            ((5, 7), TypeError, "cannot unpack non-iterable int object"),
+            ((5, 7), DomainError, "^diagonal 5 is not a tuple$"),
             (TRI[:-1] + ((1, 5, 9),), ValueError, r"too many values to unpack \(expected 2\)"),
             (None, TypeError, "'NoneType' object is not iterable"),
         ],
@@ -161,9 +161,33 @@ class TestMemberCheck:
     def test_any_iterable_is_sorted_into_a_tuple(self):
         for diagonals in (list(reversed(self.TRI)), iter(self.TRI), set(self.TRI)):
             assert KTriangulation(self.CTX, diagonals).diagonals == self.TRI
-        # a pair may be any sequence of two items; it is kept as given
+        # but each pair must be a tuple: a list pair is refused, not kept as given
         pairs = [list(d) for d in self.TRI]
-        assert KTriangulation(self.CTX, pairs).diagonals == tuple(pairs)
+        with pytest.raises(DomainError, match=r"^diagonal \[1, 4\] is not a tuple$"):
+            KTriangulation(self.CTX, pairs)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        (lambda: PolygonContext(6.0, 2), r"^n and k must be int, got n=6.0, k=2$"),
+        (lambda: PolygonContext(6, True), r"^n and k must be int, got n=6, k=True$"),
+        (lambda: PolygonContext("6", 2), r"^n and k must be int, got n='6', k=2$"),
+        (
+            lambda: KTriangulation(PolygonContext(6, 2), [[1, 4], [3, 6]]),
+            r"^diagonal \[1, 4\] is not a tuple$",
+        ),
+        (
+            lambda: DiagonalSet(PolygonContext(6, 2), [(1, 4), [3, 6]]),
+            r"^diagonal \[3, 6\] is not a tuple$",
+        ),
+    ],
+    ids=["float-n", "bool-k", "str-n", "list-diagonals", "one-list-diagonal"],
+)
+def test_constructors_refuse_non_canonical_fields(build, error):
+    # refused when built, as a DomainError, not later or as a TypeError
+    with pytest.raises(DomainError, match=error):
+        build()
 
 
 class TestCrossings:
