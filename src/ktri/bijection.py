@@ -97,6 +97,8 @@ def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
 
     Each numbered block keeps the bitmask of the rows its columns hold, the
     union of its columns' masks, so "block j has a cross in row j" is one shift.
+    Each of the n-5 iterations pops two crosses off the uncolored rows and
+    removes one of the n-3 blocks, so all 2(n-5) crosses are colored and two blocks are left.
     """
     if tri.ctx.k != 2:
         raise DomainError(f"coloring defined for k=2 only, got k={tri.ctx.k}")
@@ -164,11 +166,6 @@ def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
                 )
             )
 
-    if len(color) != len(tri.diagonals):
-        raise StructuralError("coloring finished with uncolored crosses")
-    if len(blocks) != 2:
-        raise StructuralError(f"coloring finished with {len(blocks)} blocks")
-
     return ColoredDiagram(
         tri,
         color,
@@ -185,23 +182,27 @@ def to_paths(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
 
     The upper path takes an E run of length (blue count of column j) for
     j = 5..n, the lower path one of length (red count of column j) for
-    j = 4..n-1; both get a closing E.
+    j = 4..n-1; both get a closing E.  Blue comes from block r >= 2, never
+    from column 4 (in block 1 until absorbed), and red from block r-2 or the
+    absorbed block, never from the last (column n), as r <= len(blocks).  So
+    each tuple sums to m-1, and both are Dyck paths once _pair_fault passes.
     """
     colored = _color(tri, flip_ties=False, trace=False)
-    blues, reds = colored.blue_counts, colored.red_counts
-    if blues[0] != 0:
-        raise StructuralError("blue cross in the first column")
-    if reds[-1] != 0:
-        raise StructuralError("red cross in the last column")
-    p, q = blues[:0:-1], reds[-2::-1]
-    upper, lower = DyckPath.from_exponents(p), DyckPath.from_exponents(q)
+    p, q = colored.blue_counts[:0:-1], colored.red_counts[-2::-1]
     if _pair_fault(p, q, 1, len(p)) is not None:
         raise StructuralError("colored counts produced a crossing pair")
-    return upper, lower
+    return DyckPath.from_exponents(p), DyckPath.from_exponents(q)
 
 
-def _label_chain_to_root(tri: KTriangulation) -> list[tuple[int, ...]]:
-    """The labels from the root down to ``tri``, climbing on columns and corner."""
+def to_paths_via_tree(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
+    """Reference implementation through the generating trees.
+
+    Climb from the triangulation to the root on columns and corner,
+    recording labels, then walk down the pair tree building the one child
+    with each label; sibling labels are pairwise distinct, so every step is
+    forced.  The chain starts at (0, 0): the climb's last parent step, or at
+    n = 5 the constructor, checked that the pentagon has no cross.
+    """
     _require_k2(tri)
     cols = _columns(tri)
     corner = _corner(cols, 2)
@@ -211,21 +212,6 @@ def _label_chain_to_root(tri: KTriangulation) -> list[tuple[int, ...]]:
         corner = _corner(cols, 2)
         chain.append(_label(cols, corner))
     chain.reverse()
-    return chain
-
-
-def to_paths_via_tree(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
-    """Reference implementation through the generating trees.
-
-    Climb from the triangulation to the root recording labels, then walk
-    down the pair tree building the one child with each label; sibling
-    labels are pairwise distinct, so every step is forced.  The descent runs
-    on raw exponent tuples (:func:`ktri.gentree2._pair_child`), and the pair
-    it reaches is checked once, as a :class:`PairEncoding`.
-    """
-    chain = _label_chain_to_root(tri)
-    if chain[0] != (0, 0):
-        raise StructuralError(f"root label {chain[0]} is not (0, 0)")
     pair = ROOT_PAIR.p, ROOT_PAIR.q, ROOT_PAIR.s
     for label, target in zip(chain, chain[1:]):
         pair = _pair_child_by_label(*pair, label, target)
@@ -247,7 +233,7 @@ def from_paths(p: DyckPath, q: DyckPath) -> KTriangulation:
         pair = _pair_up(*pair)
         chain.append(_pair_label(*pair))
     chain.reverse()
-    if chain[0] != (0, 0):
+    if chain[0] != (0, 0):  # the only check that the climb kept the totals
         raise StructuralError(f"root label {chain[0]} is not (0, 0)")
     cols, corner, label = [()] * 6, 2, chain[0]  # the root: the pentagon's columns 0..5
     for target in chain[1:]:

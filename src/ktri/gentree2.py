@@ -70,26 +70,11 @@ def _require_k2(tri: KTriangulation) -> None:
         raise DomainError(f"operation defined for k=2 only, got k={tri.ctx.k}")
 
 
-def _child2_columns(cols: Columns, r: int, u: int, i: int) -> Columns:
-    """The columns of child (u, i) of the node with columns ``cols`` and corner r, unchecked.
-
-    :func:`ktri.gentree_k._grow` with the i-th largest row it offers at u: column u+1 is split
-    after its i highest crosses, or, at u = n-2 and i one past them, the cross (1, u+1) is added.
-    """
-    n = len(cols) - 1
-    if not r <= u <= n - 2:
-        raise DomainError(f"u={u} outside {r}..{n - 2}")
-    rows = _row_options(cols, 2, u)[0]
-    if not 0 <= i < len(rows):
-        raise DomainError(f"i={i} is no split of column {u + 1} with {len(cols[u + 1])} crosses")
-    return _grow(cols, 2, u, (rows[-1 - i],))
-
-
 def _by_split(kids: Iterable[tuple[int, T]]) -> list[tuple[int, int, T]]:
     """(u, i, x) for the (u, x) of one node's children at k = 2, ordered by (u asc, i asc).
 
     ``kids`` come in the order of :func:`ktri.gentree_k._children`; within each
-    u block, i counts the rows from the largest down, as :func:`_child2_columns`
+    u block, i counts the rows from the largest down, as :func:`_child_by_label`
     does, so each block is reversed.
     """
     out: list[tuple[int, int, T]] = []
@@ -113,11 +98,14 @@ def _child_by_label(
     n-gon's holds in column b and b+1.  The child's corner is u: the growth
     step places the short diagonal (u, u+3), and the shifted columns hold no
     row below the node's corner r <= u.  The final :class:`KTriangulation`
-    of a descent checks every cell.
+    of a descent checks every cell.  :func:`_sibling_position` bounds j to
+    1..s = n-1-r and i to 0..d_j + (j = s), so u <= n-2 and i < len(rows):
+    rows holds the d_j rows of column u+1, u-1 and, at u = n-2, 1.
     """
     j, i = _sibling_position(label, target)
     u = r + j - 1
-    child = _child2_columns(cols, r, u, i)
+    rows = _row_options(cols, 2, u)[0]
+    child = _grow(cols, 2, u, (rows[-1 - i],))
     _check_staircase(child, 2, range(u + 1, u + 4))
     got = _label(child, u)
     if got != target:
@@ -134,7 +122,8 @@ def child_by_label(tri: KTriangulation, target: TreeLabel) -> KTriangulation:
     So the position of ``target`` gives (u, i), and only that child is built.
     Its label is checked here; the child invariant is checked for every
     child in :func:`ktri.verify._round_trips`, and the descent as a whole by
-    the inverse round trip in :func:`ktri.verify._bijection`.
+    the inverse round trip in :func:`ktri.verify._bijection`.  It is public,
+    with no caller in the package, as the triangulation tree's step by label.
     """
     _require_k2(tri)
     cols = _columns(tri)
@@ -320,7 +309,8 @@ def pair_child_by_label(enc: PairEncoding, target: TreeLabel) -> PairEncoding:
     entry x of a child in that block is p_{t+1} - i for split_top i,
     p_{t+1} for insert_zero and p_{t+1} + j for split_bottom j, so the
     position x of ``target`` in its block names one choice, and only that
-    child is built (:func:`_pair_child`).  Its label is checked here.
+    child is built (:func:`_pair_child`).  Its label is checked here.  It is
+    public, with no caller in the package, as the pair tree's step by label.
     """
     p, q, _ = _pair_child_by_label(enc.p, enc.q, enc.s, pair_label(enc), target)
     return PairEncoding(p, q)

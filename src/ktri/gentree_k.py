@@ -194,7 +194,8 @@ def anchor_rows(tri: KTriangulation) -> tuple[int, ...]:
     together with the fallback r+i-k.  Each a_i must satisfy a_i <= r+i-k,
     the square (a_i, r+i+1) must be crossed or lie outside the staircase,
     and column r+k may hold no cross below row a_{k-1}; violations are
-    structural errors.
+    structural errors.  Public, with no caller in the package, as the rows
+    that define the parent step, which the tests read on triangulations.
     """
     k = _require_k(tri)
     cols = _columns(tri)

@@ -30,7 +30,6 @@ All arithmetic is exact integer arithmetic; no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, compress, repeat
 from math import comb, isqrt, prod
 from operator import mul, sub
@@ -39,6 +38,7 @@ from typing import Sequence
 from .errors import DomainError, GuardExceeded, StructuralError, _decimal, _guard_value
 
 TUPLE_GUARD = 40
+TUPLE_OBJECT_GUARD = 10**5
 COUNT_BITS_GUARD = 10**6
 
 
@@ -263,11 +263,28 @@ def dominates(p: DyckPath, q: DyckPath) -> bool:
     return p.m == 0 or _pair_fault(p.exponents(), q.exponents(), 1, p.m) is None
 
 
-@lru_cache(maxsize=None)
+def _tuple_guard(m: int, k: int) -> None:
+    """Refuse to list the non-crossing k-tuples of semilength m (k = 1: paths) past a guard.
+
+    At most TUPLE_GUARD for m*k, then at most TUPLE_OBJECT_GUARD tuples,
+    catalan_determinant(m+2k, k) by the product formula without the count
+    guard, as the brute lister counts; KTRI_GUARD overrides both.  There are
+    at least C_m >= 2^(m-1) tuples, so an m past the limit's bit length is
+    refused without a sieve.
+    """
+    limit = _guard_value(TUPLE_GUARD)
+    if m * k > limit:
+        raise GuardExceeded(f"m*k = {m * k} exceeds the tuple guard of {limit}")
+    limit = _guard_value(TUPLE_OBJECT_GUARD)
+    if m > limit.bit_length() or _power_product(*_prime_exponents(m + 2 * k, k)) > limit:
+        raise GuardExceeded(f"path tuple listing of more than {limit} objects refused; lower m")
+
+
 def all_paths(m: int) -> tuple[DyckPath, ...]:
-    """All Dyck paths of semilength m in lexicographic order (N < E)."""
+    """All Dyck paths of semilength m in lexicographic order (N < E), within the tuple guards."""
     if m < 0:
         raise DomainError(f"negative semilength {m}")
+    _tuple_guard(m, 1)
 
     level = [("", 0)]  # (prefix, its N count); extending in order keeps the lex order
     for length in range(2 * m):
@@ -310,12 +327,10 @@ class PathTuple:
 
 
 def enumerate_tuples(m: int, k: int) -> list[PathTuple]:
-    """All non-crossing k-tuples of semilength-m Dyck paths, lex order."""
+    """All non-crossing k-tuples of semilength-m Dyck paths, lex order, within the tuple guards."""
     if m < 1 or k < 1:
         raise DomainError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
-    limit = _guard_value(TUPLE_GUARD)
-    if m * k > limit:
-        raise GuardExceeded(f"m*k = {m * k} exceeds the tuple guard of {limit}")
+    _tuple_guard(m, k)
     paths = all_paths(m)
     chains = [(j,) for j in range(len(paths))]
     if k > 1:  # only a chain's extension reads the table of dominated paths

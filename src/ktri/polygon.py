@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, combinations
 from operator import or_
 from typing import Iterable, Sequence
@@ -89,7 +88,10 @@ def wrap_chord(x: int, y: int, n: int) -> Diagonal:
 
 
 def trivial_diagonals(ctx: PolygonContext) -> frozenset[Diagonal]:
-    """All diagonals that cannot take part in a k-crossing: (a, a+j) for 2 <= j <= k, mod n."""
+    """All diagonals that cannot take part in a k-crossing: (a, a+j) for 2 <= j <= k, mod n.
+
+    Public, with no caller in the package: every k-triangulation holds them besides its cells.
+    """
     out = set()
     for a in range(1, ctx.n + 1):
         for j in range(2, ctx.k + 1):
@@ -97,10 +99,9 @@ def trivial_diagonals(ctx: PolygonContext) -> frozenset[Diagonal]:
     return frozenset(out)
 
 
-@lru_cache(maxsize=None)
 def staircase_cells(ctx: PolygonContext) -> tuple[Diagonal, ...]:
     """Cells (a, b) housing the nontrivial diagonals, ordered by column then row."""
-    if not ctx.diagonal_count:  # the (2k+1)-gon: its k columns are empty
+    if not ctx.diagonal_count:  # the (2k+1)-gon: its k columns are empty, and k may be huge
         return ()
     cells = []
     for b in ctx.columns:
@@ -286,7 +287,7 @@ def complete_to_maximal(dset: DiagonalSet) -> KTriangulation:
 
     Candidate cells are tried in staircase order (column, then row), which
     makes the result deterministic.  Rejects inputs that already contain a
-    (k+1)-crossing.
+    (k+1)-crossing.  Public, with no caller in the package, to complete a hand-made set.
     """
     ctx = dset.ctx
     t = ctx.k + 1

@@ -268,7 +268,10 @@ def run_verify(k: int, n_max: int) -> list[Check]:
     if k < 1 or n_max < 2 * k + 1:
         raise DomainError(f"verify needs k >= 1 and n_max >= 2k+1, got k={k}, n_max={n_max}")
     # _counting counts, then lists, each level in turn: its guards, applied to every
-    # level first, refuse the range at once with the error that the checks would raise
+    # level first, refuse the range at once with the error that the checks would raise.
+    # They bound the tuple listings too: each is tuples(m, kk) with kk <= k and m+2k <= n_max,
+    # and repeating the last path maps it into tuples(m, k), the (m+2k)-gon's objects; m = 1
+    # gives one tuple, which the m*k guard refuses first whenever the limit is below 1.
     for n in range(2 * k + 1, n_max + 1):
         catalan_determinant(n, k)
         _brute_guard(PolygonContext(n, k))

@@ -13,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_14GON, EXAMPLE_14GON_P, EXAMPLE_14GON_Q, random_noncrossing_pair
-from ktri import children_k, corner_k, enumerate_brute, from_paths, pair_children, tree_root
+from ktri import (
+    GuardExceeded,
+    children_k,
+    corner_k,
+    enumerate_brute,
+    from_paths,
+    pair_children,
+    tree_root,
+)
 from ktri.formats import format_pair, format_triangulation
 from ktri.gentree_k import _children
 from ktri.cli import build_parser, main
@@ -447,6 +455,22 @@ class TestVerifyAndRender:
         assert run(capsys, "verify", "--k", "2", "--n-max", "9") == (
             1, "", "error: count needs primes up to 6, past the count guard of 5\n"
         )
+
+    @pytest.mark.parametrize("limit", [0, 2, 5, 8, 14, 20, 42, 100, 1000])
+    def test_verify_refuses_at_once_or_passes_under_any_guard(self, monkeypatch, brute_calls, limit):
+        # the range guards bound every tuple listing too, so no guard refuses mid-run
+        monkeypatch.setenv("KTRI_GUARD", str(limit))
+        for k in (1, 2, 3, 4):
+            n_max = 2 * k + 1
+            while True:
+                brute_calls.clear()
+                try:
+                    checks = run_verify(k, n_max)
+                except GuardExceeded:
+                    assert not brute_calls, (k, n_max)
+                    break
+                assert all(passed for _, passed, _ in checks), checks
+                n_max += 1
 
     def test_verify_k1_runs_no_tree(self, capsys):
         code, out, _ = run(capsys, "verify", "--k", "1", "--n-max", "7")

@@ -19,8 +19,7 @@ from ktri import (
     tree_root,
     verify,
 )
-from ktri.gentree2 import _by_split, _child2_columns
-from ktri.gentree_k import _columns, _corner
+from ktri.gentree2 import _by_split
 
 HEPTAGON_021 = KTriangulation(PolygonContext(7, 2), ((1, 5), (2, 5), (3, 6), (3, 7)))
 
@@ -106,13 +105,6 @@ class TestChildren:
         for target in [(), (0,), (0, 0), (3, 0), (9, 9), (0, 2, 1), (3, 0, 2), (0, 2, 1, 1)]:
             with pytest.raises(StructuralError):
                 child_by_label(HEPTAGON_021, target)
-
-    def test_child2_rejects_unknown_choices(self):
-        # children of the heptagon (0,2,1): u in 3..5, at most three splits per u
-        cols = _columns(HEPTAGON_021)
-        for u, i in [(2, 0), (6, 0), (3, 1), (4, 3), (5, 3), (4, -1)]:
-            with pytest.raises(DomainError):
-                _child2_columns(cols, _corner(cols, 2), u, i)
 
     def test_corner_monotone(self):
         for tri in triangulations(8, 2):

@@ -455,6 +455,9 @@ def test_constructors_refuse_non_canonical_fields(build):
         build()
 
 
+TUPLE_OBJECT_TEXT = "path tuple listing of more than 100000 objects refused; lower m"
+
+
 class TestEnumerateTuples:
     def test_pairs_m2(self):
         got = [tuple(p.steps for p in t.paths) for t in enumerate_tuples(2, 2)]
@@ -484,5 +487,40 @@ class TestEnumerateTuples:
             PathTuple(2, 2, (DyckPath("NNEE"), DyckPath("NE")))
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
+        with pytest.raises(GuardExceeded, match=r"^m\*k = 60 exceeds the tuple guard of 40$"):
             enumerate_tuples(30, 2)
+
+    @pytest.mark.parametrize("m, k", [(20, 1), (13, 3), (12, 1), (8, 2), (7, 3)])
+    def test_object_guard_refuses_before_listing(self, monkeypatch, m, k):
+        # C_20 = 6,564,120,420 paths; (13, 3) would be 694,280,570,551,875 tuples
+        monkeypatch.setattr("ktri.paths.all_paths", lambda m: pytest.fail("paths listed"))
+        with pytest.raises(GuardExceeded, match=f"^{TUPLE_OBJECT_TEXT}$"):
+            enumerate_tuples(m, k)
+
+    def test_all_paths_has_the_tuple_guards(self):
+        with pytest.raises(GuardExceeded, match=f"^{TUPLE_OBJECT_TEXT}$"):
+            all_paths(12)  # 208,012 paths
+        with pytest.raises(GuardExceeded, match=r"^m\*k = 41 exceeds the tuple guard of 40$"):
+            all_paths(41)
+        assert all_paths(0) == (DyckPath(""),)
+
+    def test_object_guard_follows_ktri_guard(self, monkeypatch):
+        # counted by the product formula, so the count guard's own limits never
+        # speak: catalan_determinant would refuse these with its prime sieve guard
+        monkeypatch.setenv("KTRI_GUARD", "6")
+        assert len(enumerate_tuples(2, 2)) == 3 and len(all_paths(3)) == 5
+        for m, k in [(3, 2), (4, 1), (5, 1)]:
+            with pytest.raises(GuardExceeded, match="^path tuple listing of more than 6 objects"):
+                enumerate_tuples(m, k)
+
+    def test_object_guard_sieves_nothing_past_the_limit(self, monkeypatch):
+        # at least C_m >= 2^(m-1) tuples: m = 10^7 is refused without sieving 2*10^7 numbers
+        monkeypatch.setenv("KTRI_GUARD", str(10**8))
+        monkeypatch.setattr("ktri.paths._prime_exponents", lambda n, k: pytest.fail("sieved"))
+        with pytest.raises(GuardExceeded, match="^path tuple listing of more than 100000000 objects"):
+            enumerate_tuples(10**7, 1)
+
+    @pytest.mark.parametrize("m, k", [(7, 2), (11, 1), (6, 3)])
+    def test_largest_admitted_listings(self, m, k):
+        # 40,898, 58,786 and 81,796 objects, each listed in under half a second
+        assert len(enumerate_tuples(m, k)) == catalan_determinant(m + 2 * k, k)

@@ -4,7 +4,9 @@ Each reference is the kernel as it was written before it became a plain
 loop with an early exit.  On every tree node up to the 10-gon (k = 2, 3) and
 the 12-gon (k = 4), and on seeded corrupted columns, the kernel and its
 reference must return equal results or raise the same exception with the
-same text, and every error text must be raised at least once.
+same text, and every error text must be raised at least once.  A finished
+coloring is also checked for what it always holds and no runtime check
+restates.
 """
 
 import random
@@ -15,7 +17,7 @@ import pytest
 
 from conftest import triangulations
 from ktri import KTriangulation, PolygonContext, StructuralError, is_k_triangulation
-from ktri.bijection import BLUE, RED, ColoredDiagram, IterationStep, _color
+from ktri.bijection import BLUE, RED, ColoredDiagram, IterationStep, _color, to_paths
 from ktri.gentree_k import _anchors, _columns, _corner, _nodes, _off_ends
 from ktri.polygon import staircase_cells
 
@@ -114,8 +116,8 @@ def reference_color(tri, flip_ties, trace):
         if trace:
             now = tuple(tuple(b) for b in blocks)
             steps.append(IterationStep(index, r, blue, red, (r - 2, r - 1), now, tuple(absorbed)))
-    # the closing checks of _color cannot fail: each of the n-5 iterations
-    # colors two crosses and merges two of the n-3 blocks
+    # no closing check: each of the n-5 iterations colors two crosses and merges
+    # two of the n-3 blocks (assert_coloring_closes states the outcome)
     return ColoredDiagram(
         tri,
         color,
@@ -214,18 +216,34 @@ def test_corner_anchors_and_ends_on_corrupted_columns(k):
     assert not missing, texts
 
 
+def assert_coloring_closes(colored):
+    """What a finished coloring always holds, which no runtime check restates.
+
+    Every cross is colored, two blocks are left, column 4 has no blue cross
+    and column n no red one.
+    """
+    tri = colored.diagram
+    assert set(colored.color) == set(tri.diagonals)
+    assert len(colored.color) == 2 * (tri.ctx.n - 5)
+    assert len(colored.blocks) == 2
+    assert colored.blue_counts[0] == 0 and colored.red_counts[-1] == 0
+
+
 @pytest.mark.parametrize("flip_ties", [False, True])
 def test_color_on_every_2_triangulation(flip_ties):
     for n in range(5, 11):
         for tri in triangulations(n, 2):
-            assert _color(tri, flip_ties, True) == reference_color(tri, flip_ties, True)
+            colored = _color(tri, flip_ties, True)
+            assert colored == reference_color(tri, flip_ties, True)
             assert _color(tri, flip_ties, False) == reference_color(tri, flip_ties, False)
+            assert_coloring_closes(colored)
 
 
 def test_color_on_corrupted_diagrams():
     # sets of staircase cells of the right size that are no 2-triangulation
     rng = random.Random(92029)
     texts = Counter()
+    closed = 0
     for n in range(6, 11):
         ctx = PolygonContext(n, 2)
         cells = staircase_cells(ctx)
@@ -235,6 +253,31 @@ def test_color_on_corrupted_diagrams():
                 continue
             for flip_ties in (False, True):
                 agree(texts, _color, reference_color, tri, flip_ties, True)
+                colored = outcome(_color, tri, flip_ties, False)
+                if isinstance(colored, ColoredDiagram):
+                    assert_coloring_closes(colored)
+                    closed += 1
     patterns = ["no usable corner block", "to color blue", "to color red"]
     missing = [p for p in patterns if not has_text(texts, p)]
-    assert not missing, texts
+    assert not missing and closed, texts
+
+
+def test_to_paths_refuses_a_non_2_triangulation_only_as_structural():
+    # the crossing-pair check runs before any path is built, so no DomainError
+    # names a path the caller never gave
+    rng = random.Random(92039)
+    outcomes = Counter()
+    for n in range(6, 16):
+        ctx = PolygonContext(n, 2)
+        cells = staircase_cells(ctx)
+        for _ in range(300):
+            tri = KTriangulation(ctx, rng.sample(cells, ctx.diagonal_count))
+            if is_k_triangulation(tri):
+                continue
+            try:
+                to_paths(tri)
+            except StructuralError as exc:
+                outcomes[str(exc)] += 1
+            else:
+                outcomes["mapped"] += 1
+    assert outcomes["colored counts produced a crossing pair"], outcomes
