@@ -15,10 +15,10 @@ from functools import lru_cache
 from .bijection import color_diagram, from_paths, to_paths
 from .errors import DomainError, GuardExceeded, StructuralError, _decimal, _guard_value
 from .formats import (
+    _path_lines,
     diagonal_line,
     format_pair,
     format_triangulation,
-    parse_pair,
     parse_triangulation,
 )
 from .gentree2 import _by_split, _label
@@ -59,9 +59,8 @@ def _cmd_enumerate(args) -> int:
         tris = enumerate_brute(PolygonContext(args.n, args.k))
     else:
         tris = enumerate_tree(args.n, args.k)
-    print(f"k={args.k} n={args.n}")
-    for tri in tris:
-        print(diagonal_line(tri))
+    sys.stdout.write(f"k={args.k} n={args.n}\n")
+    sys.stdout.writelines(f"{diagonal_line(tri)}\n" for tri in tris)
     return 0
 
 
@@ -82,8 +81,7 @@ def _cmd_map(args) -> int:
 
 
 def _cmd_unmap(args) -> int:
-    p, q = parse_pair(_read_input(args.input))
-    tri = from_paths(p, q)
+    tri = from_paths(*_path_lines(_read_input(args.input)))  # the one check of the pair
     sys.stdout.write(format_triangulation(tri))
     return 0
 
@@ -147,8 +145,7 @@ def _cmd_render(args) -> int:
     if first.startswith("k="):
         sys.stdout.write(render_diagram(parse_triangulation(text)))
     else:
-        p, q = parse_pair(text)
-        sys.stdout.write(render_paths(p, q, shifted=args.shifted))
+        sys.stdout.write(render_paths(*_path_lines(text), shifted=args.shifted))
     return 0
 
 

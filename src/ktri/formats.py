@@ -88,9 +88,14 @@ def format_pair(p: DyckPath, q: DyckPath) -> str:
     return f"{p.steps}\n{q.steps}\n"
 
 
-def parse_pair(text: str) -> tuple[DyckPath, DyckPath]:
+def _path_lines(text: str) -> tuple[DyckPath, DyckPath]:
+    """The two paths of a canonical pair text, not yet checked as a pair."""
     upper, lower = _two_lines(text, "expected 2 path lines")
-    p, q = DyckPath(upper), DyckPath(lower)
+    return DyckPath(upper), DyckPath(lower)
+
+
+def parse_pair(text: str) -> tuple[DyckPath, DyckPath]:
+    p, q = _path_lines(text)
     if not dominates(p, q):
         raise DomainError("first path must never go below the second")
     return p, q

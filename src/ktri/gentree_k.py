@@ -14,13 +14,14 @@ the columns too.  A parent step checks the staircase of the columns it
 rebuilds or moves, by their first and last rows, and the parent's size.
 The tree is walked depth first on (columns, corner) pairs by :func:`_nodes`,
 a child carrying its u as its corner: :func:`enumerate_tree` builds a
-:class:`KTriangulation` only for each node of the last level, and
-:func:`count_tree` builds none.  Children are checked only as a
-:class:`KTriangulation` is; the child invariant (maximal, corner u, parent
-round trip) is stated once, in :func:`ktri.verify._round_trips`, which
-walks columns too.  :func:`_children` is the one child lister.  For k = 2
-this is the 2-triangulation tree; :mod:`ktri.gentree2` adds its labels, the
-(u, i) numbering of the children and the descent by label, on columns.
+:class:`KTriangulation` only for each node of the last level, through its
+private door after its own checks, and :func:`count_tree` builds none.
+Children are checked only as a :class:`KTriangulation` is; the child
+invariant (maximal, corner u, parent round trip) is stated once, in
+:func:`ktri.verify._round_trips`, which walks columns too.
+:func:`_children` is the one child lister.  For k = 2 this is the
+2-triangulation tree; :mod:`ktri.gentree2` adds its labels, the (u, i)
+numbering of the children and the descent by label, on columns.
 
 No label calculus exists here: the number of children depends on the
 relative position of crosses across columns, not just on column counts.
@@ -76,10 +77,11 @@ def _cells(cols: Columns) -> list[Diagonal]:
 
 
 def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
-    """The k-triangulation of ``ctx`` whose staircase is ``cols``.
+    """The k-triangulation of ``ctx`` whose staircase is ``cols``, for every caller but the lister.
 
     The constructor sorts the cells and checks their staircase membership and
-    their number, not the absence of a (k+1)-crossing.
+    their number, not the absence of a (k+1)-crossing.  :func:`enumerate_tree`
+    checks its leaves by column instead (:func:`_leaf`).
     """
     return KTriangulation(ctx, _cells(cols))
 
@@ -404,22 +406,42 @@ def _nodes(n: int, k: int) -> Iterable[tuple[Columns, int]]:
     return level
 
 
+def _leaf(cols: Columns, k: int) -> tuple[Diagonal, ...]:
+    """The cells of the staircase ``cols``, sorted, once they are cells of the n-gon and distinct.
+
+    These are the constructor's checks on the same cells, by column: the
+    ends of each column and their count (:func:`_check_staircase`), in O(n),
+    and a set for repeats, which the ends do not see.  The ends bound a
+    column's rows as its rows are sorted, which :func:`_grow` keeps.
+    """
+    _check_staircase(cols, k)
+    leaf = tuple(sorted(_cells(cols)))
+    if len(set(leaf)) != len(leaf):
+        repeat = next(d for d, e in zip(leaf, leaf[1:]) if d == e)
+        raise StructuralError(f"cross {repeat} appears more than once")
+    return leaf
+
+
 def enumerate_tree(n: int, k: int) -> list[KTriangulation]:
     """All k-triangulations of the n-gon, generated from the root by :func:`_nodes`.
 
-    Only the nodes of the n-gon become :class:`KTriangulation` objects, each
-    built once, and they must be exactly the counted number of distinct
-    objects.
+    Only the nodes of the n-gon become :class:`KTriangulation` objects,
+    each built once, through :meth:`KTriangulation._checked`, after
+    :func:`_leaf` has checked its columns on the staircase, its count and
+    that no cell repeats: what the constructor checks.  They must be
+    exactly the counted number of distinct objects, and are sorted by their
+    diagonals.
     """
     expected = _level_size(n, k)
-    ctx = PolygonContext(n, k)
-    tris = [_triangulation(ctx, cols) for cols, _ in _nodes(n, k)]
-    distinct = len({tri.diagonals for tri in tris})
-    if len(tris) != expected or distinct != expected:
+    leaves = [_leaf(cols, k) for cols, _ in _nodes(n, k)]
+    distinct = len(set(leaves))
+    if len(leaves) != expected or distinct != expected:
         raise StructuralError(
-            f"tree level has {len(tris)} children, {distinct} distinct; expected {expected}"
+            f"tree level has {len(leaves)} children, {distinct} distinct; expected {expected}"
         )
-    return sorted(tris, key=lambda tri: tri.diagonals)
+    leaves.sort()
+    ctx = PolygonContext(n, k)
+    return [KTriangulation._checked(ctx, leaf) for leaf in leaves]
 
 
 def count_tree(n: int, k: int) -> int:

@@ -376,10 +376,7 @@ class PairEncoding:
             raise DomainError(f"exponents are no non-crossing pair at position {j}")
         if sum(p) != m - 1:  # then Q_m = m-1 too, as m-1 <= Q_m <= P_m
             raise DomainError(f"upper exponents sum to {sum(p)}, expected {m - 1}")
-        s = 2
-        while s <= m and p[s - 1] * q[s - 1]:
-            s += 1
-        object.__setattr__(self, "s", s)
+        object.__setattr__(self, "s", _split_index(p, q))
 
     @property
     def m(self) -> int:
@@ -394,4 +391,26 @@ class PairEncoding:
 
     @classmethod
     def from_paths(cls, p: DyckPath, q: DyckPath) -> "PairEncoding":
-        return cls(p.exponents(), q.exponents())
+        """The encoding of the Dyck paths p over q, checked once: p must never go below q.
+
+        The exponents of two Dyck paths of one semilength m >= 1 are
+        non-negative, with Q_j >= j-1 and totals m-1, so of the pair invariant
+        only P_j >= Q_j can fail, and the error names it in the paths' terms.
+        """
+        if p.m != q.m:
+            raise DomainError(f"semilength mismatch: {p.m} vs {q.m}")
+        top, bottom = p.exponents(), q.exponents()
+        if _pair_fault(top, bottom, 1, p.m) is not None:
+            raise DomainError("first path must never go below the second")
+        out = object.__new__(cls)
+        for name, value in (("p", top), ("q", bottom), ("s", _split_index(top, bottom))):
+            object.__setattr__(out, name, value)
+        return out
+
+
+def _split_index(p: tuple[int, ...], q: tuple[int, ...]) -> int:
+    """The split index of a non-crossing pair: the least j >= 2 with p_j * q_j = 0, or m+1."""
+    s = 2
+    while s <= len(p) and p[s - 1] * q[s - 1]:
+        s += 1
+    return s

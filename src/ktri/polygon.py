@@ -15,8 +15,10 @@ interiors.  All such sets have exactly k*(n-2k-1) (nontrivial) diagonals
 (k+1)-crossing-free set extends greedily to a maximal one, so a
 crossing-free set of that size is maximal: :func:`is_k_triangulation` tests
 exactly that.  The brute-force lister never assumes the size: it proves
-maximality by its own invariant, and the :class:`KTriangulation`
-constructor asserts the size of every result.
+maximality by its own invariant and checks the size of every result.  Its
+results are built through the private door :meth:`KTriangulation._checked`,
+which checks nothing, as their cells are distinct staircase cells by
+construction; every other caller builds through the public constructor.
 
 Diagonals cross mutually iff they cross pairwise, so a t-crossing is a
 t-clique of the crossing graph.  :func:`has_crossing` and the greedy
@@ -36,7 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, chain, combinations
 from operator import or_
 from typing import Iterable, Sequence
 
@@ -125,17 +127,22 @@ def is_cell(ctx: PolygonContext, d: Diagonal) -> bool:
 
 
 def _check_members(ctx: PolygonContext, diagonals: Iterable[Diagonal]) -> tuple[Diagonal, ...]:
-    """The diagonals sorted, once each is a tuple, a staircase cell and not repeated.
+    """The diagonals sorted, once each is a pair of int, a staircase cell and not repeated.
 
-    The first diagonal that is no tuple is named, else the least that is no
-    cell or is repeated.  Types are checked before the diagonals are sorted
-    or hashed, as a list sorts against a tuple, and hashes, only by raising
-    TypeError.  Distinct cells are accepted without a search for repeats.
+    The first diagonal that is no tuple is named, else the first that is no
+    pair of int (a bool is no int), else the least that is no cell or is
+    repeated.  Types are checked before the diagonals are sorted or hashed,
+    as a list sorts against a tuple, and hashes, only by raising TypeError.
+    Each type test is one set built in C.  Distinct cells are accepted
+    without a search for repeats.
     """
     out = list(diagonals)
     if not {*map(type, out)} <= {tuple}:
         bad = next(d for d in out if type(d) is not tuple)
         raise DomainError(f"diagonal {bad!r} is not a tuple")
+    if not {*map(len, out)} <= {2} or not {*map(type, chain.from_iterable(out))} <= {int}:
+        bad = next(d for d in out if len(d) != 2 or {*map(type, d)} != {int})
+        raise DomainError(f"diagonal {bad!r} is not a pair of int")
     out.sort()
     off = _off_staircase(ctx.n, ctx.k, out)
     if not off and len(set(out)) == len(out):
@@ -171,16 +178,26 @@ class KTriangulation(DiagonalSet):
     k*(n-2k-1) that every k-triangulation has.  A set of that size is one
     exactly when it has no (k+1)-crossing, which :meth:`certified` checks
     too, through :func:`is_k_triangulation`.  It never equals a plain
-    :class:`DiagonalSet` with the same diagonals.
+    :class:`DiagonalSet` with the same diagonals.  The two listers,
+    :func:`enumerate_brute` and :func:`ktri.gentree_k.enumerate_tree`, build
+    through :meth:`_checked` instead, each keeping the checks that its
+    construction does not prove (see each).
     """
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if len(self.diagonals) != self.ctx.diagonal_count:
-            raise DomainError(
-                f"a k-triangulation of the {self.ctx.n}-gon (k={self.ctx.k}) has "
-                f"{self.ctx.diagonal_count} nontrivial diagonals, got {len(self.diagonals)}"
-            )
+        _check_size(self.ctx, len(self.diagonals))
+
+    @classmethod
+    def _checked(cls, ctx: PolygonContext, diagonals: tuple[Diagonal, ...]) -> "KTriangulation":
+        """The k-triangulation of sorted cells that its caller has checked, built unchecked.
+
+        It is equal, and hashes equal, to the one the constructor builds from them.
+        """
+        out = object.__new__(cls)
+        object.__setattr__(out, "ctx", ctx)
+        object.__setattr__(out, "diagonals", diagonals)
+        return out
 
     @classmethod
     def certified(cls, ctx: PolygonContext, diagonals: Iterable[Diagonal]) -> "KTriangulation":
@@ -194,6 +211,15 @@ class KTriangulation(DiagonalSet):
         for _, b in self.diagonals:
             counts[b] = counts.get(b, 0) + 1
         return counts
+
+
+def _check_size(ctx: PolygonContext, count: int) -> None:
+    """The cardinality formula: k(n-2k-1) nontrivial diagonals in a k-triangulation of the n-gon."""
+    if count != ctx.diagonal_count:
+        raise DomainError(
+            f"a k-triangulation of the {ctx.n}-gon (k={ctx.k}) has "
+            f"{ctx.diagonal_count} nontrivial diagonals, got {count}"
+        )
 
 
 def is_t_crossing(diagonals: Sequence[Diagonal]) -> bool:
@@ -306,8 +332,7 @@ def complete_to_maximal(dset: DiagonalSet) -> KTriangulation:
 def _mask_cells(cells: Sequence[Diagonal], mask: int) -> list[Diagonal]:
     """The cells whose bits (by position in ``cells``) are set, in bit order.
 
-    Only the set bits are visited; the :class:`KTriangulation` built from
-    them sorts them.
+    Only the set bits are visited; :func:`enumerate_brute` sorts them.
     """
     out = []
     while mask:
@@ -430,14 +455,18 @@ def enumerate_brute(ctx: PolygonContext) -> list[KTriangulation]:
     blocked within ``included`` and the undecided cells" (blocked: it
     completes a (k+1)-crossing there), pruning a node where excluding a cell
     breaks it.  At a leaf the set is ``included``, so the invariant states
-    that every excluded cell is blocked by the final set: maximality.  A
-    leaf's cells are read off its set bits (:func:`_mask_cells`), and each
-    result is built once, as a :class:`KTriangulation`, whose constructor
-    sorts them and asserts the cardinality formula, never assumed.  Output
-    is sorted lexicographically by the sorted diagonal lists.  The decision
-    order is free, as the invariant holds in any order and the output is
-    sorted; this one visits 37 % of staircase order's nodes at k=2, n=10.
-    The cells and the crossings are listed only once :func:`_brute_guard` has passed.
+    that every excluded cell is blocked by the final set: maximality.  The
+    size of every leaf, its number of set bits, is checked against the
+    cardinality formula, never assumed, and the first leaf in search order
+    with another size is named.  A leaf's cells are read off its set bits
+    (:func:`_mask_cells`) and sorted into a tuple, and the leaves are sorted
+    lexicographically.  Each result is then built once, through
+    :meth:`KTriangulation._checked`: the constructor's other checks hold by
+    construction, as every cell is a staircase cell (:func:`staircase_cells`)
+    and each is read off its own bit, so none repeats.  The decision order
+    is free, as the invariant holds in any order and the output is sorted;
+    this one visits 37 % of staircase order's nodes at k=2, n=10.  The cells
+    and the crossings are listed only once :func:`_brute_guard` has passed.
     """
     m = _brute_guard(ctx)
     cells = sorted(staircase_cells(ctx), key=lambda c: (c[0] - c[1], *c))
@@ -456,9 +485,11 @@ def enumerate_brute(ctx: PolygonContext) -> list[KTriangulation]:
         if include is not None:
             stack.append(include)
 
-    out = [KTriangulation(ctx, _mask_cells(cells, mask)) for mask in results]
-    out.sort(key=lambda tri: tri.diagonals)
-    return out
+    size = ctx.diagonal_count
+    if not {*map(int.bit_count, results)} <= {size}:
+        _check_size(ctx, next(c for c in map(int.bit_count, results) if c != size))
+    leaves = sorted(tuple(sorted(_mask_cells(cells, mask))) for mask in results)
+    return [KTriangulation._checked(ctx, leaf) for leaf in leaves]
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,33 @@ class TestEnumerate:
         _, tree, _ = run(capsys, "enumerate", "--k", "2", "--n", "7", "--method", "tree")
         assert brute == tree
 
+    @pytest.mark.parametrize("method", ["brute", "tree"])
+    @pytest.mark.parametrize(
+        "k,n,digest",
+        [
+            (2, 5, "c69fbf64d83bc414d18ea9583433e1bebaf17a4c3d36c4601a214995ebf56ba6"),
+            (2, 6, "81ae1fb08b6a8082457c47eadc7ab536166b4919e9822e27b7a32ab003b52223"),
+            (2, 7, "c9ac97bf55d0f3f11db383f424479addf0371450a35ffa006a60eb7a0191e068"),
+            (2, 8, "cef29e8aeb1d2f236bf39916f9f98aa5bfec5ac8e7bb49ff27fdc9de351f35a7"),
+            (2, 9, "21cbe25b91317163ae990569dfc590252293217673e9c6d96afdc1cb88aab4e8"),
+            (3, 7, "f508b9b2921222cd0825326b50abe55f84b998cb9ee1bc75ea82fb1224fce334"),
+            (3, 8, "5ee0dbda6bfa48bfcb85ba1359e057b2e79b38c4374302fa7cc795e33fda4275"),
+            (3, 9, "1a852c2b082d184710a1c985e0c220cf443d693ba67904cdc355ff9222b7cce0"),
+            (3, 10, "71675aa9252e101dc46990447a30f2d9219a3446185db2ba8ab848364fca982d"),
+            (4, 9, "cbdb2f75c0871ee891d182fc1e62dbd6b72b5faef20eda67f6f54d6f0a410efe"),
+            (4, 10, "393537cb960d3f99a7aef064040174e316b6e3a27b398303acc2157d704d10a4"),
+            (4, 11, "4f8eb89459917fdb753fa7e56ea174f660c74b0b9f7616dfb3a201a59aed4554"),
+            (4, 12, "194422233d43516534d247b851d81dc910033841cf966c1f5c82d14c6668738d"),
+            (2, 10, "07bbf0091cf86a7c56b193ae3285368bf038bdac5253be05f2694ddb7187150d"),
+        ],
+    )
+    def test_whole_listing_is_pinned(self, capsys, method, k, n, digest):
+        # every byte, at each level of the benchmark's enumerate workload and at k=2, n=10
+        code, out, err = run(capsys, "enumerate", "--k", str(k), "--n", str(n), "--method", method)
+        assert code == 0 and err == ""
+        assert len(out.splitlines()) == catalan_determinant(n, k) + 1
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_tree_guard_names_the_limit(self, capsys, monkeypatch):
         # the level size at n=4000 has more digits than int-to-str prints
         assert run(capsys, "enumerate", "--method", "tree", "--k", "2", "--n", "4000") == (
@@ -183,6 +210,16 @@ class TestMapUnmap:
         assert run(capsys, "unmap", "--input", str(f)) == (
             1, "", "error: first path must never go below the second\n"
         )
+
+    def test_unmap_checks_its_pair_once(self, capsys, tmp_path, monkeypatch):
+        # from_paths checks the pair; the parser's own dominance check is not run on top
+        def refuse(p, q):
+            raise AssertionError("dominates called")
+
+        monkeypatch.setattr("ktri.formats.dominates", refuse)
+        f = tmp_path / "pair.txt"
+        f.write_text("NNEE\nNENE\n")
+        assert run(capsys, "unmap", "--input", str(f)) == (0, "k=2 n=6\n1-4,3-6\n", "")
 
     def test_unmap_rejects_unequal_semilengths(self, capsys, tmp_path):
         f = tmp_path / "bad.txt"

@@ -401,6 +401,50 @@ class TestEnumerateTree:
         with pytest.raises(StructuralError, match="expected 14$"):
             enumerate_tree(7, 2)
 
+    @pytest.mark.parametrize("k,n", [(2, 9), (3, 10), (4, 12)])
+    def test_objects_equal_the_public_constructors(self, k, n):
+        # built without the constructor's checks, each object is the one it builds
+        for tri in enumerate_tree(n, k):
+            public = KTriangulation(tri.ctx, tri.diagonals)
+            assert tri == public and hash(tri) == hash(public)
+            assert type(tri) is KTriangulation and type(tri.diagonals) is tuple
+
+    @staticmethod
+    def _off_last_row(cols):
+        """The first non-empty column b, its last row moved to b-2: off the staircase at k=2."""
+        b = next(b for b, col in enumerate(cols) if col)
+        return cols[:b] + [cols[b][:-1] + (b - 2,)] + cols[b + 1 :]
+
+    @staticmethod
+    def _repeated_row(cols):
+        """The first column of two rows or more with its second row a copy of its first."""
+        b = next((b for b, col in enumerate(cols) if len(col) > 1), None)
+        if b is None:
+            return cols
+        return cols[:b] + [cols[b][:1] + cols[b][:-1]] + cols[b + 1 :]
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            ("_off_last_row", r"^column \d+ rows \(.*\) leave the staircase of the 8-gon$"),
+            ("_repeated_row", r"^cross \(\d+, \d+\) appears more than once$"),
+        ],
+        ids=["off-staircase", "repeated-row"],
+    )
+    def test_each_leaf_is_checked(self, monkeypatch, corrupt, error):
+        # a child maker that puts a leaf's row off the staircase, or twice, is caught
+        corrupt = getattr(self, corrupt)
+
+        def children(cols, k, r):
+            kids = _children(cols, k, r)
+            if len(cols) < 8:  # only the leaves, the children of the 7-gon, are corrupted
+                return kids
+            return [(u, rows, corrupt(child)) for u, rows, child in kids]
+
+        monkeypatch.setattr("ktri.gentree_k._children", children)
+        with pytest.raises(StructuralError, match=error):
+            enumerate_tree(8, 2)
+
 
 class TestColumnWalk:
     @pytest.mark.parametrize("k,n_hi", [(2, 10), (3, 11), (4, 12)])

@@ -387,6 +387,28 @@ class TestPairEncoding:
         with pytest.raises(DomainError):
             PairEncoding.from_paths(DyckPath("NENE"), DyckPath("NNEE"))
 
+    @pytest.mark.parametrize(
+        "upper, lower, error",
+        [
+            ("NENE", "NNEE", "^first path must never go below the second$"),
+            ("NE", "NNEE", "^semilength mismatch: 1 vs 2$"),
+            ("", "", "^the empty path has no exponent form$"),
+        ],
+        ids=["crossing", "unequal", "empty"],
+    )
+    def test_from_paths_names_the_fault_in_the_paths_terms(self, upper, lower, error):
+        with pytest.raises(DomainError, match=error):
+            PairEncoding.from_paths(DyckPath(upper), DyckPath(lower))
+
+    def test_from_paths_is_the_constructors_encoding(self):
+        # built past the constructor's check, with the split index the constructor finds
+        for m in range(1, 6):
+            for p, q in product(all_paths(m), repeat=2):
+                if dominates(p, q):
+                    enc = PairEncoding.from_paths(p, q)
+                    public = PairEncoding(p.exponents(), q.exponents())
+                    assert enc == public and hash(enc) == hash(public) and enc.s == public.s
+
     def test_s_bounds(self):
         for m in range(1, 6):
             for p, q in product(all_paths(m), repeat=2):

@@ -149,12 +149,16 @@ class TestMemberCheck:
         "diagonals, error, text",
         [
             ((5, 7), DomainError, "^diagonal 5 is not a tuple$"),
-            (TRI[:-1] + ((1, 5, 9),), ValueError, r"too many values to unpack \(expected 2\)"),
+            (TRI[:-1] + ((1, 5, 9),), DomainError, r"^diagonal \(1, 5, 9\) is not a pair of int$"),
+            (TRI[:-1] + ((2,),), DomainError, r"^diagonal \(2,\) is not a pair of int$"),
+            (TRI[1:] + ((1.0, 4),), DomainError, r"^diagonal \(1\.0, 4\) is not a pair of int$"),
+            (TRI[1:] + ((True, 4),), DomainError, r"^diagonal \(True, 4\) is not a pair of int$"),
             (None, TypeError, "'NoneType' object is not iterable"),
         ],
-        ids=["int", "triple", "none"],
+        ids=["int", "triple", "single", "float", "bool", "none"],
     )
     def test_items_that_are_no_pair(self, diagonals, error, text):
+        # a float or a bool sorts and hashes as the int it equals; refused all the same
         with pytest.raises(error, match=text):
             KTriangulation(self.CTX, diagonals)
 
@@ -318,6 +322,26 @@ class TestEnumerateBrute:
     def test_k1_is_catalan(self):
         for n in range(3, 8):
             assert len(triangulations(n, 1)) == catalan(n - 2)
+
+    @pytest.mark.parametrize("k,n", [(1, 7), (2, 9), (3, 10), (4, 12)])
+    def test_results_equal_the_public_constructors(self, k, n):
+        # built without the constructor's checks, each result is the object it builds
+        for tri in triangulations(n, k):
+            public = KTriangulation(tri.ctx, tri.diagonals)
+            assert tri == public and hash(tri) == hash(public)
+            assert type(tri) is KTriangulation and type(tri.diagonals) is tuple
+
+    def test_size_of_every_leaf_is_checked(self, monkeypatch):
+        # with no crossing listed, every cell is included: one leaf of all 7 cells
+        monkeypatch.setattr(
+            "ktri.polygon._crossing_table",
+            lambda ctx, cells: ((0,) * len(cells), (0,) * (len(cells) + 1), (0,) * len(cells)),
+        )
+        with pytest.raises(
+            DomainError,
+            match=r"^a k-triangulation of the 7-gon \(k=2\) has 4 nontrivial diagonals, got 7$",
+        ):
+            enumerate_brute(PolygonContext(7, 2))
 
     def test_all_results_verified_distinct(self):
         tris = triangulations(7, 2)
