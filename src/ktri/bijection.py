@@ -18,9 +18,9 @@ descends the triangulation tree building one child per level, the one whose
 label matches (sibling labels are distinct and their order is fixed by the
 succession rule).  The descent carries the staircase by column, the corner
 and the label of the current node, and builds one :class:`KTriangulation`,
-at the end, which checks every cell; each step checks the child's label,
-the columns it rebuilds and its size, and :func:`ktri.verify._bijection`
-checks both maps and the inverse on every object in its range.
+at the end, checking every cell by column but running no crossing search;
+each step checks the child's label, the columns it rebuilds and its size,
+and :func:`ktri.verify._bijection` checks both maps and the inverse.
 
 Tie-break conventions are fixed: when several crosses in one column tie for
 blue, the lowest (largest row) is taken, and for red the highest; per-column
@@ -186,6 +186,10 @@ def to_paths(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
     from column 4 (in block 1 until absorbed), and red from block r-2 or the
     absorbed block, never from the last (column n), as r <= len(blocks).  So
     each tuple sums to m-1, and both are Dyck paths once _pair_fault passes.
+
+    The input is a 2-triangulation by construction (the public constructor
+    certifies, the trees build only their nodes), so the crossing-pair
+    StructuralError is a bug check, as those of the coloring are.
     """
     colored = _color(tri, flip_ties=False, trace=False)
     p, q = colored.blue_counts[:0:-1], colored.red_counts[-2::-1]

@@ -9,7 +9,7 @@ The triangulation tree is the k = 2 case of :mod:`ktri.gentree_k`, which
 holds its corner, parent, growth step and child lister, all on columns.
 This module adds what is specific to k = 2: the labels, the (u, i)
 numbering of a node's children (:func:`_by_split`), the pair tree, and the
-one-child descent by label in both trees.  Children are built unchecked;
+one-child descent by label in both trees.  Children run no crossing search;
 their invariants are stated once, in :mod:`ktri.verify`.
 
 A descent step by label (:func:`_child_by_label`) maps a node's columns,
@@ -98,7 +98,7 @@ def _child_by_label(
     n-gon's holds in column b and b+1.  The child's corner is u: the growth
     step places the short diagonal (u, u+3), and the shifted columns hold no
     row below the node's corner r <= u.  The final :class:`KTriangulation`
-    of a descent checks every cell.  :func:`_sibling_position` bounds j to
+    of a descent checks every cell by column.  :func:`_sibling_position` bounds j to
     1..s = n-1-r and i to 0..d_j + (j = s), so u <= n-2 and i < len(rows):
     rows holds the d_j rows of column u+1, u-1 and, at u = n-2, 1.
     """

@@ -14,9 +14,9 @@ the columns too.  A parent step checks the staircase of the columns it
 rebuilds or moves, by their first and last rows, and the parent's size.
 The tree is walked depth first on (columns, corner) pairs by :func:`_nodes`,
 a child carrying its u as its corner: :func:`enumerate_tree` builds a
-:class:`KTriangulation` only for each node of the last level, through its
-private door after its own checks, and :func:`count_tree` builds none.
-Children are checked only as a :class:`KTriangulation` is; the child
+:class:`KTriangulation` only for each node of the last level, and
+:func:`count_tree` builds none.  Every object built from columns passes
+:func:`_leaf` and no crossing search (:func:`_triangulation`); the child
 invariant (maximal, corner u, parent round trip) is stated once, in
 :func:`ktri.verify._round_trips`, which walks columns too.
 :func:`_children` is the one child lister.  For k = 2 this is the
@@ -29,6 +29,7 @@ relative position of crosses across columns, not just on column counts.
 
 from __future__ import annotations
 
+import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -39,8 +40,9 @@ from .paths import catalan_determinant
 from .polygon import Diagonal, KTriangulation, PolygonContext, _off_staircase
 
 TREE_COUNT_GUARD = 10**6
-# The most diagonals `children_k` lists, over all children of one node.
-CHILDREN_GUARD = 10**6
+# The most diagonals a listing writes: all children of one node (`children_k`), one
+# tree level (`enumerate_tree`) or the whole tree dump (the `tree` verb).
+DIAGONAL_GUARD = 10**6
 
 Columns = list[tuple[int, ...]]
 """A staircase by column: entry b (0 <= b <= n) is the sorted tuple of the rows of
@@ -76,16 +78,6 @@ def _cells(cols: Columns) -> list[Diagonal]:
     return [(a, b) for b, col in enumerate(cols) for a in col]
 
 
-def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
-    """The k-triangulation of ``ctx`` whose staircase is ``cols``, for every caller but the lister.
-
-    The constructor sorts the cells and checks their staircase membership and
-    their number, not the absence of a (k+1)-crossing.  :func:`enumerate_tree`
-    checks its leaves by column instead (:func:`_leaf`).
-    """
-    return KTriangulation(ctx, _cells(cols))
-
-
 def _off_ends(cols: Columns, k: int, columns: range) -> bool:
     """True iff a column of ``columns`` of ``cols`` leaves the staircase of the n-gon.
 
@@ -119,6 +111,32 @@ def _check_staircase(cols: Columns, k: int, columns: range | None = None) -> Non
     count = sum(map(len, cols))
     if count != k * (n - 2 * k - 1):
         raise StructuralError(f"{count} crosses on the {n}-gon, expected {k * (n - 2 * k - 1)}")
+
+
+def _leaf(cols: Columns, k: int) -> tuple[Diagonal, ...]:
+    """The cells of the staircase ``cols``, sorted, once they are cells of the n-gon and distinct.
+
+    These are the constructor's checks but its crossing search, by column:
+    the ends of each column and their count (:func:`_check_staircase`), in
+    O(n), and a set for repeats, which the ends do not see.  The ends bound
+    a column's rows as :func:`_grow` and :func:`_parent` keep them sorted.
+    """
+    _check_staircase(cols, k)
+    leaf = tuple(sorted(_cells(cols)))
+    if len(set(leaf)) != len(leaf):
+        repeat = next(d for d, e in zip(leaf, leaf[1:]) if d == e)
+        raise StructuralError(f"cross {repeat} appears more than once")
+    return leaf
+
+
+def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
+    """The k-triangulation of ``ctx`` whose staircase is ``cols``, a node of the tree.
+
+    Its cells pass :func:`_leaf`, the lister's column check, and no crossing
+    search: the tree steps map k-triangulations to k-triangulations, which
+    :func:`ktri.verify._round_trips` checks on every child in its range.
+    """
+    return KTriangulation._checked(ctx, _leaf(cols, ctx.k))
 
 
 def _corner(cols: Columns, k: int) -> int:
@@ -359,15 +377,13 @@ def _child_count(cols: Columns, k: int, r: int) -> int:
 def children_k(tri: KTriangulation) -> tuple[tuple[GrowthChoiceK, KTriangulation], ...]:
     """All children of a k-triangulation, ordered by (u asc, rows lex asc): :func:`_children`.
 
-    None is grown if they hold more than ``CHILDREN_GUARD`` diagonals, k(n-2k) each.
+    None is grown if they hold more than ``DIAGONAL_GUARD`` diagonals, k(n-2k) each.
     """
     k = _require_k(tri)
     n = tri.ctx.n
     cols = _columns(tri)
     r = _corner(cols, k)
-    limit = _guard_value(CHILDREN_GUARD)
-    if _child_count(cols, k, r) * k * (n - 2 * k) > limit:
-        raise GuardExceeded(f"children listing of more than {limit} diagonals refused; lower n")
+    _written_guard(_child_count(cols, k, r) * k * (n - 2 * k), "children listing")
     ctx = PolygonContext(n + 1, k)
     return tuple(
         (GrowthChoiceK(u, rows), _triangulation(ctx, child))
@@ -377,6 +393,20 @@ def children_k(tri: KTriangulation) -> tuple[tuple[GrowthChoiceK, KTriangulation
 
 def tree_root(k: int) -> KTriangulation:
     return KTriangulation(PolygonContext(2 * k + 1, k), ())
+
+
+def _written_guard(diagonals: int, listing: str, tree: bool = False) -> None:
+    """GuardExceeded if a listing writes more than ``DIAGONAL_GUARD`` diagonals.
+
+    KTRI_GUARD overrides the bound, but lifts it from a tree listing or dump
+    (``tree``): the object guards it sets then bound those alone, so a level
+    of at most KTRI_GUARD objects is listed whatever their size.
+    """
+    if tree and os.environ.get("KTRI_GUARD"):
+        return
+    limit = _guard_value(DIAGONAL_GUARD)
+    if diagonals > limit:
+        raise GuardExceeded(f"{listing} of more than {limit} diagonals refused; lower n")
 
 
 def _level_size(n: int, k: int) -> int:
@@ -406,33 +436,19 @@ def _nodes(n: int, k: int) -> Iterable[tuple[Columns, int]]:
     return level
 
 
-def _leaf(cols: Columns, k: int) -> tuple[Diagonal, ...]:
-    """The cells of the staircase ``cols``, sorted, once they are cells of the n-gon and distinct.
-
-    These are the constructor's checks on the same cells, by column: the
-    ends of each column and their count (:func:`_check_staircase`), in O(n),
-    and a set for repeats, which the ends do not see.  The ends bound a
-    column's rows as its rows are sorted, which :func:`_grow` keeps.
-    """
-    _check_staircase(cols, k)
-    leaf = tuple(sorted(_cells(cols)))
-    if len(set(leaf)) != len(leaf):
-        repeat = next(d for d, e in zip(leaf, leaf[1:]) if d == e)
-        raise StructuralError(f"cross {repeat} appears more than once")
-    return leaf
-
-
 def enumerate_tree(n: int, k: int) -> list[KTriangulation]:
     """All k-triangulations of the n-gon, generated from the root by :func:`_nodes`.
 
-    Only the nodes of the n-gon become :class:`KTriangulation` objects,
-    each built once, through :meth:`KTriangulation._checked`, after
-    :func:`_leaf` has checked its columns on the staircase, its count and
-    that no cell repeats: what the constructor checks.  They must be
-    exactly the counted number of distinct objects, and are sorted by their
-    diagonals.
+    The level is walked only once its objects, and the k(n-2k-1) diagonals
+    of each, pass their guards.  Only the nodes of the n-gon become
+    :class:`KTriangulation` objects, each built once, through
+    :meth:`KTriangulation._checked`, after :func:`_leaf` has checked its
+    columns on the staircase, its count and that no cell repeats: what the
+    constructor checks but its crossing search.  They must be exactly the
+    counted number of distinct objects, and are sorted by their diagonals.
     """
     expected = _level_size(n, k)
+    _written_guard(expected * k * (n - 2 * k - 1), "tree listing", tree=True)
     leaves = [_leaf(cols, k) for cols, _ in _nodes(n, k)]
     distinct = len(set(leaves))
     if len(leaves) != expected or distinct != expected:

@@ -13,12 +13,12 @@ A k-triangulation is a maximal set of diagonals containing no
 interiors.  All such sets have exactly k*(n-2k-1) (nontrivial) diagonals
 (Nakamigawa 2000; Dress, Koolen and Moulton 2002), and every
 (k+1)-crossing-free set extends greedily to a maximal one, so a
-crossing-free set of that size is maximal: :func:`is_k_triangulation` tests
-exactly that.  The brute-force lister never assumes the size: it proves
-maximality by its own invariant and checks the size of every result.  Its
-results are built through the private door :meth:`KTriangulation._checked`,
-which checks nothing, as their cells are distinct staircase cells by
-construction; every other caller builds through the public constructor.
+crossing-free set of that size is maximal: :func:`is_k_triangulation` and
+the :class:`KTriangulation` constructor test exactly that.  The brute-force
+lister never assumes the size: it proves maximality by its own invariant
+and checks the size of every result.  Its results, and the tree's nodes
+(:mod:`ktri.gentree_k`), go through the private door
+:meth:`KTriangulation._checked`, which checks nothing.
 
 Diagonals cross mutually iff they cross pairwise, so a t-crossing is a
 t-clique of the crossing graph.  :func:`has_crossing` and the greedy
@@ -174,23 +174,25 @@ class DiagonalSet:
 class KTriangulation(DiagonalSet):
     """A maximal (k+1)-crossing-free diagonal set.
 
-    The constructor checks membership in the staircase array and the size
-    k*(n-2k-1) that every k-triangulation has.  A set of that size is one
-    exactly when it has no (k+1)-crossing, which :meth:`certified` checks
-    too, through :func:`is_k_triangulation`.  It never equals a plain
-    :class:`DiagonalSet` with the same diagonals.  The two listers,
-    :func:`enumerate_brute` and :func:`ktri.gentree_k.enumerate_tree`, build
-    through :meth:`_checked` instead, each keeping the checks that its
-    construction does not prove (see each).
+    The constructor checks, in this order, that the diagonals are distinct
+    staircase cells, that they number k*(n-2k-1) and that no k+1 of them
+    mutually cross, so every object it builds is a k-triangulation.  It
+    never equals a plain :class:`DiagonalSet` with the same diagonals.  The
+    two listers, :func:`enumerate_brute` and
+    :func:`ktri.gentree_k.enumerate_tree`, and the tree steps build through
+    :meth:`_checked` instead, each keeping the checks that its construction
+    does not prove (see each).
     """
 
     def __post_init__(self) -> None:
         super().__post_init__()
         _check_size(self.ctx, len(self.diagonals))
+        if has_crossing(self.diagonals, self.ctx.k + 1):
+            raise DomainError("diagonal set is not a k-triangulation")
 
     @classmethod
     def _checked(cls, ctx: PolygonContext, diagonals: tuple[Diagonal, ...]) -> "KTriangulation":
-        """The k-triangulation of sorted cells that its caller has checked, built unchecked.
+        """The k-triangulation of sorted cells its caller has shown to be one, built unchecked.
 
         It is equal, and hashes equal, to the one the constructor builds from them.
         """
@@ -198,13 +200,6 @@ class KTriangulation(DiagonalSet):
         object.__setattr__(out, "ctx", ctx)
         object.__setattr__(out, "diagonals", diagonals)
         return out
-
-    @classmethod
-    def certified(cls, ctx: PolygonContext, diagonals: Iterable[Diagonal]) -> "KTriangulation":
-        candidate = DiagonalSet(ctx, tuple(diagonals))
-        if not is_k_triangulation(candidate):
-            raise DomainError("diagonal set is not a k-triangulation")
-        return cls(ctx, candidate.diagonals)
 
     def column_counts(self) -> dict[int, int]:
         counts: dict[int, int] = {}

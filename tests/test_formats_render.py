@@ -27,6 +27,22 @@ class TestTriangulationFormat:
         big = example_14gon()
         assert parse_triangulation(format_triangulation(big)) == big
 
+    def test_parse_checks_the_members_once(self, monkeypatch):
+        import ktri.polygon
+
+        calls = []
+        check = ktri.polygon._check_members
+
+        def counted(ctx, diagonals):
+            calls.append(ctx)
+            return check(ctx, diagonals)
+
+        monkeypatch.setattr(ktri.polygon, "_check_members", counted)
+        assert parse_triangulation("k=2 n=7\n1-4,1-5,2-5,2-6\n").diagonals == (
+            (1, 4), (1, 5), (2, 5), (2, 6)
+        )
+        assert len(calls) == 1
+
     def test_parse_rejects_bad_input(self):
         with pytest.raises(DomainError):
             parse_triangulation("k=2 n=6\n1-4\n")  # not maximal

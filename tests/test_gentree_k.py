@@ -256,7 +256,7 @@ def set_parent_k(tri):
         raise StructuralError(
             f"parent has {len(new_set)} crosses, expected {ctx2.diagonal_count}"
         )
-    return KTriangulation(ctx2, tuple(sorted(new_set)))
+    return KTriangulation._checked(ctx2, tuple(sorted(new_set)))
 
 
 def _outcome(step, tri):
@@ -296,7 +296,7 @@ class TestParentStep:
                     diagonals = list(rng.choice(nodes).diagonals)
                     diagonals.remove(rng.choice(diagonals))
                     diagonals.append(rng.choice([c for c in cells if c not in diagonals]))
-                tri = KTriangulation(ctx, tuple(sorted(diagonals)))
+                tri = KTriangulation._checked(ctx, tuple(sorted(diagonals)))
                 if is_k_triangulation(tri):
                     continue
                 assert _outcome(anchor_rows, tri) == _outcome(set_anchor_rows, tri)
@@ -387,6 +387,16 @@ class TestEnumerateTree:
         monkeypatch.setenv("KTRI_GUARD", "100")
         with pytest.raises(GuardExceeded, match="^tree level of more than 100 objects"):
             enumerate_tree(12, 3)
+
+    def test_diagonal_guard_is_lifted_by_ktri_guard(self, monkeypatch):
+        # 1,001 objects of 1,000 diagonals: refused by default, walked under
+        # KTRI_GUARD (at 2,002, the count's sieve limit), whose object guard admits them
+        monkeypatch.setattr("ktri.gentree_k._nodes", lambda n, k: iter(()))
+        with pytest.raises(DomainError, match="^tree listing of more than 1000000 diagonals"):
+            enumerate_tree(2002, 1000)
+        monkeypatch.setenv("KTRI_GUARD", "2002")
+        with pytest.raises(StructuralError, match="expected 1001$"):
+            enumerate_tree(2002, 1000)
 
     @pytest.mark.parametrize(
         "corrupt",

@@ -266,11 +266,36 @@ class TestIsKTriangulation:
 
     def test_certified_and_cardinality_guard(self):
         ctx = PolygonContext(6, 2)
-        KTriangulation.certified(ctx, ((1, 4), (2, 5)))
+        KTriangulation(ctx, ((1, 4), (2, 5)))
         with pytest.raises(DomainError):
-            KTriangulation.certified(ctx, ((1, 4), (3, 6), (2, 5)))
+            KTriangulation(ctx, ((1, 4), (3, 6), (2, 5)))
         with pytest.raises(DomainError):
             KTriangulation(ctx, ((1, 4),))  # wrong cardinality rejected up front
+
+    def test_constructor_refuses_the_heptagon_set_with_a_3_crossing(self):
+        with pytest.raises(DomainError, match="^diagonal set is not a k-triangulation$"):
+            KTriangulation(PolygonContext(7, 2), [(1, 4), (2, 5), (3, 6), (4, 7)])
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_constructor_refuses_every_same_size_non_triangulation(self, k):
+        # seeded staircase sets of the size of a k-triangulation: the constructor
+        # builds exactly those that are one, and refuses the rest by the crossing text
+        rng = random.Random(22000 + k)
+        refusal = "^diagonal set is not a k-triangulation$"
+        verdicts = Counter()
+        for n in range(2 * k + 2, 2 * k + 8):
+            ctx = PolygonContext(n, k)
+            cells = staircase_cells(ctx)
+            for _ in range(150):
+                sample = rng.sample(cells, ctx.diagonal_count)
+                verdict = is_k_triangulation(DiagonalSet(ctx, sample))
+                if verdict:
+                    assert KTriangulation(ctx, sample).diagonals == tuple(sorted(sample))
+                else:
+                    with pytest.raises(DomainError, match=refusal):
+                        KTriangulation(ctx, sample)
+                verdicts[verdict] += 1
+        assert verdicts[True] and verdicts[False]
 
 
 class TestCompleteToMaximal:

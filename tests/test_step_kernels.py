@@ -248,7 +248,7 @@ def test_color_on_corrupted_diagrams():
         ctx = PolygonContext(n, 2)
         cells = staircase_cells(ctx)
         for _ in range(200):
-            tri = KTriangulation(ctx, rng.sample(cells, ctx.diagonal_count))
+            tri = KTriangulation._checked(ctx, tuple(sorted(rng.sample(cells, ctx.diagonal_count))))
             if is_k_triangulation(tri):
                 continue
             for flip_ties in (False, True):
@@ -271,7 +271,7 @@ def test_to_paths_refuses_a_non_2_triangulation_only_as_structural():
         ctx = PolygonContext(n, 2)
         cells = staircase_cells(ctx)
         for _ in range(300):
-            tri = KTriangulation(ctx, rng.sample(cells, ctx.diagonal_count))
+            tri = KTriangulation._checked(ctx, tuple(sorted(rng.sample(cells, ctx.diagonal_count))))
             if is_k_triangulation(tri):
                 continue
             try:
