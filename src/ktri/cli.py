@@ -22,15 +22,7 @@ from .formats import (
     parse_triangulation,
 )
 from .gentree2 import _by_split, _label
-from .gentree_k import (
-    _children,
-    _triangulation,
-    _written_guard,
-    children_k,
-    count_tree,
-    enumerate_tree,
-    parent_k,
-)
+from .gentree_k import _children, _triangulation, children_k, count_tree, enumerate_tree, parent_k
 from .paths import catalan_determinant
 from .polygon import PolygonContext, enumerate_brute
 from .render import render_diagram, render_paths
@@ -132,10 +124,6 @@ def _cmd_tree(args) -> int:
     limit = _guard_value(TREE_DUMP_GUARD)
     if catalan_determinant(args.n, k) > limit:
         raise GuardExceeded(f"tree dump of more than {limit} leaves refused; lower n")
-    written = sum(
-        catalan_determinant(m, k) * k * (m - 2 * k - 1) for m in range(2 * k + 2, args.n + 1)
-    )
-    _written_guard(written, "tree dump", tree=True)
     walk([()] * (2 * k + 2), k, 0)
     return 0
 

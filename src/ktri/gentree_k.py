@@ -29,7 +29,6 @@ relative position of crosses across columns, not just on column counts.
 
 from __future__ import annotations
 
-import os
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -40,9 +39,8 @@ from .paths import catalan_determinant
 from .polygon import Diagonal, KTriangulation, PolygonContext, _off_staircase
 
 TREE_COUNT_GUARD = 10**6
-# The most diagonals a listing writes: all children of one node (`children_k`), one
-# tree level (`enumerate_tree`) or the whole tree dump (the `tree` verb).
-DIAGONAL_GUARD = 10**6
+# The most diagonals `children_k` lists, over all children of one node.
+CHILDREN_GUARD = 10**6
 
 Columns = list[tuple[int, ...]]
 """A staircase by column: entry b (0 <= b <= n) is the sorted tuple of the rows of
@@ -377,13 +375,15 @@ def _child_count(cols: Columns, k: int, r: int) -> int:
 def children_k(tri: KTriangulation) -> tuple[tuple[GrowthChoiceK, KTriangulation], ...]:
     """All children of a k-triangulation, ordered by (u asc, rows lex asc): :func:`_children`.
 
-    None is grown if they hold more than ``DIAGONAL_GUARD`` diagonals, k(n-2k) each.
+    None is grown if they hold more than ``CHILDREN_GUARD`` diagonals, k(n-2k) each.
     """
     k = _require_k(tri)
     n = tri.ctx.n
     cols = _columns(tri)
     r = _corner(cols, k)
-    _written_guard(_child_count(cols, k, r) * k * (n - 2 * k), "children listing")
+    limit = _guard_value(CHILDREN_GUARD)
+    if _child_count(cols, k, r) * k * (n - 2 * k) > limit:
+        raise GuardExceeded(f"children listing of more than {limit} diagonals refused; lower n")
     ctx = PolygonContext(n + 1, k)
     return tuple(
         (GrowthChoiceK(u, rows), _triangulation(ctx, child))
@@ -393,20 +393,6 @@ def children_k(tri: KTriangulation) -> tuple[tuple[GrowthChoiceK, KTriangulation
 
 def tree_root(k: int) -> KTriangulation:
     return KTriangulation(PolygonContext(2 * k + 1, k), ())
-
-
-def _written_guard(diagonals: int, listing: str, tree: bool = False) -> None:
-    """GuardExceeded if a listing writes more than ``DIAGONAL_GUARD`` diagonals.
-
-    KTRI_GUARD overrides the bound, but lifts it from a tree listing or dump
-    (``tree``): the object guards it sets then bound those alone, so a level
-    of at most KTRI_GUARD objects is listed whatever their size.
-    """
-    if tree and os.environ.get("KTRI_GUARD"):
-        return
-    limit = _guard_value(DIAGONAL_GUARD)
-    if diagonals > limit:
-        raise GuardExceeded(f"{listing} of more than {limit} diagonals refused; lower n")
 
 
 def _level_size(n: int, k: int) -> int:
@@ -439,16 +425,14 @@ def _nodes(n: int, k: int) -> Iterable[tuple[Columns, int]]:
 def enumerate_tree(n: int, k: int) -> list[KTriangulation]:
     """All k-triangulations of the n-gon, generated from the root by :func:`_nodes`.
 
-    The level is walked only once its objects, and the k(n-2k-1) diagonals
-    of each, pass their guards.  Only the nodes of the n-gon become
-    :class:`KTriangulation` objects, each built once, through
-    :meth:`KTriangulation._checked`, after :func:`_leaf` has checked its
-    columns on the staircase, its count and that no cell repeats: what the
-    constructor checks but its crossing search.  They must be exactly the
-    counted number of distinct objects, and are sorted by their diagonals.
+    Only the nodes of the n-gon become :class:`KTriangulation` objects,
+    each built once, through :meth:`KTriangulation._checked`, after
+    :func:`_leaf` has checked its columns on the staircase, its count and
+    that no cell repeats: what the constructor checks but its crossing
+    search.  They must be exactly the counted number of distinct objects,
+    and are sorted by their diagonals.
     """
     expected = _level_size(n, k)
-    _written_guard(expected * k * (n - 2 * k - 1), "tree listing", tree=True)
     leaves = [_leaf(cols, k) for cols, _ in _nodes(n, k)]
     distinct = len(set(leaves))
     if len(leaves) != expected or distinct != expected:

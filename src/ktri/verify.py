@@ -24,10 +24,9 @@ from .gentree_k import (
     _children,
     _columns,
     _corner,
-    _leaf,
-    _nodes,
     _parent,
     corner_k,
+    enumerate_tree,
     parent_k,
     tree_root,
 )
@@ -67,8 +66,8 @@ def _counting(k: int, n_max: int, brute: Lister) -> Check:
         if len(listed) != det:
             return ("counting", False, f"brute count {len(listed)} != det {det} at n={n}")
         if k >= 2:
-            # the tree's leaves, unguarded: the brute guards admitted a level of their number
-            if sorted(_leaf(cols, k) for cols, _ in _nodes(n, k)) != [t.diagonals for t in listed]:
+            tree = enumerate_tree(n, k)
+            if [t.diagonals for t in tree] != [t.diagonals for t in listed]:
                 return ("counting", False, f"tree and brute enumerations differ at n={n}")
     methods = "det = brute = tree" if k >= 2 else "det = brute"
     return ("counting", True, f"k={k}, n<={n_max}: {methods}")

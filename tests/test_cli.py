@@ -145,17 +145,6 @@ class TestEnumerate:
         assert len(out.splitlines()) == catalan_determinant(n, k) + 1
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
-    def test_tree_guard_counts_the_diagonals_before_walking(self, capsys, monkeypatch):
-        # 1,001 objects of 1,000 diagonals; 81,796 objects of 15 at k=3, n=12
-        def walked(*args):
-            raise AssertionError("the tree was walked past the guard")
-
-        monkeypatch.setattr("ktri.gentree_k._children", walked)
-        for k, n in ((1000, 2002), (3, 12)):
-            assert run(capsys, "enumerate", "--method", "tree", "--k", str(k), "--n", str(n)) == (
-                1, "", "error: tree listing of more than 1000000 diagonals refused; lower n\n"
-            )
-
     def test_tree_guard_names_the_limit(self, capsys, monkeypatch):
         # the level size at n=4000 has more digits than int-to-str prints
         assert run(capsys, "enumerate", "--method", "tree", "--k", "2", "--n", "4000") == (
@@ -444,16 +433,6 @@ class TestTree:
             1, "", "error: generating tree defined for k >= 2, got k=1\n"
         )
 
-    def test_diagonal_guard_counts_before_walking(self, capsys, monkeypatch):
-        # 1,001 leaves, under the leaf guard, of 1,000 diagonals each
-        def walked(*args):
-            raise AssertionError("the tree was walked past the guard")
-
-        monkeypatch.setattr("ktri.cli._children", walked)
-        assert run(capsys, "tree", "--k", "1000", "--n", "2002") == (
-            1, "", "error: tree dump of more than 1000000 diagonals refused; lower n\n"
-        )
-
     def test_guard(self, capsys, monkeypatch):
         # 40,898 leaves at n=11 pass the default of 10**5; 379,236 at n=12 do not
         assert run(capsys, "tree", "--k", "2", "--n", "12") == (
@@ -543,16 +522,6 @@ class TestVerifyAndRender:
                     break
                 assert all(passed for _, passed, _ in checks), checks
                 n_max += 1
-
-    def test_verify_lists_tree_levels_past_the_diagonal_guard(self, monkeypatch):
-        # its brute guards bound the tree levels it lists (k=3, n=12 holds 1,226,940 diagonals)
-        def refused(*args, **kwargs):
-            raise AssertionError("verify applied the diagonal guard")
-
-        monkeypatch.setattr("ktri.gentree_k._written_guard", refused)
-        checks = run_verify(3, 9)
-        assert checks[0] == ("counting", True, "k=3, n<=9: det = brute = tree")
-        assert all(passed for _, passed, _ in checks), checks
 
     def test_verify_k1_runs_no_tree(self, capsys):
         code, out, _ = run(capsys, "verify", "--k", "1", "--n-max", "7")

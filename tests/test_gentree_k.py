@@ -388,16 +388,6 @@ class TestEnumerateTree:
         with pytest.raises(GuardExceeded, match="^tree level of more than 100 objects"):
             enumerate_tree(12, 3)
 
-    def test_diagonal_guard_is_lifted_by_ktri_guard(self, monkeypatch):
-        # 1,001 objects of 1,000 diagonals: refused by default, walked under
-        # KTRI_GUARD (at 2,002, the count's sieve limit), whose object guard admits them
-        monkeypatch.setattr("ktri.gentree_k._nodes", lambda n, k: iter(()))
-        with pytest.raises(DomainError, match="^tree listing of more than 1000000 diagonals"):
-            enumerate_tree(2002, 1000)
-        monkeypatch.setenv("KTRI_GUARD", "2002")
-        with pytest.raises(StructuralError, match="expected 1001$"):
-            enumerate_tree(2002, 1000)
-
     @pytest.mark.parametrize(
         "corrupt",
         [lambda kids: kids[:-1] + kids[:1], lambda kids: kids[:-1]],
