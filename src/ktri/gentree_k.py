@@ -15,9 +15,12 @@ rebuilds or moves, by their first and last rows, and the parent's size.
 The tree is walked depth first on (columns, corner) pairs by :func:`_nodes`,
 a child carrying its u as its corner: :func:`enumerate_tree` builds a
 :class:`KTriangulation` only for each node of the last level, and
-:func:`count_tree` builds none.  Every object built from columns passes
-:func:`_leaf` and no crossing search (:func:`_triangulation`); the child
-invariant (maximal, corner u, parent round trip) is stated once, in
+:func:`count_tree` builds none.  A single object built from columns (a
+parent, a child, the end of a descent, a line of the ``tree`` dump) passes
+:func:`_leaf` and no crossing search (:func:`_triangulation`); a listed
+level checks each leaf as its mask over the level's cells instead, and
+the level's count (:func:`enumerate_tree`).  The child invariant (maximal,
+corner u, parent round trip) is stated once, in
 :func:`ktri.verify._round_trips`, which walks columns too.
 :func:`_children` is the one child lister.  For k = 2 this is the
 2-triangulation tree; :mod:`ktri.gentree2` adds its labels, the (u, i)
@@ -36,7 +39,7 @@ from typing import Iterable
 
 from .errors import DomainError, GuardExceeded, StructuralError, _guard_value
 from .paths import catalan_determinant
-from .polygon import Diagonal, KTriangulation, PolygonContext, _off_staircase
+from .polygon import Diagonal, KTriangulation, PolygonContext, _cell_bits, _finish, _off_staircase
 
 TREE_COUNT_GUARD = 10**6
 # The most diagonals `children_k` lists, over all children of one node.
@@ -118,6 +121,9 @@ def _leaf(cols: Columns, k: int) -> tuple[Diagonal, ...]:
     the ends of each column and their count (:func:`_check_staircase`), in
     O(n), and a set for repeats, which the ends do not see.  The ends bound
     a column's rows as :func:`_grow` and :func:`_parent` keep them sorted.
+    This is the check of a single object (:func:`_triangulation`);
+    :func:`enumerate_tree` checks its leaves by mask and calls it only to
+    word a fault.
     """
     _check_staircase(cols, k)
     leaf = tuple(sorted(_cells(cols)))
@@ -130,9 +136,9 @@ def _leaf(cols: Columns, k: int) -> tuple[Diagonal, ...]:
 def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
     """The k-triangulation of ``ctx`` whose staircase is ``cols``, a node of the tree.
 
-    Its cells pass :func:`_leaf`, the lister's column check, and no crossing
-    search: the tree steps map k-triangulations to k-triangulations, which
-    :func:`ktri.verify._round_trips` checks on every child in its range.
+    Its cells pass :func:`_leaf`, the column check of a single object, and no
+    crossing search: the tree steps map k-triangulations to k-triangulations,
+    which :func:`ktri.verify._round_trips` checks on every child in its range.
     """
     return KTriangulation._checked(ctx, _leaf(cols, ctx.k))
 
@@ -425,23 +431,39 @@ def _nodes(n: int, k: int) -> Iterable[tuple[Columns, int]]:
 def enumerate_tree(n: int, k: int) -> list[KTriangulation]:
     """All k-triangulations of the n-gon, generated from the root by :func:`_nodes`.
 
-    Only the nodes of the n-gon become :class:`KTriangulation` objects,
-    each built once, through :meth:`KTriangulation._checked`, after
-    :func:`_leaf` has checked its columns on the staircase, its count and
-    that no cell repeats: what the constructor checks but its crossing
-    search.  They must be exactly the counted number of distinct objects,
-    and are sorted by their diagonals.
+    Each node of the n-gon becomes its mask over the level's cells, the sum
+    of their bits in the level's table (:func:`ktri.polygon._cell_bits`),
+    or 0 if a cell is off the staircase (a KeyError).  A mask is kept once
+    the cells number k(n-2k-1) and set as many bits, so they are distinct
+    staircase cells: what the constructor checks but its crossing search.
+    On a fault, :func:`_leaf` raises its text, as it does on the sorted
+    columns :func:`_grow` keeps; columns out of order are named otherwise.
+    The masks must be exactly the counted number, all distinct, and
+    :func:`ktri.polygon._finish` sorts them and builds each object once.
     """
     expected = _level_size(n, k)
-    leaves = [_leaf(cols, k) for cols, _ in _nodes(n, k)]
-    distinct = len(set(leaves))
-    if len(leaves) != expected or distinct != expected:
-        raise StructuralError(
-            f"tree level has {len(leaves)} children, {distinct} distinct; expected {expected}"
-        )
-    leaves.sort()
     ctx = PolygonContext(n, k)
-    return [KTriangulation._checked(ctx, leaf) for leaf in leaves]
+    bits, size = _cell_bits(ctx), ctx.diagonal_count
+
+    def mask(cols: Columns) -> int:
+        cells = _cells(cols)
+        try:
+            out = sum(map(bits.__getitem__, cells))
+        except KeyError:  # a cell off the staircase
+            out = 0
+        if len(cells) == size == out.bit_count():
+            return out
+        _leaf(cols, k)
+        b, col = next((b, col) for b, col in enumerate(cols) if list(col) != sorted(col))
+        raise StructuralError(f"column {b} rows {col} are out of order")
+
+    leaves = [mask(cols) for cols, _ in _nodes(n, k)]
+    distinct = set(leaves)
+    if len(leaves) != expected or len(distinct) != expected:
+        raise StructuralError(
+            f"tree level has {len(leaves)} children, {len(distinct)} distinct; expected {expected}"
+        )
+    return _finish(ctx, bits, distinct)
 
 
 def count_tree(n: int, k: int) -> int:

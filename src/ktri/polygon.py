@@ -14,24 +14,24 @@ interiors.  All such sets have exactly k*(n-2k-1) (nontrivial) diagonals
 (Nakamigawa 2000; Dress, Koolen and Moulton 2002), and every
 (k+1)-crossing-free set extends greedily to a maximal one, so a
 crossing-free set of that size is maximal: :func:`is_k_triangulation` and
-the :class:`KTriangulation` constructor test exactly that.  The brute-force
-lister never assumes the size: it proves maximality by its own invariant
-and checks the size of every result.  Its results, and the tree's nodes
-(:mod:`ktri.gentree_k`), go through the private door
-:meth:`KTriangulation._checked`, which checks nothing.
+the :class:`KTriangulation` constructor test exactly that.  The listers
+and the tree steps skip its crossing search
+(:meth:`KTriangulation._checked`).  A single object built from the tree's
+columns is checked on the staircase, in size and for repeats
+(:mod:`ktri.gentree_k`).  A level listing checks each leaf's size, brute
+force proving maximality by its invariant and the tree checking the
+leaf's cells and the level's count, and :func:`_finish` sorts the leaves,
+masks over the level's cells (:func:`_cell_bits`).
 
 Diagonals cross mutually iff they cross pairwise, so a t-crossing is a
 t-clique of the crossing graph.  :func:`has_crossing` and the greedy
-completion run bitset clique searches: each diagonal they are given (a set's
-own diagonals, or every staircase cell) gets a mask of the given diagonals
-crossing it, built per call, a diagonal set is a mask of positions, and a
-t-crossing through a given diagonal is a (t-1)-clique among the members of
-its crossing mask.  No masks are kept per polygon.  The brute-force lister
-runs no search.  A (k+1)-crossing is fixed by its 2k+2 endpoints, so the
-polygon has C(n, 2k+2) of them, and every question the lister asks is a few
-mask operations over that list.  It decides the longest cells (largest
-b - a) first; that is free, as its pruning holds in any cell order and its
-output is sorted at the end.
+completion run bitset clique searches on masks built per call: each
+diagonal they are given (a set's own, or every staircase cell) gets the
+mask by position of those crossing it, and a t-crossing through it is a
+(t-1)-clique within that mask.  The brute-force lister runs no search: a
+(k+1)-crossing is fixed by its 2k+2 endpoints, so the polygon has
+C(n, 2k+2) of them, and each question the lister asks is a few mask
+operations over that list.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from itertools import accumulate, chain, combinations
 from operator import or_
 from typing import Iterable, Sequence
 
-from .errors import DomainError, GuardExceeded, _decimal, _guard_value
+from .errors import DomainError, GuardExceeded, StructuralError, _decimal, _guard_value
 from .paths import _power_product, _prime_exponents
 
 Diagonal = tuple[int, int]
@@ -177,11 +177,7 @@ class KTriangulation(DiagonalSet):
     The constructor checks, in this order, that the diagonals are distinct
     staircase cells, that they number k*(n-2k-1) and that no k+1 of them
     mutually cross, so every object it builds is a k-triangulation.  It
-    never equals a plain :class:`DiagonalSet` with the same diagonals.  The
-    two listers, :func:`enumerate_brute` and
-    :func:`ktri.gentree_k.enumerate_tree`, and the tree steps build through
-    :meth:`_checked` instead, each keeping the checks that its construction
-    does not prove (see each).
+    never equals a plain :class:`DiagonalSet` with the same diagonals.
     """
 
     def __post_init__(self) -> None:
@@ -291,13 +287,10 @@ def has_crossing(diagonals: Sequence[Diagonal], t: int) -> bool:
 
 
 def is_k_triangulation(obj: DiagonalSet) -> bool:
-    """True iff the set has k*(n-2k-1) diagonals and no (k+1)-crossing.
+    """True iff the set has k*(n-2k-1) diagonals and no (k+1)-crossing, so it is maximal.
 
-    Every k-triangulation has that many, and every (k+1)-crossing-free set
-    extends to a maximal one, so a crossing-free set of that size is
-    maximal.  The :class:`DiagonalSet` constructor has rejected repeated
-    diagonals and non-cells, so the size counts distinct cells.  The
-    crossing search runs over the set's own diagonals.
+    The :class:`DiagonalSet` constructor has rejected repeated diagonals and
+    non-cells, so the size counts distinct cells; the search is over them.
     """
     ctx = obj.ctx
     return len(obj.diagonals) == ctx.diagonal_count and not has_crossing(obj.diagonals, ctx.k + 1)
@@ -321,20 +314,7 @@ def complete_to_maximal(dset: DiagonalSet) -> KTriangulation:
     for i, mask in enumerate(masks):
         if not current >> i & 1 and _find_clique(current & mask, t - 1, masks) is None:
             current |= 1 << i
-    return KTriangulation(ctx, _mask_cells(cells, current))
-
-
-def _mask_cells(cells: Sequence[Diagonal], mask: int) -> list[Diagonal]:
-    """The cells whose bits (by position in ``cells``) are set, in bit order.
-
-    Only the set bits are visited; :func:`enumerate_brute` sorts them.
-    """
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(cells[low.bit_length() - 1])
-        mask ^= low
-    return out
+    return KTriangulation(ctx, [c for i, c in enumerate(cells) if current >> i & 1])
 
 
 def degree(obj, vertex: int) -> int:
@@ -360,36 +340,34 @@ def _crossings(ctx: PolygonContext) -> list[tuple[Diagonal, ...]]:
     return [tuple(zip(vs[:t], vs[t:])) for vs in combinations(range(1, ctx.n + 1), 2 * t)]
 
 
-_CrossingTable = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+_CrossingTable = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
+_Bits = dict[Diagonal, int]  # each cell's bit in a mask
 
 
-def _crossing_table(ctx: PolygonContext, cells: Sequence[Diagonal]) -> _CrossingTable:
-    """The (k+1)-crossings seen from a sequence of cells, as bitmasks (hits, later, shares).
+def _crossing_table(ctx: PolygonContext, cells: Sequence[Diagonal], bits: _Bits) -> _CrossingTable:
+    """The (k+1)-crossings seen from a sequence of cells, as bitmasks (hits, later, shares, own).
 
     hits[i] is the mask (bit j for crossing j of :func:`_crossings`) of the
     crossings through cell i, later[i] the union of hits over cells i..m-1,
-    and shares[i] the mask (by position) of the cells that share a crossing
-    with cell i, itself included.
+    shares[i] the mask by position of the cells sharing a crossing with
+    cell i, itself included, and own[i] its bit in ``bits``.
     """
     position = {c: i for i, c in enumerate(cells)}
-    hits = [0] * len(cells)
-    shares = [0] * len(cells)
+    hits, shares = [0] * len(cells), [0] * len(cells)
     for j, crossing in enumerate(_crossings(ctx)):
         at = [position[d] for d in crossing]
         members = sum(1 << i for i in at)
         for i in at:
             hits[i] |= 1 << j
             shares[i] |= members
-    later = [0] * (len(cells) + 1)
-    for i in range(len(cells) - 1, -1, -1):
-        later[i] = later[i + 1] | hits[i]
-    return tuple(hits), tuple(later), tuple(shares)
+    later = (*accumulate(reversed(hits), or_, initial=0),)[::-1]
+    return tuple(hits), later, tuple(shares), tuple(map(bits.__getitem__, cells))
 
 
 # A node of the brute-force search: (i, included, excluded, once, twice).  Cells
-# 0..i-1 are decided, ``included`` and ``excluded`` are masks of cells, and
-# ``once`` and ``twice`` are masks of the crossings holding at least one and at
-# least two excluded cells.
+# 0..i-1 are decided: ``included`` ORs the own bits of those included, ``excluded``
+# is the mask by position of the others, and ``once`` and ``twice`` the masks of
+# the crossings holding at least one and at least two excluded cells.
 _Node = tuple[int, int, int, int, int]
 
 
@@ -404,12 +382,12 @@ def _branches(table: _CrossingTable, node: _Node) -> tuple[_Node | None, _Node |
     through it that were in ``once`` into ``twice``, so only cell i and the
     excluded cells sharing a crossing with it need the test again.
     """
-    hits, later, shares = table
+    hits, later, shares, own = table
     i, included, excluded, once, twice = node
     x = hits[i]
     include = None
     if not x & ~(once | later[i + 1]):
-        include = (i + 1, included | 1 << i, excluded, once, twice)
+        include = (i + 1, included | own[i], excluded, once, twice)
     if not x & ~once:
         return include, None
     twice |= once & x
@@ -439,33 +417,56 @@ def _brute_guard(ctx: PolygonContext) -> int:
     return m
 
 
+def _cell_bits(ctx: PolygonContext) -> _Bits:
+    """The level's table: each staircase cell's bit, the least cell highest, keyed in bit order."""
+    return {c: 1 << j for j, c in enumerate(sorted(staircase_cells(ctx), reverse=True))}
+
+
+def _finish(ctx: PolygonContext, bits: _Bits, leaves: Iterable[int]) -> list[KTriangulation]:
+    """The k-triangulations whose cells are the set bits of ``leaves`` (:func:`_cell_bits`), sorted.
+
+    Each lister has shown its leaves to be masks of k-triangulations of one
+    size; a repeated mask is refused.  Two distinct sorted tuples of one size
+    first differ at c in one and c' > c in the other; both hold the same
+    cells below c, whose bits lie above that of c, and only the first holds
+    c, so its mask is the greater.  So descending masks are lexicographic
+    tuples, each read off its bits from high to low, in order, and built
+    once, through :meth:`KTriangulation._checked`.
+    """
+    cells, out, last = list(bits), [], -1
+    for mask in sorted(leaves, reverse=True):
+        if mask == last:
+            raise StructuralError(f"leaf mask {mask:#x} appears more than once")
+        last, leaf = mask, []
+        while mask:
+            j = mask.bit_length() - 1
+            leaf.append(cells[j])
+            mask ^= 1 << j
+        out.append(KTriangulation._checked(ctx, tuple(leaf)))
+    return out
+
+
 def enumerate_brute(ctx: PolygonContext) -> list[KTriangulation]:
     """All k-triangulations of the polygon, by exhaustive backtracking.
 
     Cells are decided longest diagonal (largest b - a) first, by the key
-    (a - b, a, b).  Every blocking question is asked of the C(n, 2k+2)
-    crossings of :func:`_crossings`, in a few mask operations (see
-    :func:`_branches`): a cell may be included only when it completes no
-    (k+1)-crossing, and a node keeps the invariant "every excluded cell is
-    blocked within ``included`` and the undecided cells" (blocked: it
-    completes a (k+1)-crossing there), pruning a node where excluding a cell
-    breaks it.  At a leaf the set is ``included``, so the invariant states
-    that every excluded cell is blocked by the final set: maximality.  The
-    size of every leaf, its number of set bits, is checked against the
-    cardinality formula, never assumed, and the first leaf in search order
-    with another size is named.  A leaf's cells are read off its set bits
-    (:func:`_mask_cells`) and sorted into a tuple, and the leaves are sorted
-    lexicographically.  Each result is then built once, through
-    :meth:`KTriangulation._checked`: the constructor's other checks hold by
-    construction, as every cell is a staircase cell (:func:`staircase_cells`)
-    and each is read off its own bit, so none repeats.  The decision order
-    is free, as the invariant holds in any order and the output is sorted;
-    this one visits 37 % of staircase order's nodes at k=2, n=10.  The cells
-    and the crossings are listed only once :func:`_brute_guard` has passed.
+    (a - b, a, b), each by a few mask operations over the crossings of
+    :func:`_crossings` (:func:`_branches`): a cell is included only when it
+    completes no (k+1)-crossing, and a node where an excluded cell is no
+    longer blocked (completes one) within ``included`` and the undecided
+    cells is pruned, so at a leaf every excluded cell is blocked by the
+    final set: maximality.  An included cell sets its bit of
+    :func:`_cell_bits`, so a leaf is a mask of distinct staircase cells.
+    Each leaf's size, its number of set bits, is checked, never assumed,
+    the first leaf in search order with another size named, and
+    :func:`_finish` sorts and builds them.  The decision order is free, as
+    the invariant holds in any order; this one visits 37 % of staircase
+    order's nodes at k=2, n=10.  Cells and crossings are listed only once
+    :func:`_brute_guard` has passed.
     """
     m = _brute_guard(ctx)
-    cells = sorted(staircase_cells(ctx), key=lambda c: (c[0] - c[1], *c))
-    table = _crossing_table(ctx, cells)
+    bits = _cell_bits(ctx)
+    table = _crossing_table(ctx, sorted(bits, key=lambda c: (c[0] - c[1], *c)), bits)
 
     results: list[int] = []
     stack: list[_Node] = [(0, 0, 0, 0, 0)]  # the include branch popped first
@@ -483,8 +484,7 @@ def enumerate_brute(ctx: PolygonContext) -> list[KTriangulation]:
     size = ctx.diagonal_count
     if not {*map(int.bit_count, results)} <= {size}:
         _check_size(ctx, next(c for c in map(int.bit_count, results) if c != size))
-    leaves = sorted(tuple(sorted(_mask_cells(cells, mask))) for mask in results)
-    return [KTriangulation._checked(ctx, leaf) for leaf in leaves]
+    return _finish(ctx, bits, results)
 
 
 @dataclass(frozen=True)

@@ -445,6 +445,37 @@ class TestEnumerateTree:
         with pytest.raises(StructuralError, match=error):
             enumerate_tree(8, 2)
 
+    @pytest.mark.parametrize(
+        "at, corrupt, error",
+        [
+            (-1, lambda cols: cols[:-1] + [cols[-1][:-1]], r"^5 crosses on the 8-gon, expected 6$"),
+            (
+                -1,
+                lambda cols: cols[:-1] + [(cols[-1][0], 0, *cols[-1][2:])],
+                r"^column 8 rows \(3, 0, 5\) are out of order$",
+            ),
+            (0, lambda cols: cols[:4] + [cols[4] * 2] + cols[5:], r"^7 crosses on the 8-gon, expected 6$"),
+        ],
+        ids=["dropped-cross", "inner-row-off-staircase", "cross-added-twice"],
+    )
+    def test_one_corrupted_leaf_is_caught(self, monkeypatch, at, corrupt, error):
+        # one leaf of the 8-gon is corrupted.  The last, columns 7 and 8 holding
+        # rows (2, 3, 4) and (3, 4, 5), loses the cross (5, 8) or gets row 0
+        # inside column 8.  The first gets its cross (1, 4) twice; the highest
+        # bit, added twice, carries past the table, so its mask still sets 6
+        # bits and only the count of its cells sees the fault.
+        target = [cols for cols, _ in _nodes(8, 2)][at]
+
+        def children(cols, k, r):
+            return [
+                (u, rows, corrupt(child) if child == target else child)
+                for u, rows, child in _children(cols, k, r)
+            ]
+
+        monkeypatch.setattr("ktri.gentree_k._children", children)
+        with pytest.raises(StructuralError, match=error):
+            enumerate_tree(8, 2)
+
 
 class TestColumnWalk:
     @pytest.mark.parametrize("k,n_hi", [(2, 10), (3, 11), (4, 12)])

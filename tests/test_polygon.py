@@ -28,7 +28,14 @@ from ktri import (
     trivial_diagonals,
     verify,
 )
-from ktri.polygon import LemmaCheck, _brute_guard, _crossings, _off_staircase
+from ktri.polygon import (
+    LemmaCheck,
+    _brute_guard,
+    _cell_bits,
+    _crossings,
+    _finish,
+    _off_staircase,
+)
 
 
 def geometric_cross(d1, d2):
@@ -360,13 +367,38 @@ class TestEnumerateBrute:
         # with no crossing listed, every cell is included: one leaf of all 7 cells
         monkeypatch.setattr(
             "ktri.polygon._crossing_table",
-            lambda ctx, cells: ((0,) * len(cells), (0,) * (len(cells) + 1), (0,) * len(cells)),
+            lambda ctx, cells, bits: (
+                (0,) * len(cells),
+                (0,) * (len(cells) + 1),
+                (0,) * len(cells),
+                tuple(map(bits.get, cells)),
+            ),
         )
         with pytest.raises(
             DomainError,
             match=r"^a k-triangulation of the 7-gon \(k=2\) has 4 nontrivial diagonals, got 7$",
         ):
             enumerate_brute(PolygonContext(7, 2))
+
+    @pytest.mark.parametrize("k,n", [(1, 7), (2, 8), (3, 10), (4, 12)])
+    def test_finisher_orders_and_reads_random_masks(self, k, n):
+        # random subsets of the level's cells, each draw of one size: descending
+        # masks are the sorted tuples in order, each read off as its sorted tuple
+        ctx = PolygonContext(n, k)
+        bits, cells = _cell_bits(ctx), staircase_cells(ctx)
+        assert list(bits) == sorted(cells, reverse=True)
+        assert list(bits.values()) == [1 << j for j in range(len(cells))]
+        rng = random.Random(100 * k + n)
+        for size in range(len(cells) + 1):
+            tuples = {tuple(sorted(rng.sample(cells, size))) for _ in range(30)}
+            mask_of = {sum(bits[c] for c in t): t for t in tuples}
+            assert len(mask_of) == len(tuples)
+            assert [mask_of[m] for m in sorted(mask_of, reverse=True)] == sorted(tuples)
+            got = _finish(ctx, bits, rng.sample(list(mask_of), len(mask_of)))
+            assert [t.diagonals for t in got] == sorted(tuples)
+            masks = list(mask_of)
+            with pytest.raises(StructuralError, match=r"^leaf mask 0x[0-9a-f]+ appears more than once$"):
+                _finish(ctx, bits, masks + [rng.choice(masks)])
 
     def test_all_results_verified_distinct(self):
         tris = triangulations(7, 2)

@@ -191,7 +191,7 @@ def test_brute_decisions_match_clique_search(drawn):
     # then complete one with the included and the undecided cells.
     ctx, cells, prefer_include = drawn
     t, m = ctx.k + 1, len(cells)
-    table = _crossing_table(ctx, cells)
+    table = _crossing_table(ctx, cells, {c: 1 << i for i, c in enumerate(cells)})  # bits by position
     masks = _crossing_masks_of(cells)
     members = [sum(1 << cells.index(d) for d in c) for c in _crossings(ctx)]
     node = (0, 0, 0, 0, 0)
