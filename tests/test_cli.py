@@ -14,16 +14,22 @@ from hypothesis import strategies as st
 
 from conftest import EXAMPLE_14GON, EXAMPLE_14GON_P, EXAMPLE_14GON_Q, random_noncrossing_pair
 from ktri import (
+    DiagonalSet,
     GuardExceeded,
+    check_structure_lemmas,
     children_k,
     corner_k,
     enumerate_brute,
+    enumerate_tree,
+    enumerate_tuples,
     from_paths,
+    is_t_crossing,
     pair_children,
     tree_root,
 )
+from ktri.bijection import _color
 from ktri.formats import format_pair, format_triangulation
-from ktri.gentree_k import _children
+from ktri.gentree_k import _children, _parent
 from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
 from ktri.verify import run_verify
@@ -585,6 +591,80 @@ class TestVerifyAndRender:
                 lambda enc: pair_children(enc)[:-1],
                 "FAIL pair_round_trips: level m=2 is not all non-crossing pairs",
             ),
+            (
+                "enumerate_brute",
+                lambda ctx: enumerate_brute(ctx)[:-1],
+                "FAIL counting: brute count 0 != det 1 at n=5",
+            ),
+            (
+                "enumerate_tree",
+                lambda n, k: enumerate_tree(n, k)[::-1],
+                "FAIL counting: tree and brute enumerations differ at n=6",
+            ),
+            (
+                "is_t_crossing",
+                lambda diagonals: not is_t_crossing(diagonals),
+                "FAIL crossing_criterion: mismatch on (1, 3), (1, 4)",
+            ),
+            (
+                "_parent",
+                lambda cols, k, r: _parent(cols, k, r)[:-1],
+                "FAIL round_trips: parent(child) != parent at n=6",
+            ),
+            (
+                "_children",
+                lambda cols, k, r: _children(cols, k, r) * 2,
+                "FAIL round_trips: duplicate child at n=6: ((1, 4), (2, 5))",
+            ),
+            (
+                "_children",
+                lambda cols, k, r: _children(cols, k, r)[:-1],
+                "FAIL round_trips: children of level 5 do not partition level 6",
+            ),
+            (
+                "pair_parent",
+                lambda enc: enc,
+                "FAIL pair_round_trips: bad parent at m=2",
+            ),
+            (
+                "pair_children",
+                lambda enc: pair_children(enc) * 2,
+                "FAIL pair_round_trips: duplicate pair child at m=2",
+            ),
+            (
+                "to_paths_via_tree",
+                lambda tri: None,
+                "FAIL bijection: direct and tree maps differ on ()",
+            ),
+            (
+                "from_paths",
+                lambda p, q: None,
+                "FAIL bijection: inverse fails on ()",
+            ),
+            (
+                "enumerate_tuples",
+                lambda m, k: enumerate_tuples(m, k)[:-1],
+                "FAIL bijection: image at n=5 is not all non-crossing pairs",
+            ),
+            (
+                "_color",
+                # the blue counts of each tie-break replaced by the tie-break itself
+                lambda tri, flip_ties, trace: replace(
+                    _color(tri, flip_ties, trace), blue_counts=(flip_ties,)
+                ),
+                "FAIL tie_breaks: counts depend on tie-break for ()",
+            ),
+            (
+                "check_structure_lemmas",
+                lambda tri: check_structure_lemmas(DiagonalSet(tri.ctx, tri.diagonals[1:])),
+                "FAIL structure_lemmas: missing_short_support: (1,4) absent but vertex 3 "
+                "has degree 0 on ((1, 4), (2, 5))",
+            ),
+            (
+                "vertex_parent",
+                lambda tri: None,
+                "FAIL k2_specialization: parents differ on ((1, 4), (2, 5))",
+            ),
         ],
         ids=[
             "corner-off-u",
@@ -592,6 +672,20 @@ class TestVerifyAndRender:
             "child-drops-a-cross",
             "split-index-off-t",
             "pair-missing",
+            "brute-drops-one",
+            "tree-out-of-order",
+            "crossing-test-negated",
+            "parent-drops-a-column",
+            "children-twice",
+            "child-missing",
+            "pair-parent-is-the-node",
+            "pair-children-twice",
+            "tree-map-differs",
+            "inverse-differs",
+            "tuple-missing",
+            "counts-follow-the-tie-break",
+            "lemma-on-a-dropped-diagonal",
+            "parents-differ",
         ],
     )
     def test_verify_names_a_corrupted_child(self, capsys, monkeypatch, target, corrupted, line):
