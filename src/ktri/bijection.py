@@ -7,20 +7,21 @@ upper path, red counts the lower path.  :func:`to_paths_via_tree` computes
 the same map through the two generating trees (climb to the root recording
 labels, then descend the other tree matching them); it serves as the
 reference implementation.  Its climb carries the staircase by column and the
-corner of the current node, takes one parent step
-(:func:`ktri.gentree_k._parent`, which checks the staircase of the columns
-it rebuilds or moves and the parent's size) and reads one label per level,
-and builds no :class:`KTriangulation`; its pair descent runs on raw
-exponent tuples, and the pair it reaches is checked once, as a
-:class:`PairEncoding`.  :func:`from_paths` inverts the map the same way: it
-checks the pair once, climbs the pair tree to the root on raw tuples, then
-descends the triangulation tree building one child per level, the one whose
-label matches (sibling labels are distinct and their order is fixed by the
+corner of the current node, takes one parent step per level
+(:func:`ktri.gentree_k._parent`) and reads one label per level, and builds
+no :class:`KTriangulation`; its pair descent runs on raw exponent tuples,
+and the pair it reaches is checked once, as a :class:`PairEncoding`.
+:func:`from_paths` inverts the map the same way: it checks the pair once,
+climbs the pair tree to the root on raw tuples, then descends the
+triangulation tree building one child per level, the one whose label
+matches (sibling labels are distinct and their order is fixed by the
 succession rule).  The descent carries the staircase by column, the corner
-and the label of the current node, and builds one :class:`KTriangulation`,
-at the end, checking every cell by column but running no crossing search;
-each step checks the child's label, the columns it rebuilds and its size,
-and :func:`ktri.verify._bijection` checks both maps and the inverse.
+and the label of the current node, checks each child's label, and builds
+one :class:`KTriangulation`, at the end, running no crossing search.  Each
+climb step, each descent step and the object at the end run the tree's one
+column check, :func:`ktri.gentree_k._check_staircase`: on the columns the
+step rebuilds or moves, or on all of them, and on the size.
+:func:`ktri.verify._bijection` checks both maps and the inverse.
 
 Tie-break conventions are fixed: when several crosses in one column tie for
 blue, the lowest (largest row) is taken, and for red the highest; per-column

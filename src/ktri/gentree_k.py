@@ -10,18 +10,18 @@ Both steps work on the staircase by column (:data:`Columns`): the growth
 step :func:`_grow` rebuilds only the child's columns u+1..u+k+1, the parent
 step :func:`_parent` only the parent's columns r+1..r+k, and each shares the
 other columns; the corner, the anchor rows and the row options are read off
-the columns too.  A parent step checks the staircase of the columns it
-rebuilds or moves, by their first and last rows, and the parent's size.
-The tree is walked depth first on (columns, corner) pairs by :func:`_nodes`,
-a child carrying its u as its corner: :func:`enumerate_tree` builds a
-:class:`KTriangulation` only for each node of the last level, and
-:func:`count_tree` builds none.  A single object built from columns (a
-parent, a child, the end of a descent, a line of the ``tree`` dump) passes
-:func:`_leaf` and no crossing search (:func:`_triangulation`); a listed
-level checks each leaf as its mask over the level's cells instead, and
-the level's count (:func:`enumerate_tree`).  The child invariant (maximal,
-corner u, parent round trip) is stated once, in
-:func:`ktri.verify._round_trips`, which walks columns too.
+the columns too.  :func:`_check_staircase` is the one column check: the
+climb runs it on the columns a parent step rebuilds or moves, the descent
+on those a growth step rebuilds, and a single object built from columns (a
+parent, a child, the end of a descent, a line of the ``tree`` dump) on all
+of them, then checks for repeats and runs no crossing search
+(:func:`_triangulation`).  The tree is walked depth first on (columns,
+corner) pairs by :func:`_nodes`, a child carrying its u as its corner:
+:func:`enumerate_tree` builds a :class:`KTriangulation` only for each node
+of the last level, checking each leaf as its mask over the level's cells
+and the level's count, and :func:`count_tree` builds none.  The child
+invariant (maximal, corner u, parent round trip) is stated once, in
+:func:`ktri.verify._round_trips`, which walks the same :func:`_nodes`.
 :func:`_children` is the one child lister.  For k = 2 this is the
 2-triangulation tree; :mod:`ktri.gentree2` adds its labels, the (u, i)
 numbering of the children and the descent by label, on columns.
@@ -39,7 +39,7 @@ from typing import Iterable
 
 from .errors import DomainError, GuardExceeded, StructuralError, _guard_value
 from .paths import catalan_determinant
-from .polygon import Diagonal, KTriangulation, PolygonContext, _cell_bits, _finish, _off_staircase
+from .polygon import Diagonal, KTriangulation, PolygonContext, _cell_bits, _finish
 
 TREE_COUNT_GUARD = 10**6
 # The most diagonals `children_k` lists, over all children of one node.
@@ -79,8 +79,8 @@ def _cells(cols: Columns) -> list[Diagonal]:
     return [(a, b) for b, col in enumerate(cols) for a in col]
 
 
-def _off_ends(cols: Columns, k: int, columns: range) -> bool:
-    """True iff a column of ``columns`` of ``cols`` leaves the staircase of the n-gon.
+def _off_ends(cols: Columns, k: int, columns: range) -> int | None:
+    """The first column of ``columns`` of ``cols`` that leaves the staircase of the n-gon, or None.
 
     The rows of a column are sorted and the staircase rows of a column are an
     interval (:func:`ktri.polygon._off_staircase`), so the first and the last
@@ -90,57 +90,43 @@ def _off_ends(cols: Columns, k: int, columns: range) -> bool:
     for b in columns:
         col = cols[b]
         if col and (not 0 < col[0] <= col[-1] < b - k or col[0] <= b - n + k):
-            return True
-    return False
-
-
-def _off_columns(cols: Columns, k: int, columns: range) -> list[Diagonal]:
-    """The crosses of ``columns`` of ``cols`` off the staircase of the n-gon, in column order.
-
-    Only the error texts list them; :func:`_off_ends` decides whether there are any.
-    """
-    return _off_staircase(len(cols) - 1, k, ((a, b) for b in columns for a in cols[b]))
+            return b
+    return None
 
 
 def _check_staircase(cols: Columns, k: int, columns: range | None = None) -> None:
-    """Staircase membership of ``columns`` (all by default) and the cardinality k(n-2k-1)."""
+    """The tree's column check: ``columns`` (all by default) on the staircase, k(n-2k-1) crosses.
+
+    A column is tested by its ends (:func:`_off_ends`), and the first that
+    leaves the staircase is named.  The climb (:func:`_parent`), the descent
+    (:func:`ktri.gentree2._child_by_label`) and a single object
+    (:func:`_triangulation`) run it.
+    """
     n = len(cols) - 1
-    columns = range(n + 1) if columns is None else columns
-    if _off_ends(cols, k, columns):
-        b = _off_columns(cols, k, columns)[0][1]
+    b = _off_ends(cols, k, range(n + 1) if columns is None else columns)
+    if b is not None:
         raise StructuralError(f"column {b} rows {cols[b]} leave the staircase of the {n}-gon")
     count = sum(map(len, cols))
     if count != k * (n - 2 * k - 1):
         raise StructuralError(f"{count} crosses on the {n}-gon, expected {k * (n - 2 * k - 1)}")
 
 
-def _leaf(cols: Columns, k: int) -> tuple[Diagonal, ...]:
-    """The cells of the staircase ``cols``, sorted, once they are cells of the n-gon and distinct.
+def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
+    """The k-triangulation of ``ctx`` whose staircase is ``cols``, a node of the tree.
 
-    These are the constructor's checks but its crossing search, by column:
-    the ends of each column and their count (:func:`_check_staircase`), in
-    O(n), and a set for repeats, which the ends do not see.  The ends bound
-    a column's rows as :func:`_grow` and :func:`_parent` keep them sorted.
-    This is the check of a single object (:func:`_triangulation`);
-    :func:`enumerate_tree` checks its leaves by mask and calls it only to
-    word a fault.
+    Its cells pass the constructor's checks but its crossing search, by
+    column: the ends of each column and their count (:func:`_check_staircase`),
+    in O(n), and a set for repeats, which the ends do not see.  The ends
+    bound a column's rows as :func:`_grow` and :func:`_parent` keep them
+    sorted.  The tree steps map k-triangulations to k-triangulations, which
+    :func:`ktri.verify._round_trips` checks on every child in its range.
     """
-    _check_staircase(cols, k)
+    _check_staircase(cols, ctx.k)
     leaf = tuple(sorted(_cells(cols)))
     if len(set(leaf)) != len(leaf):
         repeat = next(d for d, e in zip(leaf, leaf[1:]) if d == e)
         raise StructuralError(f"cross {repeat} appears more than once")
-    return leaf
-
-
-def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
-    """The k-triangulation of ``ctx`` whose staircase is ``cols``, a node of the tree.
-
-    Its cells pass :func:`_leaf`, the column check of a single object, and no
-    crossing search: the tree steps map k-triangulations to k-triangulations,
-    which :func:`ktri.verify._round_trips` checks on every child in its range.
-    """
-    return KTriangulation._checked(ctx, _leaf(cols, ctx.k))
+    return KTriangulation._checked(ctx, leaf)
 
 
 def _corner(cols: Columns, k: int) -> int:
@@ -236,9 +222,9 @@ def _parent(cols: Columns, k: int, r: int) -> Columns:
     r+k+1 without the corner cross (r, r+k+1), and the columns past it shift
     one to the left; columns 0..r are the child's, shared.  A rebuilt column
     b >= n-k loses the boundary square (b-n+k+1, b), which leaves the staircase
-    of the (n-1)-gon.  No cross may lie below the corner, the parent's
-    columns r+1..n-1 (rebuilt or moved) must lie on its staircase, and its
-    crosses must number k(n-2k-2).  Columns 0..r need no check: they are the
+    of the (n-1)-gon.  No cross may lie below the corner, and
+    :func:`_check_staircase` checks the parent's columns r+1..n-1 (rebuilt or
+    moved) and its k(n-2k-2) crosses.  Columns 0..r need no check: they are the
     child's, r <= n-k-1 as (r, r+k+1) is a cell, and up to column n-k-1 the
     staircases of the n-gon and the (n-1)-gon hold the same rows.  Three other
     conditions cannot fail on the columns of a k-triangulation, which lie on
@@ -265,13 +251,7 @@ def _parent(cols: Columns, k: int, r: int) -> Columns:
         square = (corner_col[-1], r + k + 1)
         raise StructuralError(f"short-diagonal square {square} below the corner")
     parent = [*cols[: r + 1], *mid, corner_col[:-1], *cols[r + k + 2 :]]
-    moved = range(r + 1, n)
-    if _off_ends(parent, k, moved):
-        off = _off_columns(parent, k, moved)
-        raise StructuralError(f"off-shape crosses after contraction: {sorted(off)}")
-    count = sum(map(len, parent))
-    if count != k * (n - 2 * k - 2):
-        raise StructuralError(f"parent has {count} crosses, expected {k * (n - 2 * k - 2)}")
+    _check_staircase(parent, k, range(r + 1, n))
     return parent
 
 
@@ -436,8 +416,8 @@ def enumerate_tree(n: int, k: int) -> list[KTriangulation]:
     or 0 if a cell is off the staircase (a KeyError).  A mask is kept once
     the cells number k(n-2k-1) and set as many bits, so they are distinct
     staircase cells: what the constructor checks but its crossing search.
-    On a fault, :func:`_leaf` raises its text, as it does on the sorted
-    columns :func:`_grow` keeps; columns out of order are named otherwise.
+    On a fault, :func:`_triangulation` raises its text, as it does on the
+    sorted columns :func:`_grow` keeps; columns out of order are named otherwise.
     The masks must be exactly the counted number, all distinct, and
     :func:`ktri.polygon._finish` sorts them and builds each object once.
     """
@@ -453,7 +433,7 @@ def enumerate_tree(n: int, k: int) -> list[KTriangulation]:
             out = 0
         if len(cells) == size == out.bit_count():
             return out
-        _leaf(cols, k)
+        _triangulation(ctx, cols)
         b, col = next((b, col) for b, col in enumerate(cols) if list(col) != sorted(col))
         raise StructuralError(f"column {b} rows {col} are out of order")
 

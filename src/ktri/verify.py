@@ -22,13 +22,12 @@ from .gentree2 import ROOT_PAIR, _by_split, _label, label_children, pair_childre
 from .gentree_k import (
     _cells,
     _children,
-    _columns,
     _corner,
+    _nodes,
     _parent,
     corner_k,
     enumerate_tree,
     parent_k,
-    tree_root,
 )
 from .paths import (
     DyckPath,
@@ -95,19 +94,15 @@ def _crossing_criterion(n_max: int) -> Check:
 
 
 def _round_trips(k: int, n_max: int, brute: Lister) -> Check:
-    """The tree walked on (columns, corner) pairs, each level checked against brute.
+    """Each level of the tree walk :func:`_nodes` grown one level on and checked against brute.
 
     A node's children are grown from the corner read off its columns, apart
-    from the corner r the node carries and the children are checked against.
+    from the corner r the walk carries and the children are checked against.
     """
-    root = tree_root(k)
-    level = [(_columns(root), corner_k(root))]
-    n = 2 * k + 1
-    while n < n_max:
+    for n in range(2 * k + 1, n_max):
         ctx = PolygonContext(n + 1, k)
-        produced = []
         diagonals = []
-        for cols, r in level:
+        for cols, r in _nodes(n, k):
             for u, _, child in _children(cols, k, _corner(cols, k)):
                 cells = DiagonalSet(ctx, _cells(child))
                 if not is_k_triangulation(cells):
@@ -119,7 +114,6 @@ def _round_trips(k: int, n_max: int, brute: Lister) -> Check:
                 if not c == u >= r:
                     detail = f"child corner {c} != u={u} or < parent corner {r}"
                     return ("round_trips", False, f"{detail} at n={n + 1}")
-                produced.append((child, c))
                 diagonals.append(cells.diagonals)
         seen = Counter(diagonals)
         dup = [d for d, c in seen.items() if c > 1]
@@ -127,8 +121,6 @@ def _round_trips(k: int, n_max: int, brute: Lister) -> Check:
             return ("round_trips", False, f"duplicate child at n={n + 1}: {dup[0]}")
         if sorted(seen) != [t.diagonals for t in brute(n + 1, k)]:
             return ("round_trips", False, f"children of level {n} do not partition level {n + 1}")
-        level = produced
-        n += 1
     return ("round_trips", True, f"k={k}, levels up to n={n_max}")
 
 
@@ -161,21 +153,20 @@ def _pair_round_trips(m_max: int, tuples: Tuples) -> Check:
 def _label_coherence(n_max: int) -> Check:
     """Each node's child labels, in :func:`_by_split` order, against the succession rule.
 
-    A child carries its u as its corner, which :func:`_round_trips` checks.
+    The nodes are those of the tree walk :func:`_nodes`.  As in
+    :func:`_round_trips`, a node's label and children are read at the corner
+    read off its columns, and a child's label at its u, which
+    :func:`_round_trips` checks to be its corner.
     """
-    level = [(_columns(tree_root(2)), 2)]
     for n in range(5, n_max):
-        nxt = []
-        for cols, r in level:
-            pairs = ((u, child) for u, _, child in _children(cols, 2, r))
-            kids = [(child, u) for u, _, child in _by_split(pairs)]
+        for cols, _ in _nodes(n, 2):
+            r = _corner(cols, 2)
+            kids = _by_split((u, child) for u, _, child in _children(cols, 2, r))
             expected = label_children(_label(cols, r))
-            got = tuple(_label(child, c) for child, c in kids)
+            got = tuple(_label(child, u) for u, _, child in kids)
             if got != expected or len(set(got)) != len(got):
                 what = "labels differ" if got != expected else "sibling labels repeat"
                 return ("label_coherence", False, f"{what} below {tuple(sorted(_cells(cols)))}")
-            nxt.extend(kids)
-        level = nxt
     return ("label_coherence", True, f"2-triangulations up to n={n_max}")
 
 

@@ -180,8 +180,11 @@ class TestInverse:
     @pytest.mark.parametrize(
         "corrupt, error",
         [
-            (lambda col: col[1:], "parent has 15 crosses, expected 16$"),
-            (lambda col: (0,) + col, r"off-shape crosses after contraction: \[\(0, 11\)\]$"),
+            (lambda col: col[1:], "15 crosses on the 13-gon, expected 16$"),
+            (
+                lambda col: (0,) + col,
+                r"column 11 rows \(0, 7, 8\) leave the staircase of the 13-gon$",
+            ),
         ],
         ids=["cross-dropped", "row-off-the-staircase"],
     )

@@ -29,7 +29,7 @@ from ktri import (
 )
 from ktri.bijection import _color
 from ktri.formats import format_pair, format_triangulation
-from ktri.gentree_k import _children, _parent
+from ktri.gentree_k import _children, _nodes, _parent
 from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
 from ktri.verify import run_verify
@@ -568,8 +568,8 @@ class TestVerifyAndRender:
                 "FAIL round_trips: child corner 2 != u=3 or < parent corner 2 at n=6",
             ),
             (
-                "corner_k",
-                lambda tri: 99 if tri == tree_root(2) else corner_k(tri),
+                "_nodes",
+                lambda n, k: [(cols, 99 if n == 5 else r) for cols, r in _nodes(n, k)],
                 "FAIL round_trips: child corner 2 != u=2 or < parent corner 99 at n=6",
             ),
             (

@@ -33,12 +33,11 @@ from ktri.gentree_k import (
     _columns,
     _corner,
     _nodes,
-    _off_columns,
     _off_ends,
     _parent,
     _row_choices,
 )
-from ktri.polygon import is_cell, staircase_cells
+from ktri.polygon import _off_staircase, is_cell, staircase_cells
 
 # The 9-gon example with k=3: uniquely determined by its child profile
 # (two children at u=4, three at u=5, seven at u=6).
@@ -309,8 +308,12 @@ class TestParentStep:
         "b, corrupt, error",
         [
             (13, lambda col: col + (11,), r"short-diagonal square \(11, 13\) below the corner$"),
-            (14, lambda col: (0,) + col, r"off-shape crosses after contraction: \[\(0, 13\)\]$"),
-            (14, lambda col: col[:-1], "parent has 15 crosses, expected 16$"),
+            (
+                14,
+                lambda col: (0,) + col,
+                r"column 13 rows \(0, 9, 10\) leave the staircase of the 13-gon$",
+            ),
+            (14, lambda col: col[:-1], "15 crosses on the 13-gon, expected 16$"),
         ],
         ids=["row-below-the-corner", "row-off-the-staircase", "cross-dropped"],
     )
@@ -348,8 +351,9 @@ class TestParentStep:
                 lo = rng.randint(0, n)
                 columns = range(lo, rng.randint(lo, n) + 1)
                 off = _off_ends(cols, k, columns)
-                assert off == bool(_off_columns(cols, k, columns))
-                verdicts[off] += 1
+                cells = _off_staircase(n, k, ((a, b) for b in columns for a in cols[b]))
+                assert off == (cells[0][1] if cells else None)
+                verdicts[off is not None] += 1
         assert verdicts[True] and verdicts[False]
 
     def test_no_cross_of_the_first_column_lies_above_the_first_anchor(self):

@@ -29,8 +29,8 @@ def reference_off_ends(cols, k, columns):
     for b in columns:
         col = cols[b]
         if col and not max(0, b - n + k) < col[0] <= col[-1] < b - k:
-            return True
-    return False
+            return b
+    return None
 
 
 def reference_corner(cols, k):
