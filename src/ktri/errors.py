@@ -1,6 +1,7 @@
-"""Exception types shared across the package, and the helpers that set and word the guards."""
+"""Exception types, the int rule, and the helpers that set and word the guards."""
 
 import os
+from typing import Iterable
 
 
 class DomainError(ValueError):
@@ -13,6 +14,18 @@ class GuardExceeded(DomainError):
 
 class StructuralError(RuntimeError):
     """An internal consistency check failed.  This signals a bug, not bad input."""
+
+
+def _all_int(values: Iterable[object]) -> bool:
+    """The int rule, stated once: True iff each value is an int, so no bool, float or subclass."""
+    return {*map(type, values)} <= {int}
+
+
+def _require_int(**values: object) -> None:
+    """DomainError unless each value is an int: ``n and k must be int, got n=7, k=2.0``."""
+    if not _all_int(values.values()):
+        got = ", ".join(f"{name}={value!r}" for name, value in values.items())
+        raise DomainError(f"{' and '.join(values)} must be int, got {got}")
 
 
 # Chunks of this many digits stay below the interpreter's int-to-str limit

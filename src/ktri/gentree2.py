@@ -34,7 +34,7 @@ from itertools import groupby
 from operator import add, itemgetter
 from typing import Iterable, TypeVar
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, _all_int
 from .gentree_k import (
     Columns,
     _check_staircase,
@@ -163,7 +163,7 @@ def label_children(label: TreeLabel) -> tuple[TreeLabel, ...]:
     (i, d_j - i + 1, d_{j+1} + 1, d_{j+2}, ..., d_s) appears, and in
     addition (i, d_s - i + 1) for 0 <= i <= d_s + 1.
     """
-    if len(label) < 2 or any(d < 0 for d in label):
+    if type(label) is not tuple or not _all_int(label) or len(label) < 2 or min(label) < 0:
         raise DomainError(f"bad tree label {label}")
     s = len(label)
     return tuple(

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
-from .errors import DomainError, GuardExceeded, StructuralError, _guard_value
+from .errors import DomainError, GuardExceeded, StructuralError, _guard_value, _require_int
 from .paths import catalan_determinant
 from .polygon import Diagonal, KTriangulation, PolygonContext, _cell_bits, _finish
 
@@ -383,6 +383,7 @@ def tree_root(k: int) -> KTriangulation:
 
 def _level_size(n: int, k: int) -> int:
     """The number of k-triangulations of the n-gon, once the tree may walk to it."""
+    _require_int(n=n, k=k)
     if k < 2:
         raise DomainError(f"tree enumeration needs k >= 2, got k={k}")
     if n < 2 * k + 1:

@@ -35,7 +35,8 @@ from math import comb, isqrt, prod
 from operator import mul, sub
 from typing import Sequence
 
-from .errors import DomainError, GuardExceeded, StructuralError, _decimal, _guard_value
+from .errors import DomainError, GuardExceeded, StructuralError, _all_int, _decimal, _guard_value
+from .errors import _require_int
 
 TUPLE_GUARD = 40
 TUPLE_OBJECT_GUARD = 10**5
@@ -44,6 +45,7 @@ COUNT_BITS_GUARD = 10**6
 
 def catalan(m: int) -> int:
     """The m-th Catalan number, binom(2m, m)/(m+1), exactly."""
+    _require_int(m=m)
     if m < 0:
         raise DomainError(f"catalan undefined for m={m}")
     return comb(2 * m, m) // (m + 1)
@@ -164,6 +166,7 @@ def catalan_determinant(n: int, k: int) -> int:
     checked before any multiplication.  :func:`_condensed_determinant` is
     the independent oracle that the tests and ``ktri verify`` compare with.
     """
+    _require_int(n=n, k=k)
     if k < 1:
         raise DomainError(f"k must be at least 1, got {k}")
     if k == 1 and n < 2:
@@ -282,6 +285,7 @@ def _tuple_guard(m: int, k: int) -> None:
 
 def all_paths(m: int) -> tuple[DyckPath, ...]:
     """All Dyck paths of semilength m in lexicographic order (N < E), within the tuple guards."""
+    _require_int(m=m)
     if m < 0:
         raise DomainError(f"negative semilength {m}")
     _tuple_guard(m, 1)
@@ -328,6 +332,7 @@ class PathTuple:
 
 def enumerate_tuples(m: int, k: int) -> list[PathTuple]:
     """All non-crossing k-tuples of semilength-m Dyck paths, lex order, within the tuple guards."""
+    _require_int(m=m, k=k)
     if m < 1 or k < 1:
         raise DomainError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
     _tuple_guard(m, k)
@@ -367,7 +372,7 @@ class PairEncoding:
         p, q = self.p, self.q
         if not (
             isinstance(p, tuple) and isinstance(q, tuple) and p and len(p) == len(q)
-            and {*map(type, p), *map(type, q)} == {int}
+            and _all_int(chain(p, q))
         ):
             raise DomainError("p and q must be nonempty tuples of int of equal length")
         m = len(p)

@@ -42,7 +42,8 @@ from itertools import accumulate, chain, combinations
 from operator import or_
 from typing import Iterable, Sequence
 
-from .errors import DomainError, GuardExceeded, StructuralError, _decimal, _guard_value
+from .errors import DomainError, GuardExceeded, StructuralError, _all_int, _decimal
+from .errors import _guard_value, _require_int
 from .paths import _power_product, _prime_exponents
 
 Diagonal = tuple[int, int]
@@ -59,8 +60,7 @@ class PolygonContext:
     k: int
 
     def __post_init__(self) -> None:
-        if type(self.n) is not int or type(self.k) is not int:
-            raise DomainError(f"n and k must be int, got n={self.n!r}, k={self.k!r}")
+        _require_int(n=self.n, k=self.k)
         if self.k < 1:
             raise DomainError(f"k must be at least 1, got {self.k}")
         if self.n <= 2 * self.k:
@@ -140,8 +140,8 @@ def _check_members(ctx: PolygonContext, diagonals: Iterable[Diagonal]) -> tuple[
     if not {*map(type, out)} <= {tuple}:
         bad = next(d for d in out if type(d) is not tuple)
         raise DomainError(f"diagonal {bad!r} is not a tuple")
-    if not {*map(len, out)} <= {2} or not {*map(type, chain.from_iterable(out))} <= {int}:
-        bad = next(d for d in out if len(d) != 2 or {*map(type, d)} != {int})
+    if not {*map(len, out)} <= {2} or not _all_int(chain.from_iterable(out)):
+        bad = next(d for d in out if len(d) != 2 or not _all_int(d))
         raise DomainError(f"diagonal {bad!r} is not a pair of int")
     out.sort()
     off = _off_staircase(ctx.n, ctx.k, out)
@@ -319,9 +319,9 @@ def complete_to_maximal(dset: DiagonalSet) -> KTriangulation:
 
 def degree(obj, vertex: int) -> int:
     """Number of nontrivial diagonals of the set incident to the vertex."""
-    ctx: PolygonContext = obj.ctx
-    if not 1 <= vertex <= ctx.n:
-        raise DomainError(f"vertex {vertex} out of range 1..{ctx.n}")
+    _require_int(vertex=vertex)
+    if not 1 <= vertex <= obj.ctx.n:
+        raise DomainError(f"vertex {vertex} out of range 1..{obj.ctx.n}")
     return sum(1 for (a, b) in obj.diagonals if vertex in (a, b))
 
 

@@ -202,6 +202,18 @@ class TestInverse:
         with pytest.raises(StructuralError, match=error):
             to_paths_via_tree(example_14gon())
 
+    def test_the_climb_must_end_at_the_root_label(self, monkeypatch):
+        from ktri.gentree2 import _pair_up
+
+        def climb(p, q, s):
+            # the pair step with one more east step in the lower path's last run
+            p, q, s = _pair_up(p, q, s)
+            return p, q[:-1] + (q[-1] + 1,), s
+
+        monkeypatch.setattr("ktri.bijection._pair_up", climb)
+        with pytest.raises(StructuralError, match=r"^root label \(0, 1\) is not \(0, 0\)$"):
+            from_paths(DyckPath("NNEE"), DyckPath("NENE"))
+
     def test_round_trips_past_exhaustive_range(self):
         rng = random.Random(61002)
         for m in range(6, 21):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from conftest import EXAMPLE_14GON, EXAMPLE_14GON_P, EXAMPLE_14GON_Q, random_noncrossing_pair
 from ktri import (
     DiagonalSet,
+    DomainError,
     GuardExceeded,
     check_structure_lemmas,
     children_k,
@@ -93,6 +94,14 @@ class TestCount:
             sys.set_int_max_str_digits(old_limit)
         assert len(expected) > old_limit
         assert out == expected + "\n"
+
+    def test_guard_override_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("KTRI_GUARD", "x")
+        with pytest.raises(DomainError, match="^KTRI_GUARD must be an integer, got 'x'$"):
+            catalan_determinant(8, 2)
+        assert run(capsys, "count", "--k", "2", "--n", "8") == (
+            1, "", "error: KTRI_GUARD must be an integer, got 'x'\n"
+        )
 
     def test_guard(self, capsys, monkeypatch):
         assert run(capsys, "count", "--k", "500000", "--n", "1000004") == (

@@ -1,11 +1,13 @@
 """Generating tree for 2-triangulations: corner, parent, children, labels."""
 
+import re
 from collections import Counter
 
 import pytest
 
 from conftest import EXAMPLE_14GON_LABELS, example_14gon, holds, triangulations
 from ktri import (
+    ROOT_PAIR,
     DomainError,
     KTriangulation,
     PolygonContext,
@@ -15,11 +17,13 @@ from ktri import (
     corner_k,
     label2,
     label_children,
+    pair_child_by_label,
     parent_k,
     tree_root,
     verify,
 )
-from ktri.gentree2 import _by_split
+from ktri.gentree2 import _by_split, _pair_child
+from ktri.gentree_k import _grow, _row_options
 
 HEPTAGON_021 = KTriangulation(PolygonContext(7, 2), ((1, 5), (2, 5), (3, 6), (3, 7)))
 
@@ -141,3 +145,49 @@ class TestLabels:
 
     def test_sibling_labels_distinct(self):
         holds(verify._label_coherence, 9)
+
+
+def _grow_the_first_row(cols, k, u, rows):
+    # the growth step on the first row option at u, whichever the label asked for
+    return _grow(cols, k, u, (_row_options(cols, k, u)[0][0],))
+
+
+def _pair_child_one_lower(p, q, t, x):
+    # the pair child whose label starts one lower than the label asked for
+    return _pair_child(p, q, t, x - 1)
+
+
+@pytest.mark.parametrize(
+    "target, replacement, call, error, text",
+    [
+        (
+            "_grow",
+            _grow_the_first_row,
+            lambda: child_by_label(tree_root(2), (0, 1)),
+            StructuralError,
+            "child (3, 0) has label (1, 0), expected (0, 1)",
+        ),
+        (
+            "_pair_child",
+            _pair_child_one_lower,
+            lambda: pair_child_by_label(ROOT_PAIR, (1, 0)),
+            StructuralError,
+            "child PairGrowthChoice(t=1, rule='split_bottom', index=1) has label (0, 1), "
+            "expected (1, 0)",
+        ),
+        (None, None, lambda: label_children((1,)), DomainError, "bad tree label (1,)"),
+        (
+            None,
+            None,
+            lambda: label2(KTriangulation(PolygonContext(7, 3), ())),
+            DomainError,
+            "operation defined for k=2 only, got k=3",
+        ),
+    ],
+    ids=["descent-grows-a-sibling", "pair-descent-builds-a-sibling", "short-label", "k3-label"],
+)
+def test_error_texts(monkeypatch, target, replacement, call, error, text):
+    if target:
+        monkeypatch.setattr(f"ktri.gentree2.{target}", replacement)
+    with pytest.raises(error, match=f"^{re.escape(text)}$"):
+        call()

@@ -76,6 +76,12 @@ class TestCorner:
         with pytest.raises(StructuralError, match=error):
             _corner(cols, 2)
 
+    @pytest.mark.parametrize("step", [corner_k, anchor_rows, parent_k, children_k])
+    def test_tree_steps_refuse_k1(self, step):
+        tri = KTriangulation(PolygonContext(5, 1), ((1, 3), (1, 4)))
+        with pytest.raises(DomainError, match="^generating tree defined for k >= 2, got k=1$"):
+            step(tri)
+
     def test_anchor_matches_k2_min_row(self):
         # for k=2 the single anchor is the top cross of column r+1 when that
         # column is nonempty (the shared endpoint of the two deletions)

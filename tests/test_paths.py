@@ -1,6 +1,7 @@
 """Dyck paths, exponent forms, pair encodings, and determinant counting."""
 
 import random
+import re
 from collections import Counter
 from itertools import combinations, product
 from math import isqrt
@@ -475,6 +476,21 @@ def test_constructors_refuse_non_canonical_fields(build):
     # refused when built, as a DomainError, not later or as a TypeError
     with pytest.raises(DomainError):
         build()
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: catalan(-1), "catalan undefined for m=-1"),
+        (lambda: all_paths(-1), "negative semilength -1"),
+        (lambda: PathTuple(1, 2, (DyckPath("NE"),)), "expected 2 paths, got 1"),
+        (lambda: enumerate_tuples(0, 1), "need m >= 1 and k >= 1, got m=0, k=1"),
+    ],
+    ids=["catalan-negative", "all-paths-negative", "tuple-short", "tuples-empty"],
+)
+def test_error_texts(call, text):
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        call()
 
 
 TUPLE_OBJECT_TEXT = "path tuple listing of more than 100000 objects refused; lower m"

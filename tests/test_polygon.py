@@ -1,6 +1,7 @@
 """Polygon core: cells, crossings, enumeration, structure checks."""
 
 import random
+import re
 import sys
 from collections import Counter
 from itertools import combinations
@@ -16,14 +17,20 @@ from ktri import (
     KTriangulation,
     PolygonContext,
     StructuralError,
+    all_paths,
     catalan,
+    catalan_determinant,
     check_structure_lemmas,
     complete_to_maximal,
+    count_tree,
     degree,
     enumerate_brute,
+    enumerate_tree,
+    enumerate_tuples,
     has_crossing,
     is_k_triangulation,
     is_t_crossing,
+    label_children,
     staircase_cells,
     trivial_diagonals,
     verify,
@@ -201,11 +208,66 @@ def test_constructors_refuse_non_canonical_fields(build, error):
         build()
 
 
+HEXAGON = KTriangulation(PolygonContext(6, 2), ((1, 4), (2, 5)))
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: catalan_determinant(10, True), "n and k must be int, got n=10, k=True"),
+        (lambda: catalan_determinant(8.0, 2), "n and k must be int, got n=8.0, k=2"),
+        (lambda: catalan_determinant(-1.0, 0), "n and k must be int, got n=-1.0, k=0"),
+        (lambda: catalan(True), "m must be int, got m=True"),
+        (lambda: catalan(3.0), "m must be int, got m=3.0"),
+        (lambda: all_paths(True), "m must be int, got m=True"),
+        (lambda: all_paths(3.0), "m must be int, got m=3.0"),
+        (lambda: enumerate_tuples(2, 2.0), "m and k must be int, got m=2, k=2.0"),
+        (lambda: enumerate_tuples(0, 1.0), "m and k must be int, got m=0, k=1.0"),
+        (lambda: degree(HEXAGON, 1.0), "vertex must be int, got vertex=1.0"),
+        (lambda: degree(HEXAGON, True), "vertex must be int, got vertex=True"),
+        (lambda: degree(HEXAGON, 0.0), "vertex must be int, got vertex=0.0"),
+        (lambda: enumerate_tree(7.0, 2), "n and k must be int, got n=7.0, k=2"),
+        (lambda: count_tree(8, 2.0), "n and k must be int, got n=8, k=2.0"),
+        (lambda: count_tree(8, True), "n and k must be int, got n=8, k=True"),
+        (lambda: label_children([1, 2]), "bad tree label [1, 2]"),
+        (lambda: label_children((True, 0)), "bad tree label (True, 0)"),
+        (lambda: label_children((1.0, 0)), "bad tree label (1.0, 0)"),
+    ],
+    ids=[
+        "det-bool-k",
+        "det-float-n",
+        "det-float-before-range",
+        "catalan-bool",
+        "catalan-float",
+        "all-paths-bool",
+        "all-paths-float",
+        "tuples-float-k",
+        "tuples-float-before-range",
+        "degree-float",
+        "degree-bool",
+        "degree-float-before-range",
+        "enumerate-tree-float-n",
+        "count-tree-float-k",
+        "count-tree-bool-k",
+        "label-list",
+        "label-bool-entry",
+        "label-float-entry",
+    ],
+)
+def test_integer_entry_points_refuse_other_types(call, text):
+    # a bool or a float is refused as a DomainError before any other check,
+    # not taken for the int it equals and not left to raise a TypeError
+    with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):
+        call()
+
+
 class TestCrossings:
     def test_examples(self):
         assert is_t_crossing([(1, 5), (2, 6), (3, 7)])
         assert not is_t_crossing([(1, 4), (2, 5), (4, 7)])
         assert is_t_crossing([(1, 4)])
+        with pytest.raises(DomainError, match="^a crossing needs at least one diagonal$"):
+            is_t_crossing([])
 
     def test_pairs_match_geometry(self):
         for n in range(5, 11):
