@@ -1,8 +1,10 @@
 """Text formats and ASCII renderings."""
 
+import hashlib
+
 import pytest
 
-from conftest import example_14gon, triangulations
+from conftest import example_14gon, triangulations, tuples
 from ktri import DomainError, DyckPath, KTriangulation, PolygonContext, enumerate_tuples, tree_root
 from ktri.formats import (
     diagonal_line,
@@ -116,6 +118,19 @@ class TestRenderDiagram:
         assert len(lines) == 1 + 11
         assert "".join(lines[1:]).count("X") == 18
 
+    def test_every_small_diagram_is_pinned(self):
+        # every k-triangulation for k = 1..4 up to the 9-, 10-, 11- and 12-gon, and four roots
+        tris = [tree_root(k) for k in (1, 2, 3, 50)]
+        tris += [
+            tri
+            for k, top in ((1, 9), (2, 10), (3, 11), (4, 12))
+            for n in range(2 * k + 1, top + 1)
+            for tri in triangulations(n, k)
+        ]
+        digest = hashlib.sha256("".join(map(render_diagram, tris)).encode()).hexdigest()
+        assert len(tris) == 12190
+        assert digest == "27b6c4c98b01307bf85723df533cbedf220d700dbf107d890dc4ab0587677fe8"
+
 
 class TestRenderPaths:
     def test_coincident_unshifted(self):
@@ -144,3 +159,11 @@ class TestRenderPaths:
     def test_rejects_crossing(self):
         with pytest.raises(DomainError):
             render_paths(DyckPath("NENE"), DyckPath("NNEE"))
+
+    def test_every_small_pair_is_pinned(self):
+        # every non-crossing pair of semilength 0..6, unshifted then shifted
+        pairs = [(DyckPath(""), DyckPath(""))] + [pt.paths for m in range(1, 7) for pt in tuples(m, 2)]
+        art = "".join(render_paths(p, q, shifted) for p, q in pairs for shifted in (False, True))
+        assert len(pairs) == 5416
+        digest = hashlib.sha256(art.encode()).hexdigest()
+        assert digest == "0cff5c6ce1bfad5aa265964225f2975647815a29134d71998a9e2205e1b56a53"
