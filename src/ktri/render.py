@@ -1,10 +1,10 @@
-"""ASCII renderings of staircase diagrams and path pairs."""
+"""ASCII renderings: a staircase diagram read off one table of marks, a path pair on one canvas."""
 
 from __future__ import annotations
 
 from .errors import DomainError
 from .paths import DyckPath, dominates
-from .polygon import KTriangulation, is_cell
+from .polygon import KTriangulation, staircase_cells
 
 
 def render_diagram(tri: KTriangulation) -> str:
@@ -15,19 +15,12 @@ def render_diagram(tri: KTriangulation) -> str:
     """
     ctx = tri.ctx
     width = len(str(ctx.n))
-    members = set(tri.diagonals)
+    marks = dict.fromkeys(staircase_cells(ctx), ".") | dict.fromkeys(tri.diagonals, "X")
     lines = [" ".join(f"{b:>{width}}" for b in ctx.columns)]
-    if ctx.n >= 2 * ctx.k + 2:
-        for a in ctx.rows:
-            cells = []
-            for b in ctx.columns:
-                if not is_cell(ctx, (a, b)):
-                    cells.append(" " * width)
-                elif (a, b) in members:
-                    cells.append(f"{'X':>{width}}")
-                else:
-                    cells.append(f"{'.':>{width}}")
-            lines.append(" ".join(cells).rstrip())
+    lines += [
+        " ".join(f"{marks.get((a, b), ''):>{width}}" for b in ctx.columns).rstrip()
+        for a in (ctx.rows if marks else ())  # the (2k+1)-gon has no cell: the header alone
+    ]
     return "\n".join(lines) + "\n"
 
 
@@ -38,49 +31,20 @@ def render_paths(p: DyckPath, q: DyckPath, shifted: bool = False) -> str:
     runs from (0, 1) to (m, m+1) and the lower from (1, 0) to (m+1, m), so
     non-crossing shows up as disjointness.  Upper-path edges use '-' and
     '|', lower-path edges '=' and ':', shared edges '#', visited lattice
-    points '+'.
+    points '+'.  On the canvas, one byte a character, the point (x, y) is
+    column 2x of text row 2(size - y), and an edge lies between its ends.
     """
     if not dominates(p, q):
         raise DomainError("first path must never go below the second")
-    m = p.m
-    size = m + (1 if shifted else 0)
-
-    def edges(path: DyckPath, x0: int, y0: int) -> tuple[set, set]:
-        horizontal, vertical = set(), set()
-        x, y = x0, y0
+    size = p.m + shifted
+    canvas = [bytearray(b" ") * (2 * size + 1) for _ in range(2 * size + 1)]
+    for path, x, y, (east, north) in ((p, 0, shifted, b"-|"), (q, shifted, 0, b"=:")):
+        row, col = 2 * (size - y), 2 * x
         for step in path.steps:
-            if step == "N":
-                vertical.add((x, y))
-                y += 1
-            else:
-                horizontal.add((x, y))
-                x += 1
-        return horizontal, vertical
-
-    ph, pv = edges(p, 0, 1 if shifted else 0)
-    qh, qv = edges(q, 1 if shifted else 0, 0)
-
-    points = set()
-    for hset, is_h in ((ph, True), (qh, True), (pv, False), (qv, False)):
-        for x, y in hset:
-            points.add((x, y))
-            points.add((x + 1, y) if is_h else (x, y + 1))
-
-    rows = []
-    for y in range(size, -1, -1):
-        row = []
-        for x in range(size + 1):
-            row.append("+" if (x, y) in points else " ")
-            if x < size:
-                here_p, here_q = (x, y) in ph, (x, y) in qh
-                row.append("#" if here_p and here_q else "-" if here_p else "=" if here_q else " ")
-        rows.append("".join(row).rstrip())
-        if y > 0:
-            row = []
-            for x in range(size + 1):
-                here_p, here_q = (x, y - 1) in pv, (x, y - 1) in qv
-                row.append("#" if here_p and here_q else "|" if here_p else ":" if here_q else " ")
-                if x < size:
-                    row.append(" ")
-            rows.append("".join(row).rstrip())
-    return "\n".join(rows) + "\n"
+            canvas[row][col] = ord("+")
+            up, right, mark = (1, 0, north) if step == "N" else (0, 1, east)
+            edge = canvas[row - up]
+            edge[col + right] = mark if edge[col + right] == ord(" ") else ord("#")  # shared
+            row, col = row - 2 * up, col + 2 * right
+            canvas[row][col] = ord("+")
+    return "".join(line.rstrip().decode() + "\n" for line in canvas)
