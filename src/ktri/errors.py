@@ -24,7 +24,7 @@ def _all_int(values: Iterable[object]) -> bool:
 def _require_int(**values: object) -> None:
     """DomainError unless each value is an int: ``n and k must be int, got n=7, k=2.0``."""
     if not _all_int(values.values()):
-        got = ", ".join(f"{name}={value!r}" for name, value in values.items())
+        got = ", ".join(f"{name}={_shown(value)}" for name, value in values.items())
         raise DomainError(f"{' and '.join(values)} must be int, got {got}")
 
 
@@ -34,11 +34,13 @@ _CHUNK_DIGITS = 1000
 
 
 def _decimal(value: int) -> str:
-    """Exact decimal digits of a nonnegative integer, however many there are."""
+    """Exact decimal digits of an integer, with its sign, however many there are."""
     try:
         return str(value)
     except ValueError:  # more digits than the int-to-str limit allows
         pass
+    if value < 0:
+        return "-" + _decimal(-value)
     chunk = 10**_CHUNK_DIGITS
     chunks = []
     while value:
@@ -46,6 +48,13 @@ def _decimal(value: int) -> str:
         chunks.append(low)
     head = str(chunks.pop())
     return head + "".join(f"{c:0{_CHUNK_DIGITS}d}" for c in reversed(chunks))
+
+
+def _shown(value: object) -> str:
+    """repr(value), each int in it in full (:func:`_decimal`), alone or in tuples."""
+    if type(value) is tuple:
+        return f"({', '.join(map(_shown, value))}{',' * (len(value) == 1)})"
+    return _decimal(value) if type(value) is int else repr(value)
 
 
 def _guard_value(default: int) -> int:

@@ -34,7 +34,7 @@ from itertools import groupby
 from operator import add, itemgetter
 from typing import Iterable, TypeVar
 
-from .errors import DomainError, StructuralError, _all_int
+from .errors import DomainError, StructuralError, _all_int, _shown
 from .gentree_k import (
     Columns,
     _check_staircase,
@@ -164,7 +164,7 @@ def label_children(label: TreeLabel) -> tuple[TreeLabel, ...]:
     addition (i, d_s - i + 1) for 0 <= i <= d_s + 1.
     """
     if type(label) is not tuple or not _all_int(label) or len(label) < 2 or min(label) < 0:
-        raise DomainError(f"bad tree label {label}")
+        raise DomainError(f"bad tree label {_shown(label) if type(label) is tuple else label}")
     s = len(label)
     return tuple(
         _child_label(label, j, i)

@@ -37,7 +37,8 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterable
 
-from .errors import DomainError, GuardExceeded, StructuralError, _guard_value, _require_int
+from .errors import DomainError, GuardExceeded, StructuralError, _decimal, _guard_value
+from .errors import _require_int
 from .paths import catalan_determinant
 from .polygon import Diagonal, KTriangulation, PolygonContext, _cell_bits, _finish
 
@@ -385,9 +386,9 @@ def _level_size(n: int, k: int) -> int:
     """The number of k-triangulations of the n-gon, once the tree may walk to it."""
     _require_int(n=n, k=k)
     if k < 2:
-        raise DomainError(f"tree enumeration needs k >= 2, got k={k}")
+        raise DomainError(f"tree enumeration needs k >= 2, got k={_decimal(k)}")
     if n < 2 * k + 1:
-        raise DomainError(f"need n >= 2k+1, got n={n}, k={k}")
+        raise DomainError(f"need n >= 2k+1, got n={_decimal(n)}, k={_decimal(k)}")
     limit = _guard_value(TREE_COUNT_GUARD)
     expected = catalan_determinant(n, k)
     if expected > limit:

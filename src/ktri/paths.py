@@ -47,7 +47,7 @@ def catalan(m: int) -> int:
     """The m-th Catalan number, binom(2m, m)/(m+1), exactly."""
     _require_int(m=m)
     if m < 0:
-        raise DomainError(f"catalan undefined for m={m}")
+        raise DomainError(f"catalan undefined for m={_decimal(m)}")
     return comb(2 * m, m) // (m + 1)
 
 
@@ -168,11 +168,11 @@ def catalan_determinant(n: int, k: int) -> int:
     """
     _require_int(n=n, k=k)
     if k < 1:
-        raise DomainError(f"k must be at least 1, got {k}")
+        raise DomainError(f"k must be at least 1, got {_decimal(k)}")
     if k == 1 and n < 2:
-        raise DomainError(f"need n >= 2 for k=1, got {n}")
+        raise DomainError(f"need n >= 2 for k=1, got {_decimal(n)}")
     if k > 1 and n <= 2 * k:
-        raise DomainError(f"need n > 2k, got n={n}, k={k}")
+        raise DomainError(f"need n > 2k, got n={_decimal(n)}, k={_decimal(k)}")
     sieve_limit = 2 * (n - k - 1)
     limit = _guard_value(COUNT_BITS_GUARD)
     if sieve_limit > limit:
@@ -277,7 +277,7 @@ def _tuple_guard(m: int, k: int) -> None:
     """
     limit = _guard_value(TUPLE_GUARD)
     if m * k > limit:
-        raise GuardExceeded(f"m*k = {m * k} exceeds the tuple guard of {limit}")
+        raise GuardExceeded(f"m*k = {_decimal(m * k)} exceeds the tuple guard of {limit}")
     limit = _guard_value(TUPLE_OBJECT_GUARD)
     if m > limit.bit_length() or _power_product(*_prime_exponents(m + 2 * k, k)) > limit:
         raise GuardExceeded(f"path tuple listing of more than {limit} objects refused; lower m")
@@ -287,7 +287,7 @@ def all_paths(m: int) -> tuple[DyckPath, ...]:
     """All Dyck paths of semilength m in lexicographic order (N < E), within the tuple guards."""
     _require_int(m=m)
     if m < 0:
-        raise DomainError(f"negative semilength {m}")
+        raise DomainError(f"negative semilength {_decimal(m)}")
     _tuple_guard(m, 1)
 
     level = [("", 0)]  # (prefix, its N count); extending in order keeps the lex order
@@ -334,7 +334,7 @@ def enumerate_tuples(m: int, k: int) -> list[PathTuple]:
     """All non-crossing k-tuples of semilength-m Dyck paths, lex order, within the tuple guards."""
     _require_int(m=m, k=k)
     if m < 1 or k < 1:
-        raise DomainError(f"need m >= 1 and k >= 1, got m={m}, k={k}")
+        raise DomainError(f"need m >= 1 and k >= 1, got m={_decimal(m)}, k={_decimal(k)}")
     _tuple_guard(m, k)
     paths = all_paths(m)
     chains = [(j,) for j in range(len(paths))]

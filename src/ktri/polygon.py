@@ -62,9 +62,9 @@ class PolygonContext:
     def __post_init__(self) -> None:
         _require_int(n=self.n, k=self.k)
         if self.k < 1:
-            raise DomainError(f"k must be at least 1, got {self.k}")
+            raise DomainError(f"k must be at least 1, got {_decimal(self.k)}")
         if self.n <= 2 * self.k:
-            raise DomainError(f"need n > 2k, got n={self.n}, k={self.k}")
+            raise DomainError(f"need n > 2k, got n={_decimal(self.n)}, k={_decimal(self.k)}")
 
     @property
     def diagonal_count(self) -> int:
@@ -325,7 +325,7 @@ def degree(obj, vertex: int) -> int:
     """Number of nontrivial diagonals of the set incident to the vertex."""
     _require_int(vertex=vertex)
     if not 1 <= vertex <= obj.ctx.n:
-        raise DomainError(f"vertex {vertex} out of range 1..{obj.ctx.n}")
+        raise DomainError(f"vertex {_decimal(vertex)} out of range 1..{_decimal(obj.ctx.n)}")
     return sum(1 for (a, b) in obj.diagonals if vertex in (a, b))
 
 

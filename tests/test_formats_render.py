@@ -162,7 +162,8 @@ class TestRenderPaths:
 
     def test_every_small_pair_is_pinned(self):
         # every non-crossing pair of semilength 0..6, unshifted then shifted
-        pairs = [(DyckPath(""), DyckPath(""))] + [pt.paths for m in range(1, 7) for pt in tuples(m, 2)]
+        pairs = [(DyckPath(""), DyckPath(""))]
+        pairs += [pt.paths for m in range(1, 7) for pt in tuples(m, 2)]
         art = "".join(render_paths(p, q, shifted) for p, q in pairs for shifted in (False, True))
         assert len(pairs) == 5416
         digest = hashlib.sha256(art.encode()).hexdigest()

@@ -261,6 +261,58 @@ def test_integer_entry_points_refuse_other_types(call, text):
         call()
 
 
+BIG = 10**5000  # past the interpreter's int-to-str limit of 4300 digits
+DIGITS = "1" + "0" * 5000
+
+
+@pytest.mark.parametrize(
+    "call, text",
+    [
+        (lambda: PolygonContext(BIG, BIG), f"need n > 2k, got n={DIGITS}, k={DIGITS}"),
+        (lambda: PolygonContext(BIG, 2.0), f"n and k must be int, got n={DIGITS}, k=2.0"),
+        (lambda: PolygonContext(5, -BIG), f"k must be at least 1, got -{DIGITS}"),
+        (lambda: catalan(-BIG), f"catalan undefined for m=-{DIGITS}"),
+        (lambda: catalan_determinant(BIG, BIG), f"need n > 2k, got n={DIGITS}, k={DIGITS}"),
+        (lambda: catalan_determinant(5, -BIG), f"k must be at least 1, got -{DIGITS}"),
+        (lambda: catalan_determinant(-BIG, 1), f"need n >= 2 for k=1, got -{DIGITS}"),
+        (lambda: all_paths(-BIG), f"negative semilength -{DIGITS}"),
+        (lambda: enumerate_tuples(-BIG, 1), f"need m >= 1 and k >= 1, got m=-{DIGITS}, k=1"),
+        (lambda: enumerate_tuples(BIG, 1), f"m*k = {DIGITS} exceeds the tuple guard of 40"),
+        (lambda: enumerate_tree(BIG, BIG), f"need n >= 2k+1, got n={DIGITS}, k={DIGITS}"),
+        (lambda: count_tree(5, -BIG), f"tree enumeration needs k >= 2, got k=-{DIGITS}"),
+        (lambda: degree(HEXAGON, BIG), f"vertex {DIGITS} out of range 1..6"),
+        (lambda: label_children((BIG,)), f"bad tree label ({DIGITS},)"),
+        (
+            lambda: label_children((-BIG, (BIG, 2.0))),
+            f"bad tree label (-{DIGITS}, ({DIGITS}, 2.0))",
+        ),
+    ],
+    ids=[
+        "context-n-k",
+        "context-float-k",
+        "context-negative-k",
+        "catalan",
+        "det-n-k",
+        "det-negative-k",
+        "det-negative-n-k1",
+        "all-paths",
+        "tuples-negative-m",
+        "tuples-guard",
+        "enumerate-tree",
+        "count-tree",
+        "degree",
+        "label-one-entry",
+        "label-nested",
+    ],
+)
+def test_integers_past_the_str_limit_are_named_in_full(call, text):
+    # the texts print a caller's int of any size, so the call raises its
+    # DomainError, not the ValueError of the int-to-str limit
+    with pytest.raises(DomainError) as caught:
+        call()
+    assert str(caught.value) == text
+
+
 class TestCrossings:
     def test_examples(self):
         assert is_t_crossing([(1, 5), (2, 6), (3, 7)])
