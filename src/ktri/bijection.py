@@ -77,7 +77,7 @@ class ColoredDiagram:
     absorbed: tuple[int, ...]
 
 
-def color_diagram(tri: KTriangulation, flip_ties: bool = False) -> ColoredDiagram:
+def color_diagram(tri: KTriangulation) -> ColoredDiagram:
     """Color every cross blue or red by the iterated corner-block step.
 
     Starting from one singleton block per column, repeat n-5 times: find the
@@ -86,15 +86,12 @@ def color_diagram(tri: KTriangulation, flip_ties: bool = False) -> ColoredDiagra
     r-1 (block 1 is absorbed into the unnumbered far-left block when r = 2),
     and color red the rightmost uncolored cross of the merged block.  Each
     iteration is recorded in ``steps``.
-
-    ``flip_ties`` reverses both within-column tie-breaks; it exists to make
-    the tie-break independence of the color counts testable.
     """
-    return _color(tri, flip_ties, trace=True)
+    return _color(tri, flip_ties=False, trace=True)
 
 
 def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
-    """:func:`color_diagram`, recording its steps only when ``trace`` is set.
+    """:func:`color_diagram`, both tie-breaks reversed if ``flip_ties``, steps kept if ``trace``.
 
     Each numbered block keeps the bitmask of the rows its columns hold, the
     union of its columns' masks, so "block j has a cross in row j" is one shift.

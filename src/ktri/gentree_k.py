@@ -420,8 +420,8 @@ def enumerate_tree(n: int, k: int) -> list[KTriangulation]:
     staircase cells: what the constructor checks but its crossing search.
     On a fault, :func:`_triangulation` raises its text, as it does on the
     sorted columns :func:`_grow` keeps; columns out of order are named otherwise.
-    The masks must be exactly the counted number, all distinct, and
-    :func:`ktri.polygon._finish` sorts them and builds each object once.
+    Their number must be the count, the level's one check, and
+    :func:`ktri.polygon._finish` refuses a repeated mask, sorts and builds each once.
     """
     expected = _level_size(n, k)
     ctx = PolygonContext(n, k)
@@ -440,12 +440,9 @@ def enumerate_tree(n: int, k: int) -> list[KTriangulation]:
         raise StructuralError(f"column {b} rows {col} are out of order")
 
     leaves = [mask(cols) for cols, _ in _nodes(n, k)]
-    distinct = set(leaves)
-    if len(leaves) != expected or len(distinct) != expected:
-        raise StructuralError(
-            f"tree level has {len(leaves)} children, {len(distinct)} distinct; expected {expected}"
-        )
-    return _finish(ctx, bits, distinct)
+    if len(leaves) != expected:
+        raise StructuralError(f"tree level has {len(leaves)} children; expected {expected}")
+    return _finish(ctx, bits, leaves)
 
 
 def count_tree(n: int, k: int) -> int:

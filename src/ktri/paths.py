@@ -217,13 +217,8 @@ class DyckPath:
         """The exponent tuple (e_1, ..., e_m); e_m belongs to the first N."""
         if self.m < 1:
             raise DomainError("the empty path has no exponent form")
-        steps, exps = self.steps, []
-        end = len(steps) - 1  # the final E is not part of e_1
-        while end:  # e_j is the run of E steps after the j-th N from the end
-            start = steps.rindex("N", 0, end)
-            exps.append(end - start - 1)
-            end = start
-        return tuple(exps)
+        # the runs of E after each N but the final E, read from the last N: e_j follows the j-th
+        return tuple(map(len, self.steps[:-1].split("N")[:0:-1]))
 
     @classmethod
     def from_exponents(cls, exps: Sequence[int]) -> "DyckPath":

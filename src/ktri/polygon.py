@@ -123,10 +123,7 @@ def _off_staircase(n: int, k: int, diagonals: Iterable[Diagonal]) -> list[Diagon
 
 
 def is_cell(ctx: PolygonContext, d: Diagonal) -> bool:
-    """True iff the pair d is a staircase cell of the polygon.
-
-    Public, with no caller in the package, to test one pair: the tests ask it of pairs they make.
-    """
+    """True iff d is a staircase cell: public, with no caller in the package, to test one pair."""
     return not _off_staircase(ctx.n, ctx.k, (d,))
 
 

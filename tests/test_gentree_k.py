@@ -411,6 +411,25 @@ class TestEnumerateTree:
         with pytest.raises(StructuralError, match="expected 14$"):
             enumerate_tree(7, 2)
 
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda kids: kids + kids[:1], r"^tree level has 17 children; expected 14$"),
+            (lambda kids: kids[:-1] + kids[:1], r"^leaf mask 0x[0-9a-f]+ appears more than once$"),
+        ],
+        ids=["surplus", "repeated-at-the-count"],
+    )
+    def test_one_level_check(self, monkeypatch, corrupt, error):
+        # the leaves, the children of the three 6-gon nodes, are counted, and a
+        # repeat that keeps the count of 14 is refused where they are sorted
+        def children(cols, k, r):
+            kids = _children(cols, k, r)
+            return corrupt(kids) if len(cols) == 7 else kids
+
+        monkeypatch.setattr("ktri.gentree_k._children", children)
+        with pytest.raises(StructuralError, match=error):
+            enumerate_tree(7, 2)
+
     @pytest.mark.parametrize("k,n", [(2, 9), (3, 10), (4, 12)])
     def test_objects_equal_the_public_constructors(self, k, n):
         # built without the constructor's checks, each object is the one it builds
