@@ -217,7 +217,7 @@ class DyckPath:
         """The exponent tuple (e_1, ..., e_m); e_m belongs to the first N."""
         if self.m < 1:
             raise DomainError("the empty path has no exponent form")
-        # the runs of E after each N but the final E, read from the last N: e_j follows the j-th
+        # e_j is the run of E steps after the j-th N from the end; the final E belongs to none
         return tuple(map(len, self.steps[:-1].split("N")[:0:-1]))
 
     @classmethod
