@@ -220,13 +220,18 @@ def assert_coloring_closes(colored):
     """What a finished coloring always holds, which no runtime check restates.
 
     Every cross is colored, two blocks are left, column 4 has no blue cross
-    and column n no red one.
+    and column n no red one.  After every traced step and at the end, the
+    absorbed block followed by blocks 1, 2, ... is columns 4..n in order:
+    each block is a run of columns, as a merge joins two neighbours.
     """
     tri = colored.diagram
     assert set(colored.color) == set(tri.diagonals)
     assert len(colored.color) == 2 * (tri.ctx.n - 5)
     assert len(colored.blocks) == 2
     assert colored.blue_counts[0] == 0 and colored.red_counts[-1] == 0
+    columns = tuple(range(4, tri.ctx.n + 1))
+    for state in (*colored.steps, colored):
+        assert state.absorbed + sum(state.blocks, ()) == columns
 
 
 @pytest.mark.parametrize("flip_ties", [False, True])
