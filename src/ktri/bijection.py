@@ -31,7 +31,7 @@ color counts, hence the resulting paths, do not depend on these choices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Iterable, Mapping
 
 from .errors import DomainError, StructuralError
 from .gentree2 import (
@@ -93,86 +93,70 @@ def color_diagram(tri: KTriangulation) -> ColoredDiagram:
 def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
     """:func:`color_diagram`, both tie-breaks reversed if ``flip_ties``, steps kept if ``trace``.
 
-    Each numbered block keeps the bitmask of the rows its columns hold, the
-    union of its columns' masks, so "block j has a cross in row j" is one shift.
-    Each of the n-5 iterations pops two crosses off the uncolored rows and
-    removes one of the n-3 blocks, so all 2(n-5) crosses are colored and two blocks are left.
+    A block merges only with its neighbour, so each is a run of columns:
+    region j is range(starts[j], starts[j + 1]), region 0 the absorbed block
+    (empty at first) and region j >= 1 block j.  So a merge, r = 2 included,
+    deletes one boundary.  Each region keeps the bitmask of its columns' rows,
+    so "block j has a cross in row j" is one shift.  Each of the n-5
+    iterations colors two crosses and deletes one of the n-3 inner
+    boundaries, so all 2(n-5) crosses are colored and two blocks are left.
     """
     if tri.ctx.k != 2:
         raise DomainError(f"coloring defined for k=2 only, got k={tri.ctx.k}")
     n = tri.ctx.n
     uncolored: list[list[int]] = [[] for _ in range(n + 1)]  # each column's uncolored rows
-    masks = [0] * (n + 1)
+    row_masks = [0] * (n - 2)  # region j's rows; column b >= 4 starts as region b-3
     for a, b in tri.diagonals:  # sorted by (a, b), so each column fills in row order
         uncolored[b].append(a)
-        masks[b] |= 1 << a
+        row_masks[b - 3] |= 1 << a
     blue_counts = [0] * (n + 1)
     red_counts = [0] * (n + 1)
 
-    blocks: list[list[int]] = [[b] for b in range(4, n + 1)]
-    row_masks = masks[4:]
-    absorbed: list[int] = []
+    starts = [4, *range(4, n + 2)]  # region j is range(starts[j], starts[j + 1])
     color: dict[Diagonal, str] = {}
     steps: list[IterationStep] = []
 
-    def pick(block: list[int], rightmost: bool, highest: bool) -> Diagonal | None:
+    def pick(columns: Iterable[int], highest: bool) -> Diagonal | None:
         """Take the highest or the lowest uncolored cross of the first column that has one."""
-        for c in reversed(block) if rightmost else block:
+        for c in columns:
             rows = uncolored[c]
             if rows:
                 return (rows.pop(0) if highest else rows.pop(), c)
         return None
 
     for index in range(1, n - 4):
-        r = len(blocks)  # down to the largest r whose block has a cross in row r, or 0
-        while r and not row_masks[r - 1] >> r & 1:
+        r = len(starts) - 2  # down to the largest r whose block has a cross in row r, or 0
+        while r and not row_masks[r] >> r & 1:
             r -= 1
         if r < 2:
             raise StructuralError(f"no usable corner block found (r={r})")
 
-        blue = pick(blocks[r - 1], rightmost=False, highest=flip_ties)
+        blue = pick(range(starts[r], starts[r + 1]), highest=flip_ties)
         if blue is None:
             raise StructuralError(f"no uncolored cross to color blue in block {r}")
         color[blue] = BLUE
         blue_counts[blue[1]] += 1
 
-        if r == 2:
-            absorbed.extend(blocks.pop(0))
-            del row_masks[0]
-            merged_cols = absorbed
-        else:
-            blocks[r - 3] += blocks.pop(r - 2)
-            row_masks[r - 3] |= row_masks.pop(r - 2)
-            merged_cols = blocks[r - 3]
-
-        red = pick(merged_cols, rightmost=True, highest=not flip_ties)
+        del starts[r - 1]
+        row_masks[r - 2] |= row_masks.pop(r - 1)
+        red = pick(reversed(range(starts[r - 2], starts[r - 1])), highest=not flip_ties)
         if red is None:
             raise StructuralError(f"no uncolored cross to color red in merged block {r - 2}")
         color[red] = RED
         red_counts[red[1]] += 1
 
         if trace:
-            steps.append(
-                IterationStep(
-                    index,
-                    r,
-                    blue,
-                    red,
-                    (r - 2, r - 1),
-                    tuple(tuple(b) for b in blocks),
-                    tuple(absorbed),
-                )
-            )
+            steps.append(IterationStep(index, r, blue, red, (r - 2, r - 1), *_runs(starts)))
 
     return ColoredDiagram(
-        tri,
-        color,
-        tuple(blue_counts[4:]),
-        tuple(red_counts[4:]),
-        tuple(steps),
-        tuple(tuple(b) for b in blocks),
-        tuple(absorbed),
+        tri, color, tuple(blue_counts[4:]), tuple(red_counts[4:]), tuple(steps), *_runs(starts)
     )
+
+
+def _runs(starts: list[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The blocks 1, 2, ... and the absorbed block, read off the run boundaries ``starts``."""
+    absorbed, *blocks = (tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
+    return tuple(blocks), absorbed
 
 
 def to_paths(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
@@ -180,10 +164,10 @@ def to_paths(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
 
     The upper path takes an E run of length (blue count of column j) for
     j = 5..n, the lower path one of length (red count of column j) for
-    j = 4..n-1; both get a closing E.  Blue comes from block r >= 2, never
-    from column 4 (in block 1 until absorbed), and red from block r-2 or the
-    absorbed block, never from the last (column n), as r <= len(blocks).  So
-    each tuple sums to m-1, and both are Dyck paths once _pair_fault passes.
+    j = 4..n-1; both get a closing E.  Blue comes from region r >= 2, which
+    starts past column 4 (in region 1 or 0), and red from the merged region
+    r-2, which is never the last, so never holds column n.  So each tuple
+    sums to m-1, and both are Dyck paths once _pair_fault passes.
 
     The input is a 2-triangulation by construction (the public constructor
     certifies, the trees build only their nodes), so the crossing-pair
