@@ -18,6 +18,7 @@ is a DomainError, never normalised.
 from __future__ import annotations
 
 import re
+import sys
 from functools import lru_cache
 
 from .errors import DomainError
@@ -64,19 +65,30 @@ def _two_lines(text: str, count_error: str) -> list[str]:
     return lines
 
 
+def _numbers(match: re.Match[str]) -> tuple[int, ...]:
+    """The numbers a grammar line matched; one past the int-to-str limit is a DomainError."""
+    try:
+        return tuple(map(int, match.groups()))
+    except ValueError:  # the grammar admits canonical decimals only, so only the limit fails
+        digits = max(len(number.lstrip("-")) for number in match.groups())
+        limit = sys.get_int_max_str_digits()
+        raise DomainError(f"number of {digits} digits past the limit of {limit} digits") from None
+
+
 def parse_triangulation(text: str) -> KTriangulation:
     head, body = _two_lines(text, "expected 2 lines (header, diagonals)")
     header = _HEADER.fullmatch(head)
     if header is None:
         raise DomainError(f"bad header {head!r}")
-    ctx = PolygonContext(int(header[2]), int(header[1]))
+    k, n = _numbers(header)
+    ctx = PolygonContext(n, k)
     diagonals = []
     if body != "-":
         for item in body.split(","):
             diagonal = _DIAGONAL.fullmatch(item)
             if diagonal is None:
                 raise DomainError(f"bad diagonal {item!r}")
-            diagonals.append((int(diagonal[1]), int(diagonal[2])))
+            diagonals.append(_numbers(diagonal))
     tri = KTriangulation(ctx, diagonals)
     for (a, b), (c, d) in zip(diagonals, diagonals[1:]):
         if (c, d) < (a, b):

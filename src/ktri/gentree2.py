@@ -126,6 +126,7 @@ def child_by_label(tri: KTriangulation, target: TreeLabel) -> KTriangulation:
     with no caller in the package, as the triangulation tree's step by label.
     """
     _require_k2(tri)
+    _require_int_tuple(target)
     cols = _columns(tri)
     r = _corner(cols, 2)
     child, _ = _child_by_label(cols, r, _label(cols, r), target)
@@ -163,14 +164,21 @@ def label_children(label: TreeLabel) -> tuple[TreeLabel, ...]:
     (i, d_j - i + 1, d_{j+1} + 1, d_{j+2}, ..., d_s) appears, and in
     addition (i, d_s - i + 1) for 0 <= i <= d_s + 1.
     """
-    if type(label) is not tuple or not _all_int(label) or len(label) < 2 or min(label) < 0:
-        raise DomainError(f"bad tree label {_shown(label) if type(label) is tuple else label}")
+    _require_int_tuple(label)
+    if len(label) < 2 or min(label) < 0:
+        raise DomainError(f"bad tree label {_shown(label)}")
     s = len(label)
     return tuple(
         _child_label(label, j, i)
         for j in range(1, s + 1)
         for i in range(label[j - 1] + 1 + (j == s))
     )
+
+
+def _require_int_tuple(label: object) -> None:
+    """DomainError ``bad tree label ...`` unless ``label`` is a tuple of int."""
+    if type(label) is not tuple or not _all_int(label):
+        raise DomainError(f"bad tree label {_shown(label) if type(label) is tuple else label}")
 
 
 def _sibling_position(label: TreeLabel, target: TreeLabel) -> tuple[int, int]:
@@ -183,7 +191,7 @@ def _sibling_position(label: TreeLabel, target: TreeLabel) -> tuple[int, int]:
     j = s + 2 - len(target)
     i = target[0] if 1 <= j <= s else -1
     if not 0 <= i <= label[j - 1] + (j == s) or _child_label(label, j, i) != target:
-        raise StructuralError(f"label {target} is not a child label of {label}")
+        raise StructuralError(f"label {_shown(target)} is not a child label of {label}")
     return j, i
 
 
@@ -312,6 +320,7 @@ def pair_child_by_label(enc: PairEncoding, target: TreeLabel) -> PairEncoding:
     child is built (:func:`_pair_child`).  Its label is checked here.  It is
     public, with no caller in the package, as the pair tree's step by label.
     """
+    _require_int_tuple(target)
     p, q, _ = _pair_child_by_label(enc.p, enc.q, enc.s, pair_label(enc), target)
     return PairEncoding(p, q)
 

@@ -36,7 +36,7 @@ from operator import mul, sub
 from typing import Sequence
 
 from .errors import DomainError, GuardExceeded, StructuralError, _all_int, _decimal, _guard_value
-from .errors import _require_int
+from .errors import _require_int, _shown
 
 TUPLE_GUARD = 40
 TUPLE_OBJECT_GUARD = 10**5
@@ -224,10 +224,13 @@ class DyckPath:
     def from_exponents(cls, exps: Sequence[int]) -> "DyckPath":
         if not exps:
             raise DomainError("exponent form needs at least one entry")
+        if not _all_int(exps):
+            bad = next(e for e in exps if type(e) is not int)
+            raise DomainError(f"exponent {_shown(bad)} is not an int")
         steps = []
         for e in reversed(exps):
             if e < 0:
-                raise DomainError(f"negative exponent {e}")
+                raise DomainError(f"negative exponent {_decimal(e)}")
             steps.append("N" + "E" * e)
         return cls("".join(steps) + "E")
 
@@ -375,7 +378,7 @@ class PairEncoding:
         if j is not None:
             raise DomainError(f"exponents are no non-crossing pair at position {j}")
         if sum(p) != m - 1:  # then Q_m = m-1 too, as m-1 <= Q_m <= P_m
-            raise DomainError(f"upper exponents sum to {sum(p)}, expected {m - 1}")
+            raise DomainError(f"upper exponents sum to {_decimal(sum(p))}, expected {m - 1}")
         object.__setattr__(self, "s", _split_index(p, q))
 
     @property

@@ -43,7 +43,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import DomainError, GuardExceeded, StructuralError, _all_int, _decimal
-from .errors import _guard_value, _require_int
+from .errors import _guard_value, _require_int, _shown
 from .paths import _power_product, _prime_exponents
 
 Diagonal = tuple[int, int]
@@ -81,11 +81,19 @@ class PolygonContext:
 
 
 def wrap_chord(x: int, y: int, n: int) -> Diagonal:
-    """Canonical (a, b) with a < b for a chord given with labels modulo n."""
+    """Canonical (a, b) with a < b for a chord given with labels modulo n >= 1."""
+    _require_int(x=x, y=y, n=n)
+    if n < 1:
+        raise DomainError(f"need n >= 1, got n={_decimal(n)}")
+    return _wrap_chord(x, y, n)
+
+
+def _wrap_chord(x: int, y: int, n: int) -> Diagonal:
+    """:func:`wrap_chord` on ints with n >= 1, unchecked, for the per-vertex lemmas."""
     x = (x - 1) % n + 1
     y = (y - 1) % n + 1
     if x == y:
-        raise DomainError(f"degenerate chord ({x},{y})")
+        raise DomainError(f"degenerate chord ({_decimal(x)},{_decimal(y)})")
     return (x, y) if x < y else (y, x)
 
 
@@ -97,7 +105,7 @@ def trivial_diagonals(ctx: PolygonContext) -> frozenset[Diagonal]:
     out = set()
     for a in range(1, ctx.n + 1):
         for j in range(2, ctx.k + 1):
-            out.add(wrap_chord(a, a + j, ctx.n))
+            out.add(_wrap_chord(a, a + j, ctx.n))
     return frozenset(out)
 
 
@@ -143,15 +151,16 @@ def _check_members(ctx: PolygonContext, diagonals: Iterable[Diagonal]) -> tuple[
         raise DomainError(f"diagonal {bad!r} is not a tuple")
     if not {*map(len, out)} <= {2} or not _all_int(chain.from_iterable(out)):
         bad = next(d for d in out if len(d) != 2 or not _all_int(d))
-        raise DomainError(f"diagonal {bad!r} is not a pair of int")
+        raise DomainError(f"diagonal {_shown(bad)} is not a pair of int")
     out.sort()
     off = _off_staircase(ctx.n, ctx.k, out)
     if not off and len(set(out)) == len(out):
         return tuple(out)
     repeat = next((d for prev, d in zip(out, out[1:]) if d == prev), None)
     if off and (repeat is None or off[0] <= repeat):
-        raise DomainError(f"{off[0]} is not a nontrivial diagonal of the {ctx.n}-gon (k={ctx.k})")
-    raise DomainError(f"diagonal {repeat} appears more than once")
+        where = f"the {_decimal(ctx.n)}-gon (k={_decimal(ctx.k)})"
+        raise DomainError(f"{_shown(off[0])} is not a nontrivial diagonal of {where}")
+    raise DomainError(f"diagonal {_shown(repeat)} appears more than once")
 
 
 @dataclass(frozen=True)
@@ -209,8 +218,8 @@ def _check_size(ctx: PolygonContext, count: int) -> None:
     """The cardinality formula: k(n-2k-1) nontrivial diagonals in a k-triangulation of the n-gon."""
     if count != ctx.diagonal_count:
         raise DomainError(
-            f"a k-triangulation of the {ctx.n}-gon (k={ctx.k}) has "
-            f"{ctx.diagonal_count} nontrivial diagonals, got {count}"
+            f"a k-triangulation of the {_decimal(ctx.n)}-gon (k={_decimal(ctx.k)}) has "
+            f"{_decimal(ctx.diagonal_count)} nontrivial diagonals, got {count}"
         )
 
 
@@ -557,7 +566,7 @@ def check_structure_lemmas(obj) -> StructureReport:
 
         fails = []
         for a in range(1, n + 1):
-            if wrap_chord(a, a + 3, n) in members:
+            if _wrap_chord(a, a + 3, n) in members:
                 continue
             for v in (a + 1, a + 2):
                 v = (v - 1) % n + 1
@@ -569,7 +578,7 @@ def check_structure_lemmas(obj) -> StructureReport:
         for v in range(1, n + 1):
             if degrees[v] != 0:
                 continue
-            for chord in (wrap_chord(v - 2, v + 1, n), wrap_chord(v - 1, v + 2, n)):
+            for chord in (_wrap_chord(v - 2, v + 1, n), _wrap_chord(v - 1, v + 2, n)):
                 if chord not in members:
                     fails.append(f"vertex {v} isolated but {chord} missing")
         checks.append(LemmaCheck("isolated_vertex_closure", not fails, tuple(fails)))

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .bijection import _color, from_paths, to_paths, to_paths_via_tree
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, _decimal, _require_int
 from .gentree2 import ROOT_PAIR, _by_split, _label, label_children, pair_children, pair_parent
 from .gentree_k import (
     _cells,
@@ -256,8 +256,10 @@ def _k2_specialization(n_max: int, brute: Lister) -> Check:
 
 
 def run_verify(k: int, n_max: int) -> list[Check]:
+    _require_int(k=k, n_max=n_max)
     if k < 1 or n_max < 2 * k + 1:
-        raise DomainError(f"verify needs k >= 1 and n_max >= 2k+1, got k={k}, n_max={n_max}")
+        got = f"k={_decimal(k)}, n_max={_decimal(n_max)}"
+        raise DomainError(f"verify needs k >= 1 and n_max >= 2k+1, got {got}")
     # _counting counts, then lists, each level in turn: its guards, applied to every
     # level first, refuse the range at once with the error that the checks would raise.
     # They bound the tuple listings too: each is tuples(m, kk) with kk <= k and m+2k <= n_max,

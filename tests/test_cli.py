@@ -281,6 +281,18 @@ class TestMapUnmap:
         assert run(capsys, "map", "--input", str(f)) == (1, "", f"error: {err}\n")
 
     @pytest.mark.parametrize(
+        "text",
+        ["k=2 n=1" + "0" * 5000 + "\n-\n", "k=2 n=7\n1-1" + "0" * 5000 + "\n"],
+        ids=["header", "diagonal"],
+    )
+    def test_map_refuses_a_number_past_the_int_to_str_limit(self, capsys, tmp_path, text):
+        # int() would refuse the 5,001 digits with a ValueError; the parser names their count
+        f = tmp_path / "long.tri"
+        f.write_text(text)
+        err = "error: number of 5001 digits past the limit of 4300 digits\n"
+        assert run(capsys, "map", "--input", str(f)) == (1, "", err)
+
+    @pytest.mark.parametrize(
         "verb, text, err",
         [
             ("map", "  k=2 n=6\n1-4,3-6\n", "whitespace around line 1: '  k=2 n=6'"),

@@ -11,16 +11,20 @@ import pytest
 
 from conftest import example_14gon, holds, triangulations
 from ktri import (
+    ROOT_PAIR,
     DiagonalSet,
     DomainError,
+    DyckPath,
     GuardExceeded,
     KTriangulation,
+    PairEncoding,
     PolygonContext,
     StructuralError,
     all_paths,
     catalan,
     catalan_determinant,
     check_structure_lemmas,
+    child_by_label,
     complete_to_maximal,
     count_tree,
     degree,
@@ -31,9 +35,12 @@ from ktri import (
     is_k_triangulation,
     is_t_crossing,
     label_children,
+    pair_child_by_label,
     staircase_cells,
+    tree_root,
     trivial_diagonals,
     verify,
+    wrap_chord,
 )
 from ktri.polygon import (
     LemmaCheck,
@@ -232,6 +239,17 @@ HEXAGON = KTriangulation(PolygonContext(6, 2), ((1, 4), (2, 5)))
         (lambda: label_children([1, 2]), "bad tree label [1, 2]"),
         (lambda: label_children((True, 0)), "bad tree label (True, 0)"),
         (lambda: label_children((1.0, 0)), "bad tree label (1.0, 0)"),
+        (lambda: verify.run_verify(2.0, 9), "k and n_max must be int, got k=2.0, n_max=9"),
+        (lambda: wrap_chord(1, 2, 0), "need n >= 1, got n=0"),
+        (lambda: wrap_chord(1, 2, -5), "need n >= 1, got n=-5"),
+        (lambda: wrap_chord(1.0, 2, 5), "x and y and n must be int, got x=1.0, y=2, n=5"),
+        (lambda: DyckPath.from_exponents([1.5]), "exponent 1.5 is not an int"),
+        (lambda: DyckPath.from_exponents((0, "a")), "exponent 'a' is not an int"),
+        (lambda: DyckPath.from_exponents([True]), "exponent True is not an int"),
+        (lambda: child_by_label(tree_root(2), "ab"), "bad tree label ab"),
+        (lambda: child_by_label(tree_root(2), (0, 1.0)), "bad tree label (0, 1.0)"),
+        (lambda: pair_child_by_label(ROOT_PAIR, "ab"), "bad tree label ab"),
+        (lambda: pair_child_by_label(ROOT_PAIR, (True,)), "bad tree label (True,)"),
     ],
     ids=[
         "det-bool-k",
@@ -252,6 +270,17 @@ HEXAGON = KTriangulation(PolygonContext(6, 2), ((1, 4), (2, 5)))
         "label-list",
         "label-bool-entry",
         "label-float-entry",
+        "verify-float-k",
+        "chord-zero-n",
+        "chord-negative-n",
+        "chord-float-x",
+        "exponent-float",
+        "exponent-str",
+        "exponent-bool",
+        "child-str-target",
+        "child-float-entry",
+        "pair-child-str-target",
+        "pair-child-bool-entry",
     ],
 )
 def test_integer_entry_points_refuse_other_types(call, text):
@@ -286,6 +315,26 @@ DIGITS = "1" + "0" * 5000
             lambda: label_children((-BIG, (BIG, 2.0))),
             f"bad tree label (-{DIGITS}, ({DIGITS}, 2.0))",
         ),
+        (
+            lambda: KTriangulation(PolygonContext(BIG, 2), []),
+            f"a k-triangulation of the {DIGITS}-gon (k=2) has 1{'9' * 4999}0 nontrivial "
+            "diagonals, got 0",  # 2 * (10**5000 - 5)
+        ),
+        (
+            lambda: DiagonalSet(PolygonContext(6, 2), [(1, BIG)]),
+            f"(1, {DIGITS}) is not a nontrivial diagonal of the 6-gon (k=2)",
+        ),
+        (
+            lambda: DiagonalSet(PolygonContext(6, 2), [(BIG, 1.5)]),
+            f"diagonal ({DIGITS}, 1.5) is not a pair of int",
+        ),
+        (lambda: DyckPath.from_exponents([-BIG]), f"negative exponent -{DIGITS}"),
+        (lambda: wrap_chord(BIG, BIG, BIG + 1), f"degenerate chord ({DIGITS},{DIGITS})"),
+        (lambda: PairEncoding((BIG,), (0,)), f"upper exponents sum to {DIGITS}, expected 0"),
+        (
+            lambda: verify.run_verify(BIG, 9),
+            f"verify needs k >= 1 and n_max >= 2k+1, got k={DIGITS}, n_max=9",
+        ),
     ],
     ids=[
         "context-n-k",
@@ -303,6 +352,13 @@ DIGITS = "1" + "0" * 5000
         "degree",
         "label-one-entry",
         "label-nested",
+        "triangulation-size",
+        "off-staircase",
+        "not-a-pair-of-int",
+        "negative-exponent",
+        "degenerate-chord",
+        "pair-sum",
+        "verify-range",
     ],
 )
 def test_integers_past_the_str_limit_are_named_in_full(call, text):
