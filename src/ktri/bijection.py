@@ -31,7 +31,7 @@ color counts, hence the resulting paths, do not depend on these choices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .errors import DomainError, StructuralError
 from .gentree2 import (
@@ -112,13 +112,19 @@ def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
     blue_counts = [0] * (n + 1)
     red_counts = [0] * (n + 1)
 
-    starts = [4, *range(4, n + 2)]  # region j is range(starts[j], starts[j + 1])
+    columns = tuple(range(n + 1))
+    starts = [4, *range(4, n + 2)]  # region 0 empty, then one column per block, ending at n+1
     color: dict[Diagonal, str] = {}
     steps: list[IterationStep] = []
 
-    def pick(columns: Iterable[int], highest: bool) -> Diagonal | None:
-        """Take the highest or the lowest uncolored cross of the first column that has one."""
-        for c in columns:
+    def runs() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+        """The blocks 1, 2, ... and the absorbed block, each a slice of ``columns``."""
+        regions = [columns[a:b] for a, b in zip(starts, starts[1:])]
+        return tuple(regions[1:]), regions[0]
+
+    def pick(run: range, highest: bool) -> Diagonal | None:
+        """Take the highest or the lowest uncolored cross of the first column with one."""
+        for c in run:
             rows = uncolored[c]
             if rows:
                 return (rows.pop(0) if highest else rows.pop(), c)
@@ -131,7 +137,7 @@ def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
         if r < 2:
             raise StructuralError(f"no usable corner block found (r={r})")
 
-        blue = pick(range(starts[r], starts[r + 1]), highest=flip_ties)
+        blue = pick(range(starts[r], starts[r + 1]), flip_ties)
         if blue is None:
             raise StructuralError(f"no uncolored cross to color blue in block {r}")
         color[blue] = BLUE
@@ -139,24 +145,18 @@ def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
 
         del starts[r - 1]
         row_masks[r - 2] |= row_masks.pop(r - 1)
-        red = pick(reversed(range(starts[r - 2], starts[r - 1])), highest=not flip_ties)
+        red = pick(range(starts[r - 1] - 1, starts[r - 2] - 1, -1), not flip_ties)  # backwards
         if red is None:
             raise StructuralError(f"no uncolored cross to color red in merged block {r - 2}")
         color[red] = RED
         red_counts[red[1]] += 1
 
         if trace:
-            steps.append(IterationStep(index, r, blue, red, (r - 2, r - 1), *_runs(starts)))
+            steps.append(IterationStep(index, r, blue, red, (r - 2, r - 1), *runs()))
 
     return ColoredDiagram(
-        tri, color, tuple(blue_counts[4:]), tuple(red_counts[4:]), tuple(steps), *_runs(starts)
+        tri, color, tuple(blue_counts[4:]), tuple(red_counts[4:]), tuple(steps), *runs()
     )
-
-
-def _runs(starts: list[int]) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-    """The blocks 1, 2, ... and the absorbed block, read off the run boundaries ``starts``."""
-    absorbed, *blocks = (tuple(range(a, b)) for a, b in zip(starts, starts[1:]))
-    return tuple(blocks), absorbed
 
 
 def to_paths(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:

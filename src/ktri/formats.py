@@ -65,10 +65,10 @@ def _two_lines(text: str, count_error: str) -> list[str]:
     return lines
 
 
-def _numbers(match: re.Match[str]) -> tuple[int, ...]:
-    """The numbers a grammar line matched; one past the int-to-str limit is a DomainError."""
+def _numbers(match: re.Match[str]) -> tuple[int, int]:
+    """The two numbers a grammar line matched; one past the int-to-str limit is a DomainError."""
     try:
-        return tuple(map(int, match.groups()))
+        return int(match[1]), int(match[2])
     except ValueError:  # the grammar admits canonical decimals only, so only the limit fails
         digits = max(len(number.lstrip("-")) for number in match.groups())
         limit = sys.get_int_max_str_digits()
