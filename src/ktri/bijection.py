@@ -53,15 +53,14 @@ RED = "red"
 
 @dataclass(frozen=True)
 class IterationStep:
-    """Trace record of one coloring iteration (1-based index)."""
+    """Trace record of one coloring iteration (1-based index) and the run boundaries it leaves."""
 
     index: int
     r: int
     blue: Diagonal
     red: Diagonal
     merged: tuple[int, int]
-    blocks: tuple[tuple[int, ...], ...]
-    absorbed: tuple[int, ...]
+    starts: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -72,9 +71,7 @@ class ColoredDiagram:
     color: Mapping[Diagonal, str]
     blue_counts: tuple[int, ...]  # columns 4..n
     red_counts: tuple[int, ...]  # columns 4..n
-    steps: tuple[IterationStep, ...]  # empty unless traced
-    blocks: tuple[tuple[int, ...], ...]
-    absorbed: tuple[int, ...]
+    steps: tuple[IterationStep, ...]  # empty unless traced; the last one's starts hold two blocks
 
 
 def color_diagram(tri: KTriangulation) -> ColoredDiagram:
@@ -85,7 +82,7 @@ def color_diagram(tri: KTriangulation) -> ColoredDiagram:
     color blue the leftmost uncolored cross in block r, merge blocks r-2 and
     r-1 (block 1 is absorbed into the unnumbered far-left block when r = 2),
     and color red the rightmost uncolored cross of the merged block.  Each
-    iteration is recorded in ``steps``.
+    iteration is recorded in ``steps``, with the run boundaries it leaves.
     """
     return _color(tri, flip_ties=False, trace=True)
 
@@ -100,6 +97,7 @@ def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
     so "block j has a cross in row j" is one shift.  Each of the n-5
     iterations colors two crosses and deletes one of the n-3 inner
     boundaries, so all 2(n-5) crosses are colored and two blocks are left.
+    A traced step keeps a copy of ``starts``.
     """
     if tri.ctx.k != 2:
         raise DomainError(f"coloring defined for k=2 only, got k={tri.ctx.k}")
@@ -112,15 +110,9 @@ def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
     blue_counts = [0] * (n + 1)
     red_counts = [0] * (n + 1)
 
-    columns = tuple(range(n + 1))
     starts = [4, *range(4, n + 2)]  # region 0 empty, then one column per block, ending at n+1
     color: dict[Diagonal, str] = {}
     steps: list[IterationStep] = []
-
-    def runs() -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
-        """The blocks 1, 2, ... and the absorbed block, each a slice of ``columns``."""
-        regions = [columns[a:b] for a, b in zip(starts, starts[1:])]
-        return tuple(regions[1:]), regions[0]
 
     def pick(run: range, highest: bool) -> Diagonal | None:
         """Take the highest or the lowest uncolored cross of the first column with one."""
@@ -152,11 +144,9 @@ def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
         red_counts[red[1]] += 1
 
         if trace:
-            steps.append(IterationStep(index, r, blue, red, (r - 2, r - 1), *runs()))
+            steps.append(IterationStep(index, r, blue, red, (r - 2, r - 1), tuple(starts)))
 
-    return ColoredDiagram(
-        tri, color, tuple(blue_counts[4:]), tuple(red_counts[4:]), tuple(steps), *runs()
-    )
+    return ColoredDiagram(tri, color, tuple(blue_counts[4:]), tuple(red_counts[4:]), tuple(steps))
 
 
 def to_paths(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:

@@ -12,6 +12,7 @@ restates.
 import random
 from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -114,19 +115,13 @@ def reference_color(tri, flip_ties, trace):
         color[red] = RED
         red_counts[red[1]] += 1
         if trace:
-            now = tuple(tuple(b) for b in blocks)
-            steps.append(IterationStep(index, r, blue, red, (r - 2, r - 1), now, tuple(absorbed)))
+            # the lists are runs of columns 4..n in order, so their lengths give the boundaries
+            assert absorbed + sum(blocks, []) == list(range(4, n + 1))
+            starts = tuple(accumulate(map(len, [absorbed, *blocks]), initial=4))
+            steps.append(IterationStep(index, r, blue, red, (r - 2, r - 1), starts))
     # no closing check: each of the n-5 iterations colors two crosses and merges
     # two of the n-3 blocks (assert_coloring_closes states the outcome)
-    return ColoredDiagram(
-        tri,
-        color,
-        tuple(blue_counts[4:]),
-        tuple(red_counts[4:]),
-        tuple(steps),
-        tuple(tuple(b) for b in blocks),
-        tuple(absorbed),
-    )
+    return ColoredDiagram(tri, color, tuple(blue_counts[4:]), tuple(red_counts[4:]), tuple(steps))
 
 
 def outcome(kernel, *args):
@@ -219,19 +214,25 @@ def test_corner_anchors_and_ends_on_corrupted_columns(k):
 def assert_coloring_closes(colored):
     """What a finished coloring always holds, which no runtime check restates.
 
-    Every cross is colored, two blocks are left, column 4 has no blue cross
-    and column n no red one.  After every traced step and at the end, the
-    absorbed block followed by blocks 1, 2, ... is columns 4..n in order:
-    each block is a run of columns, as a merge joins two neighbours.
+    Every cross is colored, column 4 has no blue cross and column n no red
+    one.  Every traced step deletes one boundary, and its boundaries run from
+    4 to n+1: the absorbed block (empty at first) followed by blocks 1, 2,
+    ..., each nonempty, is columns 4..n in order, as a merge joins two
+    neighbours.  A traced coloring has n-5 steps, so two blocks are left.
     """
     tri = colored.diagram
+    n = tri.ctx.n
     assert set(colored.color) == set(tri.diagonals)
-    assert len(colored.color) == 2 * (tri.ctx.n - 5)
-    assert len(colored.blocks) == 2
+    assert len(colored.color) == 2 * (n - 5)
     assert colored.blue_counts[0] == 0 and colored.red_counts[-1] == 0
-    columns = tuple(range(4, tri.ctx.n + 1))
-    for state in (*colored.steps, colored):
-        assert state.absorbed + sum(state.blocks, ()) == columns
+    assert len(colored.steps) in (0, n - 5)
+    for step in colored.steps:
+        starts = step.starts
+        assert len(starts) == n - 1 - step.index
+        assert starts[0] == 4 <= starts[1] and starts[-1] == n + 1
+        assert all(a < b for a, b in zip(starts[1:], starts[2:]))
+    if colored.steps:
+        assert len(colored.steps[-1].starts) - 2 == 2
 
 
 @pytest.mark.parametrize("flip_ties", [False, True])
@@ -258,10 +259,11 @@ def test_color_on_corrupted_diagrams():
                 continue
             for flip_ties in (False, True):
                 agree(texts, _color, reference_color, tri, flip_ties, True)
-                colored = outcome(_color, tri, flip_ties, False)
-                if isinstance(colored, ColoredDiagram):
-                    assert_coloring_closes(colored)
-                    closed += 1
+                for trace in (False, True):  # traced, the boundaries are checked too
+                    colored = outcome(_color, tri, flip_ties, trace)
+                    if isinstance(colored, ColoredDiagram):
+                        assert_coloring_closes(colored)
+                        closed += 1
     patterns = ["no usable corner block", "to color blue", "to color red"]
     missing = [p for p in patterns if not has_text(texts, p)]
     assert not missing and closed, texts
