@@ -22,10 +22,11 @@ def _all_int(values: Iterable[object]) -> bool:
 
 
 def _require_int(**values: object) -> None:
-    """DomainError unless each value is an int: ``n and k must be int, got n=7, k=2.0``."""
+    """DomainError unless each value is an int: ``x, y and n must be int, got x=1.0, y=2, n=5``."""
     if not _all_int(values.values()):
+        names = " and ".join(", ".join(values).rsplit(", ", 1))
         got = ", ".join(f"{name}={_shown(value)}" for name, value in values.items())
-        raise DomainError(f"{' and '.join(values)} must be int, got {got}")
+        raise DomainError(f"{names} must be int, got {got}")
 
 
 # Chunks of this many digits stay below the interpreter's int-to-str limit
@@ -51,9 +52,11 @@ def _decimal(value: int) -> str:
 
 
 def _shown(value: object) -> str:
-    """repr(value), each int in it in full (:func:`_decimal`), alone or in tuples."""
+    """repr(value), each int in it in full (:func:`_decimal`), alone or in tuples and lists."""
     if type(value) is tuple:
         return f"({', '.join(map(_shown, value))}{',' * (len(value) == 1)})"
+    if type(value) is list:
+        return f"[{', '.join(map(_shown, value))}]"
     return _decimal(value) if type(value) is int else repr(value)
 
 

@@ -52,6 +52,8 @@ def diagonal_line(tri: KTriangulation) -> str:
 
 def _two_lines(text: str, count_error: str) -> list[str]:
     """The two lines of a canonical text; anything else is a DomainError."""
+    if type(text) is not str:
+        raise DomainError(f"input must be a str, got {type(text).__name__}")
     *lines, last = text.split("\n")
     if last:
         raise DomainError("input does not end with a newline")

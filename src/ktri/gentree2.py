@@ -34,8 +34,9 @@ from itertools import groupby
 from operator import add, itemgetter
 from typing import Iterable, TypeVar
 
-from .errors import DomainError, StructuralError, _all_int, _shown
+from .errors import DomainError, GuardExceeded, StructuralError, _all_int, _guard_value, _shown
 from .gentree_k import (
+    TREE_COUNT_GUARD,
     Columns,
     _check_staircase,
     _columns,
@@ -129,7 +130,9 @@ def child_by_label(tri: KTriangulation, target: TreeLabel) -> KTriangulation:
     _require_int_tuple(target)
     cols = _columns(tri)
     r = _corner(cols, 2)
-    child, _ = _child_by_label(cols, r, _label(cols, r), target)
+    label = _label(cols, r)
+    _sibling_position(label, target, DomainError)  # a caller's target, so bad input
+    child, _ = _child_by_label(cols, r, label, target)
     return _triangulation(PolygonContext(tri.ctx.n + 1, 2), child)
 
 
@@ -162,12 +165,16 @@ def label_children(label: TreeLabel) -> tuple[TreeLabel, ...]:
 
     For 1 <= j <= s-1 and 0 <= i <= d_j the child
     (i, d_j - i + 1, d_{j+1} + 1, d_{j+2}, ..., d_s) appears, and in
-    addition (i, d_s - i + 1) for 0 <= i <= d_s + 1.
+    addition (i, d_s - i + 1) for 0 <= i <= d_s + 1, so d_1 + ... + d_s + s + 1
+    children in all: at most TREE_COUNT_GUARD (or KTRI_GUARD), else GuardExceeded.
     """
     _require_int_tuple(label)
     if len(label) < 2 or min(label) < 0:
         raise DomainError(f"bad tree label {_shown(label)}")
     s = len(label)
+    limit = _guard_value(TREE_COUNT_GUARD)
+    if sum(label) + s + 1 > limit:
+        raise GuardExceeded(f"label listing of more than {limit} children refused")
     return tuple(
         _child_label(label, j, i)
         for j in range(1, s + 1)
@@ -176,22 +183,28 @@ def label_children(label: TreeLabel) -> tuple[TreeLabel, ...]:
 
 
 def _require_int_tuple(label: object) -> None:
-    """DomainError ``bad tree label ...`` unless ``label`` is a tuple of int."""
+    """DomainError ``bad tree label ...`` unless ``label`` is a tuple of int; a str prints bare."""
     if type(label) is not tuple or not _all_int(label):
-        raise DomainError(f"bad tree label {_shown(label) if type(label) is tuple else label}")
+        shown = _shown(label) if type(label) in (tuple, list, int) else label
+        raise DomainError(f"bad tree label {shown}")
 
 
-def _sibling_position(label: TreeLabel, target: TreeLabel) -> tuple[int, int]:
+def _sibling_position(
+    label: TreeLabel, target: TreeLabel, error: type[Exception] = StructuralError
+) -> tuple[int, int]:
     """Block j (1-based) and index i within it of ``target`` in :func:`label_children`.
 
     A child label of block j has length s - j + 2 and first entry i, so the
-    position is read off ``target`` without listing its siblings.
+    position is read off ``target`` without listing its siblings.  A target
+    that is no child label raises ``error``: StructuralError in a descent,
+    whose targets are labels the package computed, and DomainError in the
+    public steps by label, whose targets are the caller's.
     """
     s = len(label)
     j = s + 2 - len(target)
     i = target[0] if 1 <= j <= s else -1
     if not 0 <= i <= label[j - 1] + (j == s) or _child_label(label, j, i) != target:
-        raise StructuralError(f"label {_shown(target)} is not a child label of {label}")
+        raise error(f"label {_shown(target)} is not a child label of {label}")
     return j, i
 
 
@@ -321,7 +334,9 @@ def pair_child_by_label(enc: PairEncoding, target: TreeLabel) -> PairEncoding:
     public, with no caller in the package, as the pair tree's step by label.
     """
     _require_int_tuple(target)
-    p, q, _ = _pair_child_by_label(enc.p, enc.q, enc.s, pair_label(enc), target)
+    label = pair_label(enc)
+    _sibling_position(label, target, DomainError)  # a caller's target, so bad input
+    p, q, _ = _pair_child_by_label(enc.p, enc.q, enc.s, label, target)
     return PairEncoding(p, q)
 
 

@@ -379,6 +379,7 @@ def children_k(tri: KTriangulation) -> tuple[tuple[GrowthChoiceK, KTriangulation
 
 
 def tree_root(k: int) -> KTriangulation:
+    _require_int(k=k)
     return KTriangulation(PolygonContext(2 * k + 1, k), ())
 
 

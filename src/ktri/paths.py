@@ -44,10 +44,19 @@ COUNT_BITS_GUARD = 10**6
 
 
 def catalan(m: int) -> int:
-    """The m-th Catalan number, binom(2m, m)/(m+1), exactly."""
+    """The m-th Catalan number, binom(2m, m)/(m+1), exactly.
+
+    C_m < 4^m has fewer than 2m bits, so 2m must stay within COUNT_BITS_GUARD
+    (or KTRI_GUARD), else GuardExceeded before :func:`math.comb` runs.
+    """
     _require_int(m=m)
     if m < 0:
         raise DomainError(f"catalan undefined for m={_decimal(m)}")
+    limit = _guard_value(COUNT_BITS_GUARD)
+    if 2 * m > limit:
+        raise GuardExceeded(
+            f"catalan number has up to {_decimal(2 * m)} bits, past the count guard of {limit}"
+        )
     return comb(2 * m, m) // (m + 1)
 
 
@@ -222,17 +231,20 @@ class DyckPath:
 
     @classmethod
     def from_exponents(cls, exps: Sequence[int]) -> "DyckPath":
+        """The path of an exponent form; the exponents must sum to m-1, so it has 2m steps."""
+        if type(exps) not in (tuple, list) and not isinstance(exps, Sequence):
+            raise DomainError(f"exponents must be a sequence of int, got {type(exps).__name__}")
         if not exps:
             raise DomainError("exponent form needs at least one entry")
         if not _all_int(exps):
             bad = next(e for e in exps if type(e) is not int)
             raise DomainError(f"exponent {_shown(bad)} is not an int")
-        steps = []
-        for e in reversed(exps):
-            if e < 0:
-                raise DomainError(f"negative exponent {_decimal(e)}")
-            steps.append("N" + "E" * e)
-        return cls("".join(steps) + "E")
+        if min(exps) < 0:
+            bad = next(e for e in reversed(exps) if e < 0)
+            raise DomainError(f"negative exponent {_decimal(bad)}")
+        if sum(exps) != len(exps) - 1:
+            raise DomainError(f"exponents sum to {_decimal(sum(exps))}, expected {len(exps) - 1}")
+        return cls("".join(["N" + "E" * e for e in reversed(exps)]) + "E")
 
     def __str__(self) -> str:
         return self.steps
@@ -308,10 +320,11 @@ class PathTuple:
     paths: tuple[DyckPath, ...]
 
     def __post_init__(self) -> None:
+        _require_int(m=self.m, k=self.k)
         if not isinstance(self.paths, tuple) or not all(isinstance(p, DyckPath) for p in self.paths):
             raise DomainError("paths must be a tuple of DyckPath")
         if len(self.paths) != self.k:
-            raise DomainError(f"expected {self.k} paths, got {len(self.paths)}")
+            raise DomainError(f"expected {_decimal(self.k)} paths, got {len(self.paths)}")
         for p in self.paths:
             if p.m != self.m:
                 raise DomainError("all paths in a tuple must have equal semilength")

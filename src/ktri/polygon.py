@@ -145,10 +145,12 @@ def _check_members(ctx: PolygonContext, diagonals: Iterable[Diagonal]) -> tuple[
     Each type test is one set built in C.  Distinct cells are accepted
     without a search for repeats.
     """
+    if type(diagonals) not in (tuple, list) and not isinstance(diagonals, Iterable):
+        raise DomainError(f"diagonals must be iterable, got {type(diagonals).__name__}")
     out = list(diagonals)
     if not {*map(type, out)} <= {tuple}:
         bad = next(d for d in out if type(d) is not tuple)
-        raise DomainError(f"diagonal {bad!r} is not a tuple")
+        raise DomainError(f"diagonal {_shown(bad)} is not a tuple")
     if not {*map(len, out)} <= {2} or not _all_int(chain.from_iterable(out)):
         bad = next(d for d in out if len(d) != 2 or not _all_int(d))
         raise DomainError(f"diagonal {_shown(bad)} is not a pair of int")

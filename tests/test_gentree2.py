@@ -9,6 +9,7 @@ from conftest import EXAMPLE_14GON_LABELS, example_14gon, holds, triangulations
 from ktri import (
     ROOT_PAIR,
     DomainError,
+    GuardExceeded,
     KTriangulation,
     PolygonContext,
     StructuralError,
@@ -107,7 +108,7 @@ class TestChildren:
     def test_child_by_label_rejects_a_non_sibling(self):
         # the siblings below (0,2,1) are (0,1,3,1), (i,3-i,2) for i <= 2 and (i,2-i) for i <= 2
         for target in [(), (0,), (0, 0), (3, 0), (9, 9), (0, 2, 1), (3, 0, 2), (0, 2, 1, 1)]:
-            with pytest.raises(StructuralError):
+            with pytest.raises(DomainError, match="is not a child label of"):
                 child_by_label(HEPTAGON_021, target)
 
     def test_corner_monotone(self):
@@ -138,6 +139,18 @@ class TestLabels:
             (0, 1, 3, 1), (0, 3, 2), (1, 2, 2), (2, 1, 2), (0, 2), (1, 1), (2, 0),
         )
         assert label_children((0, 0)) == ((0, 1, 1), (0, 1), (1, 0))
+
+    def test_rule_guard(self, monkeypatch):
+        # d_1 + ... + d_s + s + 1 children, refused past the guard before any is listed
+        text = "label listing of more than 1000000 children refused"
+        with pytest.raises(GuardExceeded, match=f"^{text}$"):
+            label_children((10**6, 0))
+        with pytest.raises(GuardExceeded, match=f"^{text}$"):
+            label_children((10**5000, 0))
+        monkeypatch.setenv("KTRI_GUARD", "6")
+        assert len(label_children((1, 2))) == 6
+        with pytest.raises(GuardExceeded, match="^label listing of more than 6 children refused$"):
+            label_children((1, 3))
 
     def test_children_follow_rule_positionally(self):
         # the labels of a node's children, in (u, i) order, are label_children of its label

@@ -121,8 +121,11 @@ class TestPairChildren:
         staircase = PairEncoding((1, 0), (1, 0))
         grandchild = pair_label(pair_children(staircase)[0][1])
         for target in [(), (0,), (0, 0), (1, 1), (2, 0), (0, 2), (1, 0, 1), (0, 1, 2), grandchild]:
-            with pytest.raises(StructuralError):
+            with pytest.raises(DomainError, match="is not a child label of"):
                 pair_child_by_label(ROOT_PAIR, target)
+            # in a descent the targets are the package's own labels, so a miss is a bug
+            with pytest.raises(StructuralError, match="is not a child label of"):
+                _pair_child_by_label(*raw(ROOT_PAIR), (0, 0), target)
 
     def test_walk_to_example_pair(self):
         enc = ROOT_PAIR

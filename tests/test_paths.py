@@ -179,6 +179,22 @@ class TestCatalan:
         assert catalan(4) == 14
         assert catalan(12) == 208012
 
+    def test_guard_refuses_before_comb(self, monkeypatch):
+        # C_m has fewer than 2m bits; m = 500000 is the largest admitted (999,971 bits)
+        monkeypatch.setattr("ktri.paths.comb", lambda n, k: pytest.fail("comb ran"))
+        text = "catalan number has up to 1000002 bits, past the count guard of 1000000"
+        with pytest.raises(GuardExceeded, match=f"^{text}$"):
+            catalan(500001)
+        with pytest.raises(GuardExceeded, match=f"^catalan number has up to 2{'0' * 5000} bits"):
+            catalan(10**5000)
+
+    def test_guard_follows_ktri_guard(self, monkeypatch):
+        monkeypatch.setenv("KTRI_GUARD", "8")
+        assert catalan(4) == 14
+        text = "catalan number has up to 10 bits, past the count guard of 8"
+        with pytest.raises(GuardExceeded, match=f"^{text}$"):
+            catalan(5)
+
     def test_determinant_helper(self):
         assert int_det([[1, 2], [3, 4]]) == -2
         assert int_det([[42, 14, 5], [14, 5, 2], [5, 2, 1]]) == 1
@@ -485,8 +501,17 @@ def test_constructors_refuse_non_canonical_fields(build):
         (lambda: all_paths(-1), "negative semilength -1"),
         (lambda: PathTuple(1, 2, (DyckPath("NE"),)), "expected 2 paths, got 1"),
         (lambda: enumerate_tuples(0, 1), "need m >= 1 and k >= 1, got m=0, k=1"),
+        (lambda: DyckPath.from_exponents((2, 0)), "exponents sum to 2, expected 1"),
+        (lambda: DyckPath.from_exponents((3, -1, 0)), "negative exponent -1"),
     ],
-    ids=["catalan-negative", "all-paths-negative", "tuple-short", "tuples-empty"],
+    ids=[
+        "catalan-negative",
+        "all-paths-negative",
+        "tuple-short",
+        "tuples-empty",
+        "exponent-sum",
+        "exponent-negative-sum-ok",
+    ],
 )
 def test_error_texts(call, text):
     with pytest.raises(DomainError, match=f"^{re.escape(text)}$"):

@@ -18,6 +18,7 @@ from ktri import (
     GuardExceeded,
     KTriangulation,
     PairEncoding,
+    PathTuple,
     PolygonContext,
     StructuralError,
     all_paths,
@@ -42,6 +43,7 @@ from ktri import (
     verify,
     wrap_chord,
 )
+from ktri.formats import parse_pair, parse_triangulation
 from ktri.polygon import (
     LemmaCheck,
     _brute_guard,
@@ -174,7 +176,7 @@ class TestMemberCheck:
             (TRI[:-1] + ((2,),), DomainError, r"^diagonal \(2,\) is not a pair of int$"),
             (TRI[1:] + ((1.0, 4),), DomainError, r"^diagonal \(1\.0, 4\) is not a pair of int$"),
             (TRI[1:] + ((True, 4),), DomainError, r"^diagonal \(True, 4\) is not a pair of int$"),
-            (None, TypeError, "'NoneType' object is not iterable"),
+            (None, DomainError, "^diagonals must be iterable, got NoneType$"),
         ],
         ids=["int", "triple", "single", "float", "bool", "none"],
     )
@@ -242,7 +244,7 @@ HEXAGON = KTriangulation(PolygonContext(6, 2), ((1, 4), (2, 5)))
         (lambda: verify.run_verify(2.0, 9), "k and n_max must be int, got k=2.0, n_max=9"),
         (lambda: wrap_chord(1, 2, 0), "need n >= 1, got n=0"),
         (lambda: wrap_chord(1, 2, -5), "need n >= 1, got n=-5"),
-        (lambda: wrap_chord(1.0, 2, 5), "x and y and n must be int, got x=1.0, y=2, n=5"),
+        (lambda: wrap_chord(1.0, 2, 5), "x, y and n must be int, got x=1.0, y=2, n=5"),
         (lambda: DyckPath.from_exponents([1.5]), "exponent 1.5 is not an int"),
         (lambda: DyckPath.from_exponents((0, "a")), "exponent 'a' is not an int"),
         (lambda: DyckPath.from_exponents([True]), "exponent True is not an int"),
@@ -250,6 +252,11 @@ HEXAGON = KTriangulation(PolygonContext(6, 2), ((1, 4), (2, 5)))
         (lambda: child_by_label(tree_root(2), (0, 1.0)), "bad tree label (0, 1.0)"),
         (lambda: pair_child_by_label(ROOT_PAIR, "ab"), "bad tree label ab"),
         (lambda: pair_child_by_label(ROOT_PAIR, (True,)), "bad tree label (True,)"),
+        (lambda: tree_root("3"), "k must be int, got k='3'"),
+        (lambda: PathTuple(1.5, 1, (DyckPath("NE"),)), "m and k must be int, got m=1.5, k=1"),
+        (lambda: DyckPath.from_exponents(5), "exponents must be a sequence of int, got int"),
+        (lambda: parse_triangulation(5), "input must be a str, got int"),
+        (lambda: parse_pair(None), "input must be a str, got NoneType"),
     ],
     ids=[
         "det-bool-k",
@@ -281,6 +288,11 @@ HEXAGON = KTriangulation(PolygonContext(6, 2), ((1, 4), (2, 5)))
         "child-float-entry",
         "pair-child-str-target",
         "pair-child-bool-entry",
+        "tree-root-str",
+        "path-tuple-float-m",
+        "exponents-int",
+        "triangulation-text-int",
+        "pair-text-none",
     ],
 )
 def test_integer_entry_points_refuse_other_types(call, text):
@@ -332,6 +344,15 @@ DIGITS = "1" + "0" * 5000
         (lambda: wrap_chord(BIG, BIG, BIG + 1), f"degenerate chord ({DIGITS},{DIGITS})"),
         (lambda: PairEncoding((BIG,), (0,)), f"upper exponents sum to {DIGITS}, expected 0"),
         (
+            lambda: DiagonalSet(PolygonContext(6, 2), [[BIG, 1]]),
+            f"diagonal [{DIGITS}, 1] is not a tuple",
+        ),
+        (lambda: label_children([BIG]), f"bad tree label [{DIGITS}]"),
+        (lambda: child_by_label(tree_root(2), [BIG]), f"bad tree label [{DIGITS}]"),
+        (lambda: DyckPath.from_exponents([[BIG]]), f"exponent [{DIGITS}] is not an int"),
+        (lambda: DyckPath.from_exponents((0, BIG)), f"exponents sum to {DIGITS}, expected 1"),
+        (lambda: PathTuple(1, BIG, ()), f"expected {DIGITS} paths, got 0"),
+        (
             lambda: verify.run_verify(BIG, 9),
             f"verify needs k >= 1 and n_max >= 2k+1, got k={DIGITS}, n_max=9",
         ),
@@ -358,6 +379,12 @@ DIGITS = "1" + "0" * 5000
         "negative-exponent",
         "degenerate-chord",
         "pair-sum",
+        "list-diagonal",
+        "label-list",
+        "child-target-list",
+        "exponent-list",
+        "exponent-sum",
+        "tuple-count",
         "verify-range",
     ],
 )

@@ -3,23 +3,38 @@
 import random
 from itertools import combinations
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import east_prefix
+from conftest import east_prefix, example_14gon
 from ktri import (
+    ROOT_PAIR,
     DiagonalSet,
     DomainError,
     DyckPath,
+    KTriangulation,
     PairEncoding,
+    PathTuple,
     PolygonContext,
+    all_paths,
+    catalan,
+    catalan_determinant,
+    child_by_label,
+    count_tree,
     dominates,
+    enumerate_tree,
+    enumerate_tuples,
     is_k_triangulation,
     is_t_crossing,
+    label_children,
+    pair_child_by_label,
     pair_children,
     pair_label,
     pair_parent,
     staircase_cells,
+    tree_root,
+    wrap_chord,
 )
 from ktri.formats import format_pair, format_triangulation, parse_pair, parse_triangulation
 from ktri.polygon import (
@@ -247,3 +262,88 @@ def test_accepted_text_is_canonical(text):
         except DomainError:
             continue
         assert fmt(parsed) == text
+
+
+# The public contract: every entry point that takes ints, tuples or text
+# returns or raises DomainError on any value, never another exception.
+BIG = 10**5000  # past the interpreter's int-to-str limit of 4300 digits
+PATHS = (DyckPath("NE"), DyckPath("NENE"), DyckPath("NNEE"))
+contexts = st.sampled_from(
+    [PolygonContext(n, k) for k in (1, 2, 3) for n in range(2 * k + 1, 10)]
+) | st.just(2).map(lambda k: PolygonContext(BIG, k))
+small_ints = st.integers(-2, 6)  # so no lister runs long: enumerate_tuples(6, 3) is the largest
+hostile = st.recursive(
+    st.one_of(
+        small_ints,
+        st.sampled_from([1, -1, 0]).map(lambda sign: sign * BIG or 2**64),  # BIG has no repr
+        st.booleans(),
+        st.floats(),
+        st.none(),
+        st.text(alphabet="NE0123456789-=, kn\n", max_size=6),
+        st.sampled_from(PATHS),
+    ),
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple),
+    max_leaves=8,
+)
+int_tuples = hostile | st.lists(small_ints, max_size=5).map(tuple)
+numbers = small_ints.map(str) | st.just("1" + "0" * 5000)
+triangulation_texts = hostile | st.builds(
+    "k={} n={}\n{}\n".format,
+    numbers,
+    numbers,
+    st.just("-") | st.lists(st.builds("{}-{}".format, numbers, numbers), min_size=1).map(",".join),
+)
+pair_texts = hostile | st.builds(
+    "{}\n{}\n".format, st.text(alphabet="NE", max_size=6), st.text(alphabet="NE", max_size=6)
+)
+ENTRY_POINTS = {
+    "context": (PolygonContext, hostile, hostile),
+    "diagonal-set": (DiagonalSet, contexts, hostile),
+    "triangulation": (
+        KTriangulation,
+        contexts,
+        hostile | st.lists(st.tuples(st.integers(0, 10), st.integers(0, 10)), max_size=12),
+    ),
+    "path": (DyckPath, hostile | st.text(alphabet="NE", max_size=8)),
+    "path-exponents": (DyckPath.from_exponents, int_tuples),
+    "pair": (PairEncoding, int_tuples, int_tuples),
+    "path-tuple": (
+        PathTuple,
+        hostile,
+        hostile,
+        hostile | st.lists(st.sampled_from(PATHS), max_size=3).map(tuple),
+    ),
+    "catalan": (catalan, hostile),
+    "catalan-determinant": (catalan_determinant, hostile, hostile),
+    "all-paths": (all_paths, hostile),
+    "tuples": (enumerate_tuples, hostile, hostile),
+    "count-tree": (count_tree, hostile, hostile),
+    "enumerate-tree": (enumerate_tree, hostile, hostile),
+    "tree-root": (tree_root, hostile),
+    "label-children": (label_children, int_tuples),
+    "child-by-label": (
+        child_by_label,
+        st.sampled_from([tree_root(2), example_14gon()]),
+        int_tuples,
+    ),
+    "pair-child-by-label": (
+        pair_child_by_label,
+        st.sampled_from([ROOT_PAIR, PairEncoding((1, 0), (1, 0))]),
+        int_tuples,
+    ),
+    "wrap-chord": (wrap_chord, hostile, hostile, hostile),
+    "parse-triangulation": (parse_triangulation, triangulation_texts),
+    "parse-pair": (parse_pair, pair_texts),
+}
+
+
+@pytest.mark.parametrize("name", ENTRY_POINTS)
+@given(data=st.data())
+@settings(deadline=None, max_examples=40)
+def test_entry_points_return_or_raise_domain_error(name, data):
+    call, *arguments = ENTRY_POINTS[name]
+    args = [data.draw(argument) for argument in arguments]
+    try:
+        call(*args)
+    except DomainError:
+        pass
