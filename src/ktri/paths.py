@@ -311,6 +311,13 @@ def all_paths(m: int) -> tuple[DyckPath, ...]:
     return tuple(DyckPath(prefix) for prefix, _ in level)
 
 
+def _require_tuple_size(m: int, k: int) -> None:
+    """DomainError unless the semilength m and the number k of paths of a tuple are ints >= 1."""
+    _require_int(m=m, k=k)
+    if m < 1 or k < 1:
+        raise DomainError(f"need m >= 1 and k >= 1, got m={_decimal(m)}, k={_decimal(k)}")
+
+
 @dataclass(frozen=True)
 class PathTuple:
     """A k-tuple (P_1, ..., P_k) where each P_i never goes below P_{i+1}."""
@@ -320,7 +327,7 @@ class PathTuple:
     paths: tuple[DyckPath, ...]
 
     def __post_init__(self) -> None:
-        _require_int(m=self.m, k=self.k)
+        _require_tuple_size(self.m, self.k)
         if not isinstance(self.paths, tuple) or not all(isinstance(p, DyckPath) for p in self.paths):
             raise DomainError("paths must be a tuple of DyckPath")
         if len(self.paths) != self.k:
@@ -343,9 +350,7 @@ class PathTuple:
 
 def enumerate_tuples(m: int, k: int) -> list[PathTuple]:
     """All non-crossing k-tuples of semilength-m Dyck paths, lex order, within the tuple guards."""
-    _require_int(m=m, k=k)
-    if m < 1 or k < 1:
-        raise DomainError(f"need m >= 1 and k >= 1, got m={_decimal(m)}, k={_decimal(k)}")
+    _require_tuple_size(m, k)
     _tuple_guard(m, k)
     paths = all_paths(m)
     chains = [(j,) for j in range(len(paths))]

@@ -66,6 +66,10 @@ class PolygonContext:
         if self.n <= 2 * self.k:
             raise DomainError(f"need n > 2k, got n={_decimal(self.n)}, k={_decimal(self.k)}")
 
+    def __repr__(self) -> str:
+        """The dataclass repr, with n and k in full past the int-to-str limit (``_decimal``)."""
+        return f"PolygonContext(n={_decimal(self.n)}, k={_decimal(self.k)})"
+
     @property
     def diagonal_count(self) -> int:
         """Number of nontrivial diagonals in any k-triangulation of this polygon."""
@@ -181,8 +185,12 @@ class DiagonalSet:
     def __contains__(self, d: Diagonal) -> bool:
         return d in self.diagonals
 
+    def __repr__(self) -> str:
+        """The dataclass repr, each int in full (``_shown``); :class:`KTriangulation` keeps it."""
+        return f"{type(self).__name__}(ctx={self.ctx!r}, diagonals={_shown(self.diagonals)})"
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, repr=False)
 class KTriangulation(DiagonalSet):
     """A maximal (k+1)-crossing-free diagonal set.
 

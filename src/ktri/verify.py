@@ -16,12 +16,27 @@ from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import combinations
 
-from .bijection import _color, from_paths, to_paths, to_paths_via_tree
+from .bijection import _color, to_paths
 from .errors import DomainError, StructuralError, _decimal, _require_int
-from .gentree2 import ROOT_PAIR, _by_split, _label, label_children, pair_children, pair_parent
+from .gentree2 import (
+    ROOT_PAIR,
+    Pair,
+    TreeLabel,
+    _by_split,
+    _child_by_label,
+    _label,
+    _pair_child_by_label,
+    _pair_label,
+    _pair_up,
+    label_children,
+    pair_children,
+    pair_parent,
+)
 from .gentree_k import (
+    Columns,
     _cells,
     _children,
+    _columns,
     _corner,
     _nodes,
     _parent,
@@ -33,6 +48,7 @@ from .paths import (
     DyckPath,
     PathTuple,
     _condensed_determinant,
+    _split_index,
     catalan_determinant,
     enumerate_tuples,
 )
@@ -171,17 +187,57 @@ def _label_coherence(n_max: int) -> Check:
 
 
 def _bijection(n_max: int, images: Images, tuples: Tuples) -> Check:
+    """The tree map and its inverse on every 2-triangulation, one tree step per object.
+
+    :func:`ktri.bijection.to_paths_via_tree` climbs from a node to the root
+    and descends the pair tree by the labels it met; its parent's chain is
+    the node's less the last label.  So, by induction on n, a node's tree
+    image is one :func:`_pair_child_by_label` step, from the image and
+    label of its parent (one :func:`_parent` step up) to its own label.
+    Likewise :func:`ktri.bijection.from_paths` of a pair is one
+    :func:`_child_by_label` step from the triangulation of its parent pair
+    (one :func:`_pair_up` step up).  Each level keeps, for the next, each
+    triangulation's image and label by its columns, and each pair's
+    triangulation as columns, corner and label.  A value is kept once it
+    matches the direct map, so it is what the per-object map computes: the
+    same kernels run on the same chain of labels, from the pentagon and the
+    root pair.  A parent missing from the level before fails the check as a
+    mismatch does; each kernel's own checks raise StructuralError.
+    """
+    root = ROOT_PAIR.p, ROOT_PAIR.q, ROOT_PAIR.s
+    pentagon: Columns = [()] * 6
+    to_image: dict[tuple[tuple[int, ...], ...], tuple[Pair, TreeLabel]] = {}
+    to_tri: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[Columns, int, TreeLabel]] = {}
     for n in range(5, n_max + 1):
         seen = set()
+        next_image, next_tri = {}, {}
         for tri, pq in images(n):
-            if to_paths_via_tree(tri) != pq:
+            cols = _columns(tri)
+            r = _corner(cols, 2)
+            label = _label(cols, r)
+            p, q = pq[0].exponents(), pq[1].exponents()  # to_paths has checked the pair
+            pair = p, q, _split_index(p, q)
+            target = _pair_label(*pair)
+            image: Pair | None = root
+            back: tuple[Columns, int] | None = (pentagon, 2)
+            if n > 5:
+                up = to_image.get(tuple(_parent(cols, 2, r)))
+                image = None if up is None else _pair_child_by_label(*up[0], up[1], label)
+            if image is None or image[:2] != (p, q):
                 return ("bijection", False, f"direct and tree maps differ on {tri.diagonals}")
-            if from_paths(*pq) != tri:
+            if n > 5:
+                down = to_tri.get(_pair_up(*pair)[:2])
+                back = None if down is None else _child_by_label(*down, target)
+            if back is None or back[0] != cols:
                 return ("bijection", False, f"inverse fails on {tri.diagonals}")
+            if n < n_max:  # the last level is no parent level
+                next_image[tuple(cols)] = image, label
+                next_tri[p, q] = cols, back[1], target
             seen.add((pq[0].steps, pq[1].steps))
         expected = {(t.paths[0].steps, t.paths[1].steps) for t in tuples(n - 4, 2)}
         if seen != expected:
             return ("bijection", False, f"image at n={n} is not all non-crossing pairs")
+        to_image, to_tri = next_image, next_tri
     return ("bijection", True, f"n<={n_max}")
 
 

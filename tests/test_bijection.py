@@ -136,6 +136,13 @@ class TestTreeMapAgrees:
     def test_example_14gon(self):
         assert to_paths_via_tree(example_14gon()) == to_paths(example_14gon())
 
+    def test_public_maps_on_every_object_up_to_the_9gon(self):
+        # verify._bijection runs their kernels a level at a time; the per-object maps are checked here
+        for n in range(5, 10):
+            for tri, pq in images(n):
+                assert to_paths_via_tree(tri) == pq
+                assert from_paths(*pq) == tri
+
 
 class TestBijectivity:
     def test_images_cover_all_pairs(self):

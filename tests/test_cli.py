@@ -653,14 +653,24 @@ class TestVerifyAndRender:
                 "FAIL pair_round_trips: duplicate pair child at m=2",
             ),
             (
-                "to_paths_via_tree",
-                lambda tri: None,
-                "FAIL bijection: direct and tree maps differ on ()",
+                "_pair_child_by_label",
+                lambda p, q, s, label, target: (p, q, s),  # the parent's image kept
+                "FAIL bijection: direct and tree maps differ on ((1, 4), (2, 5))",
             ),
             (
-                "from_paths",
-                lambda p, q: None,
-                "FAIL bijection: inverse fails on ()",
+                "_child_by_label",
+                lambda cols, r, label, target: (cols, r),  # the parent pair's preimage kept
+                "FAIL bijection: inverse fails on ((1, 4), (2, 5))",
+            ),
+            (
+                "_parent",
+                lambda cols, k, r: cols,  # a hexagon, not in the level of the pentagon
+                "FAIL bijection: direct and tree maps differ on ((1, 4), (2, 5))",
+            ),
+            (
+                "_pair_up",
+                lambda p, q, s: (p, q, s),  # a pair of semilength 2, not in the level of m=1
+                "FAIL bijection: inverse fails on ((1, 4), (2, 5))",
             ),
             (
                 "enumerate_tuples",
@@ -703,6 +713,8 @@ class TestVerifyAndRender:
             "pair-children-twice",
             "tree-map-differs",
             "inverse-differs",
+            "tree-parent-missing",
+            "inverse-parent-missing",
             "tuple-missing",
             "counts-follow-the-tie-break",
             "lemma-on-a-dropped-diagonal",

@@ -501,6 +501,8 @@ def test_constructors_refuse_non_canonical_fields(build):
         (lambda: all_paths(-1), "negative semilength -1"),
         (lambda: PathTuple(1, 2, (DyckPath("NE"),)), "expected 2 paths, got 1"),
         (lambda: enumerate_tuples(0, 1), "need m >= 1 and k >= 1, got m=0, k=1"),
+        (lambda: PathTuple(0, 1, (DyckPath(""),)), "need m >= 1 and k >= 1, got m=0, k=1"),
+        (lambda: PathTuple(-1, 0, ()), "need m >= 1 and k >= 1, got m=-1, k=0"),
         (lambda: DyckPath.from_exponents((2, 0)), "exponents sum to 2, expected 1"),
         (lambda: DyckPath.from_exponents((3, -1, 0)), "negative exponent -1"),
     ],
@@ -509,6 +511,8 @@ def test_constructors_refuse_non_canonical_fields(build):
         "all-paths-negative",
         "tuple-short",
         "tuples-empty",
+        "tuple-empty-path",
+        "tuple-of-no-paths",
         "exponent-sum",
         "exponent-negative-sum-ok",
     ],

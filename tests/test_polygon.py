@@ -396,6 +396,30 @@ def test_integers_past_the_str_limit_are_named_in_full(call, text):
     assert str(caught.value) == text
 
 
+@pytest.mark.parametrize(
+    "build, text",
+    [
+        (lambda: PolygonContext(7, 2), "PolygonContext(n=7, k=2)"),
+        (lambda: PolygonContext(BIG, 2), f"PolygonContext(n={DIGITS}, k=2)"),
+        (
+            lambda: tree_root(BIG),  # the (2 * 10**5000 + 1)-gon
+            f"KTriangulation(ctx=PolygonContext(n=2{'0' * 4999}1, k={DIGITS}), diagonals=())",
+        ),
+        (
+            lambda: DiagonalSet(PolygonContext(BIG + 1, 1), [(1, BIG)]),
+            f"DiagonalSet(ctx=PolygonContext(n={DIGITS[:-1]}1, k=1), diagonals=((1, {DIGITS}),))",
+        ),
+        (
+            lambda: DiagonalSet(PolygonContext(6, 2), [(1, 4)]),
+            "DiagonalSet(ctx=PolygonContext(n=6, k=2), diagonals=((1, 4),))",
+        ),
+    ],
+    ids=["context", "context-big-n", "tree-root-big-k", "diagonal-set-big-end", "diagonal-set"],
+)
+def test_repr_names_integers_past_the_str_limit_in_full(build, text):
+    assert repr(build()) == text
+
+
 class TestCrossings:
     def test_examples(self):
         assert is_t_crossing([(1, 5), (2, 6), (3, 7)])
