@@ -726,6 +726,24 @@ class TestVerifyAndRender:
         code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "6")
         assert code == 1 and line in out.splitlines()
 
+    def test_verify_names_a_child_of_the_right_size_with_a_crossing(self, capsys, monkeypatch):
+        """The first child of the hexagon's first node becomes the four diagonals of a 3-crossing."""
+        crossing = [(), (), (), (), (1,), (2,), (3,), (4,)]  # (1, 4), (2, 5), (3, 6), (4, 7)
+        first = [True]
+
+        def corrupted(cols, k, r):
+            kids = _children(cols, k, r)
+            if len(cols) == 7 and first[0]:
+                first[0] = False
+                (u, rows, _), *rest = kids
+                return [(u, rows, crossing), *rest]
+            return kids
+
+        monkeypatch.setattr("ktri.verify._children", corrupted)
+        code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "7")
+        line = "FAIL round_trips: child ((1, 4), (2, 5), (3, 6), (4, 7)) is not a k-triangulation at n=7"
+        assert code == 1 and line in out.splitlines()
+
     def test_render_triangulation(self, capsys, tmp_path):
         f = tmp_path / "hex.tri"
         f.write_text("k=2 n=6\n1-4,2-5\n")
