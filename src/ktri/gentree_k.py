@@ -19,9 +19,10 @@ of them, then checks for repeats and runs no crossing search
 corner) pairs by :func:`_nodes`, a child carrying its u as its corner:
 :func:`enumerate_tree` builds a :class:`KTriangulation` only for each node
 of the last level, checking each leaf as its mask over the level's cells
-and the level's count, and :func:`count_tree` builds none.  The child
-invariant (maximal, corner u, parent round trip) is stated once, in
-:func:`ktri.verify._round_trips`, which walks the same :func:`_nodes`.
+(:func:`_leaf_mask`) and the level's count, and :func:`count_tree` builds
+none.  The child invariant (maximal, corner u, parent round trip) is stated
+once, in :func:`ktri.verify._round_trips`, which walks the same
+:func:`_nodes` and reads each child's mask with the same helper.
 :func:`_children` is the one child lister.  For k = 2 this is the
 2-triangulation tree; :mod:`ktri.gentree2` adds its labels, the (u, i)
 numbering of the children and the descent by label, on columns.
@@ -40,7 +41,7 @@ from typing import Iterable
 from .errors import DomainError, GuardExceeded, StructuralError, _decimal, _guard_value
 from .errors import _require_int
 from .paths import catalan_determinant
-from .polygon import Diagonal, KTriangulation, PolygonContext, _cell_bits, _finish
+from .polygon import Diagonal, KTriangulation, PolygonContext, _Bits, _cell_bits, _finish
 
 TREE_COUNT_GUARD = 10**6
 # The most diagonals `children_k` lists, over all children of one node.
@@ -78,6 +79,38 @@ def _columns(tri: KTriangulation) -> Columns:
 def _cells(cols: Columns) -> list[Diagonal]:
     """The cells of the staircase ``cols``, column by column."""
     return [(a, b) for b, col in enumerate(cols) for a in col]
+
+
+RowBits = list[dict[int, int]]
+"""The level's table by column: entry b maps each row a of column b to the bit of the
+cell (a, b) in :func:`ktri.polygon._cell_bits`."""
+
+
+def _row_bits(bits: _Bits, n: int) -> RowBits:
+    """The table ``bits`` of the n-gon by column, so a leaf's mask needs no cell tuples."""
+    out: RowBits = [{} for _ in range(n + 1)]
+    for (a, b), bit in bits.items():
+        out[b][a] = bit
+    return out
+
+
+def _leaf_mask(cols: Columns, rows: RowBits, size: int) -> int | None:
+    """The mask of the cells of ``cols`` over the level's table ``rows``, or None.
+
+    The mask is the sum of the cells' bits; a cell off the staircase has none
+    (a KeyError).  It is returned once the cells number ``size`` and set as
+    many bits, so they are ``size`` distinct staircase cells: what the
+    constructor checks but its crossing search.  :func:`enumerate_tree` and
+    :func:`ktri.verify._round_trips` read each leaf this way.
+    """
+    out = 0
+    try:
+        for row, col in zip(rows, cols):
+            for a in col:
+                out += row[a]
+    except KeyError:
+        return None
+    return out if sum(map(len, cols)) == size == out.bit_count() else None
 
 
 def _off_ends(cols: Columns, k: int, columns: range) -> int | None:
@@ -120,7 +153,9 @@ def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
     in O(n), and a set for repeats, which the ends do not see.  The ends
     bound a column's rows as :func:`_grow` and :func:`_parent` keep them
     sorted.  The tree steps map k-triangulations to k-triangulations, which
-    :func:`ktri.verify._round_trips` checks on every child in its range.
+    :func:`ktri.verify._round_trips` certifies on every child in its range by
+    a clique search on the child's mask (:func:`_leaf_mask`) over crossing
+    masks built once per level.
     """
     _check_staircase(cols, ctx.k)
     leaf = tuple(sorted(_cells(cols)))
@@ -414,33 +449,25 @@ def _nodes(n: int, k: int) -> Iterable[tuple[Columns, int]]:
 def enumerate_tree(n: int, k: int) -> list[KTriangulation]:
     """All k-triangulations of the n-gon, generated from the root by :func:`_nodes`.
 
-    Each node of the n-gon becomes its mask over the level's cells, the sum
-    of their bits in the level's table (:func:`ktri.polygon._cell_bits`),
-    or 0 if a cell is off the staircase (a KeyError).  A mask is kept once
-    the cells number k(n-2k-1) and set as many bits, so they are distinct
-    staircase cells: what the constructor checks but its crossing search.
-    On a fault, :func:`_triangulation` raises its text, as it does on the
-    sorted columns :func:`_grow` keeps; columns out of order are named otherwise.
-    Their number must be the count, the level's one check, and
+    Each node of the n-gon becomes its mask over the level's cells
+    (:func:`_leaf_mask`), kept once they are k(n-2k-1) distinct staircase
+    cells.  On a fault, :func:`_triangulation` raises its text, as it does on
+    the sorted columns :func:`_grow` keeps; columns out of order are named
+    otherwise.  Their number must be the count, the level's one check, and
     :func:`ktri.polygon._finish` refuses a repeated mask, sorts and builds each once.
     """
     expected = _level_size(n, k)
     ctx = PolygonContext(n, k)
-    bits, size = _cell_bits(ctx), ctx.diagonal_count
-
-    def mask(cols: Columns) -> int:
-        cells = _cells(cols)
-        try:
-            out = sum(map(bits.__getitem__, cells))
-        except KeyError:  # a cell off the staircase
-            out = 0
-        if len(cells) == size == out.bit_count():
-            return out
-        _triangulation(ctx, cols)
-        b, col = next((b, col) for b, col in enumerate(cols) if list(col) != sorted(col))
-        raise StructuralError(f"column {b} rows {col} are out of order")
-
-    leaves = [mask(cols) for cols, _ in _nodes(n, k)]
+    bits = _cell_bits(ctx)
+    rows, size = _row_bits(bits, n), ctx.diagonal_count
+    leaves = []
+    for cols, _ in _nodes(n, k):
+        mask = _leaf_mask(cols, rows, size)
+        if mask is None:
+            _triangulation(ctx, cols)
+            b, col = next((b, col) for b, col in enumerate(cols) if list(col) != sorted(col))
+            raise StructuralError(f"column {b} rows {col} are out of order")
+        leaves.append(mask)
     if len(leaves) != expected:
         raise StructuralError(f"tree level has {len(leaves)} children; expected {expected}")
     return _finish(ctx, bits, leaves)

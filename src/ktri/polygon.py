@@ -28,7 +28,11 @@ t-clique of the crossing graph.  :func:`has_crossing` and the greedy
 completion run bitset clique searches on masks built per call: each
 diagonal they are given (a set's own, or every staircase cell) gets the
 mask by position of those crossing it, and a t-crossing through it is a
-(t-1)-clique within that mask.  The brute-force lister runs no search: a
+(t-1)-clique within that mask.  :func:`ktri.verify._round_trips` builds
+the masks once per level, over the level's table (:func:`_cell_bits`) in
+bit order, and searches each child's mask of cells on them; the search
+reads only the crossing graph among the mask's bits, so it answers as
+:func:`has_crossing` on the child's diagonals.  The brute-force lister runs no search: a
 (k+1)-crossing is fixed by its 2k+2 endpoints, so the polygon has
 C(n, 2k+2) of them, and each question the lister asks is a few mask
 operations over that list.
@@ -311,6 +315,8 @@ def is_k_triangulation(obj: DiagonalSet) -> bool:
 
     The :class:`DiagonalSet` constructor has rejected repeated diagonals and
     non-cells, so the size counts distinct cells; the search is over them.
+    Public, with no caller in the package, as the per-object oracle of the
+    round trips' search on a level's table (:func:`ktri.verify._round_trips`).
     """
     ctx = obj.ctx
     return len(obj.diagonals) == ctx.diagonal_count and not has_crossing(obj.diagonals, ctx.k + 1)

@@ -38,8 +38,10 @@ from .gentree_k import (
     _children,
     _columns,
     _corner,
+    _leaf_mask,
     _nodes,
     _parent,
+    _row_bits,
     corner_k,
     enumerate_tree,
     parent_k,
@@ -57,10 +59,13 @@ from .polygon import (
     KTriangulation,
     PolygonContext,
     _brute_guard,
+    _cell_bits,
+    _crossing_masks_of,
+    _find_clique,
+    _finish,
     check_structure_lemmas,
     degree,
     enumerate_brute,
-    is_k_triangulation,
     is_t_crossing,
     staircase_cells,
 )
@@ -114,15 +119,27 @@ def _round_trips(k: int, n_max: int, brute: Lister) -> Check:
 
     A node's children are grown from the corner read off its columns, apart
     from the corner r the walk carries and the children are checked against.
+    A child is certified on its mask over the level's cells (:func:`_leaf_mask`):
+    k(n-2k-1) distinct staircase cells with no (k+1)-crossing are a maximal
+    set.  The crossing masks are built once per level, in bit order, and the
+    clique search on them reads only the crossing graph among the mask's
+    cells, so it answers as :func:`ktri.polygon.is_k_triangulation` does on
+    the child's diagonals.  Only a child that fails is built, as a
+    :class:`DiagonalSet` that names it or refuses a cell off the staircase or
+    repeated.  The level's masks must be distinct and equal brute's.
     """
     for n in range(2 * k + 1, n_max):
         ctx = PolygonContext(n + 1, k)
-        diagonals = []
+        bits = _cell_bits(ctx)
+        rows, size = _row_bits(bits, n + 1), ctx.diagonal_count
+        table = _crossing_masks_of(list(bits))
+        masks = []
         for cols, r in _nodes(n, k):
             for u, _, child in _children(cols, k, _corner(cols, k)):
-                cells = DiagonalSet(ctx, _cells(child))
-                if not is_k_triangulation(cells):
-                    detail = f"child {cells.diagonals} is not a k-triangulation"
+                mask = _leaf_mask(child, rows, size)
+                if mask is None or _find_clique(mask, k + 1, table) is not None:
+                    shown = DiagonalSet(ctx, _cells(child)).diagonals
+                    detail = f"child {shown} is not a k-triangulation"
                     return ("round_trips", False, f"{detail} at n={n + 1}")
                 c = _corner(child, k)
                 if _parent(child, k, c) != cols:
@@ -130,12 +147,13 @@ def _round_trips(k: int, n_max: int, brute: Lister) -> Check:
                 if not c == u >= r:
                     detail = f"child corner {c} != u={u} or < parent corner {r}"
                     return ("round_trips", False, f"{detail} at n={n + 1}")
-                diagonals.append(cells.diagonals)
-        seen = Counter(diagonals)
-        dup = [d for d, c in seen.items() if c > 1]
+                masks.append(mask)
+        seen = Counter(masks)
+        dup = [m for m, c in seen.items() if c > 1]
         if dup:
-            return ("round_trips", False, f"duplicate child at n={n + 1}: {dup[0]}")
-        if sorted(seen) != [t.diagonals for t in brute(n + 1, k)]:
+            shown = _finish(ctx, bits, dup[:1])[0].diagonals
+            return ("round_trips", False, f"duplicate child at n={n + 1}: {shown}")
+        if seen.keys() != {sum(map(bits.__getitem__, t.diagonals)) for t in brute(n + 1, k)}:
             return ("round_trips", False, f"children of level {n} do not partition level {n + 1}")
     return ("round_trips", True, f"k={k}, levels up to n={n_max}")
 

@@ -741,8 +741,8 @@ class TestVerifyAndRender:
 
         monkeypatch.setattr("ktri.verify._children", corrupted)
         code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "7")
-        line = "FAIL round_trips: child ((1, 4), (2, 5), (3, 6), (4, 7)) is not a k-triangulation at n=7"
-        assert code == 1 and line in out.splitlines()
+        line = "child ((1, 4), (2, 5), (3, 6), (4, 7)) is not a k-triangulation at n=7"
+        assert code == 1 and f"FAIL round_trips: {line}" in out.splitlines()
 
     def test_render_triangulation(self, capsys, tmp_path):
         f = tmp_path / "hex.tri"

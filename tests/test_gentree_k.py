@@ -27,17 +27,20 @@ from ktri import (
     verify,
 )
 from ktri.gentree_k import (
+    _cells,
     _check_staircase,
     _children,
     _choice_count,
     _columns,
     _corner,
+    _leaf_mask,
     _nodes,
     _off_ends,
     _parent,
+    _row_bits,
     _row_choices,
 )
-from ktri.polygon import _off_staircase, is_cell, staircase_cells
+from ktri.polygon import _cell_bits, _off_staircase, is_cell, staircase_cells
 
 # The 9-gon example with k=3: uniquely determined by its child profile
 # (two children at u=4, three at u=5, seven at u=6).
@@ -504,6 +507,47 @@ class TestEnumerateTree:
         monkeypatch.setattr("ktri.gentree_k._children", children)
         with pytest.raises(StructuralError, match=error):
             enumerate_tree(8, 2)
+
+
+class TestLeafMask:
+    @pytest.mark.parametrize("k,n_hi", [(2, 10), (3, 11), (4, 12)])
+    def test_agrees_with_the_cell_lookups(self, k, n_hi):
+        # the shared helper against the leaf's cells looked up one by one in the
+        # level's table, on every node of the levels the round trips reach
+        for n in range(2 * k + 1, n_hi + 1):
+            ctx = PolygonContext(n, k)
+            bits = _cell_bits(ctx)
+            rows, size = _row_bits(bits, n), ctx.diagonal_count
+            for cols, _ in _nodes(n, k):
+                assert _leaf_mask(cols, rows, size) == sum(bits[c] for c in _cells(cols))
+
+    @staticmethod
+    def _last(cols, corrupt):
+        """``cols`` with its last column of two rows or more replaced by ``corrupt(column)``.
+
+        Six crosses in the five columns 4..8 of the 8-gon put two in one column.
+        """
+        b = max(b for b, col in enumerate(cols) if len(col) > 1)
+        return cols[:b] + corrupt(cols[b]) + cols[b + 1 :]
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda col: [col[:-1]],
+            lambda col: [(0,) + col[1:]],
+            lambda col: [(-1,) + col[1:]],
+            lambda col: [col[:1] + col[:-1]],
+            lambda col: [col[:-1], (), (col[-1],)],
+        ],
+        ids=["dropped-cross", "row-zero", "negative-row", "repeated-row", "column-past-n"],
+    )
+    def test_none_unless_distinct_staircase_cells_of_the_size(self, corrupt):
+        ctx = PolygonContext(8, 2)
+        bits = _cell_bits(ctx)
+        rows, size = _row_bits(bits, 8), ctx.diagonal_count
+        for cols, _ in _nodes(8, 2):
+            assert _leaf_mask(cols, rows, size) is not None
+            assert _leaf_mask(self._last(cols, corrupt), rows, size) is None
 
 
 class TestColumnWalk:

@@ -48,7 +48,9 @@ from ktri.polygon import (
     LemmaCheck,
     _brute_guard,
     _cell_bits,
+    _crossing_masks_of,
     _crossings,
+    _find_clique,
     _finish,
     _off_staircase,
 )
@@ -660,6 +662,21 @@ class TestEnumerateBrute:
                     for t in (2, 3, 4):
                         flat = any(is_t_crossing(c) for c in combinations(subset, t))
                         assert has_crossing(subset, t) == flat
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_search_on_the_level_table_matches_has_crossing(self, k):
+        # the round trips' fast path, a clique search on a mask over the level's
+        # crossing masks in bit order, against the search on the subset's own
+        for n in range(2 * k + 2, 2 * k + 6):
+            bits = _cell_bits(PolygonContext(n, k))
+            cells, table = list(bits), _crossing_masks_of(list(bits))
+            rng = random.Random(100 * k + n)
+            for size in range(len(cells) + 1):
+                for _ in range(20):
+                    subset = rng.sample(cells, size)
+                    mask = sum(bits[c] for c in subset)
+                    fast = _find_clique(mask, k + 1, table) is None
+                    assert fast == (not has_crossing(subset, k + 1)), (n, subset)
 
     def test_crossing_list_is_every_crossing_subset(self):
         # the lister's list of (k+1)-crossings against the flat filter over
