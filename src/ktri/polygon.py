@@ -32,10 +32,10 @@ mask by position of those crossing it, and a t-crossing through it is a
 the masks once per level, over the level's table (:func:`_cell_bits`) in
 bit order, and searches each child's mask of cells on them; the search
 reads only the crossing graph among the mask's bits, so it answers as
-:func:`has_crossing` on the child's diagonals.  The brute-force lister runs no search: a
-(k+1)-crossing is fixed by its 2k+2 endpoints, so the polygon has
-C(n, 2k+2) of them, and each question the lister asks is a few mask
-operations over that list.
+:func:`has_crossing` does on the child's diagonals.  The brute-force
+lister runs no search: a (k+1)-crossing is fixed by its 2k+2 endpoints, so
+the polygon has C(n, 2k+2) of them, and each question the lister asks is a
+few mask operations over that list.
 """
 
 from __future__ import annotations
