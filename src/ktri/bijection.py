@@ -3,7 +3,10 @@
 :func:`to_paths` runs the direct coloring algorithm on the staircase
 diagram, read by column: repeatedly locate the corner block, color one cross
 blue and one red, and merge two blocks.  Blue counts per column give the
-upper path, red counts the lower path.  :func:`to_paths_via_tree` computes
+upper path, red counts the lower path: :func:`_exponents` reads them off as
+the two exponent tuples and checks the pair once, and :func:`to_paths`
+builds the paths from them, while :mod:`ktri.verify` reads the tuples
+themselves.  :func:`to_paths_via_tree` computes
 the same map through the two generating trees (climb to the root recording
 labels, then descend the other tree matching them); it serves as the
 reference implementation.  Its climb carries the staircase by column and the
@@ -149,15 +152,14 @@ def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
     return ColoredDiagram(tri, color, tuple(blue_counts[4:]), tuple(red_counts[4:]), tuple(steps))
 
 
-def to_paths(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
-    """Map a 2-triangulation to its pair of non-crossing Dyck paths.
+def _exponents(tri: KTriangulation) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The direct map on exponent tuples: (p, q) read off the coloring's counts, checked.
 
-    The upper path takes an E run of length (blue count of column j) for
-    j = 5..n, the lower path one of length (red count of column j) for
-    j = 4..n-1; both get a closing E.  Blue comes from region r >= 2, which
-    starts past column 4 (in region 1 or 0), and red from the merged region
-    r-2, which is never the last, so never holds column n.  So each tuple
-    sums to m-1, and both are Dyck paths once _pair_fault passes.
+    p_j is the blue count of column n+1-j for j = 1..m, and q_j the red
+    count of column n-j.  Blue comes from region r >= 2, which starts past
+    column 4 (in region 1 or 0), and red from the merged region r-2, which
+    is never the last, so never holds column n.  So each tuple sums to m-1,
+    and (p, q) is a non-crossing pair once _pair_fault passes.
 
     The input is a 2-triangulation by construction (the public constructor
     certifies, the trees build only their nodes), so the crossing-pair
@@ -167,6 +169,17 @@ def to_paths(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
     p, q = colored.blue_counts[:0:-1], colored.red_counts[-2::-1]
     if _pair_fault(p, q, 1, len(p)) is not None:
         raise StructuralError("colored counts produced a crossing pair")
+    return p, q
+
+
+def to_paths(tri: KTriangulation) -> tuple[DyckPath, DyckPath]:
+    """Map a 2-triangulation to its pair of non-crossing Dyck paths (:func:`_exponents`).
+
+    The upper path takes an E run of length (blue count of column j) for
+    j = 5..n, the lower path one of length (red count of column j) for
+    j = 4..n-1; both get a closing E.
+    """
+    p, q = _exponents(tri)
     return DyckPath.from_exponents(p), DyckPath.from_exponents(q)
 
 

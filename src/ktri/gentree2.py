@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import groupby
 from operator import add, itemgetter
-from typing import Iterable, TypeVar
+from typing import Iterable, Iterator, TypeVar
 
 from .errors import DomainError, GuardExceeded, StructuralError, _all_int, _guard_value, _shown
 from .gentree_k import (
@@ -287,24 +287,34 @@ def pair_parent(enc: PairEncoding) -> PairEncoding:
     return PairEncoding(p, q)
 
 
+def _pair_kids(p: tuple[int, ...], q: tuple[int, ...], s: int) -> Iterator[tuple[int, int, Pair]]:
+    """(t, x, child) for each child of the raw pair (p, q) with split index s.
+
+    The one statement of the child order of :func:`pair_children`: by t,
+    then split_top 1..p_{t+1}, insert_zero, split_bottom 1..q_t (one more at
+    t = 1), that is x = p_{t+1}-1 down to 0, then p_{t+1} upward.
+    """
+    tops, bottoms = p + (0, 0), q + (0,)  # zero past m, as t <= s <= m+1
+    for t in range(1, s + 1):
+        pt1, qt = tops[t], bottoms[t - 1]
+        top = qt + 1 if t == 1 else qt
+        for x in [*range(pt1 - 1, -1, -1), *range(pt1, pt1 + top + 1)]:
+            yield t, x, _pair_child(p, q, t, x)
+
+
 def pair_children(enc: PairEncoding) -> tuple[tuple[PairGrowthChoice, PairEncoding], ...]:
     """All children of a pair, ordered by t, then split_top < insert_zero < split_bottom.
 
     The column holding p_{t+1} over q_t is split in two (:func:`_pair_child`);
     the new child has split index t+1 and maps back to ``enc`` under
-    :func:`pair_parent`.  Both facts are checked for every child in
-    :func:`ktri.verify._pair_round_trips`.
+    :func:`pair_parent`.  Both facts are checked for every child, on the raw
+    lister :func:`_pair_kids`, in :func:`ktri.verify._pair_round_trips`.
     """
-    out: list[tuple[PairGrowthChoice, PairEncoding]] = []
-    tops, bottoms = enc.p + (0, 0), enc.q + (0,)  # zero past m, as t <= s <= m+1
-    for t in range(1, enc.s + 1):
-        pt1, qt = tops[t], bottoms[t - 1]
-        top = qt + 1 if t == 1 else qt
-        # split_top 1..pt1, insert_zero, split_bottom 1..top, by their first label entry x
-        for x in [*range(pt1 - 1, -1, -1), *range(pt1, pt1 + top + 1)]:
-            p, q, _ = _pair_child(enc.p, enc.q, t, x)
-            out.append((_pair_choice(t, pt1, x), PairEncoding(p, q)))
-    return tuple(out)
+    tops = enc.p + (0, 0)
+    return tuple(
+        (_pair_choice(t, tops[t], x), PairEncoding(*child[:2]))
+        for t, x, child in _pair_kids(enc.p, enc.q, enc.s)
+    )
 
 
 def _pair_child_by_label(

@@ -2,11 +2,13 @@
 
 Each check returns (name, passed, detail) and takes its ranges and, if it
 needs them, listers: the brute-force one ``(n, k) -> triangulations``, the
-non-crossing tuples ``(m, k) -> tuples`` and the images of the direct map
-``n -> (triangulation, paths) pairs``.  :func:`run_verify` memoizes each
-lister for one run, so a listing or an image that two checks need is
-computed once; the CLI runs the checks at desk scale and the test suite
-drives them at larger ranges.
+non-crossing tuples ``(m, k) -> tuples``, their k = 2 exponent pairs
+``m -> (p, q) pairs`` and the images of the direct map on exponent tuples
+``n -> (triangulation, (p, q)) pairs``.  The k = 2 pair checks compare
+exponent tuples throughout and build no path or pair object.
+:func:`run_verify` memoizes each lister for one run, so a listing or an
+image that two checks need is computed once; the CLI runs the checks at
+desk scale and the test suite drives them at larger ranges.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import combinations
 
-from .bijection import _color, to_paths
+from .bijection import _color, _exponents
 from .errors import DomainError, StructuralError, _decimal, _require_int
 from .gentree2 import (
     ROOT_PAIR,
@@ -26,11 +28,10 @@ from .gentree2 import (
     _child_by_label,
     _label,
     _pair_child_by_label,
+    _pair_kids,
     _pair_label,
     _pair_up,
     label_children,
-    pair_children,
-    pair_parent,
 )
 from .gentree_k import (
     Columns,
@@ -47,7 +48,6 @@ from .gentree_k import (
     parent_k,
 )
 from .paths import (
-    DyckPath,
     PathTuple,
     _condensed_determinant,
     _split_index,
@@ -73,7 +73,9 @@ from .polygon import (
 Check = tuple[str, bool, str]
 Lister = Callable[[int, int], Sequence[KTriangulation]]
 Tuples = Callable[[int, int], Sequence[PathTuple]]
-Images = Callable[[int], Sequence[tuple[KTriangulation, tuple[DyckPath, DyckPath]]]]
+Exponents = tuple[tuple[int, ...], tuple[int, ...]]
+Pairs = Callable[[int], Sequence[Exponents]]
+Images = Callable[[int], Sequence[tuple[KTriangulation, Exponents]]]
 
 
 def _counting(k: int, n_max: int, brute: Lister) -> Check:
@@ -158,24 +160,29 @@ def _round_trips(k: int, n_max: int, brute: Lister) -> Check:
     return ("round_trips", True, f"k={k}, levels up to n={n_max}")
 
 
-def _pair_round_trips(m_max: int, tuples: Tuples) -> Check:
-    level = [ROOT_PAIR]
+def _pair_round_trips(m_max: int, pairs: Pairs) -> Check:
+    """Each level of the pair tree grown on raw tuples (:func:`_pair_kids`) and checked.
+
+    A child's split index is computed afresh (:func:`_split_index`), its
+    parent step must give back the node, split index included, and the
+    level's pairs must be distinct and equal the listing's.
+    """
+    level: list[Pair] = [(ROOT_PAIR.p, ROOT_PAIR.q, ROOT_PAIR.s)]
     for m in range(1, m_max):
         produced = []
-        for enc in level:
-            for choice, child in pair_children(enc):
-                if pair_parent(child) != enc:
+        for node in level:
+            for t, _, (p, q, _) in _pair_kids(*node):
+                child = p, q, _split_index(p, q)
+                if _pair_up(*child) != node:
                     return ("pair_round_trips", False, f"bad parent at m={m + 1}")
-                if not child.s == choice.t + 1 <= enc.s + 1:
-                    detail = f"split index {child.s} != t+1={choice.t + 1} or > s+1={enc.s + 1}"
+                if not child[2] == t + 1 <= node[2] + 1:
+                    detail = f"split index {child[2]} != t+1={t + 1} or > s+1={node[2] + 1}"
                     return ("pair_round_trips", False, f"{detail} at m={m + 1}")
                 produced.append(child)
-        seen = Counter((e.p, e.q) for e in produced)
+        seen = Counter(child[:2] for child in produced)
         if any(c > 1 for c in seen.values()):
             return ("pair_round_trips", False, f"duplicate pair child at m={m + 1}")
-        # each tuple's constructor has checked that its upper path never goes below the lower
-        pairs = {(p.exponents(), q.exponents()) for p, q in (t.paths for t in tuples(m + 1, 2))}
-        if set(seen) != pairs:
+        if seen.keys() != set(pairs(m + 1)):
             return ("pair_round_trips", False, f"level m={m + 1} is not all non-crossing pairs")
         expected = catalan_determinant(m + 5, 2)
         if len(produced) != expected:
@@ -204,7 +211,7 @@ def _label_coherence(n_max: int) -> Check:
     return ("label_coherence", True, f"2-triangulations up to n={n_max}")
 
 
-def _bijection(n_max: int, images: Images, tuples: Tuples) -> Check:
+def _bijection(n_max: int, images: Images, pairs: Pairs) -> Check:
     """The tree map and its inverse on every 2-triangulation, one tree step per object.
 
     :func:`ktri.bijection.to_paths_via_tree` climbs from a node to the root
@@ -229,12 +236,11 @@ def _bijection(n_max: int, images: Images, tuples: Tuples) -> Check:
     for n in range(5, n_max + 1):
         seen = set()
         next_image, next_tri = {}, {}
-        for tri, pq in images(n):
+        for tri, (p, q) in images(n):
             cols = _columns(tri)
             r = _corner(cols, 2)
             label = _label(cols, r)
-            p, q = pq[0].exponents(), pq[1].exponents()  # to_paths has checked the pair
-            pair = p, q, _split_index(p, q)
+            pair = p, q, _split_index(p, q)  # _exponents has checked the pair
             target = _pair_label(*pair)
             image: Pair | None = root
             back: tuple[Columns, int] | None = (pentagon, 2)
@@ -251,9 +257,8 @@ def _bijection(n_max: int, images: Images, tuples: Tuples) -> Check:
             if n < n_max:  # the last level is no parent level
                 next_image[tuple(cols)] = image, label
                 next_tri[p, q] = cols, back[1], target
-            seen.add((pq[0].steps, pq[1].steps))
-        expected = {(t.paths[0].steps, t.paths[1].steps) for t in tuples(n - 4, 2)}
-        if seen != expected:
+            seen.add((p, q))
+        if seen != set(pairs(n - 4)):
             return ("bijection", False, f"image at n={n} is not all non-crossing pairs")
         to_image, to_tri = next_image, next_tri
     return ("bijection", True, f"n<={n_max}")
@@ -280,9 +285,9 @@ def _lemmas(k: int, n_max: int, brute: Lister) -> Check:
 
 def _column_identity(n_max: int, images: Images) -> Check:
     for n in range(5, n_max + 1):
-        for tri, (p, q) in images(n):
-            # to_paths has checked the pair; p_j is ps[j - 1] and q_j is qs[j - 1]
-            m, ps, qs = n - 4, p.exponents(), q.exponents()
+        for tri, (ps, qs) in images(n):
+            # _exponents has checked the pair; p_j is ps[j - 1] and q_j is qs[j - 1]
+            m = n - 4
             expected = [qs[m - 1], *(ps[j] + qs[j - 1] for j in range(m - 1, 0, -1)), ps[0]]
             counts = tri.column_counts()
             actual = [counts.get(j, 0) for j in range(4, n + 1)]
@@ -352,8 +357,13 @@ def run_verify(k: int, n_max: int) -> list[Check]:
         return enumerate_tuples(m, kk)
 
     @lru_cache(maxsize=None)
-    def images(n: int) -> list[tuple[KTriangulation, tuple[DyckPath, DyckPath]]]:
-        return [(tri, to_paths(tri)) for tri in brute(n, 2)]
+    def pairs(m: int) -> list[Exponents]:
+        # each tuple's constructor has checked that its upper path never goes below the lower
+        return [(p.exponents(), q.exponents()) for p, q in (t.paths for t in tuples(m, 2))]
+
+    @lru_cache(maxsize=None)
+    def images(n: int) -> list[tuple[KTriangulation, Exponents]]:
+        return [(tri, _exponents(tri)) for tri in brute(n, 2)]
 
     checks: list[Check] = []
     checks.append(_counting(k, n_max, brute))
@@ -363,9 +373,9 @@ def run_verify(k: int, n_max: int) -> list[Check]:
         checks.append(_round_trips(k, n_max, brute))
     checks.append(_lemmas(k, min(n_max, 2 * k + 5), brute))
     if k == 2:
-        checks.append(_pair_round_trips(min(n_max - 4, 6), tuples))
+        checks.append(_pair_round_trips(min(n_max - 4, 6), pairs))
         checks.append(_label_coherence(min(n_max, 9)))
-        checks.append(_bijection(min(n_max, 9), images, tuples))
+        checks.append(_bijection(min(n_max, 9), images, pairs))
         checks.append(_tie_breaks(min(n_max, 8), brute))
         checks.append(_column_identity(min(n_max, 9), images))
         checks.append(_k2_specialization(min(n_max, 8), brute))

@@ -1,6 +1,7 @@
-"""Shared fixtures: cached enumerations, verify checks, random path pairs and the 14-gon example."""
+"""Shared fixtures: cached enumerations, verify checks, random and ranked path pairs, the 14-gon."""
 
 from functools import lru_cache
+from math import comb
 
 from ktri import (
     DyckPath,
@@ -9,8 +10,8 @@ from ktri import (
     dominates,
     enumerate_brute,
     enumerate_tuples,
-    to_paths,
 )
+from ktri.bijection import _exponents
 
 # The 14-gon example used throughout: an 18-diagonal 2-triangulation with
 # corner 10, label (1,2,4), and column counts (1,0,3,0,2,3,0,1,2,4,2).
@@ -64,9 +65,15 @@ def tuples(m: int, k: int):
 
 
 @lru_cache(maxsize=None)
+def pairs(m: int):
+    """The exponent pairs (p, q) of the non-crossing pairs of semilength m, cached per session."""
+    return tuple((p.exponents(), q.exponents()) for p, q in (t.paths for t in tuples(m, 2)))
+
+
+@lru_cache(maxsize=None)
 def images(n: int):
-    """Each 2-triangulation of the n-gon with its image under the direct map, cached per session."""
-    return tuple((tri, to_paths(tri)) for tri in triangulations(n, 2))
+    """Each 2-triangulation of the n-gon with its exponent pair under the direct map, cached."""
+    return tuple((tri, _exponents(tri)) for tri in triangulations(n, 2))
 
 
 @lru_cache(maxsize=None)
@@ -110,3 +117,77 @@ def random_noncrossing_pair(rng, m):
     lower = path([min(x, y) for x, y in zip(a, b)])
     assert upper.m == lower.m == m and dominates(upper, lower)
     return upper, lower
+
+
+def _ballot(x1, y1, x2, y2):
+    """Lattice paths of N and E steps from (x1, y1) to (x2, y2) keeping y >= x (x counts E)."""
+    if y1 < x1 or y2 < x2 or x2 < x1 or y2 < y1:
+        return 0
+    total, east = x2 - x1 + y2 - y1, x2 - x1
+    # reflecting the part up to the first touch of y = x - 1 moves the start to (y1 + 1, x1 - 1)
+    return comb(total, east) - (comb(total, x2 - y1 - 1) if x2 > y1 else 0)
+
+
+def pair_completions(upper, lower, m):
+    """The non-crossing pairs of semilength m whose paths start with ``upper`` and ``lower``.
+
+    ``lower`` is no longer than ``upper``.  The lower path is walked on below
+    ``upper`` to its length, with a count of walks per height.  From there
+    both paths are free, and the pairs that complete them are counted by the
+    2x2 Gessel-Viennot determinant of ballot numbers: the upper path moved
+    by (-1, +1) never meets the lower one exactly when it never went below.
+    """
+
+    def heights(steps):
+        out = [0]
+        for step in steps:
+            out.append(out[-1] + (1 if step == "N" else -1))
+        return out
+
+    hu, hl = heights(upper), heights(lower)
+    if min(hu) < 0 or min(hl) < 0 or any(b > a for a, b in zip(hu, hl)):
+        return 0
+    walks = {hl[-1]: 1}
+    for j in range(len(lower) + 1, len(upper) + 1):
+        step = {}
+        for h, w in walks.items():
+            for g in (h - 1, h + 1):
+                if 0 <= g <= hu[j]:
+                    step[g] = step.get(g, 0) + w
+        walks = step
+    i = len(upper)
+    ax, ay = (i - hu[-1]) // 2 - 1, (i + hu[-1]) // 2 + 1  # the moved upper path's start
+    total = 0
+    for h, w in walks.items():
+        bx, by = (i - h) // 2, (i + h) // 2
+        det = _ballot(ax, ay, m - 1, m + 1) * _ballot(bx, by, m, m)
+        det -= _ballot(ax, ay, m, m) * _ballot(bx, by, m - 1, m + 1)
+        total += w * det
+    return total
+
+
+def _extended(upper, lower, step, m):
+    """The prefix pair one step on in the order of enumerate_tuples: the upper path first."""
+    return (upper + step, lower) if len(upper) < 2 * m else (upper, lower + step)
+
+
+def rank_pair(p, q):
+    """The position of the non-crossing pair (p, q) in enumerate_tuples(m, 2), by exact counts."""
+    m, upper, lower, rank = p.m, "", "", 0
+    for step in p.steps + q.steps:
+        if step == "E":  # every pair that takes N here comes first
+            rank += pair_completions(*_extended(upper, lower, "N", m), m)
+        upper, lower = _extended(upper, lower, step, m)
+    return rank
+
+
+def unrank_pair(rank, m):
+    """The non-crossing pair of semilength m at position ``rank`` of enumerate_tuples(m, 2)."""
+    assert 0 <= rank < pair_completions("", "", m)
+    upper = lower = ""
+    for _ in range(4 * m):
+        first = pair_completions(*_extended(upper, lower, "N", m), m)
+        step = "N" if rank < first else "E"
+        rank -= first if step == "E" else 0
+        upper, lower = _extended(upper, lower, step, m)
+    return DyckPath(upper), DyckPath(lower)

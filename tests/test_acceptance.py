@@ -20,6 +20,7 @@ from conftest import (
     example_14gon,
     holds,
     images,
+    pairs,
     triangulations,
     tuples,
 )
@@ -67,7 +68,7 @@ def test_criterion_2_counting_k3():
 
 def test_criterion_3_bijection():
     with criterion(3, "bijection onto non-crossing pairs for n=5..9, inverse and tree map agree"):
-        holds(verify._bijection, 9, images, tuples)
+        holds(verify._bijection, 9, images, pairs)
 
 
 def test_criterion_4_worked_example():
@@ -118,7 +119,7 @@ def test_criterion_6_round_trips_and_partitions():
         holds(verify._round_trips, 2, 10, triangulations)
         holds(verify._round_trips, 3, 11, triangulations)
         holds(verify._round_trips, 4, 12, triangulations)
-        holds(verify._pair_round_trips, 7, tuples)
+        holds(verify._pair_round_trips, 7, pairs)
         holds(verify._label_coherence, 9)
         holds(verify._k2_specialization, 9, triangulations)
 

@@ -17,6 +17,7 @@ from ktri import (
     DiagonalSet,
     DomainError,
     GuardExceeded,
+    PolygonContext,
     check_structure_lemmas,
     children_k,
     corner_k,
@@ -25,11 +26,11 @@ from ktri import (
     enumerate_tuples,
     from_paths,
     is_t_crossing,
-    pair_children,
     tree_root,
 )
-from ktri.bijection import _color
+from ktri.bijection import _color, _exponents
 from ktri.formats import format_pair, format_triangulation
+from ktri.gentree2 import _pair_kids
 from ktri.gentree_k import _children, _nodes, _parent
 from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
@@ -603,13 +604,13 @@ class TestVerifyAndRender:
                 "FAIL round_trips: child ((1, 4),) is not a k-triangulation at n=6",
             ),
             (
-                "pair_children",
-                lambda enc: [(replace(c, t=c.t + 1), e) for c, e in pair_children(enc)],
+                "_pair_kids",
+                lambda p, q, s: [(t + 1, x, child) for t, x, child in _pair_kids(p, q, s)],
                 "FAIL pair_round_trips: split index 2 != t+1=3 or > s+1=3 at m=2",
             ),
             (
-                "pair_children",
-                lambda enc: pair_children(enc)[:-1],
+                "_pair_kids",
+                lambda p, q, s: list(_pair_kids(p, q, s))[:-1],
                 "FAIL pair_round_trips: level m=2 is not all non-crossing pairs",
             ),
             (
@@ -643,13 +644,13 @@ class TestVerifyAndRender:
                 "FAIL round_trips: children of level 5 do not partition level 6",
             ),
             (
-                "pair_parent",
-                lambda enc: enc,
+                "_pair_up",
+                lambda p, q, s: (p, q, s),  # the child itself, not the node
                 "FAIL pair_round_trips: bad parent at m=2",
             ),
             (
-                "pair_children",
-                lambda enc: pair_children(enc) * 2,
+                "_pair_kids",
+                lambda p, q, s: list(_pair_kids(p, q, s)) * 2,
                 "FAIL pair_round_trips: duplicate pair child at m=2",
             ),
             (
@@ -743,6 +744,20 @@ class TestVerifyAndRender:
         code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "7")
         line = "child ((1, 4), (2, 5), (3, 6), (4, 7)) is not a k-triangulation at n=7"
         assert code == 1 and f"FAIL round_trips: {line}" in out.splitlines()
+
+    def test_verify_names_the_object_whose_exponents_are_corrupted(self, capsys, monkeypatch):
+        """The hexagon's second object is given the third one's exponent pair."""
+        second, third = enumerate_brute(PolygonContext(6, 2))[1:]
+
+        def corrupted(tri):
+            return _exponents(third if tri == second else tri)
+
+        monkeypatch.setattr("ktri.verify._exponents", corrupted)
+        code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "6")
+        lines = out.splitlines()
+        assert second.diagonals == ((1, 4), (3, 6)) and code == 1
+        assert "FAIL bijection: direct and tree maps differ on ((1, 4), (3, 6))" in lines
+        assert "FAIL column_identity: mismatch on ((1, 4), (3, 6))" in lines
 
     def test_render_triangulation(self, capsys, tmp_path):
         f = tmp_path / "hex.tri"

@@ -12,8 +12,8 @@ from conftest import (
     EXAMPLE_14GON_PARENT_TOP,
     EXAMPLE_14GON_TOP,
     holds,
+    pairs,
     random_noncrossing_pair,
-    tuples,
 )
 from ktri import (
     DomainError,
@@ -29,7 +29,14 @@ from ktri import (
     pair_parent,
     verify,
 )
-from ktri.gentree2 import _pair_child, _pair_child_by_label, _pair_up
+from ktri.gentree2 import (
+    _pair_child,
+    _pair_child_by_label,
+    _pair_choice,
+    _pair_kids,
+    _pair_label,
+    _pair_up,
+)
 
 
 def encoding_with_rows(top, bottom):
@@ -169,7 +176,7 @@ class TestPairChildren:
     def test_round_trip_split_index_and_partition(self):
         # semilength 2..7: parent round trip, child.s == t + 1 <= s + 1, and
         # each level is exactly the non-crossing pairs
-        holds(verify._pair_round_trips, 7, tuples)
+        holds(verify._pair_round_trips, 7, pairs)
 
     def test_sibling_labels_distinct(self):
         for m in range(1, 6):
@@ -247,6 +254,18 @@ class TestRawPairSteps:
                         assert _pair_child(enc.p, enc.q, choice.t, x) == raw(child)
                         below.append(child)
             level = below
+
+    def test_pair_children_wrap_the_raw_lister(self):
+        # verify walks the raw lister: the public one lists the same children in the same order
+        for m in range(1, 7):
+            for enc in all_pairs(m):
+                tops = enc.p + (0, 0)
+                kids = list(_pair_kids(*raw(enc)))
+                assert pair_children(enc) == tuple(
+                    (_pair_choice(t, tops[t], x), PairEncoding(*child[:2])) for t, x, child in kids
+                )
+                # x is the first entry of the child's label
+                assert all(_pair_label(*child)[0] == x for _, x, child in kids)
 
     def test_climb_and_descent_of_seeded_pairs(self):
         rng = random.Random(71003)

@@ -16,7 +16,11 @@ from conftest import (
     EXAMPLE_14GON_Q,
     EXAMPLE_14GON_TOP,
     east_prefix,
+    pair_completions,
     random_noncrossing_pair,
+    rank_pair,
+    tuples,
+    unrank_pair,
 )
 from ktri import (
     DomainError,
@@ -591,3 +595,18 @@ class TestEnumerateTuples:
     def test_largest_admitted_listings(self, m, k):
         # 40,898, 58,786 and 81,796 objects, each listed in under half a second
         assert len(enumerate_tuples(m, k)) == catalan_determinant(m + 2 * k, k)
+
+
+class TestPairRanks:
+    """The tests' rank and unrank of non-crossing pairs, by counting the completions of prefixes."""
+
+    def test_completions_of_the_empty_prefix_are_the_determinant(self):
+        # the Gessel-Viennot count against the product formula, two independent counts
+        for m in range(1, 41):
+            assert pair_completions("", "", m) == catalan_determinant(m + 4, 2)
+
+    def test_ranks_follow_enumerate_tuples(self):
+        for m in range(1, 7):
+            listed = [t.paths for t in tuples(m, 2)]
+            assert [unrank_pair(r, m) for r in range(len(listed))] == listed
+            assert [rank_pair(*pq) for pq in listed] == list(range(len(listed)))

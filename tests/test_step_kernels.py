@@ -18,7 +18,7 @@ import pytest
 
 from conftest import triangulations
 from ktri import KTriangulation, PolygonContext, StructuralError, is_k_triangulation
-from ktri.bijection import BLUE, RED, ColoredDiagram, IterationStep, _color, to_paths
+from ktri.bijection import BLUE, RED, ColoredDiagram, IterationStep, _color, _exponents, to_paths
 from ktri.gentree_k import _anchors, _columns, _corner, _nodes, _off_ends
 from ktri.polygon import staircase_cells
 
@@ -243,6 +243,14 @@ def test_color_on_every_2_triangulation(flip_ties):
             assert colored == reference_color(tri, flip_ties, True)
             assert _color(tri, flip_ties, False) == reference_color(tri, flip_ties, False)
             assert_coloring_closes(colored)
+
+
+def test_exponents_are_those_of_the_public_map():
+    # verify reads the direct map as _exponents; to_paths builds its paths from them
+    for n in range(5, 11):
+        for tri in triangulations(n, 2):
+            p, q = to_paths(tri)
+            assert _exponents(tri) == (p.exponents(), q.exponents())
 
 
 def test_color_on_corrupted_diagrams():
