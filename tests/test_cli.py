@@ -3,6 +3,7 @@
 import hashlib
 import io
 import random
+import re
 import sys
 from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
@@ -31,7 +32,7 @@ from ktri import (
 from ktri.bijection import _color, _exponents
 from ktri.formats import format_pair, format_triangulation
 from ktri.gentree2 import _pair_kids
-from ktri.gentree_k import _children, _nodes, _parent
+from ktri.gentree_k import _children, _leaf_mask, _nodes, _parent
 from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
 from ktri.verify import run_verify
@@ -160,6 +161,21 @@ class TestEnumerate:
         assert code == 0 and err == ""
         assert len(out.splitlines()) == catalan_determinant(n, k) + 1
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_a_repeated_leaf_prints_nothing(self, capsys, monkeypatch):
+        # every leaf of the hexagon reads as the first leaf's mask: the level is refused
+        # before its header is written
+        masks = []
+
+        def first(cols, rows, size):
+            masks.append(_leaf_mask(cols, rows, size))
+            return masks[0]
+
+        monkeypatch.setattr("ktri.gentree_k._leaf_mask", first)
+        code, out, err = run(capsys, "enumerate", "--method", "tree", "--k", "2", "--n", "6")
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: leaf mask 0x[0-9a-f]+ appears more than once\n", err)
+        assert len(masks) == 3
 
     def test_tree_guard_names_the_limit(self, capsys, monkeypatch):
         # the level size at n=4000 has more digits than int-to-str prints
