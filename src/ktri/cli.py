@@ -11,10 +11,12 @@ from __future__ import annotations
 import argparse
 import sys
 from functools import lru_cache
+from typing import Iterable, Iterator
 
 from .bijection import color_diagram, from_paths, to_paths
 from .errors import DomainError, GuardExceeded, StructuralError, _decimal, _guard_value
 from .formats import (
+    _diagonal_text,
     _path_lines,
     diagonal_line,
     format_pair,
@@ -22,9 +24,9 @@ from .formats import (
     parse_triangulation,
 )
 from .gentree2 import _by_split, _label
-from .gentree_k import _children, _triangulation, children_k, count_tree, enumerate_tree, parent_k
+from .gentree_k import _children, _tree_masks, _triangulation, children_k, count_tree, parent_k
 from .paths import catalan_determinant
-from .polygon import PolygonContext, enumerate_brute
+from .polygon import PolygonContext, _Bits, _brute_masks, _read_leaves
 from .render import render_diagram, render_paths
 from .verify import run_verify
 
@@ -47,20 +49,33 @@ def _cmd_count(args) -> int:
     if args.method == "det":
         value = catalan_determinant(args.n, args.k)
     elif args.method == "brute":
-        value = len(enumerate_brute(PolygonContext(args.n, args.k)))
+        _, masks = _brute_masks(PolygonContext(args.n, args.k))
+        _read_leaves((), masks)  # refuses a repeated mask; no leaf is read
+        value = len(masks)
     else:
         value = count_tree(args.n, args.k)
     print(_decimal(value))
     return 0
 
 
+def _lines(bits: _Bits, masks: Iterable[int]) -> Iterator[str]:
+    """The line of each leaf mask over ``bits``, joined from a per-bit table of texts.
+
+    Each is the :func:`ktri.formats.diagonal_line` of the object :func:`ktri.polygon._finish`
+    builds; a repeated mask is refused before the first (:func:`ktri.polygon._read_leaves`).
+    """
+    texts = [*map(_diagonal_text, bits)]
+    return (",".join(leaf) or "-" for leaf in _read_leaves(texts, masks))
+
+
 def _cmd_enumerate(args) -> int:
     if args.method == "brute":
-        tris = enumerate_brute(PolygonContext(args.n, args.k))
+        bits, masks = _brute_masks(PolygonContext(args.n, args.k))
     else:
-        tris = enumerate_tree(args.n, args.k)
+        bits, masks = _tree_masks(args.n, args.k)
+    lines = _lines(bits, masks)
     sys.stdout.write(f"k={args.k} n={args.n}\n")
-    sys.stdout.writelines(f"{diagonal_line(tri)}\n" for tri in tris)
+    sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
 
 

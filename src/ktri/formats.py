@@ -37,9 +37,11 @@ def format_triangulation(tri: KTriangulation) -> str:
 def _diagonal_text(diagonal: tuple[int, int]) -> str:
     """The text "a-b" of a diagonal (a, b).
 
-    The lines of one listing draw their diagonals from the n(n-2k-1)/2 cells
-    of one polygon, so after the first lines every text is a hit.  The bound
-    holds every cell of a polygon of up to 90 vertices at k = 1.
+    ``enumerate`` reads it once per cell into a per-bit table
+    (:func:`ktri.cli._lines`).  The lines of the ``tree`` dump and of
+    ``children`` draw their diagonals from the n(n-2k-1)/2 cells of one
+    polygon, so after the first lines every text is a hit.  The bound holds
+    every cell of a polygon of up to 90 vertices at k = 1.
     """
     return f"{diagonal[0]}-{diagonal[1]}"
 

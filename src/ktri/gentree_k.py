@@ -17,12 +17,13 @@ parent, a child, the end of a descent, a line of the ``tree`` dump) on all
 of them, then checks for repeats and runs no crossing search
 (:func:`_triangulation`).  The tree is walked depth first on (columns,
 corner) pairs by :func:`_nodes`, a child carrying its u as its corner:
-:func:`enumerate_tree` builds a :class:`KTriangulation` only for each node
-of the last level, checking each leaf as its mask over the level's cells
-(:func:`_leaf_mask`) and the level's count, and :func:`count_tree` builds
-none.  The child invariant (maximal, corner u, parent round trip) is stated
-once, in :func:`ktri.verify._round_trips`, which walks the same
-:func:`_nodes` and reads each child's mask with the same helper.
+:func:`_tree_masks` reads each node of the last level as its mask over
+the level's cells (:func:`_leaf_mask`) and checks the level's count,
+:func:`enumerate_tree` decodes the masks into objects, the CLI prints
+from them, and :func:`count_tree` builds none.  The child invariant
+(maximal, corner u, parent round trip) is stated once, in
+:func:`ktri.verify._round_trips`, which walks the same :func:`_nodes` and
+reads each child's mask with the same helper.
 :func:`_children` is the one child lister.  For k = 2 this is the
 2-triangulation tree; :mod:`ktri.gentree2` adds its labels, the (u, i)
 numbering of the children and the descent by label, on columns.
@@ -100,7 +101,7 @@ def _leaf_mask(cols: Columns, rows: RowBits, size: int) -> int | None:
     The mask is the sum of the cells' bits; a cell off the staircase has none
     (a KeyError).  It is returned once the cells number ``size`` and set as
     many bits, so they are ``size`` distinct staircase cells: what the
-    constructor checks but its crossing search.  :func:`enumerate_tree` and
+    constructor checks but its crossing search.  :func:`_tree_masks` and
     :func:`ktri.verify._round_trips` read each leaf this way.
     """
     out = 0
@@ -446,15 +447,14 @@ def _nodes(n: int, k: int) -> Iterable[tuple[Columns, int]]:
     return level
 
 
-def enumerate_tree(n: int, k: int) -> list[KTriangulation]:
-    """All k-triangulations of the n-gon, generated from the root by :func:`_nodes`.
+def _tree_masks(n: int, k: int) -> tuple[_Bits, list[int]]:
+    """The level's table (:func:`ktri.polygon._cell_bits`) and the n-gon's nodes as masks on it.
 
-    Each node of the n-gon becomes its mask over the level's cells
-    (:func:`_leaf_mask`), kept once they are k(n-2k-1) distinct staircase
-    cells.  On a fault, :func:`_triangulation` raises its text, as it does on
-    the sorted columns :func:`_grow` keeps; columns out of order are named
-    otherwise.  Their number must be the count, the level's one check, and
-    :func:`ktri.polygon._finish` refuses a repeated mask, sorts and builds each once.
+    Each node of :func:`_nodes` becomes its mask (:func:`_leaf_mask`), kept
+    once it is k(n-2k-1) distinct staircase cells.  On a fault,
+    :func:`_triangulation` raises its text, as it does on the sorted columns
+    :func:`_grow` keeps; columns out of order are named otherwise.  Their
+    number must be the count, the level's one check.  The masks are left unsorted.
     """
     expected = _level_size(n, k)
     ctx = PolygonContext(n, k)
@@ -470,7 +470,16 @@ def enumerate_tree(n: int, k: int) -> list[KTriangulation]:
         leaves.append(mask)
     if len(leaves) != expected:
         raise StructuralError(f"tree level has {len(leaves)} children; expected {expected}")
-    return _finish(ctx, bits, leaves)
+    return bits, leaves
+
+
+def enumerate_tree(n: int, k: int) -> list[KTriangulation]:
+    """All k-triangulations of the n-gon, generated from the root (:func:`_tree_masks`).
+
+    :func:`ktri.polygon._finish` refuses a repeated mask, sorts and builds each once.
+    """
+    bits, leaves = _tree_masks(n, k)
+    return _finish(PolygonContext(n, k), bits, leaves)
 
 
 def count_tree(n: int, k: int) -> int:

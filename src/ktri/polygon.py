@@ -18,10 +18,12 @@ the :class:`KTriangulation` constructor test exactly that.  The listers
 and the tree steps skip its crossing search
 (:meth:`KTriangulation._checked`).  A single object built from the tree's
 columns is checked on the staircase, in size and for repeats
-(:mod:`ktri.gentree_k`).  A level listing checks each leaf's size, brute
+(:mod:`ktri.gentree_k`).  A level listing gives its leaves as masks over
+the level's cells (:func:`_cell_bits`), checking each leaf's size, brute
 force proving maximality by its invariant and the tree checking the
-leaf's cells and the level's count, and :func:`_finish` sorts the leaves,
-masks over the level's cells (:func:`_cell_bits`).
+leaf's cells and the level's count.  :func:`_read_leaves` sorts them and
+refuses a repeat; the public listers decode them into objects
+(:func:`_finish`), and the CLI prints each line from its mask.
 
 Diagonals cross mutually iff they cross pairwise, so a t-crossing is a
 t-clique of the crossing graph.  :func:`has_crossing` and the greedy
@@ -44,7 +46,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import accumulate, chain, combinations
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import DomainError, GuardExceeded, StructuralError, _all_int, _decimal
 from .errors import _guard_value, _require_int, _shown
@@ -448,32 +450,43 @@ def _cell_bits(ctx: PolygonContext) -> _Bits:
     return {c: 1 << j for j, c in enumerate(sorted(staircase_cells(ctx), reverse=True))}
 
 
-def _finish(ctx: PolygonContext, bits: _Bits, leaves: Iterable[int]) -> list[KTriangulation]:
-    """The k-triangulations whose cells are the set bits of ``leaves`` (:func:`_cell_bits`), sorted.
+def _read_leaves(items: Sequence, masks: Iterable[int]) -> Iterator[list]:
+    """Per mask of ``masks``, in descending order, the items at its set bits from high to low.
 
-    Each lister has shown its leaves to be masks of k-triangulations of one
-    size; a repeated mask is refused.  Two distinct sorted tuples of one size
-    first differ at c in one and c' > c in the other; both hold the same
-    cells below c, whose bits lie above that of c, and only the first holds
-    c, so its mask is the greater.  So descending masks are lexicographic
-    tuples, each read off its bits from high to low, in order, and built
-    once, through :meth:`KTriangulation._checked`.
+    A repeated mask is refused at the call, before any leaf is read.  Two
+    distinct sorted tuples of one size first differ at c in one and c' > c in
+    the other; both hold the same cells below c, whose bits of
+    :func:`_cell_bits` lie above that of c, and only the first holds c, so
+    its mask is the greater.  So with ``items`` indexed as the level's cells
+    are, descending masks are lexicographic tuples, each read off in order.
     """
-    cells, out, last = list(bits), [], -1
-    for mask in sorted(leaves, reverse=True):
-        if mask == last:
-            raise StructuralError(f"leaf mask {mask:#x} appears more than once")
-        last, leaf = mask, []
-        while mask:
-            j = mask.bit_length() - 1
-            leaf.append(cells[j])
-            mask ^= 1 << j
-        out.append(KTriangulation._checked(ctx, tuple(leaf)))
-    return out
+    ordered = sorted(masks, reverse=True)
+    repeat = next((mask for prev, mask in zip(ordered, ordered[1:]) if mask == prev), None)
+    if repeat is not None:
+        raise StructuralError(f"leaf mask {repeat:#x} appears more than once")
+
+    def read() -> Iterator[list]:
+        for mask in ordered:
+            leaf = []
+            while mask:
+                j = mask.bit_length() - 1
+                leaf.append(items[j])
+                mask ^= 1 << j
+            yield leaf
+
+    return read()
 
 
-def enumerate_brute(ctx: PolygonContext) -> list[KTriangulation]:
-    """All k-triangulations of the polygon, by exhaustive backtracking.
+def _finish(ctx: PolygonContext, bits: _Bits, leaves: Iterable[int]) -> list[KTriangulation]:
+    """The k-triangulations read off the masks ``leaves`` (:func:`_read_leaves`), each built once.
+
+    Each lister has shown them to be masks of k-triangulations of one size.
+    """
+    return [KTriangulation._checked(ctx, tuple(leaf)) for leaf in _read_leaves(list(bits), leaves)]
+
+
+def _brute_masks(ctx: PolygonContext) -> tuple[_Bits, list[int]]:
+    """The level's table (:func:`_cell_bits`) and the k-triangulations as masks over it.
 
     Cells are decided longest diagonal (largest b - a) first, by the key
     (a - b, a, b), each by a few mask operations over the crossings of
@@ -481,14 +494,13 @@ def enumerate_brute(ctx: PolygonContext) -> list[KTriangulation]:
     completes no (k+1)-crossing, and a node where an excluded cell is no
     longer blocked (completes one) within ``included`` and the undecided
     cells is pruned, so at a leaf every excluded cell is blocked by the
-    final set: maximality.  An included cell sets its bit of
-    :func:`_cell_bits`, so a leaf is a mask of distinct staircase cells.
-    Each leaf's size, its number of set bits, is checked, never assumed,
-    the first leaf in search order with another size named, and
-    :func:`_finish` sorts and builds them.  The decision order is free, as
-    the invariant holds in any order; this one visits 37 % of staircase
-    order's nodes at k=2, n=10.  Cells and crossings are listed only once
-    :func:`_brute_guard` has passed.
+    final set: maximality.  An included cell sets its bit, so a leaf is a
+    mask of distinct staircase cells.  Each leaf's size, its number of set
+    bits, is checked, never assumed, the first leaf in search order with
+    another size named.  The decision order is free, as the invariant holds
+    in any order; this one visits 37 % of staircase order's nodes at k=2,
+    n=10.  Cells and crossings are listed only once :func:`_brute_guard` has
+    passed.  The masks are left unsorted.
     """
     m = _brute_guard(ctx)
     bits = _cell_bits(ctx)
@@ -510,7 +522,12 @@ def enumerate_brute(ctx: PolygonContext) -> list[KTriangulation]:
     size = ctx.diagonal_count
     if not {*map(int.bit_count, results)} <= {size}:
         _check_size(ctx, next(c for c in map(int.bit_count, results) if c != size))
-    return _finish(ctx, bits, results)
+    return bits, results
+
+
+def enumerate_brute(ctx: PolygonContext) -> list[KTriangulation]:
+    """All k-triangulations of the polygon, by exhaustive backtracking (:func:`_brute_masks`)."""
+    return _finish(ctx, *_brute_masks(ctx))
 
 
 @dataclass(frozen=True)

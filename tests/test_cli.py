@@ -35,6 +35,7 @@ from ktri.gentree2 import _pair_kids
 from ktri.gentree_k import _children, _leaf_mask, _nodes, _parent
 from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
+from ktri.polygon import _brute_masks
 from ktri.verify import run_verify
 
 HEX_FILE = "k=2 n=6\n1-4,3-6\n"
@@ -176,6 +177,19 @@ class TestEnumerate:
         assert (code, out) == (1, "")
         assert re.fullmatch(r"error: leaf mask 0x[0-9a-f]+ appears more than once\n", err)
         assert len(masks) == 3
+
+    @pytest.mark.parametrize("verb", ["count", "enumerate"])
+    def test_a_repeated_brute_leaf_is_refused(self, capsys, monkeypatch, verb):
+        # the hexagon's brute masks with the first one twice: counted or listed, the
+        # level is refused before anything is printed
+        def doubled(ctx):
+            bits, masks = _brute_masks(ctx)
+            return bits, masks + masks[:1]
+
+        monkeypatch.setattr("ktri.cli._brute_masks", doubled)
+        code, out, err = run(capsys, verb, "--method", "brute", "--k", "2", "--n", "6")
+        assert (code, out) == (1, "")
+        assert re.fullmatch(r"error: leaf mask 0x[0-9a-f]+ appears more than once\n", err)
 
     def test_tree_guard_names_the_limit(self, capsys, monkeypatch):
         # the level size at n=4000 has more digits than int-to-str prints

@@ -4,6 +4,7 @@ import random
 import re
 import sys
 from collections import Counter
+from functools import partial
 from itertools import combinations
 from math import comb
 
@@ -43,7 +44,8 @@ from ktri import (
     verify,
     wrap_chord,
 )
-from ktri.formats import parse_pair, parse_triangulation
+from ktri.cli import _lines
+from ktri.formats import diagonal_line, parse_pair, parse_triangulation
 from ktri.polygon import (
     LemmaCheck,
     _brute_guard,
@@ -603,10 +605,12 @@ class TestEnumerateBrute:
         ):
             enumerate_brute(PolygonContext(7, 2))
 
-    @pytest.mark.parametrize("k,n", [(1, 7), (2, 8), (3, 10), (4, 12)])
+    @pytest.mark.parametrize("k,n", [(2, 5), (1, 7), (2, 8), (3, 10), (4, 12)])
     def test_finisher_orders_and_reads_random_masks(self, k, n):
         # random subsets of the level's cells, each draw of one size: descending
-        # masks are the sorted tuples in order, each read off as its sorted tuple
+        # masks are the sorted tuples in order, each read off as its sorted tuple,
+        # and the CLI's lines are those of the objects, "-" for the empty leaf
+        # (size 0, and the (2k+1)-gon's only leaf)
         ctx = PolygonContext(n, k)
         bits, cells = _cell_bits(ctx), staircase_cells(ctx)
         assert list(bits) == sorted(cells, reverse=True)
@@ -617,11 +621,19 @@ class TestEnumerateBrute:
             mask_of = {sum(bits[c] for c in t): t for t in tuples}
             assert len(mask_of) == len(tuples)
             assert [mask_of[m] for m in sorted(mask_of, reverse=True)] == sorted(tuples)
-            got = _finish(ctx, bits, rng.sample(list(mask_of), len(mask_of)))
+            shuffled = rng.sample(list(mask_of), len(mask_of))
+            got = _finish(ctx, bits, shuffled)
             assert [t.diagonals for t in got] == sorted(tuples)
+            assert list(_lines(bits, shuffled)) == [diagonal_line(t) for t in got]
             masks = list(mask_of)
-            with pytest.raises(StructuralError, match=r"^leaf mask 0x[0-9a-f]+ appears more than once$"):
-                _finish(ctx, bits, masks + [rng.choice(masks)])
+            repeated = masks + [rng.choice(masks)]
+            errors = []
+            for read in (partial(_finish, ctx), _lines):
+                with pytest.raises(StructuralError) as caught:
+                    list(read(bits, repeated))
+                errors.append(str(caught.value))
+            assert re.fullmatch(r"leaf mask 0x[0-9a-f]+ appears more than once", errors[0])
+            assert errors[1] == errors[0]
 
     def test_all_results_verified_distinct(self):
         tris = triangulations(7, 2)
