@@ -73,7 +73,7 @@ def _cmd_enumerate(args) -> int:
         bits, masks = _brute_masks(PolygonContext(args.n, args.k))
     else:
         bits, masks = _tree_masks(args.n, args.k)
-    lines = _lines(bits, masks)
+    lines = _lines(bits, masks)  # refuses a repeated mask here, before the header is written
     sys.stdout.write(f"k={args.k} n={args.n}\n")
     sys.stdout.writelines(f"{line}\n" for line in lines)
     return 0
