@@ -21,7 +21,7 @@ import re
 import sys
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, _decimal
 from .paths import DyckPath, dominates
 from .polygon import KTriangulation, PolygonContext
 
@@ -30,7 +30,7 @@ _DIAGONAL = re.compile(r"(0|[1-9][0-9]*)-(0|[1-9][0-9]*)")
 
 
 def format_triangulation(tri: KTriangulation) -> str:
-    return f"k={tri.ctx.k} n={tri.ctx.n}\n{diagonal_line(tri)}\n"
+    return f"k={_decimal(tri.ctx.k)} n={_decimal(tri.ctx.n)}\n{diagonal_line(tri)}\n"
 
 
 @lru_cache(maxsize=1 << 12)

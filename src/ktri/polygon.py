@@ -35,9 +35,9 @@ the masks once per level, over the level's table (:func:`_cell_bits`) in
 bit order, and searches each child's mask of cells on them; the search
 reads only the crossing graph among the mask's bits, so it answers as
 :func:`has_crossing` does on the child's diagonals.  The brute-force
-lister runs no search: a (k+1)-crossing is fixed by its 2k+2 endpoints, so
-the polygon has C(n, 2k+2) of them, and each question the lister asks is a
-few mask operations over that list.
+lister runs no clique search: a (k+1)-crossing is fixed by its 2k+2
+endpoints, so the polygon has C(n, 2k+2) of them, and :func:`_search`
+decides each cell by a few mask operations over that list.
 """
 
 from __future__ import annotations
@@ -392,40 +392,58 @@ def _crossing_table(ctx: PolygonContext, cells: Sequence[Diagonal], bits: _Bits)
     return tuple(hits), later, tuple(shares), tuple(map(bits.__getitem__, cells))
 
 
-# A node of the brute-force search: (i, included, excluded, once, twice).  Cells
-# 0..i-1 are decided: ``included`` ORs the own bits of those included, ``excluded``
-# is the mask by position of the others, and ``once`` and ``twice`` the masks of
-# the crossings holding at least one and at least two excluded cells.
 _Node = tuple[int, int, int, int, int]
+_Step = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
 
 
-def _branches(table: _CrossingTable, node: _Node) -> tuple[_Node | None, _Node | None]:
-    """The include and the exclude child of a node deciding cell i; None where pruned.
-
-    Cell i may be included iff no crossing through it is otherwise made of
-    included cells: every one holds an excluded or a later cell.  The node
-    keeps the invariant that every excluded cell is blocked within ``included``
-    and the cells after i, that is, it has a crossing in which it is the only
-    excluded cell (one outside ``twice``).  Excluding cell i moves the crossings
-    through it that were in ``once`` into ``twice``, so only cell i and the
-    excluded cells sharing a crossing with it need the test again.
-    """
+def _steps(table: _CrossingTable) -> tuple[_Step, ...]:
+    """Per cell i, the step (hits[i], later[i + 1], own[i], 1 << i, partners) of :func:`_search`."""
     hits, later, shares, own = table
-    i, included, excluded, once, twice = node
-    x = hits[i]
-    include = None
-    if not x & ~(once | later[i + 1]):
-        include = (i + 1, included | own[i], excluded, once, twice)
-    if not x & ~once:
-        return include, None
-    twice |= once & x
-    recheck = excluded & shares[i]
-    while recheck:
-        low = recheck & -recheck
-        if not hits[low.bit_length() - 1] & ~twice:
-            return include, None
-        recheck ^= low
-    return include, (i + 1, included, excluded | 1 << i, once | x, twice)
+    bits = [1 << i for i in range(len(hits))]
+    partners = [tuple(p for p in zip(bits[:i], hits) if s & p[0]) for i, s in enumerate(shares)]
+    return tuple(zip(hits, later[1:], own, bits, partners))
+
+
+def _search(steps: Sequence[_Step], node: _Node) -> list[int]:
+    """The ``included`` masks of the leaves under ``node``, depth first, include branch first.
+
+    A node (i, included, excluded, once, twice) has cells 0..i-1 decided:
+    ``included`` ORs the own bits of those included, ``excluded`` is the mask
+    by position of the others, ``once`` and ``twice`` the masks of the
+    crossings holding at least one and at least two excluded cells.  Cell i may
+    be included iff every crossing through it holds an excluded or a later
+    cell.  A node keeps every excluded cell blocked within ``included`` and the
+    cells after i, so every leaf is maximal: the cell has a crossing in which
+    it is the only excluded cell (one outside ``twice``).  Excluding cell i
+    moves the crossings through it that were in ``once`` into ``twice``, so
+    only cell i and its excluded partners, the earlier cells j sharing a
+    crossing with it as (1 << j, hits[j]), are tested again.  A forced decision
+    is followed in place; a node is pushed only where both branches survive.
+    """
+    m, leaves, stack = len(steps), [], [node]
+    while stack:
+        i, included, excluded, once, twice = stack.pop()
+        while i < m:
+            x, after, own, bit, partners = steps[i]
+            i += 1
+            blocked = x & ~once
+            if blocked:
+                free = ~(twice | once & x)
+                for b, h in partners:
+                    if not h & free and excluded & b:
+                        blocked = 0
+                        break
+            if not x & ~(once | after):
+                if blocked:
+                    stack.append((i, included, excluded | bit, once | x, ~free))
+                included |= own
+            elif blocked:
+                excluded, once, twice = excluded | bit, once | x, ~free
+            else:
+                break
+        else:
+            leaves.append(included)
+    return leaves
 
 
 def _brute_guard(ctx: PolygonContext) -> int:
@@ -489,36 +507,18 @@ def _brute_masks(ctx: PolygonContext) -> tuple[_Bits, list[int]]:
     """The level's table (:func:`_cell_bits`) and the k-triangulations as masks over it.
 
     Cells are decided longest diagonal (largest b - a) first, by the key
-    (a - b, a, b), each by a few mask operations over the crossings of
-    :func:`_crossings` (:func:`_branches`): a cell is included only when it
-    completes no (k+1)-crossing, and a node where an excluded cell is no
-    longer blocked (completes one) within ``included`` and the undecided
-    cells is pruned, so at a leaf every excluded cell is blocked by the
-    final set: maximality.  An included cell sets its bit, so a leaf is a
-    mask of distinct staircase cells.  Each leaf's size, its number of set
-    bits, is checked, never assumed, the first leaf in search order with
-    another size named.  The decision order is free, as the invariant holds
-    in any order; this one visits 37 % of staircase order's nodes at k=2,
-    n=10.  Cells and crossings are listed only once :func:`_brute_guard` has
-    passed.  The masks are left unsorted.
+    (a - b, a, b), in one :func:`_search` from the root; an included cell
+    sets its bit, so a leaf is a mask of distinct staircase cells.  Each
+    leaf's size, its number of set bits, is checked, never assumed, the first
+    leaf in search order with another size named.  The decision order is
+    free, as the search's invariant holds in any order; this one visits 37 %
+    of staircase order's nodes at k=2, n=10.  Cells and crossings are listed
+    only once :func:`_brute_guard` has passed.  The masks are left unsorted.
     """
-    m = _brute_guard(ctx)
+    _brute_guard(ctx)
     bits = _cell_bits(ctx)
     table = _crossing_table(ctx, sorted(bits, key=lambda c: (c[0] - c[1], *c)), bits)
-
-    results: list[int] = []
-    stack: list[_Node] = [(0, 0, 0, 0, 0)]  # the include branch popped first
-    while stack:
-        node = stack.pop()
-        if node[0] == m:
-            results.append(node[1])
-            continue
-        include, exclude = _branches(table, node)
-        if exclude is not None:
-            stack.append(exclude)
-        if include is not None:
-            stack.append(include)
-
+    results = _search(_steps(table), (0, 0, 0, 0, 0))
     size = ctx.diagonal_count
     if not {*map(int.bit_count, results)} <= {size}:
         _check_size(ctx, next(c for c in map(int.bit_count, results) if c != size))

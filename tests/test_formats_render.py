@@ -22,6 +22,11 @@ class TestTriangulationFormat:
         assert format_triangulation(tri) == "k=2 n=6\n1-4,2-5\n"
         assert format_triangulation(tree_root(2)) == "k=2 n=5\n-\n"
 
+    def test_header_past_the_int_to_str_limit(self):
+        # the (2k+1)-gon for k = 10**5000: k of 5,001 digits, n = 2k+1 of 5,001 digits
+        text = format_triangulation(tree_root(10**5000))
+        assert text == f"k=1{'0' * 5000} n=2{'0' * 4999}1\n-\n"
+
     def test_round_trip(self):
         for n in range(5, 9):
             for tri in triangulations(n, 2):

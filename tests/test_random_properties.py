@@ -38,11 +38,12 @@ from ktri import (
 )
 from ktri.formats import format_pair, format_triangulation, parse_pair, parse_triangulation
 from ktri.polygon import (
-    _branches,
     _crossing_masks_of,
     _crossing_table,
     _crossings,
     _find_clique,
+    _search,
+    _steps,
 )
 
 
@@ -203,10 +204,12 @@ def test_brute_decisions_match_clique_search(drawn):
     # the include and exclude decisions read off the crossing list are the
     # clique search's: cell i may be included iff it completes no crossing
     # with the included cells, and excluded iff it and every excluded cell
-    # then complete one with the included and the undecided cells.
+    # then complete one with the included and the undecided cells.  The
+    # decision on cell i is read off the leaves of the one-cell search from
+    # the node: the include leaf adds the cell's bit, the exclude leaf does not.
     ctx, cells, prefer_include = drawn
     t, m = ctx.k + 1, len(cells)
-    table = _crossing_table(ctx, cells, {c: 1 << i for i, c in enumerate(cells)})  # bits by position
+    steps = _steps(_crossing_table(ctx, cells, {c: 1 << i for i, c in enumerate(cells)}))  # by position
     masks = _crossing_masks_of(cells)
     members = [sum(1 << cells.index(d) for d in c) for c in _crossings(ctx)]
     node = (0, 0, 0, 0, 0)
@@ -215,7 +218,14 @@ def test_brute_decisions_match_clique_search(drawn):
         hit = [(c & excluded).bit_count() for c in members]
         assert once == sum(1 << j for j, h in enumerate(hit) if h >= 1)
         assert twice == sum(1 << j for j, h in enumerate(hit) if h >= 2)
-        include, exclude = _branches(table, node)
+        leaves = _search(steps[: i + 1], node)
+        assert leaves == [leaf for leaf in (included | 1 << i, included) if leaf in leaves]
+        x = steps[i][0]
+        include = exclude = None
+        if included | 1 << i in leaves:
+            include = (i + 1, included | 1 << i, excluded, once, twice)
+        if included in leaves:
+            exclude = (i + 1, included, excluded | 1 << i, once | x, twice | once & x)
         assert (include is not None) == (_find_clique(included & masks[i], t - 1, masks) is None)
         available = included | (1 << m) - (2 << i)
         out = excluded | 1 << i
