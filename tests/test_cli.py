@@ -31,7 +31,7 @@ from ktri import (
 )
 from ktri.bijection import _color, _exponents
 from ktri.formats import format_pair, format_triangulation
-from ktri.gentree2 import _pair_kids
+from ktri.gentree2 import _by_split, _pair_kids, label_children
 from ktri.gentree_k import _children, _leaf_mask, _nodes, _parent
 from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
@@ -774,6 +774,37 @@ class TestVerifyAndRender:
         code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "7")
         line = "child ((1, 4), (2, 5), (3, 6), (4, 7)) is not a k-triangulation at n=7"
         assert code == 1 and f"FAIL round_trips: {line}" in out.splitlines()
+
+    def test_verify_names_a_node_whose_child_labels_differ_from_the_rule(self, capsys, monkeypatch):
+        """The rule drops the last child label of every node but the pentagon, label (0, 0)."""
+
+        def corrupted(label):
+            kids = label_children(label)
+            return kids[:-1] if sum(label) else kids
+
+        monkeypatch.setattr("ktri.verify.label_children", corrupted)
+        code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "7")
+        line = "FAIL label_coherence: labels differ below ((1, 4), (2, 5))"
+        assert code == 1 and line in out.splitlines()
+
+    def test_verify_names_a_node_whose_child_labels_repeat(self, capsys, monkeypatch):
+        """Each node's first child stands for all its children, in the tree and in the rule.
+
+        The rule never lists a label twice, so a repeat that matches it needs both corrupted.
+        """
+
+        def first_for_all(kids):
+            ordered = _by_split(kids)
+            return ordered[:1] * len(ordered)
+
+        def first_label_for_all(label):
+            kids = label_children(label)
+            return kids[:1] * len(kids)
+
+        monkeypatch.setattr("ktri.verify._by_split", first_for_all)
+        monkeypatch.setattr("ktri.verify.label_children", first_label_for_all)
+        code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "7")
+        assert code == 1 and "FAIL label_coherence: sibling labels repeat below ()" in out.splitlines()
 
     def test_verify_names_the_object_whose_exponents_are_corrupted(self, capsys, monkeypatch):
         """The hexagon's second object is given the third one's exponent pair."""
