@@ -46,7 +46,7 @@ from .gentree2 import (
     _pair_up,
     _require_k2,
 )
-from .gentree_k import _columns, _corner, _parent, _triangulation
+from .gentree_k import _columns, _corner, _parent, _root, _triangulation
 from .paths import DyckPath, PairEncoding, _pair_fault
 from .polygon import Diagonal, KTriangulation, PolygonContext
 
@@ -224,7 +224,7 @@ def from_paths(p: DyckPath, q: DyckPath) -> KTriangulation:
     chain.reverse()
     if chain[0] != (0, 0):  # the only check that the climb kept the totals
         raise StructuralError(f"root label {chain[0]} is not (0, 0)")
-    cols, corner, label = [()] * 6, 2, chain[0]  # the root: the pentagon's columns 0..5
+    (cols, corner), label = _root(2), chain[0]  # the pentagon
     for target in chain[1:]:
         cols, corner = _child_by_label(cols, corner, label, target)
         label = target

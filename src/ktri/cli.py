@@ -24,7 +24,15 @@ from .formats import (
     parse_triangulation,
 )
 from .gentree2 import _by_split, _label
-from .gentree_k import _children, _tree_masks, _triangulation, children_k, count_tree, parent_k
+from .gentree_k import (
+    _children,
+    _root,
+    _tree_masks,
+    _triangulation,
+    children_k,
+    count_tree,
+    parent_k,
+)
 from .paths import catalan_determinant
 from .polygon import PolygonContext, _Bits, _brute_masks, _read_leaves
 from .render import render_diagram, render_paths
@@ -139,7 +147,7 @@ def _cmd_tree(args) -> int:
     limit = _guard_value(TREE_DUMP_GUARD)
     if catalan_determinant(args.n, k) > limit:
         raise GuardExceeded(f"tree dump of more than {limit} leaves refused; lower n")
-    walk([()] * (2 * k + 2), k, 0)
+    walk(*_root(k), 0)
     return 0
 
 

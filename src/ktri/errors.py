@@ -1,6 +1,7 @@
 """Exception types, the int rule, and the helpers that set and word the guards."""
 
 import os
+import re
 from typing import Iterable
 
 
@@ -61,11 +62,17 @@ def _shown(value: object) -> str:
 
 
 def _guard_value(default: int) -> int:
-    """``default``, or the integer in the environment variable ``KTRI_GUARD`` when it is set."""
+    """``default``, or the integer in the environment variable ``KTRI_GUARD`` when it is set.
+
+    Only canonical ASCII decimals are read: no sign, space, underscore, leading zero
+    or other digits, which ``int`` would accept and normalise.  Empty means unset.
+    """
     raw = os.environ.get("KTRI_GUARD")
-    if raw:
+    if not raw:
+        return default
+    if re.fullmatch("0|[1-9][0-9]*", raw):
         try:
             return int(raw)
-        except ValueError as exc:
-            raise DomainError(f"KTRI_GUARD must be an integer, got {raw!r}") from exc
-    return default
+        except ValueError:  # more digits than the int-to-str limit allows
+            pass
+    raise DomainError(f"KTRI_GUARD must be an integer, got {raw!r}")

@@ -22,8 +22,10 @@ the level's cells (:func:`_leaf_mask`) and checks the level's count,
 :func:`enumerate_tree` decodes the masks into objects, the CLI prints
 from them, and :func:`count_tree` builds none.  The child invariant
 (maximal, corner u, parent round trip) is stated once, in
-:func:`ktri.verify._round_trips`, which walks the same :func:`_nodes` and
-reads each child's mask with the same helper.
+:func:`ktri.verify.tree_walk`, which grows the tree a level at a time,
+each level once per ``verify`` run, with the same :func:`_children` from
+the same root (:func:`_root`), and reads each child's mask with the same
+helper.
 :func:`_children` is the one child lister.  For k = 2 this is the
 2-triangulation tree; :mod:`ktri.gentree2` adds its labels, the (u, i)
 numbering of the children and the descent by label, on columns.
@@ -102,7 +104,7 @@ def _leaf_mask(cols: Columns, rows: RowBits, size: int) -> int | None:
     (a KeyError).  It is returned once the cells number ``size`` and set as
     many bits, so they are ``size`` distinct staircase cells: what the
     constructor checks but its crossing search.  :func:`_tree_masks` and
-    :func:`ktri.verify._round_trips` read each leaf this way.
+    :func:`ktri.verify.tree_walk` read each leaf this way.
     """
     out = 0
     try:
@@ -154,7 +156,7 @@ def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
     in O(n), and a set for repeats, which the ends do not see.  The ends
     bound a column's rows as :func:`_grow` and :func:`_parent` keep them
     sorted.  The tree steps map k-triangulations to k-triangulations, which
-    :func:`ktri.verify._round_trips` certifies on every child in its range by
+    :func:`ktri.verify.tree_walk` certifies on every child in its range by
     a clique search on the child's mask (:func:`_leaf_mask`) over crossing
     masks built once per level.
     """
@@ -433,6 +435,11 @@ def _level_size(n: int, k: int) -> int:
     return expected
 
 
+def _root(k: int) -> tuple[Columns, int]:
+    """The root as the tree's walks carry a node: the empty (2k+1)-gon's columns and corner k."""
+    return [()] * (2 * k + 2), k
+
+
 def _nodes(n: int, k: int) -> Iterable[tuple[Columns, int]]:
     """The (columns, corner) pairs of the nodes of the n-gon, in the order of the tree.
 
@@ -441,7 +448,7 @@ def _nodes(n: int, k: int) -> Iterable[tuple[Columns, int]]:
     first, holds the children of one node per level at a time and builds no
     object.
     """
-    level: Iterable[tuple[Columns, int]] = [([()] * (2 * k + 2), k)]  # the root
+    level: Iterable[tuple[Columns, int]] = [_root(k)]
     for _ in range(2 * k + 2, n + 1):
         level = ((child, u) for cols, r in level for u, _, child in _children(cols, k, r))
     return level

@@ -30,7 +30,7 @@ t-clique of the crossing graph.  :func:`has_crossing` and the greedy
 completion run bitset clique searches on masks built per call: each
 diagonal they are given (a set's own, or every staircase cell) gets the
 mask by position of those crossing it, and a t-crossing through it is a
-(t-1)-clique within that mask.  :func:`ktri.verify._round_trips` builds
+(t-1)-clique within that mask.  :func:`ktri.verify.tree_walk` builds
 the masks once per level, over the level's table (:func:`_cell_bits`) in
 bit order, and searches each child's mask of cells on them; the search
 reads only the crossing graph among the mask's bits, so it answers as
@@ -318,7 +318,7 @@ def is_k_triangulation(obj: DiagonalSet) -> bool:
     The :class:`DiagonalSet` constructor has rejected repeated diagonals and
     non-cells, so the size counts distinct cells; the search is over them.
     Public, with no caller in the package, as the per-object oracle of the
-    round trips' search on a level's table (:func:`ktri.verify._round_trips`).
+    round trips' search on a level's table (:func:`ktri.verify.tree_walk`).
     """
     ctx = obj.ctx
     return len(obj.diagonals) == ctx.diagonal_count and not has_crossing(obj.diagonals, ctx.k + 1)

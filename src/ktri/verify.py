@@ -1,14 +1,19 @@
 """Runtime verification driver: each package invariant is stated once, here.
 
 Each check returns (name, passed, detail) and takes its ranges and, if it
-needs them, listers: the brute-force one ``(n, k) -> triangulations``, the
-non-crossing tuples ``(m, k) -> tuples``, their k = 2 exponent pairs
-``m -> (p, q) pairs`` and the images of the direct map on exponent tuples
+needs them, listers: the brute-force one ``(n, k) -> triangulations`` and
+its masks ``(n, k) -> masks`` over the level's cells, the generating tree's
+levels ``n -> level`` (:func:`tree_walk`), the non-crossing tuples
+``(m, k) -> tuples``, their k = 2 exponent pairs ``m -> (p, q) pairs`` and
+the images of the direct map on exponent tuples
 ``n -> (triangulation, (p, q)) pairs``.  The k = 2 pair checks compare
 exponent tuples throughout and build no path or pair object.
-:func:`run_verify` memoizes each lister for one run, so a listing or an
-image that two checks need is computed once; the CLI runs the checks at
-desk scale and the test suite drives them at larger ranges.
+:func:`run_verify` memoizes each lister for one run and grows the tree once
+per run, each level from the one before: the tree's checks
+(:func:`_counting`, :func:`_round_trips`, :func:`_label_coherence`) read
+what that walk recorded on masks, and an object is built only to name a
+failure.  The CLI runs the checks at desk scale and the test suite drives
+them at larger ranges.
 """
 
 from __future__ import annotations
@@ -40,11 +45,11 @@ from .gentree_k import (
     _columns,
     _corner,
     _leaf_mask,
-    _nodes,
+    _level_size,
     _parent,
+    _root,
     _row_bits,
     corner_k,
-    enumerate_tree,
     parent_k,
 )
 from .paths import (
@@ -76,21 +81,91 @@ Tuples = Callable[[int, int], Sequence[PathTuple]]
 Exponents = tuple[tuple[int, ...], tuple[int, ...]]
 Pairs = Callable[[int], Sequence[Exponents]]
 Images = Callable[[int], Sequence[tuple[KTriangulation, Exponents]]]
+Masks = Callable[[int, int], Sequence[int]]
+Level = tuple[list[int], str | None, str | None]
+"""A level of :func:`tree_walk`: its nodes' masks in walk order, then the first round-trip
+fault of its nodes and the first label fault of the nodes they were grown from, or None."""
+Walk = Callable[[int], Level]
+
+# label_coherence checks the succession rule on the children up to this polygon
+LABELS_N_MAX = 9
 
 
-def _counting(k: int, n_max: int, brute: Lister) -> Check:
+def tree_walk(k: int, n_max: int) -> dict[int, Level]:
+    """The tree's levels (2k+1)..n_max, each grown once from the one before, for the checks.
+
+    A node is carried as (columns, r), r the u it was grown at, and grown at
+    the corner read off its columns (:func:`_children` at :func:`_corner`),
+    so r serves only the round trip below; only the levels grown from keep
+    columns.  Each child is read as its mask over the level's cells
+    (:func:`_leaf_mask`) and certified on it: k(n-2k-1) distinct staircase
+    cells with no (k+1)-crossing are a maximal set.  The crossing masks are
+    built once per level, in bit order, and the clique search on them reads
+    only the crossing graph among the mask's cells, so it answers as
+    :func:`ktri.polygon.is_k_triangulation` does on the child's diagonals.
+    A certified child's corner c must give back its node by the parent step
+    (:func:`_parent`) and satisfy c == u >= r.  At k = 2, for children up to
+    the ``LABELS_N_MAX``-gon, a node's child labels, each read at its u, in
+    :func:`_by_split` order, must be its label's children under the rule
+    (:func:`label_children`), with no label repeated.  Each level records its
+    masks and the first fault of each kind, in walk order; a child that
+    fails its certificate gives no mask and is not grown from.  Only a child
+    that fails is built, as a :class:`DiagonalSet` that names it or refuses
+    a cell off the staircase or repeated.
+    """
+    _level_size(n_max, k)  # the tree lister's guards, which bound every level below too
+    level = [_root(k)]
+    out: dict[int, Level] = {2 * k + 1: ([0], None, None)}  # the root has no cell
+    for n in range(2 * k + 2, n_max + 1):
+        ctx = PolygonContext(n, k)
+        bits = _cell_bits(ctx)
+        rows, size = _row_bits(bits, n), ctx.diagonal_count
+        table = _crossing_masks_of(list(bits))
+        masks: list[int] = []
+        grown = []
+        trip = labels = None
+        for cols, r in level:
+            p = _corner(cols, k)
+            kids = _children(cols, k, p)
+            if k == 2 and n <= LABELS_N_MAX and labels is None:
+                expected = label_children(_label(cols, p))
+                ordered = _by_split((u, child) for u, _, child in kids)
+                got = tuple(_label(child, u) for u, _, child in ordered)
+                if got != expected or len(set(got)) != len(got):
+                    what = "labels differ" if got != expected else "sibling labels repeat"
+                    labels = f"{what} below {tuple(sorted(_cells(cols)))}"
+            for u, _, child in kids:
+                mask = _leaf_mask(child, rows, size)
+                if mask is None or _find_clique(mask, k + 1, table) is not None:
+                    if trip is None:
+                        shown = DiagonalSet(ctx, _cells(child)).diagonals
+                        trip = f"child {shown} is not a k-triangulation at n={n}"
+                    continue
+                masks.append(mask)
+                if trip is None:
+                    c = _corner(child, k)
+                    if _parent(child, k, c) != cols:
+                        trip = f"parent(child) != parent at n={n}"
+                    elif not c == u >= r:
+                        trip = f"child corner {c} != u={u} or < parent corner {r} at n={n}"
+                if n < n_max:
+                    grown.append((child, u))
+        out[n] = masks, trip, labels
+        level = grown
+    return out
+
+
+def _counting(k: int, n_max: int, masks: Masks, tree: Walk | None) -> Check:
     for n in range(2 * k + 1, n_max + 1):
         det = catalan_determinant(n, k)
         condensed = _condensed_determinant(n, k)
         if det != condensed:
             return ("counting", False, f"product {det} != condensed det {condensed} at n={n}")
-        listed = brute(n, k)
+        listed = masks(n, k)
         if len(listed) != det:
             return ("counting", False, f"brute count {len(listed)} != det {det} at n={n}")
-        if k >= 2:
-            tree = enumerate_tree(n, k)
-            if [t.diagonals for t in tree] != [t.diagonals for t in listed]:
-                return ("counting", False, f"tree and brute enumerations differ at n={n}")
+        if tree is not None and sorted(tree(n)[0], reverse=True) != listed:
+            return ("counting", False, f"tree and brute enumerations differ at n={n}")
     methods = "det = brute = tree" if k >= 2 else "det = brute"
     return ("counting", True, f"k={k}, n<={n_max}: {methods}")
 
@@ -116,47 +191,25 @@ def _crossing_criterion(n_max: int) -> Check:
     return ("crossing_criterion", True, f"all diagonal pairs of the {ctx.n}-gon")
 
 
-def _round_trips(k: int, n_max: int, brute: Lister) -> Check:
-    """Each level of the tree walk :func:`_nodes` grown one level on and checked against brute.
+def _round_trips(k: int, n_max: int, masks: Masks, tree: Walk) -> Check:
+    """Each level of the tree walk (:func:`tree_walk`) against its round trips and brute.
 
-    A node's children are grown from the corner read off its columns, apart
-    from the corner r the walk carries and the children are checked against.
-    A child is certified on its mask over the level's cells (:func:`_leaf_mask`):
-    k(n-2k-1) distinct staircase cells with no (k+1)-crossing are a maximal
-    set.  The crossing masks are built once per level, in bit order, and the
-    clique search on them reads only the crossing graph among the mask's
-    cells, so it answers as :func:`ktri.polygon.is_k_triangulation` does on
-    the child's diagonals.  Only a child that fails is built, as a
-    :class:`DiagonalSet` that names it or refuses a cell off the staircase or
-    repeated.  The level's masks must be distinct and equal brute's.
+    A level fails at its first child that fails its certificate, its parent
+    round trip or its corner, as the walk recorded; then its masks must be
+    distinct and equal brute's.
     """
-    for n in range(2 * k + 1, n_max):
-        ctx = PolygonContext(n + 1, k)
-        bits = _cell_bits(ctx)
-        rows, size = _row_bits(bits, n + 1), ctx.diagonal_count
-        table = _crossing_masks_of(list(bits))
-        masks = []
-        for cols, r in _nodes(n, k):
-            for u, _, child in _children(cols, k, _corner(cols, k)):
-                mask = _leaf_mask(child, rows, size)
-                if mask is None or _find_clique(mask, k + 1, table) is not None:
-                    shown = DiagonalSet(ctx, _cells(child)).diagonals
-                    detail = f"child {shown} is not a k-triangulation"
-                    return ("round_trips", False, f"{detail} at n={n + 1}")
-                c = _corner(child, k)
-                if _parent(child, k, c) != cols:
-                    return ("round_trips", False, f"parent(child) != parent at n={n + 1}")
-                if not c == u >= r:
-                    detail = f"child corner {c} != u={u} or < parent corner {r}"
-                    return ("round_trips", False, f"{detail} at n={n + 1}")
-                masks.append(mask)
-        seen = Counter(masks)
+    for n in range(2 * k + 2, n_max + 1):
+        children, trip, _ = tree(n)
+        if trip is not None:
+            return ("round_trips", False, trip)
+        seen = Counter(children)
         dup = [m for m, c in seen.items() if c > 1]
         if dup:
-            shown = _finish(ctx, bits, dup[:1])[0].diagonals
-            return ("round_trips", False, f"duplicate child at n={n + 1}: {shown}")
-        if seen.keys() != {sum(map(bits.__getitem__, t.diagonals)) for t in brute(n + 1, k)}:
-            return ("round_trips", False, f"children of level {n} do not partition level {n + 1}")
+            ctx = PolygonContext(n, k)
+            shown = _finish(ctx, _cell_bits(ctx), dup[:1])[0].diagonals
+            return ("round_trips", False, f"duplicate child at n={n}: {shown}")
+        if seen.keys() != set(masks(n, k)):
+            return ("round_trips", False, f"children of level {n - 1} do not partition level {n}")
     return ("round_trips", True, f"k={k}, levels up to n={n_max}")
 
 
@@ -191,23 +244,17 @@ def _pair_round_trips(m_max: int, pairs: Pairs) -> Check:
     return ("pair_round_trips", True, f"pairs up to m={m_max}")
 
 
-def _label_coherence(n_max: int) -> Check:
-    """Each node's child labels, in :func:`_by_split` order, against the succession rule.
+def _label_coherence(n_max: int, tree: Walk) -> Check:
+    """Each node's child labels against the succession rule, as the tree walk recorded them.
 
-    The nodes are those of the tree walk :func:`_nodes`.  As in
-    :func:`_round_trips`, a node's label and children are read at the corner
-    read off its columns, and a child's label at its u, which
-    :func:`_round_trips` checks to be its corner.
+    :func:`tree_walk` reads them below each node up to the ``LABELS_N_MAX``-gon,
+    in :func:`_by_split` order, a node's at the corner read off its columns
+    and a child's at its u, which :func:`_round_trips` checks to be its corner.
     """
-    for n in range(5, n_max):
-        for cols, _ in _nodes(n, 2):
-            r = _corner(cols, 2)
-            kids = _by_split((u, child) for u, _, child in _children(cols, 2, r))
-            expected = label_children(_label(cols, r))
-            got = tuple(_label(child, u) for u, _, child in kids)
-            if got != expected or len(set(got)) != len(got):
-                what = "labels differ" if got != expected else "sibling labels repeat"
-                return ("label_coherence", False, f"{what} below {tuple(sorted(_cells(cols)))}")
+    for n in range(6, n_max + 1):
+        labels = tree(n)[2]
+        if labels is not None:
+            return ("label_coherence", False, labels)
     return ("label_coherence", True, f"2-triangulations up to n={n_max}")
 
 
@@ -353,6 +400,11 @@ def run_verify(k: int, n_max: int) -> list[Check]:
         return enumerate_brute(PolygonContext(n, kk))
 
     @lru_cache(maxsize=None)
+    def masks(n: int, kk: int) -> list[int]:
+        bits = _cell_bits(PolygonContext(n, kk))
+        return [sum(map(bits.__getitem__, t.diagonals)) for t in brute(n, kk)]
+
+    @lru_cache(maxsize=None)
     def tuples(m: int, kk: int) -> list[PathTuple]:
         return enumerate_tuples(m, kk)
 
@@ -365,16 +417,17 @@ def run_verify(k: int, n_max: int) -> list[Check]:
     def images(n: int) -> list[tuple[KTriangulation, Exponents]]:
         return [(tri, _exponents(tri)) for tri in brute(n, 2)]
 
+    tree = tree_walk(k, n_max).__getitem__ if k >= 2 else None
     checks: list[Check] = []
-    checks.append(_counting(k, n_max, brute))
+    checks.append(_counting(k, n_max, masks, tree))
     checks.append(_tuples_vs_det(k, min(5, n_max - 2 * k), tuples))
     checks.append(_crossing_criterion(n_max))
     if k >= 2:
-        checks.append(_round_trips(k, n_max, brute))
+        checks.append(_round_trips(k, n_max, masks, tree))
     checks.append(_lemmas(k, min(n_max, 2 * k + 5), brute))
     if k == 2:
         checks.append(_pair_round_trips(min(n_max - 4, 6), pairs))
-        checks.append(_label_coherence(min(n_max, 9)))
+        checks.append(_label_coherence(min(n_max, LABELS_N_MAX), tree))
         checks.append(_bijection(min(n_max, 9), images, pairs))
         checks.append(_tie_breaks(min(n_max, 8), brute))
         checks.append(_column_identity(min(n_max, 9), images))

@@ -1,4 +1,4 @@
-"""Shared fixtures: cached enumerations, verify checks, random and ranked path pairs, the 14-gon."""
+"""Shared fixtures: cached enumerations and tree walks, verify checks, random and ranked pairs, the 14-gon."""
 
 from functools import lru_cache
 from math import comb
@@ -12,6 +12,8 @@ from ktri import (
     enumerate_tuples,
 )
 from ktri.bijection import _exponents
+from ktri.polygon import _cell_bits
+from ktri.verify import tree_walk
 
 # The 14-gon example used throughout: an 18-diagonal 2-triangulation with
 # corner 10, label (1,2,4), and column counts (1,0,3,0,2,3,0,1,2,4,2).
@@ -56,6 +58,22 @@ def example_14gon() -> KTriangulation:
 def triangulations(n: int, k: int) -> tuple[KTriangulation, ...]:
     """All k-triangulations of the n-gon by brute force, cached per session."""
     return tuple(enumerate_brute(PolygonContext(n, k)))
+
+
+@lru_cache(maxsize=None)
+def brute_masks(n: int, k: int):
+    """Each k-triangulation of the n-gon as its mask over the level's cells, in brute order, cached."""
+    bits = _cell_bits(PolygonContext(n, k))
+    return [sum(map(bits.__getitem__, t.diagonals)) for t in triangulations(n, k)]
+
+
+@lru_cache(maxsize=None)
+def tree(k: int, n_max: int):
+    """Level n of verify's tree walk up to the n_max-gon (:func:`ktri.verify.tree_walk`), cached.
+
+    None at k = 1, which has no tree, as :func:`ktri.verify.run_verify` passes it.
+    """
+    return tree_walk(k, n_max).__getitem__ if k >= 2 else None
 
 
 @lru_cache(maxsize=None)

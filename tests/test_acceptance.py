@@ -17,10 +17,12 @@ from conftest import (
     EXAMPLE_14GON_PARENT_TOP,
     EXAMPLE_14GON_Q,
     EXAMPLE_14GON_TOP,
+    brute_masks,
     example_14gon,
     holds,
     images,
     pairs,
+    tree,
     triangulations,
     tuples,
 )
@@ -54,7 +56,7 @@ def test_criterion_1_counting_k2():
     with criterion(1, "counts for k=2, n=5..11: det = brute = tree = 1,3,14,84,594,4719,40898"):
         expected = [1, 3, 14, 84, 594, 4719, 40898]
         assert [catalan_determinant(n, 2) for n in range(5, 12)] == expected
-        holds(verify._counting, 2, 11, triangulations)
+        holds(verify._counting, 2, 11, brute_masks, tree(2, 11))
 
 
 def test_criterion_2_counting_k3():
@@ -62,8 +64,8 @@ def test_criterion_2_counting_k3():
         2, "counts for k=3, n=7..11: det = brute = tree (1, 4, ...); k=1, n<=8: det = brute"
     ):
         assert catalan_determinant(7, 3) == 1 and catalan_determinant(8, 3) == 4
-        holds(verify._counting, 3, 11, triangulations)
-        holds(verify._counting, 1, 8, triangulations)
+        holds(verify._counting, 3, 11, brute_masks, tree(3, 11))
+        holds(verify._counting, 1, 8, brute_masks, tree(1, 8))
 
 
 def test_criterion_3_bijection():
@@ -116,11 +118,11 @@ def test_criterion_6_round_trips_and_partitions():
         "round trips, corners and level partitions: k=2 n<=10, k=3 n<=11, k=4 n<=12, "
         "pairs m<=7; child labels follow the rule and k=2 parents match the vertex oracle (n<=9)",
     ):
-        holds(verify._round_trips, 2, 10, triangulations)
-        holds(verify._round_trips, 3, 11, triangulations)
-        holds(verify._round_trips, 4, 12, triangulations)
+        holds(verify._round_trips, 2, 10, brute_masks, tree(2, 10))
+        holds(verify._round_trips, 3, 11, brute_masks, tree(3, 11))
+        holds(verify._round_trips, 4, 12, brute_masks, tree(4, 12))
         holds(verify._pair_round_trips, 7, pairs)
-        holds(verify._label_coherence, 9)
+        holds(verify._label_coherence, 9, tree(2, 9))
         holds(verify._k2_specialization, 9, triangulations)
 
 

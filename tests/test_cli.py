@@ -23,7 +23,6 @@ from ktri import (
     children_k,
     corner_k,
     enumerate_brute,
-    enumerate_tree,
     enumerate_tuples,
     from_paths,
     is_t_crossing,
@@ -32,7 +31,7 @@ from ktri import (
 from ktri.bijection import _color, _exponents
 from ktri.formats import format_pair, format_triangulation
 from ktri.gentree2 import _by_split, _pair_kids, label_children
-from ktri.gentree_k import _children, _leaf_mask, _nodes, _parent
+from ktri.gentree_k import _children, _leaf_mask, _parent, _root
 from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
 from ktri.polygon import _brute_masks
@@ -98,13 +97,14 @@ class TestCount:
         assert len(expected) > old_limit
         assert out == expected + "\n"
 
-    def test_guard_override_must_be_an_integer(self, capsys, monkeypatch):
-        monkeypatch.setenv("KTRI_GUARD", "x")
-        with pytest.raises(DomainError, match="^KTRI_GUARD must be an integer, got 'x'$"):
+    # int() would accept and normalise all but "x"; only canonical ASCII decimals are read
+    @pytest.mark.parametrize("raw", ["x", " 5", "5 ", "+5", "-1", "1_000", "05", "\u0665"])
+    def test_guard_override_must_be_an_integer(self, capsys, monkeypatch, raw):
+        monkeypatch.setenv("KTRI_GUARD", raw)
+        message = f"KTRI_GUARD must be an integer, got {raw!r}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             catalan_determinant(8, 2)
-        assert run(capsys, "count", "--k", "2", "--n", "8") == (
-            1, "", "error: KTRI_GUARD must be an integer, got 'x'\n"
-        )
+        assert run(capsys, "count", "--k", "2", "--n", "8") == (1, "", f"error: {message}\n")
 
     def test_guard(self, capsys, monkeypatch):
         assert run(capsys, "count", "--k", "500000", "--n", "1000004") == (
@@ -620,8 +620,8 @@ class TestVerifyAndRender:
                 "FAIL round_trips: child corner 2 != u=3 or < parent corner 2 at n=6",
             ),
             (
-                "_nodes",
-                lambda n, k: [(cols, 99 if n == 5 else r) for cols, r in _nodes(n, k)],
+                "_root",
+                lambda k: (_root(k)[0], 99),  # the pentagon's corner carried as 99
                 "FAIL round_trips: child corner 2 != u=2 or < parent corner 99 at n=6",
             ),
             (
@@ -649,8 +649,9 @@ class TestVerifyAndRender:
                 "FAIL counting: brute count 0 != det 1 at n=5",
             ),
             (
-                "enumerate_tree",
-                lambda n, k: enumerate_tree(n, k)[::-1],
+                "enumerate_brute",
+                # counting compares the tree's sorted masks with brute's, listed in sorted order
+                lambda ctx: enumerate_brute(ctx)[::-1],
                 "FAIL counting: tree and brute enumerations differ at n=6",
             ),
             (

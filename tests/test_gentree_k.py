@@ -7,7 +7,7 @@ from itertools import product
 
 import pytest
 
-from conftest import example_14gon, holds, triangulations
+from conftest import brute_masks, example_14gon, holds, tree, triangulations
 from ktri import (
     DomainError,
     KTriangulation,
@@ -39,8 +39,9 @@ from ktri.gentree_k import (
     _parent,
     _row_bits,
     _row_choices,
+    _tree_masks,
 )
-from ktri.polygon import _cell_bits, _off_staircase, is_cell, staircase_cells
+from ktri.polygon import _brute_masks, _cell_bits, _off_staircase, is_cell, staircase_cells
 
 # The 9-gon example with k=3: uniquely determined by its child profile
 # (two children at u=4, three at u=5, seven at u=6).
@@ -154,7 +155,7 @@ class TestChildrenK:
     def test_round_trip_and_partition(self, k, n_hi):
         # parent round trip, corner(child) == u >= corner(parent), and each
         # level partitioned by the children of the level before
-        holds(verify._round_trips, k, n_hi, triangulations)
+        holds(verify._round_trips, k, n_hi, brute_masks, tree(k, n_hi))
 
 
 def set_child_k(tri, u, rows):
@@ -383,11 +384,19 @@ class TestEnumerateTree:
         assert len(enumerate_tree(8, 3)) == 4 == catalan_determinant(8, 3)
 
     def test_equals_brute(self):
-        holds(verify._counting, 2, 9, triangulations)
-        holds(verify._counting, 3, 9, triangulations)
+        holds(verify._counting, 2, 9, brute_masks, tree(2, 9))
+        holds(verify._counting, 3, 9, brute_masks, tree(3, 9))
 
     def test_counts(self):
-        holds(verify._counting, 3, 10, triangulations)
+        holds(verify._counting, 3, 10, brute_masks, tree(3, 10))
+
+    @pytest.mark.parametrize("k,n_hi", [(2, 10), (3, 11), (4, 12)])
+    def test_masks_equal_brute_masks(self, k, n_hi):
+        # verify compares its own walk with brute, so the library lister is checked here
+        for n in range(2 * k + 1, n_hi + 1):
+            bits, leaves = _tree_masks(n, k)
+            brute_bits, brute_leaves = _brute_masks(PolygonContext(n, k))
+            assert bits == brute_bits and sorted(leaves) == sorted(brute_leaves), (k, n)
 
     def test_rejects_k1(self):
         with pytest.raises(DomainError):

@@ -10,7 +10,7 @@ from math import comb
 
 import pytest
 
-from conftest import example_14gon, holds, triangulations
+from conftest import brute_masks, example_14gon, holds, tree, triangulations
 from ktri import (
     ROOT_PAIR,
     DiagonalSet,
@@ -574,7 +574,7 @@ class TestEnumerateBrute:
         "k,n_hi", [(1, 8), (2, 9), (3, 11)]
     )
     def test_counts_match_determinant(self, k, n_hi):
-        holds(verify._counting, k, n_hi, triangulations)
+        holds(verify._counting, k, n_hi, brute_masks, tree(k, n_hi))
 
     def test_k1_is_catalan(self):
         for n in range(3, 8):
