@@ -24,15 +24,8 @@ from .formats import (
     parse_triangulation,
 )
 from .gentree2 import _by_split, _label
-from .gentree_k import (
-    _children,
-    _root,
-    _tree_masks,
-    _triangulation,
-    children_k,
-    count_tree,
-    parent_k,
-)
+from .gentree_k import _children, _root, _tree_masks, _triangulation
+from .gentree_k import children_k, count_tree, parent_k
 from .paths import catalan_determinant
 from .polygon import PolygonContext, _Bits, _brute_masks, _read_leaves
 from .render import render_diagram, render_paths

@@ -1,4 +1,4 @@
-"""Shared fixtures: cached enumerations and tree walks, verify checks, random and ranked pairs, the 14-gon."""
+"""Shared fixtures: cached listings and tree walks, verify checks, random and ranked pairs, 14-gon."""
 
 from functools import lru_cache
 from math import comb
@@ -62,7 +62,7 @@ def triangulations(n: int, k: int) -> tuple[KTriangulation, ...]:
 
 @lru_cache(maxsize=None)
 def brute_masks(n: int, k: int):
-    """Each k-triangulation of the n-gon as its mask over the level's cells, in brute order, cached."""
+    """The k-triangulations of the n-gon as masks over the level's cells, in brute order, cached."""
     bits = _cell_bits(PolygonContext(n, k))
     return [sum(map(bits.__getitem__, t.diagonals)) for t in triangulations(n, k)]
 

@@ -805,7 +805,8 @@ class TestVerifyAndRender:
         monkeypatch.setattr("ktri.verify._by_split", first_for_all)
         monkeypatch.setattr("ktri.verify.label_children", first_label_for_all)
         code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "7")
-        assert code == 1 and "FAIL label_coherence: sibling labels repeat below ()" in out.splitlines()
+        line = "FAIL label_coherence: sibling labels repeat below ()"
+        assert code == 1 and line in out.splitlines()
 
     def test_verify_names_the_object_whose_exponents_are_corrupted(self, capsys, monkeypatch):
         """The hexagon's second object is given the third one's exponent pair."""
