@@ -758,22 +758,39 @@ class TestVerifyAndRender:
         code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "6")
         assert code == 1 and line in out.splitlines()
 
-    def test_verify_names_a_child_of_the_right_size_with_a_crossing(self, capsys, monkeypatch):
-        """The first child of the hexagon's first node becomes the four diagonals of a 3-crossing."""
-        crossing = [(), (), (), (), (1,), (2,), (3,), (4,)]  # (1, 4), (2, 5), (3, 6), (4, 7)
+    @pytest.mark.parametrize(
+        "k, crossing, shown",
+        [
+            # the hexagon's first node: its first child is a 3-crossing, four cells as it needs
+            (2, [(), (), (), (), (1,), (2,), (3,), (4,)], "(1, 4), (2, 5), (3, 6), (4, 7)"),
+            # the 8-gon's first node, the first at k=3 whose children (six cells) hold a
+            # 4-crossing: its first child is (1, 5), (2, 6), (3, 7), (4, 8) and column 9
+            (
+                3,
+                [()] * 5 + [(1,), (2,), (3,), (4,), (4, 5)],
+                "(1, 5), (2, 6), (3, 7), (4, 8), (4, 9), (5, 9)",
+            ),
+        ],
+        ids=["k2", "k3"],
+    )
+    def test_verify_names_a_child_of_the_right_size_with_a_crossing(
+        self, capsys, monkeypatch, k, crossing, shown
+    ):
+        """The first child of the first node grown from the level before becomes ``crossing``."""
         first = [True]
 
         def corrupted(cols, k, r):
             kids = _children(cols, k, r)
-            if len(cols) == 7 and first[0]:
+            if len(cols) == len(crossing) - 1 and first[0]:
                 first[0] = False
                 (u, rows, _), *rest = kids
                 return [(u, rows, crossing), *rest]
             return kids
 
         monkeypatch.setattr("ktri.verify._children", corrupted)
-        code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "7")
-        line = "child ((1, 4), (2, 5), (3, 6), (4, 7)) is not a k-triangulation at n=7"
+        n = len(crossing) - 1
+        code, out, _ = run(capsys, "verify", "--k", str(k), "--n-max", str(n))
+        line = f"child ({shown}) is not a k-triangulation at n={n}"
         assert code == 1 and f"FAIL round_trips: {line}" in out.splitlines()
 
     def test_verify_names_a_node_whose_child_labels_differ_from_the_rule(self, capsys, monkeypatch):
