@@ -156,9 +156,10 @@ def _triangulation(ctx: PolygonContext, cols: Columns) -> KTriangulation:
     in O(n), and a set for repeats, which the ends do not see.  The ends
     bound a column's rows as :func:`_grow` and :func:`_parent` keep them
     sorted.  The tree steps map k-triangulations to k-triangulations, which
-    :func:`ktri.verify.tree_walk` certifies on every child in its range by
-    a clique search on the child's mask (:func:`_leaf_mask`) over crossing
-    masks built once per level.
+    :func:`ktri.verify.tree_walk` certifies on every child in its range: the
+    cells outside the child's mask (:func:`_leaf_mask`) meet each of the
+    level's (k+1)-crossings, listed once per level
+    (:func:`ktri.polygon._crossing_free`).
     """
     _check_staircase(cols, ctx.k)
     leaf = tuple(sorted(_cells(cols)))

@@ -349,7 +349,14 @@ class PathTuple:
 
 
 def enumerate_tuples(m: int, k: int) -> list[PathTuple]:
-    """All non-crossing k-tuples of semilength-m Dyck paths, lex order, within the tuple guards."""
+    """All non-crossing k-tuples of semilength-m Dyck paths, lex order, within the tuple guards.
+
+    A chain is extended by the table ``below`` of the paths each path never
+    goes below.  Where two Dyck paths first differ, the one that never goes
+    below the other steps N and the other E, and N < E in :func:`all_paths`'
+    order, so below[i] lies in j >= i: each path is tested against itself
+    and the later ones only, by :func:`_pair_fault`.
+    """
     _require_tuple_size(m, k)
     _tuple_guard(m, k)
     paths = all_paths(m)
@@ -357,8 +364,8 @@ def enumerate_tuples(m: int, k: int) -> list[PathTuple]:
     if k > 1:  # only a chain's extension reads the table of dominated paths
         exps = [path.exponents() for path in paths]
         below = [
-            [j for j, low in enumerate(exps) if _pair_fault(high, low, 1, m) is None]
-            for high in exps
+            [j for j in range(i, len(exps)) if _pair_fault(high, exps[j], 1, m) is None]
+            for i, high in enumerate(exps)
         ]
         for _ in range(k - 1):  # extending each chain in order keeps the lex order
             chains = [chain + (j,) for chain in chains for j in below[chain[-1]]]

@@ -30,14 +30,14 @@ t-clique of the crossing graph.  :func:`has_crossing` and the greedy
 completion run bitset clique searches on masks built per call: each
 diagonal they are given (a set's own, or every staircase cell) gets the
 mask by position of those crossing it, and a t-crossing through it is a
-(t-1)-clique within that mask.  :func:`ktri.verify.tree_walk` builds
-the masks once per level, over the level's table (:func:`_cell_bits`) in
-bit order, and searches each child's mask of cells on them; the search
-reads only the crossing graph among the mask's bits, so it answers as
-:func:`has_crossing` does on the child's diagonals.  The brute-force
-lister runs no clique search: a (k+1)-crossing is fixed by its 2k+2
-endpoints, so the polygon has C(n, 2k+2) of them, and :func:`_search`
-decides each cell by a few mask operations over that list.
+(t-1)-clique within that mask.  Where a whole level's cells are decided,
+no clique is searched: a (k+1)-crossing is fixed by its 2k+2 endpoints,
+so the polygon has C(n, 2k+2) of them (:func:`_crossings`), listed once
+per level as masks per cell (:func:`_crossing_table`).  The brute-force
+lister's :func:`_search` decides each cell by a few mask operations over
+that list, and :func:`ktri.verify.tree_walk` certifies each child's mask
+of cells on it by a cover (:func:`_crossing_free`): the cells outside the
+mask meet every crossing.
 """
 
 from __future__ import annotations
@@ -108,7 +108,7 @@ def _wrap_chord(x: int, y: int, n: int) -> Diagonal:
 
 
 def trivial_diagonals(ctx: PolygonContext) -> frozenset[Diagonal]:
-    """All diagonals that cannot take part in a k-crossing: (a, a+j) for 2 <= j <= k, mod n.
+    """All diagonals that cannot take part in a (k+1)-crossing: (a, a+j) for 2 <= j <= k, mod n.
 
     Public, with no caller in the package: every k-triangulation holds them besides its cells.
     """
@@ -306,6 +306,27 @@ def _find_clique(cand: int, size: int, masks: Sequence[int]) -> int | None:
     return None
 
 
+def _crossing_free(mask: int, hits: Sequence[int], every: int) -> bool:
+    """True iff no crossing of a list lies within the cells of ``mask``, by a cover, not a search.
+
+    hits[j] is the mask (bit i for crossing i) of the crossings through the
+    cell of bit j, and ``every`` the mask of all of them, as
+    :func:`_crossing_table` gives them (hits, later[0]) on a level's cells in
+    bit order (:func:`_cell_bits`).  A crossing lies within ``mask`` iff none
+    of its cells is outside it, so there is none iff the cells outside
+    ``mask`` meet every crossing: one OR per outside cell.  On the list of
+    :func:`_crossings`, every (k+1)-crossing, it answers as
+    ``_find_clique(mask, k + 1, masks)`` on the level's crossing masks does.
+    """
+    out = (1 << len(hits)) - 1 & ~mask
+    met = 0
+    while out:
+        j = out.bit_length() - 1
+        met |= hits[j]
+        out ^= 1 << j
+    return met == every
+
+
 def has_crossing(diagonals: Sequence[Diagonal], t: int) -> bool:
     """True iff some t of the diagonals mutually cross (exact clique search)."""
     everything = (1 << len(diagonals)) - 1
@@ -318,7 +339,8 @@ def is_k_triangulation(obj: DiagonalSet) -> bool:
     The :class:`DiagonalSet` constructor has rejected repeated diagonals and
     non-cells, so the size counts distinct cells; the search is over them.
     Public, with no caller in the package, as the per-object oracle of the
-    round trips' search on a level's table (:func:`ktri.verify.tree_walk`).
+    cover test that certifies each child of the tree walk on its level's
+    list of crossings (:func:`_crossing_free`, :func:`ktri.verify.tree_walk`).
     """
     ctx = obj.ctx
     return len(obj.diagonals) == ctx.diagonal_count and not has_crossing(obj.diagonals, ctx.k + 1)
@@ -567,7 +589,10 @@ def check_structure_lemmas(obj) -> StructureReport:
 
     Cost per object of d diagonals: O(d log d) for the two general lemmas
     (each column's largest row, and a sorted list of short-diagonal rows
-    searched by bisection), plus O(n) for the two k = 2 ones.
+    searched by bisection), plus O(n + d) for the degrees of the two k = 2
+    ones.  Both speak only of vertices of degree 0: missing_short_support
+    can fail at a only if a+1 or a+2 is one, so it tests the a next to
+    them, in increasing order, and isolated_vertex_closure tests them alone.
     """
     ctx: PolygonContext = obj.ctx
     n, k = ctx.n, ctx.k
@@ -592,13 +617,14 @@ def check_structure_lemmas(obj) -> StructureReport:
     checks.append(LemmaCheck("short_diagonal_reach", not fails, tuple(fails)))
 
     if k == 2 and n >= 6:
-        degrees = {v: 0 for v in range(1, n + 1)}
+        degrees = [0] * (n + 1)
         for a, b in members:
             degrees[a] += 1
             degrees[b] += 1
+        isolated = [v for v in range(1, n + 1) if degrees[v] == 0]
 
         fails = []
-        for a in range(1, n + 1):
+        for a in sorted({(v - d - 1) % n + 1 for v in isolated for d in (1, 2)}):
             if _wrap_chord(a, a + 3, n) in members:
                 continue
             for v in (a + 1, a + 2):
@@ -608,9 +634,7 @@ def check_structure_lemmas(obj) -> StructureReport:
         checks.append(LemmaCheck("missing_short_support", not fails, tuple(fails)))
 
         fails = []
-        for v in range(1, n + 1):
-            if degrees[v] != 0:
-                continue
+        for v in isolated:
             for chord in (_wrap_chord(v - 2, v + 1, n), _wrap_chord(v - 1, v + 2, n)):
                 if chord not in members:
                     fails.append(f"vertex {v} isolated but {chord} missing")

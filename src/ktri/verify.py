@@ -65,8 +65,8 @@ from .polygon import (
     PolygonContext,
     _brute_guard,
     _cell_bits,
-    _crossing_masks_of,
-    _find_clique,
+    _crossing_free,
+    _crossing_table,
     _finish,
     check_structure_lemmas,
     degree,
@@ -99,19 +99,25 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
     so r serves only the round trip below; only the levels grown from keep
     columns.  Each child is read as its mask over the level's cells
     (:func:`_leaf_mask`) and certified on it: k(n-2k-1) distinct staircase
-    cells with no (k+1)-crossing are a maximal set.  The crossing masks are
-    built once per level, in bit order, and the clique search on them reads
-    only the crossing graph among the mask's cells, so it answers as
-    :func:`ktri.polygon.is_k_triangulation` does on the child's diagonals.
-    A certified child's corner c must give back its node by the parent step
-    (:func:`_parent`) and satisfy c == u >= r.  At k = 2, for children up to
-    the ``LABELS_N_MAX``-gon, a node's child labels, each read at its u, in
-    :func:`_by_split` order, must be its label's children under the rule
-    (:func:`label_children`), with no label repeated.  Each level records its
-    masks and the first fault of each kind, in walk order; a child that
-    fails its certificate gives no mask and is not grown from.  Only a child
-    that fails is built, as a :class:`DiagonalSet` that names it or refuses
-    a cell off the staircase or repeated.
+    cells with no (k+1)-crossing are a maximal set.  A (k+1)-crossing is
+    fixed by its 2k+2 endpoints, so the level's list of them, as hits per
+    cell in bit order (:func:`_crossing_table`, the brute lister's), is
+    built once, and a child holds none iff the cells outside it meet every
+    one (:func:`_crossing_free`), as :func:`ktri.polygon.is_k_triangulation`
+    finds on the child's diagonals.  The list has C(n, 2k+2) entries: at
+    most 495 (k=3, n=12) on the levels :func:`run_verify` admits, whose brute
+    guards hold each to 40 cells, and at most 1,001 (k=4, n=14) under the
+    default tree guard applied here.  A certified child's corner c must give
+    back its node by the parent step (:func:`_parent`) and satisfy
+    c == u >= r.  At k = 2, for children up to the ``LABELS_N_MAX``-gon, a
+    node's child labels, each read at its u, in :func:`_by_split` order, must
+    be its label's children under the rule (:func:`label_children`), with no
+    label repeated.  The rule never lists a label twice (a property the
+    tests check), so the repeat test guards only against a changed rule.
+    Each level records its masks and the first fault of each kind, in walk
+    order; a child that fails its certificate gives no mask and is not grown
+    from.  Only a child that fails is built, as a :class:`DiagonalSet` that
+    names it or refuses a cell off the staircase or repeated.
     """
     _level_size(n_max, k)  # the tree lister's guards, which bound every level below too
     level = [_root(k)]
@@ -120,7 +126,7 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
         ctx = PolygonContext(n, k)
         bits = _cell_bits(ctx)
         rows, size = _row_bits(bits, n), ctx.diagonal_count
-        table = _crossing_masks_of(list(bits))
+        hits, later, _, _ = _crossing_table(ctx, list(bits), bits)
         masks: list[int] = []
         grown = []
         trip = labels = None
@@ -136,7 +142,7 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
                     labels = f"{what} below {tuple(sorted(_cells(cols)))}"
             for u, _, child in kids:
                 mask = _leaf_mask(child, rows, size)
-                if mask is None or _find_clique(mask, k + 1, table) is not None:
+                if mask is None or not _crossing_free(mask, hits, later[0]):
                     if trip is None:
                         shown = DiagonalSet(ctx, _cells(child)).diagonals
                         trip = f"child {shown} is not a k-triangulation at n={n}"

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import EXAMPLE_14GON, EXAMPLE_14GON_P, EXAMPLE_14GON_Q, random_noncrossing_pair
+from conftest import unrank_pair
 from ktri import (
     DiagonalSet,
     DomainError,
@@ -992,11 +993,16 @@ _TEXT_ALPHABET = "NE-,=kn0123456789 \t\n"
 def _verb_and_text(draw):
     """``map`` or ``unmap`` with its own canonical text, the other verb's or alphabet text, edited.
 
+    The pair is drawn uniformly by rank or as the max and min of two uniform Dyck paths.
     An edit swaps two characters or replaces up to three with up to three others.
     """
     verb = draw(st.sampled_from(["map", "unmap"]))
     m = draw(st.integers(1, 30))
-    p, q = random_noncrossing_pair(random.Random(draw(st.integers(0, 2**32))), m)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    if draw(st.booleans()):  # uniform over the non-crossing pairs, by rank
+        p, q = unrank_pair(rng.randrange(catalan_determinant(m + 4, 2)), m)
+    else:
+        p, q = random_noncrossing_pair(rng, m)
     pair, tri = format_pair(p, q), format_triangulation(from_paths(p, q))
     own, other = (tri, pair) if verb == "map" else (pair, tri)
     text = [own, own, other, draw(st.text(_TEXT_ALPHABET, max_size=40))][draw(st.integers(0, 3))]

@@ -1,5 +1,6 @@
 """Generating tree for 2-triangulations: corner, parent, children, labels."""
 
+import random
 import re
 from collections import Counter
 
@@ -151,6 +152,15 @@ class TestLabels:
         assert len(label_children((1, 2))) == 6
         with pytest.raises(GuardExceeded, match="^label listing of more than 6 children refused$"):
             label_children((1, 3))
+
+    def test_rule_never_repeats_a_label(self):
+        # so a node whose child labels match the rule has distinct child labels: the tree
+        # walk's repeat test can fire only on a changed rule
+        rng = random.Random(8301)
+        for _ in range(2000):
+            label = tuple(rng.randint(0, 6) for _ in range(rng.randint(2, 9)))
+            kids = label_children(label)
+            assert len(set(kids)) == len(kids) == sum(label) + len(label) + 1, label
 
     def test_children_follow_rule_positionally(self):
         # the labels of a node's children, in (u, i) order, are label_children of its label

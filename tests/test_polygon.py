@@ -50,7 +50,9 @@ from ktri.polygon import (
     LemmaCheck,
     _brute_guard,
     _cell_bits,
+    _crossing_free,
     _crossing_masks_of,
+    _crossing_table,
     _crossings,
     _find_clique,
     _finish,
@@ -689,6 +691,29 @@ class TestEnumerateBrute:
                     mask = sum(bits[c] for c in subset)
                     fast = _find_clique(mask, k + 1, table) is None
                     assert fast == (not has_crossing(subset, k + 1)), (n, subset)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_cover_of_the_crossing_list_matches_the_clique_search(self, k):
+        # the tree walk's certificate, the cells outside a mask meeting every crossing of
+        # the level's list, against the clique search on the level's crossing masks in bit
+        # order and on the subset's own diagonals, at every level up to the (2k+5)-gon
+        seen = set()
+        for n in range(2 * k + 1, 2 * k + 6):
+            ctx = PolygonContext(n, k)
+            bits = _cell_bits(ctx)
+            cells = list(bits)
+            hits, later, _, _ = _crossing_table(ctx, cells, bits)
+            table = _crossing_masks_of(cells)
+            rng = random.Random(1000 * k + n)
+            for size in range(len(cells) + 1):
+                for _ in range(20):
+                    subset = rng.sample(cells, size)
+                    mask = sum(bits[c] for c in subset)
+                    free = _crossing_free(mask, hits, later[0])
+                    assert free == (_find_clique(mask, k + 1, table) is None), (n, subset)
+                    assert free == (not has_crossing(subset, k + 1)), (n, subset)
+                    seen.add(free)
+        assert seen == {False, True}
 
     def test_crossing_list_is_every_crossing_subset(self):
         # the lister's list of (k+1)-crossings against the flat filter over
