@@ -762,10 +762,10 @@ class TestVerifyAndRender:
     @pytest.mark.parametrize(
         "k, crossing, shown",
         [
-            # the hexagon's first node: its first child is a 3-crossing, four cells as it needs
+            # the hexagon's first node: its first child becomes a 3-crossing, its four cells
             (2, [(), (), (), (), (1,), (2,), (3,), (4,)], "(1, 4), (2, 5), (3, 6), (4, 7)"),
-            # the 8-gon's first node, the first at k=3 whose children (six cells) hold a
-            # 4-crossing: its first child is (1, 5), (2, 6), (3, 7), (4, 8) and column 9
+            # the 9-gon is the first k=3 level whose objects (six cells) can hold a 4-crossing:
+            # the 8-gon's first node's first child becomes one and the two cells of column 9
             (
                 3,
                 [()] * 5 + [(1,), (2,), (3,), (4,), (4, 5)],
