@@ -33,11 +33,11 @@ mask by position of those crossing it, and a t-crossing through it is a
 (t-1)-clique within that mask.  Where a whole level's cells are decided,
 no clique is searched: a (k+1)-crossing is fixed by its 2k+2 endpoints,
 so the polygon has C(n, 2k+2) of them (:func:`_crossings`), listed once
-per level as masks per cell (:func:`_crossing_table`).  The brute-force
-lister's :func:`_search` decides each cell by a few mask operations over
-that list, and :func:`ktri.verify.tree_walk` certifies each child's mask
-of cells on it by a cover (:func:`_crossing_free`): the cells outside the
-mask meet every crossing.
+per level as the mask of those through each cell (:func:`_crossing_hits`).
+The brute-force lister's :func:`_search` decides each cell by a few mask
+operations over that list, and :func:`ktri.verify.tree_walk` certifies
+each child's mask of cells on it by a cover (:func:`_crossing_free`): the
+cells outside the mask meet every crossing.
 """
 
 from __future__ import annotations
@@ -310,13 +310,13 @@ def _crossing_free(mask: int, hits: Sequence[int], every: int) -> bool:
     """True iff no crossing of a list lies within the cells of ``mask``, by a cover, not a search.
 
     hits[j] is the mask (bit i for crossing i) of the crossings through the
-    cell of bit j, and ``every`` the mask of all of them, as
-    :func:`_crossing_table` gives them (hits, later[0]) on a level's cells in
-    bit order (:func:`_cell_bits`).  A crossing lies within ``mask`` iff none
-    of its cells is outside it, so there is none iff the cells outside
-    ``mask`` meet every crossing: one OR per outside cell.  On the list of
-    :func:`_crossings`, every (k+1)-crossing, it answers as
-    ``_find_clique(mask, k + 1, masks)`` on the level's crossing masks does.
+    cell of bit j, as :func:`_crossing_hits` gives them on a level's cells in
+    bit order (:func:`_cell_bits`), and ``every`` the mask of all of them.
+    A crossing lies within ``mask`` iff none of its cells is outside it, so
+    there is none iff the cells outside ``mask`` meet every crossing: one OR
+    per outside cell.  On the list of :func:`_crossings`, every
+    (k+1)-crossing, it answers as ``_find_clique(mask, k + 1, masks)`` on the
+    level's crossing masks does.
     """
     out = (1 << len(hits)) - 1 & ~mask
     met = 0
@@ -390,39 +390,32 @@ def _crossings(ctx: PolygonContext) -> list[tuple[Diagonal, ...]]:
     return [tuple(zip(vs[:t], vs[t:])) for vs in combinations(range(1, ctx.n + 1), 2 * t)]
 
 
-_CrossingTable = tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...], tuple[int, ...]]
 _Bits = dict[Diagonal, int]  # each cell's bit in a mask
 
 
-def _crossing_table(ctx: PolygonContext, cells: Sequence[Diagonal], bits: _Bits) -> _CrossingTable:
-    """The (k+1)-crossings seen from a sequence of cells, as bitmasks (hits, later, shares, own).
+def _crossing_hits(ctx: PolygonContext, cells: Sequence[Diagonal]) -> list[int]:
+    """Per cell of ``cells``, the mask of the (k+1)-crossings through it.
 
-    hits[i] is the mask (bit j for crossing j of :func:`_crossings`) of the
-    crossings through cell i, later[i] the union of hits over cells i..m-1,
-    shares[i] the mask by position of the cells sharing a crossing with
-    cell i, itself included, and own[i] its bit in ``bits``.
+    Bit j stands for crossing j of :func:`_crossings`; every crossing runs
+    through some cell, so the hits of a level's cells OR to all C(n, 2k+2) bits.
     """
     position = {c: i for i, c in enumerate(cells)}
-    hits, shares = [0] * len(cells), [0] * len(cells)
+    hits = [0] * len(cells)
     for j, crossing in enumerate(_crossings(ctx)):
-        at = [position[d] for d in crossing]
-        members = sum(1 << i for i in at)
-        for i in at:
-            hits[i] |= 1 << j
-            shares[i] |= members
-    later = (*accumulate(reversed(hits), or_, initial=0),)[::-1]
-    return tuple(hits), later, tuple(shares), tuple(map(bits.__getitem__, cells))
+        for d in crossing:
+            hits[position[d]] |= 1 << j
+    return hits
 
 
 _Node = tuple[int, int, int, int, int]
 _Step = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
 
 
-def _steps(table: _CrossingTable) -> tuple[_Step, ...]:
-    """Per cell i, the step (hits[i], later[i + 1], own[i], 1 << i, partners) of :func:`_search`."""
-    hits, later, shares, own = table
+def _steps(hits: Sequence[int], own: Sequence[int]) -> tuple[_Step, ...]:
+    """Per cell i, the step (hits[i], hits after i, own[i], 1 << i, partners) of :func:`_search`."""
+    later = [*accumulate(reversed(hits), or_, initial=0)][::-1]
     bits = [1 << i for i in range(len(hits))]
-    partners = [tuple(p for p in zip(bits[:i], hits) if s & p[0]) for i, s in enumerate(shares)]
+    partners = [tuple(p for p in zip(bits[:i], hits) if p[1] & x) for i, x in enumerate(hits)]
     return tuple(zip(hits, later[1:], own, bits, partners))
 
 
@@ -539,8 +532,9 @@ def _brute_masks(ctx: PolygonContext) -> tuple[_Bits, list[int]]:
     """
     _brute_guard(ctx)
     bits = _cell_bits(ctx)
-    table = _crossing_table(ctx, sorted(bits, key=lambda c: (c[0] - c[1], *c)), bits)
-    results = _search(_steps(table), (0, 0, 0, 0, 0))
+    cells = sorted(bits, key=lambda c: (c[0] - c[1], *c))
+    steps = _steps(_crossing_hits(ctx, cells), [bits[c] for c in cells])
+    results = _search(steps, (0, 0, 0, 0, 0))
     size = ctx.diagonal_count
     if not {*map(int.bit_count, results)} <= {size}:
         _check_size(ctx, next(c for c in map(int.bit_count, results) if c != size))

@@ -2,18 +2,20 @@
 
 Each check returns (name, passed, detail) and takes its ranges and, if it
 needs them, listers: the brute-force one ``(n, k) -> triangulations`` and
-its masks ``(n, k) -> masks`` over the level's cells, the generating tree's
-levels ``n -> level`` (:func:`tree_walk`), the non-crossing tuples
-``(m, k) -> tuples``, their k = 2 exponent pairs ``m -> (p, q) pairs`` and
-the images of the direct map on exponent tuples
+its masks ``(n, k) -> masks`` over the level's cells, in descending order,
+the generating tree's levels ``n -> level`` (:func:`tree_walk`), the
+non-crossing tuples ``(m, k) -> tuples``, their k = 2 exponent pairs
+``m -> (p, q) pairs`` and the images of the direct map on exponent tuples
 ``n -> (triangulation, (p, q)) pairs``.  The k = 2 pair checks compare
 exponent tuples throughout and build no path or pair object.
 :func:`run_verify` memoizes each lister for one run and grows the tree once
 per run, each level from the one before: the tree's checks
 (:func:`_counting`, :func:`_round_trips`, :func:`_label_coherence`) read
 what that walk recorded on masks, and an object is built only to name a
-failure.  The CLI runs the checks at desk scale and the test suite drives
-them at larger ranges.
+failure.  Brute levels stay masks too: the brute lister decodes its
+objects from them, so only at the levels a check reads as objects.  The
+CLI runs the checks at desk scale and the test suite drives them at
+larger ranges.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .bijection import _color, _exponents
 from .errors import DomainError, StructuralError, _decimal, _require_int
@@ -60,17 +63,16 @@ from .paths import (
     enumerate_tuples,
 )
 from .polygon import (
-    DiagonalSet,
     KTriangulation,
     PolygonContext,
     _brute_guard,
+    _brute_masks,
     _cell_bits,
     _crossing_free,
-    _crossing_table,
+    _crossing_hits,
     _finish,
     check_structure_lemmas,
     degree,
-    enumerate_brute,
     is_t_crossing,
     staircase_cells,
 )
@@ -101,14 +103,14 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
     (:func:`_leaf_mask`) and certified on it: k(n-2k-1) distinct staircase
     cells with no (k+1)-crossing are a maximal set.  A (k+1)-crossing is
     fixed by its 2k+2 endpoints, so the level's list of them, as hits per
-    cell in bit order (:func:`_crossing_table`, the brute lister's), is
-    built once, and a child holds none iff the cells outside it meet every
-    one (:func:`_crossing_free`), as :func:`ktri.polygon.is_k_triangulation`
-    finds on the child's diagonals.  The list has C(n, 2k+2) entries: at
-    most 495 (k=3, n=12) on the levels :func:`run_verify` admits, whose brute
-    guards hold each to 40 cells, and at most 1,001 (k=4, n=14) under the
-    default tree guard applied here.  A certified child's corner c must give
-    back its node by the parent step (:func:`_parent`) and satisfy
+    cell in bit order (:func:`_crossing_hits`, the brute lister's), is built
+    once, and a child holds none iff the cells outside it meet all
+    C(n, 2k+2) of them (:func:`_crossing_free`), as
+    :func:`ktri.polygon.is_k_triangulation` finds on the child's diagonals:
+    at most 495 (k=3, n=12) on the levels :func:`run_verify` admits, whose
+    brute guards hold each to 40 cells, and at most 1,001 (k=4, n=14) under
+    the default tree guard applied here.  A certified child's corner c must
+    give back its node by the parent step (:func:`_parent`) and satisfy
     c == u >= r.  At k = 2, for children up to the ``LABELS_N_MAX``-gon, a
     node's child labels, each read at its u, in :func:`_by_split` order, must
     be its label's children under the rule (:func:`label_children`), with no
@@ -116,8 +118,8 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
     tests check), so the repeat test guards only against a changed rule.
     Each level records its masks and the first fault of each kind, in walk
     order; a child that fails its certificate gives no mask and is not grown
-    from.  Only a child that fails is built, as a :class:`DiagonalSet` that
-    names it or refuses a cell off the staircase or repeated.
+    from.  A child that fails is named by its cells sorted, as they are: a
+    cell off the staircase or repeated is a fault of the tree, not of input.
     """
     _level_size(n_max, k)  # the tree lister's guards, which bound every level below too
     level = [_root(k)]
@@ -126,7 +128,7 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
         ctx = PolygonContext(n, k)
         bits = _cell_bits(ctx)
         rows, size = _row_bits(bits, n), ctx.diagonal_count
-        hits, later, _, _ = _crossing_table(ctx, list(bits), bits)
+        hits, every = _crossing_hits(ctx, list(bits)), (1 << comb(n, 2 * k + 2)) - 1
         masks: list[int] = []
         grown = []
         trip = labels = None
@@ -142,9 +144,9 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
                     labels = f"{what} below {tuple(sorted(_cells(cols)))}"
             for u, _, child in kids:
                 mask = _leaf_mask(child, rows, size)
-                if mask is None or not _crossing_free(mask, hits, later[0]):
+                if mask is None or not _crossing_free(mask, hits, every):
                     if trip is None:
-                        shown = DiagonalSet(ctx, _cells(child)).diagonals
+                        shown = tuple(sorted(_cells(child)))
                         trip = f"child {shown} is not a k-triangulation at n={n}"
                     continue
                 masks.append(mask)
@@ -402,13 +404,13 @@ def run_verify(k: int, n_max: int) -> list[Check]:
         _brute_guard(PolygonContext(n, k))
 
     @lru_cache(maxsize=None)
-    def brute(n: int, kk: int) -> list[KTriangulation]:
-        return enumerate_brute(PolygonContext(n, kk))
+    def masks(n: int, kk: int) -> list[int]:
+        return sorted(_brute_masks(PolygonContext(n, kk))[1], reverse=True)
 
     @lru_cache(maxsize=None)
-    def masks(n: int, kk: int) -> list[int]:
-        bits = _cell_bits(PolygonContext(n, kk))
-        return [sum(map(bits.__getitem__, t.diagonals)) for t in brute(n, kk)]
+    def brute(n: int, kk: int) -> list[KTriangulation]:
+        ctx = PolygonContext(n, kk)
+        return _finish(ctx, _cell_bits(ctx), masks(n, kk))
 
     @lru_cache(maxsize=None)
     def tuples(m: int, kk: int) -> list[PathTuple]:

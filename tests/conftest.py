@@ -12,7 +12,7 @@ from ktri import (
     enumerate_tuples,
 )
 from ktri.bijection import _exponents
-from ktri.polygon import _cell_bits
+from ktri.polygon import _brute_masks
 from ktri.verify import tree_walk
 
 # The 14-gon example used throughout: an 18-diagonal 2-triangulation with
@@ -62,9 +62,11 @@ def triangulations(n: int, k: int) -> tuple[KTriangulation, ...]:
 
 @lru_cache(maxsize=None)
 def brute_masks(n: int, k: int):
-    """The k-triangulations of the n-gon as masks over the level's cells, in brute order, cached."""
-    bits = _cell_bits(PolygonContext(n, k))
-    return [sum(map(bits.__getitem__, t.diagonals)) for t in triangulations(n, k)]
+    """The k-triangulations of the n-gon as masks over the level's cells, descending, cached.
+
+    The list :func:`ktri.verify.run_verify` gives its checks.
+    """
+    return sorted(_brute_masks(PolygonContext(n, k))[1], reverse=True)
 
 
 @lru_cache(maxsize=None)

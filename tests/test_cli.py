@@ -35,7 +35,7 @@ from ktri.gentree2 import _by_split, _pair_kids, label_children
 from ktri.gentree_k import _children, _leaf_mask, _parent, _root
 from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
-from ktri.polygon import _brute_masks
+from ktri.polygon import _brute_masks, _finish
 from ktri.verify import run_verify
 
 HEX_FILE = "k=2 n=6\n1-4,3-6\n"
@@ -54,9 +54,9 @@ def brute_calls(monkeypatch):
 
     def counted(ctx):
         calls[ctx.n, ctx.k] += 1
-        return enumerate_brute(ctx)
+        return _brute_masks(ctx)
 
-    monkeypatch.setattr("ktri.verify.enumerate_brute", counted)
+    monkeypatch.setattr("ktri.verify._brute_masks", counted)
     return calls
 
 
@@ -538,6 +538,21 @@ class TestVerifyAndRender:
         run_verify(2, 8)
         assert brute_calls == {(n, 2): 1 for n in range(5, 9)}
 
+    def test_verify_decodes_brute_objects_only_where_a_check_reads_them(
+        self, monkeypatch, brute_calls
+    ):
+        # the checks that read objects stop at the 9-gon; the 10- and 11-gons stay masks
+        decoded = Counter()
+
+        def counted(ctx, bits, leaves):
+            decoded[ctx.n, ctx.k] += 1
+            return _finish(ctx, bits, leaves)
+
+        monkeypatch.setattr("ktri.verify._finish", counted)
+        assert all(passed for _, passed, _ in run_verify(2, 11))
+        assert brute_calls == {(n, 2): 1 for n in range(5, 12)}
+        assert decoded == {(n, 2): 1 for n in range(5, 10)}
+
     def test_verify_lists_again_on_the_next_run(self, brute_calls):
         run_verify(2, 8)
         run_verify(2, 8)
@@ -555,7 +570,7 @@ class TestVerifyAndRender:
         def refused(ctx):
             raise AssertionError(f"listed the {ctx.n}-gon before the range was guarded")
 
-        monkeypatch.setattr("ktri.verify.enumerate_brute", refused)
+        monkeypatch.setattr("ktri.verify._brute_masks", refused)
         argv = ["verify", "--k", str(k), "--n-max", str(n_max)]
         assert run(capsys, *argv) == (1, "", f"error: {err}\n")
 
@@ -645,14 +660,14 @@ class TestVerifyAndRender:
                 "FAIL pair_round_trips: level m=2 is not all non-crossing pairs",
             ),
             (
-                "enumerate_brute",
-                lambda ctx: enumerate_brute(ctx)[:-1],
+                "_brute_masks",
+                lambda ctx: (lambda bits, masks: (bits, masks[:-1]))(*_brute_masks(ctx)),
                 "FAIL counting: brute count 0 != det 1 at n=5",
             ),
             (
-                "enumerate_brute",
-                # counting compares the tree's sorted masks with brute's, listed in sorted order
-                lambda ctx: enumerate_brute(ctx)[::-1],
+                "_leaf_mask",
+                # every child is read at one cell more than it has, so none is certified
+                lambda cols, rows, size: _leaf_mask(cols, rows, size + 1),
                 "FAIL counting: tree and brute enumerations differ at n=6",
             ),
             (
@@ -737,7 +752,7 @@ class TestVerifyAndRender:
             "split-index-off-t",
             "pair-missing",
             "brute-drops-one",
-            "tree-out-of-order",
+            "tree-reads-no-leaf",
             "crossing-test-negated",
             "parent-drops-a-column",
             "children-twice",
@@ -793,6 +808,47 @@ class TestVerifyAndRender:
         code, out, _ = run(capsys, "verify", "--k", str(k), "--n-max", str(n))
         line = f"child ({shown}) is not a k-triangulation at n={n}"
         assert code == 1 and f"FAIL round_trips: {line}" in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "malformed, shown, labels",
+        [
+            (
+                [(), (), (), (), (1,), (9,), ()],
+                "(1, 4), (9, 5)",
+                "PASS label_coherence: 2-triangulations up to n=6",
+            ),
+            # two rows 1 in column 4 also change the child's label
+            (
+                [()] * 4 + [(1, 1), (), ()],
+                "(1, 4), (1, 4)",
+                "FAIL label_coherence: labels differ below ()",
+            ),
+        ],
+        ids=["cell-off-the-staircase", "cell-repeated"],
+    )
+    def test_verify_names_a_malformed_child(self, capsys, monkeypatch, malformed, shown, labels):
+        """The pentagon's first child is malformed: a fault of the tree, named as a FAIL line."""
+
+        def corrupted(cols, k, r):
+            (u, rows, _), *rest = _children(cols, k, r)
+            return [(u, rows, malformed), *rest]
+
+        monkeypatch.setattr("ktri.verify._children", corrupted)
+        assert run(capsys, "verify", "--k", "2", "--n-max", "6") == (
+            1,
+            "FAIL counting: tree and brute enumerations differ at n=6\n"
+            "PASS tuples_vs_det: k<=2, m<=2\n"
+            "PASS crossing_criterion: all diagonal pairs of the 6-gon\n"
+            f"FAIL round_trips: child ({shown}) is not a k-triangulation at n=6\n"
+            "PASS structure_lemmas: k=2, n<=6\n"
+            "PASS pair_round_trips: pairs up to m=2\n"
+            f"{labels}\n"
+            "PASS bijection: n<=6\n"
+            "PASS tie_breaks: n<=6\n"
+            "PASS column_identity: n<=6\n"
+            "PASS k2_specialization: n<=6\n",
+            "",
+        )
 
     def test_verify_names_a_node_whose_child_labels_differ_from_the_rule(self, capsys, monkeypatch):
         """The rule drops the last child label of every node but the pentagon, label (0, 0)."""

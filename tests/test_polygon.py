@@ -4,9 +4,10 @@ import random
 import re
 import sys
 from collections import Counter
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 
 import pytest
 
@@ -51,12 +52,13 @@ from ktri.polygon import (
     _brute_guard,
     _cell_bits,
     _crossing_free,
+    _crossing_hits,
     _crossing_masks_of,
-    _crossing_table,
     _crossings,
     _find_clique,
     _finish,
     _off_staircase,
+    _steps,
 )
 
 
@@ -592,15 +594,7 @@ class TestEnumerateBrute:
 
     def test_size_of_every_leaf_is_checked(self, monkeypatch):
         # with no crossing listed, every cell is included: one leaf of all 7 cells
-        monkeypatch.setattr(
-            "ktri.polygon._crossing_table",
-            lambda ctx, cells, bits: (
-                (0,) * len(cells),
-                (0,) * (len(cells) + 1),
-                (0,) * len(cells),
-                tuple(map(bits.get, cells)),
-            ),
-        )
+        monkeypatch.setattr("ktri.polygon._crossing_hits", lambda ctx, cells: [0] * len(cells))
         with pytest.raises(
             DomainError,
             match=r"^a k-triangulation of the 7-gon \(k=2\) has 4 nontrivial diagonals, got 7$",
@@ -679,8 +673,8 @@ class TestEnumerateBrute:
 
     @pytest.mark.parametrize("k", [2, 3, 4])
     def test_search_on_the_level_table_matches_has_crossing(self, k):
-        # the round trips' fast path, a clique search on a mask over the level's
-        # crossing masks in bit order, against the search on the subset's own
+        # the clique search on a mask over a level's crossing masks (in bit order here), the
+        # cover test's oracle and complete_to_maximal's search, against the subset's own
         for n in range(2 * k + 2, 2 * k + 6):
             bits = _cell_bits(PolygonContext(n, k))
             cells, table = list(bits), _crossing_masks_of(list(bits))
@@ -702,18 +696,39 @@ class TestEnumerateBrute:
             ctx = PolygonContext(n, k)
             bits = _cell_bits(ctx)
             cells = list(bits)
-            hits, later, _, _ = _crossing_table(ctx, cells, bits)
+            hits, every = _crossing_hits(ctx, cells), (1 << comb(n, 2 * k + 2)) - 1
             table = _crossing_masks_of(cells)
             rng = random.Random(1000 * k + n)
             for size in range(len(cells) + 1):
                 for _ in range(20):
                     subset = rng.sample(cells, size)
                     mask = sum(bits[c] for c in subset)
-                    free = _crossing_free(mask, hits, later[0])
+                    free = _crossing_free(mask, hits, every)
                     assert free == (_find_clique(mask, k + 1, table) is None), (n, subset)
                     assert free == (not has_crossing(subset, k + 1)), (n, subset)
                     seen.add(free)
         assert seen == {False, True}
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_steps_read_the_crossing_list(self, k):
+        # each cell's hits, later hits and earlier partners, in the brute lister's order and
+        # in a shuffled one, against the crossings through each cell read off the list; the
+        # hits of a level's cells meet every crossing, at every level up to the (2k+5)-gon
+        for n in range(2 * k + 1, 2 * k + 6):
+            ctx = PolygonContext(n, k)
+            crossings = _crossings(ctx)
+            cells = sorted(staircase_cells(ctx), key=lambda c: (c[0] - c[1], *c))
+            for order in (cells, random.Random(n).sample(cells, len(cells))):
+                hits = _crossing_hits(ctx, order)
+                assert reduce(or_, hits, 0) == (1 << comb(n, 2 * k + 2)) - 1
+                own = [1 << 2 * i + 1 for i in range(len(order))]  # handed through as given
+                through = [{j for j, c in enumerate(crossings) if d in c} for d in order]
+                for i, (x, after, o, bit, partners) in enumerate(_steps(hits, own)):
+                    assert x == sum(1 << j for j in through[i])
+                    assert after == sum(1 << j for j in set().union(*through[i + 1 :]))
+                    assert (o, bit) == (own[i], 1 << i)
+                    shared = [j for j in range(i) if through[i] & through[j]]
+                    assert partners == tuple((1 << j, hits[j]) for j in shared), (n, i)
 
     def test_crossing_list_is_every_crossing_subset(self):
         # the lister's list of (k+1)-crossings against the flat filter over

@@ -38,8 +38,8 @@ from ktri import (
 )
 from ktri.formats import format_pair, format_triangulation, parse_pair, parse_triangulation
 from ktri.polygon import (
+    _crossing_hits,
     _crossing_masks_of,
-    _crossing_table,
     _crossings,
     _find_clique,
     _search,
@@ -209,7 +209,7 @@ def test_brute_decisions_match_clique_search(drawn):
     # the node: the include leaf adds the cell's bit, the exclude leaf does not.
     ctx, cells, prefer_include = drawn
     t, m = ctx.k + 1, len(cells)
-    steps = _steps(_crossing_table(ctx, cells, {c: 1 << i for i, c in enumerate(cells)}))  # by position
+    steps = _steps(_crossing_hits(ctx, cells), [1 << i for i in range(m)])  # own bits by position
     masks = _crossing_masks_of(cells)
     members = [sum(1 << cells.index(d) for d in c) for c in _crossings(ctx)]
     node = (0, 0, 0, 0, 0)
