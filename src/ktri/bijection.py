@@ -36,7 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import DomainError, StructuralError
+from .errors import DomainError, StructuralError, _decimal
 from .gentree2 import (
     ROOT_PAIR,
     _child_by_label,
@@ -103,7 +103,7 @@ def _color(tri: KTriangulation, flip_ties: bool, trace: bool) -> ColoredDiagram:
     A traced step keeps a copy of ``starts``.
     """
     if tri.ctx.k != 2:
-        raise DomainError(f"coloring defined for k=2 only, got k={tri.ctx.k}")
+        raise DomainError(f"coloring defined for k=2 only, got k={_decimal(tri.ctx.k)}")
     n = tri.ctx.n
     uncolored: list[list[int]] = [[] for _ in range(n + 1)]  # each column's uncolored rows
     row_masks = [0] * (n - 2)  # region j's rows; column b >= 4 starts as region b-3

@@ -27,7 +27,7 @@ from .gentree2 import _by_split, _label
 from .gentree_k import _children, _root, _tree_masks, _triangulation
 from .gentree_k import children_k, count_tree, parent_k
 from .paths import catalan_determinant
-from .polygon import PolygonContext, _Bits, _brute_masks, _read_leaves
+from .polygon import PolygonContext, _brute_masks, _cell_bits, _read_leaves
 from .render import render_diagram, render_paths
 from .verify import run_verify
 
@@ -50,33 +50,30 @@ def _cmd_count(args) -> int:
     if args.method == "det":
         value = catalan_determinant(args.n, args.k)
     elif args.method == "brute":
-        _, masks = _brute_masks(PolygonContext(args.n, args.k))
-        _read_leaves((), masks)  # refuses a repeated mask; no leaf is read
-        value = len(masks)
+        value = len(_brute_masks(PolygonContext(args.n, args.k)))
     else:
         value = count_tree(args.n, args.k)
     print(_decimal(value))
     return 0
 
 
-def _lines(bits: _Bits, masks: Iterable[int]) -> Iterator[str]:
-    """The line of each leaf mask over ``bits``, joined from a per-bit table of texts.
+def _lines(ctx: PolygonContext, masks: Iterable[int]) -> Iterator[str]:
+    """The line of each of a level's masks, joined from a per-bit table of texts, in their order.
 
-    Each is the :func:`ktri.formats.diagonal_line` of the object :func:`ktri.polygon._finish`
-    builds; a repeated mask is refused before the first (:func:`ktri.polygon._read_leaves`).
+    Each is the :func:`ktri.formats.diagonal_line` of the object
+    :func:`ktri.polygon._finish` builds, the table read off the polygon.
     """
-    texts = [*map(_diagonal_text, bits)]
+    texts = [*map(_diagonal_text, _cell_bits(ctx))]
     return (",".join(leaf) or "-" for leaf in _read_leaves(texts, masks))
 
 
 def _cmd_enumerate(args) -> int:
     if args.method == "brute":
-        bits, masks = _brute_masks(PolygonContext(args.n, args.k))
+        masks = _brute_masks(PolygonContext(args.n, args.k))
     else:
-        bits, masks = _tree_masks(args.n, args.k)
-    lines = _lines(bits, masks)  # refuses a repeated mask here, before the header is written
-    sys.stdout.write(f"k={args.k} n={args.n}\n")
-    sys.stdout.writelines(f"{line}\n" for line in lines)
+        masks = _tree_masks(args.n, args.k)
+    sys.stdout.write(f"k={args.k} n={args.n}\n")  # once the lister has refused a repeat
+    sys.stdout.writelines(f"{line}\n" for line in _lines(PolygonContext(args.n, args.k), masks))
     return 0
 
 

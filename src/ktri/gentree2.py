@@ -34,7 +34,8 @@ from itertools import groupby
 from operator import add, itemgetter
 from typing import Iterable, Iterator, TypeVar
 
-from .errors import DomainError, GuardExceeded, StructuralError, _all_int, _guard_value, _shown
+from .errors import DomainError, GuardExceeded, StructuralError, _all_int, _decimal, _guard_value
+from .errors import _shown
 from .gentree_k import (
     TREE_COUNT_GUARD,
     Columns,
@@ -68,7 +69,7 @@ class PairGrowthChoice:
 
 def _require_k2(tri: KTriangulation) -> None:
     if tri.ctx.k != 2:
-        raise DomainError(f"operation defined for k=2 only, got k={tri.ctx.k}")
+        raise DomainError(f"operation defined for k=2 only, got k={_decimal(tri.ctx.k)}")
 
 
 def _by_split(kids: Iterable[tuple[int, T]]) -> list[tuple[int, int, T]]:

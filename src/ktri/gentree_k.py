@@ -18,14 +18,14 @@ of them, then checks for repeats and runs no crossing search
 (:func:`_triangulation`).  The tree is walked depth first on (columns,
 corner) pairs by :func:`_nodes`, a child carrying its u as its corner:
 :func:`_tree_masks` reads each node of the last level as its mask over
-the level's cells (:func:`_leaf_mask`) and checks the level's count,
-:func:`enumerate_tree` decodes the masks into objects, the CLI prints
-from them, and :func:`count_tree` builds none.  The child invariant
-(maximal, corner u, parent round trip) is stated once, in
-:func:`ktri.verify.tree_walk`, which grows the tree a level at a time,
-each level once per ``verify`` run, with the same :func:`_children` from
-the same root (:func:`_root`), and reads each child's mask with the same
-helper.
+the level's cells (:func:`_leaf_mask`), checks the level's count and ends
+in :func:`ktri.polygon._level`, :func:`enumerate_tree` decodes the masks
+into objects, the CLI prints from them, and :func:`count_tree` builds
+none.  The child invariant (maximal, corner u, parent round trip) is
+stated once, in :func:`ktri.verify.tree_walk`, which grows the tree a
+level at a time, each level once per ``verify`` run, with the same
+:func:`_children` from the same root (:func:`_root`), and reads each
+child's mask with the same helper.
 :func:`_children` is the one child lister.  For k = 2 this is the
 2-triangulation tree; :mod:`ktri.gentree2` adds its labels, the (u, i)
 numbering of the children and the descent by label, on columns.
@@ -44,7 +44,7 @@ from typing import Iterable
 from .errors import DomainError, GuardExceeded, StructuralError, _decimal, _guard_value
 from .errors import _require_int
 from .paths import catalan_determinant
-from .polygon import Diagonal, KTriangulation, PolygonContext, _Bits, _cell_bits, _finish
+from .polygon import Diagonal, KTriangulation, PolygonContext, _Bits, _cell_bits, _finish, _level
 
 TREE_COUNT_GUARD = 10**6
 # The most diagonals `children_k` lists, over all children of one node.
@@ -455,19 +455,18 @@ def _nodes(n: int, k: int) -> Iterable[tuple[Columns, int]]:
     return level
 
 
-def _tree_masks(n: int, k: int) -> tuple[_Bits, list[int]]:
-    """The level's table (:func:`ktri.polygon._cell_bits`) and the n-gon's nodes as masks on it.
+def _tree_masks(n: int, k: int) -> list[int]:
+    """The n-gon's nodes as masks on the level's table, as :func:`ktri.polygon._level`.
 
     Each node of :func:`_nodes` becomes its mask (:func:`_leaf_mask`), kept
     once it is k(n-2k-1) distinct staircase cells.  On a fault,
     :func:`_triangulation` raises its text, as it does on the sorted columns
     :func:`_grow` keeps; columns out of order are named otherwise.  Their
-    number must be the count, the level's one check.  The masks are left unsorted.
+    number must be the count, the level's one check.
     """
     expected = _level_size(n, k)
     ctx = PolygonContext(n, k)
-    bits = _cell_bits(ctx)
-    rows, size = _row_bits(bits, n), ctx.diagonal_count
+    rows, size = _row_bits(_cell_bits(ctx), n), ctx.diagonal_count
     leaves = []
     for cols, _ in _nodes(n, k):
         mask = _leaf_mask(cols, rows, size)
@@ -478,16 +477,13 @@ def _tree_masks(n: int, k: int) -> tuple[_Bits, list[int]]:
         leaves.append(mask)
     if len(leaves) != expected:
         raise StructuralError(f"tree level has {len(leaves)} children; expected {expected}")
-    return bits, leaves
+    return _level(leaves)
 
 
 def enumerate_tree(n: int, k: int) -> list[KTriangulation]:
-    """All k-triangulations of the n-gon, generated from the root (:func:`_tree_masks`).
-
-    :func:`ktri.polygon._finish` refuses a repeated mask, sorts and builds each once.
-    """
-    bits, leaves = _tree_masks(n, k)
-    return _finish(PolygonContext(n, k), bits, leaves)
+    """All k-triangulations of the n-gon, from the root (:func:`_tree_masks`), each built once."""
+    masks = _tree_masks(n, k)  # its guards and checks come before the context's
+    return _finish(PolygonContext(n, k), masks)
 
 
 def count_tree(n: int, k: int) -> int:

@@ -21,9 +21,9 @@ columns is checked on the staircase, in size and for repeats
 (:mod:`ktri.gentree_k`).  A level listing gives its leaves as masks over
 the level's cells (:func:`_cell_bits`), checking each leaf's size, brute
 force proving maximality by its invariant and the tree checking the
-leaf's cells and the level's count.  :func:`_read_leaves` sorts them and
-refuses a repeat; the public listers decode them into objects
-(:func:`_finish`), and the CLI prints each line from its mask.
+leaf's cells and the level's count.  Both listers end in :func:`_level`:
+the masks in descending order, a repeat refused.  The public listers
+decode them (:func:`_finish`) and the CLI prints each line from its mask.
 
 Diagonals cross mutually iff they cross pairwise, so a t-crossing is a
 t-clique of the crossing graph.  :func:`has_crossing` and the greedy
@@ -408,38 +408,37 @@ def _crossing_hits(ctx: PolygonContext, cells: Sequence[Diagonal]) -> list[int]:
 
 
 _Node = tuple[int, int, int, int, int]
-_Step = tuple[int, int, int, int, tuple[tuple[int, int], ...]]
+_Step = tuple[int, int, int, tuple[tuple[int, int], ...]]
 
 
 def _steps(hits: Sequence[int], own: Sequence[int]) -> tuple[_Step, ...]:
-    """Per cell i, the step (hits[i], hits after i, own[i], 1 << i, partners) of :func:`_search`."""
+    """Per cell i, the step (hits[i], hits after i, own[i], partners) of :func:`_search`."""
     later = [*accumulate(reversed(hits), or_, initial=0)][::-1]
-    bits = [1 << i for i in range(len(hits))]
-    partners = [tuple(p for p in zip(bits[:i], hits) if p[1] & x) for i, x in enumerate(hits)]
-    return tuple(zip(hits, later[1:], own, bits, partners))
+    partners = [tuple(p for p in zip(own[:i], hits) if p[1] & x) for i, x in enumerate(hits)]
+    return tuple(zip(hits, later[1:], own, partners))
 
 
 def _search(steps: Sequence[_Step], node: _Node) -> list[int]:
     """The ``included`` masks of the leaves under ``node``, depth first, include branch first.
 
     A node (i, included, excluded, once, twice) has cells 0..i-1 decided:
-    ``included`` ORs the own bits of those included, ``excluded`` is the mask
-    by position of the others, ``once`` and ``twice`` the masks of the
-    crossings holding at least one and at least two excluded cells.  Cell i may
-    be included iff every crossing through it holds an excluded or a later
-    cell.  A node keeps every excluded cell blocked within ``included`` and the
-    cells after i, so every leaf is maximal: the cell has a crossing in which
-    it is the only excluded cell (one outside ``twice``).  Excluding cell i
-    moves the crossings through it that were in ``once`` into ``twice``, so
-    only cell i and its excluded partners, the earlier cells j sharing a
-    crossing with it as (1 << j, hits[j]), are tested again.  A forced decision
-    is followed in place; a node is pushed only where both branches survive.
+    ``included`` and ``excluded`` OR the own bits of those included and of the
+    others, ``once`` and ``twice`` the masks of the crossings holding at least
+    one and at least two excluded cells.  Cell i may be included iff every
+    crossing through it holds an excluded or a later cell.  A node keeps every
+    excluded cell blocked within ``included`` and the cells after i, so every
+    leaf is maximal: the cell has a crossing in which it is the only excluded
+    cell (one outside ``twice``).  Excluding cell i moves the crossings through
+    it that were in ``once`` into ``twice``, so only cell i and its excluded
+    partners, the earlier cells j sharing a crossing with it as
+    (own[j], hits[j]), are tested again.  A forced decision is followed in
+    place; a node is pushed only where both branches survive.
     """
     m, leaves, stack = len(steps), [], [node]
     while stack:
         i, included, excluded, once, twice = stack.pop()
         while i < m:
-            x, after, own, bit, partners = steps[i]
+            x, after, own, partners = steps[i]
             i += 1
             blocked = x & ~once
             if blocked:
@@ -450,10 +449,10 @@ def _search(steps: Sequence[_Step], node: _Node) -> list[int]:
                         break
             if not x & ~(once | after):
                 if blocked:
-                    stack.append((i, included, excluded | bit, once | x, ~free))
+                    stack.append((i, included, excluded | own, once | x, ~free))
                 included |= own
             elif blocked:
-                excluded, once, twice = excluded | bit, once | x, ~free
+                excluded, once, twice = excluded | own, once | x, ~free
             else:
                 break
         else:
@@ -479,47 +478,48 @@ def _brute_guard(ctx: PolygonContext) -> int:
 
 
 def _cell_bits(ctx: PolygonContext) -> _Bits:
-    """The level's table: each staircase cell's bit, the least cell highest, keyed in bit order."""
+    """The level's one mask layout: each cell's bit, the least cell highest, keyed in bit order."""
     return {c: 1 << j for j, c in enumerate(sorted(staircase_cells(ctx), reverse=True))}
 
 
-def _read_leaves(items: Sequence, masks: Iterable[int]) -> Iterator[list]:
-    """Per mask of ``masks``, in descending order, the items at its set bits from high to low.
-
-    A repeated mask is refused at the call, before any leaf is read.  Two
-    distinct sorted tuples of one size first differ at c in one and c' > c in
-    the other; both hold the same cells below c, whose bits of
-    :func:`_cell_bits` lie above that of c, and only the first holds c, so
-    its mask is the greater.  So with ``items`` indexed as the level's cells
-    are, descending masks are lexicographic tuples, each read off in order.
-    """
+def _level(masks: Iterable[int]) -> list[int]:
+    """A level's one form, which both listers return: its masks descending, a repeat refused."""
     ordered = sorted(masks, reverse=True)
     repeat = next((mask for prev, mask in zip(ordered, ordered[1:]) if mask == prev), None)
     if repeat is not None:
         raise StructuralError(f"leaf mask {repeat:#x} appears more than once")
-
-    def read() -> Iterator[list]:
-        for mask in ordered:
-            leaf = []
-            while mask:
-                j = mask.bit_length() - 1
-                leaf.append(items[j])
-                mask ^= 1 << j
-            yield leaf
-
-    return read()
+    return ordered
 
 
-def _finish(ctx: PolygonContext, bits: _Bits, leaves: Iterable[int]) -> list[KTriangulation]:
-    """The k-triangulations read off the masks ``leaves`` (:func:`_read_leaves`), each built once.
+def _read_leaves(items: Sequence, masks: Iterable[int]) -> Iterator[list]:
+    """Per mask of ``masks``, in their order, the items at its set bits from high to low.
+
+    Two distinct sorted tuples of one size first differ at c in one and
+    c' > c in the other; both hold the same cells below c, whose bits of
+    :func:`_cell_bits` lie above that of c, and only the first holds c, so
+    its mask is the greater.  So with ``items`` indexed as the level's cells
+    are, :func:`_level`'s masks are lexicographic tuples, each read off in order.
+    """
+    for mask in masks:
+        leaf = []
+        while mask:
+            j = mask.bit_length() - 1
+            leaf.append(items[j])
+            mask ^= 1 << j
+        yield leaf
+
+
+def _finish(ctx: PolygonContext, masks: Iterable[int]) -> list[KTriangulation]:
+    """The k-triangulations read off a level's masks (:func:`_read_leaves`), each built once.
 
     Each lister has shown them to be masks of k-triangulations of one size.
     """
-    return [KTriangulation._checked(ctx, tuple(leaf)) for leaf in _read_leaves(list(bits), leaves)]
+    cells = list(_cell_bits(ctx))
+    return [KTriangulation._checked(ctx, tuple(leaf)) for leaf in _read_leaves(cells, masks)]
 
 
-def _brute_masks(ctx: PolygonContext) -> tuple[_Bits, list[int]]:
-    """The level's table (:func:`_cell_bits`) and the k-triangulations as masks over it.
+def _brute_masks(ctx: PolygonContext) -> list[int]:
+    """The k-triangulations as masks over the level's table (:func:`_cell_bits`), as :func:`_level`.
 
     Cells are decided longest diagonal (largest b - a) first, by the key
     (a - b, a, b), in one :func:`_search` from the root; an included cell
@@ -528,7 +528,7 @@ def _brute_masks(ctx: PolygonContext) -> tuple[_Bits, list[int]]:
     leaf in search order with another size named.  The decision order is
     free, as the search's invariant holds in any order; this one visits 37 %
     of staircase order's nodes at k=2, n=10.  Cells and crossings are listed
-    only once :func:`_brute_guard` has passed.  The masks are left unsorted.
+    only once :func:`_brute_guard` has passed.
     """
     _brute_guard(ctx)
     bits = _cell_bits(ctx)
@@ -538,12 +538,12 @@ def _brute_masks(ctx: PolygonContext) -> tuple[_Bits, list[int]]:
     size = ctx.diagonal_count
     if not {*map(int.bit_count, results)} <= {size}:
         _check_size(ctx, next(c for c in map(int.bit_count, results) if c != size))
-    return bits, results
+    return _level(results)
 
 
 def enumerate_brute(ctx: PolygonContext) -> list[KTriangulation]:
     """All k-triangulations of the polygon, by exhaustive backtracking (:func:`_brute_masks`)."""
-    return _finish(ctx, *_brute_masks(ctx))
+    return _finish(ctx, _brute_masks(ctx))
 
 
 @dataclass(frozen=True)

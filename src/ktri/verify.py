@@ -2,9 +2,10 @@
 
 Each check returns (name, passed, detail) and takes its ranges and, if it
 needs them, listers: the brute-force one ``(n, k) -> triangulations`` and
-its masks ``(n, k) -> masks`` over the level's cells, in descending order,
-the generating tree's levels ``n -> level`` (:func:`tree_walk`), the
-non-crossing tuples ``(m, k) -> tuples``, their k = 2 exponent pairs
+its masks ``(n, k) -> masks`` over the level's cells as
+:func:`ktri.polygon._level` gives them (a repeat raised: brute is the
+oracle), the generating tree's levels ``n -> level`` (:func:`tree_walk`),
+the non-crossing tuples ``(m, k) -> tuples``, their k = 2 exponent pairs
 ``m -> (p, q) pairs`` and the images of the direct map on exponent tuples
 ``n -> (triangulation, (p, q)) pairs``.  The k = 2 pair checks compare
 exponent tuples throughout and build no path or pair object.
@@ -213,8 +214,7 @@ def _round_trips(k: int, n_max: int, masks: Masks, tree: Walk) -> Check:
         seen = Counter(children)
         dup = [m for m, c in seen.items() if c > 1]
         if dup:
-            ctx = PolygonContext(n, k)
-            shown = _finish(ctx, _cell_bits(ctx), dup[:1])[0].diagonals
+            shown = _finish(PolygonContext(n, k), dup[:1])[0].diagonals
             return ("round_trips", False, f"duplicate child at n={n}: {shown}")
         if seen.keys() != set(masks(n, k)):
             return ("round_trips", False, f"children of level {n - 1} do not partition level {n}")
@@ -405,12 +405,11 @@ def run_verify(k: int, n_max: int) -> list[Check]:
 
     @lru_cache(maxsize=None)
     def masks(n: int, kk: int) -> list[int]:
-        return sorted(_brute_masks(PolygonContext(n, kk))[1], reverse=True)
+        return _brute_masks(PolygonContext(n, kk))
 
     @lru_cache(maxsize=None)
     def brute(n: int, kk: int) -> list[KTriangulation]:
-        ctx = PolygonContext(n, kk)
-        return _finish(ctx, _cell_bits(ctx), masks(n, kk))
+        return _finish(PolygonContext(n, kk), masks(n, kk))
 
     @lru_cache(maxsize=None)
     def tuples(m: int, kk: int) -> list[PathTuple]:

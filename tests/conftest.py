@@ -64,9 +64,9 @@ def triangulations(n: int, k: int) -> tuple[KTriangulation, ...]:
 def brute_masks(n: int, k: int):
     """The k-triangulations of the n-gon as masks over the level's cells, descending, cached.
 
-    The list :func:`ktri.verify.run_verify` gives its checks.
+    The list :func:`ktri.verify.run_verify` gives its checks, as the lister returns it.
     """
-    return sorted(_brute_masks(PolygonContext(n, k))[1], reverse=True)
+    return _brute_masks(PolygonContext(n, k))
 
 
 @lru_cache(maxsize=None)

@@ -35,7 +35,7 @@ from ktri.gentree2 import _by_split, _pair_kids, label_children
 from ktri.gentree_k import _children, _leaf_mask, _parent, _root
 from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
-from ktri.polygon import _brute_masks, _finish
+from ktri.polygon import _brute_masks, _finish, _search
 from ktri.verify import run_verify
 
 HEX_FILE = "k=2 n=6\n1-4,3-6\n"
@@ -98,8 +98,15 @@ class TestCount:
         assert len(expected) > old_limit
         assert out == expected + "\n"
 
-    # int() would accept and normalise all but "x"; only canonical ASCII decimals are read
-    @pytest.mark.parametrize("raw", ["x", " 5", "5 ", "+5", "-1", "1_000", "05", "\u0665"])
+    # int() would accept and normalise all but "x" and the last, which it reads only
+    # under a raised int-to-str limit; only canonical ASCII decimals are read
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            *["x", " 5", "5 ", "+5", "-1", "1_000", "05", "\u0665"],
+            pytest.param("1" + "0" * sys.get_int_max_str_digits(), id="past-the-str-limit"),
+        ],
+    )
     def test_guard_override_must_be_an_integer(self, capsys, monkeypatch, raw):
         monkeypatch.setenv("KTRI_GUARD", raw)
         message = f"KTRI_GUARD must be an integer, got {raw!r}"
@@ -181,13 +188,13 @@ class TestEnumerate:
 
     @pytest.mark.parametrize("verb", ["count", "enumerate"])
     def test_a_repeated_brute_leaf_is_refused(self, capsys, monkeypatch, verb):
-        # the hexagon's brute masks with the first one twice: counted or listed, the
-        # level is refused before anything is printed
-        def doubled(ctx):
-            bits, masks = _brute_masks(ctx)
-            return bits, masks + masks[:1]
+        # the hexagon's brute search lists its first leaf twice: counted or listed, the
+        # lister refuses the level before anything is printed
+        def doubled(steps, node):
+            leaves = _search(steps, node)
+            return leaves + leaves[:1]
 
-        monkeypatch.setattr("ktri.cli._brute_masks", doubled)
+        monkeypatch.setattr("ktri.polygon._search", doubled)
         code, out, err = run(capsys, verb, "--method", "brute", "--k", "2", "--n", "6")
         assert (code, out) == (1, "")
         assert re.fullmatch(r"error: leaf mask 0x[0-9a-f]+ appears more than once\n", err)
@@ -544,9 +551,9 @@ class TestVerifyAndRender:
         # the checks that read objects stop at the 9-gon; the 10- and 11-gons stay masks
         decoded = Counter()
 
-        def counted(ctx, bits, leaves):
+        def counted(ctx, leaves):
             decoded[ctx.n, ctx.k] += 1
-            return _finish(ctx, bits, leaves)
+            return _finish(ctx, leaves)
 
         monkeypatch.setattr("ktri.verify._finish", counted)
         assert all(passed for _, passed, _ in run_verify(2, 11))
@@ -661,7 +668,7 @@ class TestVerifyAndRender:
             ),
             (
                 "_brute_masks",
-                lambda ctx: (lambda bits, masks: (bits, masks[:-1]))(*_brute_masks(ctx)),
+                lambda ctx: _brute_masks(ctx)[:-1],
                 "FAIL counting: brute count 0 != det 1 at n=5",
             ),
             (
@@ -848,6 +855,26 @@ class TestVerifyAndRender:
             "PASS column_identity: n<=6\n"
             "PASS k2_specialization: n<=6\n",
             "",
+        )
+
+    @pytest.mark.parametrize(
+        "n, first",
+        [(6, 0x6), (10, 0x1FF8000)],  # ((1, 4), (2, 5)); (1, 4..8) and (2, 5..9)
+        ids=["hexagon", "10-gon"],
+    )
+    def test_verify_refuses_a_repeated_brute_leaf(self, capsys, monkeypatch, n, first):
+        """The top level's brute search lists its first leaf twice: the oracle's fault, raised.
+
+        No check reads the 10-gon's brute level as objects, so it is refused by the lister.
+        """
+
+        def doubled(steps, node):
+            leaves = _search(steps, node)
+            return leaves + leaves[:1] if len(leaves) == catalan_determinant(n, 2) else leaves
+
+        monkeypatch.setattr("ktri.polygon._search", doubled)
+        assert run(capsys, "verify", "--k", "2", "--n-max", str(n)) == (
+            1, "", f"error: leaf mask {first:#x} appears more than once\n"
         )
 
     def test_verify_names_a_node_whose_child_labels_differ_from_the_rule(self, capsys, monkeypatch):

@@ -61,6 +61,14 @@ class TestParent:
         # parent_k at k=2 against verify.vertex_parent, n = 6..9
         holds(verify._k2_specialization, 9, triangulations)
 
+    def test_vertex_oracle_refuses_an_isolated_vertex_off_the_last_corner(self, monkeypatch):
+        # the hexagon's corner is 2; read at 1, vertex 3 is isolated but 1 != n - 3
+        hexagon = KTriangulation(PolygonContext(6, 2), ((1, 4), (2, 5)))
+        monkeypatch.setattr("ktri.verify.corner_k", lambda tri: 1)
+        with pytest.raises(StructuralError) as caught:
+            verify.vertex_parent(hexagon)
+        assert str(caught.value) == "vertex 3 isolated with corner 1 on the 6-gon"
+
     def test_example_label_chain(self):
         chain = [label2(example_14gon())]
         cur = example_14gon()

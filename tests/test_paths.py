@@ -324,8 +324,8 @@ class TestCatalan:
 
 class TestDyckPath:
     def test_validation(self):
-        DyckPath("")
-        DyckPath("NNEE")
+        assert str(DyckPath("")) == ""
+        assert str(DyckPath("NNEE")) == "NNEE"  # str is the step string
         with pytest.raises(DomainError):
             DyckPath("EN")
         with pytest.raises(DomainError):

@@ -4,7 +4,7 @@ import random
 import re
 import sys
 from collections import Counter
-from functools import partial, reduce
+from functools import reduce
 from itertools import combinations
 from math import comb
 from operator import or_
@@ -28,6 +28,7 @@ from ktri import (
     catalan_determinant,
     check_structure_lemmas,
     child_by_label,
+    color_diagram,
     complete_to_maximal,
     count_tree,
     degree,
@@ -37,9 +38,12 @@ from ktri import (
     has_crossing,
     is_k_triangulation,
     is_t_crossing,
+    label2,
     label_children,
     pair_child_by_label,
     staircase_cells,
+    to_paths,
+    to_paths_via_tree,
     tree_root,
     trivial_diagonals,
     verify,
@@ -57,6 +61,7 @@ from ktri.polygon import (
     _crossings,
     _find_clique,
     _finish,
+    _level,
     _off_staircase,
     _steps,
 )
@@ -364,6 +369,18 @@ DIGITS = "1" + "0" * 5000
             lambda: verify.run_verify(BIG, 9),
             f"verify needs k >= 1 and n_max >= 2k+1, got k={DIGITS}, n_max=9",
         ),
+        # the root of the (2 * 10**5000 + 1)-gon is refused before any column is built
+        (lambda: label2(tree_root(BIG)), f"operation defined for k=2 only, got k={DIGITS}"),
+        (
+            lambda: child_by_label(tree_root(BIG), (0, 0)),
+            f"operation defined for k=2 only, got k={DIGITS}",
+        ),
+        (
+            lambda: to_paths_via_tree(tree_root(BIG)),
+            f"operation defined for k=2 only, got k={DIGITS}",
+        ),
+        (lambda: to_paths(tree_root(BIG)), f"coloring defined for k=2 only, got k={DIGITS}"),
+        (lambda: color_diagram(tree_root(BIG)), f"coloring defined for k=2 only, got k={DIGITS}"),
     ],
     ids=[
         "context-n-k",
@@ -394,6 +411,11 @@ DIGITS = "1" + "0" * 5000
         "exponent-sum",
         "tuple-count",
         "verify-range",
+        "label2-big-k",
+        "child-by-label-big-k",
+        "to-paths-via-tree-big-k",
+        "to-paths-big-k",
+        "color-diagram-big-k",
     ],
 )
 def test_integers_past_the_str_limit_are_named_in_full(call, text):
@@ -603,10 +625,11 @@ class TestEnumerateBrute:
 
     @pytest.mark.parametrize("k,n", [(2, 5), (1, 7), (2, 8), (3, 10), (4, 12)])
     def test_finisher_orders_and_reads_random_masks(self, k, n):
-        # random subsets of the level's cells, each draw of one size: descending
-        # masks are the sorted tuples in order, each read off as its sorted tuple,
-        # and the CLI's lines are those of the objects, "-" for the empty leaf
-        # (size 0, and the (2k+1)-gon's only leaf)
+        # random subsets of the level's cells, each draw of one size: the level's form
+        # orders shuffled masks descending, which are the sorted tuples in order, each
+        # read off as its sorted tuple, and the CLI's lines are those of the objects,
+        # "-" for the empty leaf (size 0, and the (2k+1)-gon's only leaf); a repeat
+        # among shuffled masks is refused and named
         ctx = PolygonContext(n, k)
         bits, cells = _cell_bits(ctx), staircase_cells(ctx)
         assert list(bits) == sorted(cells, reverse=True)
@@ -617,19 +640,15 @@ class TestEnumerateBrute:
             mask_of = {sum(bits[c] for c in t): t for t in tuples}
             assert len(mask_of) == len(tuples)
             assert [mask_of[m] for m in sorted(mask_of, reverse=True)] == sorted(tuples)
-            shuffled = rng.sample(list(mask_of), len(mask_of))
-            got = _finish(ctx, bits, shuffled)
+            level = _level(rng.sample(list(mask_of), len(mask_of)))
+            assert level == sorted(mask_of, reverse=True)
+            got = _finish(ctx, level)
             assert [t.diagonals for t in got] == sorted(tuples)
-            assert list(_lines(bits, shuffled)) == [diagonal_line(t) for t in got]
-            masks = list(mask_of)
-            repeated = masks + [rng.choice(masks)]
-            errors = []
-            for read in (partial(_finish, ctx), _lines):
-                with pytest.raises(StructuralError) as caught:
-                    list(read(bits, repeated))
-                errors.append(str(caught.value))
-            assert re.fullmatch(r"leaf mask 0x[0-9a-f]+ appears more than once", errors[0])
-            assert errors[1] == errors[0]
+            assert list(_lines(ctx, level)) == [diagonal_line(t) for t in got]
+            repeat = rng.choice(level)
+            with pytest.raises(StructuralError) as caught:
+                _level(rng.sample(level + [repeat], len(level) + 1))
+            assert str(caught.value) == f"leaf mask {repeat:#x} appears more than once"
 
     def test_all_results_verified_distinct(self):
         tris = triangulations(7, 2)
@@ -723,12 +742,12 @@ class TestEnumerateBrute:
                 assert reduce(or_, hits, 0) == (1 << comb(n, 2 * k + 2)) - 1
                 own = [1 << 2 * i + 1 for i in range(len(order))]  # handed through as given
                 through = [{j for j, c in enumerate(crossings) if d in c} for d in order]
-                for i, (x, after, o, bit, partners) in enumerate(_steps(hits, own)):
+                for i, (x, after, o, partners) in enumerate(_steps(hits, own)):
                     assert x == sum(1 << j for j in through[i])
                     assert after == sum(1 << j for j in set().union(*through[i + 1 :]))
-                    assert (o, bit) == (own[i], 1 << i)
+                    assert o == own[i]
                     shared = [j for j in range(i) if through[i] & through[j]]
-                    assert partners == tuple((1 << j, hits[j]) for j in shared), (n, i)
+                    assert partners == tuple((own[j], hits[j]) for j in shared), (n, i)
 
     def test_crossing_list_is_every_crossing_subset(self):
         # the lister's list of (k+1)-crossings against the flat filter over
