@@ -46,7 +46,7 @@ from .gentree_k import (
     _row_options,
     _triangulation,
 )
-from .paths import PairEncoding, _pair_fault
+from .paths import PairEncoding, _pair_fault, _split_index
 from .polygon import KTriangulation, PolygonContext
 
 TreeLabel = tuple[int, ...]
@@ -239,10 +239,7 @@ def _pair_up(p: tuple[int, ...], q: tuple[int, ...], s: int) -> Pair:
             raise StructuralError(f"pair step leaves the non-crossing pairs at position {j}")
     else:
         p, q = p[:-1], q[:-1]
-    j = max(2, s - 1)
-    while j < m and p[j - 1] * q[j - 1]:
-        j += 1
-    return p, q, j
+    return p, q, _split_index(p, q, max(2, s - 1))
 
 
 def _pair_child(p: tuple[int, ...], q: tuple[int, ...], t: int, x: int) -> Pair:

@@ -402,13 +402,14 @@ def children_k(tri: KTriangulation) -> tuple[tuple[GrowthChoiceK, KTriangulation
     """All children of a k-triangulation, ordered by (u asc, rows lex asc): :func:`_children`.
 
     None is grown if they hold more than ``CHILDREN_GUARD`` diagonals, k(n-2k) each.
+    Every node has at least two children, as u runs from r <= n-k-1 to n-k
+    and the all-fallback rows are a choice at each u, so no column is built
+    where two children would pass the guard.
     """
     k = _require_k(tri)
     n = tri.ctx.n
-    cols = _columns(tri)
-    r = _corner(cols, k)
-    limit = _guard_value(CHILDREN_GUARD)
-    if _child_count(cols, k, r) * k * (n - 2 * k) > limit:
+    size, limit = k * (n - 2 * k), _guard_value(CHILDREN_GUARD)
+    if 2 * size > limit or _child_count(cols := _columns(tri), k, r := _corner(cols, k)) * size > limit:
         raise GuardExceeded(f"children listing of more than {limit} diagonals refused; lower n")
     ctx = PolygonContext(n + 1, k)
     return tuple(

@@ -436,9 +436,12 @@ class PairEncoding:
         return out
 
 
-def _split_index(p: tuple[int, ...], q: tuple[int, ...]) -> int:
-    """The split index of a non-crossing pair: the least j >= 2 with p_j * q_j = 0, or m+1."""
-    s = 2
+def _split_index(p: tuple[int, ...], q: tuple[int, ...], start: int = 2) -> int:
+    """The split index of a non-crossing pair: the least j >= 2 with p_j * q_j = 0, or m+1.
+
+    The search starts at ``start``, for a caller that knows p_j * q_j > 0 below it.
+    """
+    s = start
     while s <= len(p) and p[s - 1] * q[s - 1]:
         s += 1
     return s

@@ -281,14 +281,12 @@ def _find_clique(cand: int, size: int, masks: Sequence[int]) -> int | None:
     """Mask of a ``size``-clique of the crossing graph among the bits of ``cand``, or None.
 
     Each clique is grown from its lowest bit through the neighbours above
-    it, so no clique is visited twice.  Sizes 1 and 2 are unrolled and return
-    the clique the recursion would: the lowest bit; the lowest bit that has a
-    neighbour above it, with its lowest such neighbour.
+    it, so no clique is visited twice.  Size 2 is unrolled and returns the
+    clique the recursion would: the lowest bit that has a neighbour above it,
+    with its lowest such neighbour.
     """
     if size <= 0:
         return 0
-    if size == 1:
-        return cand & -cand or None
     if size == 2:
         while cand:
             low = cand & -cand
@@ -407,7 +405,7 @@ def _crossing_hits(ctx: PolygonContext, cells: Sequence[Diagonal]) -> list[int]:
     return hits
 
 
-_Node = tuple[int, int, int, int, int]
+_Node = tuple[int, int, int, int]
 _Step = tuple[int, int, int, tuple[tuple[int, int], ...]]
 
 
@@ -421,9 +419,9 @@ def _steps(hits: Sequence[int], own: Sequence[int]) -> tuple[_Step, ...]:
 def _search(steps: Sequence[_Step], node: _Node) -> list[int]:
     """The ``included`` masks of the leaves under ``node``, depth first, include branch first.
 
-    A node (i, included, excluded, once, twice) has cells 0..i-1 decided:
-    ``included`` and ``excluded`` OR the own bits of those included and of the
-    others, ``once`` and ``twice`` the masks of the crossings holding at least
+    A node (i, included, once, twice) has cells 0..i-1 decided: ``included``
+    ORs the own bits of those included, the others are excluded, and
+    ``once`` and ``twice`` are the masks of the crossings holding at least
     one and at least two excluded cells.  Cell i may be included iff every
     crossing through it holds an excluded or a later cell.  A node keeps every
     excluded cell blocked within ``included`` and the cells after i, so every
@@ -431,12 +429,13 @@ def _search(steps: Sequence[_Step], node: _Node) -> list[int]:
     cell (one outside ``twice``).  Excluding cell i moves the crossings through
     it that were in ``once`` into ``twice``, so only cell i and its excluded
     partners, the earlier cells j sharing a crossing with it as
-    (own[j], hits[j]), are tested again.  A forced decision is followed in
-    place; a node is pushed only where both branches survive.
+    (own[j], hits[j]) with own[j] outside ``included``, are tested again.  A
+    forced decision is followed in place; a node is pushed only where both
+    branches survive.
     """
     m, leaves, stack = len(steps), [], [node]
     while stack:
-        i, included, excluded, once, twice = stack.pop()
+        i, included, once, twice = stack.pop()
         while i < m:
             x, after, own, partners = steps[i]
             i += 1
@@ -444,15 +443,15 @@ def _search(steps: Sequence[_Step], node: _Node) -> list[int]:
             if blocked:
                 free = ~(twice | once & x)
                 for b, h in partners:
-                    if not h & free and excluded & b:
+                    if not h & free and not included & b:
                         blocked = 0
                         break
             if not x & ~(once | after):
                 if blocked:
-                    stack.append((i, included, excluded | own, once | x, ~free))
+                    stack.append((i, included, once | x, ~free))
                 included |= own
             elif blocked:
-                excluded, once, twice = excluded | own, once | x, ~free
+                once, twice = once | x, ~free
             else:
                 break
         else:
@@ -534,7 +533,7 @@ def _brute_masks(ctx: PolygonContext) -> list[int]:
     bits = _cell_bits(ctx)
     cells = sorted(bits, key=lambda c: (c[0] - c[1], *c))
     steps = _steps(_crossing_hits(ctx, cells), [bits[c] for c in cells])
-    results = _search(steps, (0, 0, 0, 0, 0))
+    results = _search(steps, (0, 0, 0, 0))
     size = ctx.diagonal_count
     if not {*map(int.bit_count, results)} <= {size}:
         _check_size(ctx, next(c for c in map(int.bit_count, results) if c != size))

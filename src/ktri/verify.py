@@ -279,13 +279,13 @@ def _bijection(n_max: int, images: Images, pairs: Pairs) -> Check:
     (one :func:`_pair_up` step up).  Each level keeps, for the next, each
     triangulation's image and label by its columns, and each pair's
     triangulation as columns, corner and label.  A value is kept once it
-    matches the direct map, so it is what the per-object map computes: the
-    same kernels run on the same chain of labels, from the pentagon and the
-    root pair.  A parent missing from the level before fails the check as a
-    mismatch does; each kernel's own checks raise StructuralError.
+    matches the direct map, corner too, so it is what the per-object map
+    computes: the same kernels run on the same chain of labels, from the
+    tree's root and the root pair.  A parent missing from the level before
+    fails the check as a mismatch does; each kernel's own checks raise StructuralError.
     """
     root = ROOT_PAIR.p, ROOT_PAIR.q, ROOT_PAIR.s
-    pentagon: Columns = [()] * 6
+    pentagon = _root(2)
     to_image: dict[tuple[tuple[int, ...], ...], tuple[Pair, TreeLabel]] = {}
     to_tri: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[Columns, int, TreeLabel]] = {}
     for n in range(5, n_max + 1):
@@ -298,7 +298,7 @@ def _bijection(n_max: int, images: Images, pairs: Pairs) -> Check:
             pair = p, q, _split_index(p, q)  # _exponents has checked the pair
             target = _pair_label(*pair)
             image: Pair | None = root
-            back: tuple[Columns, int] | None = (pentagon, 2)
+            back: tuple[Columns, int] | None = pentagon
             if n > 5:
                 up = to_image.get(tuple(_parent(cols, 2, r)))
                 image = None if up is None else _pair_child_by_label(*up[0], up[1], label)
@@ -307,11 +307,11 @@ def _bijection(n_max: int, images: Images, pairs: Pairs) -> Check:
             if n > 5:
                 down = to_tri.get(_pair_up(*pair)[:2])
                 back = None if down is None else _child_by_label(*down, target)
-            if back is None or back[0] != cols:
+            if back != (cols, r):
                 return ("bijection", False, f"inverse fails on {tri.diagonals}")
             if n < n_max:  # the last level is no parent level
                 next_image[tuple(cols)] = image, label
-                next_tri[p, q] = cols, back[1], target
+                next_tri[p, q] = cols, r, target
             seen.add((p, q))
         if seen != set(pairs(n - 4)):
             return ("bijection", False, f"image at n={n} is not all non-crossing pairs")

@@ -10,6 +10,7 @@ import pytest
 from conftest import brute_masks, example_14gon, holds, tree, triangulations
 from ktri import (
     DomainError,
+    GuardExceeded,
     KTriangulation,
     PolygonContext,
     StructuralError,
@@ -29,6 +30,7 @@ from ktri import (
 from ktri.gentree_k import (
     _cells,
     _check_staircase,
+    _child_count,
     _children,
     _choice_count,
     _columns,
@@ -146,6 +148,21 @@ class TestChildrenK:
         for k in (2, 3, 4):
             kids = children_k(tree_root(k))
             assert len(kids) == k + 1 == catalan_determinant(2 * k + 2, k)
+
+    def test_a_polygon_past_twice_the_guard_builds_no_column(self, monkeypatch):
+        # the k=10**6 root's children hold 2*10**6 diagonals at the least, past 10**6
+        def columns(tri):
+            raise AssertionError("columns built past the guard")
+
+        monkeypatch.setattr("ktri.gentree_k._columns", columns)
+        with pytest.raises(GuardExceeded, match="^children listing of more than 1000000 diagonals"):
+            children_k(tree_root(10**6))
+
+    @pytest.mark.parametrize("k,n_hi", [(2, 10), (3, 11), (4, 12)])
+    def test_every_node_has_at_least_two_children(self, k, n_hi):
+        # the bound the children guard refuses by before it builds a column
+        for n in range(2 * k + 1, n_hi + 1):
+            assert min(_child_count(cols, k, r) for cols, r in _nodes(n, k)) >= 2, (k, n)
 
     def test_root_children_are_the_full_level(self):
         produced = sorted(c.diagonals for _, c in children_k(tree_root(3)))
@@ -405,8 +422,6 @@ class TestEnumerateTree:
             enumerate_tree(6, 1)
 
     def test_guard(self, monkeypatch):
-        from ktri import GuardExceeded
-
         # the count's own guard (primes up to 16, 17 bits) passes at 100
         monkeypatch.setenv("KTRI_GUARD", "100")
         with pytest.raises(GuardExceeded, match="^tree level of more than 100 objects"):

@@ -153,7 +153,7 @@ def cell_masks(draw):
 @example((PolygonContext(10, 1), 0))
 @settings(deadline=None)
 def test_find_clique_matches_combinations(drawn):
-    # sizes 1 and 2 are unrolled in the clique search; all sizes must agree
+    # size 2 is unrolled in the clique search; all sizes must agree
     # with the flat filter over subsets, and every clique found must be one
     ctx, cand = drawn
     cells = staircase_cells(ctx)
@@ -212,9 +212,10 @@ def test_brute_decisions_match_clique_search(drawn):
     steps = _steps(_crossing_hits(ctx, cells), [1 << i for i in range(m)])  # own bits by position
     masks = _crossing_masks_of(cells)
     members = [sum(1 << cells.index(d) for d in c) for c in _crossings(ctx)]
-    node = (0, 0, 0, 0, 0)
+    node = (0, 0, 0, 0)
     for i, take in enumerate(prefer_include):
-        _, included, excluded, once, twice = node
+        _, included, once, twice = node
+        excluded = (1 << i) - 1 & ~included  # the decided cells not included
         hit = [(c & excluded).bit_count() for c in members]
         assert once == sum(1 << j for j, h in enumerate(hit) if h >= 1)
         assert twice == sum(1 << j for j, h in enumerate(hit) if h >= 2)
@@ -223,9 +224,9 @@ def test_brute_decisions_match_clique_search(drawn):
         x = steps[i][0]
         include = exclude = None
         if included | 1 << i in leaves:
-            include = (i + 1, included | 1 << i, excluded, once, twice)
+            include = (i + 1, included | 1 << i, once, twice)
         if included in leaves:
-            exclude = (i + 1, included, excluded | 1 << i, once | x, twice | once & x)
+            exclude = (i + 1, included, once | x, twice | once & x)
         assert (include is not None) == (_find_clique(included & masks[i], t - 1, masks) is None)
         available = included | (1 << m) - (2 << i)
         out = excluded | 1 << i
