@@ -121,14 +121,14 @@ def _cmd_children(args) -> int:
 def _cmd_tree(args) -> int:
     k = args.k
 
-    def walk(cols, r: int, level: int) -> None:
+    def walk(cols, r: int) -> None:
         n = len(cols) - 1
         label = "(" + ",".join(str(d) for d in _label(cols, r)) + ")" if k == 2 else "-"
-        print(f"{level}\t{label}\t{diagonal_line(_triangulation(PolygonContext(n, k), cols))}")
+        print(f"{n - 2 * k - 1}\t{label}\t{diagonal_line(_triangulation(PolygonContext(n, k), cols))}")
         if n < args.n:
             kids = [(u, child) for u, _, child in _children(cols, k, r)]
             for u, *_, child in _by_split(kids) if k == 2 else kids:  # k = 2: in (u, i) order
-                walk(child, u, level + 1)
+                walk(child, u)
 
     if args.n < 2 * k + 1:
         raise DomainError(f"need n >= 2k+1, got n={args.n}, k={k}")
@@ -137,7 +137,7 @@ def _cmd_tree(args) -> int:
     limit = _guard_value(TREE_DUMP_GUARD)
     if catalan_determinant(args.n, k) > limit:
         raise GuardExceeded(f"tree dump of more than {limit} leaves refused; lower n")
-    walk(*_root(k), 0)
+    walk(*_root(k))
     return 0
 
 

@@ -61,10 +61,13 @@ def test_criterion_1_counting_k2():
 
 def test_criterion_2_counting_k3():
     with criterion(
-        2, "counts for k=3, n=7..11: det = brute = tree (1, 4, ...); k=1, n<=8: det = brute"
+        2,
+        "counts for k=3, n=7..11: det = brute = tree (1, 4, ...); k=4, n<=12: det = brute = tree; "
+        "k=1, n<=8: det = brute",
     ):
         assert catalan_determinant(7, 3) == 1 and catalan_determinant(8, 3) == 4
         holds(verify._counting, 3, 11, brute_masks, tree(3, 11))
+        holds(verify._counting, 4, 12, brute_masks, tree(4, 12))
         holds(verify._counting, 1, 8, brute_masks, tree(1, 8))
 
 
@@ -115,12 +118,13 @@ def test_criterion_5_succession_rule():
 def test_criterion_6_round_trips_and_partitions():
     with criterion(
         6,
-        "round trips, corners and level partitions: k=2 n<=10, k=3 n<=11, k=4 n<=12, "
-        "pairs m<=7; child labels follow the rule and k=2 parents match the vertex oracle (n<=9)",
+        "round trips and corners: k=2 n<=10, k=3 n<=11, k=4 n<=12 (level partitions are "
+        "criteria 1 and 2's counting); pair round trips and level partitions m<=7; child "
+        "labels follow the rule and k=2 parents match the vertex oracle (n<=9)",
     ):
-        holds(verify._round_trips, 2, 10, brute_masks, tree(2, 10))
-        holds(verify._round_trips, 3, 11, brute_masks, tree(3, 11))
-        holds(verify._round_trips, 4, 12, brute_masks, tree(4, 12))
+        holds(verify._round_trips, 2, 10, tree(2, 10))
+        holds(verify._round_trips, 3, 11, tree(3, 11))
+        holds(verify._round_trips, 4, 12, tree(4, 12))
         holds(verify._pair_round_trips, 7, pairs)
         holds(verify._label_coherence, 9, tree(2, 9))
         holds(verify._k2_specialization, 9, triangulations)

@@ -690,12 +690,12 @@ class TestVerifyAndRender:
             (
                 "_children",
                 lambda cols, k, r: _children(cols, k, r) * 2,
-                "FAIL round_trips: duplicate child at n=6: ((1, 4), (2, 5))",
+                "FAIL counting: tree and brute enumerations differ at n=6",
             ),
             (
                 "_children",
                 lambda cols, k, r: _children(cols, k, r)[:-1],
-                "FAIL round_trips: children of level 5 do not partition level 6",
+                "FAIL counting: tree and brute enumerations differ at n=6",
             ),
             (
                 "_pair_up",

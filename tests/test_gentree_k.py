@@ -170,9 +170,9 @@ class TestChildrenK:
 
     @pytest.mark.parametrize("k,n_hi", [(2, 10), (3, 10), (4, 11)])
     def test_round_trip_and_partition(self, k, n_hi):
-        # parent round trip, corner(child) == u >= corner(parent), and each
-        # level partitioned by the children of the level before
-        holds(verify._round_trips, k, n_hi, brute_masks, tree(k, n_hi))
+        # parent round trip and corner(child) == u >= corner(parent); that the
+        # children of each level partition the next is verify._counting's claim
+        holds(verify._round_trips, k, n_hi, tree(k, n_hi))
 
 
 def set_child_k(tri, u, rows):
