@@ -498,13 +498,20 @@ def _read_leaves(items: Sequence, masks: Iterable[int]) -> Iterator[list]:
     :func:`_cell_bits` lie above that of c, and only the first holds c, so
     its mask is the greater.  So with ``items`` indexed as the level's cells
     are, :func:`_level`'s masks are lexicographic tuples, each read off in order.
+    A mask is read six bits at a time, highest chunk first, each chunk's
+    items looked up in a table of the chunk's 64 item tuples, built once.
     """
+    tables = []
+    for lo in range(0, len(items), 6):
+        table = [()]
+        for item in items[lo : lo + 6]:  # table[x] holds the items at x's bits, high to low
+            table += [(item, *rest) for rest in table]
+        tables.append((lo, table))
+    tables.reverse()
     for mask in masks:
         leaf = []
-        while mask:
-            j = mask.bit_length() - 1
-            leaf.append(items[j])
-            mask ^= 1 << j
+        for lo, table in tables:
+            leaf += table[mask >> lo & 63]
         yield leaf
 
 

@@ -15,8 +15,11 @@ per run, each level from the one before: the tree's checks
 what that walk recorded on masks, and an object is built only to name a
 failure.  :func:`_counting` alone compares a tree level with brute.  Brute
 levels stay masks too: the brute lister decodes its objects from them, so
-only at the levels a check reads as objects.  The CLI runs the checks at
-desk scale and the test suite drives them at larger ranges.
+only at the levels a check reads as objects.  :func:`_bijection` reads the
+tree side of each 2-triangulation (columns, corner, label, parent step) off
+the walk by its mask and computes only the direct map from brute's objects.
+The CLI runs the checks at desk scale and the test suite drives them at
+larger ranges.
 """
 
 from __future__ import annotations
@@ -46,7 +49,6 @@ from .gentree_k import (
     Columns,
     _cells,
     _children,
-    _columns,
     _corner,
     _leaf_mask,
     _level_size,
@@ -85,9 +87,13 @@ Exponents = tuple[tuple[int, ...], tuple[int, ...]]
 Pairs = Callable[[int], Sequence[Exponents]]
 Images = Callable[[int], Sequence[tuple[KTriangulation, Exponents]]]
 Masks = Callable[[int, int], Sequence[int]]
-Level = tuple[list[int], str | None, str | None]
+Fact = tuple[Columns, int, TreeLabel, tuple[tuple[int, ...], ...]]
+"""A k = 2 node's tree facts, as :func:`tree_walk` reads them: its columns, its corner c
+read off them, its label at c and its parent's columns by one parent step at c (the root: ())."""
+Level = tuple[list[int], str | None, str | None, dict[int, Fact]]
 """A level of :func:`tree_walk`: its nodes' masks in walk order, then the first round-trip
-fault of its nodes and the first label fault of the nodes they were grown from, or None."""
+fault of its nodes and the first label fault of the nodes they were grown from, or None,
+then at k = 2 up to the ``LABELS_N_MAX``-gon each certified node's facts by its mask."""
 Walk = Callable[[int], Level]
 
 # label_coherence checks the succession rule on the children up to this polygon
@@ -121,10 +127,17 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
     order; a child that fails its certificate gives no mask and is not grown
     from.  A child that fails is named by its cells sorted, as they are: a
     cell off the staircase or repeated is a fault of the tree, not of input.
+    At k = 2 up to the ``LABELS_N_MAX``-gon, the range :func:`_bijection`
+    reads, the parent step runs for every certified child, not only until
+    the first fault, and the child's facts are recorded by its mask: its
+    columns, its corner c, its label at c (not at u, which a faulty tree may
+    set apart from c) and the columns its parent step gave.
     """
     _level_size(n_max, k)  # the tree lister's guards, which bound every level below too
     level = [_root(k)]
-    out: dict[int, Level] = {2 * k + 1: ([0], None, None)}  # the root has no cell
+    root = level[0][0]
+    facts = {0: (root, k, _label(root, k), ())} if k == 2 else {}  # the (2k+1)-gon's corner is k
+    out: dict[int, Level] = {2 * k + 1: ([0], None, None, facts)}  # the root has no cell
     for n in range(2 * k + 2, n_max + 1):
         ctx = PolygonContext(n, k)
         bits = _cell_bits(ctx)
@@ -133,10 +146,12 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
         masks: list[int] = []
         grown = []
         trip = labels = None
+        facts = {}
+        labelled = k == 2 and n <= LABELS_N_MAX
         for cols, r in level:
             p = _corner(cols, k)
             kids = _children(cols, k, p)
-            if k == 2 and n <= LABELS_N_MAX and labels is None:
+            if labelled and labels is None:
                 expected = label_children(_label(cols, p))
                 ordered = _by_split((u, child) for u, _, child in kids)
                 got = tuple(_label(child, u) for u, _, child in ordered)
@@ -151,15 +166,19 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
                         trip = f"child {shown} is not a k-triangulation at n={n}"
                     continue
                 masks.append(mask)
-                if trip is None:
+                if trip is None or labelled:
                     c = _corner(child, k)
-                    if _parent(child, k, c) != cols:
-                        trip = f"parent(child) != parent at n={n}"
-                    elif not c == u >= r:
-                        trip = f"child corner {c} != u={u} or < parent corner {r} at n={n}"
+                    up = _parent(child, k, c)
+                    if labelled:
+                        facts[mask] = child, c, _label(child, c), tuple(up)
+                    if trip is None:
+                        if up != cols:
+                            trip = f"parent(child) != parent at n={n}"
+                        elif not c == u >= r:
+                            trip = f"child corner {c} != u={u} or < parent corner {r} at n={n}"
                 if n < n_max:
                     grown.append((child, u))
-        out[n] = masks, trip, labels
+        out[n] = masks, trip, labels, facts
         level = grown
     return out
 
@@ -264,7 +283,7 @@ def _label_coherence(n_max: int, tree: Walk) -> Check:
     return ("label_coherence", True, f"2-triangulations up to n={n_max}")
 
 
-def _bijection(n_max: int, images: Images, pairs: Pairs) -> Check:
+def _bijection(n_max: int, masks: Masks, tree: Walk, images: Images, pairs: Pairs) -> Check:
     """The tree map and its inverse on every 2-triangulation, one tree step per object.
 
     :func:`ktri.bijection.to_paths_via_tree` climbs from a node to the root
@@ -274,31 +293,37 @@ def _bijection(n_max: int, images: Images, pairs: Pairs) -> Check:
     label of its parent (one :func:`_parent` step up) to its own label.
     Likewise :func:`ktri.bijection.from_paths` of a pair is one
     :func:`_child_by_label` step from the triangulation of its parent pair
-    (one :func:`_pair_up` step up).  Each level keeps, for the next, each
-    triangulation's image and label by its columns, and each pair's
-    triangulation as columns, corner and label.  A value is kept once it
-    matches the direct map, corner too, so it is what the per-object map
-    computes: the same kernels run on the same chain of labels, from the
-    tree's root and the root pair.  A parent missing from the level before
-    fails the check as a mismatch does; each kernel's own checks raise StructuralError.
+    (one :func:`_pair_up` step up).  A node's columns, corner, label and
+    parent step are the facts :func:`tree_walk` recorded for its mask; brute's
+    objects line up with their masks, as the brute lister decodes them from
+    ``masks`` in order, and a mask the walk did not certify has no tree map.
+    Each level keeps, for the next, each triangulation's image and label by
+    its columns, and each pair's triangulation as columns, corner and label.
+    A value is kept once it matches the direct map, corner too, so it is
+    what the per-object map computes: the same kernels run on the same chain
+    of labels, from the tree's root and the root pair.  A parent missing
+    from the level before fails the check as a mismatch does; each kernel's
+    own checks raise StructuralError.
     """
     root = ROOT_PAIR.p, ROOT_PAIR.q, ROOT_PAIR.s
     pentagon = _root(2)
     to_image: dict[tuple[tuple[int, ...], ...], tuple[Pair, TreeLabel]] = {}
     to_tri: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[Columns, int, TreeLabel]] = {}
     for n in range(5, n_max + 1):
+        facts = tree(n)[3]
         seen = set()
         next_image, next_tri = {}, {}
-        for tri, (p, q) in images(n):
-            cols = _columns(tri)
-            r = _corner(cols, 2)
-            label = _label(cols, r)
+        for mask, (tri, (p, q)) in zip(masks(n, 2), images(n)):
+            fact = facts.get(mask)
+            if fact is None:
+                return ("bijection", False, f"direct and tree maps differ on {tri.diagonals}")
+            cols, r, label, climb = fact
             pair = p, q, _split_index(p, q)  # _exponents has checked the pair
             target = _pair_label(*pair)
             image: Pair | None = root
             back: tuple[Columns, int] | None = pentagon
             if n > 5:
-                up = to_image.get(tuple(_parent(cols, 2, r)))
+                up = to_image.get(climb)
                 image = None if up is None else _pair_child_by_label(*up[0], up[1], label)
             if image is None or image[:2] != (p, q):
                 return ("bijection", False, f"direct and tree maps differ on {tri.diagonals}")
@@ -433,7 +458,7 @@ def run_verify(k: int, n_max: int) -> list[Check]:
     if k == 2:
         checks.append(_pair_round_trips(min(n_max - 4, 6), pairs))
         checks.append(_label_coherence(min(n_max, LABELS_N_MAX), tree))
-        checks.append(_bijection(min(n_max, 9), images, pairs))
+        checks.append(_bijection(min(n_max, LABELS_N_MAX), masks, tree, images, pairs))
         checks.append(_tie_breaks(min(n_max, 8), brute))
         checks.append(_column_identity(min(n_max, 9), images))
         checks.append(_k2_specialization(min(n_max, 8), brute))

@@ -73,7 +73,7 @@ def test_criterion_2_counting_k3():
 
 def test_criterion_3_bijection():
     with criterion(3, "bijection onto non-crossing pairs for n=5..9, inverse and tree map agree"):
-        holds(verify._bijection, 9, images, pairs)
+        holds(verify._bijection, 9, brute_masks, tree(2, 9), images, pairs)
 
 
 def test_criterion_4_worked_example():

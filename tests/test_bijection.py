@@ -7,11 +7,13 @@ import pytest
 from conftest import (
     EXAMPLE_14GON_P,
     EXAMPLE_14GON_Q,
+    brute_masks,
     example_14gon,
     holds,
     images,
     pairs,
     random_noncrossing_pair,
+    tree,
     triangulations,
 )
 from ktri import (
@@ -131,7 +133,7 @@ class TestToPaths:
 
 class TestTreeMapAgrees:
     def test_pointwise_small(self):
-        holds(verify._bijection, 9, images, pairs)
+        holds(verify._bijection, 9, brute_masks, tree(2, 9), images, pairs)
 
     def test_example_14gon(self):
         assert to_paths_via_tree(example_14gon()) == to_paths(example_14gon())
@@ -148,12 +150,12 @@ class TestTreeMapAgrees:
 class TestBijectivity:
     def test_images_cover_all_pairs(self):
         # the image of n = 5..9 is every non-crossing pair from enumerate_tuples
-        holds(verify._bijection, 9, images, pairs)
+        holds(verify._bijection, 9, brute_masks, tree(2, 9), images, pairs)
 
 
 class TestInverse:
     def test_round_trips(self):
-        holds(verify._bijection, 9, images, pairs)
+        holds(verify._bijection, 9, brute_masks, tree(2, 9), images, pairs)
 
     def test_examples(self):
         assert from_paths(DyckPath("NE"), DyckPath("NE")) == tree_root(2)

@@ -27,6 +27,7 @@ from ktri import (
     tree_root,
     verify,
 )
+from ktri.gentree2 import _label
 from ktri.gentree_k import (
     _cells,
     _check_staircase,
@@ -416,6 +417,23 @@ class TestEnumerateTree:
             assert leaves == brute_leaves, (k, n)
             for masks in (leaves, brute_leaves):
                 assert all(a > b for a, b in zip(masks, masks[1:])), (k, n)
+
+    def test_walk_facts_are_brute_objects_read_on_the_tree(self):
+        # verify's bijection reads each 2-triangulation's columns, corner, label and parent
+        # step off the walk, by mask; here they are read off brute's objects instead
+        walk = tree(2, 11)
+        for n in range(5, verify.LABELS_N_MAX + 1):
+            facts = walk(n)[3]
+            assert sorted(facts, reverse=True) == brute_masks(n, 2), n
+            for mask, tri in zip(brute_masks(n, 2), triangulations(n, 2)):
+                cols = _columns(tri)
+                r = _corner(cols, 2)
+                climb = tuple(_parent(cols, 2, r)) if n > 5 else ()  # the pentagon has no parent
+                assert facts[mask] == (cols, r, _label(cols, r), climb), tri.diagonals
+        # none past the labelled levels, and none at k >= 3
+        assert all(walk(n)[3] == {} for n in range(verify.LABELS_N_MAX + 1, 12))
+        for k, n_max in [(3, 10), (4, 12)]:
+            assert all(tree(k, n_max)(n)[3] == {} for n in range(2 * k + 1, n_max + 1)), k
 
     def test_rejects_k1(self):
         with pytest.raises(DomainError):

@@ -63,6 +63,7 @@ from ktri.polygon import (
     _finish,
     _level,
     _off_staircase,
+    _read_leaves,
     _steps,
 )
 
@@ -649,6 +650,16 @@ class TestEnumerateBrute:
             with pytest.raises(StructuralError) as caught:
                 _level(rng.sample(level + [repeat], len(level) + 1))
             assert str(caught.value) == f"leaf mask {repeat:#x} appears more than once"
+
+    def test_leaf_reader_matches_a_bit_by_bit_reference(self):
+        # item lists of length 0..13 and 42 (the cells of the k=2 12-gon), read at random
+        # masks, mask 0 and the all-ones mask: each mask's items at its set bits, high to low
+        rng = random.Random(6)
+        for size in [*range(14), 42]:
+            items = [f"c{j}" for j in range(size)]
+            masks = [0, (1 << size) - 1, *(rng.getrandbits(size) for _ in range(300))]
+            want = [[items[j] for j in reversed(range(size)) if mask >> j & 1] for mask in masks]
+            assert list(_read_leaves(items, masks)) == want, size
 
     def test_all_results_verified_distinct(self):
         tris = triangulations(7, 2)
