@@ -1,30 +1,24 @@
 """Runtime verification driver: each package invariant is stated once, here.
 
 Each check returns (name, passed, detail) and takes its ranges and, if it
-needs them, listers: the brute-force one ``(n, k) -> triangulations`` and
-its masks ``(n, k) -> masks`` over the level's cells as
-:func:`ktri.polygon._level` gives them (a repeat raised: brute is the
-oracle), the generating tree's levels ``n -> level`` (:func:`tree_walk`),
-the non-crossing tuples ``(m, k) -> tuples``, their k = 2 exponent pairs
-``m -> (p, q) pairs`` and the images of the direct map on exponent tuples
-``n -> (triangulation, (p, q)) pairs``.  The k = 2 pair checks compare
-exponent tuples throughout and build no path or pair object.
-:func:`run_verify` memoizes each lister for one run and grows the tree once
-per run, each level from the one before: the tree's checks
-(:func:`_counting`, :func:`_round_trips`, :func:`_label_coherence`) read
-what that walk recorded on masks, and an object is built only to name a
-failure.  :func:`_counting` alone compares a tree level with brute.  Brute
-levels stay masks too: the brute lister decodes its objects from them, so
-only at the levels a check reads as objects.  :func:`_bijection` reads the
-tree side of each 2-triangulation (columns, corner, label, parent step) off
-the walk by its mask and computes only the direct map from brute's objects.
-The CLI runs the checks at desk scale and the test suite drives them at
-larger ranges.
+needs them, the listers :func:`listers` makes for :func:`run_verify` and the
+tests alike: brute's masks ``(n, k)`` over the level's cells, sorted by
+:func:`ktri.polygon._level` (a repeat raised: brute is the oracle), its objects
+``(n, k)``, decoded from them only where a check reads objects, the
+non-crossing tuples ``(m, k)``, their k = 2 exponent pairs ``m``, sorted, and
+the direct map's images ``n -> (triangulation, (p, q))``.  A level of either
+tree has one form, a sorted list, compared with its listing once: a tree
+level by :func:`_counting`, a grown pair level by :func:`_pair_round_trips`
+and an image level by :func:`_bijection`.  :func:`run_verify` grows the tree
+once per run (:func:`tree_walk`), each level from the one before.  The tree's
+checks read what the walk recorded on masks, building an object only to name a
+failure, and :func:`_bijection` reads each 2-triangulation's tree side (columns,
+corner, label, parent step) off it by mask.  The pair checks build no path or
+pair object.  The CLI runs the checks at desk scale, the tests at larger ranges.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Callable, Sequence
 from functools import lru_cache
 from itertools import combinations
@@ -129,9 +123,8 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
     cell off the staircase or repeated is a fault of the tree, not of input.
     At k = 2 up to the ``LABELS_N_MAX``-gon, the range :func:`_bijection`
     reads, the parent step runs for every certified child, not only until
-    the first fault, and the child's facts are recorded by its mask: its
-    columns, its corner c, its label at c (not at u, which a faulty tree may
-    set apart from c) and the columns its parent step gave.
+    the first fault, and the child's :data:`Fact` is recorded by its mask,
+    its label read at c, not at u, which a faulty tree may set apart from c.
     """
     _level_size(n_max, k)  # the tree lister's guards, which bound every level below too
     level = [_root(k)]
@@ -243,7 +236,7 @@ def _pair_round_trips(m_max: int, pairs: Pairs) -> Check:
 
     A child's split index is computed afresh (:func:`_split_index`), its
     parent step must give back the node, split index included, and the
-    level's pairs must be distinct and equal the listing's.
+    level's pairs, sorted, must be the listing's (one comparison) and number det.
     """
     level: list[Pair] = [(ROOT_PAIR.p, ROOT_PAIR.q, ROOT_PAIR.s)]
     for m in range(1, m_max):
@@ -257,10 +250,7 @@ def _pair_round_trips(m_max: int, pairs: Pairs) -> Check:
                     detail = f"split index {child[2]} != t+1={t + 1} or > s+1={node[2] + 1}"
                     return ("pair_round_trips", False, f"{detail} at m={m + 1}")
                 produced.append(child)
-        seen = Counter(child[:2] for child in produced)
-        if any(c > 1 for c in seen.values()):
-            return ("pair_round_trips", False, f"duplicate pair child at m={m + 1}")
-        if seen.keys() != set(pairs(m + 1)):
+        if sorted(child[:2] for child in produced) != pairs(m + 1):
             return ("pair_round_trips", False, f"level m={m + 1} is not all non-crossing pairs")
         expected = catalan_determinant(m + 5, 2)
         if len(produced) != expected:
@@ -303,7 +293,8 @@ def _bijection(n_max: int, masks: Masks, tree: Walk, images: Images, pairs: Pair
     what the per-object map computes: the same kernels run on the same chain
     of labels, from the tree's root and the root pair.  A parent missing
     from the level before fails the check as a mismatch does; each kernel's
-    own checks raise StructuralError.
+    own checks raise StructuralError.  A level's images, sorted, are compared
+    with the pair listing once.
     """
     root = ROOT_PAIR.p, ROOT_PAIR.q, ROOT_PAIR.s
     pentagon = _root(2)
@@ -311,7 +302,7 @@ def _bijection(n_max: int, masks: Masks, tree: Walk, images: Images, pairs: Pair
     to_tri: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[Columns, int, TreeLabel]] = {}
     for n in range(5, n_max + 1):
         facts = tree(n)[3]
-        seen = set()
+        seen = []
         next_image, next_tri = {}, {}
         for mask, (tri, (p, q)) in zip(masks(n, 2), images(n)):
             fact = facts.get(mask)
@@ -335,8 +326,8 @@ def _bijection(n_max: int, masks: Masks, tree: Walk, images: Images, pairs: Pair
             if n < n_max:  # the last level is no parent level
                 next_image[tuple(cols)] = image, label
                 next_tri[p, q] = cols, r, target
-            seen.add((p, q))
-        if seen != set(pairs(n - 4)):
+            seen.append((p, q))
+        if sorted(seen) != pairs(n - 4):
             return ("bijection", False, f"image at n={n} is not all non-crossing pairs")
         to_image, to_tri = next_image, next_tri
     return ("bijection", True, f"n<={n_max}")
@@ -412,20 +403,11 @@ def _k2_specialization(n_max: int, brute: Lister) -> Check:
     return ("k2_specialization", True, f"n<={n_max}")
 
 
-def run_verify(k: int, n_max: int) -> list[Check]:
-    _require_int(k=k, n_max=n_max)
-    if k < 1 or n_max < 2 * k + 1:
-        got = f"k={_decimal(k)}, n_max={_decimal(n_max)}"
-        raise DomainError(f"verify needs k >= 1 and n_max >= 2k+1, got {got}")
-    # _counting counts, then lists, each level in turn: its guards, applied to every
-    # level first, refuse the range at once with the error that the checks would raise.
-    # They bound the tuple listings too: each is tuples(m, kk) with kk <= k and m+2k <= n_max,
-    # and repeating the last path maps it into tuples(m, k), the (m+2k)-gon's objects; m = 1
-    # gives one tuple, which the m*k guard refuses first whenever the limit is below 1.
-    for n in range(2 * k + 1, n_max + 1):
-        catalan_determinant(n, k)
-        _brute_guard(PolygonContext(n, k))
+def listers() -> tuple[Masks, Lister, Tuples, Pairs, Images]:
+    """Fresh memoized ``masks, brute, tuples, pairs, images``, as the module docstring has them.
 
+    Each reads this module's names when first called for its arguments and keeps that list.
+    """
     @lru_cache(maxsize=None)
     def masks(n: int, kk: int) -> list[int]:
         return _brute_masks(PolygonContext(n, kk))
@@ -441,12 +423,30 @@ def run_verify(k: int, n_max: int) -> list[Check]:
     @lru_cache(maxsize=None)
     def pairs(m: int) -> list[Exponents]:
         # each tuple's constructor has checked that its upper path never goes below the lower
-        return [(p.exponents(), q.exponents()) for p, q in (t.paths for t in tuples(m, 2))]
+        return sorted((p.exponents(), q.exponents()) for p, q in (t.paths for t in tuples(m, 2)))
 
     @lru_cache(maxsize=None)
     def images(n: int) -> list[tuple[KTriangulation, Exponents]]:
         return [(tri, _exponents(tri)) for tri in brute(n, 2)]
 
+    return masks, brute, tuples, pairs, images
+
+
+def run_verify(k: int, n_max: int) -> list[Check]:
+    _require_int(k=k, n_max=n_max)
+    if k < 1 or n_max < 2 * k + 1:
+        got = f"k={_decimal(k)}, n_max={_decimal(n_max)}"
+        raise DomainError(f"verify needs k >= 1 and n_max >= 2k+1, got {got}")
+    # _counting counts, then lists, each level in turn: its guards, applied to every
+    # level first, refuse the range at once with the error that the checks would raise.
+    # They bound the tuple listings too: each is tuples(m, kk) with kk <= k and m+2k <= n_max,
+    # and repeating the last path maps it into tuples(m, k), the (m+2k)-gon's objects; m = 1
+    # gives one tuple, which the m*k guard refuses first whenever the limit is below 1.
+    for n in range(2 * k + 1, n_max + 1):
+        catalan_determinant(n, k)
+        _brute_guard(PolygonContext(n, k))
+
+    masks, brute, tuples, pairs, images = listers()
     tree = tree_walk(k, n_max).__getitem__ if k >= 2 else None
     checks: list[Check] = []
     checks.append(_counting(k, n_max, masks, tree))

@@ -1,19 +1,10 @@
-"""Shared fixtures: cached listings and tree walks, verify checks, random and ranked pairs, 14-gon."""
+"""Shared fixtures: verify's listers and tree walks, its checks, random and ranked pairs, 14-gon."""
 
 from functools import lru_cache
 from math import comb
 
-from ktri import (
-    DyckPath,
-    KTriangulation,
-    PolygonContext,
-    dominates,
-    enumerate_brute,
-    enumerate_tuples,
-)
-from ktri.bijection import _exponents
-from ktri.polygon import _brute_masks
-from ktri.verify import tree_walk
+from ktri import DyckPath, KTriangulation, PolygonContext, dominates
+from ktri.verify import listers, tree_walk
 
 # The 14-gon example used throughout: an 18-diagonal 2-triangulation with
 # corner 10, label (1,2,4), and column counts (1,0,3,0,2,3,0,1,2,4,2).
@@ -54,19 +45,11 @@ def example_14gon() -> KTriangulation:
     return KTriangulation(PolygonContext(14, 2), EXAMPLE_14GON)
 
 
-@lru_cache(maxsize=None)
-def triangulations(n: int, k: int) -> tuple[KTriangulation, ...]:
-    """All k-triangulations of the n-gon by brute force, cached per session."""
-    return tuple(enumerate_brute(PolygonContext(n, k)))
-
-
-@lru_cache(maxsize=None)
-def brute_masks(n: int, k: int):
-    """The k-triangulations of the n-gon as masks over the level's cells, descending, cached.
-
-    The list :func:`ktri.verify.run_verify` gives its checks, as the lister returns it.
-    """
-    return _brute_masks(PolygonContext(n, k))
+# verify's own listers, memoized for the session: the k-triangulations of the n-gon as brute's
+# sorted masks and as objects, the non-crossing tuples, their sorted exponent pairs and the
+# direct map's images.  They read ktri.verify's names when first called and keep what they
+# list, so no test calls them under a patch of those names or changes a list they return.
+brute_masks, triangulations, tuples, pairs, images = listers()
 
 
 @lru_cache(maxsize=None)
@@ -76,24 +59,6 @@ def tree(k: int, n_max: int):
     None at k = 1, which has no tree, as :func:`ktri.verify.run_verify` passes it.
     """
     return tree_walk(k, n_max).__getitem__ if k >= 2 else None
-
-
-@lru_cache(maxsize=None)
-def tuples(m: int, k: int):
-    """All non-crossing k-tuples of semilength-m Dyck paths, cached per session."""
-    return tuple(enumerate_tuples(m, k))
-
-
-@lru_cache(maxsize=None)
-def pairs(m: int):
-    """The exponent pairs (p, q) of the non-crossing pairs of semilength m, cached per session."""
-    return tuple((p.exponents(), q.exponents()) for p, q in (t.paths for t in tuples(m, 2)))
-
-
-@lru_cache(maxsize=None)
-def images(n: int):
-    """Each 2-triangulation of the n-gon with its exponent pair under the direct map, cached."""
-    return tuple((tri, _exponents(tri)) for tri in triangulations(n, 2))
 
 
 @lru_cache(maxsize=None)

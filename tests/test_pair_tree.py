@@ -23,6 +23,7 @@ from ktri import (
     StructuralError,
     all_paths,
     dominates,
+    enumerate_tuples,
     pair_child_by_label,
     pair_children,
     pair_label,
@@ -177,6 +178,14 @@ class TestPairChildren:
         # semilength 2..7: parent round trip, child.s == t + 1 <= s + 1, and
         # each level is exactly the non-crossing pairs
         holds(verify._pair_round_trips, 7, pairs)
+
+    def test_verify_lists_each_pair_level_strictly_ascending(self):
+        # the one form of a pair level, from verify's own lister: all its exponent pairs, sorted
+        for m in range(1, 7):
+            level = pairs(m)
+            assert all(a < b for a, b in zip(level, level[1:])), m
+            every = [t.paths for t in enumerate_tuples(m, 2)]
+            assert set(level) == {(p.exponents(), q.exponents()) for p, q in every}, m
 
     def test_sibling_labels_distinct(self):
         for m in range(1, 6):
