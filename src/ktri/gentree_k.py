@@ -17,15 +17,17 @@ parent, a child, the end of a descent, a line of the ``tree`` dump) on all
 of them, then checks for repeats and runs no crossing search
 (:func:`_triangulation`).  The tree is walked depth first on (columns,
 corner) pairs by :func:`_nodes`, a child carrying its u as its corner:
-:func:`_tree_masks` reads each node of the last level as its mask over
-the level's cells (:func:`_leaf_mask`), checks the level's count and ends
-in :func:`ktri.polygon._level`, :func:`enumerate_tree` decodes the masks
-into objects, the CLI prints from them, and :func:`count_tree` builds
-none.  The child invariant (maximal, corner u, parent round trip) is
-stated once, in :func:`ktri.verify.tree_walk`, which grows the tree a
-level at a time, each level once per ``verify`` run, with the same
-:func:`_children` from the same root (:func:`_root`), and reads each
-child's mask with the same helper.
+:func:`_tree_masks` reads the last level's masks over the level's cells
+off the nodes of the level before, growing none (:func:`_child_masks`),
+checks the level's count and ends in :func:`ktri.polygon._level`,
+:func:`enumerate_tree` decodes the masks into objects, the CLI prints from
+them, and :func:`count_tree` builds none.  The child invariant (maximal,
+corner u, parent round trip) is stated once, in
+:func:`ktri.verify.tree_walk`, which grows the tree a level at a time, each
+level once per ``verify`` run, with the same :func:`_children` from the
+same root (:func:`_root`), and reads each grown child's mask
+(:func:`_leaf_mask`), as does the tree lister where it grows a node's
+children.
 :func:`_children` is the one child lister.  For k = 2 this is the
 2-triangulation tree; :mod:`ktri.gentree2` adds its labels, the (u, i)
 numbering of the children and the descent by label, on columns.
@@ -103,8 +105,9 @@ def _leaf_mask(cols: Columns, rows: RowBits, size: int) -> int | None:
     The mask is the sum of the cells' bits; a cell off the staircase has none
     (a KeyError).  It is returned once the cells number ``size`` and set as
     many bits, so they are ``size`` distinct staircase cells: what the
-    constructor checks but its crossing search.  :func:`_tree_masks` and
-    :func:`ktri.verify.tree_walk` read each leaf this way.
+    constructor checks but its crossing search.  :func:`ktri.verify.tree_walk`
+    reads each child it grows this way, and :func:`_tree_masks` each leaf it
+    grows, where :func:`_child_masks` refuses the leaf's parent.
     """
     out = 0
     try:
@@ -398,6 +401,57 @@ def _child_count(cols: Columns, k: int, r: int) -> int:
     return sum(_choice_count(_row_options(cols, k, u)) for u in range(r, len(cols) - k))
 
 
+def _child_masks(cols: Columns, k: int, r: int, rows: RowBits, size: int) -> list[int] | None:
+    """The masks of the children of the node (``cols``, r), in :func:`_children` order, none grown.
+
+    ``rows`` and ``size`` are the children's level's table and size, as for
+    :func:`_leaf_mask`.  The child (u, b_1..b_{k-1}) keeps the node's columns
+    0..u in place, moves those from u+k on one column right and adds the
+    corner (u, u+k+1); :func:`_grow` splits each column u+i, i < k, at
+    ``bisect_left`` of b_i, moving the rows before the cut right with the
+    cross (b_i, u+i+1), or puts the cross (i, u+i) first at the low u.  So one
+    pass over the node's cells gives, per column, its bits in place, moved,
+    and by row position what moving its first rows adds; a child's mask is a
+    head of in-place sums, a tail of moved sums, the corner's bit and one term
+    per b_i.  None unless every lookup succeeds, the node's cells number
+    size - k and each mask sets size bits: then each mask is the grown child's
+    :func:`_leaf_mask`, as the pass looks up each of its cells.
+    """
+    n = len(cols)  # the children's polygon
+    if sum(map(len, cols)) + k != size:
+        return None
+    try:
+        here = [sum(map(row.__getitem__, col)) for row, col in zip(rows, cols)]
+        head = [*accumulate(here)]  # head[u]: the columns 0..u in place
+        right = [sum(map(rows[b + 1].__getitem__, cols[b])) for b in range(n - 1, r + k - 1, -1)]
+        tail = [*accumulate(right)][::-1]  # tail[u - r]: the columns from u+k on, moved
+        moved = {
+            c: [*accumulate((rows[c + 1][a] - rows[c][a] for a in cols[c]), initial=0)]
+            for c in range(r + 1, n - 1)
+        }
+        out: list[int] = []
+        for u in range(r, n - k):
+            low = u == n - 1 - k
+            add = head[u] + tail[u - r] + rows[u + k + 1][u]
+            for i, option in enumerate(_row_options(cols, k, u), start=1):
+                c = u + i
+                col, gain, whole = cols[c], moved[c], here[c] + add
+                terms = [
+                    rows[c][i] + whole
+                    if low and b == i
+                    else whole + gain[bisect_left(col, b)] + rows[c + 1][b]
+                    for b in option
+                ]
+                if i == 1:
+                    choices, add = [*zip(option, terms)], 0
+                else:  # b_i > b_{i-1}, in the order of _row_choices
+                    choices = [(b, s + t) for last, s in choices for b, t in zip(option, terms) if last < b]
+            out += [s for _, s in choices]
+    except KeyError:
+        return None
+    return out if {*map(int.bit_count, out)} == {size} else None
+
+
 def children_k(tri: KTriangulation) -> tuple[tuple[GrowthChoiceK, KTriangulation], ...]:
     """All children of a k-triangulation, ordered by (u asc, rows lex asc): :func:`_children`.
 
@@ -459,23 +513,33 @@ def _nodes(n: int, k: int) -> Iterable[tuple[Columns, int]]:
 def _tree_masks(n: int, k: int) -> list[int]:
     """The n-gon's nodes as masks on the level's table, as :func:`ktri.polygon._level`.
 
-    Each node of :func:`_nodes` becomes its mask (:func:`_leaf_mask`), kept
-    once it is k(n-2k-1) distinct staircase cells.  On a fault,
-    :func:`_triangulation` raises its text, as it does on the sorted columns
-    :func:`_grow` keeps; columns out of order are named otherwise.  Their
-    number must be the count, the level's one check.
+    Each node of the (n-1)-gon (:func:`_nodes`) gives its children's masks
+    without growing them (:func:`_child_masks`).  Where that pass refuses a
+    node, its children are grown (:func:`_children`) and each read as its
+    mask (:func:`_leaf_mask`), kept once it is k(n-2k-1) distinct staircase
+    cells; on a fault, :func:`_triangulation` raises its text, as it does on
+    the sorted columns :func:`_grow` keeps, and columns out of order are
+    named otherwise.  The masks' number must be the count, the level's one
+    check.
     """
     expected = _level_size(n, k)
     ctx = PolygonContext(n, k)
     rows, size = _row_bits(_cell_bits(ctx), n), ctx.diagonal_count
-    leaves = []
-    for cols, _ in _nodes(n, k):
-        mask = _leaf_mask(cols, rows, size)
-        if mask is None:
-            _triangulation(ctx, cols)
-            b, col = next((b, col) for b, col in enumerate(cols) if list(col) != sorted(col))
-            raise StructuralError(f"column {b} rows {col} are out of order")
-        leaves.append(mask)
+    leaves = [0]  # the root: the empty (2k+1)-gon
+    if n > 2 * k + 1:
+        leaves = []
+        for node, r in _nodes(n - 1, k):
+            masks = _child_masks(node, k, r, rows, size)
+            if masks is None:
+                masks = []
+                for _, _, cols in _children(node, k, r):
+                    mask = _leaf_mask(cols, rows, size)
+                    if mask is None:
+                        _triangulation(ctx, cols)
+                        b, col = next((b, col) for b, col in enumerate(cols) if list(col) != sorted(col))
+                        raise StructuralError(f"column {b} rows {col} are out of order")
+                    masks.append(mask)
+            leaves += masks
     if len(leaves) != expected:
         raise StructuralError(f"tree level has {len(leaves)} children; expected {expected}")
     return _level(leaves)

@@ -124,7 +124,8 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
     At k = 2 up to the ``LABELS_N_MAX``-gon, the range :func:`_bijection`
     reads, the parent step runs for every certified child, not only until
     the first fault, and the child's :data:`Fact` is recorded by its mask,
-    its label read at c, not at u, which a faulty tree may set apart from c.
+    its label read at c: the one read at u for the rule where c == u, read
+    again where a faulty tree sets c apart from u.
     """
     _level_size(n_max, k)  # the tree lister's guards, which bound every level below too
     level = [_root(k)]
@@ -144,14 +145,15 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
         for cols, r in level:
             p = _corner(cols, k)
             kids = _children(cols, k, p)
-            if labelled and labels is None:
-                expected = label_children(_label(cols, p))
-                ordered = _by_split((u, child) for u, _, child in kids)
-                got = tuple(_label(child, u) for u, _, child in ordered)
-                if got != expected or len(set(got)) != len(got):
-                    what = "labels differ" if got != expected else "sibling labels repeat"
-                    labels = f"{what} below {tuple(sorted(_cells(cols)))}"
-            for u, _, child in kids:
+            if labelled:  # each child's label, read once at u, takes the place of its rows
+                kids = [(u, _label(child, u), child) for u, _, child in kids]
+                if labels is None:
+                    expected = label_children(_label(cols, p))
+                    got = tuple(label for _, _, label in _by_split((u, label) for u, label, _ in kids))
+                    if got != expected or len(set(got)) != len(got):
+                        what = "labels differ" if got != expected else "sibling labels repeat"
+                        labels = f"{what} below {tuple(sorted(_cells(cols)))}"
+            for u, label, child in kids:
                 mask = _leaf_mask(child, rows, size)
                 if mask is None or not _crossing_free(mask, hits, every):
                     if trip is None:
@@ -163,7 +165,7 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
                     c = _corner(child, k)
                     up = _parent(child, k, c)
                     if labelled:
-                        facts[mask] = child, c, _label(child, c), tuple(up)
+                        facts[mask] = child, c, label if c == u else _label(child, c), tuple(up)
                     if trip is None:
                         if up != cols:
                             trip = f"parent(child) != parent at n={n}"

@@ -181,6 +181,7 @@ class TestEnumerate:
             return masks[0]
 
         monkeypatch.setattr("ktri.gentree_k._leaf_mask", first)
+        monkeypatch.setattr("ktri.gentree_k._child_masks", lambda *args: None)  # leaves are grown
         code, out, err = run(capsys, "enumerate", "--method", "tree", "--k", "2", "--n", "6")
         assert (code, out) == (1, "")
         assert re.fullmatch(r"error: leaf mask 0x[0-9a-f]+ appears more than once\n", err)

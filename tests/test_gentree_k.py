@@ -32,6 +32,7 @@ from ktri.gentree_k import (
     _cells,
     _check_staircase,
     _child_count,
+    _child_masks,
     _children,
     _choice_count,
     _columns,
@@ -467,13 +468,9 @@ class TestEnumerateTree:
         ids=["surplus", "repeated-at-the-count"],
     )
     def test_one_level_check(self, monkeypatch, corrupt, error):
-        # the leaves, the children of the three 6-gon nodes, are counted, and a
-        # repeat that keeps the count of 14 is refused where they are sorted
-        def children(cols, k, r):
-            kids = _children(cols, k, r)
-            return corrupt(kids) if len(cols) == 7 else kids
-
-        monkeypatch.setattr("ktri.gentree_k._children", children)
+        # the leaves, the children's masks read off the three 6-gon nodes, are counted,
+        # and a repeat that keeps the count of 14 is refused where they are sorted
+        monkeypatch.setattr("ktri.gentree_k._child_masks", lambda *args: corrupt(_child_masks(*args)))
         with pytest.raises(StructuralError, match=error):
             enumerate_tree(7, 2)
 
@@ -518,6 +515,7 @@ class TestEnumerateTree:
             return [(u, rows, corrupt(child)) for u, rows, child in kids]
 
         monkeypatch.setattr("ktri.gentree_k._children", children)
+        monkeypatch.setattr("ktri.gentree_k._child_masks", lambda *args: None)  # leaves are grown
         with pytest.raises(StructuralError, match=error):
             enumerate_tree(8, 2)
 
@@ -549,20 +547,57 @@ class TestEnumerateTree:
             ]
 
         monkeypatch.setattr("ktri.gentree_k._children", children)
+        monkeypatch.setattr("ktri.gentree_k._child_masks", lambda *args: None)  # leaves are grown
         with pytest.raises(StructuralError, match=error):
             enumerate_tree(8, 2)
+
+    @pytest.mark.parametrize(
+        "corrupt, error",
+        [
+            (lambda col: (0,) + col[1:], r"^column 6 rows \(0, 2\) leave the staircase of the 8-gon$"),
+            (lambda col: col[:1] + col[:-1], r"^cross \(1, 6\) appears more than once$"),
+        ],
+        ids=["row-zero", "repeated-row"],
+    )
+    def test_a_faulty_node_is_grown_and_its_leaf_named(self, monkeypatch, corrupt, error):
+        # each 7-gon node gets its first column of most rows corrupted: it gives no
+        # masks, so its children are grown and the first faulty one named, as a leaf
+        def node(cols):
+            b = max(range(len(cols)), key=lambda b: (len(cols[b]), -b))
+            return cols[:b] + [corrupt(cols[b])] + cols[b + 1 :]
+
+        nodes = [(node(cols), r) for cols, r in _nodes(7, 2)]
+        refused = []
+
+        def child_masks(*args):
+            masks = _child_masks(*args)
+            refused.append(masks is None)
+            return masks
+
+        monkeypatch.setattr("ktri.gentree_k._nodes", lambda n, k: nodes)
+        monkeypatch.setattr("ktri.gentree_k._child_masks", child_masks)
+        with pytest.raises(StructuralError, match=error):
+            enumerate_tree(8, 2)
+        assert refused == [True]
 
 
 class TestLeafMask:
     @pytest.mark.parametrize("k,n_hi", [(2, 10), (3, 11), (4, 12)])
     def test_agrees_with_the_cell_lookups(self, k, n_hi):
-        # the shared helper against the leaf's cells looked up one by one in the
-        # level's table, on every node of the levels the round trips reach
+        # the helper against the leaf's cells looked up one by one in the level's
+        # table, on every node of the levels the round trips reach; and the tree
+        # lister's masks of each node's children, none grown, against the helper on
+        # each child grown, in order
+        nodes = []
         for n in range(2 * k + 1, n_hi + 1):
             ctx = PolygonContext(n, k)
             bits = _cell_bits(ctx)
             rows, size = _row_bits(bits, n), ctx.diagonal_count
-            for cols, _ in _nodes(n, k):
+            for cols, r in nodes:
+                kids = [_leaf_mask(child, rows, size) for _, _, child in _children(cols, k, r)]
+                assert _child_masks(cols, k, r, rows, size) == kids
+            nodes = list(_nodes(n, k))
+            for cols, _ in nodes:
                 assert _leaf_mask(cols, rows, size) == sum(bits[c] for c in _cells(cols))
 
     @staticmethod
