@@ -38,6 +38,11 @@ The brute-force lister's :func:`_search` decides each cell by a few mask
 operations over that list, and :func:`ktri.verify.tree_walk` certifies
 each child's mask of cells on it by a cover (:func:`_crossing_free`): the
 cells outside the mask meet every crossing.
+
+The structure lemmas are stated once per object, on its diagonals
+(:func:`check_structure_lemmas`).  That function is the oracle of their fast
+path on a level's masks (:func:`_lemma_faults`), which ORs a per-cell bit
+table over each mask's cells and returns the first mask that fails.
 """
 
 from __future__ import annotations
@@ -593,6 +598,11 @@ def check_structure_lemmas(obj) -> StructureReport:
     ones.  Both speak only of vertices of degree 0: missing_short_support
     can fail at a only if a+1 or a+2 is one, so it tests the a next to
     them, in increasing order, and isolated_vertex_closure tests them alone.
+    A chord is named as the cell it is, (a, a+3) wrapped.
+
+    The oracle of :func:`_lemma_faults`, which decides the same on a level's
+    masks by one bit table and names no failure; :func:`ktri.verify` runs
+    that and builds the report of the first object it flags.
     """
     ctx: PolygonContext = obj.ctx
     n, k = ctx.n, ctx.k
@@ -625,12 +635,13 @@ def check_structure_lemmas(obj) -> StructureReport:
 
         fails = []
         for a in sorted({(v - d - 1) % n + 1 for v in isolated for d in (1, 2)}):
-            if _wrap_chord(a, a + 3, n) in members:
+            x, y = _wrap_chord(a, a + 3, n)
+            if (x, y) in members:
                 continue
             for v in (a + 1, a + 2):
                 v = (v - 1) % n + 1
                 if degrees[v] == 0:
-                    fails.append(f"({a},{a + 3}) absent but vertex {v} has degree 0")
+                    fails.append(f"({x},{y}) absent but vertex {v} has degree 0")
         checks.append(LemmaCheck("missing_short_support", not fails, tuple(fails)))
 
         fails = []
@@ -641,3 +652,51 @@ def check_structure_lemmas(obj) -> StructureReport:
         checks.append(LemmaCheck("isolated_vertex_closure", not fails, tuple(fails)))
 
     return StructureReport(tuple(checks))
+
+
+def _lemma_faults(ctx: PolygonContext, masks: Iterable[int]) -> int | None:
+    """The position of the first mask of ``masks`` that fails a structure lemma, or None.
+
+    The fast path of :func:`check_structure_lemmas`, its oracle, on masks
+    over the level's cells (:func:`_cell_bits`).  Each cell gets one packed
+    entry: the cells it supports under neighbor_extension, (a, b+1) and the
+    (a', b) with a' < a; then the vertices v for which, as the chord
+    (v-1, v+2) or (v-2, v+1) (labels mod n), it is one of the two chords an
+    isolated v needs; then its two vertices.  A mask ORs its cells' entries,
+    six bits at a time from tables of the 64 ORs of six entries, built once,
+    as :func:`_read_leaves` reads its items.  It passes iff its cells of
+    b-a >= k+2 are supported and, at k = 2 and n >= 6, each vertex of none
+    of its cells has both chords: missing_short_support and
+    isolated_vertex_closure both fail exactly where one does not.
+    short_diagonal_reach needs no test of its own.  Where neighbor_extension
+    holds, the supports from (a, b) lead to ever shorter cells in rows
+    a..b-k-1 and end at a short one.  So a mask that fails it fails
+    neighbor_extension too.  The tables cost O(cells n) per call, a mask
+    O(cells / 6).
+    """
+    bits = _cell_bits(ctx)
+    n, k, m = ctx.n, ctx.k, len(bits)
+    entries = []
+    for a, b in bits:
+        support = bits.get((a, b + 1), 0) | sum(bits[x, b] for x in range(1, a) if (x, b) in bits)
+        needed = 0  # the chord (i, i+3) is needed by i+1 (bit i) and by i+2 (bit n + i+1)
+        for i in (a, b) if k == 2 else ():
+            if _wrap_chord(i, i + 3, n) == (a, b):
+                needed |= 1 << i % n | 1 << n + (i + 1) % n
+        entries.append(support | needed << m | (1 << a - 1 | 1 << b - 1) << m + 2 * n)
+    tables = []
+    for lo in range(0, m, 6):
+        table = [0]
+        for entry in entries[lo : lo + 6]:  # table[x] ORs the entries at x's bits
+            table += [t | entry for t in table]
+        tables.append((lo, table))
+    applicable = sum(bit for (a, b), bit in bits.items() if b - a >= k + 2)
+    every = (1 << n) - 1 if k == 2 and n >= 6 else 0  # the vertices the k = 2 lemmas speak of
+    for position, mask in enumerate(masks):
+        held = 0
+        for lo, table in tables:
+            held |= table[mask >> lo & 63]
+        isolated = every & ~(held >> m + 2 * n)
+        if (mask & applicable | (isolated | isolated << n) << m) & ~held:
+            return position
+    return None

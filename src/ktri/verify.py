@@ -14,7 +14,12 @@ once per run (:func:`tree_walk`), each level from the one before.  The tree's
 checks read what the walk recorded on masks, building an object only to name a
 failure, and :func:`_bijection` reads each 2-triangulation's tree side (columns,
 corner, label, parent step) off it by mask.  The pair checks build no path or
-pair object.  The CLI runs the checks at desk scale, the tests at larger ranges.
+pair object.  A run decodes brute's objects only at k = 2, up to the 9-gon, for
+the checks that read whole objects: the direct map of :func:`_bijection`,
+:func:`_column_identity`, :func:`_tie_breaks` and :func:`_k2_specialization`.
+:func:`_lemmas` reads masks and decodes only an object it names, so a k >= 3
+run decodes none.  The CLI runs the checks at desk scale, the tests at larger
+ranges.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from .polygon import (
     _crossing_free,
     _crossing_hits,
     _finish,
+    _lemma_faults,
     check_structure_lemmas,
     degree,
     is_t_crossing,
@@ -345,12 +351,21 @@ def _tie_breaks(n_max: int, brute: Lister) -> Check:
     return ("tie_breaks", True, f"n<={n_max}")
 
 
-def _lemmas(k: int, n_max: int, brute: Lister) -> Check:
+def _lemmas(k: int, n_max: int, masks: Masks, brute: Lister) -> Check:
+    """The structure lemmas on each level's masks, by the bit table (:func:`_lemma_faults`).
+
+    Only the first object it flags is decoded, and its failure named by the
+    oracle, :func:`check_structure_lemmas`, which must fail it too.
+    """
     for n in range(2 * k + 1, n_max + 1):
-        for tri in brute(n, k):
+        flagged = _lemma_faults(PolygonContext(n, k), masks(n, k))
+        if flagged is not None:
+            tri = brute(n, k)[flagged]
             report = check_structure_lemmas(tri)
-            if not report.ok:
-                return ("structure_lemmas", False, f"{report.failures()[0]} on {tri.diagonals}")
+            if report.ok:
+                detail = f"the bit table fails {tri.diagonals}, which check_structure_lemmas passes"
+                return ("structure_lemmas", False, detail)
+            return ("structure_lemmas", False, f"{report.failures()[0]} on {tri.diagonals}")
     return ("structure_lemmas", True, f"k={k}, n<={n_max}")
 
 
@@ -456,7 +471,7 @@ def run_verify(k: int, n_max: int) -> list[Check]:
     checks.append(_crossing_criterion(n_max))
     if k >= 2:
         checks.append(_round_trips(k, n_max, tree))
-    checks.append(_lemmas(k, min(n_max, 2 * k + 5), brute))
+    checks.append(_lemmas(k, min(n_max, 2 * k + 5), masks, brute))
     if k == 2:
         checks.append(_pair_round_trips(min(n_max - 4, 6), pairs))
         checks.append(_label_coherence(min(n_max, LABELS_N_MAX), tree))

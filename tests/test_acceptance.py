@@ -136,9 +136,9 @@ def test_criterion_7_lemma_suite():
         "structure lemmas on all objects (k=2 n<=9, k=3 n<=10, k=4 n<=11), "
         "column identity (n<=9), and tie-break independence (n<=8)",
     ):
-        holds(verify._lemmas, 2, 9, triangulations)
-        holds(verify._lemmas, 3, 10, triangulations)
-        holds(verify._lemmas, 4, 11, triangulations)
+        holds(verify._lemmas, 2, 9, brute_masks, triangulations)
+        holds(verify._lemmas, 3, 10, brute_masks, triangulations)
+        holds(verify._lemmas, 4, 11, brute_masks, triangulations)
         holds(verify._column_identity, 9, images)
         holds(verify._tie_breaks, 8, triangulations)
 

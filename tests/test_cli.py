@@ -35,7 +35,7 @@ from ktri.gentree2 import _by_split, _pair_kids, label_children
 from ktri.gentree_k import _children, _leaf_mask, _parent, _root
 from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
-from ktri.polygon import _brute_masks, _finish, _search
+from ktri.polygon import _brute_masks, _finish, _lemma_faults, _search
 from ktri.verify import run_verify
 
 HEX_FILE = "k=2 n=6\n1-4,3-6\n"
@@ -549,7 +549,8 @@ class TestVerifyAndRender:
     def test_verify_decodes_brute_objects_only_where_a_check_reads_them(
         self, monkeypatch, brute_calls
     ):
-        # the checks that read objects stop at the 9-gon; the 10- and 11-gons stay masks
+        # the checks that read objects stop at the 9-gon; the 10- and 11-gons stay masks,
+        # and at k = 3 no check reads an object
         decoded = Counter()
 
         def counted(ctx, leaves):
@@ -560,6 +561,10 @@ class TestVerifyAndRender:
         assert all(passed for _, passed, _ in run_verify(2, 11))
         assert brute_calls == {(n, 2): 1 for n in range(5, 12)}
         assert decoded == {(n, 2): 1 for n in range(5, 10)}
+        brute_calls.clear()
+        decoded.clear()
+        assert all(passed for _, passed, _ in run_verify(3, 11))
+        assert brute_calls == {(n, 3): 1 for n in range(7, 12)} and not decoded
 
     def test_verify_lists_again_on_the_next_run(self, brute_calls):
         run_verify(2, 8)
@@ -743,12 +748,6 @@ class TestVerifyAndRender:
                 "FAIL tie_breaks: counts depend on tie-break for ()",
             ),
             (
-                "check_structure_lemmas",
-                lambda tri: check_structure_lemmas(DiagonalSet(tri.ctx, tri.diagonals[1:])),
-                "FAIL structure_lemmas: missing_short_support: (1,4) absent but vertex 3 "
-                "has degree 0 on ((1, 4), (2, 5))",
-            ),
-            (
                 "vertex_parent",
                 lambda tri: None,
                 "FAIL k2_specialization: parents differ on ((1, 4), (2, 5))",
@@ -774,12 +773,42 @@ class TestVerifyAndRender:
             "inverse-parent-missing",
             "tuple-missing",
             "counts-follow-the-tie-break",
-            "lemma-on-a-dropped-diagonal",
             "parents-differ",
         ],
     )
     def test_verify_names_a_corrupted_child(self, capsys, monkeypatch, target, corrupted, line):
         monkeypatch.setattr(f"ktri.verify.{target}", corrupted)
+        code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "6")
+        assert code == 1 and line in out.splitlines()
+
+    @pytest.mark.parametrize(
+        "oracle_sees_it, line",
+        [
+            (
+                True,
+                "FAIL structure_lemmas: missing_short_support: (1,4) absent but vertex 3 "
+                "has degree 0 on ((1, 4), (2, 5))",
+            ),
+            (
+                False,
+                "FAIL structure_lemmas: the bit table fails ((1, 4), (2, 5)), which "
+                "check_structure_lemmas passes",
+            ),
+        ],
+        ids=["lemma-on-a-dropped-diagonal", "bit-table-fails-a-sound-object"],
+    )
+    def test_verify_names_a_lemma_fault(self, capsys, monkeypatch, oracle_sees_it, line):
+        # the bit table reads each object without its least cell, its mask's top bit;
+        # the oracle, if it sees that too, names the failure, else the two disagree
+        def dropped(ctx, masks):
+            return _lemma_faults(ctx, [mask ^ 1 << mask.bit_length() >> 1 for mask in masks])
+
+        monkeypatch.setattr("ktri.verify._lemma_faults", dropped)
+        if oracle_sees_it:
+            monkeypatch.setattr(
+                "ktri.verify.check_structure_lemmas",
+                lambda tri: check_structure_lemmas(DiagonalSet(tri.ctx, tri.diagonals[1:])),
+            )
         code, out, _ = run(capsys, "verify", "--k", "2", "--n-max", "6")
         assert code == 1 and line in out.splitlines()
 

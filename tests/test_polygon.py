@@ -61,6 +61,7 @@ from ktri.polygon import (
     _crossings,
     _find_clique,
     _finish,
+    _lemma_faults,
     _level,
     _off_staircase,
     _read_leaves,
@@ -883,18 +884,30 @@ class TestStructureLemmas:
         assert not report.ok
         names = {c.name for c in report.checks if not c.passed}
         assert "missing_short_support" in names
+        # the chords (a, a+3) with a >= n-2 are named as cells, (2,5) and (3,6), not (5,8) and (6,9)
+        assert report.failures()[:4] == [
+            "missing_short_support: (2,5) absent but vertex 3 has degree 0",
+            "missing_short_support: (3,6) absent but vertex 5 has degree 0",
+            "missing_short_support: (2,5) absent but vertex 6 has degree 0",
+            "missing_short_support: (3,6) absent but vertex 2 has degree 0",
+        ]
 
     def test_pentagon_vacuous(self):
         assert check_structure_lemmas(KTriangulation(PolygonContext(5, 2), ())).ok
 
     @staticmethod
     def assert_matches_quadratic_statement(obj):
-        # the whole report: the two general lemmas as stated, then the k=2 ones by name
+        # the whole report, failure texts included, and the bit table's verdict on the cells
         report = check_structure_lemmas(obj)
-        assert report.checks[:2] == quadratic_general_lemmas(obj), obj.diagonals
-        k2 = obj.ctx.k == 2 and obj.ctx.n >= 6
-        names = ("missing_short_support", "isolated_vertex_closure") if k2 else ()
-        assert tuple(c.name for c in report.checks[2:]) == names
+        assert report.checks == quadratic_lemmas(obj), obj.diagonals
+        bits = _cell_bits(obj.ctx)
+        mask = sum(bits[d] for d in obj.diagonals)
+        assert (_lemma_faults(obj.ctx, [mask]) is None) == report.ok, obj.diagonals
+        # the two facts the bit table rests on: short_diagonal_reach holds where
+        # neighbor_extension does, and the two k=2 lemmas fail together
+        passed = {c.name: c.passed for c in report.checks}
+        assert passed["short_diagonal_reach"] or not passed["neighbor_extension"], obj.diagonals
+        assert passed.get("missing_short_support") == passed.get("isolated_vertex_closure")
         return report
 
     @pytest.mark.parametrize("k, n_max", [(2, 9), (3, 10), (4, 11)])
@@ -902,6 +915,14 @@ class TestStructureLemmas:
         for n in range(2 * k + 1, n_max + 1):
             for tri in triangulations(n, k):
                 assert self.assert_matches_quadratic_statement(tri).ok
+
+    @pytest.mark.parametrize("k, n_max", [(2, 10), (3, 11), (4, 12)])
+    def test_bit_table_agrees_with_the_oracle_on_every_object(self, k, n_max):
+        # each level's first flagged mask is the first object whose report fails: none of them
+        for n in range(2 * k + 1, n_max + 1):
+            ctx = PolygonContext(n, k)
+            assert _lemma_faults(ctx, brute_masks(n, k)) is None
+            assert all(check_structure_lemmas(tri).ok for tri in triangulations(n, k))
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_matches_quadratic_statement_on_random_cell_sets(self, k):
@@ -928,9 +949,9 @@ class TestStructureLemmas:
         assert all(failed[name] for name in names), failed
 
 
-def quadratic_general_lemmas(obj):
-    """The oracle of the two general lemmas: each member scans every member."""
-    k = obj.ctx.k
+def quadratic_lemmas(obj):
+    """The oracle of the structure lemmas: each member scans every member, each vertex too."""
+    n, k = obj.ctx.n, obj.ctx.k
     members = set(obj.diagonals)
 
     fails = []
@@ -942,7 +963,7 @@ def quadratic_general_lemmas(obj):
         if any(x == b and a < y <= b - k - 1 for (y, x) in members):
             continue
         fails.append(f"({a},{b}) has neither ({a},{b - 1}) nor a partner ending at {b}")
-    neighbor = LemmaCheck("neighbor_extension", not fails, tuple(fails))
+    checks = [LemmaCheck("neighbor_extension", not fails, tuple(fails))]
 
     fails = []
     shorts = {a for (a, b) in members if b == a + k + 1}
@@ -951,4 +972,25 @@ def quadratic_general_lemmas(obj):
             continue
         if not any(a <= i <= b - k - 1 for i in shorts):
             fails.append(f"({a},{b}) sees no short diagonal in rows {a}..{b - k - 1}")
-    return neighbor, LemmaCheck("short_diagonal_reach", not fails, tuple(fails))
+    checks.append(LemmaCheck("short_diagonal_reach", not fails, tuple(fails)))
+    if k != 2 or n < 6:
+        return tuple(checks)
+
+    def isolated(v):
+        return not any(v in d for d in members)
+
+    fails = []
+    for a in range(1, n + 1):  # the chord (a, a+3), wrapped, and the two vertices it skips
+        x, y = wrap_chord(a, a + 3, n)
+        if (x, y) not in members:
+            shown = (v for v in (a % n + 1, (a + 1) % n + 1) if isolated(v))
+            fails += [f"({x},{y}) absent but vertex {v} has degree 0" for v in shown]
+    checks.append(LemmaCheck("missing_short_support", not fails, tuple(fails)))
+
+    fails = []
+    for v in filter(isolated, range(1, n + 1)):
+        for chord in (wrap_chord(v - 2, v + 1, n), wrap_chord(v - 1, v + 2, n)):
+            if chord not in members:
+                fails.append(f"vertex {v} isolated but {chord} missing")
+    checks.append(LemmaCheck("isolated_vertex_closure", not fails, tuple(fails)))
+    return tuple(checks)
