@@ -24,7 +24,9 @@ one :class:`KTriangulation`, at the end, running no crossing search.  Each
 climb step, each descent step and the object at the end run the tree's one
 column check, :func:`ktri.gentree_k._check_staircase`: on the columns the
 step rebuilds or moves, or on all of them, and on the size.
-:func:`ktri.verify._bijection` checks both maps and the inverse.
+:func:`ktri.verify._bijection` checks both maps and the inverse, one tree
+step per object: :func:`ktri.verify.tree_walk` takes the pair step and the
+descent step by label from each node to each of its children.
 
 Tie-break conventions are fixed: when several crosses in one column tie for
 blue, the lowest (largest row) is taken, and for red the highest; per-column

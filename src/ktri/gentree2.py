@@ -123,9 +123,11 @@ def child_by_label(tri: KTriangulation, target: TreeLabel) -> KTriangulation:
     d_j + 1 children with u = corner + j - 1 (d_s + 2 for the last block).
     So the position of ``target`` gives (u, i), and only that child is built.
     Its label is checked here; the child invariant is checked for every
-    child in :func:`ktri.verify.tree_walk`, and the descent as a whole by
-    the inverse round trip in :func:`ktri.verify._bijection`.  It is public,
-    with no caller in the package, as the triangulation tree's step by label.
+    child in :func:`ktri.verify.tree_walk`, which also takes the step by
+    label (:func:`_child_by_label`) from each k = 2 node to each of its
+    children up to the 9-gon, and :func:`ktri.verify._bijection` checks that
+    it gives the child back.  It is public, with no caller in the package,
+    as the triangulation tree's step by label.
     """
     _require_k2(tri)
     _require_int_tuple(target)

@@ -12,14 +12,14 @@ level by :func:`_counting`, a grown pair level by :func:`_pair_round_trips`
 and an image level by :func:`_bijection`.  :func:`run_verify` grows the tree
 once per run (:func:`tree_walk`), each level from the one before.  The tree's
 checks read what the walk recorded on masks, building an object only to name a
-failure, and :func:`_bijection` reads each 2-triangulation's tree side (columns,
-corner, label, parent step) off it by mask.  The pair checks build no path or
-pair object.  A run decodes brute's objects only at k = 2, up to the 9-gon, for
-the checks that read whole objects: the direct map of :func:`_bijection`,
-:func:`_column_identity`, :func:`_tie_breaks` and :func:`_k2_specialization`.
-:func:`_lemmas` reads masks and decodes only an object it names, so a k >= 3
-run decodes none.  The CLI runs the checks at desk scale, the tests at larger
-ranges.
+failure; at k = 2 the walk carries each node's tree image down from its parent,
+and :func:`_bijection` reads each 2-triangulation's image and inverse step off
+it by mask.  The pair checks build no path or pair object.  A run decodes
+brute's objects only at k = 2, up to the 9-gon, for the checks that read whole
+objects: the direct map of :func:`_bijection`, :func:`_column_identity`,
+:func:`_tie_breaks` and :func:`_k2_specialization`.  :func:`_lemmas` reads
+masks and decodes only an object it names, so a k >= 3 run decodes none.  The
+CLI runs the checks at desk scale, the tests at larger ranges.
 """
 
 from __future__ import annotations
@@ -34,13 +34,11 @@ from .errors import DomainError, StructuralError, _decimal, _require_int
 from .gentree2 import (
     ROOT_PAIR,
     Pair,
-    TreeLabel,
     _by_split,
     _child_by_label,
     _label,
     _pair_child_by_label,
     _pair_kids,
-    _pair_label,
     _pair_up,
     label_children,
 )
@@ -87,13 +85,11 @@ Exponents = tuple[tuple[int, ...], tuple[int, ...]]
 Pairs = Callable[[int], Sequence[Exponents]]
 Images = Callable[[int], Sequence[tuple[KTriangulation, Exponents]]]
 Masks = Callable[[int, int], Sequence[int]]
-Fact = tuple[Columns, int, TreeLabel, tuple[tuple[int, ...], ...]]
-"""A k = 2 node's tree facts, as :func:`tree_walk` reads them: its columns, its corner c
-read off them, its label at c and its parent's columns by one parent step at c (the root: ())."""
-Level = tuple[list[int], str | None, str | None, dict[int, Fact]]
+Level = tuple[list[int], str | None, str | None, dict[int, tuple[Pair, Pair | None, bool]]]
 """A level of :func:`tree_walk`: its nodes' masks in walk order, then the first round-trip
 fault of its nodes and the first label fault of the nodes they were grown from, or None,
-then at k = 2 up to the ``LABELS_N_MAX``-gon each certified node's facts by its mask."""
+then at k = 2 up to the ``LABELS_N_MAX``-gon, by mask, each node's record: its tree image,
+its parent's (the root: None) and whether the descent by its label gives it back."""
 Walk = Callable[[int], Level]
 
 # label_coherence checks the succession rule on the children up to this polygon
@@ -103,16 +99,17 @@ LABELS_N_MAX = 9
 def tree_walk(k: int, n_max: int) -> dict[int, Level]:
     """The tree's levels (2k+1)..n_max, each grown once from the one before, for the checks.
 
-    A node is carried as (columns, r), r the u it was grown at, and grown at
-    the corner read off its columns (:func:`_children` at :func:`_corner`),
-    so r serves only the round trip below; only the levels grown from keep
-    columns.  Each child is read as its mask over the level's cells
-    (:func:`_leaf_mask`) and certified on it: k(n-2k-1) distinct staircase
-    cells with no (k+1)-crossing are a maximal set.  A (k+1)-crossing is
-    fixed by its 2k+2 endpoints, so the level's list of them, as hits per
-    cell in bit order (:func:`_crossing_hits`, the brute lister's), is built
-    once, and a child holds none iff the cells outside it meet all
-    C(n, 2k+2) of them (:func:`_crossing_free`), as
+    A node is carried as (columns, r, image), r the u it was grown at and
+    image as below, and grown at the corner read off its columns
+    (:func:`_children` at :func:`_corner`), so r serves only the round trip
+    below; only the levels grown from keep columns.  Each child is read as
+    its mask over the level's cells (:func:`_leaf_mask`) and certified on
+    it: k(n-2k-1) distinct staircase cells with no (k+1)-crossing are a
+    maximal set.  A (k+1)-crossing is fixed by its 2k+2 endpoints, so the
+    level's list of them, as hits per cell in bit order
+    (:func:`_crossing_hits`, the brute lister's), is built once, and a child
+    holds none iff the cells outside it meet all C(n, 2k+2) of them
+    (:func:`_crossing_free`), as
     :func:`ktri.polygon.is_k_triangulation` finds on the child's diagonals:
     at most 495 (k=3, n=12) on the levels :func:`run_verify` admits, whose
     brute guards hold each to 40 cells, and at most 1,001 (k=4, n=14) under
@@ -128,16 +125,20 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
     from.  A child that fails is named by its cells sorted, as they are: a
     cell off the staircase or repeated is a fault of the tree, not of input.
     At k = 2 up to the ``LABELS_N_MAX``-gon, the range :func:`_bijection`
-    reads, the parent step runs for every certified child, not only until
-    the first fault, and the child's :data:`Fact` is recorded by its mask,
-    its label read at c: the one read at u for the rule where c == u, read
-    again where a faulty tree sets c apart from u.
+    reads, the parent step runs for every certified child, and a node
+    carries its tree image (p, q, s), the root's :data:`ROOT_PAIR`.  A child
+    whose parent step gives back its node, if that has an image, is recorded
+    by its mask with its image, one :func:`_pair_child_by_label` step from
+    the node's by its label at c (the one read at u where c == u), the
+    node's image, and whether the step down by that label
+    (:func:`_child_by_label`) gives back its columns and corner c.  Any other
+    child, and so each of its descendants, carries no image and gets no record.
     """
     _level_size(n_max, k)  # the tree lister's guards, which bound every level below too
-    level = [_root(k)]
-    root = level[0][0]
-    facts = {0: (root, k, _label(root, k), ())} if k == 2 else {}  # the (2k+1)-gon's corner is k
-    out: dict[int, Level] = {2 * k + 1: ([0], None, None, facts)}  # the root has no cell
+    root = ROOT_PAIR.p, ROOT_PAIR.q, ROOT_PAIR.s
+    level: list[tuple[Columns, int, Pair | None]] = [(*_root(k), root if k == 2 else None)]
+    records = {0: (root, None, True)} if k == 2 else {}
+    out: dict[int, Level] = {2 * k + 1: ([0], None, None, records)}  # the root has no cell
     for n in range(2 * k + 2, n_max + 1):
         ctx = PolygonContext(n, k)
         bits = _cell_bits(ctx)
@@ -146,15 +147,16 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
         masks: list[int] = []
         grown = []
         trip = labels = None
-        facts = {}
+        records = {}
         labelled = k == 2 and n <= LABELS_N_MAX
-        for cols, r in level:
+        for cols, r, node_image in level:
             p = _corner(cols, k)
             kids = _children(cols, k, p)
             if labelled:  # each child's label, read once at u, takes the place of its rows
+                node_label = _label(cols, p)
                 kids = [(u, _label(child, u), child) for u, _, child in kids]
                 if labels is None:
-                    expected = label_children(_label(cols, p))
+                    expected = label_children(node_label)
                     got = tuple(label for _, _, label in _by_split((u, label) for u, label, _ in kids))
                     if got != expected or len(set(got)) != len(got):
                         what = "labels differ" if got != expected else "sibling labels repeat"
@@ -167,19 +169,23 @@ def tree_walk(k: int, n_max: int) -> dict[int, Level]:
                         trip = f"child {shown} is not a k-triangulation at n={n}"
                     continue
                 masks.append(mask)
+                image = None
                 if trip is None or labelled:
                     c = _corner(child, k)
                     up = _parent(child, k, c)
-                    if labelled:
-                        facts[mask] = child, c, label if c == u else _label(child, c), tuple(up)
+                    if labelled and node_image is not None and up == cols:
+                        label = label if c == u else _label(child, c)
+                        image = _pair_child_by_label(*node_image, node_label, label)
+                        descends = _child_by_label(cols, p, node_label, label) == (child, c)
+                        records[mask] = image, node_image, descends
                     if trip is None:
                         if up != cols:
                             trip = f"parent(child) != parent at n={n}"
                         elif not c == u >= r:
                             trip = f"child corner {c} != u={u} or < parent corner {r} at n={n}"
                 if n < n_max:
-                    grown.append((child, u))
-        out[n] = masks, trip, labels, facts
+                    grown.append((child, u, image))
+        out[n] = masks, trip, labels, records
         level = grown
     return out
 
@@ -282,62 +288,36 @@ def _label_coherence(n_max: int, tree: Walk) -> Check:
 
 
 def _bijection(n_max: int, masks: Masks, tree: Walk, images: Images, pairs: Pairs) -> Check:
-    """The tree map and its inverse on every 2-triangulation, one tree step per object.
+    """The tree map and its inverse on every 2-triangulation, as the tree walk recorded them.
 
     :func:`ktri.bijection.to_paths_via_tree` climbs from a node to the root
     and descends the pair tree by the labels it met; its parent's chain is
     the node's less the last label.  So, by induction on n, a node's tree
-    image is one :func:`_pair_child_by_label` step, from the image and
-    label of its parent (one :func:`_parent` step up) to its own label.
-    Likewise :func:`ktri.bijection.from_paths` of a pair is one
-    :func:`_child_by_label` step from the triangulation of its parent pair
-    (one :func:`_pair_up` step up).  A node's columns, corner, label and
-    parent step are the facts :func:`tree_walk` recorded for its mask; brute's
-    objects line up with their masks, as the brute lister decodes them from
-    ``masks`` in order, and a mask the walk did not certify has no tree map.
-    Each level keeps, for the next, each triangulation's image and label by
-    its columns, and each pair's triangulation as columns, corner and label.
-    A value is kept once it matches the direct map, corner too, so it is
-    what the per-object map computes: the same kernels run on the same chain
-    of labels, from the tree's root and the root pair.  A parent missing
-    from the level before fails the check as a mismatch does; each kernel's
-    own checks raise StructuralError.  A level's images, sorted, are compared
-    with the pair listing once.
+    image is one pair step from its parent's by its own label, and
+    :func:`ktri.bijection.from_paths` of a pair is one descent step by label
+    from the triangulation of its parent pair (one :func:`_pair_up` step up).
+    :func:`tree_walk` took both steps from each node's parent and recorded
+    them by mask; brute's objects line up with their masks, as the brute
+    lister decodes them from ``masks`` in order, and a mask with no record
+    has no tree map.  The image must be the direct map's pair, the descent
+    must give the node back, and the direct pair's parent must be the
+    parent's image, which the level before matched to the parent's direct
+    pair.  Each kernel's own checks raise StructuralError.  A level's images,
+    sorted, are compared with the pair listing once.
     """
-    root = ROOT_PAIR.p, ROOT_PAIR.q, ROOT_PAIR.s
-    pentagon = _root(2)
-    to_image: dict[tuple[tuple[int, ...], ...], tuple[Pair, TreeLabel]] = {}
-    to_tri: dict[tuple[tuple[int, ...], tuple[int, ...]], tuple[Columns, int, TreeLabel]] = {}
     for n in range(5, n_max + 1):
-        facts = tree(n)[3]
+        records = tree(n)[3]
         seen = []
-        next_image, next_tri = {}, {}
         for mask, (tri, (p, q)) in zip(masks(n, 2), images(n)):
-            fact = facts.get(mask)
-            if fact is None:
+            record = records.get(mask)
+            if record is None or record[0][:2] != (p, q):
                 return ("bijection", False, f"direct and tree maps differ on {tri.diagonals}")
-            cols, r, label, climb = fact
-            pair = p, q, _split_index(p, q)  # _exponents has checked the pair
-            target = _pair_label(*pair)
-            image: Pair | None = root
-            back: tuple[Columns, int] | None = pentagon
-            if n > 5:
-                up = to_image.get(climb)
-                image = None if up is None else _pair_child_by_label(*up[0], up[1], label)
-            if image is None or image[:2] != (p, q):
-                return ("bijection", False, f"direct and tree maps differ on {tri.diagonals}")
-            if n > 5:
-                down = to_tri.get(_pair_up(*pair)[:2])
-                back = None if down is None else _child_by_label(*down, target)
-            if back != (cols, r):
+            _, node_image, descends = record  # the pentagon's is None: the root pair has no parent
+            if not descends or (n > 5 and _pair_up(p, q, _split_index(p, q)) != node_image):
                 return ("bijection", False, f"inverse fails on {tri.diagonals}")
-            if n < n_max:  # the last level is no parent level
-                next_image[tuple(cols)] = image, label
-                next_tri[p, q] = cols, r, target
             seen.append((p, q))
         if sorted(seen) != pairs(n - 4):
             return ("bijection", False, f"image at n={n} is not all non-crossing pairs")
-        to_image, to_tri = next_image, next_tri
     return ("bijection", True, f"n<={n_max}")
 
 

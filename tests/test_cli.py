@@ -31,7 +31,7 @@ from ktri import (
 )
 from ktri.bijection import _color, _exponents
 from ktri.formats import format_pair, format_triangulation
-from ktri.gentree2 import _by_split, _pair_kids, label_children
+from ktri.gentree2 import _by_split, _child_by_label, _pair_kids, label_children
 from ktri.gentree_k import _children, _leaf_mask, _parent, _root
 from ktri.cli import build_parser, main
 from ktri.paths import catalan_determinant
@@ -725,6 +725,14 @@ class TestVerifyAndRender:
                 "FAIL bijection: inverse fails on ((1, 4), (2, 5))",
             ),
             (
+                "_child_by_label",
+                # the right columns, but the corner one past their u
+                lambda cols, r, label, target: (
+                    lambda child, u: (child, u + 1)
+                )(*_child_by_label(cols, r, label, target)),
+                "FAIL bijection: inverse fails on ((1, 4), (2, 5))",
+            ),
+            (
                 "_parent",
                 lambda cols, k, r: cols,  # a hexagon, not in the level of the pentagon
                 "FAIL bijection: direct and tree maps differ on ((1, 4), (2, 5))",
@@ -769,6 +777,7 @@ class TestVerifyAndRender:
             "pair-children-twice",
             "tree-map-differs",
             "inverse-differs",
+            "inverse-corner-off",
             "tree-parent-missing",
             "inverse-parent-missing",
             "tuple-missing",

@@ -24,10 +24,10 @@ from ktri import (
     enumerate_tuples,
     is_k_triangulation,
     parent_k,
+    to_paths_via_tree,
     tree_root,
     verify,
 )
-from ktri.gentree2 import _label
 from ktri.gentree_k import (
     _cells,
     _check_staircase,
@@ -420,17 +420,23 @@ class TestEnumerateTree:
                 assert all(a > b for a, b in zip(masks, masks[1:])), (k, n)
 
     def test_walk_facts_are_brute_objects_read_on_the_tree(self):
-        # verify's bijection reads each 2-triangulation's columns, corner, label and parent
-        # step off the walk, by mask; here they are read off brute's objects instead
+        # verify's bijection reads each 2-triangulation's record off the walk, by mask: its
+        # tree image, its parent's and whether the descent by its label gives it back; here
+        # they are checked on brute's objects against the public tree map and parent step
         walk = tree(2, 11)
+        below = {}
         for n in range(5, verify.LABELS_N_MAX + 1):
-            facts = walk(n)[3]
-            assert sorted(facts, reverse=True) == brute_masks(n, 2), n
-            for mask, tri in zip(brute_masks(n, 2), triangulations(n, 2)):
-                cols = _columns(tri)
-                r = _corner(cols, 2)
-                climb = tuple(_parent(cols, 2, r)) if n > 5 else ()  # the pentagon has no parent
-                assert facts[mask] == (cols, r, _label(cols, r), climb), tri.diagonals
+            records = walk(n)[3]
+            assert sorted(records, reverse=True) == brute_masks(n, 2), n
+            level = dict(zip(triangulations(n, 2), brute_masks(n, 2)))
+            for tri, mask in level.items():
+                image, node_image, descends = records[mask]
+                p, q = to_paths_via_tree(tri)
+                assert image[:2] == (p.exponents(), q.exponents()), tri.diagonals
+                # the pentagon has no parent; the hexagons' is the pentagon, whose image is the root pair
+                assert node_image == (None if n == 5 else below[parent_k(tri)]), tri.diagonals
+                assert descends, tri.diagonals
+            below = {tri: records[mask][0] for tri, mask in level.items()}
         # none past the labelled levels, and none at k >= 3
         assert all(walk(n)[3] == {} for n in range(verify.LABELS_N_MAX + 1, 12))
         for k, n_max in [(3, 10), (4, 12)]:
